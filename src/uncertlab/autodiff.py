@@ -4,19 +4,23 @@ Taylor-series propagation needs the gradient, the full Hessian, and the
 mixed third derivatives d^3 f / dx_i dx_j^2 of the model at the input
 means. Rather than differentiate symbolically (which blows up on nested
 products) or numerically (which trades one tolerance problem for
-another), each evaluation here runs on truncated bivariate Taylor
-polynomials: a :class:`Jet2` carries all series coefficients in two
-perturbations e1, e2 up to total degree 3, and the arithmetic below
-pushes them through the expression tree exactly.
+another), the model is evaluated on truncated bivariate Taylor
+polynomials in two perturbations e1, e2 up to total degree 3 (Griewank,
+Utke & Walther, Math. Comp. 69 (2000); Griewank & Walther, *Evaluating
+Derivatives*, 2008, ch. 13).
 
-Seeding x_i = mu_i + e1 and x_j = mu_j + e2 makes the output
-coefficient of e1^a e2^b equal to
+A jet is a (K, 10) array: one row per seeding, one column per monomial
+e1^a e2^b with a + b <= 3. Seeding x_i = mu_i + e1 and x_j = mu_j + e2
+makes the row's coefficient of e1^a e2^b equal to
 
-    d^(a+b) f / (dx_i^a dx_j^b) / (a! b!),
+    d^(a+b) f / (dx_i^a dx_j^b) / (a! b!).
 
-so one tree evaluation per index pair (i, j), i < j, recovers every
-derivative the propagation formulas consume. All results are exact up
-to floating-point rounding; there is no step-size parameter anywhere.
+All seedings of a point go side by side through one walk of the tree:
+a row per index pair i < j for Hessians and third derivatives, a row
+per input seeded on e1 alone for gradients. Column 0 is the model
+value, equal in every row and computed by the scalar evaluator's rules;
+chain-rule coefficients and domain checks read it from row 0. Results
+are exact up to floating-point rounding; there is no step size.
 
 Domain rules match the scalar evaluator, with one addition: points
 where the model's value exists but a derivative does not (sqrt at zero)
@@ -26,169 +30,157 @@ is meaningless there.
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .expr import (
-    FUNCTIONS,
-    Binary,
-    Const,
-    MeasurementModelExpr,
-    Node,
-    Unary,
-    Var,
-    constant_exponent,
-    evaluate,
-)
+from .expr import (FUNCTIONS, Const, MeasurementModelExpr, Node, Unary, Var,
+                   checked_pow, constant_exponent)
 
-__all__ = ["Jet2", "DerivativeBundle", "derivatives"]
+__all__ = ["DerivativeBundle", "derivatives"]
 
-_ORDER = 4  # coefficients c[a, b] kept for total degree a + b <= 3
+# Jet columns as monomial exponents (a, b) of e1^a e2^b. They are sorted
+# by the number of terms their product coefficient sums (1, 2, 3, 4, 6),
+# so the k-th terms of all coefficients that have one fill a column
+# suffix.
+_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1),
+              (3, 0), (0, 3), (2, 1), (1, 2))
+_COL = {m: c for c, m in enumerate(_MONOMIALS)}
 
 
-class Jet2:
-    """Truncated Taylor polynomial in two perturbations, total degree <= 3.
+def _product_table():
+    """Coefficient (a, b) of x*y sums x[p, q] y[a-p, b-q] over p <= a,
+    q <= b in that order. Slot k holds the k-th terms, as gather
+    indices from ``start`` on and the first output column they fill."""
+    terms = [[(_COL[(p, q)], _COL[(a - p, b - q)])
+              for p in range(a + 1) for q in range(b + 1)]
+             for a, b in _MONOMIALS]
+    left, right, slots = [], [], []
+    for k in range(len(terms[-1])):
+        first = next(c for c, t in enumerate(terms) if len(t) > k)
+        slots.append((len(left), first))
+        left += [t[k][0] for t in terms[first:]]
+        right += [t[k][1] for t in terms[first:]]
+    return np.array(left), np.array(right), slots
 
-    ``c[a, b]`` is the coefficient of e1^a e2^b; slots with a + b > 3
-    stay zero. Supports +, -, *, / between jets, composition with the
-    registry functions, and powers with constant exponent. Real
-    measurement models reference at most a handful of inputs, so the
-    fixed 4x4 layout costs nothing and keeps indexing transparent.
+
+_LEFT, _RIGHT, _SLOTS = _product_table()
+# Sums start from +0.0, except the value column: adding -0.0 keeps x0*y0
+# exactly as the scalar evaluator computes it, sign of zero included.
+_SUM_START = np.array([-0.0] + [0.0] * (len(_MONOMIALS) - 1))
+
+
+def _constant(value: float) -> np.ndarray:
+    """A one-row jet; broadcasting shares it across every seeding."""
+    out = np.zeros((1, len(_MONOMIALS)))
+    out[0, 0] = value
+    return out
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Truncated product, summing each coefficient's terms in order.
+
+    Adding one slot at a time, rather than a matmul with a 0/1 scatter
+    matrix, fixes the rounding order and keeps an infinite term out of
+    the other coefficients (0 * inf is NaN).
     """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: np.ndarray):
-        self.c = c
-
-    @classmethod
-    def constant(cls, value: float) -> "Jet2":
-        c = np.zeros((_ORDER, _ORDER))
-        c[0, 0] = value
-        return cls(c)
-
-    @classmethod
-    def variable(cls, value: float, slot: int) -> "Jet2":
-        """A seeded input: ``value + e1`` (slot 0) or ``value + e2`` (slot 1)."""
-        c = np.zeros((_ORDER, _ORDER))
-        c[0, 0] = value
-        if slot == 0:
-            c[1, 0] = 1.0
-        else:
-            c[0, 1] = 1.0
-        return cls(c)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.c)
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.c + other.c)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.c - other.c)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        x, y = self.c, other.c
-        out = np.zeros((_ORDER, _ORDER))
-        for a in range(_ORDER):
-            for b in range(_ORDER - a):
-                s = 0.0
-                for p in range(a + 1):
-                    for q in range(b + 1):
-                        s += x[p, q] * y[a - p, b - q]
-                out[a, b] = s
-        return Jet2(out)
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        v = other.c[0, 0]
-        if v == 0.0:
-            raise DomainError("division by zero")
-        recip = _compose(other, 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
-        return self * recip
+    terms = x[:, _LEFT] * y[:, _RIGHT]
+    n = len(_MONOMIALS)
+    out = terms[:, :n] + _SUM_START
+    for start, first in _SLOTS[1:]:
+        out[:, first:] += terms[:, start:start + n - first]
+    return out
 
 
-def _compose(u: Jet2, g0: float, g1: float, g2: float, g3: float) -> Jet2:
-    """g(u) for scalar g with derivatives g1..g3 at the value of u.
+def _compose(u: np.ndarray, g0: float, g1: float, g2: float,
+             g3: float) -> np.ndarray:
+    """g(u) for scalar g with value g0 and derivatives g1..g3 at u's value.
 
     Writing u = a + p with p the zero-constant perturbation part,
     g(u) truncates to g(a) + g1 p + (g2/2) p^2 + (g3/6) p^3.
     """
-    p = Jet2(u.c.copy())
-    p.c[0, 0] = 0.0
-    p2 = p * p
-    p3 = p2 * p
-    out = g1 * p.c + (g2 / 2.0) * p2.c + (g3 / 6.0) * p3.c
-    out[0, 0] += g0
-    return Jet2(out)
+    p = u.copy()
+    p[:, 0] = 0.0
+    p2 = _mul(p, p)
+    out = g1 * p + (g2 / 2.0) * p2 + (g3 / 6.0) * _mul(p2, p)
+    out[:, 0] = g0
+    return out
 
 
-def _int_pow(u: Jet2, n: int) -> Jet2:
+def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = y[0, 0]
+    if v == 0.0:
+        raise DomainError("division by zero")
+    out = _mul(x, _compose(y, 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
+    out[:, 0] = x[0, 0] / v
+    return out
+
+
+def _int_pow(u: np.ndarray, n: int) -> np.ndarray:
     """u**n for n >= 0 by square-and-multiply on the polynomial itself.
 
     Staying in polynomial arithmetic keeps integer powers exact at any
     base, including zero, where the series-composition route would
     divide by the base value.
     """
-    result = Jet2.constant(1.0)
+    result = _constant(1.0)
     base = u
     while n:
         if n & 1:
-            result = result * base
+            result = _mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = _mul(base, base)
     return result
 
 
-def _pow_const(u: Jet2, exponent: float) -> Jet2:
-    a = u.c[0, 0]
+def _pow_const(u: np.ndarray, exponent: float) -> np.ndarray:
+    a = u[0, 0]
+    value = checked_pow(a, exponent)
     if math.isfinite(exponent) and exponent == int(exponent):
         n = int(exponent)
-        if n >= 0:
-            return _int_pow(u, n)
-        if a == 0.0:
-            raise DomainError("zero base raised to a negative power")
-        return Jet2.constant(1.0) / _int_pow(u, -n)
-    if a <= 0.0:
-        raise DomainError(f"non-integer power of non-positive base {a}")
-    g0 = a**exponent
+        out = _int_pow(u, abs(n))
+        if n < 0:
+            out = _div(_constant(1.0), out)
+        out[:, 0] = value
+        return out
     g1 = exponent * a ** (exponent - 1.0)
     g2 = exponent * (exponent - 1.0) * a ** (exponent - 2.0)
     g3 = exponent * (exponent - 1.0) * (exponent - 2.0) * a ** (exponent - 3.0)
-    return _compose(u, g0, g1, g2, g3)
+    return _compose(u, value, g1, g2, g3)
 
 
-def _apply_function(fn: str, u: Jet2) -> Jet2:
+def _apply_function(fn: str, u: np.ndarray) -> np.ndarray:
     spec = FUNCTIONS[fn]
-    a = u.c[0, 0]
+    a = u[0, 0]
     g0 = spec.scalar(a)
     if spec.deriv_check is not None:
         spec.deriv_check(a)
     return _compose(u, g0, spec.d1(a), spec.d2(a), spec.d3(a))
 
 
-def _eval_jet(node: Node, env: Mapping[str, Jet2]) -> Jet2:
+def _eval_jet(node: Node, leaf: Callable[[str], np.ndarray]) -> np.ndarray:
+    """Walk the tree once; ``leaf(name)`` gives an input's seeded jet."""
     if isinstance(node, Const):
-        return Jet2.constant(node.value)
+        return _constant(node.value)
     if isinstance(node, Var):
-        return env[node.name]
+        return leaf(node.name)
     if isinstance(node, Unary):
         if node.fn == "neg":
-            return -_eval_jet(node.arg, env)
-        return _apply_function(node.fn, _eval_jet(node.arg, env))
+            return -_eval_jet(node.arg, leaf)
+        return _apply_function(node.fn, _eval_jet(node.arg, leaf))
     if node.op == "^":
-        return _pow_const(_eval_jet(node.lhs, env), constant_exponent(node.rhs))
-    lhs = _eval_jet(node.lhs, env)
-    rhs = _eval_jet(node.rhs, env)
+        return _pow_const(_eval_jet(node.lhs, leaf), constant_exponent(node.rhs))
+    lhs = _eval_jet(node.lhs, leaf)
+    rhs = _eval_jet(node.rhs, leaf)
     if node.op == "+":
         return lhs + rhs
     if node.op == "-":
         return lhs - rhs
     if node.op == "*":
-        return lhs * rhs
-    return lhs / rhs
+        return _mul(lhs, rhs)
+    return _div(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -215,12 +207,15 @@ def derivatives(
 ) -> DerivativeBundle:
     """Compute value and derivatives of ``expr`` up to ``order`` (1, 2, or 3).
 
-    ``variables`` fixes the variable order of the output arrays and
-    defaults to the expression's own first-appearance order; callers
-    that carry a declared input list (possibly a superset of the
-    variables actually referenced) pass it here, and unreferenced
-    inputs get exact zero derivatives. Raises :class:`DomainError`
-    where the model or one of the needed derivatives is undefined.
+    One walk of the tree over stacked seedings: N rows seeded on e1
+    alone for order 1 (or a single input), N(N-1)/2 pair rows for
+    orders 2 and 3. ``variables`` fixes the variable order of the
+    output arrays and defaults to the expression's own first-appearance
+    order; callers that carry a declared input list (possibly a
+    superset of the variables actually referenced) pass it here, and
+    unreferenced inputs get exact zero derivatives. Raises
+    :class:`DomainError` where the model or one of the needed
+    derivatives is undefined.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
@@ -233,43 +228,39 @@ def derivatives(
     if absent:
         raise EvaluationError(f"no value for variable(s): {', '.join(absent)}")
 
-    value = evaluate(expr, at)
     n = len(names)
+    pairs = order > 1 and n > 1
+    # row r seeds input first[r] on e1 and, for pairs, second[r] on e2
+    idx = np.arange(n)
+    first, second = (np.nonzero(idx[:, None] < idx) if pairs
+                     else (idx, np.full(n, -1)))
+    position = {name: t for t, name in enumerate(names)}
+
+    def leaf(name: str) -> np.ndarray:
+        # built per leaf: keeping all N jets of N^2/2 rows would cost N^3
+        jet = np.zeros((len(first), len(_MONOMIALS)))
+        jet[:, 0] = float(at[name])
+        jet[:, 1] = first == position[name]    # column (1, 0): e1
+        jet[:, 2] = second == position[name]   # column (0, 1): e2
+        return jet
+
+    with np.errstate(all="ignore"):
+        jet = _eval_jet(expr.root, leaf)
+    rows = np.broadcast_to(jet, (len(first), len(_MONOMIALS)))
+    c = dict(zip(_MONOMIALS, rows.T))
+
     grad = np.zeros(n)
     hess = np.zeros((n, n))
     third = np.zeros((n, n))
-
-    def seeded_env(i: int, j: Optional[int]) -> dict[str, Jet2]:
-        env = {name: Jet2.constant(float(at[name])) for name in names}
-        env[names[i]] = Jet2.variable(float(at[names[i]]), 0)
-        if j is not None:
-            env[names[j]] = Jet2.variable(float(at[names[j]]), 1)
-        return env
-
-    with np.errstate(all="ignore"):
-        if order == 1 or n == 1:
-            for i in range(n):
-                c = _eval_jet(expr.root, seeded_env(i, None)).c
-                grad[i] = c[1, 0]
-                hess[i, i] = 2.0 * c[2, 0]
-                third[i, i] = 6.0 * c[3, 0]
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    c = _eval_jet(expr.root, seeded_env(i, j)).c
-                    grad[i] = c[1, 0]
-                    grad[j] = c[0, 1]
-                    hess[i, i] = 2.0 * c[2, 0]
-                    hess[j, j] = 2.0 * c[0, 2]
-                    hess[i, j] = hess[j, i] = c[1, 1]
-                    third[i, i] = 6.0 * c[3, 0]
-                    third[j, j] = 6.0 * c[0, 3]
-                    third[i, j] = 2.0 * c[1, 2]
-                    third[j, i] = 2.0 * c[2, 1]
-
-    return DerivativeBundle(
-        value,
-        grad,
-        hess if order >= 2 else None,
-        third if order >= 3 else None,
-    )
+    grad[first] = c[1, 0]
+    hess[first, first] = 2.0 * c[2, 0]
+    third[first, first] = 6.0 * c[3, 0]
+    if pairs:
+        grad[second] = c[0, 1]
+        hess[second, second] = 2.0 * c[0, 2]
+        hess[first, second] = hess[second, first] = c[1, 1]
+        third[second, second] = 6.0 * c[0, 3]
+        third[first, second] = 2.0 * c[1, 2]
+        third[second, first] = 2.0 * c[2, 1]
+    return DerivativeBundle(float(jet[0, 0]), grad, hess if order >= 2 else None,
+                            third if order >= 3 else None)

@@ -42,9 +42,9 @@ from .propagation import (propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
                           sensitivity_budget, summarize)
 from .regression import build_model
-from .report import (build_report, decision_to_dict, file_sha256,
-                     measurement_to_dict, train_result_to_dict,
-                     virtual_measurement_to_dict, write_report)
+from .report import (build_report, file_sha256, measurement_to_dict,
+                     train_result_to_dict, virtual_measurement_to_dict,
+                     write_report)
 from .rng import substream
 from .vi import VIConfig, predict, train_vi
 
@@ -89,7 +89,7 @@ def _run_propagate(args) -> tuple[dict, int]:
 
     results = {"measurement": measurement_to_dict(result)}
     if run.method != "monte_carlo":
-        results["budget"] = sensitivity_budget(run.expr, run.joint)
+        results["budget"] = sensitivity_budget(result, run.joint)
     return build_report("propagate", run.resolved, results), 0
 
 
@@ -140,7 +140,7 @@ def _predict_rows(run: PredictRun, model, posterior) -> list[dict]:
         entry = {"x": [float(v) for v in row]}
         entry.update(virtual_measurement_to_dict(vm))
         if spec is not None:
-            entry["conformity"] = decision_to_dict(classify_virtual(vm, spec))
+            entry["conformity"] = classify_virtual(vm, spec).to_dict()
         out.append(entry)
     return out
 
@@ -164,7 +164,7 @@ def _run_conformity(args) -> tuple[dict, int]:
     doc = load_json(args.config)
     run = resolve_conformity(doc, args.lsl, args.usl)
     spec = Specification(run.lsl, run.usl)
-    decisions = [decision_to_dict(classify(y, u, spec))
+    decisions = [classify(y, u, spec).to_dict()
                  for y, u in run.measurements]
     results = {"decisions": decisions}
     return build_report("conformity", run.resolved, results), 0

@@ -27,6 +27,7 @@ from .vi import VIConfig
 
 __all__ = [
     "load_json",
+    "reject_non_finite",
     "validate_config",
     "PropagateRun",
     "TrainRun",
@@ -263,13 +264,18 @@ _SCHEMAS = {
 }
 
 
+def reject_non_finite(literal: str) -> float:
+    """``parse_constant`` hook: RFC 8259 JSON has no NaN or Infinity."""
+    raise ValueError(f"non-finite number {literal} is not allowed")
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_non_finite)
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # json.JSONDecodeError is one
         raise ConfigError(f"{path}: not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -13,7 +13,7 @@ resemble the training distribution.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -113,6 +113,71 @@ def make_dataset(
     return Dataset(x, y, names, target_name, summary, n_rejected_rows)
 
 
+def _parse_cell(path: str, lineno: int, column: str, raw: str) -> float:
+    raw = raw.strip()
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DatasetError(f"{path}: row {lineno}, column {column!r}: "
+                           f"non-numeric value {raw!r}") from None
+    if not math.isfinite(value):
+        raise DatasetError(f"{path}: row {lineno}, column {column!r}: "
+                           f"non-finite value {raw!r}")
+    return value
+
+
+def _read_csv(
+    path: str, kind: str, choose: Callable[[list[str]], list[str]]
+) -> tuple[list[str], np.ndarray, int]:
+    """Read the columns ``choose(header)`` selects from a CSV file.
+
+    The header must name each column once, every other non-blank line
+    must have the header's width, and every selected cell must be a
+    finite number; errors name the file line and column. Returns the
+    selected names, their (rows, columns) values, and the number of
+    fully blank lines skipped.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as err:
+        raise DatasetError(f"cannot read {kind} {path!r}: {err}") from err
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        seen: set[str] = set()
+        for h in header:
+            if h in seen:
+                raise DatasetError(f"{path}: duplicate header column {h!r}")
+            seen.add(h)
+        names = choose(header)
+        missing = [n for n in names if n not in seen]
+        if missing:
+            raise DatasetError(
+                f"{path}: feature column(s) not found: {', '.join(missing)}")
+        columns = [(n, header.index(n)) for n in names]
+
+        rows: list[list[float]] = []
+        blank = 0
+        # line 1 is the header, so data rows are numbered from 2
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                blank += 1
+                continue
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"{path}: row {lineno} has {len(row)} cells, "
+                    f"expected {len(header)}")
+            rows.append([_parse_cell(path, lineno, n, row[i])
+                         for n, i in columns])
+
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    return names, np.array(rows, dtype=np.float64), blank
+
+
 def ingest_dataset(
     path: str,
     target: str,
@@ -127,120 +192,32 @@ def ingest_dataset(
     naming the file line and column, since silently dropping records
     would bias the training data.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as err:
-        raise DatasetError(f"cannot read dataset {path!r}: {err}") from err
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        seen: set[str] = set()
-        for h in header:
-            if h in seen:
-                raise DatasetError(f"{path}: duplicate header column {h!r}")
-            seen.add(h)
-        if target not in seen:
+    def choose(header: list[str]) -> list[str]:
+        if target not in header:
             raise DatasetError(
                 f"{path}: target column {target!r} not found "
                 f"(columns: {', '.join(header)})")
         names = list(features) if features is not None else \
             [h for h in header if h != target]
-        missing = [n for n in names if n not in seen]
-        if missing:
-            raise DatasetError(
-                f"{path}: feature column(s) not found: {', '.join(missing)}")
         if not names:
             raise DatasetError(f"{path}: no feature columns besides the target")
-        col_index = {h: i for i, h in enumerate(header)}
+        return names + [target]
 
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        rejected = 0
-        # line 1 is the header, so data rows are numbered from 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                rejected += 1
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {lineno} has {len(row)} cells, "
-                    f"expected {len(header)}")
-
-            def cell(col: str) -> float:
-                raw = row[col_index[col]].strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {lineno}, column {col!r}: "
-                        f"non-numeric value {raw!r}") from None
-                if not math.isfinite(value):
-                    raise DatasetError(
-                        f"{path}: row {lineno}, column {col!r}: "
-                        f"non-finite value {raw!r}")
-                return value
-
-            rows.append([cell(n) for n in names])
-            targets.append(cell(target))
-
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    return make_dataset(np.array(rows), np.array(targets), names, target,
-                        n_rejected_rows=rejected)
+    names, values, rejected = _read_csv(path, "dataset", choose)
+    # copies: x and y each own contiguous memory, not views of one table
+    return make_dataset(values[:, :-1].copy(), values[:, -1].copy(),
+                        names[:-1], target, n_rejected_rows=rejected)
 
 
 def ingest_parts(path: str, feature_names: Sequence[str]) -> np.ndarray:
     """Read new-part feature rows from a CSV with a header.
 
     The file must contain every column in ``feature_names``; extra
-    columns are ignored. Returns the features as an (n, F) array in the
-    requested column order, with the same strictness about malformed
-    cells as :func:`ingest_dataset`.
+    columns are ignored and blank lines skipped. Returns the features
+    as an (n, F) array in the requested column order, with the same
+    strictness about the header and malformed cells as
+    :func:`ingest_dataset`.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as err:
-        raise DatasetError(f"cannot read parts file {path!r}: {err}") from err
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        missing = [n for n in feature_names if n not in header]
-        if missing:
-            raise DatasetError(
-                f"{path}: feature column(s) not found: {', '.join(missing)}")
-        col_index = {h: i for i, h in enumerate(header)}
-
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {lineno} has {len(row)} cells, "
-                    f"expected {len(header)}")
-            values = []
-            for name in feature_names:
-                raw = row[col_index[name]].strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {lineno}, column {name!r}: "
-                        f"non-numeric value {raw!r}") from None
-                if not math.isfinite(value):
-                    raise DatasetError(
-                        f"{path}: row {lineno}, column {name!r}: "
-                        f"non-finite value {raw!r}")
-                values.append(value)
-            rows.append(values)
-
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+    _, values, _ = _read_csv(path, "parts file",
+                             lambda header: list(feature_names))
+    return values

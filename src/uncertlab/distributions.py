@@ -32,7 +32,6 @@ __all__ = [
     "MarginalDistribution",
     "InputQuantity",
     "JointInputModel",
-    "moments",
     "sample",
     "normal_cdf",
     "normal_quantile",
@@ -117,11 +116,6 @@ class Triangular:
 
 
 MarginalDistribution = Union[Gaussian, Rectangular, Triangular]
-
-
-def moments(m: MarginalDistribution) -> tuple[float, float]:
-    """Exact (mean, variance) of a marginal."""
-    return m.moments()
 
 
 @dataclass(frozen=True)

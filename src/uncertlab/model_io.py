@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import reject_non_finite
 from .dataset import DatasetSummary
 from .errors import ConfigError
 from .regression import BayesianVMModel
@@ -112,10 +113,10 @@ def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
     """Read a trained model document; returns (model, posterior, document)."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_non_finite)
     except OSError as err:
         raise ConfigError(f"cannot read model {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # json.JSONDecodeError is one
         raise ConfigError(f"{path}: not valid JSON: {err}") from err
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:

@@ -32,7 +32,7 @@ default k = 2 implies 95.45% Gaussian coverage.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -82,6 +82,8 @@ class MeasurementResult:
     U equals k*u exactly. For the analytic and Taylor methods the
     interval is y +/- U; for monte_carlo it is the equal-tail interval
     of the empirical output distribution at the run's coverage.
+    Analytic and Taylor results also keep the gradient at the input
+    means, which :func:`sensitivity_budget` reads; reports omit it.
     """
 
     y: float
@@ -91,6 +93,8 @@ class MeasurementResult:
     interval: tuple[float, float]
     method: str
     mc_diagnostics: Optional[MCDiagnostics] = None
+    grad: Optional[np.ndarray] = field(default=None, repr=False,
+                                       compare=False)
 
 
 @dataclass(frozen=True)
@@ -129,9 +133,9 @@ def implied_coverage(k: float) -> float:
 
 
 def _expanded(y: float, u: float, k: float, method: str,
-              diagnostics: Optional[MCDiagnostics] = None) -> MeasurementResult:
+              grad: np.ndarray) -> MeasurementResult:
     U = k * u
-    return MeasurementResult(y, u, k, U, (y - U, y + U), method, diagnostics)
+    return MeasurementResult(y, u, k, U, (y - U, y + U), method, grad=grad)
 
 
 def _check_affine(expr: MeasurementModelExpr, joint: JointInputModel) -> None:
@@ -178,7 +182,8 @@ def propagate_analytic(
     bundle = derivatives(expr, joint.mean_assignment(), order=1,
                          variables=joint.names)
     var = float(bundle.grad @ joint.covariance() @ bundle.grad)
-    return _expanded(bundle.value, math.sqrt(max(var, 0.0)), kk, "analytic")
+    return _expanded(bundle.value, math.sqrt(max(var, 0.0)), kk, "analytic",
+                     bundle.grad)
 
 
 def _reject_correlation(joint: JointInputModel, method: str) -> None:
@@ -200,7 +205,7 @@ def propagate_taylor1(
     bundle = derivatives(expr, joint.mean_assignment(), order=1,
                          variables=joint.names)
     var = float(np.sum(bundle.grad**2 * joint.variances()))
-    return _expanded(bundle.value, math.sqrt(var), kk, "taylor1")
+    return _expanded(bundle.value, math.sqrt(var), kk, "taylor1", bundle.grad)
 
 
 def propagate_taylor2(
@@ -230,7 +235,7 @@ def propagate_taylor2(
         raise ConfigError(
             "second-order Taylor variance is negative "
             f"({var:.6g}); the expansion is invalid here, use monte_carlo")
-    return _expanded(bundle.value, math.sqrt(var), kk, "taylor2")
+    return _expanded(bundle.value, math.sqrt(var), kk, "taylor2", bundle.grad)
 
 
 def propagate_monte_carlo(
@@ -302,22 +307,24 @@ def summarize(result: MeasurementResult, k: float) -> MeasurementResult:
 
 
 def sensitivity_budget(
-    expr: MeasurementModelExpr, joint: JointInputModel
+    result: MeasurementResult, joint: JointInputModel
 ) -> list[dict]:
     """Per-input uncertainty budget at the means.
 
-    Each entry carries the sensitivity coefficient df/dx_i and the
-    first-order variance contribution (df/dx_i)^2 u^2(x_i).
+    Built from the gradient an analytic or Taylor ``result`` computed
+    for ``joint``; nothing is differentiated again. Each entry carries
+    the sensitivity coefficient df/dx_i and the first-order variance
+    contribution (df/dx_i)^2 u^2(x_i).
     """
-    bundle = derivatives(expr, joint.mean_assignment(), order=1,
-                         variables=joint.names)
+    if result.grad is None:
+        raise ValueError(f"a {result.method} result carries no gradient")
     variances = joint.variances()
     return [
         {
             "name": name,
-            "sensitivity": float(bundle.grad[i]),
+            "sensitivity": float(result.grad[i]),
             "u_input": float(math.sqrt(variances[i])),
-            "contribution": float(bundle.grad[i] ** 2 * variances[i]),
+            "contribution": float(result.grad[i] ** 2 * variances[i]),
         }
         for i, name in enumerate(joint.names)
     ]

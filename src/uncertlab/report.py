@@ -15,7 +15,6 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .conformity import ConformityDecision
 from .propagation import MeasurementResult, implied_coverage
 from .vi import TrainResult, VirtualMeasurementResult
 
@@ -81,10 +80,6 @@ def train_result_to_dict(t: TrainResult) -> dict:
         "initial_free_energy": t.initial_free_energy,
         "final_free_energy": t.final_free_energy,
     }
-
-
-def decision_to_dict(d: ConformityDecision) -> dict:
-    return d.to_dict()
 
 
 def build_report(mode: str, resolved_config: dict, results: dict,

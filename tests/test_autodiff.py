@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from uncertlab.autodiff import derivatives
+from uncertlab.autodiff import _MONOMIALS, _mul, derivatives
 from uncertlab.errors import DomainError
 from uncertlab.expr import parse_model
 
@@ -200,3 +200,68 @@ class TestRandomSweep:
                     want = oracle_partial(fn, point, tuple(orders))
                     assert b.third_mixed[i, j] == pytest.approx(
                         want, rel=1e-8, abs=1e-8)
+
+    def test_products_of_distinct_inputs_match_mpmath(self):
+        # terms couple 2 or 3 of 5 inputs, so every off-diagonal hess and
+        # third_mixed entry is exercised, across many pair rows at once
+        rng = np.random.default_rng(2718)
+        names = ("X1", "X2", "X3", "X4", "X5")
+        for _ in range(6):
+            terms = []
+            for _ in range(5):
+                picked = rng.choice(5, size=int(rng.integers(2, 4)),
+                                    replace=False)
+                powers = rng.integers(1, 4, size=len(picked))
+                terms.append((float(rng.uniform(-2, 2)),
+                              [(int(v), int(p)) for v, p in zip(picked, powers)]))
+            text = " + ".join(
+                f"{c:.6f} * " + " * ".join(f"{names[v]} ^ {p}" for v, p in f)
+                for c, f in terms)
+            m = parse_model(text, names)
+
+            def fn(*args, _terms=terms):
+                out = mpmath.mpf(0)
+                for c, factors in _terms:
+                    term = mpmath.mpf(f"{c:.6f}")
+                    for v, p in factors:
+                        term *= args[v] ** p
+                    out += term
+                return out
+
+            point = tuple(rng.uniform(0.5, 2.0, size=5))
+            b = derivatives(m, dict(zip(names, point)), order=3,
+                            variables=names)
+            for i in range(5):
+                for j in range(5):
+                    orders = [0] * 5
+                    orders[i] += 1
+                    orders[j] += 1
+                    want = oracle_partial(fn, point, tuple(orders))
+                    assert b.hess[i, j] == pytest.approx(
+                        want, rel=1e-10, abs=1e-12)
+                    orders[j] += 1
+                    want = oracle_partial(fn, point, tuple(orders))
+                    assert b.third_mixed[i, j] == pytest.approx(
+                        want, rel=1e-9, abs=1e-10)
+
+
+def test_truncated_product_matches_plain_loop_bit_for_bit():
+    # reference: coefficient (a, b) = sum over p <= a, q <= b, in loop
+    # order, of x[p, q] * y[a - p, b - q], accumulated from 0.0
+    rng = np.random.default_rng(11)
+    col = {m: c for c, m in enumerate(_MONOMIALS)}
+    x = rng.standard_normal((7, 10))
+    y = rng.standard_normal((7, 10))
+    x[3] = 0.0
+    y[4, 0] = -0.0
+    got = _mul(x, y)
+    for r in range(7):
+        for (a, b), c in col.items():
+            s = 0.0
+            for p in range(a + 1):
+                for q in range(b + 1):
+                    s += x[r, col[(p, q)]] * y[r, col[(a - p, b - q)]]
+            if c == 0:
+                s = x[r, 0] * y[r, 0]   # the value keeps its sign of zero
+            assert got[r, c] == s and math.copysign(1, got[r, c]) == \
+                math.copysign(1, s)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import uncertlab.propagation as propagation
 from uncertlab.cli import main
 
 
@@ -114,6 +115,47 @@ class TestPropagate:
         e = json.loads(err)["error"]
         assert e["mode"] == "propagate"
         assert e["type"] == "ConfigError"
+
+    def test_infinity_literal_is_structured_error(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"model": {"expression": "X1"}, "method": "taylor1", '
+            '"inputs": {"quantities": [{"name": "X1", "dist": '
+            '{"kind": "rectangular", "lower": 0, "upper": Infinity}}]}}')
+        code, out, err = run_cli(capsys, "propagate", "--config", str(path))
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError" and "Infinity" in e["message"]
+
+    @pytest.mark.parametrize("method,calls", [
+        ("taylor1", 1), ("taylor2", 1), ("analytic", 4)])
+    def test_one_derivative_bundle_per_run(self, capsys, tmp_path,
+                                           monkeypatch, method, calls):
+        # analytic: three affinity probes plus the bundle at the means;
+        # the budget reuses the gradient the propagation computed
+        seen = []
+        original = propagation.derivatives
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs.get("order"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "derivatives", counting)
+        cfg = write_json(tmp_path / "lin.json", {
+            "model": {"expression": "2 * X1 - X2 + 1"},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "gaussian", "mean": 1.0,
+                                        "sd": 1.0}},
+                {"name": "X2", "dist": {"kind": "gaussian", "mean": 2.0,
+                                        "sd": 0.5}},
+            ]},
+            "method": method,
+        })
+        code, out, _ = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 0
+        assert len(seen) == calls
+        budget = json.loads(out)["results"]["budget"]
+        assert [b["sensitivity"] for b in budget] == [2.0, -1.0]
 
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):
@@ -228,6 +270,16 @@ class TestConformity:
                             "--usl", "10.5")
         zones = [d["zone"] for d in json.loads(out)["results"]["decisions"]]
         assert zones == ["conformity", "conformity"]
+
+    def test_nan_literal_is_structured_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"spec": {"lsl": 10.0, "usl": 10.2}, '
+                        '"measurements": [{"y": NaN, "U": 0.02}]}')
+        code, out, err = run_cli(capsys, "conformity", "--config", str(path))
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["mode"] == "conformity"
+        assert e["type"] == "ConfigError" and "NaN" in e["message"]
 
 
 class TestVerify:

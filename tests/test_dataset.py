@@ -123,6 +123,17 @@ class TestIngestParts:
         with pytest.raises(DatasetError, match="row 3"):
             ingest_parts(path, ("x1",))
 
+    def test_duplicate_header(self, tmp_path):
+        # one reader for datasets and parts: a repeated column is never
+        # silently resolved to its last occurrence
+        path = write_csv(tmp_path, "x1,x1\n1,2\n")
+        with pytest.raises(DatasetError, match="duplicate"):
+            ingest_parts(path, ("x1",))
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = write_csv(tmp_path, "x1\n1\n\n,\n2\n")
+        np.testing.assert_array_equal(ingest_parts(path, ("x1",)), [[1], [2]])
+
 
 class TestMakeDataset:
     def test_shape_mismatch(self):

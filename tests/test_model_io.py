@@ -79,6 +79,16 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             load_model(path)
 
+    def test_non_finite_literal_rejected(self, trained, tmp_path):
+        model, train, cfg, data = trained
+        path = tmp_path / "n.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        text = path.read_text()
+        first = json.loads(text)["posterior"]["mu"][0]
+        path.write_text(text.replace(repr(first), "NaN", 1))
+        with pytest.raises(ConfigError, match="NaN"):
+            load_model(str(path))
+
     def test_file_is_deterministic(self, trained, tmp_path):
         model, train, cfg, data = trained
         a = str(tmp_path / "a.json")

@@ -239,8 +239,15 @@ class TestSummaries:
     def test_budget_rows_sum_to_first_order_variance(self):
         m = parse_model("X1 * X2 + sin(X3)")
         joint = gaussian_joint([2.0, 3.0, 0.5], [0.1, 0.2, 0.05])
-        rows = sensitivity_budget(m, joint)
+        r1 = propagate_taylor1(m, joint)
+        rows = sensitivity_budget(r1, joint)
         assert [r["name"] for r in rows] == ["X1", "X2", "X3"]
         total = sum(r["contribution"] for r in rows)
-        r1 = propagate_taylor1(m, joint)
         assert total == pytest.approx(r1.u ** 2, rel=1e-12)
+
+    def test_budget_needs_a_gradient(self):
+        m = parse_model("X1 * X2")
+        joint = gaussian_joint([2.0, 3.0], [0.1, 0.2])
+        r, _ = propagate_monte_carlo(m, joint, M=1000, seed=0)
+        with pytest.raises(ValueError, match="monte_carlo"):
+            sensitivity_budget(r, joint)
