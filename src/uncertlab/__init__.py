@@ -32,7 +32,7 @@ from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
 from .regression import BayesianVMModel, build_model, log_likelihood
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
                  VirtualMeasurementResult, free_energy, kl_gaussian, predict,
-                 train_vi)
+                 predict_parts, train_vi)
 
 __all__ = [
     "__version__",
@@ -78,6 +78,7 @@ __all__ = [
     "make_dataset",
     "parse_model",
     "predict",
+    "predict_parts",
     "propagate_analytic",
     "propagate_monte_carlo",
     "propagate_taylor1",

@@ -30,9 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (PredictRun, VerifyRun, load_json, resolve_conformity,
-                     resolve_predict, resolve_propagate, resolve_train,
-                     resolve_verify)
+from .config import (load_json, resolve_conformity, resolve_predict,
+                     resolve_propagate, resolve_train, resolve_verify)
 from .conformity import Specification, classify, classify_virtual
 from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
@@ -46,7 +45,7 @@ from .report import (build_report, file_sha256, measurement_to_dict,
                      train_result_to_dict, virtual_measurement_to_dict,
                      write_report)
 from .rng import substream
-from .vi import VIConfig, predict, train_vi
+from .vi import VIConfig, predict, predict_parts, train_vi
 
 log = logging.getLogger("uncertlab")
 
@@ -69,74 +68,78 @@ def _run_propagate(args) -> tuple[dict, int]:
     if args.seed is not None:
         doc["seed"] = args.seed
     run = resolve_propagate(doc, os.path.dirname(os.path.abspath(args.config)))
+    cfg = run.resolved
 
-    if run.method == "analytic":
-        result = propagate_analytic(run.expr, run.joint, k=run.k)
-    elif run.method == "taylor1":
-        result = propagate_taylor1(run.expr, run.joint, k=run.k)
-    elif run.method == "taylor2":
-        result = propagate_taylor2(run.expr, run.joint, k=run.k)
+    if cfg["method"] == "analytic":
+        result = propagate_analytic(run.expr, run.joint, k=cfg["k"])
+    elif cfg["method"] == "taylor1":
+        result = propagate_taylor1(run.expr, run.joint, k=cfg["k"])
+    elif cfg["method"] == "taylor2":
+        result = propagate_taylor2(run.expr, run.joint, k=cfg["k"])
     else:
         result, ecdf = propagate_monte_carlo(
-            run.expr, run.joint, M=run.M, seed=run.seed,
-            coverage=run.coverage)
-        result = summarize(result, run.k)
-        if run.dump_samples is not None:
-            np.savetxt(run.dump_samples, ecdf.sorted_values,
+            run.expr, run.joint, M=cfg["M"], seed=cfg["seed"],
+            coverage=cfg["coverage"])
+        result = summarize(result, cfg["k"])
+        if cfg["dump_samples"] is not None:
+            np.savetxt(cfg["dump_samples"], ecdf.sorted_values,
                        header="y", comments="", fmt="%.17g")
             log.info("wrote %d sorted samples to %s",
-                     len(ecdf.sorted_values), run.dump_samples)
+                     len(ecdf.sorted_values), cfg["dump_samples"])
 
     results = {"measurement": measurement_to_dict(result)}
-    if run.method != "monte_carlo":
+    if cfg["method"] != "monte_carlo":
         results["budget"] = sensitivity_budget(result, run.joint)
-    return build_report("propagate", run.resolved, results), 0
+    return build_report("propagate", cfg, results), 0
 
 
 def _run_train(args) -> tuple[dict, int]:
     doc = load_json(args.config)
     if args.seed is not None:
         doc.setdefault("vi", {})["seed"] = args.seed
-    run = resolve_train(doc, os.path.dirname(os.path.abspath(args.config)))
+    cfg = resolve_train(doc, os.path.dirname(os.path.abspath(args.config)))
+    ds = cfg["dataset"]
 
-    data = ingest_dataset(run.dataset_path, run.target, run.features)
+    data = ingest_dataset(ds["path"], ds["target"], ds["features"])
     log.info("dataset: %d records, %d features, %d rejected rows",
              data.n_records, data.n_features, data.n_rejected_rows)
-    model = build_model(data, **run.model_kwargs)
-    train = train_vi(model, data, run.vi_config)
+    model = build_model(data, **cfg["model"])
+    vi_config = VIConfig(**cfg["vi"])
+    train = train_vi(model, data, vi_config)
     log.info("training: %d steps, converged=%s, F %.4g -> %.4g",
              train.n_steps, train.converged,
              train.initial_free_energy, train.final_free_energy)
 
-    sha = file_sha256(run.dataset_path)
-    save_model(run.model_out, model, train, run.vi_config, data.summary,
-               dataset_sha256=sha, store_trajectory=run.store_trajectory)
+    sha = file_sha256(ds["path"])
+    save_model(cfg["model_out"], model, train, vi_config, data.summary,
+               dataset_sha256=sha, store_trajectory=cfg["store_trajectory"])
 
     results = {
         "training": train_result_to_dict(train),
-        "model_out": run.model_out,
+        "model_out": cfg["model_out"],
         "n_rejected_rows": data.n_rejected_rows,
     }
-    report = build_report("train", run.resolved, results,
+    report = build_report("train", cfg, results,
                           dataset_summary=data.summary.to_dict(),
                           dataset_sha256=sha)
     return report, 0
 
 
-def _predict_rows(run: PredictRun, model, posterior) -> list[dict]:
-    if run.parts_path is not None:
-        rows = ingest_parts(run.parts_path, model.feature_names)
+def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
+    parts = cfg["parts"]
+    if "path" in parts:
+        rows = ingest_parts(parts["path"], model.feature_names)
     else:
-        rows = run.parts_inline
+        rows = np.asarray(parts["inline"], dtype=np.float64)
         if rows.shape[1] != model.n_features:
             raise ConfigError(
                 f"inline parts have {rows.shape[1]} feature(s), model "
                 f"expects {model.n_features}")
-    spec = Specification(*run.spec) if run.spec is not None else None
+    spec = Specification(**cfg["spec"]) if cfg["spec"] is not None else None
+    vms = predict_parts(model, posterior, rows, cfg["n_samples"], cfg["k"],
+                        cfg["seed"])
     out = []
-    for row in rows:
-        vm = predict(model, posterior, row, n_samples=run.n_samples,
-                     k=run.k, seed=run.seed)
+    for row, vm in zip(rows, vms):
         entry = {"x": [float(v) for v in row]}
         entry.update(virtual_measurement_to_dict(vm))
         if spec is not None:
@@ -149,33 +152,34 @@ def _run_predict(args) -> tuple[dict, int]:
     doc = load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
-    run = resolve_predict(doc, os.path.dirname(os.path.abspath(args.config)))
-    model, posterior, model_doc = load_model(run.model_path)
+    cfg = resolve_predict(doc, os.path.dirname(os.path.abspath(args.config)))
+    model, posterior, model_doc = load_model(cfg["model_path"])
     results = {
-        "parts": _predict_rows(run, model, posterior),
-        "model_sha256": file_sha256(run.model_path),
+        "parts": _predict_rows(cfg, model, posterior),
+        "model_sha256": file_sha256(cfg["model_path"]),
     }
-    report = build_report("predict", run.resolved, results,
+    report = build_report("predict", cfg, results,
                           dataset_summary=model_doc.get("dataset_summary"))
     return report, 0
 
 
 def _run_conformity(args) -> tuple[dict, int]:
     doc = load_json(args.config)
-    run = resolve_conformity(doc, args.lsl, args.usl)
-    spec = Specification(run.lsl, run.usl)
-    decisions = [classify(y, u, spec).to_dict()
-                 for y, u in run.measurements]
+    cfg = resolve_conformity(doc, args.lsl, args.usl)
+    spec = Specification(**cfg["spec"])
+    decisions = [classify(m["y"], m["U"], spec).to_dict()
+                 for m in cfg["measurements"]]
     results = {"decisions": decisions}
-    return build_report("conformity", run.resolved, results), 0
+    return build_report("conformity", cfg, results), 0
 
 
-def _verify_checks(run: VerifyRun) -> dict:
+def _verify_checks(cfg: dict) -> dict:
     """Train full-rank VI on a conjugate problem; compare to closed form."""
-    rng = substream(run.seed, 0)
-    x = rng.standard_normal((run.n_records, 2))
+    seed, n_records = cfg["seed"], cfg["n_records"]
+    rng = substream(seed, 0)
+    x = rng.standard_normal((n_records, 2))
     w = np.array(_VERIFY_WEIGHTS)
-    y = w[0] + x @ w[1:] + rng.standard_normal(run.n_records) * _VERIFY_NOISE_SD
+    y = w[0] + x @ w[1:] + rng.standard_normal(n_records) * _VERIFY_NOISE_SD
     data = make_dataset(x, y, ("x1", "x2"))
     model = build_model(data, mean_degree=1, standardize=False,
                         fixed_noise_sd=_VERIFY_NOISE_SD)
@@ -185,7 +189,7 @@ def _verify_checks(run: VerifyRun) -> dict:
     # anneals fully; the covariance match is about 3x tighter that way
     config = VIConfig(family="full_rank", schedule="cosine",
                       learning_rate=0.02, n_mc=16, max_steps=4000,
-                      tolerance=0.0, window=4000, seed=run.seed)
+                      tolerance=0.0, window=4000, seed=seed)
     train = train_vi(model, data, config)
     q = train.posterior
 
@@ -195,7 +199,7 @@ def _verify_checks(run: VerifyRun) -> dict:
                     / np.linalg.norm(exact.cov))
     query = np.array(_VERIFY_QUERY)
     pred_mean, pred_var = conjugate_predictive(model, exact, query)
-    vm = predict(model, q, query, n_samples=run.n_samples, seed=run.seed)
+    vm = predict(model, q, query, n_samples=cfg["n_samples"], seed=seed)
     mean_rel = abs(vm.y_hat - pred_mean) / max(abs(pred_mean), 1e-12)
     var_rel = abs(vm.sigma_hat**2 - pred_var) / pred_var
 
@@ -218,9 +222,9 @@ def _run_verify(args) -> tuple[dict, int]:
     doc = load_json(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
-    run = resolve_verify(doc)
-    checks = _verify_checks(run)
-    report = build_report("verify", run.resolved, {"conjugate_check": checks})
+    cfg = resolve_verify(doc)
+    checks = _verify_checks(cfg)
+    report = build_report("verify", cfg, {"conjugate_check": checks})
     return report, 0 if checks["passed"] else 1
 
 
@@ -271,13 +275,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = _RUNNERS[args.mode](args)
+        text = write_report(report, args.out)
     except UncertLabError as err:
         error = {"error": {"mode": args.mode,
                            "type": type(err).__name__,
                            "message": str(err)}}
         print(json.dumps(error, indent=2), file=sys.stderr)
         return 1
-    text = write_report(report, args.out)
     if args.out is None:
         print(text)
     else:

@@ -6,40 +6,55 @@ rejected (a typo must not silently fall back to a default), and every
 defaulted parameter is materialized into the resolved config that the
 report echoes, so a report never hides an implicit choice.
 
+Each setting's default has one home: the library dataclass field or
+function parameter that the setting feeds. The schemas point at those
+through the JSON Schema ``default`` annotation; only settings that
+exist in the CLI alone carry a literal there. The resolved config is
+the validated document with every absent default filled in and every
+number cast to the type the run uses.
+
 Relative file paths inside a config resolve against the config file's
-own directory, which keeps config+data bundles relocatable.
+own directory, which keeps config+data bundles relocatable. Each
+``resolve_*`` returns that resolved config (propagate adds the parsed
+model and input distributions); the CLI runs from it.
 """
 
+import inspect
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import jsonschema
 import numpy as np
 
 from .distributions import (Gaussian, InputQuantity, JointInputModel,
-                            Rectangular, Triangular, normal_cdf,
-                            normal_quantile)
+                            Rectangular, Triangular)
 from .errors import ConfigError, ParseError
 from .expr import MeasurementModelExpr, parse_model
-from .vi import VIConfig
+from .model_io import save_model
+from .propagation import (propagate_monte_carlo, propagate_taylor1,
+                          resolve_coverage)
+from .regression import BayesianVMModel
+from .report import reject_non_finite
+from .vi import VIConfig, predict
 
 __all__ = [
     "load_json",
-    "reject_non_finite",
     "validate_config",
     "PropagateRun",
-    "TrainRun",
-    "PredictRun",
-    "ConformityRun",
-    "VerifyRun",
     "resolve_propagate",
     "resolve_train",
     "resolve_predict",
     "resolve_conformity",
     "resolve_verify",
 ]
+
+
+def _default(fn, name: str) -> Any:
+    """Default value of parameter ``name`` in ``fn``'s signature."""
+    return inspect.signature(fn).parameters[name].default
+
 
 _DIST_SCHEMA = {
     "oneOf": [
@@ -87,6 +102,16 @@ _QUANTITY_SCHEMA = {
     "additionalProperties": False,
 }
 
+_SPEC_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "lsl": {"type": "number"},
+        "usl": {"type": "number"},
+    },
+    "required": ["lsl", "usl"],
+    "additionalProperties": False,
+}
+
 PROPAGATE_SCHEMA = {
     "type": "object",
     "properties": {
@@ -114,13 +139,16 @@ PROPAGATE_SCHEMA = {
         },
         "method": {
             "enum": ["analytic", "taylor1", "taylor2", "monte_carlo"]},
-        "M": {"type": "integer", "minimum": 100},
-        "seed": {"type": "integer", "minimum": 0},
-        "k": {"type": "number", "exclusiveMinimum": 0},
+        "M": {"type": "integer", "minimum": 100,
+              "default": _default(propagate_monte_carlo, "M")},
+        "seed": {"type": "integer", "minimum": 0,
+                 "default": _default(propagate_monte_carlo, "seed")},
+        "k": {"type": "number", "exclusiveMinimum": 0,
+              "default": _default(propagate_taylor1, "k")},
         "coverage": {
             "type": ["number", "null"],
-            "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "dump_samples": {"type": ["string", "null"]},
+            "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": None},
+        "dump_samples": {"type": ["string", "null"], "default": None},
     },
     "required": ["model", "inputs", "method"],
     "additionalProperties": False,
@@ -138,6 +166,7 @@ TRAIN_SCHEMA = {
                     "type": "array",
                     "items": {"type": "string", "minLength": 1},
                     "minItems": 1,
+                    "default": None,
                 },
             },
             "required": ["path", "target"],
@@ -146,33 +175,53 @@ TRAIN_SCHEMA = {
         "model": {
             "type": "object",
             "properties": {
-                "mean_degree": {"type": "integer", "minimum": 0},
-                "noise_degree": {"type": "integer", "minimum": 0},
-                "mean_include_bias": {"type": "boolean"},
-                "prior_tau": {"type": "number", "exclusiveMinimum": 0},
-                "standardize": {"type": "boolean"},
+                "mean_degree": {"type": "integer", "minimum": 0,
+                                "default": BayesianVMModel.mean_degree},
+                "noise_degree": {"type": "integer", "minimum": 0,
+                                 "default": BayesianVMModel.noise_degree},
+                "mean_include_bias": {
+                    "type": "boolean",
+                    "default": BayesianVMModel.mean_include_bias},
+                "prior_tau": {"type": "number", "exclusiveMinimum": 0,
+                              "default": BayesianVMModel.prior_tau},
+                "standardize": {"type": "boolean",
+                                "default": BayesianVMModel.standardize},
                 "fixed_noise_sd": {
-                    "type": ["number", "null"], "exclusiveMinimum": 0},
+                    "type": ["number", "null"], "exclusiveMinimum": 0,
+                    "default": BayesianVMModel.fixed_noise_sd},
             },
             "additionalProperties": False,
+            "default": {},
         },
         "vi": {
             "type": "object",
             "properties": {
-                "family": {"enum": ["mean_field", "full_rank"]},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "schedule": {"enum": ["constant", "cosine"]},
-                "n_mc": {"type": "integer", "minimum": 1},
-                "max_steps": {"type": "integer", "minimum": 1},
-                "tolerance": {"type": "number", "minimum": 0},
-                "window": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "init_scale": {"type": "number", "exclusiveMinimum": 0},
+                "family": {"enum": ["mean_field", "full_rank"],
+                           "default": VIConfig.family},
+                "learning_rate": {"type": "number", "exclusiveMinimum": 0,
+                                  "default": VIConfig.learning_rate},
+                "schedule": {"enum": ["constant", "cosine"],
+                             "default": VIConfig.schedule},
+                "n_mc": {"type": "integer", "minimum": 1,
+                         "default": VIConfig.n_mc},
+                "max_steps": {"type": "integer", "minimum": 1,
+                              "default": VIConfig.max_steps},
+                "tolerance": {"type": "number", "minimum": 0,
+                              "default": VIConfig.tolerance},
+                "window": {"type": "integer", "minimum": 1,
+                           "default": VIConfig.window},
+                "seed": {"type": "integer", "minimum": 0,
+                         "default": VIConfig.seed},
+                "init_scale": {"type": "number", "exclusiveMinimum": 0,
+                               "default": VIConfig.init_scale},
             },
             "additionalProperties": False,
+            "default": {},
         },
         "model_out": {"type": "string", "minLength": 1},
-        "store_trajectory": {"type": "boolean"},
+        "store_trajectory": {
+            "type": "boolean",
+            "default": _default(save_model, "store_trajectory")},
     },
     "required": ["dataset", "model_out"],
     "additionalProperties": False,
@@ -198,18 +247,13 @@ PREDICT_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "n_samples": {"type": "integer", "minimum": 2},
-        "k": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
-        "spec": {
-            "type": "object",
-            "properties": {
-                "lsl": {"type": "number"},
-                "usl": {"type": "number"},
-            },
-            "required": ["lsl", "usl"],
-            "additionalProperties": False,
-        },
+        "n_samples": {"type": "integer", "minimum": 2,
+                      "default": _default(predict, "n_samples")},
+        "k": {"type": "number", "exclusiveMinimum": 0,
+              "default": _default(predict, "k")},
+        "seed": {"type": "integer", "minimum": 0,
+                 "default": _default(predict, "seed")},
+        "spec": {**_SPEC_SCHEMA, "default": None},
     },
     "required": ["model_path", "parts"],
     "additionalProperties": False,
@@ -218,15 +262,7 @@ PREDICT_SCHEMA = {
 CONFORMITY_SCHEMA = {
     "type": "object",
     "properties": {
-        "spec": {
-            "type": "object",
-            "properties": {
-                "lsl": {"type": "number"},
-                "usl": {"type": "number"},
-            },
-            "required": ["lsl", "usl"],
-            "additionalProperties": False,
-        },
+        "spec": _SPEC_SCHEMA,
         "measurements": {
             "type": "array",
             "items": {
@@ -248,9 +284,9 @@ CONFORMITY_SCHEMA = {
 VERIFY_SCHEMA = {
     "type": "object",
     "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "n_records": {"type": "integer", "minimum": 10},
-        "n_samples": {"type": "integer", "minimum": 100},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
+        "n_records": {"type": "integer", "minimum": 10, "default": 200},
+        "n_samples": {"type": "integer", "minimum": 100, "default": 100_000},
     },
     "additionalProperties": False,
 }
@@ -262,11 +298,6 @@ _SCHEMAS = {
     "conformity": CONFORMITY_SCHEMA,
     "verify": VERIFY_SCHEMA,
 }
-
-
-def reject_non_finite(literal: str) -> float:
-    """``parse_constant`` hook: RFC 8259 JSON has no NaN or Infinity."""
-    raise ValueError(f"non-finite number {literal} is not allowed")
 
 
 def load_json(path: str) -> dict:
@@ -295,6 +326,36 @@ def validate_config(doc: dict, mode: str) -> None:
         raise ConfigError(f"config invalid at {e.json_path}: {e.message}")
 
 
+def _materialize(schema: dict, value: Any) -> Any:
+    """``value`` as the run uses it.
+
+    Absent object properties take the schema's ``default``; a value
+    typed ``number`` becomes float and one typed ``integer`` int.
+    Anything else, nullable values and ``oneOf`` subtrees included, is
+    kept as written.
+    """
+    if value is None:
+        return None
+    kind = schema.get("type")
+    if kind == "object":
+        return {key: _materialize(sub, value[key] if key in value
+                                  else sub["default"])
+                for key, sub in schema["properties"].items()
+                if key in value or "default" in sub}
+    if kind == "array":
+        return [_materialize(schema["items"], v) for v in value]
+    if kind == "number":
+        return float(value)
+    if kind == "integer":
+        return int(value)
+    return value
+
+
+def _resolved(doc: dict, mode: str) -> dict:
+    validate_config(doc, mode)
+    return _materialize(_SCHEMAS[mode], doc)
+
+
 def _marginal_from_dict(d: dict) -> Any:
     kind = d["kind"]
     if kind == "gaussian":
@@ -316,27 +377,22 @@ def _require_file(path: str, what: str) -> str:
 
 @dataclass(frozen=True)
 class PropagateRun:
+    """The parsed model and input distributions beside the resolved config."""
+
     expr: MeasurementModelExpr
     joint: JointInputModel
-    method: str
-    M: int
-    seed: int
-    k: float
-    coverage: Optional[float]
-    dump_samples: Optional[str]
-    resolved: dict = field(repr=False)
+    resolved: dict
 
 
 def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
-    validate_config(doc, "propagate")
-    text = doc["model"]["expression"]
+    r = _resolved(doc, "propagate")
     quantities = [
         InputQuantity(q["name"], _marginal_from_dict(q["dist"]))
-        for q in doc["inputs"]["quantities"]
+        for q in r["inputs"]["quantities"]
     ]
     names = [q.name for q in quantities]
     try:
-        expr = parse_model(text, declared=names)
+        expr = parse_model(r["model"]["expression"], declared=names)
     except ParseError as err:
         raise ConfigError(f"model.expression: {err}") from err
     unknown = [v for v in expr.variables if v not in names]
@@ -345,8 +401,8 @@ def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
             f"model references input(s) without a distribution: "
             f"{', '.join(unknown)}")
     correlation = None
-    if "correlation" in doc["inputs"]:
-        flat = doc["inputs"]["correlation"]
+    if "correlation" in r["inputs"]:
+        flat = r["inputs"]["correlation"]
         n = len(quantities)
         if len(flat) != n * n:
             raise ConfigError(
@@ -355,193 +411,49 @@ def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
         correlation = np.asarray(flat, dtype=np.float64).reshape(n, n)
     joint = JointInputModel(quantities, correlation)
 
-    method = doc["method"]
-    m_count = int(doc.get("M", 200_000))
-    seed = int(doc.get("seed", 0))
-    # k and coverage are two views of one choice: an explicit coverage
-    # wins and fixes k; otherwise the (possibly default) k implies the
-    # Gaussian two-sided coverage. Reports echo both resolved values.
-    k = float(doc.get("k", 2.0))
-    coverage = doc.get("coverage", None)
-    if coverage is not None:
-        coverage = float(coverage)
-        k = float(normal_quantile(0.5 * (1.0 + coverage)))
-    else:
-        coverage = 2.0 * float(normal_cdf(k)) - 1.0
-    dump = doc.get("dump_samples", None)
-    if dump is not None:
-        dump = _resolve_path(base_dir, dump)
-
-    resolved = {
-        "model": {"expression": text},
-        "inputs": doc["inputs"],
-        "method": method,
-        "M": m_count,
-        "seed": seed,
-        "k": k,
-        "coverage": coverage,
-        "dump_samples": dump,
-    }
-    return PropagateRun(expr, joint, method, m_count, seed, k, coverage,
-                        dump, resolved)
+    # reports echo both views of the coverage choice
+    r["k"], r["coverage"] = resolve_coverage(r["k"], r["coverage"])
+    if r["dump_samples"] is not None:
+        r["dump_samples"] = _resolve_path(base_dir, r["dump_samples"])
+    return PropagateRun(expr, joint, r)
 
 
-@dataclass(frozen=True)
-class TrainRun:
-    dataset_path: str
-    target: str
-    features: Optional[list[str]]
-    model_kwargs: dict
-    vi_config: VIConfig
-    model_out: str
-    store_trajectory: bool
-    resolved: dict = field(repr=False)
+def resolve_train(doc: dict, base_dir: str = ".") -> dict:
+    r = _resolved(doc, "train")
+    ds = r["dataset"]
+    ds["path"] = _require_file(_resolve_path(base_dir, ds["path"]), "dataset")
+    r["model_out"] = _resolve_path(base_dir, r["model_out"])
+    return r
 
 
-def resolve_train(doc: dict, base_dir: str = ".") -> TrainRun:
-    validate_config(doc, "train")
-    ds = doc["dataset"]
-    path = _require_file(_resolve_path(base_dir, ds["path"]), "dataset")
-    features = list(ds["features"]) if "features" in ds else None
-
-    model_doc = doc.get("model", {})
-    model_kwargs = {
-        "mean_degree": int(model_doc.get("mean_degree", 2)),
-        "noise_degree": int(model_doc.get("noise_degree", 1)),
-        "mean_include_bias": bool(model_doc.get("mean_include_bias", True)),
-        "prior_tau": float(model_doc.get("prior_tau", 1.0)),
-        "standardize": bool(model_doc.get("standardize", True)),
-        "fixed_noise_sd": model_doc.get("fixed_noise_sd", None),
-    }
-    vi_doc = doc.get("vi", {})
-    vi_config = VIConfig(
-        family=vi_doc.get("family", "mean_field"),
-        learning_rate=float(vi_doc.get("learning_rate", 1e-2)),
-        schedule=vi_doc.get("schedule", "constant"),
-        n_mc=int(vi_doc.get("n_mc", 8)),
-        max_steps=int(vi_doc.get("max_steps", 20000)),
-        tolerance=float(vi_doc.get("tolerance", 1e-5)),
-        window=int(vi_doc.get("window", 500)),
-        seed=int(vi_doc.get("seed", 0)),
-        init_scale=float(vi_doc.get("init_scale", 0.1)),
-    )
-    model_out = _resolve_path(base_dir, doc["model_out"])
-    store_trajectory = bool(doc.get("store_trajectory", False))
-
-    resolved = {
-        "dataset": {"path": path, "target": ds["target"],
-                    "features": features},
-        "model": model_kwargs,
-        "vi": {
-            "family": vi_config.family,
-            "learning_rate": vi_config.learning_rate,
-            "schedule": vi_config.schedule,
-            "n_mc": vi_config.n_mc,
-            "max_steps": vi_config.max_steps,
-            "tolerance": vi_config.tolerance,
-            "window": vi_config.window,
-            "seed": vi_config.seed,
-            "init_scale": vi_config.init_scale,
-        },
-        "model_out": model_out,
-        "store_trajectory": store_trajectory,
-    }
-    return TrainRun(path, ds["target"], features, model_kwargs, vi_config,
-                    model_out, store_trajectory, resolved)
-
-
-@dataclass(frozen=True)
-class PredictRun:
-    model_path: str
-    parts_path: Optional[str]
-    parts_inline: Optional[np.ndarray]
-    n_samples: int
-    k: float
-    seed: int
-    spec: Optional[tuple[float, float]]
-    resolved: dict = field(repr=False)
-
-
-def resolve_predict(doc: dict, base_dir: str = ".") -> PredictRun:
-    validate_config(doc, "predict")
-    model_path = _require_file(_resolve_path(base_dir, doc["model_path"]),
-                               "model")
-    parts = doc["parts"]
-    has_path = "path" in parts
-    has_inline = "inline" in parts
-    if has_path == has_inline:
+def resolve_predict(doc: dict, base_dir: str = ".") -> dict:
+    r = _resolved(doc, "predict")
+    r["model_path"] = _require_file(_resolve_path(base_dir, r["model_path"]),
+                                    "model")
+    parts = r["parts"]
+    if ("path" in parts) == ("inline" in parts):
         raise ConfigError(
             "parts must carry exactly one of 'path' (CSV) or 'inline' (rows)")
-    parts_path = None
-    parts_inline = None
-    if has_path:
-        parts_path = _require_file(_resolve_path(base_dir, parts["path"]),
-                                   "parts")
-    else:
-        rows = parts["inline"]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ConfigError("inline parts rows differ in length")
-        parts_inline = np.asarray(rows, dtype=np.float64)
-
-    n_samples = int(doc.get("n_samples", 2000))
-    k = float(doc.get("k", 2.0))
-    seed = int(doc.get("seed", 0))
-    spec = None
-    if "spec" in doc:
-        spec = (float(doc["spec"]["lsl"]), float(doc["spec"]["usl"]))
-
-    resolved = {
-        "model_path": model_path,
-        "parts": {"path": parts_path} if has_path
-        else {"inline": [list(map(float, r)) for r in parts["inline"]]},
-        "n_samples": n_samples,
-        "k": k,
-        "seed": seed,
-        "spec": {"lsl": spec[0], "usl": spec[1]} if spec else None,
-    }
-    return PredictRun(model_path, parts_path, parts_inline, n_samples, k,
-                      seed, spec, resolved)
-
-
-@dataclass(frozen=True)
-class ConformityRun:
-    lsl: float
-    usl: float
-    measurements: list[tuple[float, float]]
-    resolved: dict = field(repr=False)
+    if "path" in parts:
+        parts["path"] = _require_file(_resolve_path(base_dir, parts["path"]),
+                                      "parts")
+    elif len({len(row) for row in parts["inline"]}) != 1:
+        raise ConfigError("inline parts rows differ in length")
+    return r
 
 
 def resolve_conformity(
     doc: dict,
     lsl_override: Optional[float] = None,
     usl_override: Optional[float] = None,
-) -> ConformityRun:
-    validate_config(doc, "conformity")
-    lsl = lsl_override if lsl_override is not None else float(doc["spec"]["lsl"])
-    usl = usl_override if usl_override is not None else float(doc["spec"]["usl"])
-    measurements = [(float(m["y"]), float(m["U"]))
-                    for m in doc["measurements"]]
-    resolved = {
-        "spec": {"lsl": lsl, "usl": usl},
-        "measurements": [{"y": y, "U": u} for y, u in measurements],
-    }
-    return ConformityRun(lsl, usl, measurements, resolved)
+) -> dict:
+    r = _resolved(doc, "conformity")
+    if lsl_override is not None:
+        r["spec"]["lsl"] = lsl_override
+    if usl_override is not None:
+        r["spec"]["usl"] = usl_override
+    return r
 
 
-@dataclass(frozen=True)
-class VerifyRun:
-    seed: int
-    n_records: int
-    n_samples: int
-    resolved: dict = field(repr=False)
-
-
-def resolve_verify(doc: Optional[dict]) -> VerifyRun:
-    doc = doc or {}
-    validate_config(doc, "verify")
-    seed = int(doc.get("seed", 0))
-    n_records = int(doc.get("n_records", 200))
-    n_samples = int(doc.get("n_samples", 100_000))
-    resolved = {"seed": seed, "n_records": n_records, "n_samples": n_samples}
-    return VerifyRun(seed, n_records, n_samples, resolved)
+def resolve_verify(doc: Optional[dict]) -> dict:
+    return _resolved(doc or {}, "verify")

@@ -17,6 +17,7 @@ conformity zone is empty: the decision is still returned, but it is
 flagged and the resulting manufacturing tolerance is gone.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,6 +82,8 @@ class ConformityDecision:
 
 def classify(y: float, U: float, spec: Specification) -> ConformityDecision:
     """Place (y, U) into one of the five conformity zones."""
+    if not (math.isfinite(y) and math.isfinite(U)):
+        raise ConfigError(f"y and U must be finite, got y={y}, U={U}")
     if U < 0.0:
         raise ConfigError(f"expanded uncertainty must be >= 0, got {U}")
     no_zone = 2.0 * U >= spec.width

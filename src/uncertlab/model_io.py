@@ -11,15 +11,15 @@ bit-reproducible.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
 
-from .config import reject_non_finite
 from .dataset import DatasetSummary
 from .errors import ConfigError
 from .regression import BayesianVMModel
+from .report import dump_json, reject_non_finite
 from .vi import TrainResult, VariationalPosterior, VIConfig
 
 __all__ = ["MODEL_SCHEMA_VERSION", "save_model", "load_model"]
@@ -28,34 +28,18 @@ MODEL_SCHEMA_VERSION = 1
 
 
 def _model_to_dict(model: BayesianVMModel) -> dict:
-    return {
-        "feature_names": list(model.feature_names),
-        "mean_degree": model.mean_degree,
-        "noise_degree": model.noise_degree,
-        "mean_include_bias": model.mean_include_bias,
-        "prior_tau": model.prior_tau,
-        "standardize": model.standardize,
-        "x_mean": model.x_mean.tolist(),
-        "x_sd": model.x_sd.tolist(),
-        "fixed_noise_sd": model.fixed_noise_sd,
-        "noise_floor": model.noise_floor,
-        "n_weights": model.n_weights,
-    }
+    doc = {key: value.tolist() if isinstance(value, np.ndarray) else value
+           for key, value in asdict(model).items()}
+    doc["n_weights"] = model.n_weights
+    return doc
 
 
 def _model_from_dict(d: dict) -> BayesianVMModel:
-    return BayesianVMModel(
-        feature_names=tuple(d["feature_names"]),
-        mean_degree=d["mean_degree"],
-        noise_degree=d["noise_degree"],
-        mean_include_bias=d["mean_include_bias"],
-        prior_tau=d["prior_tau"],
-        standardize=d["standardize"],
-        x_mean=np.asarray(d["x_mean"], dtype=np.float64),
-        x_sd=np.asarray(d["x_sd"], dtype=np.float64),
-        fixed_noise_sd=d["fixed_noise_sd"],
-        noise_floor=d["noise_floor"],
-    )
+    kwargs = {f.name: d[f.name] for f in fields(BayesianVMModel)}
+    kwargs["feature_names"] = tuple(kwargs["feature_names"])
+    for name in ("x_mean", "x_sd"):
+        kwargs[name] = np.asarray(kwargs[name], dtype=np.float64)
+    return BayesianVMModel(**kwargs)
 
 
 def _posterior_to_dict(q: VariationalPosterior) -> dict:
@@ -104,8 +88,9 @@ def save_model(
     }
     if store_trajectory:
         doc["training"]["trajectory"] = train.trajectory.tolist()
+    text = dump_json(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -126,7 +111,7 @@ def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
     try:
         model = _model_from_dict(doc["model"])
         posterior = _posterior_from_dict(doc["posterior"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise ConfigError(f"{path}: malformed model document: {err}") from err
     if posterior.n_weights != model.n_weights:
         raise ConfigError(

@@ -28,7 +28,7 @@ quietly reporting a distorted distribution.
 
 Expanded uncertainty is U = k u(Y). When ``coverage`` is passed instead
 of ``k``, k is the two-sided Gaussian factor for that coverage; the
-default k = 2 implies 95.45% Gaussian coverage.
+default k = 2 implies 95.45% Gaussian coverage, for every method.
 """
 
 import math
@@ -53,6 +53,7 @@ __all__ = [
     "propagate_monte_carlo",
     "summarize",
     "implied_coverage",
+    "resolve_coverage",
     "sensitivity_budget",
     "MC_CHUNK_SIZE",
 ]
@@ -60,6 +61,9 @@ __all__ = [
 # Fixed chunk width for Monte Carlo draws. Part of the reproducibility
 # contract: chunk boundaries depend only on M, never on parallelism.
 MC_CHUNK_SIZE = 65536
+
+# Default coverage factor of every method; it implies 2*Phi(2) - 1.
+_DEFAULT_K = 2.0
 
 # Seed for the internal affinity probe; fixed so propagate_analytic is
 # deterministic without consuming the caller's seed.
@@ -117,19 +121,26 @@ class EmpiricalCDF:
         return float(np.searchsorted(self.sorted_values, x, side="right")) / m
 
 
-def _resolve_k(k: float, coverage: Optional[float]) -> float:
-    if coverage is not None:
-        if not 0.0 < coverage < 1.0:
-            raise ConfigError(f"coverage must lie in (0, 1), got {coverage}")
-        return float(normal_quantile(0.5 * (1.0 + coverage)))
-    if k <= 0.0:
-        raise ConfigError(f"coverage factor k must be > 0, got {k}")
-    return float(k)
-
-
 def implied_coverage(k: float) -> float:
     """Two-sided Gaussian coverage probability implied by k: 2*Phi(k) - 1."""
     return 2.0 * float(normal_cdf(k)) - 1.0
+
+
+def resolve_coverage(k: float,
+                     coverage: Optional[float]) -> tuple[float, float]:
+    """The (k, coverage) pair of one choice.
+
+    k and coverage are two views of one choice: an explicit coverage
+    wins and fixes k as its two-sided Gaussian factor; otherwise k
+    implies the Gaussian coverage 2*Phi(k) - 1.
+    """
+    if coverage is not None:
+        if not 0.0 < coverage < 1.0:
+            raise ConfigError(f"coverage must lie in (0, 1), got {coverage}")
+        return float(normal_quantile(0.5 * (1.0 + coverage))), float(coverage)
+    if k <= 0.0:
+        raise ConfigError(f"coverage factor k must be > 0, got {k}")
+    return float(k), implied_coverage(k)
 
 
 def _expanded(y: float, u: float, k: float, method: str,
@@ -167,7 +178,7 @@ def _check_affine(expr: MeasurementModelExpr, joint: JointInputModel) -> None:
 def propagate_analytic(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
-    k: float = 2.0,
+    k: float = _DEFAULT_K,
     coverage: Optional[float] = None,
 ) -> MeasurementResult:
     """Exact propagation for affine models.
@@ -178,7 +189,7 @@ def propagate_analytic(
     guarantees by construction.
     """
     _check_affine(expr, joint)
-    kk = _resolve_k(k, coverage)
+    kk, _ = resolve_coverage(k, coverage)
     bundle = derivatives(expr, joint.mean_assignment(), order=1,
                          variables=joint.names)
     var = float(bundle.grad @ joint.covariance() @ bundle.grad)
@@ -196,12 +207,12 @@ def _reject_correlation(joint: JointInputModel, method: str) -> None:
 def propagate_taylor1(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
-    k: float = 2.0,
+    k: float = _DEFAULT_K,
     coverage: Optional[float] = None,
 ) -> MeasurementResult:
     """First-order law of propagation of uncertainty at the input means."""
     _reject_correlation(joint, "taylor1")
-    kk = _resolve_k(k, coverage)
+    kk, _ = resolve_coverage(k, coverage)
     bundle = derivatives(expr, joint.mean_assignment(), order=1,
                          variables=joint.names)
     var = float(np.sum(bundle.grad**2 * joint.variances()))
@@ -211,7 +222,7 @@ def propagate_taylor1(
 def propagate_taylor2(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
-    k: float = 2.0,
+    k: float = _DEFAULT_K,
     coverage: Optional[float] = None,
 ) -> MeasurementResult:
     """Second-order Taylor propagation.
@@ -222,7 +233,7 @@ def propagate_taylor2(
     clamped number, since it means the expansion is not trustworthy.
     """
     _reject_correlation(joint, "taylor2")
-    kk = _resolve_k(k, coverage)
+    kk, _ = resolve_coverage(k, coverage)
     bundle = derivatives(expr, joint.mean_assignment(), order=3,
                          variables=joint.names)
     v = joint.variances()
@@ -243,19 +254,20 @@ def propagate_monte_carlo(
     joint: JointInputModel,
     M: int = 200_000,
     seed: int = 0,
-    coverage: float = 0.95,
+    coverage: Optional[float] = None,
 ) -> tuple[MeasurementResult, EmpiricalCDF]:
     """Monte Carlo propagation with an empirical coverage interval.
 
     Returns the result together with the sorted evaluations. The
     reported k is the Gaussian factor for ``coverage`` so that U = k*u
     stays meaningful, but the interval itself is empirical and keeps
-    any asymmetry of the output distribution.
+    any asymmetry of the output distribution. Without ``coverage`` the
+    run uses the default k and the coverage it implies, like the other
+    methods.
     """
     if M < 100:
         raise ConfigError(f"Monte Carlo sample count must be >= 100, got {M}")
-    if not 0.0 < coverage < 1.0:
-        raise ConfigError(f"coverage must lie in (0, 1), got {coverage}")
+    kk, coverage = resolve_coverage(_DEFAULT_K, coverage)
 
     chunks = []
     n_errors = 0
@@ -284,7 +296,6 @@ def propagate_monte_carlo(
     hi = min(math.ceil((1.0 - 0.5 * alpha) * n_valid), n_valid)
     interval = (float(valid[lo - 1]), float(valid[hi - 1]))
 
-    kk = float(normal_quantile(0.5 * (1.0 + coverage)))
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
     result = MeasurementResult(y, u, kk, kk * u, interval, "monte_carlo",
                                diagnostics)

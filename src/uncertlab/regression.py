@@ -27,7 +27,8 @@ and they are finite-difference-checked in the test suite.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -105,17 +106,18 @@ class BayesianVMModel:
     Immutable; the trained posterior over w lives in a separate object.
     ``x_mean``/``x_sd`` hold the training standardization constants
     (zeros/ones when standardization is off) so predictions transform
-    new inputs identically.
+    new inputs identically. The field defaults are the shipped model
+    settings.
     """
 
     feature_names: tuple[str, ...]
+    x_mean: np.ndarray
+    x_sd: np.ndarray
     mean_degree: int = 2
     noise_degree: int = 1
     mean_include_bias: bool = True
     prior_tau: float = 1.0
     standardize: bool = True
-    x_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    x_sd: np.ndarray = field(default_factory=lambda: np.ones(0))
     fixed_noise_sd: Optional[float] = None
     noise_floor: float = NOISE_FLOOR
 
@@ -125,17 +127,24 @@ class BayesianVMModel:
         if self.fixed_noise_sd is not None and self.fixed_noise_sd <= 0.0:
             raise ConfigError(
                 f"fixed noise sd must be > 0, got {self.fixed_noise_sd}")
+        f = self.n_features
+        if self.x_mean.shape != (f,) or self.x_sd.shape != (f,):
+            raise ConfigError(
+                f"x_mean and x_sd need one entry per feature ({f}), got "
+                f"shapes {self.x_mean.shape} and {self.x_sd.shape}")
+        if not np.all(self.x_sd > 0.0):
+            raise ConfigError(f"x_sd entries must be > 0, got {self.x_sd}")
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    @property
+    @cached_property
     def mean_exponents(self) -> tuple[tuple[int, ...], ...]:
         return polynomial_exponents(self.n_features, self.mean_degree,
                                     self.mean_include_bias)
 
-    @property
+    @cached_property
     def noise_exponents(self) -> tuple[tuple[int, ...], ...]:
         return polynomial_exponents(self.n_features, self.noise_degree)
 
@@ -199,13 +208,6 @@ class DesignMatrices:
     y: np.ndarray                 # (D,)
     model: BayesianVMModel
 
-    def noise_sd(self, w_sigma: Optional[np.ndarray]) -> np.ndarray:
-        """Per-record noise level; columns of w_sigma give batch draws."""
-        m = self.model
-        if m.fixed_noise_sd is not None:
-            return np.full(len(self.y), m.fixed_noise_sd)
-        return softplus(self.phi_sigma @ w_sigma) + m.noise_floor
-
     def log_likelihood_batch(self, w: np.ndarray) -> np.ndarray:
         """Log-likelihood of each weight draw; w has shape (S, P)."""
         ll, _ = self.log_likelihood_and_grad(w, want_grad=False)
@@ -248,17 +250,14 @@ class DesignMatrices:
         return ll, np.concatenate([g_mu, g_sigma], axis=1)
 
 
-def build_model(
-    data: Dataset,
-    mean_degree: int = 2,
-    noise_degree: int = 1,
-    mean_include_bias: bool = True,
-    prior_tau: float = 1.0,
-    standardize: bool = True,
-    fixed_noise_sd: Optional[float] = None,
-) -> BayesianVMModel:
-    """Construct a model whose standardization is fit to ``data``."""
-    if standardize:
+def build_model(data: Dataset, **settings) -> BayesianVMModel:
+    """Construct a model whose standardization is fit to ``data``.
+
+    ``settings`` are :class:`BayesianVMModel` fields (mean_degree,
+    noise_degree, mean_include_bias, prior_tau, standardize,
+    fixed_noise_sd); the ones left out keep the field defaults.
+    """
+    if settings.get("standardize", BayesianVMModel.standardize):
         x_mean = np.array([c.mean for c in data.summary.features])
         sds = np.array([c.sd for c in data.summary.features])
         # a constant feature has nothing to scale; leave it centered
@@ -266,17 +265,8 @@ def build_model(
     else:
         f = data.n_features
         x_mean, x_sd = np.zeros(f), np.ones(f)
-    return BayesianVMModel(
-        feature_names=data.feature_names,
-        mean_degree=mean_degree,
-        noise_degree=noise_degree,
-        mean_include_bias=mean_include_bias,
-        prior_tau=prior_tau,
-        standardize=standardize,
-        x_mean=x_mean,
-        x_sd=x_sd,
-        fixed_noise_sd=fixed_noise_sd,
-    )
+    return BayesianVMModel(data.feature_names, x_mean=x_mean, x_sd=x_sd,
+                           **settings)
 
 
 def log_likelihood(model: BayesianVMModel, w: np.ndarray, data: Dataset) -> float:

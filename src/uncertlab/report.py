@@ -7,6 +7,10 @@ function of config plus referenced inputs, so rerunning a config
 reproduces the ``results`` block byte for byte; the test suite holds
 the tool to that. Dataset-backed runs embed the dataset's summary
 statistics and the SHA-256 of the file, not the data itself.
+
+Reports, model files and configs are RFC 8259 JSON, which has no NaN
+or Infinity: a non-finite number is refused on the way in and on the
+way out.
 """
 
 import hashlib
@@ -15,11 +19,14 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
+from .errors import DomainError
 from .propagation import MeasurementResult, implied_coverage
 from .vi import TrainResult, VirtualMeasurementResult
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
+    "reject_non_finite",
+    "dump_json",
     "file_sha256",
     "measurement_to_dict",
     "virtual_measurement_to_dict",
@@ -29,6 +36,21 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_VERSION = 1
+
+
+def reject_non_finite(literal: str) -> float:
+    """``parse_constant`` hook: RFC 8259 JSON has no NaN or Infinity."""
+    raise ValueError(f"non-finite number {literal} is not allowed")
+
+
+def dump_json(doc: dict) -> str:
+    """Deterministic JSON text of ``doc``; a non-finite number is an error."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise DomainError(
+            f"result holds a non-finite number ({err}); the model "
+            "overflows or leaves its domain at these inputs") from err
 
 
 def file_sha256(path: str) -> str:
@@ -106,7 +128,7 @@ def write_report(report: dict, path: Optional[str]) -> str:
     Returns the serialized text either way, so callers can also print
     it to stdout.
     """
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = dump_json(report)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -4,8 +4,8 @@ All randomness in the package flows through ``substream(seed, stream)``:
 a numpy ``Generator`` backed by the counter-based Philox bit generator,
 keyed by ``SeedSequence(seed, spawn_key=(stream,))``. Distinct stream
 indices give non-overlapping deterministic substreams, so parallel
-workers (MC chunks, per-step training draws, per-row predictions) can
-draw independently while the overall run stays bit-reproducible.
+workers (MC chunks, per-step training draws) can draw independently
+while the overall run stays bit-reproducible.
 """
 
 import numpy as np

@@ -25,12 +25,13 @@ seeded Philox substream, so training is bit-reproducible; termination
 is by trailing-window stagnation of F or the step budget; a non-finite
 F aborts with the step index.
 
-Prediction draws weights from the trained q and reports the posterior
-predictive moments per part: the predictive mean is the average of
-f(x; w) over draws, and the predictive variance splits into an
-aleatoric part, E_q[sigma_n^2(x; w)] (irreducible process noise), and
-an epistemic part, V_q[f(x; w)] (finite-data model uncertainty), which
-add up exactly to sigma_hat^2.
+Prediction draws weights once from the trained q, shares the draw
+across all parts, and reports the posterior predictive moments per
+part: the predictive mean is the average of f(x; w) over draws, and
+the predictive variance splits into an aleatoric part,
+E_q[sigma_n^2(x; w)] (irreducible process noise), and an epistemic
+part, V_q[f(x; w)] (finite-data model uncertainty), which add up
+exactly to sigma_hat^2.
 """
 
 import math
@@ -56,9 +57,15 @@ __all__ = [
     "objective",
     "train_vi",
     "predict",
+    "predict_parts",
 ]
 
 FAMILIES = ("mean_field", "full_rank")
+
+# Part-by-draw values evaluated at once by predict_parts: large enough
+# to amortize the per-block overhead, small enough to keep peak memory
+# flat for many parts.
+_PREDICT_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,34 @@ class VariationalPosterior:
         return self.mu + z @ self.scale.T
 
 
+@dataclass(frozen=True)
+class VIConfig:
+    """Knobs of the stochastic optimizer; defaults are the shipped ones."""
+
+    family: str = "mean_field"
+    learning_rate: float = 1e-2
+    schedule: str = "constant"          # or "cosine"
+    n_mc: int = 8
+    max_steps: int = 20000
+    tolerance: float = 1e-5
+    window: int = 500
+    seed: int = 0
+    init_scale: float = 0.1
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ConfigError(f"unknown variational family {self.family!r}")
+        if self.schedule not in ("constant", "cosine"):
+            raise ConfigError(f"unknown schedule {self.schedule!r}")
+        if self.learning_rate <= 0.0 or self.n_mc < 1 or self.max_steps < 1:
+            raise ConfigError("learning_rate, n_mc, max_steps must be positive")
+        if self.window < 1 or self.tolerance < 0.0 or self.init_scale <= 0.0:
+            raise ConfigError("window, tolerance, init_scale out of range")
+
+
 def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
     """Closed-form KL[q || N(0, tau^2 I)].
 
@@ -136,8 +171,8 @@ def free_energy(
     model: BayesianVMModel,
     q: VariationalPosterior,
     data: Dataset,
-    n_mc: int = 8,
-    seed: int = 0,
+    n_mc: int = VIConfig.n_mc,
+    seed: int = VIConfig.seed,
 ) -> float:
     """Stochastic free-energy estimate with ``n_mc`` reparameterized draws."""
     if n_mc < 1:
@@ -227,34 +262,6 @@ def objective(
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VIConfig:
-    """Knobs of the stochastic optimizer; defaults are the shipped ones."""
-
-    family: str = "mean_field"
-    learning_rate: float = 1e-2
-    schedule: str = "constant"          # or "cosine"
-    n_mc: int = 8
-    max_steps: int = 20000
-    tolerance: float = 1e-5
-    window: int = 500
-    seed: int = 0
-    init_scale: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown variational family {self.family!r}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.learning_rate <= 0.0 or self.n_mc < 1 or self.max_steps < 1:
-            raise ConfigError("learning_rate, n_mc, max_steps must be positive")
-        if self.window < 1 or self.tolerance < 0.0 or self.init_scale <= 0.0:
-            raise ConfigError("window, tolerance, init_scale out of range")
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -387,6 +394,25 @@ def predict(
     seed: int = 0,
 ) -> VirtualMeasurementResult:
     """Posterior predictive moments at one part's feature vector."""
+    return predict_parts(model, q, np.reshape(x, (1, -1)), n_samples, k,
+                         seed)[0]
+
+
+def predict_parts(
+    model: BayesianVMModel,
+    q: VariationalPosterior,
+    x: np.ndarray,
+    n_samples: int,
+    k: float,
+    seed: int,
+) -> list[VirtualMeasurementResult]:
+    """Posterior predictive moments at each row of ``x`` (parts, features).
+
+    All parts share one draw of ``n_samples`` weights, the same draw
+    :func:`predict` makes for a single part. Parts are evaluated in
+    blocks of at most ``_PREDICT_BLOCK`` part-by-draw values, so memory
+    stays flat however many parts there are.
+    """
     if n_samples < 2:
         raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
     if k <= 0.0:
@@ -395,30 +421,37 @@ def predict(
         raise ConfigError(
             f"posterior has {q.n_weights} weights, model expects "
             f"{model.n_weights}")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(x, dtype=np.float64)
 
     w = q.sample(substream(seed, 0), n_samples)
     w_mu, w_sigma = model.split_weights(w)
-    phi_mu = model.mean_features(x)[0]
-    f = w_mu @ phi_mu                                   # (S,)
-
-    y_hat = float(np.mean(f))
-    epistemic = float(np.var(f, ddof=1))
-    if model.fixed_noise_sd is not None:
-        aleatoric = model.fixed_noise_sd**2
-    else:
-        phi_sigma = model.noise_features(x)[0]
-        sigma = softplus(w_sigma @ phi_sigma) + model.noise_floor
-        aleatoric = float(np.mean(sigma**2))
-    sigma_hat = math.sqrt(aleatoric + epistemic)
-    half = k * sigma_hat
-    return VirtualMeasurementResult(
-        y_hat=y_hat,
-        sigma_hat=sigma_hat,
-        aleatoric_var=aleatoric,
-        epistemic_var=epistemic,
-        k=k,
-        interval=(y_hat - half, y_hat + half),
-        n_posterior_samples=n_samples,
-        seed=seed,
-    )
+    block = max(1, _PREDICT_BLOCK // n_samples)
+    out = []
+    for start in range(0, len(x), block):
+        rows = x[start:start + block]
+        # (parts, draws): every reduction runs along the contiguous axis
+        f = model.mean_features(rows) @ w_mu.T
+        y_hats = np.mean(f, axis=1)
+        epistemics = np.var(f, axis=1, ddof=1)
+        if model.fixed_noise_sd is None:
+            sigma = (softplus(model.noise_features(rows) @ w_sigma.T)
+                     + model.noise_floor)
+            aleatorics = np.mean(sigma**2, axis=1)
+        for i in range(len(rows)):
+            y_hat = float(y_hats[i])
+            epistemic = float(epistemics[i])
+            aleatoric = (model.fixed_noise_sd**2 if model.fixed_noise_sd
+                         is not None else float(aleatorics[i]))
+            sigma_hat = math.sqrt(aleatoric + epistemic)
+            half = k * sigma_hat
+            out.append(VirtualMeasurementResult(
+                y_hat=y_hat,
+                sigma_hat=sigma_hat,
+                aleatoric_var=aleatoric,
+                epistemic_var=epistemic,
+                k=k,
+                interval=(y_hat - half, y_hat + half),
+                n_posterior_samples=n_samples,
+                seed=seed,
+            ))
+    return out

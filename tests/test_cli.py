@@ -8,6 +8,7 @@ import pytest
 
 import uncertlab.propagation as propagation
 from uncertlab.cli import main
+from uncertlab.vi import VariationalPosterior
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,21 @@ class TestPropagate:
         budget = json.loads(out)["results"]["budget"]
         assert [b["sensitivity"] for b in budget] == [2.0, -1.0]
 
+    def test_non_finite_result_is_structured_error(self, capsys, tmp_path):
+        # exp(800) overflows: the report would carry Infinity and NaN
+        cfg = write_json(tmp_path / "exp.json", {
+            "model": {"expression": "exp(X1)"},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "gaussian", "mean": 800.0,
+                                        "sd": 1.0}}]},
+            "method": "taylor1",
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["mode"] == "propagate"
+        assert e["type"] == "DomainError" and "non-finite" in e["message"]
+
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):
         doc = json.load(open(propagate_config))
@@ -245,6 +261,43 @@ class TestTrainPredict:
         rows = json.loads(out)["results"]["parts"]
         assert [r["x"] for r in rows] == [[0.1], [-0.4]]
 
+    def test_one_posterior_draw_per_predict_run(self, capsys, tmp_path,
+                                                training_csv, monkeypatch):
+        cfg = self.make_train_config(tmp_path, training_csv, max_steps=300)
+        assert run_cli(capsys, "train", "--config", cfg)[0] == 0
+        draws = []
+        original = VariationalPosterior.sample
+
+        def counting(self, rng, n):
+            draws.append(n)
+            return original(self, rng, n)
+
+        monkeypatch.setattr(VariationalPosterior, "sample", counting)
+        pred_cfg = write_json(tmp_path / "pred.json", {
+            "model_path": str(tmp_path / "model.json"),
+            "parts": {"inline": [[v] for v in np.linspace(-1, 1, 40)]},
+            "n_samples": 2000,
+        })
+        code, out, _ = run_cli(capsys, "predict", "--config", pred_cfg)
+        assert code == 0
+        assert len(json.loads(out)["results"]["parts"]) == 40
+        assert draws == [2000]
+
+    def test_bad_standardization_in_model_file(self, capsys, tmp_path,
+                                               training_csv):
+        cfg = self.make_train_config(tmp_path, training_csv, max_steps=300)
+        assert run_cli(capsys, "train", "--config", cfg)[0] == 0
+        model_path = tmp_path / "model.json"
+        doc = json.loads(model_path.read_text())
+        doc["model"]["x_sd"] = [0.0]
+        model_path.write_text(json.dumps(doc))
+        pred_cfg = write_json(tmp_path / "pred.json", {
+            "model_path": str(model_path), "parts": {"inline": [[0.5]]}})
+        code, out, err = run_cli(capsys, "predict", "--config", pred_cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError" and "x_sd" in e["message"]
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "t.json", {
             "dataset": {"path": "nope.csv", "target": "y"},
@@ -290,3 +343,72 @@ class TestVerify:
         assert checks["passed"]
         assert checks["posterior_mean_rel_error"] <= 0.02
         assert checks["posterior_cov_frobenius_rel_error"] <= 0.10
+
+
+def echoed_config(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # serialized, so 2 and 2.0 compare different
+    return json.dumps(json.loads(out)["config"], sort_keys=True)
+
+
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestConfigEcho:
+    """Every subcommand echoes the fully resolved config of a minimal
+    config: absent settings take their defaults, numbers echo as the
+    run uses them."""
+
+    def test_propagate(self, capsys, tmp_path):
+        inputs = {"quantities": [
+            {"name": "X1", "dist": {"kind": "gaussian", "mean": 2, "sd": 0.1}},
+            {"name": "X2", "dist": {"kind": "rectangular", "lower": 1,
+                                    "upper": 3}},
+        ]}
+        cfg = write_json(tmp_path / "p.json", {
+            "model": {"expression": "X1 * X2"}, "inputs": inputs,
+            "method": "taylor1"})
+        assert echoed_config(capsys, "propagate", "--config", cfg) == \
+            canonical({"model": {"expression": "X1 * X2"}, "inputs": inputs,
+                       "method": "taylor1", "M": 200000, "seed": 0,
+                       "k": 2.0, "coverage": 0.9544997361036416,
+                       "dump_samples": None})
+
+    def test_train_and_predict(self, capsys, tmp_path, training_csv):
+        model_out = str(tmp_path / "model.json")
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": training_csv, "target": "y"},
+            "model_out": model_out})
+        assert echoed_config(capsys, "train", "--config", cfg) == canonical({
+            "dataset": {"path": training_csv, "target": "y",
+                        "features": None},
+            "model": {"mean_degree": 2, "noise_degree": 1,
+                      "mean_include_bias": True, "prior_tau": 1.0,
+                      "standardize": True, "fixed_noise_sd": None},
+            "vi": {"family": "mean_field", "learning_rate": 0.01,
+                   "schedule": "constant", "n_mc": 8, "max_steps": 20000,
+                   "tolerance": 1e-05, "window": 500, "seed": 0,
+                   "init_scale": 0.1},
+            "model_out": model_out, "store_trajectory": False})
+
+        cfg = write_json(tmp_path / "pr.json", {
+            "model_path": model_out, "parts": {"inline": [[0], [0.5]]}})
+        assert echoed_config(capsys, "predict", "--config", cfg) == \
+            canonical({"model_path": model_out,
+                       "parts": {"inline": [[0.0], [0.5]]},
+                       "n_samples": 2000, "k": 2.0, "seed": 0,
+                       "spec": None})
+
+    def test_conformity(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "spec": {"lsl": 10, "usl": 11},
+            "measurements": [{"y": 10.5, "U": 0}]})
+        assert echoed_config(capsys, "conformity", "--config", cfg) == \
+            canonical({"spec": {"lsl": 10.0, "usl": 11.0},
+                       "measurements": [{"y": 10.5, "U": 0.0}]})
+
+    def test_verify(self, capsys):
+        assert echoed_config(capsys, "verify") == canonical(
+            {"seed": 0, "n_records": 200, "n_samples": 100000})

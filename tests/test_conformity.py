@@ -68,6 +68,14 @@ class TestZones:
         with pytest.raises(ConfigError):
             classify(10.1, -0.01, self.SPEC)
 
+    @pytest.mark.parametrize("y,u", [(float("nan"), 0.01),
+                                     (10.1, float("inf")),
+                                     (float("-inf"), 0.01),
+                                     (10.1, float("nan"))])
+    def test_non_finite_rejected(self, y, u):
+        with pytest.raises(ConfigError, match="finite"):
+            classify(y, u, self.SPEC)
+
 
 class TestPartitionProperties:
     def test_exactly_one_zone_fires(self):

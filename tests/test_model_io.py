@@ -1,15 +1,16 @@
 """Model archive save/load round trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from uncertlab.dataset import make_dataset
-from uncertlab.errors import ConfigError
+from uncertlab.errors import ConfigError, DomainError
 from uncertlab.model_io import load_model, save_model
 from uncertlab.regression import build_model
-from uncertlab.vi import VIConfig, train_vi
+from uncertlab.vi import VIConfig, VariationalPosterior, train_vi
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,33 @@ class TestRoundTrip:
         json.dump(doc, open(path, "w"))
         with pytest.raises(ConfigError):
             load_model(path)
+
+    @pytest.mark.parametrize("x_mean,x_sd,match", [
+        ([0.0, 0.0], [1.0], "per feature"),  # lengths differ from features
+        ([0.0], [0.0], "x_sd"),               # zero scale: y_hat NaN
+        ([0.0], [-1.0], "x_sd"),
+    ])
+    def test_standardization_constants_checked(self, trained, tmp_path,
+                                               x_mean, x_sd, match):
+        model, train, cfg, data = trained
+        path = str(tmp_path / "s.json")
+        save_model(path, model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        doc["model"].update(x_mean=x_mean, x_sd=x_sd)
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(ConfigError, match=match):
+            load_model(path)
+
+    def test_non_finite_model_not_written(self, trained, tmp_path):
+        model, train, cfg, data = trained
+        mu = train.posterior.mu.copy()
+        mu[0] = np.inf
+        bad = replace(train, posterior=VariationalPosterior(
+            "mean_field", mu, train.posterior.scale))
+        path = tmp_path / "inf.json"
+        with pytest.raises(DomainError, match="non-finite"):
+            save_model(str(path), model, bad, cfg, data.summary)
+        assert not path.exists()
 
     def test_non_finite_literal_rejected(self, trained, tmp_path):
         model, train, cfg, data = trained

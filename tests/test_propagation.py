@@ -149,6 +149,15 @@ class TestMonteCarlo:
         assert lo == pytest.approx(-1.96, abs=0.02)
         assert hi == pytest.approx(1.96, abs=0.02)
 
+    def test_default_coverage_is_implied_by_default_k(self):
+        m = parse_model("X1")
+        joint = gaussian_joint([0.0], [1.0])
+        r, ecdf = propagate_monte_carlo(m, joint, M=10_000, seed=2)
+        assert r.k == 2.0 and r.U == 2.0 * r.u
+        coverage = implied_coverage(2.0)
+        assert r.interval == (ecdf.quantile(0.5 * (1.0 - coverage)),
+                              ecdf.quantile(0.5 * (1.0 + coverage)))
+
     def test_domain_failures_counted_then_fatal(self):
         # ln(X1) with mass at negative values: some rows fail
         m = parse_model("ln(X1)")

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import uncertlab.regression as regression
 from uncertlab.dataset import make_dataset
 from uncertlab.regression import (BayesianVMModel, build_model, inv_softplus,
                                   log_likelihood, log_likelihood_grad,
@@ -66,6 +67,22 @@ class TestModelAssembly:
         data = make_dataset(x, y, ("c", "t"))
         model = build_model(data)
         assert model.x_sd[0] == 1.0
+
+    def test_exponents_built_once_per_model(self, monkeypatch):
+        calls = []
+        original = regression.polynomial_exponents
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "polynomial_exponents", counting)
+        data = toy_data()
+        model = build_model(data, mean_degree=2, noise_degree=1)
+        for _ in range(3):
+            assert model.n_weights == 9
+            model.design(data)
+        assert len(calls) == 2
 
     def test_weight_partition(self):
         data = toy_data()

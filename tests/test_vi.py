@@ -5,11 +5,11 @@ import pytest
 
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DatasetError
-from uncertlab.regression import build_model
+from uncertlab.regression import build_model, softplus
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, free_energy,
                           kl_gaussian, objective, pack_posterior, predict,
-                          train_vi, unpack_posterior)
+                          predict_parts, train_vi, unpack_posterior)
 
 
 def linear_data(n=120, seed=0, noise=0.1):
@@ -283,3 +283,27 @@ class TestPredict:
                                  np.ones(model.n_weights))
         with pytest.raises(ConfigError):
             predict(model, q, np.array([1.0, 2.0]), n_samples=100)
+
+    @pytest.mark.parametrize("fixed_noise", [None, 0.3])
+    def test_parts_match_per_part_loop(self, fixed_noise):
+        # 70 parts at 2000 draws span three 32-part blocks; the reference
+        # is the per-part loop over the same draw (1-D reductions)
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, fixed_noise_sd=fixed_noise)
+        q = random_posterior(np.random.default_rng(3), model.n_weights,
+                             "full_rank")
+        rows = np.random.default_rng(4).uniform(-2, 2, size=(70, 1))
+        vms = predict_parts(model, q, rows, 2000, 2.5, 6)
+        w_mu, w_sigma = model.split_weights(q.sample(substream(6, 0), 2000))
+        for row, vm in zip(rows, vms):
+            f = w_mu @ model.mean_features(row)[0]
+            if fixed_noise is None:
+                t = w_sigma @ model.noise_features(row)[0]
+                aleatoric = np.mean((softplus(t) + model.noise_floor) ** 2)
+            else:
+                aleatoric = fixed_noise ** 2
+            assert vm.y_hat == pytest.approx(np.mean(f), rel=1e-12)
+            assert vm.epistemic_var == pytest.approx(np.var(f, ddof=1),
+                                                     rel=1e-12)
+            assert vm.aleatoric_var == pytest.approx(aleatoric, rel=1e-12)
+            assert (vm.k, vm.seed, vm.n_posterior_samples) == (2.5, 6, 2000)
