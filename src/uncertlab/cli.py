@@ -3,7 +3,8 @@
 Each subcommand reads a JSON config (``--config``), runs its pipeline,
 and emits a JSON report, either to ``--out`` or to stdout. ``--seed``
 overrides the config's seed so the same config can be swept across
-seeds without editing files. All randomness in a run descends from
+seeds without editing files; ``conformity`` draws nothing at random
+and has no seed. All randomness in a run descends from
 that one seed; identical config plus seed reproduces the report's
 ``results`` block byte for byte.
 
@@ -30,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (load_json, resolve_conformity, resolve_predict,
-                     resolve_propagate, resolve_train, resolve_verify)
+from .config import (resolve_conformity, resolve_predict, resolve_propagate,
+                     resolve_train, resolve_verify)
 from .conformity import Specification, classify, classify_virtual
 from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
@@ -41,9 +42,9 @@ from .propagation import (propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
                           sensitivity_budget, summarize)
 from .regression import build_model
-from .report import (build_report, file_sha256, measurement_to_dict,
-                     train_result_to_dict, virtual_measurement_to_dict,
-                     write_report)
+from .report import (build_report, file_sha256, load_json,
+                     measurement_to_dict, train_result_to_dict,
+                     virtual_measurement_to_dict, write_report)
 from .rng import substream
 from .vi import VIConfig, predict, predict_parts, train_vi
 
@@ -237,21 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add(name: str, help_text: str, config_required: bool = True):
+    def add(name: str, help_text: str, config_required: bool = True,
+            seeded: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
         p.add_argument("--out", help="write the JSON report here "
                                      "(default: stdout)")
-        p.add_argument("--seed", type=int,
-                       help="override the config's seed")
+        if seeded:
+            p.add_argument("--seed", type=int,
+                           help="override the config's seed")
         return p
 
     add("propagate", "propagate input uncertainty through a model")
     add("train", "train the virtual-measurement posterior on a dataset")
     add("predict", "virtually measure new parts with a trained model")
     conf = add("conformity", "classify measurements against specification "
-                             "limits")
+                             "limits", seeded=False)
     conf.add_argument("--lsl", type=float,
                       help="override the lower specification limit")
     conf.add_argument("--usl", type=float,

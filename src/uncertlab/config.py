@@ -20,7 +20,6 @@ model and input distributions); the CLI runs from it.
 """
 
 import inspect
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -36,11 +35,9 @@ from .model_io import save_model
 from .propagation import (propagate_monte_carlo, propagate_taylor1,
                           resolve_coverage)
 from .regression import BayesianVMModel
-from .report import reject_non_finite
 from .vi import VIConfig, predict
 
 __all__ = [
-    "load_json",
     "validate_config",
     "PropagateRun",
     "resolve_propagate",
@@ -298,19 +295,6 @@ _SCHEMAS = {
     "conformity": CONFORMITY_SCHEMA,
     "verify": VERIFY_SCHEMA,
 }
-
-
-def load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject_non_finite)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    except ValueError as err:  # json.JSONDecodeError is one
-        raise ConfigError(f"{path}: not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
 
 
 def validate_config(doc: dict, mode: str) -> None:

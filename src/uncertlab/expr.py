@@ -309,6 +309,27 @@ def _references_variables(node: Node) -> bool:
     return False
 
 
+def is_affine(node: Node) -> bool:
+    """Whether the tree is affine in its variables by structure alone.
+
+    Constants, variables and variable-free subtrees are affine, and so
+    are negations, sums and differences of affine trees and an affine
+    tree multiplied or divided by a variable-free one. Every other
+    tree is refused, even one whose terms cancel to an affine function.
+    """
+    if isinstance(node, Var) or not _references_variables(node):
+        return True
+    if isinstance(node, Unary):
+        return node.fn == "neg" and is_affine(node.arg)
+    if node.op in ("+", "-"):
+        return is_affine(node.lhs) and is_affine(node.rhs)
+    if node.op == "*" and not _references_variables(node.lhs):
+        return is_affine(node.rhs)
+    if node.op in ("*", "/") and not _references_variables(node.rhs):
+        return is_affine(node.lhs)
+    return False
+
+
 def parse_model(text: str, declared: Iterable[str] = ()) -> MeasurementModelExpr:
     """Parse a measurement-model expression.
 

@@ -10,7 +10,6 @@ objects; a train-then-predict round trip through disk is
 bit-reproducible.
 """
 
-import json
 from dataclasses import asdict, fields
 from typing import Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 from .dataset import DatasetSummary
 from .errors import ConfigError
 from .regression import BayesianVMModel
-from .report import dump_json, reject_non_finite
+from .report import dump_json, load_json
 from .vi import TrainResult, VariationalPosterior, VIConfig
 
 __all__ = ["MODEL_SCHEMA_VERSION", "save_model", "load_model"]
@@ -96,13 +95,7 @@ def save_model(
 
 def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
     """Read a trained model document; returns (model, posterior, document)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject_non_finite)
-    except OSError as err:
-        raise ConfigError(f"cannot read model {path!r}: {err}") from err
-    except ValueError as err:  # json.JSONDecodeError is one
-        raise ConfigError(f"{path}: not valid JSON: {err}") from err
+    doc = load_json(path)
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ConfigError(
@@ -111,10 +104,12 @@ def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
     try:
         model = _model_from_dict(doc["model"])
         posterior = _posterior_from_dict(doc["posterior"])
+        # n_weights builds the exponent tables, so a non-integer degree
+        # surfaces here
+        if posterior.n_weights != model.n_weights:
+            raise ConfigError(
+                f"posterior has {posterior.n_weights} weights but the "
+                f"model defines {model.n_weights}")
     except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise ConfigError(f"{path}: malformed model document: {err}") from err
-    if posterior.n_weights != model.n_weights:
-        raise ConfigError(
-            f"{path}: posterior has {posterior.n_weights} weights but the "
-            f"model defines {model.n_weights}")
     return model, posterior, doc

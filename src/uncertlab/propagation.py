@@ -6,6 +6,8 @@ expected value y, a standard uncertainty u(Y), and a coverage interval:
 - ``analytic``: exact mean/variance for affine models, u^2 = c' Sigma c
   over the input covariance; with Gaussian inputs the output is exactly
   Gaussian, so the interval is exact at the requested coverage.
+  Affinity is read from the parsed tree (:func:`~uncertlab.expr.is_affine`),
+  so a model whose terms only cancel, such as ``X1 * X2 / X2``, is refused.
 - ``taylor1``: the first-order law of propagation of uncertainty,
   u^2 = sum_i (df/dx_i)^2 u^2(x_i), gradient taken at the input means.
 - ``taylor2``: adds the second-order correction
@@ -39,9 +41,8 @@ import numpy as np
 
 from .autodiff import derivatives
 from .distributions import JointInputModel, normal_cdf, normal_quantile, sample
-from .errors import ConfigError, DomainError, MonteCarloError
-from .expr import MeasurementModelExpr, evaluate_batch
-from .rng import substream
+from .errors import ConfigError, MonteCarloError
+from .expr import MeasurementModelExpr, evaluate_batch, is_affine
 
 __all__ = [
     "MeasurementResult",
@@ -64,10 +65,6 @@ MC_CHUNK_SIZE = 65536
 
 # Default coverage factor of every method; it implies 2*Phi(2) - 1.
 _DEFAULT_K = 2.0
-
-# Seed for the internal affinity probe; fixed so propagate_analytic is
-# deterministic without consuming the caller's seed.
-_AFFINE_PROBE_SEED = 186916
 
 
 @dataclass(frozen=True)
@@ -149,32 +146,6 @@ def _expanded(y: float, u: float, k: float, method: str,
     return MeasurementResult(y, u, k, U, (y - U, y + U), method, grad=grad)
 
 
-def _check_affine(expr: MeasurementModelExpr, joint: JointInputModel) -> None:
-    """Reject models whose Hessian is not identically zero.
-
-    Probes the exact Hessian at three random points around the means;
-    a nonzero entry anywhere, or a domain restriction preventing
-    evaluation there, disqualifies the model from analytic propagation.
-    """
-    rng = substream(_AFFINE_PROBE_SEED, 0)
-    mu = joint.means()
-    scale = np.maximum(1.0, np.maximum(np.abs(mu), np.sqrt(joint.variances())))
-    for _ in range(3):
-        point = mu + scale * rng.standard_normal(len(joint))
-        at = dict(zip(joint.names, point))
-        try:
-            bundle = derivatives(expr, at, order=2, variables=joint.names)
-        except DomainError as err:
-            raise ConfigError(
-                "analytic propagation requires an affine model; this model "
-                f"has a restricted domain ({err})") from err
-        tol = 1e-12 * max(1.0, abs(bundle.value), float(np.max(np.abs(bundle.grad))))
-        if np.max(np.abs(bundle.hess)) > tol:
-            raise ConfigError(
-                "analytic propagation requires an affine model; "
-                "second derivatives do not vanish")
-
-
 def propagate_analytic(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
@@ -188,7 +159,11 @@ def propagate_analytic(
     independent or jointly Gaussian, which the joint model already
     guarantees by construction.
     """
-    _check_affine(expr, joint)
+    if not is_affine(expr.root):
+        raise ConfigError(
+            "analytic propagation requires an affine model: a sum of "
+            "inputs times constant factors; use taylor1, taylor2 or "
+            "monte_carlo")
     kk, _ = resolve_coverage(k, coverage)
     bundle = derivatives(expr, joint.mean_assignment(), order=1,
                          variables=joint.names)
@@ -286,20 +261,19 @@ def propagate_monte_carlo(
             "domain errors; the input distributions extend outside the "
             "model's domain")
 
-    valid = np.sort(np.concatenate(chunks))
+    ecdf = EmpiricalCDF(np.sort(np.concatenate(chunks)))
+    valid = ecdf.sorted_values
     n_valid = len(valid)
     y = float(np.mean(valid))
     u = float(np.std(valid, ddof=1)) if n_valid > 1 else 0.0
 
     alpha = 1.0 - coverage
-    lo = max(math.ceil(0.5 * alpha * n_valid), 1)
-    hi = min(math.ceil((1.0 - 0.5 * alpha) * n_valid), n_valid)
-    interval = (float(valid[lo - 1]), float(valid[hi - 1]))
+    interval = (ecdf.quantile(0.5 * alpha), ecdf.quantile(1.0 - 0.5 * alpha))
 
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
     result = MeasurementResult(y, u, kk, kk * u, interval, "monte_carlo",
                                diagnostics)
-    return result, EmpiricalCDF(valid)
+    return result, ecdf
 
 
 def summarize(result: MeasurementResult, k: float) -> MeasurementResult:

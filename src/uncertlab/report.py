@@ -19,13 +19,13 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .propagation import MeasurementResult, implied_coverage
 from .vi import TrainResult, VirtualMeasurementResult
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
-    "reject_non_finite",
+    "load_json",
     "dump_json",
     "file_sha256",
     "measurement_to_dict",
@@ -38,9 +38,27 @@ __all__ = [
 REPORT_SCHEMA_VERSION = 1
 
 
-def reject_non_finite(literal: str) -> float:
+def _reject_non_finite(literal: str) -> float:
     """``parse_constant`` hook: RFC 8259 JSON has no NaN or Infinity."""
     raise ValueError(f"non-finite number {literal} is not allowed")
+
+
+def load_json(path: str) -> dict:
+    """The JSON object in ``path``, a config or a model file.
+
+    An unreadable file, invalid JSON, a non-finite literal or a top
+    level that is not an object is a ConfigError naming the file.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh, parse_constant=_reject_non_finite)
+    except OSError as err:
+        raise ConfigError(f"cannot read {path!r}: {err}") from err
+    except ValueError as err:  # json.JSONDecodeError is one
+        raise ConfigError(f"{path}: not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return doc
 
 
 def dump_json(doc: dict) -> str:

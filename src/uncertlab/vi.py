@@ -114,10 +114,13 @@ class VariationalPosterior:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Reparameterized draws w = mu + L z, shape (n, P)."""
-        z = rng.standard_normal((n, self.n_weights))
-        if self.family == "mean_field":
-            return self.mu + z * self.scale
-        return self.mu + z @ self.scale.T
+        return _draw(self.mu, self.scale,
+                     rng.standard_normal((n, self.n_weights)))
+
+
+def _draw(mu: np.ndarray, scale: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """w = mu + L z for each row of z; ``scale`` is L or its diagonal."""
+    return mu + (z * scale if scale.ndim == 1 else z @ scale.T)
 
 
 @dataclass(frozen=True)
@@ -153,17 +156,19 @@ def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
 
     (1/2) [ tr(Sigma)/tau^2 + |mu|^2/tau^2 - P + P ln tau^2 - ln det Sigma ].
     """
+    return _kl(q.mu, q.scale, prior_tau)
+
+
+def _kl(mu: np.ndarray, scale: np.ndarray, prior_tau: float) -> float:
     if prior_tau <= 0.0:
         raise ConfigError(f"prior tau must be > 0, got {prior_tau}")
-    p = q.n_weights
+    p = len(mu)
     tau2 = prior_tau**2
-    if q.family == "mean_field":
-        trace = float(np.sum(q.scale**2))
-        logdet = 2.0 * float(np.sum(np.log(q.scale)))
-    else:
-        trace = float(np.sum(q.scale**2))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(q.scale))))
-    mu2 = float(q.mu @ q.mu)
+    # tr(L L') is the sum of squares of L, whichever shape it is stored in
+    trace = float(np.sum(scale**2))
+    diag = scale if scale.ndim == 1 else np.diag(scale)
+    logdet = 2.0 * float(np.sum(np.log(diag)))
+    mu2 = float(mu @ mu)
     return 0.5 * (trace / tau2 + mu2 / tau2 - p + p * math.log(tau2) - logdet)
 
 
@@ -201,21 +206,23 @@ def pack_posterior(q: VariationalPosterior) -> np.ndarray:
 
 def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPosterior:
     """Inverse of :func:`pack_posterior`."""
-    mu = theta[:p]
-    d = np.exp(theta[p:2 * p])
+    mu, _, scale = _unpack(family, p, theta)
+    return VariationalPosterior(family, mu.copy(), scale)
+
+
+def _unpack(family: str, p: int,
+            theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, diag of L, L or its diagonal), with mu a view of theta."""
+    n = 2 * p if family == "mean_field" else 2 * p + p * (p - 1) // 2
+    if len(theta) != n:
+        raise ConfigError(f"{family} parameter vector must have length {n}")
+    mu, d = theta[:p], np.exp(theta[p:2 * p])
     if family == "mean_field":
-        if len(theta) != 2 * p:
-            raise ConfigError(
-                f"mean_field parameter vector must have length {2 * p}")
-        return VariationalPosterior(family, mu.copy(), d)
-    n_lower = p * (p - 1) // 2
-    if len(theta) != 2 * p + n_lower:
-        raise ConfigError(
-            f"full_rank parameter vector must have length {2 * p + n_lower}")
+        return mu, d, d
     scale = np.zeros((p, p))
     scale[np.tril_indices(p, k=-1)] = theta[2 * p:]
     scale[np.diag_indices(p)] = d
-    return VariationalPosterior(family, mu.copy(), scale)
+    return mu, d, scale
 
 
 def objective(
@@ -234,29 +241,20 @@ def objective(
     finite-difference gate in the tests runs against exactly this
     function.
     """
-    model = design.model
-    p = model.n_weights
-    q = unpack_posterior(family, p, theta)
-    s = z.shape[0]
+    p = design.model.n_weights
+    mu, d, scale = _unpack(family, p, theta)
+    ll, g = design.log_likelihood_and_grad(_draw(mu, scale, z))
+
+    value = _kl(mu, scale, prior_tau) - float(np.mean(ll))
     tau2 = prior_tau**2
-
+    d_mu = mu / tau2 - np.mean(g, axis=0)
     if family == "mean_field":
-        w = q.mu + z * q.scale
-    else:
-        w = q.mu + z @ q.scale.T
-    ll, g = design.log_likelihood_and_grad(w)
-
-    value = kl_gaussian(q, prior_tau) - float(np.mean(ll))
-    d_mu = q.mu / tau2 - np.mean(g, axis=0)
-    if family == "mean_field":
-        d_scale = q.scale / tau2 - 1.0 / q.scale - np.mean(g * z, axis=0)
-        d_rho = d_scale * q.scale
-        return value, np.concatenate([d_mu, d_rho])
-    d_l = q.scale / tau2 - (g.T @ z) / s
-    d_l[np.diag_indices(p)] -= 1.0 / np.diag(q.scale)
-    d_rho = np.diag(d_l) * np.diag(q.scale)
+        d_scale = d / tau2 - 1.0 / d - np.mean(g * z, axis=0)
+        return value, np.concatenate([d_mu, d_scale * d])
+    d_l = scale / tau2 - (g.T @ z) / z.shape[0]
+    d_l[np.diag_indices(p)] -= 1.0 / d
     d_lower = d_l[np.tril_indices(p, k=-1)]
-    return value, np.concatenate([d_mu, d_rho, d_lower])
+    return value, np.concatenate([d_mu, np.diag(d_l) * d, d_lower])
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,11 @@ class TestPropagate:
         assert e["type"] == "ConfigError" and "Infinity" in e["message"]
 
     @pytest.mark.parametrize("method,calls", [
-        ("taylor1", 1), ("taylor2", 1), ("analytic", 4)])
+        ("taylor1", 1), ("taylor2", 1), ("analytic", 1)])
     def test_one_derivative_bundle_per_run(self, capsys, tmp_path,
                                            monkeypatch, method, calls):
-        # analytic: three affinity probes plus the bundle at the means;
-        # the budget reuses the gradient the propagation computed
+        # analytic reads affinity from the tree, so its one bundle is the
+        # one at the means; the budget reuses the gradient it computed
         seen = []
         original = propagation.derivatives
 
@@ -333,6 +333,17 @@ class TestConformity:
         e = json.loads(err)["error"]
         assert e["mode"] == "conformity"
         assert e["type"] == "ConfigError" and "NaN" in e["message"]
+
+    def test_seed_flag_is_a_usage_error(self, capsys, tmp_path):
+        # conformity draws nothing at random, so it offers no --seed
+        cfg = write_json(tmp_path / "c.json", {
+            "spec": {"lsl": 10.0, "usl": 10.2},
+            "measurements": [{"y": 10.1, "U": 0.02}],
+        })
+        with pytest.raises(SystemExit) as exc:
+            main(["conformity", "--config", cfg, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -96,6 +96,23 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match=match):
             load_model(path)
 
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="list.json"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("degree", [2.5, "2"])
+    def test_mean_degree_must_be_an_integer(self, trained, tmp_path, degree):
+        model, train, cfg, data = trained
+        path = tmp_path / "d.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        doc["model"]["mean_degree"] = degree
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(ConfigError, match="d.json"):
+            load_model(str(path))
+
     def test_non_finite_model_not_written(self, trained, tmp_path):
         model, train, cfg, data = trained
         mu = train.posterior.mu.copy()

@@ -5,7 +5,7 @@ import pytest
 
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
                                      Rectangular)
-from uncertlab.errors import ConfigError, MonteCarloError
+from uncertlab.errors import ConfigError, DomainError, MonteCarloError
 from uncertlab.expr import parse_model
 from uncertlab.propagation import (EmpiricalCDF, implied_coverage,
                                    propagate_analytic, propagate_monte_carlo,
@@ -43,6 +43,35 @@ class TestAnalytic:
         joint = gaussian_joint([2.0, 3.0], [0.1, 0.1])
         with pytest.raises(ConfigError, match="affine"):
             propagate_analytic(m, joint)
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(X1 ^ 2)", "sqrt(X1 ^ 2) + X1",
+        # affine only by cancellation, or by an exponent of one
+        "(X1 + 1) ^ 2 - X1 ^ 2", "X1 * X2 / X2", "X1 ^ 1",
+    ])
+    def test_refused_unless_affine_by_structure(self, text):
+        # |X1| has a zero Hessian wherever it is differentiable, yet with
+        # X1 ~ N(0.1, 1) its mean is 0.80 and its sd 0.61, not 0.1 and 1
+        joint = gaussian_joint([0.1, 2.0], [1.0, 0.5])
+        with pytest.raises(ConfigError, match="affine"):
+            propagate_analytic(parse_model(text), joint)
+
+    @pytest.mark.parametrize("text", [
+        "-(X1 - X2) / 4", "sin(1) * X1 + 2 ^ 3 * X2", "X1 * 2.5 - -X2",
+        "(X1 + X2) * (2 - 1)",
+    ])
+    def test_constant_factors_accepted(self, text):
+        m = parse_model(text)
+        joint = gaussian_joint([1.0, -2.0], [0.3, 0.2])
+        ra = propagate_analytic(m, joint)
+        r1 = propagate_taylor1(m, joint)
+        assert ra.y == pytest.approx(r1.y, rel=1e-12)
+        assert ra.u == pytest.approx(r1.u, rel=1e-12)
+
+    def test_domain_error_in_constant_factor(self):
+        joint = gaussian_joint([1.0], [0.1])
+        with pytest.raises(DomainError):
+            propagate_analytic(parse_model("X1 / 0"), joint)
 
     def test_rectangular_inputs_fine_when_affine(self):
         m = parse_model("X1 + X2")
