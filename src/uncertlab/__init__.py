@@ -29,7 +29,7 @@ from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
                           propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
                           sensitivity_budget, summarize)
-from .regression import BayesianVMModel, build_model, log_likelihood
+from .regression import BayesianVMModel, build_model
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
                  VirtualMeasurementResult, free_energy, kl_gaussian, predict,
                  predict_parts, train_vi)
@@ -74,7 +74,6 @@ __all__ = [
     "ingest_dataset",
     "ingest_parts",
     "kl_gaussian",
-    "log_likelihood",
     "make_dataset",
     "parse_model",
     "predict",

@@ -15,12 +15,14 @@ makes the row's coefficient of e1^a e2^b equal to
 
     d^(a+b) f / (dx_i^a dx_j^b) / (a! b!).
 
-All seedings of a point go side by side through one walk of the tree:
-a row per index pair i < j for Hessians and third derivatives, a row
-per input seeded on e1 alone for gradients. Column 0 is the model
-value, equal in every row and computed by the scalar evaluator's rules;
-chain-rule coefficients and domain checks read it from row 0. Results
-are exact up to floating-point rounding; there is no step size.
+All seedings of a point go side by side through one pass of
+:func:`uncertlab.expr.walk`, the walk every evaluator uses, with the jet
+operations below: a row per index pair i < j for Hessians and third
+derivatives, a row per input seeded on e1 alone for gradients. Column 0
+is the model value, equal in every row and computed by the scalar
+evaluator's rules; chain-rule coefficients and domain checks read it
+from row 0. Results are exact up to floating-point rounding; there is
+no step size.
 
 Domain rules match the scalar evaluator, with one addition: points
 where the model's value exists but a derivative does not (sqrt at zero)
@@ -30,13 +32,12 @@ is meaningless there.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .expr import (FUNCTIONS, Const, MeasurementModelExpr, Node, Unary, Var,
-                   checked_pow, constant_exponent)
+from .expr import FUNCTIONS, MeasurementModelExpr, Ops, checked_pow, walk
 
 __all__ = ["DerivativeBundle", "derivatives"]
 
@@ -160,29 +161,6 @@ def _apply_function(fn: str, u: np.ndarray) -> np.ndarray:
     return _compose(u, g0, spec.d1(a), spec.d2(a), spec.d3(a))
 
 
-def _eval_jet(node: Node, leaf: Callable[[str], np.ndarray]) -> np.ndarray:
-    """Walk the tree once; ``leaf(name)`` gives an input's seeded jet."""
-    if isinstance(node, Const):
-        return _constant(node.value)
-    if isinstance(node, Var):
-        return leaf(node.name)
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            return -_eval_jet(node.arg, leaf)
-        return _apply_function(node.fn, _eval_jet(node.arg, leaf))
-    if node.op == "^":
-        return _pow_const(_eval_jet(node.lhs, leaf), constant_exponent(node.rhs))
-    lhs = _eval_jet(node.lhs, leaf)
-    rhs = _eval_jet(node.rhs, leaf)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return _mul(lhs, rhs)
-    return _div(lhs, rhs)
-
-
 @dataclass(frozen=True)
 class DerivativeBundle:
     """Model derivatives at a point, indexed by a fixed variable order.
@@ -244,8 +222,10 @@ def derivatives(
         jet[:, 2] = second == position[name]   # column (0, 1): e2
         return jet
 
+    ops = Ops(const=_constant, var=leaf, apply=_apply_function,
+              power=_pow_const, mul=_mul, div=_div)
     with np.errstate(all="ignore"):
-        jet = _eval_jet(expr.root, leaf)
+        jet = walk(expr.root, ops)
     rows = np.broadcast_to(jet, (len(first), len(_MONOMIALS)))
     c = dict(zip(_MONOMIALS, rows.T))
 

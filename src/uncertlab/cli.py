@@ -22,6 +22,7 @@ Log verbosity comes from the UNCERTLAB_LOG environment variable
 """
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -44,7 +45,7 @@ from .propagation import (propagate_analytic, propagate_monte_carlo,
 from .regression import build_model
 from .report import (build_report, file_sha256, load_json,
                      measurement_to_dict, train_result_to_dict,
-                     virtual_measurement_to_dict, write_report)
+                     virtual_measurement_to_dict, write_report, write_text)
 from .rng import substream
 from .vi import VIConfig, predict, predict_parts, train_vi
 
@@ -53,6 +54,9 @@ log = logging.getLogger("uncertlab")
 _VERIFY_NOISE_SD = 0.2
 _VERIFY_WEIGHTS = (1.0, 2.0, -1.0)
 _VERIFY_QUERY = (0.3, -0.2)
+# relative-error bound of each verify check
+_VERIFY_TOLERANCES = {"posterior_mean": 0.02, "posterior_cov": 0.10,
+                      "predictive_mean": 0.02, "predictive_var": 0.02}
 
 
 def _configure_logging() -> None:
@@ -83,8 +87,8 @@ def _run_propagate(args) -> tuple[dict, int]:
             coverage=cfg["coverage"])
         result = summarize(result, cfg["k"])
         if cfg["dump_samples"] is not None:
-            np.savetxt(cfg["dump_samples"], ecdf.sorted_values,
-                       header="y", comments="", fmt="%.17g")
+            write_text(cfg["dump_samples"], itertools.chain(
+                ["y"], ("%.17g" % v for v in ecdf.sorted_values)))
             log.info("wrote %d sorted samples to %s",
                      len(ecdf.sorted_values), cfg["dump_samples"])
 
@@ -204,19 +208,18 @@ def _verify_checks(cfg: dict) -> dict:
     mean_rel = abs(vm.y_hat - pred_mean) / max(abs(pred_mean), 1e-12)
     var_rel = abs(vm.sigma_hat**2 - pred_var) / pred_var
 
-    checks = {
+    errors = {"posterior_mean": mu_rel, "posterior_cov": cov_rel,
+              "predictive_mean": mean_rel, "predictive_var": var_rel}
+    return {
         "posterior_mean_rel_error": mu_rel,
         "posterior_cov_frobenius_rel_error": cov_rel,
         "predictive_mean_rel_error": mean_rel,
         "predictive_var_rel_error": var_rel,
-        "tolerances": {"posterior_mean": 0.02, "posterior_cov": 0.10,
-                       "predictive_mean": 0.02, "predictive_var": 0.02},
+        "tolerances": dict(_VERIFY_TOLERANCES),
         "n_steps": train.n_steps,
+        "passed": all(errors[name] <= tol
+                      for name, tol in _VERIFY_TOLERANCES.items()),
     }
-    checks["passed"] = bool(
-        mu_rel <= 0.02 and cov_rel <= 0.10
-        and mean_rel <= 0.02 and var_rel <= 0.02)
-    return checks
 
 
 def _run_verify(args) -> tuple[dict, int]:

@@ -44,6 +44,10 @@ class Specification:
     usl: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lsl) and math.isfinite(self.usl)):
+            raise ConfigError(
+                f"specification limits must be finite, got "
+                f"[{self.lsl}, {self.usl}]")
         if not self.lsl < self.usl:
             raise ConfigError(
                 f"specification needs lsl < usl, got [{self.lsl}, {self.usl}]")

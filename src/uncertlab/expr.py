@@ -21,23 +21,26 @@ variable. Known unary functions live in the :data:`FUNCTIONS` table,
 which is the single registration point for extending the function set
 (the derivative entries there are consumed by :mod:`uncertlab.autodiff`).
 
-Two evaluators are provided. :func:`evaluate` is the scalar reference
-path: it reports domain violations (log of a non-positive value,
-division by zero, fractional power of a negative base) as
+Every evaluation is one walk of the tree, :func:`walk`: lhs, then rhs
+or exponent, then the node, with an :class:`Ops` table for what
+differs between kinds of value. :func:`evaluate` is the scalar
+reference path: it reports domain violations (log of a non-positive
+value, division by zero, fractional power of a negative base) as
 :class:`~uncertlab.errors.DomainError` instead of returning NaN.
 :func:`evaluate_batch` is the vectorized path used by Monte Carlo
-propagation: it evaluates whole sample columns at once and marks failed
-evaluations as non-finite entries for the caller to count, because a
-raised exception would abort an entire sampling run.
+propagation: it marks failed evaluations as non-finite entries for the
+caller to count, because a raised exception would abort an entire
+sampling run. :mod:`uncertlab.autodiff` walks the tree over jets.
 
 Parsed trees are immutable, so they can be shared and evaluated from
 many threads concurrently.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -402,8 +405,57 @@ def _format(node: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
+# Evaluation: one walk, three kinds of value
 # ---------------------------------------------------------------------------
+
+class Ops(NamedTuple):
+    """Node semantics per kind of value; negation, sum and difference
+    use the values' own operators."""
+
+    const: Callable[[float], Any]
+    var: Callable[[str], Any]
+    apply: Callable[[str, Any], Any]        # FUNCTIONS key, argument
+    power: Callable[[Any, float], Any]      # base, constant exponent
+    mul: Callable[[Any, Any], Any]
+    div: Callable[[Any, Any], Any]
+
+
+def walk(node: Node, ops: Ops) -> Any:
+    """Evaluate the tree with ``ops``, lhs before rhs or exponent, so
+    every kind of value that raises :class:`DomainError` fails at the
+    same node with the same message."""
+    if isinstance(node, Const):
+        return ops.const(node.value)
+    if isinstance(node, Var):
+        return ops.var(node.name)
+    if isinstance(node, Unary):
+        arg = walk(node.arg, ops)
+        return -arg if node.fn == "neg" else ops.apply(node.fn, arg)
+    lhs = walk(node.lhs, ops)
+    if node.op == "^":
+        return ops.power(lhs, constant_exponent(node.rhs))
+    rhs = walk(node.rhs, ops)
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return ops.mul(lhs, rhs)
+    return ops.div(lhs, rhs)
+
+
+def _scalar_div(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        raise DomainError("division by zero")
+    return lhs / rhs
+
+
+def _scalar_ops(env: Mapping[str, float]) -> Ops:
+    return Ops(const=lambda value: value,
+               var=lambda name: float(env[name]),
+               apply=lambda fn, x: FUNCTIONS[fn].scalar(x),
+               power=checked_pow, mul=operator.mul, div=_scalar_div)
+
 
 def evaluate(expr: MeasurementModelExpr, assignment: Mapping[str, float]) -> float:
     """Evaluate the model at one point.
@@ -416,36 +468,12 @@ def evaluate(expr: MeasurementModelExpr, assignment: Mapping[str, float]) -> flo
     missing = [v for v in expr.variables if v not in assignment]
     if missing:
         raise EvaluationError(f"no value for variable(s): {', '.join(missing)}")
-    return _eval_scalar(expr.root, assignment)
-
-
-def _eval_scalar(node: Node, env: Mapping[str, float]) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(env[node.name])
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            return -_eval_scalar(node.arg, env)
-        return FUNCTIONS[node.fn].scalar(_eval_scalar(node.arg, env))
-    lhs = _eval_scalar(node.lhs, env)
-    if node.op == "^":
-        return checked_pow(lhs, constant_exponent(node.rhs))
-    rhs = _eval_scalar(node.rhs, env)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return lhs * rhs
-    if rhs == 0.0:
-        raise DomainError("division by zero")
-    return lhs / rhs
+    return walk(expr.root, _scalar_ops(assignment))
 
 
 def constant_exponent(node: Node) -> float:
     """Evaluate an exponent subtree (guaranteed variable-free by the parser)."""
-    return _eval_scalar(node, {})
+    return walk(node, _scalar_ops({}))
 
 
 def checked_pow(base: float, exponent: float) -> float:
@@ -463,10 +491,6 @@ def checked_pow(base: float, exponent: float) -> float:
     except ValueError as err:
         raise DomainError(f"power {base} ^ {exponent} undefined") from err
 
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation
-# ---------------------------------------------------------------------------
 
 def evaluate_batch(
     expr: MeasurementModelExpr,
@@ -488,30 +512,12 @@ def evaluate_batch(
         if not expr.variables:
             raise ValueError("n is required for a variable-free model")
         n = len(columns[expr.variables[0]])
+    ops = Ops(const=lambda value: value,
+              var=lambda name: np.asarray(columns[name], dtype=np.float64),
+              apply=lambda fn, x: FUNCTIONS[fn].batch(x),
+              power=np.power, mul=operator.mul, div=np.true_divide)
     with np.errstate(all="ignore"):
-        out = _eval_batch(expr.root, columns)
+        out = walk(expr.root, ops)
     if np.ndim(out) == 0:
         return np.full(n, float(out))
     return np.asarray(out, dtype=np.float64)
-
-
-def _eval_batch(node: Node, env: Mapping[str, np.ndarray]):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return np.asarray(env[node.name], dtype=np.float64)
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            return -_eval_batch(node.arg, env)
-        return FUNCTIONS[node.fn].batch(_eval_batch(node.arg, env))
-    lhs = _eval_batch(node.lhs, env)
-    if node.op == "^":
-        return np.power(lhs, constant_exponent(node.rhs))
-    rhs = _eval_batch(node.rhs, env)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return lhs * rhs
-    return np.true_divide(lhs, rhs)

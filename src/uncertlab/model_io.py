@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import DatasetSummary
 from .errors import ConfigError
 from .regression import BayesianVMModel
-from .report import dump_json, load_json
+from .report import dump_json, load_json, write_text
 from .vi import TrainResult, VariationalPosterior, VIConfig
 
 __all__ = ["MODEL_SCHEMA_VERSION", "save_model", "load_model"]
@@ -87,10 +87,7 @@ def save_model(
     }
     if store_trajectory:
         doc["training"]["trajectory"] = train.trajectory.tolist()
-    text = dump_json(doc)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_text(path, [dump_json(doc)])
 
 
 def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:

@@ -46,8 +46,6 @@ __all__ = [
     "BayesianVMModel",
     "build_model",
     "DesignMatrices",
-    "log_likelihood",
-    "log_likelihood_grad",
 ]
 
 # Minimum noise level in y-units; keeps the likelihood away from the
@@ -223,7 +221,8 @@ class DesignMatrices:
         d/dw_mu   = phi_mu' (r / sigma^2)
         d/dw_sigma = phi_sigma' [ (-1/sigma + r^2/sigma^3) * s'(t) ]
         with r the residuals, t the pre-transform noise activation, and
-        s'(t) the logistic sigmoid (derivative of softplus).
+        s'(t) the logistic sigmoid (derivative of softplus). A fixed
+        noise sd has no w_sigma, so only the mean head has a gradient.
         """
         m = self.model
         w = np.atleast_2d(np.asarray(w, dtype=np.float64))
@@ -232,22 +231,18 @@ class DesignMatrices:
         r = self.y[:, None] - mean
         if m.fixed_noise_sd is not None:
             sigma = m.fixed_noise_sd
-            ll = np.sum(-0.5 * np.log(2.0 * np.pi * sigma**2)
-                        - r**2 / (2.0 * sigma**2), axis=0)
-            if not want_grad:
-                return ll, None
-            grad = (r / sigma**2).T @ self.phi_mu       # (S, P_mu)
-            return ll, grad
-        t = self.phi_sigma @ w_sigma.T                  # (D, S)
-        sigma = softplus(t) + m.noise_floor
+        else:
+            t = self.phi_sigma @ w_sigma.T              # (D, S)
+            sigma = softplus(t) + m.noise_floor
         ll = np.sum(-0.5 * np.log(2.0 * np.pi * sigma**2)
                     - r**2 / (2.0 * sigma**2), axis=0)
         if not want_grad:
             return ll, None
-        g_mu = (r / sigma**2).T @ self.phi_mu           # (S, P_mu)
-        dt = (-1.0 / sigma + r**2 / sigma**3) * expit(t)
-        g_sigma = dt.T @ self.phi_sigma                 # (S, P_sigma)
-        return ll, np.concatenate([g_mu, g_sigma], axis=1)
+        grad = (r / sigma**2).T @ self.phi_mu           # (S, P_mu)
+        if m.fixed_noise_sd is None:
+            dt = (-1.0 / sigma + r**2 / sigma**3) * expit(t)
+            grad = np.concatenate([grad, dt.T @ self.phi_sigma], axis=1)
+        return ll, grad
 
 
 def build_model(data: Dataset, **settings) -> BayesianVMModel:
@@ -267,16 +262,3 @@ def build_model(data: Dataset, **settings) -> BayesianVMModel:
         x_mean, x_sd = np.zeros(f), np.ones(f)
     return BayesianVMModel(data.feature_names, x_mean=x_mean, x_sd=x_sd,
                            **settings)
-
-
-def log_likelihood(model: BayesianVMModel, w: np.ndarray, data: Dataset) -> float:
-    """Total Gaussian log-likelihood of the dataset at one weight vector."""
-    ll = model.design(data).log_likelihood_batch(np.atleast_2d(w))
-    return float(ll[0])
-
-
-def log_likelihood_grad(model: BayesianVMModel, w: np.ndarray,
-                        data: Dataset) -> np.ndarray:
-    """Gradient of :func:`log_likelihood` in the weights."""
-    _, grad = model.design(data).log_likelihood_and_grad(np.atleast_2d(w))
-    return grad[0]

@@ -16,7 +16,7 @@ way out.
 import hashlib
 import json
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .errors import ConfigError, DomainError
@@ -32,6 +32,7 @@ __all__ = [
     "virtual_measurement_to_dict",
     "train_result_to_dict",
     "build_report",
+    "write_text",
     "write_report",
 ]
 
@@ -59,6 +60,21 @@ def load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
     return doc
+
+
+def write_text(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path``.
+
+    A file that cannot be written, for example in a missing directory,
+    is a ConfigError naming the path.
+    """
+    try:
+        with open(path, "w") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err}") from err
 
 
 def dump_json(doc: dict) -> str:
@@ -148,7 +164,5 @@ def write_report(report: dict, path: Optional[str]) -> str:
     """
     text = dump_json(report)
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        write_text(path, [text])
     return text

@@ -67,6 +67,11 @@ FAMILIES = ("mean_field", "full_rank")
 # flat for many parts.
 _PREDICT_BLOCK = 65536
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class VariationalPosterior:
@@ -136,9 +141,6 @@ class VIConfig:
     window: int = 500
     seed: int = 0
     init_scale: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -334,12 +336,12 @@ def train_vi(model: BayesianVMModel, data: Dataset,
         trajectory[step] = value
         n_steps = step + 1
 
-        m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
-        v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad**2
-        m_hat = m / (1.0 - config.adam_beta1 ** (step + 1))
-        v_hat = v / (1.0 - config.adam_beta2 ** (step + 1))
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad**2
+        m_hat = m / (1.0 - _ADAM_BETA1 ** (step + 1))
+        v_hat = v / (1.0 - _ADAM_BETA2 ** (step + 1))
         theta = theta - _step_size(config, step) * m_hat / (
-            np.sqrt(v_hat) + config.adam_eps)
+            np.sqrt(v_hat) + _ADAM_EPS)
 
         w = config.window
         if n_steps >= 2 * w and n_steps % w == 0:

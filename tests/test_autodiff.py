@@ -13,7 +13,7 @@ import pytest
 
 from uncertlab.autodiff import _MONOMIALS, _mul, derivatives
 from uncertlab.errors import DomainError
-from uncertlab.expr import parse_model
+from uncertlab.expr import evaluate, evaluate_batch, parse_model
 
 mpmath.mp.dps = 50
 
@@ -100,6 +100,20 @@ class TestContract:
         assert b2.hess is not None and b2.third_mixed is None
         b3 = derivatives(m, at, order=3)
         assert b3.third_mixed is not None
+
+    def test_every_kind_of_value_walks_lhs_first(self):
+        # both operands fail: ln on the lhs, division by zero on the rhs
+        m = parse_model("ln(X1) / (X2 - X2)")
+        at = {"X1": -1.0, "X2": 3.0}
+        message = "ln of non-positive value -1.0"
+        with pytest.raises(DomainError, match=message):
+            evaluate(m, at)
+        for order in (1, 3):
+            with pytest.raises(DomainError, match=message):
+                derivatives(m, at, order=order)
+        out = evaluate_batch(m, {"X1": np.array([2.0, -1.0]),
+                                 "X2": np.array([3.0, 3.0])})
+        assert not np.isfinite(out[1])
 
     def test_invalid_order_rejected(self):
         m = parse_model("X1")

@@ -22,6 +22,14 @@ def write_json(path, doc):
     return str(path)
 
 
+def assert_cannot_write(code, out, err, mode, path):
+    """A write into a missing directory is a structured error, exit 1."""
+    assert code == 1 and out == "" and "Traceback" not in err
+    e = json.loads(err)["error"]
+    assert e["mode"] == mode and e["type"] == "ConfigError"
+    assert f"cannot write {path!r}" in e["message"]
+
+
 @pytest.fixture()
 def propagate_config(tmp_path):
     return write_json(tmp_path / "prop.json", {
@@ -108,6 +116,23 @@ class TestPropagate:
         assert lines[0] == "y" and len(lines) == 5001
         vals = [float(v) for v in lines[1:]]
         assert vals == sorted(vals)
+
+    def test_out_into_missing_directory(self, capsys, propagate_config,
+                                        tmp_path):
+        dest = str(tmp_path / "missing" / "report.json")
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 propagate_config, "--out", dest)
+        assert_cannot_write(code, out, err, "propagate", dest)
+
+    def test_sample_dump_into_missing_directory(self, capsys, tmp_path,
+                                                propagate_config):
+        doc = json.load(open(propagate_config))
+        doc.update(method="monte_carlo", M=5000,
+                   dump_samples="missing/samples.csv")
+        cfg = write_json(tmp_path / "mc.json", doc)
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert_cannot_write(code, out, err, "propagate",
+                            str(tmp_path / "missing" / "samples.csv"))
 
     def test_bad_config_is_structured_error(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "bad.json", {"method": "analytic"})
@@ -298,6 +323,17 @@ class TestTrainPredict:
         e = json.loads(err)["error"]
         assert e["type"] == "ConfigError" and "x_sd" in e["message"]
 
+    def test_model_out_into_missing_directory(self, capsys, tmp_path,
+                                              training_csv):
+        dest = str(tmp_path / "missing" / "model.json")
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": training_csv, "target": "y"},
+            "vi": {"max_steps": 5},
+            "model_out": dest,
+        })
+        code, out, err = run_cli(capsys, "train", "--config", cfg)
+        assert_cannot_write(code, out, err, "train", dest)
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "t.json", {
             "dataset": {"path": "nope.csv", "target": "y"},
@@ -333,6 +369,18 @@ class TestConformity:
         e = json.loads(err)["error"]
         assert e["mode"] == "conformity"
         assert e["type"] == "ConfigError" and "NaN" in e["message"]
+
+    def test_infinite_limit_is_config_error(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "spec": {"lsl": 10.0, "usl": 10.2},
+            "measurements": [{"y": 10.1, "U": 0.02}],
+        })
+        code, out, err = run_cli(capsys, "conformity", "--config", cfg,
+                                 "--usl", "inf")
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError"
+        assert "limits must be finite, got [10.0, inf]" in e["message"]
 
     def test_seed_flag_is_a_usage_error(self, capsys, tmp_path):
         # conformity draws nothing at random, so it offers no --seed

@@ -1,5 +1,7 @@
 """Guard-banded conformity zones from an expanded-uncertainty interval."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ class TestSpecification:
             Specification(2.0, 2.0)
         with pytest.raises(ConfigError):
             Specification(3.0, 1.0)
+
+    def test_non_finite_limits_rejected(self):
+        with pytest.raises(ConfigError, match=r"finite, got \[0.0, inf\]"):
+            Specification(0.0, math.inf)
 
 
 class TestZones:

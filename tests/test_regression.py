@@ -9,7 +9,6 @@ import pytest
 import uncertlab.regression as regression
 from uncertlab.dataset import make_dataset
 from uncertlab.regression import (BayesianVMModel, build_model, inv_softplus,
-                                  log_likelihood, log_likelihood_grad,
                                   polynomial_exponents, polynomial_features,
                                   softplus)
 
@@ -113,7 +112,7 @@ class TestLikelihood:
                             standardize=False)
         w = np.zeros(model.n_weights)
         w[model.n_mean_weights] = inv_softplus(1.0 - model.noise_floor)
-        ll = log_likelihood(model, w, data)
+        (ll,), _ = model.design(data).log_likelihood_and_grad(w)
         assert ll == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
 
     def test_matches_mpmath_oracle(self):
@@ -134,36 +133,40 @@ class TestLikelihood:
             r = mpmath.mpf(float(data.y[d])) - mu
             total += (-mpmath.log(2 * mpmath.pi * sd ** 2) / 2
                       - r ** 2 / (2 * sd ** 2))
-        ll = log_likelihood(model, w, data)
+        (ll,), _ = model.design(data).log_likelihood_and_grad(w)
         assert ll == pytest.approx(float(total), rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         data = toy_data(n=25, seed=9)
         model = build_model(data, mean_degree=2, noise_degree=1)
+        design = model.design(data)
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = rng.standard_normal(model.n_weights) * 0.3
-            g = log_likelihood_grad(model, w, data)
+            _, (g,) = design.log_likelihood_and_grad(w)
             h = 1e-6
             for i in range(model.n_weights):
                 e = np.zeros(model.n_weights)
                 e[i] = h
-                fd = (log_likelihood(model, w + e, data)
-                      - log_likelihood(model, w - e, data)) / (2 * h)
+                (lp,), _ = design.log_likelihood_and_grad(w + e)
+                (lm,), _ = design.log_likelihood_and_grad(w - e)
+                fd = (lp - lm) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
     def test_fixed_noise_gradient(self):
         data = toy_data(n=20, seed=2)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.3)
+        design = model.design(data)
         rng = np.random.default_rng(4)
         w = rng.standard_normal(model.n_weights)
-        g = log_likelihood_grad(model, w, data)
+        _, (g,) = design.log_likelihood_and_grad(w)
         h = 1e-6
         for i in range(model.n_weights):
             e = np.zeros(model.n_weights)
             e[i] = h
-            fd = (log_likelihood(model, w + e, data)
-                  - log_likelihood(model, w - e, data)) / (2 * h)
+            (lp,), _ = design.log_likelihood_and_grad(w + e)
+            (lm,), _ = design.log_likelihood_and_grad(w - e)
+            fd = (lp - lm) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
     def test_batched_equals_loop(self):
@@ -173,7 +176,8 @@ class TestLikelihood:
         rng = np.random.default_rng(21)
         ws = rng.standard_normal((6, model.n_weights)) * 0.4
         batched = design.log_likelihood_batch(ws)
-        single = np.array([log_likelihood(model, w, data) for w in ws])
+        single = np.array([design.log_likelihood_and_grad(w)[0][0]
+                           for w in ws])
         np.testing.assert_allclose(batched, single, rtol=1e-12)
 
     def test_noise_floor_keeps_sd_positive(self):
@@ -181,5 +185,5 @@ class TestLikelihood:
         model = build_model(data, noise_degree=0)
         w = np.zeros(model.n_weights)
         w[model.n_mean_weights] = -200.0  # softplus underflows to 0
-        ll = log_likelihood(model, w, data)
+        (ll,), _ = model.design(data).log_likelihood_and_grad(w)
         assert np.isfinite(ll)
