@@ -219,16 +219,16 @@ def sample(
     u = rng.random((count, n))
     # random() yields [0, 1); nudge exact zeros so ndtri stays finite
     tiny = np.finfo(np.float64).tiny
-    u = np.maximum(u, tiny)
+    np.maximum(u, tiny, out=u)
     if joint._chol is not None:
         z = special.ndtri(u) @ joint._chol.T
         means = joint.means()
         sds = np.sqrt(joint.variances())
         return means + sds * z
-    out = np.empty((count, n))
+    # each column is mapped in place: ppf reads only its own column
     for i, q in enumerate(joint.quantities):
-        out[:, i] = q.marginal.ppf(u[:, i])
-    return out
+        u[:, i] = q.marginal.ppf(u[:, i])
+    return u
 
 
 def normal_cdf(z) -> Union[float, np.ndarray]:

@@ -21,12 +21,15 @@ expected value y, a standard uncertainty u(Y), and a coverage interval:
 
 Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks with one Philox substream per chunk
-index, so the sample set depends only on M and never on worker count,
-and the final statistics are computed on the assembled sample vector
-with numpy's pairwise summation. Evaluations that land outside the
-model's domain come back non-finite, are excluded, and are counted;
-more than 1% of them aborts the run with a diagnostic rather than
-quietly reporting a distorted distribution.
+index. The chunks run concurrently, one thread per available core, and
+each writes its evaluations at its own fixed offset of one preallocated
+sample vector, so the sample set and its order depend only on M and
+never on the worker count or on which thread finished first. The final
+statistics are computed on the sorted sample vector with numpy's
+pairwise summation. Evaluations that land outside the model's domain
+come back non-finite, are excluded, and are counted; more than 1% of
+them aborts the run with a diagnostic rather than quietly reporting a
+distorted distribution.
 
 Expanded uncertainty is U = k u(Y). When ``coverage`` is passed instead
 of ``k``, k is the two-sided Gaussian factor for that coverage; the
@@ -34,6 +37,8 @@ default k = 2 implies 95.45% Gaussian coverage, for every method.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -224,6 +229,13 @@ def propagate_taylor2(
     return _expanded(bundle.value, math.sqrt(var), kk, "taylor2", bundle.grad)
 
 
+def _available_cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def propagate_monte_carlo(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
@@ -244,16 +256,32 @@ def propagate_monte_carlo(
         raise ConfigError(f"Monte Carlo sample count must be >= 100, got {M}")
     kk, coverage = resolve_coverage(_DEFAULT_K, coverage)
 
-    chunks = []
-    n_errors = 0
-    for ci, start in enumerate(range(0, M, MC_CHUNK_SIZE)):
+    n_chunks = -(-M // MC_CHUNK_SIZE)
+    values = np.empty(M)
+
+    def run_chunk(ci: int) -> int:
+        """Evaluate chunk ``ci`` into its slice; return its non-finite count."""
+        start = ci * MC_CHUNK_SIZE
         n = min(MC_CHUNK_SIZE, M - start)
         draws = sample(joint, n, seed, stream=ci)
         cols = {name: draws[:, i] for i, name in enumerate(joint.names)}
-        values = evaluate_batch(expr, cols, n=n)
-        finite = np.isfinite(values)
-        n_errors += int(n - np.count_nonzero(finite))
-        chunks.append(values[finite])
+        out = values[start:start + n]
+        out[:] = evaluate_batch(expr, cols, n=n)
+        return n - int(np.count_nonzero(np.isfinite(out)))
+
+    # The calling thread takes every workers-th chunk itself: a helper
+    # thread's malloc arena keeps its memory after the thread exits, so
+    # fewer helpers hold less peak memory.
+    # With one worker nothing is submitted, so the pool starts no thread.
+    workers = min(_available_cores(), n_chunks)
+    pool = ThreadPoolExecutor(max(workers - 1, 1))
+    try:
+        helped = [pool.submit(run_chunk, ci)
+                  for ci in range(n_chunks) if ci % workers]
+        n_errors = sum(map(run_chunk, range(0, n_chunks, workers)))
+        n_errors += sum(f.result() for f in helped)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     if n_errors > 0.01 * M:
         raise MonteCarloError(
@@ -261,11 +289,14 @@ def propagate_monte_carlo(
             "domain errors; the input distributions extend outside the "
             "model's domain")
 
-    ecdf = EmpiricalCDF(np.sort(np.concatenate(chunks)))
-    valid = ecdf.sorted_values
-    n_valid = len(valid)
-    y = float(np.mean(valid))
-    u = float(np.std(valid, ddof=1)) if n_valid > 1 else 0.0
+    # Rebinding frees the unfiltered buffer before the statistics run.
+    if n_errors:
+        values = values[np.isfinite(values)]
+    values.sort()
+    ecdf = EmpiricalCDF(values)
+    n_valid = len(values)
+    y = float(np.mean(values))
+    u = float(np.std(values, ddof=1))
 
     alpha = 1.0 - coverage
     interval = (ecdf.quantile(0.5 * alpha), ecdf.quantile(1.0 - 0.5 * alpha))

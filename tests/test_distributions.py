@@ -8,6 +8,7 @@ from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
                                      Rectangular, Triangular, normal_cdf,
                                      normal_quantile, sample)
 from uncertlab.errors import ConfigError
+from uncertlab.rng import substream
 
 
 class TestMoments:
@@ -152,6 +153,19 @@ class TestSampling:
         a = sample(joint, 1000, seed=9)
         b = sample(joint, 1000, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    def test_draws_are_each_columns_ppf_of_the_stream(self):
+        # reference: every intermediate in its own array
+        joint = JointInputModel([
+            InputQuantity("X1", Gaussian(2.0, 0.5)),
+            InputQuantity("X2", Rectangular(-1.0, 1.0)),
+            InputQuantity("X3", Triangular(0.0, 0.2, 1.0)),
+        ])
+        u = substream(8, 3).random((5000, 3))
+        u = np.maximum(u, np.finfo(np.float64).tiny)
+        ref = np.column_stack([q.marginal.ppf(u[:, i].copy())
+                               for i, q in enumerate(joint.quantities)])
+        assert np.array_equal(sample(joint, 5000, seed=8, stream=3), ref)
 
     def test_streams_are_disjoint(self):
         joint = JointInputModel([InputQuantity("X1", Gaussian(0, 1))])

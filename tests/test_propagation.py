@@ -1,16 +1,21 @@
 """Uncertainty propagation: analytic, series expansion, Monte Carlo."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from uncertlab import propagation
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
-                                     Rectangular)
+                                     Rectangular, sample)
 from uncertlab.errors import ConfigError, DomainError, MonteCarloError
-from uncertlab.expr import parse_model
-from uncertlab.propagation import (EmpiricalCDF, implied_coverage,
-                                   propagate_analytic, propagate_monte_carlo,
-                                   propagate_taylor1, propagate_taylor2,
-                                   sensitivity_budget, summarize)
+from uncertlab.expr import evaluate_batch, parse_model
+from uncertlab.propagation import (MC_CHUNK_SIZE, EmpiricalCDF,
+                                   implied_coverage, propagate_analytic,
+                                   propagate_monte_carlo, propagate_taylor1,
+                                   propagate_taylor2, sensitivity_budget,
+                                   summarize)
 
 
 def gaussian_joint(means, sds, corr=None):
@@ -229,6 +234,115 @@ class TestMonteCarlo:
         assert (ecdf.sorted_values == 5.0).all()
         rt = propagate_taylor1(m, joint)
         assert rt.y == 5.0 and rt.u == 0.0 and rt.interval == (5.0, 5.0)
+
+
+def force_workers(monkeypatch, workers):
+    """Make the Monte Carlo driver see ``workers`` available cores."""
+    monkeypatch.setattr(propagation, "_available_cores", lambda: workers)
+
+
+def serial_reference(expr, joint, M, seed):
+    """Sorted finite evaluations built one chunk after the other.
+
+    Also returns the non-finite count of each chunk.
+    """
+    chunks, failures = [], []
+    for ci, start in enumerate(range(0, M, MC_CHUNK_SIZE)):
+        n = min(MC_CHUNK_SIZE, M - start)
+        draws = sample(joint, n, seed, stream=ci)
+        values = evaluate_batch(
+            expr, {name: draws[:, i] for i, name in enumerate(joint.names)},
+            n=n)
+        finite = np.isfinite(values)
+        chunks.append(values[finite])
+        failures.append(int(n - np.count_nonzero(finite)))
+    return np.sort(np.concatenate(chunks)), failures
+
+
+class TestParallelChunks:
+    # four chunks, the last one ragged (17 draws)
+    M = 3 * MC_CHUNK_SIZE + 17
+
+    @pytest.fixture(autouse=True)
+    def short_switch_interval(self):
+        # switch threads often so an interleaving bug gets a chance to show
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(old)
+
+    def check_against_serial(self, expr, joint, seed):
+        ref, failures = serial_reference(expr, joint, self.M, seed)
+        r, ecdf = propagate_monte_carlo(expr, joint, M=self.M, seed=seed)
+        assert np.array_equal(ecdf.sorted_values, ref)
+        assert r.y == float(np.mean(ref))
+        assert r.u == float(np.std(ref, ddof=1))
+        coverage = implied_coverage(2.0)
+        ref_cdf = EmpiricalCDF(ref)
+        assert r.interval == (ref_cdf.quantile(0.5 * (1.0 - coverage)),
+                              ref_cdf.quantile(0.5 * (1.0 + coverage)))
+        assert r.mc_diagnostics.domain_error_count == sum(failures)
+        return failures
+
+    # 4 workers on a 2-core host: more threads than cores
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_correlated_joint_matches_serial(self, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        joint = gaussian_joint([1.0, -2.0], [0.3, 0.5],
+                               np.array([[1.0, 0.6], [0.6, 1.0]]))
+        failures = self.check_against_serial(
+            parse_model("X1 * X2 + sin(X1)"), joint, seed=11)
+        assert sum(failures) == 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_domain_failures_match_serial(self, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        # P(X1 <= 0) = Phi(-3): about 0.13% of the draws fail
+        joint = gaussian_joint([3.0], [1.0])
+        failures = self.check_against_serial(parse_model("ln(X1)"), joint,
+                                             seed=5)
+        assert sum(1 for f in failures if f) >= 3
+
+    def test_helper_thread_error_reaches_caller(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        real_sample = propagation.sample
+        raised_on = []
+
+        def failing_sample(joint, count, seed, stream=0):
+            if stream == 1:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("chunk 1 failed")
+            return real_sample(joint, count, seed, stream=stream)
+
+        monkeypatch.setattr(propagation, "sample", failing_sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            propagate_monte_carlo(parse_model("X1"),
+                                  gaussian_joint([0.0], [1.0]), M=self.M,
+                                  seed=0)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == before
+
+
+class TestAvailableCores:
+    def test_affinity_counts_where_the_platform_has_it(self):
+        if not hasattr(propagation.os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        assert propagation._available_cores() == len(
+            propagation.os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpu_count, cores", [(3, 3), (None, 1)])
+    def test_falls_back_to_cpu_count(self, monkeypatch, cpu_count, cores):
+        monkeypatch.delattr(propagation.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(propagation.os, "cpu_count", lambda: cpu_count)
+        assert propagation._available_cores() == cores
+        r, _ = propagate_monte_carlo(parse_model("X1"),
+                                     gaussian_joint([0.0], [1.0]), M=1000,
+                                     seed=0)
+        assert np.isfinite(r.u)
 
 
 class TestEmpiricalCDF:
