@@ -111,8 +111,8 @@ def _run_train(args) -> tuple[dict, int]:
     model = build_model(data, **cfg["model"])
     vi_config = VIConfig(**cfg["vi"])
     train = train_vi(model, data, vi_config)
-    log.info("training: %d steps, converged=%s, F %.4g -> %.4g",
-             train.n_steps, train.converged,
+    log.info("training: %d steps, stopped by %s, F %.4g -> %.4g",
+             train.n_steps, train.stop_reason,
              train.initial_free_energy, train.final_free_energy)
 
     sha = file_sha256(ds["path"])

@@ -79,6 +79,7 @@ def save_model(
             "config": asdict(train_config),
             "n_steps": train.n_steps,
             "converged": train.converged,
+            "stop_reason": train.stop_reason,
             "initial_free_energy": train.initial_free_energy,
             "final_free_energy": train.final_free_energy,
         },

@@ -234,13 +234,14 @@ class DesignMatrices:
         else:
             t = self.phi_sigma @ w_sigma.T              # (D, S)
             sigma = softplus(t) + m.noise_floor
-        ll = np.sum(-0.5 * np.log(2.0 * np.pi * sigma**2)
-                    - r**2 / (2.0 * sigma**2), axis=0)
+        sigma2, r2 = sigma**2, r**2
+        ll = (-0.5 * np.log(2.0 * np.pi * sigma2)
+              - r2 / (2.0 * sigma2)).sum(axis=0)
         if not want_grad:
             return ll, None
-        grad = (r / sigma**2).T @ self.phi_mu           # (S, P_mu)
+        grad = (r / sigma2).T @ self.phi_mu             # (S, P_mu)
         if m.fixed_noise_sd is None:
-            dt = (-1.0 / sigma + r**2 / sigma**3) * expit(t)
+            dt = (-1.0 / sigma + r2 / sigma**3) * expit(t)
             grad = np.concatenate([grad, dt.T @ self.phi_sigma], axis=1)
         return ll, grad
 

@@ -133,6 +133,7 @@ def train_result_to_dict(t: TrainResult) -> dict:
         "n_weights": t.posterior.n_weights,
         "n_steps": t.n_steps,
         "converged": t.converged,
+        "stop_reason": t.stop_reason,
         "initial_free_energy": t.initial_free_energy,
         "final_free_energy": t.final_free_energy,
     }

@@ -21,9 +21,14 @@ the test suite holds it against central finite differences.
 Optimization is Adam on the unconstrained parameters (mu, log of the
 diagonal of L, and for full-rank the strict lower triangle), with a
 constant or cosine step schedule. Every random draw comes from one
-seeded Philox substream, so training is bit-reproducible; termination
-is by trailing-window stagnation of F or the step budget; a non-finite
-F aborts with the step index.
+seeded Philox substream, so training is bit-reproducible. Every
+``window`` steps the mean of F over the last window is compared with
+the window before it, and training stops once it no longer improves by
+``tolerance`` (relative). It stops as converged (``plateau``) when F
+held level, as not converged (``worsened``) when F rose by more than
+the tolerance and more than the step-to-step scatter of F in the
+window before, and otherwise runs to the step budget (``max_steps``).
+A non-finite F aborts with the step index.
 
 Prediction draws weights once from the trained q, shares the draw
 across all parts, and reports the posterior predictive moments per
@@ -34,6 +39,7 @@ part, V_q[f(x; w)] (finite-data model uncertainty), which add up
 exactly to sigma_hat^2.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -90,23 +96,21 @@ class VariationalPosterior:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown variational family {self.family!r}")
+        if self.mu.ndim != 1:
+            raise ConfigError(f"mu must be a vector, got shape {self.mu.shape}")
         p = len(self.mu)
-        if self.family == "mean_field":
-            if self.scale.shape != (p,):
-                raise ConfigError(
-                    f"mean_field scale must have shape ({p},), "
-                    f"got {self.scale.shape}")
-            if np.any(self.scale <= 0.0):
-                raise ConfigError("scale diagonal must be strictly positive")
-        else:
-            if self.scale.shape != (p, p):
-                raise ConfigError(
-                    f"full_rank scale must have shape ({p}, {p}), "
-                    f"got {self.scale.shape}")
-            if np.any(np.diag(self.scale) <= 0.0):
-                raise ConfigError("scale diagonal must be strictly positive")
-            if np.any(np.triu(self.scale, k=1) != 0.0):
-                raise ConfigError("full_rank scale must be lower-triangular")
+        full = self.family == "full_rank"
+        shape = (p, p) if full else (p,)
+        if self.scale.shape != shape:
+            raise ConfigError(f"{self.family} scale must have shape {shape}, "
+                              f"got {self.scale.shape}")
+        if not (np.all(np.isfinite(self.mu))
+                and np.all(np.isfinite(self.scale))):
+            raise ConfigError("mu and scale entries must be finite")
+        if np.any((np.diag(self.scale) if full else self.scale) <= 0.0):
+            raise ConfigError("scale diagonal must be strictly positive")
+        if full and np.any(np.triu(self.scale, k=1) != 0.0):
+            raise ConfigError("full_rank scale must be lower-triangular")
 
     @property
     def n_weights(self) -> int:
@@ -167,9 +171,9 @@ def _kl(mu: np.ndarray, scale: np.ndarray, prior_tau: float) -> float:
     p = len(mu)
     tau2 = prior_tau**2
     # tr(L L') is the sum of squares of L, whichever shape it is stored in
-    trace = float(np.sum(scale**2))
-    diag = scale if scale.ndim == 1 else np.diag(scale)
-    logdet = 2.0 * float(np.sum(np.log(diag)))
+    trace = float((scale**2).sum())
+    diag = scale if scale.ndim == 1 else scale.diagonal()
+    logdet = 2.0 * float(np.log(diag).sum())
     mu2 = float(mu @ mu)
     return 0.5 * (trace / tau2 + mu2 / tau2 - p + p * math.log(tau2) - logdet)
 
@@ -194,6 +198,19 @@ def free_energy(
 # Unconstrained parameterization and the training objective
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _tri_index(p: int) -> tuple[tuple[np.ndarray, np.ndarray],
+                                tuple[np.ndarray, np.ndarray]]:
+    """Read-only (strict lower triangle, diagonal) indices of a p x p matrix.
+
+    Built once per ``p``: training indexes L on every step.
+    """
+    lower, diag = np.tril_indices(p, k=-1), np.diag_indices(p)
+    for index in (*lower, *diag):
+        index.flags.writeable = False
+    return lower, diag
+
+
 def pack_posterior(q: VariationalPosterior) -> np.ndarray:
     """Flatten q into the unconstrained vector Adam walks on.
 
@@ -202,7 +219,7 @@ def pack_posterior(q: VariationalPosterior) -> np.ndarray:
     rho = np.log(q.scale if q.family == "mean_field" else np.diag(q.scale))
     if q.family == "mean_field":
         return np.concatenate([q.mu, rho])
-    lower = q.scale[np.tril_indices(q.n_weights, k=-1)]
+    lower = q.scale[_tri_index(q.n_weights)[0]]
     return np.concatenate([q.mu, rho, lower])
 
 
@@ -221,9 +238,10 @@ def _unpack(family: str, p: int,
     mu, d = theta[:p], np.exp(theta[p:2 * p])
     if family == "mean_field":
         return mu, d, d
+    lower, diag = _tri_index(p)
     scale = np.zeros((p, p))
-    scale[np.tril_indices(p, k=-1)] = theta[2 * p:]
-    scale[np.diag_indices(p)] = d
+    scale[lower] = theta[2 * p:]
+    scale[diag] = d
     return mu, d, scale
 
 
@@ -247,16 +265,19 @@ def objective(
     mu, d, scale = _unpack(family, p, theta)
     ll, g = design.log_likelihood_and_grad(_draw(mu, scale, z))
 
-    value = _kl(mu, scale, prior_tau) - float(np.mean(ll))
+    # means as sum / count: the same reduction np.mean makes, without
+    # its dispatch cost on every step
+    n = z.shape[0]
+    value = _kl(mu, scale, prior_tau) - float(ll.sum() / n)
     tau2 = prior_tau**2
-    d_mu = mu / tau2 - np.mean(g, axis=0)
+    d_mu = mu / tau2 - g.sum(axis=0) / n
     if family == "mean_field":
-        d_scale = d / tau2 - 1.0 / d - np.mean(g * z, axis=0)
+        d_scale = d / tau2 - 1.0 / d - (g * z).sum(axis=0) / n
         return value, np.concatenate([d_mu, d_scale * d])
-    d_l = scale / tau2 - (g.T @ z) / z.shape[0]
-    d_l[np.diag_indices(p)] -= 1.0 / d
-    d_lower = d_l[np.tril_indices(p, k=-1)]
-    return value, np.concatenate([d_mu, np.diag(d_l) * d, d_lower])
+    lower, diag = _tri_index(p)
+    d_l = scale / tau2 - (g.T @ z) / n
+    d_l[diag] -= 1.0 / d
+    return value, np.concatenate([d_mu, d_l.diagonal() * d, d_l[lower]])
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +291,14 @@ class TrainResult:
     posterior: VariationalPosterior
     trajectory: np.ndarray     # stochastic F estimate per step
     n_steps: int
-    converged: bool
+    stop_reason: str           # "plateau", "worsened" or "max_steps"
     initial_free_energy: float
     final_free_energy: float   # trailing-window mean at termination
+
+    @property
+    def converged(self) -> bool:
+        """True only when F reached a plateau."""
+        return self.stop_reason == "plateau"
 
 
 def _initial_theta(model: BayesianVMModel, data: Dataset,
@@ -301,9 +327,14 @@ def train_vi(model: BayesianVMModel, data: Dataset,
              config: VIConfig = VIConfig()) -> TrainResult:
     """Minimize the free energy; returns the posterior and F trajectory.
 
-    Terminates when the mean of F over the last ``window`` steps stops
-    improving on the window before it by more than ``tolerance``
-    (relative), or at ``max_steps``. Raises
+    Every ``window`` steps, from step ``2 * window`` on, the mean of F
+    over the last window is compared with the mean over the window
+    before it. Training stops once F no longer falls by at least
+    ``tolerance * max(1, |previous mean|)``: with ``stop_reason``
+    ``"worsened"`` (not converged) if F rose by more than that bound and
+    more than the standard deviation of F over the previous window,
+    otherwise with ``"plateau"`` (converged). A run that keeps improving
+    stops at ``max_steps`` with ``"max_steps"``. Raises
     :class:`~uncertlab.errors.DivergenceError` with the step index if F
     turns non-finite.
     """
@@ -320,10 +351,14 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     theta = _initial_theta(model, data, config)
     gen = substream(config.seed, 0)
 
+    # Adam's moments and two scratch vectors, all updated in place
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    step_buf = np.empty_like(theta)
+    denom = np.empty_like(theta)
+    w = config.window
     trajectory = np.empty(config.max_steps)
-    converged = False
+    stop_reason = "max_steps"
     n_steps = 0
 
     for step in range(config.max_steps):
@@ -336,19 +371,34 @@ def train_vi(model: BayesianVMModel, data: Dataset,
         trajectory[step] = value
         n_steps = step + 1
 
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
-        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad**2
-        m_hat = m / (1.0 - _ADAM_BETA1 ** (step + 1))
-        v_hat = v / (1.0 - _ADAM_BETA2 ** (step + 1))
-        theta = theta - _step_size(config, step) * m_hat / (
-            np.sqrt(v_hat) + _ADAM_EPS)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps), in place but in
+        # this order, so every rounding matches the out-of-place form
+        m *= _ADAM_BETA1
+        np.multiply(1.0 - _ADAM_BETA1, grad, out=step_buf)
+        m += step_buf
+        v *= _ADAM_BETA2
+        np.square(grad, out=step_buf)
+        step_buf *= 1.0 - _ADAM_BETA2
+        v += step_buf
+        np.divide(m, 1.0 - _ADAM_BETA1 ** n_steps, out=step_buf)
+        step_buf *= _step_size(config, step)
+        np.divide(v, 1.0 - _ADAM_BETA2 ** n_steps, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step_buf /= denom
+        theta -= step_buf
 
-        w = config.window
         if n_steps >= 2 * w and n_steps % w == 0:
-            prev = float(np.mean(trajectory[n_steps - 2 * w:n_steps - w]))
-            recent = float(np.mean(trajectory[n_steps - w:n_steps]))
-            if prev - recent < config.tolerance * max(1.0, abs(prev)):
-                converged = True
+            before = trajectory[n_steps - 2 * w:n_steps - w]
+            prev = float(np.mean(before))
+            rise = float(np.mean(trajectory[n_steps - w:n_steps])) - prev
+            bound = config.tolerance * max(1.0, abs(prev))
+            if rise > -bound:
+                # no longer improving; a rise within the step-to-step
+                # scatter of F is the noise floor, not a worsening
+                worse = rise > max(bound, float(np.std(before)))
+                stop_reason = "worsened" if worse else "plateau"
                 break
 
     trajectory = trajectory[:n_steps].copy()
@@ -357,7 +407,7 @@ def train_vi(model: BayesianVMModel, data: Dataset,
         posterior=unpack_posterior(config.family, p, theta),
         trajectory=trajectory,
         n_steps=n_steps,
-        converged=converged,
+        stop_reason=stop_reason,
         initial_free_energy=float(trajectory[0]),
         final_free_energy=float(np.mean(tail)),
     )

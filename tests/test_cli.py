@@ -245,6 +245,19 @@ class TestTrainPredict:
         total = parts[0]["aleatoric_var"] + parts[0]["epistemic_var"]
         assert parts[0]["sigma_hat"] ** 2 == pytest.approx(total, rel=1e-9)
 
+    def test_stop_reason_in_report_and_model_file(self, capsys, tmp_path,
+                                                  training_csv):
+        cfg = self.make_train_config(tmp_path, training_csv, max_steps=4000,
+                                     window=100, tolerance=1e-3)
+        code, out, _ = run_cli(capsys, "train", "--config", cfg)
+        assert code == 0
+        training = json.loads(out)["results"]["training"]
+        assert training["stop_reason"] in ("plateau", "worsened")
+        assert training["converged"] == (training["stop_reason"] == "plateau")
+        assert training["n_steps"] < 4000
+        saved = json.loads((tmp_path / "model.json").read_text())["training"]
+        assert saved["stop_reason"] == training["stop_reason"]
+
     def test_predict_reruns_byte_identical(self, capsys, tmp_path,
                                            training_csv):
         cfg = self.make_train_config(tmp_path, training_csv)

@@ -60,6 +60,20 @@ class TestRoundTrip:
         assert len(json.load(open(full))["training"]["trajectory"]) \
             == train.n_steps
 
+    def test_stop_reason_recorded_and_optional_on_load(self, trained,
+                                                        tmp_path):
+        model, train, cfg, data = trained
+        path = str(tmp_path / "r.json")
+        save_model(path, model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        assert doc["training"]["stop_reason"] == "max_steps"
+        assert doc["training"]["converged"] is False
+        # files written before the key existed still load
+        del doc["training"]["stop_reason"]
+        json.dump(doc, open(path, "w"))
+        _, q2, _ = load_model(path)
+        np.testing.assert_array_equal(q2.mu, train.posterior.mu)
+
     def test_version_guard(self, trained, tmp_path):
         model, train, cfg, data = trained
         path = str(tmp_path / "v.json")
@@ -115,10 +129,11 @@ class TestRoundTrip:
 
     def test_non_finite_model_not_written(self, trained, tmp_path):
         model, train, cfg, data = trained
-        mu = train.posterior.mu.copy()
-        mu[0] = np.inf
+        # the posterior refuses a non-finite mu, so corrupt it afterwards:
+        # the writer is the last guard
         bad = replace(train, posterior=VariationalPosterior(
-            "mean_field", mu, train.posterior.scale))
+            "mean_field", train.posterior.mu.copy(), train.posterior.scale))
+        bad.posterior.mu[0] = np.inf
         path = tmp_path / "inf.json"
         with pytest.raises(DomainError, match="non-finite"):
             save_model(str(path), model, bad, cfg, data.summary)

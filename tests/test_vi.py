@@ -1,11 +1,15 @@
 """Gaussian variational inference: objective, gradients, training, predict."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import uncertlab.vi as vi
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DatasetError
-from uncertlab.regression import build_model, softplus
+from uncertlab.regression import build_model, inv_softplus, softplus
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, free_energy,
                           kl_gaussian, objective, pack_posterior, predict,
@@ -97,6 +101,22 @@ class TestPosteriorParameterization:
         with pytest.raises(ConfigError):
             VariationalPosterior("mean_field", np.zeros(2),
                                  np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    def test_matrix_mu_rejected(self, family):
+        scale = np.ones(3) if family == "mean_field" else np.eye(3)
+        with pytest.raises(ConfigError, match="vector"):
+            VariationalPosterior(family, np.zeros((3, 1)), scale)
+
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    @pytest.mark.parametrize("field", ["mu", "scale"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, family, field, bad):
+        mu = np.zeros(3)
+        scale = np.ones(3) if family == "mean_field" else np.eye(3)
+        (mu if field == "mu" else scale.reshape(-1))[1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            VariationalPosterior(family, mu, scale)
 
 
 class TestObjectiveGradients:
@@ -306,3 +326,197 @@ class TestPredict:
                                                      rel=1e-12)
             assert vm.aleatoric_var == pytest.approx(aleatoric, rel=1e-12)
             assert (vm.k, vm.seed, vm.n_posterior_samples) == (2.5, 6, 2000)
+
+
+# ---------------------------------------------------------------------------
+# Same numbers as the straightforward training loop
+# ---------------------------------------------------------------------------
+
+def reference_train(model, data, config):
+    """The plain training loop the optimized one must reproduce bit for bit.
+
+    Index tables built on every step, np.mean, out-of-place Adam, and
+    the likelihood with each power written out where it is used.
+    """
+    design = model.design(data)
+    p = model.n_weights
+    full = config.family == "full_rank"
+
+    def log_likelihood_and_grad(w):
+        w_mu, w_sigma = model.split_weights(w)
+        r = design.y[:, None] - design.phi_mu @ w_mu.T
+        if model.fixed_noise_sd is not None:
+            sigma = model.fixed_noise_sd
+        else:
+            t = design.phi_sigma @ w_sigma.T
+            sigma = softplus(t) + model.noise_floor
+        ll = np.sum(-0.5 * np.log(2.0 * np.pi * sigma**2)
+                    - r**2 / (2.0 * sigma**2), axis=0)
+        grad = (r / sigma**2).T @ design.phi_mu
+        if model.fixed_noise_sd is None:
+            dt = (-1.0 / sigma + r**2 / sigma**3) * expit(t)
+            grad = np.concatenate([grad, dt.T @ design.phi_sigma], axis=1)
+        return ll, grad
+
+    def unpack(theta):
+        mu, d = theta[:p], np.exp(theta[p:2 * p])
+        if not full:
+            return mu, d, d
+        scale = np.zeros((p, p))
+        scale[np.tril_indices(p, k=-1)] = theta[2 * p:]
+        scale[np.diag_indices(p)] = d
+        return mu, d, scale
+
+    def step_objective(theta, z, tau):
+        mu, d, scale = unpack(theta)
+        ll, g = log_likelihood_and_grad(
+            mu + (z @ scale.T if full else z * scale))
+        tau2 = tau**2
+        trace = float(np.sum(scale**2))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(scale) if full else d)))
+        kl = 0.5 * (trace / tau2 + float(mu @ mu) / tau2 - p
+                    + p * math.log(tau2) - logdet)
+        value = kl - float(np.mean(ll))
+        d_mu = mu / tau2 - np.mean(g, axis=0)
+        if not full:
+            d_scale = d / tau2 - 1.0 / d - np.mean(g * z, axis=0)
+            return value, np.concatenate([d_mu, d_scale * d])
+        d_l = scale / tau2 - (g.T @ z) / z.shape[0]
+        d_l[np.diag_indices(p)] -= 1.0 / d
+        d_lower = d_l[np.tril_indices(p, k=-1)]
+        return value, np.concatenate([d_mu, np.diag(d_l) * d, d_lower])
+
+    mu = np.zeros(p)
+    if model.fixed_noise_sd is None:
+        mu[model.n_mean_weights] = inv_softplus(
+            max(data.summary.target.sd, 1e-3))
+    parts = [mu, np.full(p, math.log(config.init_scale))]
+    theta = np.concatenate(parts + [np.zeros(p * (p - 1) // 2)] * full)
+    gen = substream(config.seed, 0)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    trajectory = []
+    for step in range(config.max_steps):
+        z = gen.standard_normal((config.n_mc, p))
+        value, grad = step_objective(theta, z, model.prior_tau)
+        trajectory.append(value)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad**2
+        m_hat = m / (1.0 - 0.9 ** (step + 1))
+        v_hat = v / (1.0 - 0.999 ** (step + 1))
+        lr = config.learning_rate
+        if config.schedule == "cosine":
+            frac = min(step / config.max_steps, 1.0)
+            lr = lr * 0.5 * (1.0 + math.cos(math.pi * frac))
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        n, w = step + 1, config.window
+        if n >= 2 * w and n % w == 0:
+            prev = float(np.mean(trajectory[n - 2 * w:n - w]))
+            recent = float(np.mean(trajectory[n - w:n]))
+            if prev - recent < config.tolerance * max(1.0, abs(prev)):
+                break
+    _, _, scale = unpack(theta)
+    trajectory = np.array(trajectory)
+    final = float(np.mean(trajectory[-min(config.window, len(trajectory)):]))
+    return theta[:p], scale, trajectory, final
+
+
+class TestSameNumbersAsReference:
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_fixed_budget(self, family, fixed_noise, schedule):
+        data = linear_data(n=60, seed=21)
+        model = build_model(data, mean_degree=2, fixed_noise_sd=fixed_noise)
+        cfg = VIConfig(family=family, schedule=schedule, max_steps=300,
+                       window=300, tolerance=0.0, learning_rate=0.05,
+                       seed=4)
+        self.assert_same(model, data, cfg)
+        assert train_vi(model, data, cfg).n_steps == 300
+
+    def test_early_stop(self):
+        data = linear_data(n=60, seed=22)
+        model = build_model(data)
+        cfg = VIConfig(family="full_rank", max_steps=5000, window=40,
+                       tolerance=1e-3, learning_rate=0.03, seed=5)
+        assert self.assert_same(model, data, cfg).n_steps < 5000
+
+    @staticmethod
+    def assert_same(model, data, cfg):
+        out = train_vi(model, data, cfg)
+        mu, scale, trajectory, final = reference_train(model, data, cfg)
+        assert np.array_equal(out.posterior.mu, mu)
+        assert np.array_equal(out.posterior.scale, scale)
+        assert np.array_equal(out.trajectory, trajectory)
+        assert out.n_steps == len(trajectory)
+        assert out.final_free_energy == final
+        return out
+
+
+def test_index_tables_not_rebuilt_per_step(monkeypatch):
+    data = linear_data(n=40, seed=23)
+    model = build_model(data, mean_degree=2)
+    calls = []
+    real = np.tril_indices
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tril_indices", counting)
+
+    def count(steps):
+        calls.clear()
+        vi._tri_index.cache_clear()
+        train_vi(model, data, VIConfig(family="full_rank", max_steps=steps,
+                                       window=steps, tolerance=0.0))
+        return len(calls)
+
+    few, many = count(50), count(500)
+    assert many <= few <= 2
+
+
+# ---------------------------------------------------------------------------
+# Stop rule, on scripted free-energy sequences
+# ---------------------------------------------------------------------------
+
+class TestStopRule:
+    @staticmethod
+    def run(monkeypatch, values, window=10, tolerance=1e-3):
+        values = iter(values)
+        monkeypatch.setattr(
+            vi, "objective",
+            lambda design, family, theta, z, tau: (next(values),
+                                                   np.zeros_like(theta)))
+        data = linear_data(n=20, seed=24)
+        model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
+        return train_vi(model, data, VIConfig(max_steps=100, window=window,
+                                              tolerance=tolerance))
+
+    def test_falling_then_flat_is_plateau(self, monkeypatch):
+        f = [100.0 - 2.5 * s for s in range(20)] + [50.0] * 80
+        out = self.run(monkeypatch, f)
+        # windows 10-20 vs 0-10 and 20-30 vs 10-20 improve; 30-40 is level
+        assert (out.n_steps, out.stop_reason, out.converged) == \
+            (40, "plateau", True)
+
+    def test_rise_is_worsened_not_converged(self, monkeypatch):
+        f = [100.0 - 2.0 * s for s in range(20)] + \
+            [62.0 + 5.0 * s for s in range(80)]
+        out = self.run(monkeypatch, f)
+        assert (out.n_steps, out.stop_reason, out.converged) == \
+            (30, "worsened", False)
+
+    def test_rise_within_scatter_is_plateau(self, monkeypatch):
+        # the second window's mean is 0.2 higher: 400x the tolerance
+        # bound but a fifth of the step-to-step scatter of F
+        wobble = [1.0, -1.0] * 5
+        f = [50.0 + e for e in wobble] + [50.2 + e for e in wobble]
+        out = self.run(monkeypatch, f + [0.0] * 80, tolerance=1e-5)
+        assert (out.n_steps, out.stop_reason, out.converged) == \
+            (20, "plateau", True)
+
+    def test_steady_fall_runs_to_budget(self, monkeypatch):
+        out = self.run(monkeypatch, [100.0 - s for s in range(100)])
+        assert (out.n_steps, out.stop_reason, out.converged) == \
+            (100, "max_steps", False)
