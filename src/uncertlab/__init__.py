@@ -16,7 +16,7 @@ limits into an accept / reject / undecided zone with guard bands.
 
 __version__ = "0.1.0"
 
-from .conformity import ConformityDecision, Specification, classify, classify_virtual
+from .conformity import ConformityDecision, Specification, classify
 from .conjugate import ConjugatePosterior, conjugate_posterior, conjugate_predictive
 from .dataset import Dataset, DatasetSummary, ingest_dataset, ingest_parts, make_dataset
 from .distributions import (Gaussian, InputQuantity, JointInputModel,
@@ -64,7 +64,6 @@ __all__ = [
     "VirtualMeasurementResult",
     "build_model",
     "classify",
-    "classify_virtual",
     "conjugate_posterior",
     "conjugate_predictive",
     "evaluate",

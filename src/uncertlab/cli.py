@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .config import (resolve_conformity, resolve_predict, resolve_propagate,
                      resolve_train, resolve_verify)
-from .conformity import Specification, classify, classify_virtual
+from .conformity import Specification, classify
 from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
 from .errors import ConfigError, UncertLabError
@@ -148,7 +148,7 @@ def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
         entry = {"x": [float(v) for v in row]}
         entry.update(virtual_measurement_to_dict(vm))
         if spec is not None:
-            entry["conformity"] = classify_virtual(vm, spec).to_dict()
+            entry["conformity"] = classify(vm.y_hat, vm.U, spec).to_dict()
         out.append(entry)
     return out
 

@@ -176,9 +176,6 @@ TRAIN_SCHEMA = {
                                 "default": BayesianVMModel.mean_degree},
                 "noise_degree": {"type": "integer", "minimum": 0,
                                  "default": BayesianVMModel.noise_degree},
-                "mean_include_bias": {
-                    "type": "boolean",
-                    "default": BayesianVMModel.mean_include_bias},
                 "prior_tau": {"type": "number", "exclusiveMinimum": 0,
                               "default": BayesianVMModel.prior_tau},
                 "standardize": {"type": "boolean",
@@ -209,8 +206,6 @@ TRAIN_SCHEMA = {
                            "default": VIConfig.window},
                 "seed": {"type": "integer", "minimum": 0,
                          "default": VIConfig.seed},
-                "init_scale": {"type": "number", "exclusiveMinimum": 0,
-                               "default": VIConfig.init_scale},
             },
             "additionalProperties": False,
             "default": {},

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .vi import VirtualMeasurementResult
 
-__all__ = ["Specification", "ConformityDecision", "ZONES", "classify",
-           "classify_virtual"]
+__all__ = ["Specification", "ConformityDecision", "ZONES", "classify"]
 
 ZONES = (
     "conformity",
@@ -74,14 +72,9 @@ class ConformityDecision:
     no_reliable_zone: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "zone": self.zone,
-            "resulting_tolerance": list(self.resulting_tolerance)
-            if self.resulting_tolerance is not None else None,
-            "y": self.y,
-            "U": self.U,
-            "no_reliable_zone": self.no_reliable_zone,
-        }
+        tolerance = self.resulting_tolerance
+        return dict(vars(self), resulting_tolerance=None if tolerance is None
+                    else list(tolerance))
 
 
 def classify(y: float, U: float, spec: Specification) -> ConformityDecision:
@@ -104,9 +97,3 @@ def classify(y: float, U: float, spec: Specification) -> ConformityDecision:
     else:
         zone = "uncertainty_upper"
     return ConformityDecision(zone, tolerance, y, U, no_zone)
-
-
-def classify_virtual(vm: VirtualMeasurementResult,
-                     spec: Specification) -> ConformityDecision:
-    """Classify a virtual measurement: y_hat with U = k * sigma_hat."""
-    return classify(vm.y_hat, vm.k * vm.sigma_hat, spec)

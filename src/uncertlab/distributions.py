@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _require_finite(kind: str, **params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{kind} {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal distribution N(mean, sd^2).
@@ -50,10 +56,9 @@ class Gaussian:
     sd: float
 
     def __post_init__(self):
-        if not (self.sd >= 0.0 and math.isfinite(self.sd)):
-            raise ConfigError(f"gaussian sd must be finite and >= 0, got {self.sd}")
-        if not math.isfinite(self.mean):
-            raise ConfigError(f"gaussian mean must be finite, got {self.mean}")
+        _require_finite("gaussian", mean=self.mean, sd=self.sd)
+        if self.sd < 0.0:
+            raise ConfigError(f"gaussian sd must be >= 0, got {self.sd}")
 
     def moments(self) -> tuple[float, float]:
         return self.mean, self.sd**2
@@ -70,6 +75,7 @@ class Rectangular:
     upper: float
 
     def __post_init__(self):
+        _require_finite("rectangular", lower=self.lower, upper=self.upper)
         if not (self.lower < self.upper):
             raise ConfigError(
                 f"rectangular bounds must satisfy lower < upper, "
@@ -92,6 +98,8 @@ class Triangular:
     upper: float
 
     def __post_init__(self):
+        _require_finite("triangular", lower=self.lower, mode=self.mode,
+                        upper=self.upper)
         if not (self.lower < self.upper):
             raise ConfigError(
                 f"triangular bounds must satisfy lower < upper, "

@@ -7,7 +7,8 @@ noise mode), the variational posterior (family, mean, scale factor),
 the training configuration and outcome, and the summary statistics of
 the dataset it was fit on. Loading rebuilds the exact in-memory
 objects; a train-then-predict round trip through disk is
-bit-reproducible.
+bit-reproducible; files written before the bias term and the noise
+floor became constants still load if they hold the constants' values.
 """
 
 from dataclasses import asdict, fields
@@ -17,8 +18,8 @@ import numpy as np
 
 from .dataset import DatasetSummary
 from .errors import ConfigError
-from .regression import BayesianVMModel
-from .report import dump_json, load_json, write_text
+from .regression import NOISE_FLOOR, BayesianVMModel
+from .report import dump_json, load_json, train_result_to_dict, write_text
 from .vi import TrainResult, VariationalPosterior, VIConfig
 
 __all__ = ["MODEL_SCHEMA_VERSION", "save_model", "load_model"]
@@ -26,16 +27,37 @@ __all__ = ["MODEL_SCHEMA_VERSION", "save_model", "load_model"]
 MODEL_SCHEMA_VERSION = 1
 
 
+# exact JSON types of the scalar model fields: true is not the number 1
+_FIELD_TYPES = (
+    ("mean_degree", (int,), "an integer"),
+    ("noise_degree", (int,), "an integer"),
+    ("prior_tau", (int, float), "a number"),
+    ("standardize", (bool,), "a boolean"),
+    ("fixed_noise_sd", (int, float, type(None)), "a number or null"),
+)
+
+# former settings, now constants, with the one value a file may hold
+_RETIRED = {"mean_include_bias": True, "noise_floor": NOISE_FLOOR}
+
+
 def _model_to_dict(model: BayesianVMModel) -> dict:
-    doc = {key: value.tolist() if isinstance(value, np.ndarray) else value
-           for key, value in asdict(model).items()}
-    doc["n_weights"] = model.n_weights
-    return doc
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(model).items()}
 
 
 def _model_from_dict(d: dict) -> BayesianVMModel:
     kwargs = {f.name: d[f.name] for f in fields(BayesianVMModel)}
-    kwargs["feature_names"] = tuple(kwargs["feature_names"])
+    names = kwargs["feature_names"]
+    if type(names) is not list or any(type(n) is not str for n in names):
+        raise ConfigError(
+            f"feature_names must be a list of strings, got {names!r}")
+    for name, types, what in _FIELD_TYPES:
+        if type(kwargs[name]) not in types:
+            raise ConfigError(f"{name} must be {what}, got {kwargs[name]!r}")
+    for name, value in _RETIRED.items():
+        if d.get(name, value) != value:
+            raise ConfigError(f"{name} must be {value!r}, got {d[name]!r}")
+    kwargs["feature_names"] = tuple(names)
     for name in ("x_mean", "x_sd"):
         kwargs[name] = np.asarray(kwargs[name], dtype=np.float64)
     return BayesianVMModel(**kwargs)
@@ -56,8 +78,7 @@ def _posterior_from_dict(d: dict) -> VariationalPosterior:
     mu = np.asarray(d["mu"], dtype=np.float64)
     scale = np.asarray(d["scale"], dtype=np.float64)
     if family == "full_rank":
-        p = len(mu)
-        scale = scale.reshape(p, p)
+        scale = scale.reshape(len(mu), len(mu))
     return VariationalPosterior(family, mu, scale)
 
 
@@ -75,14 +96,8 @@ def save_model(
         "schema_version": MODEL_SCHEMA_VERSION,
         "model": _model_to_dict(model),
         "posterior": _posterior_to_dict(train.posterior),
-        "training": {
-            "config": asdict(train_config),
-            "n_steps": train.n_steps,
-            "converged": train.converged,
-            "stop_reason": train.stop_reason,
-            "initial_free_energy": train.initial_free_energy,
-            "final_free_energy": train.final_free_energy,
-        },
+        "training": {"config": asdict(train_config),
+                     **train_result_to_dict(train)},
         "dataset_summary": dataset_summary.to_dict(),
         "dataset_sha256": dataset_sha256,
     }
@@ -102,8 +117,6 @@ def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
     try:
         model = _model_from_dict(doc["model"])
         posterior = _posterior_from_dict(doc["posterior"])
-        # n_weights builds the exponent tables, so a non-integer degree
-        # surfaces here
         if posterior.n_weights != model.n_weights:
             raise ConfigError(
                 f"posterior has {posterior.n_weights} weights but the "

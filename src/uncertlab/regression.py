@@ -6,7 +6,7 @@ vector w = (w_mu, w_sigma):
 
     y = f(x; w) + eps,   eps ~ N(0, sigma_n(x; w)^2)
     f(x; w)       = w_mu' phi_mu(x)          (mean head)
-    sigma_n(x; w) = softplus(w_sigma' phi_sigma(x)) + floor
+    sigma_n(x; w) = softplus(w_sigma' phi_sigma(x)) + NOISE_FLOOR
 
 Both feature maps are polynomial bases over standardized inputs, so
 the conditional noise level can vary across the process window
@@ -17,12 +17,13 @@ drops w_sigma entirely, which is exactly the Bayesian linear
 regression whose posterior the normal-equations oracle computes.
 
 The prior over all P weights is isotropic Gaussian N(0, tau^2 I) in
-the standardized feature space. The softplus transform plus a small
-positive floor keeps sigma_n strictly positive for every x and w, so
-the Gaussian log-likelihood below is always finite. Records are
-independent, hence the log-likelihood is a plain sum over records; the
-analytic gradients next to it are what variational training consumes,
-and they are finite-difference-checked in the test suite.
+the standardized feature space. The softplus transform plus the
+constant floor ``NOISE_FLOOR`` = 1e-6 keeps sigma_n strictly positive
+for every x and w, so the Gaussian log-likelihood below is always
+finite. Records are independent, hence the log-likelihood is a plain
+sum over records; the analytic gradients next to it are what
+variational training consumes, and they are finite-difference-checked
+in the test suite.
 """
 
 import itertools
@@ -53,19 +54,18 @@ __all__ = [
 NOISE_FLOOR = 1e-6
 
 
-def polynomial_exponents(n_features: int, degree: int,
-                         include_bias: bool = True) -> tuple[tuple[int, ...], ...]:
+def polynomial_exponents(n_features: int,
+                         degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of all monomials with total degree <= degree.
 
     Ordered by total degree, then lexicographically by the index
     combination, e.g. for two features and degree 2:
-    1, x1, x2, x1^2, x1*x2, x2^2.
+    1, x1, x2, x1^2, x1*x2, x2^2. Both heads thus keep a bias term.
     """
     if degree < 0:
         raise ConfigError(f"polynomial degree must be >= 0, got {degree}")
     out = []
-    start = 0 if include_bias else 1
-    for total in range(start, degree + 1):
+    for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(
                 range(n_features), total):
             exps = [0] * n_features
@@ -113,11 +113,9 @@ class BayesianVMModel:
     x_sd: np.ndarray
     mean_degree: int = 2
     noise_degree: int = 1
-    mean_include_bias: bool = True
     prior_tau: float = 1.0
     standardize: bool = True
     fixed_noise_sd: Optional[float] = None
-    noise_floor: float = NOISE_FLOOR
 
     def __post_init__(self):
         if self.prior_tau <= 0.0:
@@ -139,8 +137,7 @@ class BayesianVMModel:
 
     @cached_property
     def mean_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return polynomial_exponents(self.n_features, self.mean_degree,
-                                    self.mean_include_bias)
+        return polynomial_exponents(self.n_features, self.mean_degree)
 
     @cached_property
     def noise_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -233,7 +230,7 @@ class DesignMatrices:
             sigma = m.fixed_noise_sd
         else:
             t = self.phi_sigma @ w_sigma.T              # (D, S)
-            sigma = softplus(t) + m.noise_floor
+            sigma = softplus(t) + NOISE_FLOOR
         sigma2, r2 = sigma**2, r**2
         ll = (-0.5 * np.log(2.0 * np.pi * sigma2)
               - r2 / (2.0 * sigma2)).sum(axis=0)
@@ -250,8 +247,8 @@ def build_model(data: Dataset, **settings) -> BayesianVMModel:
     """Construct a model whose standardization is fit to ``data``.
 
     ``settings`` are :class:`BayesianVMModel` fields (mean_degree,
-    noise_degree, mean_include_bias, prior_tau, standardize,
-    fixed_noise_sd); the ones left out keep the field defaults.
+    noise_degree, prior_tau, standardize, fixed_noise_sd); the ones
+    left out keep the field defaults.
     """
     if settings.get("standardize", BayesianVMModel.standardize):
         x_mean = np.array([c.mean for c in data.summary.features])

@@ -115,16 +115,8 @@ def measurement_to_dict(r: MeasurementResult) -> dict:
 
 
 def virtual_measurement_to_dict(vm: VirtualMeasurementResult) -> dict:
-    return {
-        "y_hat": vm.y_hat,
-        "sigma_hat": vm.sigma_hat,
-        "aleatoric_var": vm.aleatoric_var,
-        "epistemic_var": vm.epistemic_var,
-        "k": vm.k,
-        "interval": [vm.interval[0], vm.interval[1]],
-        "n_posterior_samples": vm.n_posterior_samples,
-        "seed": vm.seed,
-    }
+    """Every field of ``vm``, with the interval as a list."""
+    return dict(vars(vm), interval=list(vm.interval))
 
 
 def train_result_to_dict(t: TrainResult) -> dict:

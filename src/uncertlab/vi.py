@@ -20,7 +20,8 @@ the test suite holds it against central finite differences.
 
 Optimization is Adam on the unconstrained parameters (mu, log of the
 diagonal of L, and for full-rank the strict lower triangle), with a
-constant or cosine step schedule. Every random draw comes from one
+constant or cosine step schedule, from q = N(mu0, s^2 I) with s the
+constant ``_INIT_SCALE`` = 0.1. Every random draw comes from one
 seeded Philox substream, so training is bit-reproducible. Every
 ``window`` steps the mean of F over the last window is compared with
 the window before it, and training stops once it no longer improves by
@@ -48,7 +49,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DatasetError, DivergenceError
-from .regression import BayesianVMModel, DesignMatrices, inv_softplus, softplus
+from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
+                         inv_softplus, softplus)
 from .rng import substream
 
 __all__ = [
@@ -72,6 +74,9 @@ FAMILIES = ("mean_field", "full_rank")
 # to amortize the per-block overhead, small enough to keep peak memory
 # flat for many parts.
 _PREDICT_BLOCK = 65536
+
+# Standard deviation of every weight in the starting posterior.
+_INIT_SCALE = 0.1
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
 _ADAM_BETA1 = 0.9
@@ -144,7 +149,6 @@ class VIConfig:
     tolerance: float = 1e-5
     window: int = 500
     seed: int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -153,8 +157,8 @@ class VIConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.learning_rate <= 0.0 or self.n_mc < 1 or self.max_steps < 1:
             raise ConfigError("learning_rate, n_mc, max_steps must be positive")
-        if self.window < 1 or self.tolerance < 0.0 or self.init_scale <= 0.0:
-            raise ConfigError("window, tolerance, init_scale out of range")
+        if self.window < 1 or self.tolerance < 0.0:
+            raise ConfigError("window and tolerance out of range")
 
 
 def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
@@ -216,11 +220,10 @@ def pack_posterior(q: VariationalPosterior) -> np.ndarray:
 
     Layout: [mu | log diag L | strict lower triangle of L (full_rank)].
     """
-    rho = np.log(q.scale if q.family == "mean_field" else np.diag(q.scale))
     if q.family == "mean_field":
-        return np.concatenate([q.mu, rho])
+        return np.concatenate([q.mu, np.log(q.scale)])
     lower = q.scale[_tri_index(q.n_weights)[0]]
-    return np.concatenate([q.mu, rho, lower])
+    return np.concatenate([q.mu, np.log(np.diag(q.scale)), lower])
 
 
 def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPosterior:
@@ -310,10 +313,10 @@ def _initial_theta(model: BayesianVMModel, data: Dataset,
         # keeps early likelihood values bounded
         sd_y = max(data.summary.target.sd, 1e-3)
         mu[model.n_mean_weights] = inv_softplus(sd_y)
-    rho = np.full(p, math.log(config.init_scale))
-    if config.family == "mean_field":
-        return np.concatenate([mu, rho])
-    return np.concatenate([mu, rho, np.zeros(p * (p - 1) // 2)])
+    scale = np.full(p, _INIT_SCALE)
+    if config.family == "full_rank":
+        scale = np.diag(scale)
+    return pack_posterior(VariationalPosterior(config.family, mu, scale))
 
 
 def _step_size(config: VIConfig, step: int) -> float:
@@ -434,6 +437,11 @@ class VirtualMeasurementResult:
     n_posterior_samples: int
     seed: int
 
+    @property
+    def U(self) -> float:
+        """Expanded uncertainty k * sigma_hat, the interval's half-width."""
+        return self.k * self.sigma_hat
+
 
 def predict(
     model: BayesianVMModel,
@@ -485,7 +493,7 @@ def predict_parts(
         epistemics = np.var(f, axis=1, ddof=1)
         if model.fixed_noise_sd is None:
             sigma = (softplus(model.noise_features(rows) @ w_sigma.T)
-                     + model.noise_floor)
+                     + NOISE_FLOOR)
             aleatorics = np.mean(sigma**2, axis=1)
         for i in range(len(rows)):
             y_hat = float(y_hats[i])

@@ -457,12 +457,11 @@ class TestConfigEcho:
             "dataset": {"path": training_csv, "target": "y",
                         "features": None},
             "model": {"mean_degree": 2, "noise_degree": 1,
-                      "mean_include_bias": True, "prior_tau": 1.0,
-                      "standardize": True, "fixed_noise_sd": None},
+                      "prior_tau": 1.0, "standardize": True,
+                      "fixed_noise_sd": None},
             "vi": {"family": "mean_field", "learning_rate": 0.01,
                    "schedule": "constant", "n_mc": 8, "max_steps": 20000,
-                   "tolerance": 1e-05, "window": 500, "seed": 0,
-                   "init_scale": 0.1},
+                   "tolerance": 1e-05, "window": 500, "seed": 0},
             "model_out": model_out, "store_trajectory": False})
 
         cfg = write_json(tmp_path / "pr.json", {

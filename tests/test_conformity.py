@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uncertlab.conformity import (ZONES, Specification, classify,
-                                  classify_virtual)
+from uncertlab.conformity import ZONES, Specification, classify
 from uncertlab.errors import ConfigError
 from uncertlab.vi import VirtualMeasurementResult
 
@@ -129,7 +128,7 @@ class TestVirtualClassification:
             y_hat=10.1, sigma_hat=0.01, aleatoric_var=5e-5,
             epistemic_var=5e-5, k=2.0, interval=(10.08, 10.12),
             n_posterior_samples=100, seed=0)
-        d = classify_virtual(vm, Specification(10.0, 10.2))
+        d = classify(vm.y_hat, vm.U, Specification(10.0, 10.2))
         assert d.U == pytest.approx(0.02, rel=1e-12)
         assert d.zone == "conformity"
 
@@ -137,7 +136,7 @@ class TestVirtualClassification:
         vm = VirtualMeasurementResult(
             y_hat=5.0, sigma_hat=3.0, aleatoric_var=4.5, epistemic_var=4.5,
             k=2.0, interval=(-1.0, 11.0), n_posterior_samples=100, seed=0)
-        d = classify_virtual(vm, Specification(0.0, 10.0))
+        d = classify(vm.y_hat, vm.U, Specification(0.0, 10.0))
         assert d.no_reliable_zone  # 2U = 12 exceeds the 10-wide window
         assert d.resulting_tolerance is None
 

@@ -83,6 +83,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Gaussian(0.0, -0.1)
 
+    @pytest.mark.parametrize("make,match", [
+        (lambda: Rectangular(0.0, np.inf), "rectangular upper"),
+        (lambda: Rectangular(-np.inf, 0.0), "rectangular lower"),
+        (lambda: Triangular(-np.inf, 0.0, 1.0), "triangular lower"),
+        (lambda: Triangular(0.0, 1.0, np.inf), "triangular upper"),
+        (lambda: Triangular(0.0, np.nan, 1.0), "triangular mode"),
+        (lambda: Gaussian(np.inf, 1.0), "gaussian mean"),
+        (lambda: Gaussian(0.0, np.inf), "gaussian sd"),
+    ])
+    def test_non_finite_parameters_rejected(self, make, match):
+        # before, Rectangular(0, inf) gave taylor1 y = u = inf and
+        # Monte Carlo blamed the model for the domain errors
+        with pytest.raises(ConfigError, match=f"{match} must be finite"):
+            make()
+
     def test_duplicate_names_rejected(self):
         qs = [InputQuantity("X1", Gaussian(0, 1)),
               InputQuantity("X1", Gaussian(0, 1))]

@@ -1,6 +1,7 @@
 """Model archive save/load round trip."""
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,10 @@ from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DomainError
 from uncertlab.model_io import load_model, save_model
 from uncertlab.regression import build_model
-from uncertlab.vi import VIConfig, VariationalPosterior, train_vi
+from uncertlab.vi import (VIConfig, VariationalPosterior, predict_parts,
+                          train_vi)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,55 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="d.json"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("feature_names", "abc", "list of strings"),  # not ('a', 'b', 'c')
+        ("feature_names", ["x1", 1], "list of strings"),
+        ("mean_degree", True, "integer"),             # not degree 1
+        ("noise_degree", False, "integer"),
+        ("standardize", 0, "boolean"),                # not "off"
+        ("prior_tau", True, "number"),
+        ("fixed_noise_sd", True, "number or null"),
+    ])
+    def test_field_types_checked(self, trained, tmp_path, field, value,
+                                 match):
+        model, train, cfg, data = trained
+        path = tmp_path / "f.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        doc["model"][field] = value
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(ConfigError, match=f"f.json.*{field} must be "
+                                              f"(a |an )?{match}"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("field,value", [("mean_include_bias", False),
+                                             ("noise_floor", 1e-3)])
+    def test_retired_settings_only_at_their_constant(self, trained,
+                                                      tmp_path, field, value):
+        model, train, cfg, data = trained
+        path = tmp_path / "r.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        doc["model"][field] = value
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(ConfigError, match=f"r.json.*{field}"):
+            load_model(str(path))
+
+    def test_training_block_is_the_train_record(self, trained, tmp_path):
+        model, train, cfg, data = trained
+        path = tmp_path / "t.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        assert doc["training"] == {
+            "config": {"family": "mean_field", "learning_rate": 0.01,
+                       "schedule": "constant", "n_mc": 8, "max_steps": 400,
+                       "tolerance": 0.0, "window": 400, "seed": 0},
+            "family": "mean_field", "n_weights": 3, "n_steps": 400,
+            "converged": False, "stop_reason": "max_steps",
+            "initial_free_energy": train.initial_free_energy,
+            "final_free_energy": train.final_free_energy}
+        assert "n_weights" not in doc["model"]
+
     def test_non_finite_model_not_written(self, trained, tmp_path):
         model, train, cfg, data = trained
         # the posterior refuses a non-finite mu, so corrupt it afterwards:
@@ -156,3 +209,28 @@ class TestRoundTrip:
         save_model(a, model, train, cfg, data.summary)
         save_model(b, model, train, cfg, data.summary)
         assert open(a).read() == open(b).read()
+
+
+class TestOldFiles:
+    """A model file written before the bias term, the noise floor and the
+    initial posterior scale became constants.
+
+    It carries ``model.mean_include_bias``, ``model.noise_floor``,
+    ``model.n_weights`` and ``training.config.init_scale``. The expected
+    predictions were computed by the code that wrote the file.
+    """
+
+    def test_loads_and_predicts_the_same_numbers(self):
+        model, q, doc = load_model(os.path.join(DATA, "legacy_model.json"))
+        assert doc["training"]["config"]["init_scale"] == 0.1
+        assert model.feature_names == ("temp", "speed")
+        assert model.fixed_noise_sd is None and model.n_weights == 9
+        with open(os.path.join(DATA, "legacy_model_predict.json")) as fh:
+            ref = json.load(fh)
+        vms = predict_parts(model, q, np.array(ref["parts"]),
+                            ref["n_samples"], ref["k"], ref["seed"])
+        assert len(vms) == len(ref["expected"]) == 3
+        for vm, expected in zip(vms, ref["expected"]):
+            assert vm.y_hat == expected["y_hat"]
+            assert vm.sigma_hat == expected["sigma_hat"]
+            assert list(vm.interval) == expected["interval"]

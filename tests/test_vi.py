@@ -9,7 +9,8 @@ from scipy.special import expit
 import uncertlab.vi as vi
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DatasetError
-from uncertlab.regression import build_model, inv_softplus, softplus
+from uncertlab.regression import (NOISE_FLOOR, build_model, inv_softplus,
+                                  softplus)
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, free_energy,
                           kl_gaussian, objective, pack_posterior, predict,
@@ -318,7 +319,7 @@ class TestPredict:
             f = w_mu @ model.mean_features(row)[0]
             if fixed_noise is None:
                 t = w_sigma @ model.noise_features(row)[0]
-                aleatoric = np.mean((softplus(t) + model.noise_floor) ** 2)
+                aleatoric = np.mean((softplus(t) + NOISE_FLOOR) ** 2)
             else:
                 aleatoric = fixed_noise ** 2
             assert vm.y_hat == pytest.approx(np.mean(f), rel=1e-12)
@@ -349,7 +350,7 @@ def reference_train(model, data, config):
             sigma = model.fixed_noise_sd
         else:
             t = design.phi_sigma @ w_sigma.T
-            sigma = softplus(t) + model.noise_floor
+            sigma = softplus(t) + NOISE_FLOOR
         ll = np.sum(-0.5 * np.log(2.0 * np.pi * sigma**2)
                     - r**2 / (2.0 * sigma**2), axis=0)
         grad = (r / sigma**2).T @ design.phi_mu
@@ -390,7 +391,7 @@ def reference_train(model, data, config):
     if model.fixed_noise_sd is None:
         mu[model.n_mean_weights] = inv_softplus(
             max(data.summary.target.sd, 1e-3))
-    parts = [mu, np.full(p, math.log(config.init_scale))]
+    parts = [mu, np.full(p, math.log(vi._INIT_SCALE))]
     theta = np.concatenate(parts + [np.zeros(p * (p - 1) // 2)] * full)
     gen = substream(config.seed, 0)
     m = np.zeros_like(theta)
