@@ -11,7 +11,10 @@ function parameter that the setting feeds. The schemas point at those
 through the JSON Schema ``default`` annotation; only settings that
 exist in the CLI alone carry a literal there. The resolved config is
 the validated document with every absent default filled in and every
-number cast to the type the run uses.
+number cast to the type the run uses. One walk over schema and
+document does both: it checks each JSON Schema keyword the schemas use
+(Draft 2020-12 semantics) in the same pass that fills the defaults, so
+no validation library is loaded.
 
 Relative file paths inside a config resolve against the config file's
 own directory, which keeps config+data bundles relocatable. Each
@@ -20,11 +23,11 @@ model and input distributions); the CLI runs from it.
 """
 
 import inspect
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
-import jsonschema
 import numpy as np
 
 from .distributions import (Gaussian, InputQuantity, JointInputModel,
@@ -292,37 +295,121 @@ _SCHEMAS = {
 }
 
 
-def validate_config(doc: dict, mode: str) -> None:
-    """Schema-check a config document for one run mode."""
-    try:
-        schema = _SCHEMAS[mode]
-    except KeyError:
-        raise ConfigError(f"unknown run mode {mode!r}") from None
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        e = errors[0]
-        raise ConfigError(f"config invalid at {e.json_path}: {e.message}")
+class _Invalid(Exception):
+    """A schema violation; ``path`` collects its location, innermost
+    segment first, as the walk unwinds."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list[str] = []
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+# JSON Schema Draft 2020-12 types: a bool is no number, and a float with
+# no fractional part is an integer
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _same(a: Any, b: Any) -> bool:
+    """JSON equality of scalars for ``enum``/``const``: true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
 def _materialize(schema: dict, value: Any) -> Any:
-    """``value`` as the run uses it.
+    """``value`` checked against ``schema`` and made what the run uses.
 
+    Enforces ``type``, ``properties``, ``required``,
+    ``additionalProperties: false``, ``items``, ``minItems``,
+    ``minLength``, ``minimum``, ``exclusiveMinimum``,
+    ``exclusiveMaximum``, ``enum``, ``const`` and ``oneOf`` with Draft
+    2020-12 semantics, raising :class:`_Invalid` at the first violation.
     Absent object properties take the schema's ``default``; a value
     typed ``number`` becomes float and one typed ``integer`` int.
     Anything else, nullable values and ``oneOf`` subtrees included, is
     kept as written.
     """
-    if value is None:
-        return None
     kind = schema.get("type")
-    if kind == "object":
-        return {key: _materialize(sub, value[key] if key in value
-                                  else sub["default"])
-                for key, sub in schema["properties"].items()
-                if key in value or "default" in sub}
-    if kind == "array":
-        return [_materialize(schema["items"], v) for v in value]
+    if kind is not None and not (
+            _TYPE_CHECKS[kind](value) if isinstance(kind, str)
+            else any(_TYPE_CHECKS[k](value) for k in kind)):
+        raise _Invalid(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        raise _Invalid(f"{value!r} is not one of {schema['enum']!r}")
+    if "const" in schema and not _same(value, schema["const"]):
+        raise _Invalid(f"{schema['const']!r} was expected")
+    if "oneOf" in schema:
+        matches = 0
+        for sub in schema["oneOf"]:
+            try:
+                _materialize(sub, value)
+                matches += 1
+            except _Invalid:
+                pass
+        if matches != 1:
+            raise _Invalid(f"{value!r} matches {matches} of the "
+                           f"{len(schema['oneOf'])} oneOf schemas, not 1")
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise _Invalid(f"{value!r} is less than the minimum of "
+                           f"{schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise _Invalid(f"{value!r} is less than or equal to the minimum "
+                           f"of {schema['exclusiveMinimum']!r}")
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            raise _Invalid(f"{value!r} is greater than or equal to the "
+                           f"maximum of {schema['exclusiveMaximum']!r}")
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            raise _Invalid(f"{value!r} is too short")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _Invalid(f"{value!r} is too short")
+        if "items" in schema:
+            out = []
+            try:
+                for index, item in enumerate(value):
+                    out.append(_materialize(schema["items"], item))
+            except _Invalid as err:
+                err.path.append(f"[{index}]")
+                raise
+            if kind == "array":
+                return out
+    elif isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _Invalid(f"{key!r} is a required property")
+        if schema.get("additionalProperties") is False:
+            extra = [key for key in value if key not in props]
+            if extra:
+                raise _Invalid("additional properties are not allowed: "
+                               + ", ".join(map(repr, extra)))
+        out = {}
+        try:
+            for key, sub in props.items():
+                if key in value:
+                    out[key] = _materialize(sub, value[key])
+                elif "default" in sub:
+                    default = sub["default"]
+                    out[key] = (None if default is None
+                                else _materialize(sub, default))
+        except _Invalid as err:
+            err.path.append(f".{key}")
+            raise
+        if kind == "object":
+            return out
     if kind == "number":
         return float(value)
     if kind == "integer":
@@ -330,9 +417,21 @@ def _materialize(schema: dict, value: Any) -> Any:
     return value
 
 
-def _resolved(doc: dict, mode: str) -> dict:
-    validate_config(doc, mode)
-    return _materialize(_SCHEMAS[mode], doc)
+def validate_config(doc: dict, mode: str) -> dict:
+    """Schema-check a config document for one run mode; return it resolved.
+
+    Raises ``ConfigError("config invalid at $.a.b[3]: ...")`` at the
+    first violation found.
+    """
+    try:
+        schema = _SCHEMAS[mode]
+    except KeyError:
+        raise ConfigError(f"unknown run mode {mode!r}") from None
+    try:
+        return _materialize(schema, doc)
+    except _Invalid as err:
+        path = "$" + "".join(reversed(err.path))
+        raise ConfigError(f"config invalid at {path}: {err}") from None
 
 
 def _marginal_from_dict(d: dict) -> Any:
@@ -364,7 +463,7 @@ class PropagateRun:
 
 
 def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
-    r = _resolved(doc, "propagate")
+    r = validate_config(doc, "propagate")
     quantities = [
         InputQuantity(q["name"], _marginal_from_dict(q["dist"]))
         for q in r["inputs"]["quantities"]
@@ -398,7 +497,7 @@ def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
 
 
 def resolve_train(doc: dict, base_dir: str = ".") -> dict:
-    r = _resolved(doc, "train")
+    r = validate_config(doc, "train")
     ds = r["dataset"]
     ds["path"] = _require_file(_resolve_path(base_dir, ds["path"]), "dataset")
     r["model_out"] = _resolve_path(base_dir, r["model_out"])
@@ -406,7 +505,7 @@ def resolve_train(doc: dict, base_dir: str = ".") -> dict:
 
 
 def resolve_predict(doc: dict, base_dir: str = ".") -> dict:
-    r = _resolved(doc, "predict")
+    r = validate_config(doc, "predict")
     r["model_path"] = _require_file(_resolve_path(base_dir, r["model_path"]),
                                     "model")
     parts = r["parts"]
@@ -426,7 +525,7 @@ def resolve_conformity(
     lsl_override: Optional[float] = None,
     usl_override: Optional[float] = None,
 ) -> dict:
-    r = _resolved(doc, "conformity")
+    r = validate_config(doc, "conformity")
     if lsl_override is not None:
         r["spec"]["lsl"] = lsl_override
     if usl_override is not None:
@@ -435,4 +534,4 @@ def resolve_conformity(
 
 
 def resolve_verify(doc: Optional[dict]) -> dict:
-    return _resolved(doc or {}, "verify")
+    return validate_config(doc or {}, "verify")

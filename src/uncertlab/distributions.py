@@ -13,6 +13,10 @@ Philox generator mapped through each marginal's inverse CDF. Together
 with explicit stream indices (see :mod:`uncertlab.rng`) this makes
 every Monte Carlo run bit-reproducible and lets parallel workers draw
 non-overlapping substreams. Moments are closed form, never estimated.
+
+``scipy.special`` is imported inside the functions that call it, so a
+run that never draws Gaussian samples or evaluates the normal CDF or
+quantile never loads scipy.
 """
 
 import math
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError
 from .rng import substream
@@ -44,6 +47,17 @@ def _require_finite(kind: str, **params: float) -> None:
             raise ConfigError(f"{kind} {name} must be finite, got {value}")
 
 
+def _require_finite_moments(kind: str, dist) -> None:
+    """Reject parameters whose closed-form mean or variance overflows."""
+    try:
+        finite = all(math.isfinite(m) for m in dist.moments())
+    except OverflowError:       # a float ** 2 beyond the double range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{kind} mean or variance overflows the double "
+                          f"range for {dist}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal distribution N(mean, sd^2).
@@ -59,11 +73,13 @@ class Gaussian:
         _require_finite("gaussian", mean=self.mean, sd=self.sd)
         if self.sd < 0.0:
             raise ConfigError(f"gaussian sd must be >= 0, got {self.sd}")
+        _require_finite_moments("gaussian", self)
 
     def moments(self) -> tuple[float, float]:
         return self.mean, self.sd**2
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
+        from scipy import special
         return self.mean + self.sd * special.ndtri(u)
 
 
@@ -80,6 +96,7 @@ class Rectangular:
             raise ConfigError(
                 f"rectangular bounds must satisfy lower < upper, "
                 f"got [{self.lower}, {self.upper}]")
+        _require_finite_moments("rectangular", self)
 
     def moments(self) -> tuple[float, float]:
         a, b = self.lower, self.upper
@@ -107,6 +124,7 @@ class Triangular:
         if not (self.lower <= self.mode <= self.upper):
             raise ConfigError(
                 f"triangular mode {self.mode} outside [{self.lower}, {self.upper}]")
+        _require_finite_moments("triangular", self)
 
     def moments(self) -> tuple[float, float]:
         a, m, b = self.lower, self.mode, self.upper
@@ -229,6 +247,7 @@ def sample(
     tiny = np.finfo(np.float64).tiny
     np.maximum(u, tiny, out=u)
     if joint._chol is not None:
+        from scipy import special
         z = special.ndtri(u) @ joint._chol.T
         means = joint.means()
         sds = np.sqrt(joint.variances())
@@ -241,6 +260,7 @@ def sample(
 
 def normal_cdf(z) -> Union[float, np.ndarray]:
     """Standard normal CDF Phi(z)."""
+    from scipy import special
     out = special.ndtr(z)
     return float(out) if np.isscalar(z) else out
 
@@ -250,5 +270,6 @@ def normal_quantile(p) -> Union[float, np.ndarray]:
     arr = np.asarray(p, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ConfigError(f"quantile probability must lie in (0, 1), got {p}")
+    from scipy import special
     out = special.ndtri(arr)
     return float(out) if np.isscalar(p) else out

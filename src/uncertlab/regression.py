@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import ConfigError
@@ -238,6 +237,8 @@ class DesignMatrices:
             return ll, None
         grad = (r / sigma2).T @ self.phi_mu             # (S, P_mu)
         if m.fixed_noise_sd is None:
+            # imported here so that fixed-noise runs never load scipy
+            from scipy.special import expit
             dt = (-1.0 / sigma + r2 / sigma**3) * expit(t)
             grad = np.concatenate([grad, dt.T @ self.phi_sigma], axis=1)
         return ll, grad

@@ -198,6 +198,23 @@ class TestPropagate:
         assert e["mode"] == "propagate"
         assert e["type"] == "DomainError" and "non-finite" in e["message"]
 
+    def test_overflowing_input_is_config_error(self, capsys, tmp_path):
+        # the input's own variance overflows: before, taylor1 blamed the
+        # model ("overflows or leaves its domain")
+        cfg = write_json(tmp_path / "tri.json", {
+            "model": {"expression": "X1 * 2"},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "triangular",
+                                        "lower": 1e200, "mode": 1.5e200,
+                                        "upper": 2e200}}]},
+            "method": "taylor1",
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError"
+        assert "triangular mean or variance overflows" in e["message"]
+
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):
         doc = json.load(open(propagate_config))

@@ -1,0 +1,337 @@
+"""Config validation against jsonschema as an independent oracle.
+
+``config.validate_config`` checks each document in the same walk that
+fills its defaults. Every config in the corpus below must get the
+verdict jsonschema's Draft 2020-12 validator gives; a rejected one
+must name a path jsonschema also reports, and an accepted one must
+resolve exactly as the pre-walk materializer (kept here as
+``reference_resolved``) resolved a jsonschema-validated document.
+"""
+
+import copy
+import functools
+import json
+import operator
+
+import pytest
+from jsonschema import Draft202012Validator
+
+from uncertlab import config
+from uncertlab.errors import ConfigError
+
+DELETE = object()
+
+
+def reference_resolved(schema, value):
+    """The resolved block as built after a separate jsonschema check:
+    absent properties take their default, ``number`` becomes float,
+    ``integer`` int, anything else is kept as written."""
+    if value is None:
+        return None
+    kind = schema.get("type")
+    if kind == "object":
+        return {key: reference_resolved(sub, value[key] if key in value
+                                        else sub["default"])
+                for key, sub in schema["properties"].items()
+                if key in value or "default" in sub}
+    if kind == "array":
+        return [reference_resolved(schema["items"], v) for v in value]
+    if kind == "number":
+        return float(value)
+    if kind == "integer":
+        return int(value)
+    return value
+
+
+def _gaussian(name, mean, sd):
+    return {"name": name, "dist": {"kind": "gaussian", "mean": mean, "sd": sd}}
+
+
+# Valid documents shaped like the benchmark's configs, one name each.
+BASE = {
+    "propagate_taylor": ("propagate", {
+        "model": {"expression": "sin(X1) + X2 ^ 2"},
+        "inputs": {"quantities": [_gaussian("X1", 0.25, 0.05),
+                                  _gaussian("X2", 1, 0.1)]},
+        "method": "taylor2",
+    }),
+    "propagate_analytic": ("propagate", {
+        "model": {"expression": "1.5 + 2 * X1 - X2"},
+        "inputs": {"quantities": [_gaussian("X1", -1.0, 0.2),
+                                  _gaussian("X2", 0.5, 0.3)],
+                   "correlation": [1, 0.3, 0.3, 1.0]},
+        "method": "analytic",
+        "k": 2,
+    }),
+    "propagate_mc": ("propagate", {
+        "model": {"expression": "X1 * X2 / X3"},
+        "inputs": {"quantities": [
+            _gaussian("X1", 2.0, 0.1),
+            {"name": "X2", "dist": {"kind": "rectangular", "lower": 1,
+                                    "upper": 3.5}},
+            {"name": "X3", "dist": {"kind": "triangular", "lower": 0.5,
+                                    "mode": 1, "upper": 2.0}},
+        ]},
+        "method": "monte_carlo",
+        "M": 3000.0,
+        "seed": 7,
+        "coverage": 0.95,
+        "dump_samples": "samples.csv",
+    }),
+    "train": ("train", {
+        "dataset": {"path": "train.csv", "target": "y",
+                    "features": ["x1", "x2"]},
+        "model": {"mean_degree": 2, "noise_degree": 1.0, "prior_tau": 1,
+                  "standardize": False},
+        "vi": {"family": "full_rank", "learning_rate": 0.05,
+               "schedule": "cosine", "n_mc": 4, "max_steps": 300,
+               "tolerance": 0, "window": 300, "seed": 1},
+        "model_out": "model.json",
+        "store_trajectory": True,
+    }),
+    "train_fixed_noise": ("train", {
+        "dataset": {"path": "train.csv", "target": "y"},
+        "model": {"fixed_noise_sd": 1},
+        "model_out": "model.json",
+    }),
+    "predict_inline": ("predict", {
+        "model_path": "model.json",
+        "parts": {"inline": [[0.5, 1], [1.5, -2.0]]},
+        "n_samples": 500.0,
+        "k": 3,
+        "spec": {"lsl": -1, "usl": 4.5},
+    }),
+    "predict_csv": ("predict", {
+        "model_path": "model.json",
+        "parts": {"path": "parts.csv"},
+    }),
+    "conformity": ("conformity", {
+        "spec": {"lsl": 10, "usl": 10.2},
+        "measurements": [{"y": 10.1, "U": 0.02}, {"y": 10, "U": 0},
+                         {"y": 10.25, "U": 0.02}, {"y": 9.9, "U": 1}],
+    }),
+    "verify_default": ("verify", {}),
+    "verify": ("verify", {"seed": 3, "n_records": 10, "n_samples": 100}),
+}
+
+# (keyword the mutation violates, base document, path, new value)
+INVALID = [
+    ("type", "propagate_mc", ("k",), "2"),
+    ("type", "propagate_mc", ("k",), True),
+    ("type", "propagate_mc", ("M",), 3000.5),
+    ("type", "propagate_mc", ("M",), True),
+    ("type", "propagate_mc", ("seed",), None),
+    ("type", "propagate_mc", ("dump_samples",), 5),
+    ("type", "propagate_mc", ("coverage",), "0.95"),
+    ("type", "propagate_taylor", ("model",), []),
+    ("type", "propagate_taylor", ("model", "expression"), 5),
+    ("type", "propagate_taylor", ("inputs", "quantities"), {}),
+    ("type", "propagate_taylor", ("inputs", "quantities", 1), "X2"),
+    ("type", "propagate_analytic", ("inputs", "correlation", 2), "0.3"),
+    ("type", "propagate_analytic", ("inputs", "correlation", 3), False),
+    ("type", "train", ("model", "standardize"), 1),
+    ("type", "train", ("model", "noise_degree"), 1.5),
+    ("type", "train", ("dataset", "features", 1), 2),
+    ("type", "train_fixed_noise", ("model", "fixed_noise_sd"), "1"),
+    ("type", "train_fixed_noise", ("store_trajectory",), 0),
+    ("type", "predict_inline", ("parts", "inline", 1, 0), None),
+    ("type", "predict_inline", ("spec",), None),
+    ("type", "predict_inline", ("spec", "usl"), True),
+    ("type", "conformity", ("measurements", 3, "U"), False),
+    ("type", "verify", ("n_samples",), 1e5 + 0.5),
+    ("type", "verify", (), []),
+    ("required", "propagate_taylor", ("method",), DELETE),
+    ("required", "propagate_taylor", ("inputs", "quantities", 1, "name"),
+     DELETE),
+    ("required", "propagate_mc", ("inputs", "quantities", 2, "dist"), DELETE),
+    ("required", "train", ("dataset", "target"), DELETE),
+    ("required", "predict_csv", ("parts",), DELETE),
+    ("required", "conformity", ("spec", "usl"), DELETE),
+    ("required", "conformity", ("measurements", 2, "y"), DELETE),
+    ("additionalProperties", "propagate_taylor", ("methods",), "taylor1"),
+    ("additionalProperties", "propagate_taylor", ("model", "variables"), []),
+    ("additionalProperties", "train", ("vi", "init_scale"), 0.1),
+    ("additionalProperties", "train", ("model", "mean_include_bias"), True),
+    ("additionalProperties", "predict_csv", ("parts", "csv"), "parts.csv"),
+    ("additionalProperties", "conformity", ("measurements", 1, "u"), 0.01),
+    ("additionalProperties", "verify_default", ("n_steps",), 10),
+    ("items", "propagate_analytic", ("inputs", "correlation", 0), [1]),
+    ("items", "predict_inline", ("parts", "inline", 0, 1), "1"),
+    ("properties", "train", ("vi", "n_mc"), 0),
+    ("minItems", "propagate_taylor", ("inputs", "quantities"), []),
+    ("minItems", "predict_inline", ("parts", "inline"), []),
+    ("minItems", "predict_inline", ("parts", "inline", 1), []),
+    ("minItems", "train", ("dataset", "features"), []),
+    ("minItems", "conformity", ("measurements",), []),
+    ("minLength", "propagate_mc", ("inputs", "quantities", 1, "name"), ""),
+    ("minLength", "propagate_taylor", ("model", "expression"), ""),
+    ("minLength", "predict_csv", ("model_path",), ""),
+    ("minLength", "train", ("dataset", "features", 0), ""),
+    ("minimum", "propagate_mc", ("M",), 99),
+    ("minimum", "propagate_mc", ("seed",), -1),
+    ("minimum", "train", ("vi", "tolerance"), -1e-12),
+    ("minimum", "train", ("model", "mean_degree"), -1),
+    ("minimum", "predict_inline", ("n_samples",), 1),
+    ("minimum", "conformity", ("measurements", 1, "U"), -0.001),
+    ("minimum", "verify", ("n_records",), 9),
+    ("exclusiveMinimum", "propagate_analytic", ("k",), 0),
+    ("exclusiveMinimum", "propagate_mc", ("coverage",), 0.0),
+    ("exclusiveMinimum", "train", ("vi", "learning_rate"), -0.5),
+    ("exclusiveMinimum", "train", ("model", "prior_tau"), 0),
+    ("exclusiveMinimum", "train_fixed_noise", ("model", "fixed_noise_sd"), 0),
+    ("exclusiveMaximum", "propagate_mc", ("coverage",), 1),
+    ("exclusiveMaximum", "propagate_mc", ("coverage",), 1.5),
+    ("enum", "propagate_taylor", ("method",), "taylor3"),
+    ("enum", "propagate_taylor", ("method",), None),
+    ("enum", "train", ("vi", "family"), "full"),
+    ("enum", "train", ("vi", "schedule"), True),
+    ("oneOf", "propagate_mc", ("inputs", "quantities", 1, "dist", "kind"),
+     "uniform"),
+    ("oneOf", "propagate_mc", ("inputs", "quantities", 0, "dist", "mean"),
+     True),
+    ("oneOf", "propagate_mc", ("inputs", "quantities", 0, "dist", "upper"),
+     3.0),
+    ("oneOf", "propagate_mc", ("inputs", "quantities", 2, "dist", "mode"),
+     DELETE),
+    ("oneOf", "propagate_mc", ("inputs", "quantities", 2, "dist"), None),
+    ("oneOf", "propagate_taylor", ("inputs", "quantities", 0, "dist", "kind"),
+     DELETE),
+]
+
+# Keywords the real schemas only use in ways no document can reach on
+# its own (every ``const`` sits in a ``oneOf`` branch, and the branches
+# exclude each other), checked on small schemas of their own:
+# (keyword violated or None, schema, document)
+SYNTHETIC = [
+    ("const", {"const": 1}, True),
+    (None, {"const": 1}, 1.0),
+    ("const", {"const": "gaussian"}, "Gaussian"),
+    (None, {"const": "gaussian"}, "gaussian"),
+    ("enum", {"enum": [0, "a"]}, False),
+    ("enum", {"enum": [True]}, 1),
+    (None, {"enum": [1, "a"]}, 1.0),
+    ("oneOf", {"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3),
+    ("oneOf", {"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3.0),
+    (None, {"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3.5),
+    ("oneOf", {"oneOf": [{"type": "number"}, {"type": "integer"}]}, "3"),
+    ("oneOf", {"oneOf": [
+        {"type": "object", "properties": {"a": {"type": "number"}}},
+        {"type": "object", "required": ["b"]}]}, {"a": 1, "b": 2}),
+    (None, {"oneOf": [
+        {"type": "object", "properties": {"a": {"type": "number"}}},
+        {"type": "object", "required": ["b"]}]}, {"a": "1", "b": 2}),
+    ("type", {"type": "integer"}, True),
+    (None, {"type": "integer"}, 3.0),
+    ("type", {"type": "number"}, False),
+    (None, {"type": ["integer", "null"], "minimum": 2}, None),
+    ("minimum", {"type": ["integer", "null"], "minimum": 2}, 1),
+    (None, {"type": "array", "items": {"type": "integer"}, "minItems": 2},
+     [1, 2.0]),
+    ("minItems", {"type": "array", "items": {"type": "integer"},
+                  "minItems": 2}, [1]),
+    ("items", {"type": "array", "items": {"type": "integer"},
+               "minItems": 2}, [1, 2.5]),
+    ("minLength", {"type": "string", "minLength": 2}, "é"),
+    (None, {"type": "object", "properties": {"a": {"minimum": 0}}},
+     {"a": "not a number"}),
+]
+
+
+def mutated(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    target = functools.reduce(operator.getitem, head, doc)
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def reported_keywords(errors) -> set:
+    """Keywords jsonschema blames; a nested error also counts against
+    the ``properties`` or ``items`` keyword that led to it."""
+    out = set()
+    for e in errors:
+        out.add(e.validator)
+        for step in e.absolute_path:
+            out.add("items" if isinstance(step, int) else "properties")
+    return out
+
+
+def check_against_jsonschema(schema, doc, resolve, keyword):
+    errors = list(Draft202012Validator(schema).iter_errors(doc))
+    assert (keyword is None) == (not errors)
+    if keyword is None:
+        expected = reference_resolved(schema, doc)
+        assert json.dumps(resolve()) == json.dumps(expected)
+        return
+    assert keyword in reported_keywords(errors)
+    with pytest.raises(ConfigError) as info:
+        resolve()
+    message = str(info.value)
+    assert message.startswith("config invalid at $")
+    path = message[len("config invalid at "):].split(": ", 1)[0]
+    assert path in {e.json_path for e in errors}
+
+
+@pytest.mark.parametrize("name", sorted(BASE))
+def test_valid_config_resolves_as_before(name):
+    mode, doc = BASE[name]
+    check_against_jsonschema(config._SCHEMAS[mode], doc,
+                             lambda: config.validate_config(doc, mode), None)
+
+
+@pytest.mark.parametrize(
+    "keyword,base,path,value", INVALID,
+    ids=[f"{k}-{b}-{'.'.join(map(str, p))}" for k, b, p, _ in INVALID])
+def test_invalid_config_rejected_where_jsonschema_rejects(keyword, base,
+                                                          path, value):
+    mode, doc = BASE[base]
+    doc = mutated(doc, path, value)
+    check_against_jsonschema(config._SCHEMAS[mode], doc,
+                             lambda: config.validate_config(doc, mode),
+                             keyword)
+
+
+@pytest.mark.parametrize("keyword,schema,doc", SYNTHETIC)
+def test_keyword_semantics_match_jsonschema(monkeypatch, keyword, schema,
+                                            doc):
+    monkeypatch.setitem(config._SCHEMAS, "synthetic", schema)
+    check_against_jsonschema(
+        schema, doc, lambda: config.validate_config(doc, "synthetic"),
+        keyword)
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ConfigError, match="unknown run mode"):
+        config.validate_config({}, "calibrate")
+
+
+def _schema_keywords(schema):
+    for key, value in schema.items():
+        yield key, value
+        if key == "properties":
+            for sub in value.values():
+                yield from _schema_keywords(sub)
+        elif key == "items":
+            yield from _schema_keywords(value)
+        elif key == "oneOf":
+            for sub in value:
+                yield from _schema_keywords(sub)
+
+
+def test_every_schema_keyword_is_enforced():
+    """A keyword added to a schema must come with a corpus case that
+    violates it, so no schema edit goes unchecked by the walk."""
+    used = [pair for schema in config._SCHEMAS.values()
+            for pair in _schema_keywords(schema)]
+    checked = {k for k, *_ in INVALID} | {k for k, *_ in SYNTHETIC if k}
+    # ``default`` is an annotation: the walk fills it in, and the valid
+    # corpus compares the filled block with reference_resolved
+    unchecked = {k for k, _ in used} - checked - {"default"}
+    assert not unchecked
+    # the walk enforces additionalProperties only in its ``false`` form
+    assert all(v is False for k, v in used if k == "additionalProperties")

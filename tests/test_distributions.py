@@ -98,6 +98,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{match} must be finite"):
             make()
 
+    @pytest.mark.parametrize("make,kind", [
+        (lambda: Gaussian(0.0, 1.4e154), "gaussian"),
+        (lambda: Rectangular(-1e308, 1e308), "rectangular"),
+        (lambda: Rectangular(0.0, 1e200), "rectangular"),
+        (lambda: Triangular(1e200, 1.5e200, 2e200), "triangular"),
+    ])
+    def test_overflowing_moments_rejected(self, make, kind):
+        # finite parameters whose variance is inf or nan (or whose
+        # float ** 2 raises OverflowError) used to reach propagation
+        with pytest.raises(ConfigError, match=f"{kind} mean or variance "
+                                              "overflows"):
+            make()
+
+    def test_largest_representable_moments_accepted(self):
+        assert Gaussian(1e308, 1.3e154).moments()[1] == 1.3e154**2
+        assert Rectangular(-1e153, 1e153).moments()[1] == (2e153)**2 / 12.0
+
     def test_duplicate_names_rejected(self):
         qs = [InputQuantity("X1", Gaussian(0, 1)),
               InputQuantity("X1", Gaussian(0, 1))]
