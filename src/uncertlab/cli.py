@@ -32,13 +32,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (resolve_conformity, resolve_predict, resolve_propagate,
-                     resolve_train, resolve_verify)
+from .config import (load_model, resolve_conformity, resolve_predict,
+                     resolve_propagate, resolve_train, resolve_verify,
+                     save_model)
 from .conformity import Specification, classify
 from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
 from .errors import ConfigError, UncertLabError
-from .model_io import load_model, save_model
 from .propagation import (propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
                           sensitivity_budget, summarize)
@@ -54,6 +54,9 @@ log = logging.getLogger("uncertlab")
 _VERIFY_NOISE_SD = 0.2
 _VERIFY_WEIGHTS = (1.0, 2.0, -1.0)
 _VERIFY_QUERY = (0.3, -0.2)
+# the problem size and predictive draw count the tolerances are set for
+_VERIFY_RECORDS = 200
+_VERIFY_SAMPLES = 100_000
 # relative-error bound of each verify check
 _VERIFY_TOLERANCES = {"posterior_mean": 0.02, "posterior_cov": 0.10,
                       "predictive_mean": 0.02, "predictive_var": 0.02}
@@ -180,11 +183,12 @@ def _run_conformity(args) -> tuple[dict, int]:
 
 def _verify_checks(cfg: dict) -> dict:
     """Train full-rank VI on a conjugate problem; compare to closed form."""
-    seed, n_records = cfg["seed"], cfg["n_records"]
+    seed = cfg["seed"]
     rng = substream(seed, 0)
-    x = rng.standard_normal((n_records, 2))
+    x = rng.standard_normal((_VERIFY_RECORDS, 2))
     w = np.array(_VERIFY_WEIGHTS)
-    y = w[0] + x @ w[1:] + rng.standard_normal(n_records) * _VERIFY_NOISE_SD
+    y = (w[0] + x @ w[1:]
+         + rng.standard_normal(_VERIFY_RECORDS) * _VERIFY_NOISE_SD)
     data = make_dataset(x, y, ("x1", "x2"))
     model = build_model(data, mean_degree=1, standardize=False,
                         fixed_noise_sd=_VERIFY_NOISE_SD)
@@ -204,7 +208,7 @@ def _verify_checks(cfg: dict) -> dict:
                     / np.linalg.norm(exact.cov))
     query = np.array(_VERIFY_QUERY)
     pred_mean, pred_var = conjugate_predictive(model, exact, query)
-    vm = predict(model, q, query, n_samples=cfg["n_samples"], seed=seed)
+    vm = predict(model, q, query, n_samples=_VERIFY_SAMPLES, seed=seed)
     mean_rel = abs(vm.y_hat - pred_mean) / max(abs(pred_mean), 1e-12)
     var_rel = abs(vm.sigma_hat**2 - pred_var) / pred_var
 

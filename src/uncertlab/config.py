@@ -1,10 +1,19 @@
-"""Run configuration: JSON schemas, validation, and object assembly.
+"""JSON documents: run configs and model files, schemas and validation.
 
 Every CLI run starts from a JSON config document. The document is
 schema-validated before any computation touches it, unknown keys are
 rejected (a typo must not silently fall back to a default), and every
 defaulted parameter is materialized into the resolved config that the
 report echoes, so a report never hides an implicit choice.
+
+A trained model file is checked on load by the same schema walk, so
+predict runs only on a model that train could have written. Its
+``model`` block repeats the resolved train config's model settings and
+adds the feature names and standardization constants; its
+``training.config`` repeats the ``vi`` block, but nothing reads it, so
+``training`` and the dataset summary are checked only to be objects.
+Loading rebuilds the exact in-memory objects; files written before the
+bias term and the noise floor became constants load at their values.
 
 Each setting's default has one home: the library dataclass field or
 function parameter that the setting feeds. The schemas point at those
@@ -25,23 +34,28 @@ model and input distributions); the CLI runs from it.
 import inspect
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
 
+from .dataset import DatasetSummary
 from .distributions import (Gaussian, InputQuantity, JointInputModel,
                             Rectangular, Triangular)
 from .errors import ConfigError, ParseError
 from .expr import MeasurementModelExpr, parse_model
-from .model_io import save_model
 from .propagation import (propagate_monte_carlo, propagate_taylor1,
                           resolve_coverage)
-from .regression import BayesianVMModel
-from .vi import VIConfig, predict
+from .regression import NOISE_FLOOR, BayesianVMModel
+from .report import dump_json, load_json, train_result_to_dict, write_text
+from .vi import (FAMILIES, TrainResult, VariationalPosterior, VIConfig,
+                 predict)
 
 __all__ = [
+    "MODEL_SCHEMA_VERSION",
     "validate_config",
+    "save_model",
+    "load_model",
     "PropagateRun",
     "resolve_propagate",
     "resolve_train",
@@ -54,6 +68,38 @@ __all__ = [
 def _default(fn, name: str) -> Any:
     """Default value of parameter ``name`` in ``fn``'s signature."""
     return inspect.signature(fn).parameters[name].default
+
+
+MODEL_SCHEMA_VERSION = 1
+
+
+def save_model(
+    path: str,
+    model: BayesianVMModel,
+    train: TrainResult,
+    train_config: VIConfig,
+    dataset_summary: DatasetSummary,
+    dataset_sha256: Optional[str] = None,
+    store_trajectory: bool = False,
+) -> None:
+    """Write the trained model document to ``path``."""
+    q = train.posterior
+    doc = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "model": {key: value.tolist() if isinstance(value, np.ndarray)
+                  else value for key, value in asdict(model).items()},
+        # row-major flat scale: the diagonal vector for mean_field, the
+        # full lower-triangular matrix for full_rank
+        "posterior": {"family": q.family, "mu": q.mu.tolist(),
+                      "scale": q.scale.ravel().tolist()},
+        "training": {"config": asdict(train_config),
+                     **train_result_to_dict(train)},
+        "dataset_summary": dataset_summary.to_dict(),
+        "dataset_sha256": dataset_sha256,
+    }
+    if store_trajectory:
+        doc["training"]["trajectory"] = train.trajectory.tolist()
+    write_text(path, [dump_json(doc)])
 
 
 _DIST_SCHEMA = {
@@ -154,6 +200,20 @@ PROPAGATE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the train config's model settings; a model file repeats them resolved
+_MODEL_SETTINGS = {
+    "mean_degree": {"type": "integer", "minimum": 0,
+                    "default": BayesianVMModel.mean_degree},
+    "noise_degree": {"type": "integer", "minimum": 0,
+                     "default": BayesianVMModel.noise_degree},
+    "prior_tau": {"type": "number", "exclusiveMinimum": 0,
+                  "default": BayesianVMModel.prior_tau},
+    "standardize": {"type": "boolean",
+                    "default": BayesianVMModel.standardize},
+    "fixed_noise_sd": {"type": ["number", "null"], "exclusiveMinimum": 0,
+                       "default": BayesianVMModel.fixed_noise_sd},
+}
+
 TRAIN_SCHEMA = {
     "type": "object",
     "properties": {
@@ -174,19 +234,7 @@ TRAIN_SCHEMA = {
         },
         "model": {
             "type": "object",
-            "properties": {
-                "mean_degree": {"type": "integer", "minimum": 0,
-                                "default": BayesianVMModel.mean_degree},
-                "noise_degree": {"type": "integer", "minimum": 0,
-                                 "default": BayesianVMModel.noise_degree},
-                "prior_tau": {"type": "number", "exclusiveMinimum": 0,
-                              "default": BayesianVMModel.prior_tau},
-                "standardize": {"type": "boolean",
-                                "default": BayesianVMModel.standardize},
-                "fixed_noise_sd": {
-                    "type": ["number", "null"], "exclusiveMinimum": 0,
-                    "default": BayesianVMModel.fixed_noise_sd},
-            },
+            "properties": _MODEL_SETTINGS,
             "additionalProperties": False,
             "default": {},
         },
@@ -280,9 +328,44 @@ VERIFY_SCHEMA = {
     "type": "object",
     "properties": {
         "seed": {"type": "integer", "minimum": 0, "default": 0},
-        "n_records": {"type": "integer", "minimum": 10, "default": 200},
-        "n_samples": {"type": "integer", "minimum": 100, "default": 100_000},
     },
+    "additionalProperties": False,
+}
+
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+
+MODEL_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "schema_version": {"const": MODEL_SCHEMA_VERSION},
+        "model": {
+            "type": "object",
+            "properties": {
+                "feature_names": {"type": "array", "minItems": 1,
+                                  "items": {"type": "string"}},
+                "x_mean": _NUMBERS,
+                "x_sd": _NUMBERS,
+                **_MODEL_SETTINGS,
+                # former settings, now constants, in older files
+                "mean_include_bias": {"const": True},
+                "noise_floor": {"const": NOISE_FLOOR},
+                "n_weights": {"type": "integer"},
+            },
+            "required": [f.name for f in fields(BayesianVMModel)],
+            "additionalProperties": False,
+        },
+        "posterior": {
+            "type": "object",
+            "properties": {"family": {"enum": list(FAMILIES)},
+                           "mu": _NUMBERS, "scale": _NUMBERS},
+            "required": ["family", "mu", "scale"],
+            "additionalProperties": False,
+        },
+        "training": {"type": "object"},
+        "dataset_summary": {"type": "object"},
+        "dataset_sha256": {"type": ["string", "null"]},
+    },
+    "required": ["schema_version", "model", "posterior"],
     "additionalProperties": False,
 }
 
@@ -337,8 +420,8 @@ def _materialize(schema: dict, value: Any) -> Any:
     2020-12 semantics, raising :class:`_Invalid` at the first violation.
     Absent object properties take the schema's ``default``; a value
     typed ``number`` becomes float and one typed ``integer`` int.
-    Anything else, nullable values and ``oneOf`` subtrees included, is
-    kept as written.
+    Anything else, nullable values, ``oneOf`` subtrees and objects
+    whose schema lists no ``properties`` included, is kept as written.
     """
     kind = schema.get("type")
     if kind is not None and not (
@@ -408,13 +491,22 @@ def _materialize(schema: dict, value: Any) -> Any:
         except _Invalid as err:
             err.path.append(f".{key}")
             raise
-        if kind == "object":
+        if kind == "object" and "properties" in schema:
             return out
     if kind == "number":
         return float(value)
     if kind == "integer":
         return int(value)
     return value
+
+
+def _validated(schema: dict, doc: dict, what: str) -> dict:
+    """``doc`` resolved, or ``ConfigError("<what> invalid at $...")``."""
+    try:
+        return _materialize(schema, doc)
+    except _Invalid as err:
+        path = "$" + "".join(reversed(err.path))
+        raise ConfigError(f"{what} invalid at {path}: {err}") from None
 
 
 def validate_config(doc: dict, mode: str) -> dict:
@@ -427,11 +519,34 @@ def validate_config(doc: dict, mode: str) -> dict:
         schema = _SCHEMAS[mode]
     except KeyError:
         raise ConfigError(f"unknown run mode {mode!r}") from None
+    return _validated(schema, doc, "config")
+
+
+def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
+    """Read a trained model document; returns (model, posterior, document).
+
+    A ``MODEL_SCHEMA`` violation is a ConfigError naming the file.
+    """
+    doc = _validated(MODEL_SCHEMA, load_json(path), f"{path}: model file")
+    m, q = doc["model"], doc["posterior"]
+    kwargs = {f.name: m[f.name] for f in fields(BayesianVMModel)}
+    kwargs.update(feature_names=tuple(m["feature_names"]),
+                  x_mean=np.asarray(m["x_mean"], dtype=np.float64),
+                  x_sd=np.asarray(m["x_sd"], dtype=np.float64))
+    mu = np.asarray(q["mu"], dtype=np.float64)
+    scale = np.asarray(q["scale"], dtype=np.float64)
     try:
-        return _materialize(schema, doc)
-    except _Invalid as err:
-        path = "$" + "".join(reversed(err.path))
-        raise ConfigError(f"config invalid at {path}: {err}") from None
+        model = BayesianVMModel(**kwargs)
+        if q["family"] == "full_rank":
+            scale = scale.reshape(len(mu), len(mu))
+        posterior = VariationalPosterior(q["family"], mu, scale)
+        if posterior.n_weights != model.n_weights:
+            raise ConfigError(
+                f"posterior has {posterior.n_weights} weights but the "
+                f"model defines {model.n_weights}")
+    except (ValueError, ConfigError) as err:
+        raise ConfigError(f"{path}: malformed model document: {err}") from err
+    return model, posterior, doc
 
 
 def _marginal_from_dict(d: dict) -> Any:

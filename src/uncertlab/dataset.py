@@ -105,6 +105,12 @@ def make_dataset(
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise DatasetError("dataset contains non-finite values")
     names = tuple(feature_names)
+    for i, name in enumerate(names):
+        # a feature named like the target would train on the target itself
+        if name == target_name:
+            raise DatasetError(f"feature {name!r} is the target column")
+        if name in names[:i]:
+            raise DatasetError(f"feature {name!r} is named twice")
     summary = DatasetSummary(
         len(y),
         tuple(_column_summary(n, x[:, i]) for i, n in enumerate(names)),

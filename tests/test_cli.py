@@ -364,6 +364,23 @@ class TestTrainPredict:
         code, out, err = run_cli(capsys, "train", "--config", cfg)
         assert_cannot_write(code, out, err, "train", dest)
 
+    @pytest.mark.parametrize("features,column", [(["y"], "y"),
+                                                 (["x1", "x1"], "x1")])
+    def test_feature_list_naming_target_or_repeating(
+            self, capsys, tmp_path, training_csv, features, column):
+        model_out = tmp_path / "m.json"
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": training_csv, "target": "y",
+                        "features": features},
+            "vi": {"max_steps": 5},
+            "model_out": str(model_out),
+        })
+        code, out, err = run_cli(capsys, "train", "--config", cfg)
+        assert code == 1 and out == "" and not model_out.exists()
+        e = json.loads(err)["error"]
+        assert e["type"] == "DatasetError"
+        assert f"feature {column!r}" in e["message"]
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "t.json", {
             "dataset": {"path": "nope.csv", "target": "y"},
@@ -498,5 +515,4 @@ class TestConfigEcho:
                        "measurements": [{"y": 10.5, "U": 0.0}]})
 
     def test_verify(self, capsys):
-        assert echoed_config(capsys, "verify") == canonical(
-            {"seed": 0, "n_records": 200, "n_samples": 100000})
+        assert echoed_config(capsys, "verify") == canonical({"seed": 0})

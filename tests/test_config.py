@@ -1,9 +1,10 @@
-"""Config validation against jsonschema as an independent oracle.
+"""Config and model-file validation against jsonschema as an oracle.
 
 ``config.validate_config`` checks each document in the same walk that
-fills its defaults. Every config in the corpus below must get the
-verdict jsonschema's Draft 2020-12 validator gives; a rejected one
-must name a path jsonschema also reports, and an accepted one must
+fills its defaults, and ``config.load_model`` runs model files through
+that walk too. Every config and model file in the corpora below must
+get the verdict jsonschema's Draft 2020-12 validator gives; a rejected
+one must name a path jsonschema also reports, and an accepted one must
 resolve exactly as the pre-walk materializer (kept here as
 ``reference_resolved``) resolved a jsonschema-validated document.
 """
@@ -12,6 +13,7 @@ import copy
 import functools
 import json
 import operator
+import os
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -29,7 +31,7 @@ def reference_resolved(schema, value):
     if value is None:
         return None
     kind = schema.get("type")
-    if kind == "object":
+    if kind == "object" and "properties" in schema:
         return {key: reference_resolved(sub, value[key] if key in value
                                         else sub["default"])
                 for key, sub in schema["properties"].items()
@@ -111,7 +113,7 @@ BASE = {
                          {"y": 10.25, "U": 0.02}, {"y": 9.9, "U": 1}],
     }),
     "verify_default": ("verify", {}),
-    "verify": ("verify", {"seed": 3, "n_records": 10, "n_samples": 100}),
+    "verify": ("verify", {"seed": 3}),
 }
 
 # (keyword the mutation violates, base document, path, new value)
@@ -138,7 +140,7 @@ INVALID = [
     ("type", "predict_inline", ("spec",), None),
     ("type", "predict_inline", ("spec", "usl"), True),
     ("type", "conformity", ("measurements", 3, "U"), False),
-    ("type", "verify", ("n_samples",), 1e5 + 0.5),
+    ("type", "verify", ("seed",), 3.5),
     ("type", "verify", (), []),
     ("required", "propagate_taylor", ("method",), DELETE),
     ("required", "propagate_taylor", ("inputs", "quantities", 1, "name"),
@@ -155,6 +157,9 @@ INVALID = [
     ("additionalProperties", "predict_csv", ("parts", "csv"), "parts.csv"),
     ("additionalProperties", "conformity", ("measurements", 1, "u"), 0.01),
     ("additionalProperties", "verify_default", ("n_steps",), 10),
+    # verify's tolerances hold only for its built-in problem size
+    ("additionalProperties", "verify", ("n_records",), 100000),
+    ("additionalProperties", "verify", ("n_samples",), 100),
     ("items", "propagate_analytic", ("inputs", "correlation", 0), [1]),
     ("items", "predict_inline", ("parts", "inline", 0, 1), "1"),
     ("properties", "train", ("vi", "n_mc"), 0),
@@ -173,7 +178,7 @@ INVALID = [
     ("minimum", "train", ("model", "mean_degree"), -1),
     ("minimum", "predict_inline", ("n_samples",), 1),
     ("minimum", "conformity", ("measurements", 1, "U"), -0.001),
-    ("minimum", "verify", ("n_records",), 9),
+    ("minimum", "verify", ("seed",), -1),
     ("exclusiveMinimum", "propagate_analytic", ("k",), 0),
     ("exclusiveMinimum", "propagate_mc", ("coverage",), 0.0),
     ("exclusiveMinimum", "train", ("vi", "learning_rate"), -0.5),
@@ -261,7 +266,8 @@ def reported_keywords(errors) -> set:
     return out
 
 
-def check_against_jsonschema(schema, doc, resolve, keyword):
+def check_against_jsonschema(schema, doc, resolve, keyword,
+                             what="config"):
     errors = list(Draft202012Validator(schema).iter_errors(doc))
     assert (keyword is None) == (not errors)
     if keyword is None:
@@ -272,8 +278,8 @@ def check_against_jsonschema(schema, doc, resolve, keyword):
     with pytest.raises(ConfigError) as info:
         resolve()
     message = str(info.value)
-    assert message.startswith("config invalid at $")
-    path = message[len("config invalid at "):].split(": ", 1)[0]
+    assert message.startswith(f"{what} invalid at $")
+    path = message[len(f"{what} invalid at "):].split(": ", 1)[0]
     assert path in {e.json_path for e in errors}
 
 
@@ -310,6 +316,112 @@ def test_unknown_mode_rejected():
         config.validate_config({}, "calibrate")
 
 
+# Valid model files as save_model writes them, and one written before
+# the bias term and the noise floor became constants.
+_SUMMARY = {
+    "n_records": 3,
+    "features": [{"name": "x1", "mean": 0.25, "sd": 0.5, "min": -0.3,
+                  "max": 0.7}],
+    "target": {"name": "y", "mean": 1.5, "sd": 1.0, "min": 0.4, "max": 2.3},
+}
+
+
+def _model_file(model, posterior, dataset_sha256=None):
+    return {
+        "schema_version": 1,
+        "model": {"feature_names": ["x1"], "x_mean": [0.25], "x_sd": [0.5],
+                  "prior_tau": 1.0, "standardize": True, **model},
+        "posterior": posterior,
+        "training": {
+            "config": {"family": posterior["family"], "learning_rate": 0.01,
+                       "schedule": "constant", "n_mc": 8, "max_steps": 10,
+                       "tolerance": 0.0, "window": 10, "seed": 0},
+            "family": posterior["family"],
+            "n_weights": len(posterior["mu"]), "n_steps": 10,
+            "converged": False, "stop_reason": "max_steps",
+            "initial_free_energy": 9.5, "final_free_energy": 4.25},
+        "dataset_summary": _SUMMARY,
+        "dataset_sha256": dataset_sha256,
+    }
+
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "legacy_model.json")) as _fh:
+    _LEGACY = json.load(_fh)
+
+MODEL_BASE = {
+    "mean_field": _model_file(
+        {"mean_degree": 1, "noise_degree": 0, "fixed_noise_sd": None},
+        {"family": "mean_field", "mu": [0.7, 2.0, -2.3],
+         "scale": [0.05, 0.06, 0.1]},
+        dataset_sha256="ab" * 32),
+    "full_rank": _model_file(
+        {"mean_degree": 1, "noise_degree": 0, "fixed_noise_sd": None},
+        {"family": "full_rank", "mu": [0.7, 2.0, -2.3],
+         "scale": [0.05, 0.0, 0.0, 0.01, 0.06, 0.0, -0.02, 0.03, 0.1]}),
+    "fixed_noise": _model_file(
+        {"mean_degree": 2, "noise_degree": 1, "fixed_noise_sd": 0.1},
+        {"family": "mean_field", "mu": [0.7, 2.0, 0.5],
+         "scale": [0.05, 0.06, 0.07]}),
+    "legacy": _LEGACY,
+}
+
+# (keyword the mutation violates, base file, path, new value)
+MODEL_INVALID = [
+    ("type", "mean_field", ("model", "x_mean", 0), "0.25"),
+    ("type", "mean_field", ("model", "x_sd", 0), True),
+    ("type", "mean_field", ("posterior", "mu", 0), "0.7"),
+    ("type", "mean_field", ("dataset_summary",), "hello"),
+    ("type", "mean_field", ("training",), []),
+    ("type", "mean_field", ("dataset_sha256",), 5),
+    ("type", "mean_field", ("model",), []),
+    ("type", "full_rank", ("posterior", "scale", 1), None),
+    ("type", "fixed_noise", ("model", "fixed_noise_sd"), "0.1"),
+    ("type", "legacy", ("model", "n_weights"), 9.5),
+    ("const", "mean_field", ("schema_version",), True),
+    ("const", "mean_field", ("schema_version",), 2),
+    ("const", "legacy", ("model", "mean_include_bias"), False),
+    ("const", "legacy", ("model", "noise_floor"), 1e-3),
+    ("additionalProperties", "mean_field", ("model", "n_features"), 1),
+    ("additionalProperties", "mean_field", ("model_path",), "m.json"),
+    ("additionalProperties", "full_rank", ("posterior", "n_weights"), 3),
+    ("required", "mean_field", ("schema_version",), DELETE),
+    ("required", "mean_field", ("posterior",), DELETE),
+    ("required", "mean_field", ("model", "x_sd"), DELETE),
+    ("required", "fixed_noise", ("model", "fixed_noise_sd"), DELETE),
+    ("required", "full_rank", ("posterior", "family"), DELETE),
+    ("enum", "full_rank", ("posterior", "family"), "full"),
+    ("items", "mean_field", ("model", "feature_names", 0), 1),
+    ("minItems", "mean_field", ("model", "feature_names"), []),
+    ("properties", "legacy", ("model", "mean_degree"), 2.5),
+    ("minimum", "mean_field", ("model", "noise_degree"), -1),
+    ("exclusiveMinimum", "mean_field", ("model", "prior_tau"), 0),
+    ("exclusiveMinimum", "fixed_noise", ("model", "fixed_noise_sd"), -0.1),
+]
+
+
+def check_model_file(tmp_path, doc, keyword):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    check_against_jsonschema(config.MODEL_SCHEMA, doc,
+                             lambda: config.load_model(str(path))[2],
+                             keyword, what=f"{path}: model file")
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BASE))
+def test_valid_model_file_loads(tmp_path, name):
+    check_model_file(tmp_path, MODEL_BASE[name], None)
+
+
+@pytest.mark.parametrize(
+    "keyword,base,path,value", MODEL_INVALID,
+    ids=[f"{k}-{b}-{'.'.join(map(str, p))}" for k, b, p, _ in MODEL_INVALID])
+def test_invalid_model_file_rejected_where_jsonschema_rejects(
+        tmp_path, keyword, base, path, value):
+    check_model_file(tmp_path, mutated(MODEL_BASE[base], path, value),
+                     keyword)
+
+
 def _schema_keywords(schema):
     for key, value in schema.items():
         yield key, value
@@ -334,4 +446,12 @@ def test_every_schema_keyword_is_enforced():
     unchecked = {k for k, _ in used} - checked - {"default"}
     assert not unchecked
     # the walk enforces additionalProperties only in its ``false`` form
+    assert all(v is False for k, v in used if k == "additionalProperties")
+
+
+def test_every_model_schema_keyword_is_enforced():
+    used = list(_schema_keywords(config.MODEL_SCHEMA))
+    unchecked = {k for k, _ in used} - {k for k, *_ in MODEL_INVALID} \
+        - {"default"}
+    assert not unchecked
     assert all(v is False for k, v in used if k == "additionalProperties")

@@ -153,3 +153,12 @@ class TestMakeDataset:
         d = make_dataset(np.array([[2.0]]), np.array([5.0]), ("a",))
         assert d.summary.features[0].sd == 0.0
         assert d.summary.target.sd == 0.0
+
+    @pytest.mark.parametrize("names,target,match", [
+        (("t", "a"), "t", "feature 't' is the target column"),
+        (("a", "a"), "y", "feature 'a' is named twice"),
+    ])
+    def test_feature_names_unique_and_not_the_target(self, names, target,
+                                                     match):
+        with pytest.raises(DatasetError, match=match):
+            make_dataset(np.zeros((3, 2)), np.zeros(3), names, target)
