@@ -24,11 +24,11 @@ from .distributions import (Gaussian, InputQuantity, JointInputModel,
 from .errors import (ConfigError, DatasetError, DivergenceError, DomainError,
                      EvaluationError, MonteCarloError, ParseError,
                      UncertLabError)
-from .expr import MeasurementModelExpr, evaluate, format_expression, parse_model
+from .expr import MeasurementModelExpr, evaluate, parse_model
 from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
                           propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
-                          sensitivity_budget, summarize)
+                          sensitivity_budget)
 from .regression import BayesianVMModel, build_model
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
                  VirtualMeasurementResult, free_energy, kl_gaussian, predict,
@@ -67,7 +67,6 @@ __all__ = [
     "conjugate_posterior",
     "conjugate_predictive",
     "evaluate",
-    "format_expression",
     "free_energy",
     "implied_coverage",
     "ingest_dataset",
@@ -83,6 +82,5 @@ __all__ = [
     "propagate_taylor2",
     "sample",
     "sensitivity_budget",
-    "summarize",
     "train_vi",
 ]

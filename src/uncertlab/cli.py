@@ -15,8 +15,9 @@ nonzero when the tolerances are missed. It is the installed
 self-check that the optimization machinery still lands on the exact
 answer where one exists.
 
-Failures from any pipeline stage surface as a structured JSON error on
-stderr with the run mode and error type, and a nonzero exit code.
+Failures from any pipeline stage, and a run too large to allocate,
+surface as a structured JSON error on stderr with the run mode and
+error type, and a nonzero exit code.
 Log verbosity comes from the UNCERTLAB_LOG environment variable
 (debug, info, warning, error).
 """
@@ -41,7 +42,7 @@ from .dataset import ingest_dataset, ingest_parts, make_dataset
 from .errors import ConfigError, UncertLabError
 from .propagation import (propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
-                          sensitivity_budget, summarize)
+                          sensitivity_budget)
 from .regression import build_model
 from .report import (build_report, file_sha256, load_json,
                      measurement_to_dict, train_result_to_dict,
@@ -87,8 +88,7 @@ def _run_propagate(args) -> tuple[dict, int]:
     else:
         result, ecdf = propagate_monte_carlo(
             run.expr, run.joint, M=cfg["M"], seed=cfg["seed"],
-            coverage=cfg["coverage"])
-        result = summarize(result, cfg["k"])
+            coverage=cfg["coverage"], k=cfg["k"])
         if cfg["dump_samples"] is not None:
             write_text(cfg["dump_samples"], itertools.chain(
                 ["y"], ("%.17g" % v for v in ecdf.sorted_values)))
@@ -286,9 +286,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         report, code = _RUNNERS[args.mode](args)
         text = write_report(report, args.out)
-    except UncertLabError as err:
-        error = {"error": {"mode": args.mode,
-                           "type": type(err).__name__,
+    except (UncertLabError, MemoryError) as err:
+        # numpy raises a private MemoryError subclass
+        kind = ("MemoryError" if isinstance(err, MemoryError)
+                else type(err).__name__)
+        error = {"error": {"mode": args.mode, "type": kind,
                            "message": str(err)}}
         print(json.dumps(error, indent=2), file=sys.stderr)
         return 1

@@ -55,7 +55,6 @@ __all__ = [
     "MeasurementModelExpr",
     "FUNCTIONS",
     "parse_model",
-    "format_expression",
     "evaluate",
     "evaluate_batch",
 ]
@@ -346,62 +345,6 @@ def parse_model(text: str, declared: Iterable[str] = ()) -> MeasurementModelExpr
     parser = _Parser(_tokenize(text), frozenset(declared))
     root = parser.parse()
     return MeasurementModelExpr(root, tuple(parser.seen_vars))
-
-
-# ---------------------------------------------------------------------------
-# Formatting (inverse of parsing, up to whitespace)
-# ---------------------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, Binary):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Unary) and node.fn == "neg":
-        return _PRECEDENCE["neg"]
-    return 9
-
-
-def format_expression(node_or_expr: Union[Node, MeasurementModelExpr]) -> str:
-    """Render a tree back to grammar text.
-
-    For parser-produced trees, ``parse_model(format_expression(e))``
-    yields a structurally identical tree. Hand-built trees holding
-    negative or non-finite constants fall outside that guarantee since
-    the grammar spells negation as a prefix operator.
-    """
-    node = node_or_expr.root if isinstance(node_or_expr, MeasurementModelExpr) else node_or_expr
-    return _format(node)
-
-
-def _format(node: Node) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            inner = _format(node.arg)
-            if _prec(node.arg) < _PRECEDENCE["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{node.fn}({_format(node.arg)})"
-    p = _PRECEDENCE[node.op]
-    lhs, rhs = _format(node.lhs), _format(node.rhs)
-    if node.op == "^":
-        # right-associative: parenthesize an equal-precedence left child
-        if _prec(node.lhs) <= p:
-            lhs = f"({lhs})"
-        if _prec(node.rhs) < p:
-            rhs = f"({rhs})"
-    else:
-        # left-associative: parenthesize an equal-precedence right child
-        if _prec(node.lhs) < p:
-            lhs = f"({lhs})"
-        if _prec(node.rhs) <= p:
-            rhs = f"({rhs})"
-    return f"{lhs} {node.op} {rhs}" if node.op in "+-" else f"{lhs}{node.op}{rhs}"
 
 
 # ---------------------------------------------------------------------------

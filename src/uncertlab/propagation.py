@@ -8,16 +8,18 @@ expected value y, a standard uncertainty u(Y), and a coverage interval:
   Gaussian, so the interval is exact at the requested coverage.
   Affinity is read from the parsed tree (:func:`~uncertlab.expr.is_affine`),
   so a model whose terms only cancel, such as ``X1 * X2 / X2``, is refused.
-- ``taylor1``: the first-order law of propagation of uncertainty,
-  u^2 = sum_i (df/dx_i)^2 u^2(x_i), gradient taken at the input means.
+- ``taylor1``: the first-order law of propagation of uncertainty
+  (JCGM 100:2008 eq. 13), u^2 = c' Sigma c with c the gradient at the
+  input means; on an affine model it is ``analytic`` bit for bit.
 - ``taylor2``: adds the second-order correction
   sum_ij [ (1/2) (d2f/dx_i dx_j)^2 + (df/dx_i)(d3f/dx_i dx_j^2) ]
   u^2(x_i) u^2(x_j) on top of the first-order sum, which repairs
-  first-order blind spots such as a vanishing gradient.
+  first-order blind spots such as a vanishing gradient. It needs
+  independent inputs.
 - ``monte_carlo``: samples the joint input model, evaluates the model
   per draw, and reports the sample mean, unbiased sample standard
-  deviation, and the equal-tail coverage interval read off the sorted
-  evaluations at 1-based ranks ceil(alpha/2 M) and ceil((1-alpha/2) M).
+  deviation, and the probabilistically symmetric coverage interval of
+  JCGM 101:2008 7.7.2 read off the sorted evaluations.
 
 Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks with one Philox substream per chunk
@@ -31,15 +33,16 @@ come back non-finite, are excluded, and are counted; more than 1% of
 them aborts the run with a diagnostic rather than quietly reporting a
 distorted distribution.
 
-Expanded uncertainty is U = k u(Y). When ``coverage`` is passed instead
-of ``k``, k is the two-sided Gaussian factor for that coverage; the
-default k = 2 implies 95.45% Gaussian coverage, for every method.
+Expanded uncertainty is U = k u(Y), with the k the caller resolved
+(:func:`resolve_coverage` turns a coverage into its two-sided Gaussian
+factor); the default k = 2 implies 95.45% Gaussian coverage, for every
+method. Monte Carlo also takes ``coverage`` for its empirical interval.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,7 +60,6 @@ __all__ = [
     "propagate_taylor1",
     "propagate_taylor2",
     "propagate_monte_carlo",
-    "summarize",
     "implied_coverage",
     "resolve_coverage",
     "sensitivity_budget",
@@ -109,13 +111,20 @@ class EmpiricalCDF:
 
     sorted_values: np.ndarray
 
-    def quantile(self, p: float) -> float:
-        """Empirical p-quantile by the 1-based rank ceil(p*M)."""
-        if not 0.0 < p <= 1.0:
-            raise ConfigError(f"quantile probability must lie in (0, 1], got {p}")
+    def interval(self, p: float) -> tuple[float, float]:
+        """Probabilistically symmetric coverage interval for probability p.
+
+        JCGM 101:2008 7.7.2 in integers: q = floor(p*M + 1/2) and
+        r = floor((M - q + 1)/2) give [y_(r), y_(r+q)], 1-based ranks
+        clamped to 1..M.
+        """
+        if not 0.0 < p < 1.0:
+            raise ConfigError(f"coverage must lie in (0, 1), got {p}")
         m = len(self.sorted_values)
-        idx = max(math.ceil(p * m), 1)
-        return float(self.sorted_values[idx - 1])
+        q = math.floor(p * m + 0.5)
+        r = (m - q + 1) // 2
+        return (float(self.sorted_values[max(r, 1) - 1]),
+                float(self.sorted_values[min(r + q, m) - 1]))
 
     def cdf(self, x: float) -> float:
         """Fraction of evaluations <= x."""
@@ -140,22 +149,42 @@ def resolve_coverage(k: float,
         if not 0.0 < coverage < 1.0:
             raise ConfigError(f"coverage must lie in (0, 1), got {coverage}")
         return float(normal_quantile(0.5 * (1.0 + coverage))), float(coverage)
-    if k <= 0.0:
-        raise ConfigError(f"coverage factor k must be > 0, got {k}")
+    _require_positive(k)
     return float(k), implied_coverage(k)
 
 
-def _expanded(y: float, u: float, k: float, method: str,
-              grad: np.ndarray) -> MeasurementResult:
-    U = k * u
-    return MeasurementResult(y, u, k, U, (y - U, y + U), method, grad=grad)
+def _require_positive(k: float) -> None:
+    if not k > 0.0:
+        raise ConfigError(f"coverage factor k must be > 0, got {k}")
+
+
+def _series(expr: MeasurementModelExpr, joint: JointInputModel, k: float,
+            method: str, order: int) -> MeasurementResult:
+    """y +/- k*u from one derivative bundle at the input means: u^2 =
+    c' Sigma c (JCGM 100 eq. 13) with c the gradient and Sigma the input
+    covariance; order 3 adds the second-order correction."""
+    _require_positive(k)
+    bundle = derivatives(expr, joint.mean_assignment(), order=order,
+                         variables=joint.names)
+    c = bundle.grad
+    var = float(c @ joint.covariance() @ c)
+    if order == 3:
+        v = joint.variances()
+        var += float((0.5 * bundle.hess**2 + c[:, None] * bundle.third_mixed)
+                     @ v @ v)
+        if var < 0.0:
+            raise ConfigError(
+                "second-order Taylor variance is negative "
+                f"({var:.6g}); the expansion is invalid here, use monte_carlo")
+    y, u = bundle.value, math.sqrt(max(var, 0.0))
+    return MeasurementResult(y, u, k, k * u, (y - k * u, y + k * u), method,
+                             grad=c)
 
 
 def propagate_analytic(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
     k: float = _DEFAULT_K,
-    coverage: Optional[float] = None,
 ) -> MeasurementResult:
     """Exact propagation for affine models.
 
@@ -169,64 +198,37 @@ def propagate_analytic(
             "analytic propagation requires an affine model: a sum of "
             "inputs times constant factors; use taylor1, taylor2 or "
             "monte_carlo")
-    kk, _ = resolve_coverage(k, coverage)
-    bundle = derivatives(expr, joint.mean_assignment(), order=1,
-                         variables=joint.names)
-    var = float(bundle.grad @ joint.covariance() @ bundle.grad)
-    return _expanded(bundle.value, math.sqrt(max(var, 0.0)), kk, "analytic",
-                     bundle.grad)
-
-
-def _reject_correlation(joint: JointInputModel, method: str) -> None:
-    if joint.correlation is not None:
-        raise ConfigError(
-            f"{method} propagation assumes independent inputs; remove the "
-            "correlation matrix or use the analytic or monte_carlo method")
+    return _series(expr, joint, k, "analytic", order=1)
 
 
 def propagate_taylor1(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
     k: float = _DEFAULT_K,
-    coverage: Optional[float] = None,
 ) -> MeasurementResult:
-    """First-order law of propagation of uncertainty at the input means."""
-    _reject_correlation(joint, "taylor1")
-    kk, _ = resolve_coverage(k, coverage)
-    bundle = derivatives(expr, joint.mean_assignment(), order=1,
-                         variables=joint.names)
-    var = float(np.sum(bundle.grad**2 * joint.variances()))
-    return _expanded(bundle.value, math.sqrt(var), kk, "taylor1", bundle.grad)
+    """First-order law of propagation of uncertainty at the input means:
+    u^2 = c' Sigma c, correlated inputs included."""
+    return _series(expr, joint, k, "taylor1", order=1)
 
 
 def propagate_taylor2(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
     k: float = _DEFAULT_K,
-    coverage: Optional[float] = None,
 ) -> MeasurementResult:
-    """Second-order Taylor propagation.
+    """Second-order Taylor propagation over independent inputs.
 
     Adds the Hessian and mixed-third-derivative correction to the
     first-order variance. The truncated series can turn negative far
     from the expansion point; that is reported as an error instead of a
     clamped number, since it means the expansion is not trustworthy.
     """
-    _reject_correlation(joint, "taylor2")
-    kk, _ = resolve_coverage(k, coverage)
-    bundle = derivatives(expr, joint.mean_assignment(), order=3,
-                         variables=joint.names)
-    v = joint.variances()
-    var1 = float(np.sum(bundle.grad**2 * v))
-    correction = float(
-        (0.5 * bundle.hess**2 + bundle.grad[:, None] * bundle.third_mixed)
-        @ v @ v)
-    var = var1 + correction
-    if var < 0.0:
+    if joint.correlation is not None:
         raise ConfigError(
-            "second-order Taylor variance is negative "
-            f"({var:.6g}); the expansion is invalid here, use monte_carlo")
-    return _expanded(bundle.value, math.sqrt(var), kk, "taylor2", bundle.grad)
+            "taylor2 propagation assumes independent inputs; remove the "
+            "correlation matrix or use the analytic, taylor1 or "
+            "monte_carlo method")
+    return _series(expr, joint, k, "taylor2", order=3)
 
 
 def _available_cores() -> int:
@@ -242,19 +244,23 @@ def propagate_monte_carlo(
     M: int = 200_000,
     seed: int = 0,
     coverage: Optional[float] = None,
+    k: Optional[float] = None,
 ) -> tuple[MeasurementResult, EmpiricalCDF]:
     """Monte Carlo propagation with an empirical coverage interval.
 
-    Returns the result together with the sorted evaluations. The
-    reported k is the Gaussian factor for ``coverage`` so that U = k*u
-    stays meaningful, but the interval itself is empirical and keeps
-    any asymmetry of the output distribution. Without ``coverage`` the
-    run uses the default k and the coverage it implies, like the other
-    methods.
+    Returns the result together with the sorted evaluations. A given
+    ``k`` is reported as is, U = k*u, and the interval covers
+    ``coverage``, by default the Gaussian 2*Phi(k) - 1. Without ``k``
+    it is the Gaussian factor for ``coverage``, or the default k and
+    the coverage it implies when neither is given. The interval itself
+    is empirical and keeps any asymmetry of the output distribution.
     """
     if M < 100:
         raise ConfigError(f"Monte Carlo sample count must be >= 100, got {M}")
-    kk, coverage = resolve_coverage(_DEFAULT_K, coverage)
+    gaussian_k, coverage = resolve_coverage(
+        _DEFAULT_K if k is None else k, coverage)
+    k = gaussian_k if k is None else k
+    _require_positive(k)
 
     n_chunks = -(-M // MC_CHUNK_SIZE)
     values = np.empty(M)
@@ -298,28 +304,10 @@ def propagate_monte_carlo(
     y = float(np.mean(values))
     u = float(np.std(values, ddof=1))
 
-    alpha = 1.0 - coverage
-    interval = (ecdf.quantile(0.5 * alpha), ecdf.quantile(1.0 - 0.5 * alpha))
-
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
-    result = MeasurementResult(y, u, kk, kk * u, interval, "monte_carlo",
-                               diagnostics)
+    result = MeasurementResult(y, u, k, k * u, ecdf.interval(coverage),
+                               "monte_carlo", diagnostics)
     return result, ecdf
-
-
-def summarize(result: MeasurementResult, k: float) -> MeasurementResult:
-    """Restate a result at a different coverage factor: U = k*u.
-
-    Analytic and Taylor intervals are rebuilt as y +/- U; a Monte Carlo
-    result keeps its empirical interval, since rescaling cannot move
-    empirical quantiles.
-    """
-    if k <= 0.0:
-        raise ConfigError(f"coverage factor k must be > 0, got {k}")
-    U = k * result.u
-    if result.method == "monte_carlo":
-        return replace(result, k=k, U=U)
-    return replace(result, k=k, U=U, interval=(result.y - U, result.y + U))
 
 
 def sensitivity_budget(
@@ -330,7 +318,8 @@ def sensitivity_budget(
     Built from the gradient an analytic or Taylor ``result`` computed
     for ``joint``; nothing is differentiated again. Each entry carries
     the sensitivity coefficient df/dx_i and the first-order variance
-    contribution (df/dx_i)^2 u^2(x_i).
+    contribution (df/dx_i)^2 u^2(x_i); under correlation the rows do
+    not sum to u^2, which also holds the covariance terms.
     """
     if result.grad is None:
         raise ValueError(f"a {result.method} result carries no gradient")

@@ -127,6 +127,9 @@ class BayesianVMModel:
             raise ConfigError(
                 f"x_mean and x_sd need one entry per feature ({f}), got "
                 f"shapes {self.x_mean.shape} and {self.x_sd.shape}")
+        if not (np.all(np.isfinite(self.x_mean))
+                and np.all(np.isfinite(self.x_sd))):
+            raise ConfigError("x_mean and x_sd entries must be finite")
         if not np.all(self.x_sd > 0.0):
             raise ConfigError(f"x_sd entries must be > 0, got {self.x_sd}")
 

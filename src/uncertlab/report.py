@@ -10,12 +10,15 @@ statistics and the SHA-256 of the file, not the data itself.
 
 Reports, model files and configs are RFC 8259 JSON, which has no NaN
 or Infinity: a non-finite number is refused on the way in and on the
-way out.
+way out; that covers literals outside the double range, such as
+``1e400``, which Python's json would read as inf.
 """
 
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
+from functools import partial
 from typing import Iterable, Optional
 
 from . import __version__
@@ -44,15 +47,26 @@ def _reject_non_finite(literal: str) -> float:
     raise ValueError(f"non-finite number {literal} is not allowed")
 
 
+def _in_double_range(literal: str, kind: type = float):
+    """``parse_float``/``parse_int`` hook: refuse what no double holds."""
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"number {literal:.24} is outside the double range")
+    return value if kind is float else kind(literal)
+
+
 def load_json(path: str) -> dict:
     """The JSON object in ``path``, a config or a model file.
 
-    An unreadable file, invalid JSON, a non-finite literal or a top
-    level that is not an object is a ConfigError naming the file.
+    An unreadable file, invalid JSON, a non-finite literal, a number
+    outside the double range or a top level that is not an object is a
+    ConfigError naming the file.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=_reject_non_finite)
+            doc = json.load(fh, parse_constant=_reject_non_finite,
+                            parse_float=_in_double_range,
+                            parse_int=partial(_in_double_range, kind=int))
     except OSError as err:
         raise ConfigError(f"cannot read {path!r}: {err}") from err
     except ValueError as err:  # json.JSONDecodeError is one

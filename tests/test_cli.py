@@ -2,10 +2,12 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+import uncertlab.cli as cli
 import uncertlab.propagation as propagation
 from uncertlab.cli import main
 from uncertlab.vi import VariationalPosterior
@@ -224,8 +226,71 @@ class TestPropagate:
         assert code == 1
         assert "methd" in json.loads(err)["error"]["message"]
 
+    def test_correlated_taylor1(self, capsys, tmp_path, propagate_config):
+        doc = json.load(open(propagate_config))
+        doc["method"] = "taylor1"
+        doc["inputs"]["correlation"] = [1.0, 0.5, 0.5, 1.0]
+        cfg = write_json(tmp_path / "corr.json", doc)
+        code, out, _ = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 0
+        m = json.loads(out)["results"]["measurement"]
+        # 9 * 0.01 + 4 * 0.01 + 2 * 0.5 * 6 * 0.01
+        assert m["u"] ** 2 == pytest.approx(0.19, rel=1e-14)
+
+    @pytest.mark.parametrize("key, literal", [
+        ("k", "1e400"),
+        ("sd", "1" + "0" * 400),   # no float holds it
+    ], ids=["k", "sd"])
+    def test_number_outside_double_range(self, capsys, tmp_path,
+                                         propagate_config, key, literal):
+        doc = json.load(open(propagate_config))
+        if key == "k":
+            doc["k"] = "@"
+        else:
+            doc["inputs"]["quantities"][0]["dist"]["sd"] = "@"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        code, out, err = run_cli(capsys, "propagate", "--config", str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError" and str(path) in e["message"]
+        assert "outside the double range" in e["message"]
+
+    def test_allocation_failure_is_structured_error(self, capsys,
+                                                    monkeypatch,
+                                                    propagate_config):
+        class ArrayMemoryError(MemoryError):
+            """Stands in for numpy's private subclass."""
+
+        def runner(args):
+            raise ArrayMemoryError("Unable to allocate 728. TiB")
+
+        monkeypatch.setitem(cli._RUNNERS, "propagate", runner)
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 propagate_config)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e == {"mode": "propagate", "type": "MemoryError",
+                     "message": "Unable to allocate 728. TiB"}
+
 
 class TestTrainPredict:
+    def test_model_file_number_outside_double_range(self, capsys, tmp_path):
+        # before, x_sd = [inf, ...] loaded and every part was predicted at
+        # the training mean of that feature
+        legacy = os.path.join(os.path.dirname(__file__), "data",
+                              "legacy_model.json")
+        doc = json.load(open(legacy))
+        doc["model"]["x_sd"][0] = "@"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc).replace('"@"', "1e400"))
+        cfg = write_json(tmp_path / "pred.json", {
+            "model_path": str(model), "parts": {"inline": [[0.5, 0.1]]}})
+        code, out, err = run_cli(capsys, "predict", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError" and str(model) in e["message"]
+
     def make_train_config(self, tmp_path, training_csv, **vi):
         vi_doc = {"seed": 3, "max_steps": 2000, "schedule": "cosine",
                   "learning_rate": 0.02, "tolerance": 0.0}

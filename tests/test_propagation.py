@@ -8,14 +8,13 @@ import pytest
 
 from uncertlab import propagation
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
-                                     Rectangular, sample)
+                                     Rectangular, normal_quantile, sample)
 from uncertlab.errors import ConfigError, DomainError, MonteCarloError
 from uncertlab.expr import evaluate_batch, parse_model
 from uncertlab.propagation import (MC_CHUNK_SIZE, EmpiricalCDF,
                                    implied_coverage, propagate_analytic,
                                    propagate_monte_carlo, propagate_taylor1,
-                                   propagate_taylor2, sensitivity_budget,
-                                   summarize)
+                                   propagate_taylor2, sensitivity_budget)
 
 
 def gaussian_joint(means, sds, corr=None):
@@ -121,9 +120,49 @@ class TestTaylor:
         corr = np.array([[1.0, 0.3], [0.3, 1.0]])
         joint = gaussian_joint([2.0, 3.0], [0.1, 0.1], corr)
         with pytest.raises(ConfigError, match="independent"):
-            propagate_taylor1(m, joint)
-        with pytest.raises(ConfigError, match="independent"):
             propagate_taylor2(m, joint)
+
+    def test_first_order_law_with_correlation(self):
+        # JCGM 100 eq. (13) for X1 * X2:
+        # mu2^2 s1^2 + mu1^2 s2^2 + 2 rho mu1 mu2 s1 s2
+        mu1, mu2, s1, s2, rho = 2.0, 3.0, 0.1, 0.2, 0.5
+        corr = np.array([[1.0, rho], [rho, 1.0]])
+        joint = gaussian_joint([mu1, mu2], [s1, s2], corr)
+        r = propagate_taylor1(parse_model("X1 * X2"), joint)
+        expected = (mu2**2 * s1**2 + mu1**2 * s2**2
+                    + 2 * rho * mu1 * mu2 * s1 * s2)
+        assert r.u ** 2 == pytest.approx(expected, rel=1e-14)
+        assert r.U == 2.0 * r.u
+        assert r.interval == (r.y - r.U, r.y + r.U)
+
+    def test_taylor1_is_analytic_on_correlated_affine_models(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            coeffs = rng.uniform(-3, 3, size=n)
+            text = " + ".join(f"{c:.8f} * X{i + 1}"
+                              for i, c in enumerate(coeffs))
+            m = parse_model(f"{text} + {rng.uniform(-2, 2):.8f}")
+            a = rng.standard_normal((n, n + 2))
+            cov = a @ a.T
+            sd = np.sqrt(np.diag(cov))
+            joint = gaussian_joint(rng.uniform(-2, 2, size=n),
+                                   rng.uniform(0.05, 0.5, size=n),
+                                   cov / np.outer(sd, sd))
+            k = float(rng.uniform(1.0, 3.0))
+            ra = propagate_analytic(m, joint, k=k)
+            r1 = propagate_taylor1(m, joint, k=k)
+            assert (r1.y, r1.u, r1.k, r1.U, r1.interval) == (
+                ra.y, ra.u, ra.k, ra.U, ra.interval)
+            assert np.array_equal(r1.grad, ra.grad)
+
+    @pytest.mark.parametrize("method", [propagate_analytic, propagate_taylor1,
+                                        propagate_taylor2])
+    def test_nonpositive_k_refused(self, method):
+        joint = gaussian_joint([1.0], [0.1])
+        for k in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError, match="k must be > 0"):
+                method(parse_model("2 * X1"), joint, k=k)
 
     def test_affine_all_three_methods_agree(self):
         rng = np.random.default_rng(11)
@@ -188,9 +227,51 @@ class TestMonteCarlo:
         joint = gaussian_joint([0.0], [1.0])
         r, ecdf = propagate_monte_carlo(m, joint, M=10_000, seed=2)
         assert r.k == 2.0 and r.U == 2.0 * r.u
-        coverage = implied_coverage(2.0)
-        assert r.interval == (ecdf.quantile(0.5 * (1.0 - coverage)),
-                              ecdf.quantile(0.5 * (1.0 + coverage)))
+        assert r.interval == ecdf.interval(implied_coverage(2.0))
+
+    def test_coverage_alone_gives_its_gaussian_factor(self):
+        m = parse_model("X1")
+        joint = gaussian_joint([0.0], [1.0])
+        r, ecdf = propagate_monte_carlo(m, joint, M=1000, seed=2,
+                                        coverage=0.95)
+        assert r.k == normal_quantile(0.975) and r.U == r.k * r.u
+        assert r.interval == ecdf.interval(0.95)
+
+    def test_given_k_is_reported_exactly(self):
+        m = parse_model("X1")
+        joint = gaussian_joint([0.0], [1.0])
+        r, ecdf = propagate_monte_carlo(m, joint, M=1000, seed=2, k=3.0,
+                                        coverage=0.95)
+        assert r.k == 3.0 and r.U == 3.0 * r.u
+        assert r.interval == ecdf.interval(0.95)
+        r, ecdf = propagate_monte_carlo(m, joint, M=1000, seed=2, k=3.0)
+        assert r.k == 3.0 and r.interval == ecdf.interval(
+            implied_coverage(3.0))
+
+    @pytest.mark.parametrize("coverage", [None, 0.95])
+    def test_nonpositive_k_refused(self, coverage):
+        m = parse_model("X1")
+        joint = gaussian_joint([0.0], [1.0])
+        for k in (0.0, -2.0):
+            with pytest.raises(ConfigError, match="k must be > 0"):
+                propagate_monte_carlo(m, joint, M=1000, seed=0, k=k,
+                                      coverage=coverage)
+        with pytest.raises(ConfigError, match="coverage must lie"):
+            propagate_monte_carlo(m, joint, M=1000, seed=0, k=2.0,
+                                  coverage=1.5)
+
+    def test_interval_ranks_follow_jcgm_101(self):
+        # in floating point 1 - 0.95 is 0.050000000000000044, so ceil
+        # ranks read 5,001 instead of 5,000
+        m = parse_model("X1")
+        joint = gaussian_joint([0.0], [1.0])
+        r, ecdf = propagate_monte_carlo(m, joint, M=200_000, seed=4,
+                                        coverage=0.95)
+        y = ecdf.sorted_values
+        assert r.interval == (y[5000 - 1], y[195_000 - 1])
+        # the default k = 2: pM = 190,899.95, so q = 190,900 and r = 4,550
+        r, ecdf = propagate_monte_carlo(m, joint, M=200_000, seed=4)
+        assert r.interval == (y[4550 - 1], y[195_450 - 1])
 
     def test_domain_failures_counted_then_fatal(self):
         # ln(X1) with mass at negative values: some rows fail
@@ -279,10 +360,7 @@ class TestParallelChunks:
         assert np.array_equal(ecdf.sorted_values, ref)
         assert r.y == float(np.mean(ref))
         assert r.u == float(np.std(ref, ddof=1))
-        coverage = implied_coverage(2.0)
-        ref_cdf = EmpiricalCDF(ref)
-        assert r.interval == (ref_cdf.quantile(0.5 * (1.0 - coverage)),
-                              ref_cdf.quantile(0.5 * (1.0 + coverage)))
+        assert r.interval == EmpiricalCDF(ref).interval(implied_coverage(2.0))
         assert r.mc_diagnostics.domain_error_count == sum(failures)
         return failures
 
@@ -346,13 +424,17 @@ class TestAvailableCores:
 
 
 class TestEmpiricalCDF:
-    def test_quantile_uses_ceil_ranks(self):
-        vals = np.arange(1.0, 101.0)  # 1..100 already sorted
-        e = EmpiricalCDF(vals)
-        # rank ceil(0.025*100)=3 and ceil(0.975*100)=98, 1-based
-        lo = e.quantile(0.025)
-        hi = e.quantile(0.975)
-        assert lo == 3.0 and hi == 98.0
+    @pytest.mark.parametrize("p, m, ranks", [
+        (0.95, 100, (3, 98)),           # q = 95, r = 3
+        (0.95, 1000, (25, 975)),        # not 26, as ceil ranks read
+        (0.95, 200_000, (5000, 195_000)),
+        (0.99, 2_000_000, (10_000, 1_990_000)),
+        (0.9, 101, (5, 96)),            # pM = 90.9: q = 91, r = 5
+        (0.91, 100, (5, 96)),           # M - q = 9 is odd: r = 5
+    ])
+    def test_interval_uses_jcgm_101_ranks(self, p, m, ranks):
+        e = EmpiricalCDF(np.arange(1.0, m + 1.0))  # value = 1-based rank
+        assert e.interval(p) == ranks
 
     def test_cdf_step_function(self):
         e = EmpiricalCDF(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -360,28 +442,19 @@ class TestEmpiricalCDF:
         assert e.cdf(2.0) == 0.5
         assert e.cdf(10.0) == 1.0
 
-    def test_quantile_bounds_clip(self):
-        e = EmpiricalCDF(np.array([5.0, 6.0]))
-        assert e.quantile(1e-9) == 5.0
-        assert e.quantile(1.0) == 6.0
+    def test_interval_ranks_clamp(self):
+        # k = 3 at M = 100: q = 100 and r = 0, so [y_(1), y_(100)]
+        e = EmpiricalCDF(np.arange(1.0, 101.0))
+        assert e.interval(implied_coverage(3.0)) == (1.0, 100.0)
+        assert EmpiricalCDF(np.array([5.0, 6.0])).interval(1e-9) == (5.0, 5.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
+    def test_interval_probability_domain(self, p):
+        with pytest.raises(ConfigError, match="coverage"):
+            EmpiricalCDF(np.arange(1.0, 11.0)).interval(p)
 
 
 class TestSummaries:
-    def test_summarize_rescales_expanded(self):
-        m = parse_model("X1 + X2")
-        joint = gaussian_joint([0.0, 0.0], [1.0, 1.0])
-        r = propagate_taylor1(m, joint, k=2.0)
-        r3 = summarize(r, 3.0)
-        assert r3.k == 3.0
-        assert r3.U == pytest.approx(3 * r.u, rel=1e-15)
-        assert r3.interval == (pytest.approx(-3 * r.u), pytest.approx(3 * r.u))
-
-    def test_summarize_rejects_nonpositive_k(self):
-        m = parse_model("X1")
-        r = propagate_taylor1(m, gaussian_joint([0.0], [1.0]))
-        with pytest.raises(ConfigError):
-            summarize(r, 0.0)
-
     def test_implied_coverage_oracle(self):
         assert implied_coverage(2.0) == pytest.approx(0.9544997361036416,
                                                       abs=1e-15)

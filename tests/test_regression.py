@@ -8,6 +8,7 @@ import pytest
 
 import uncertlab.regression as regression
 from uncertlab.dataset import make_dataset
+from uncertlab.errors import ConfigError
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, polynomial_exponents,
                                   polynomial_features, softplus)
@@ -90,6 +91,14 @@ class TestModelAssembly:
         wm, ws = model.split_weights(w)
         assert wm.tolist() == list(range(6))
         assert ws.tolist() == [6.0, 7.0, 8.0]
+
+    @pytest.mark.parametrize("field", ["x_mean", "x_sd"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_standardization_constants_must_be_finite(self, field, bad):
+        consts = {"x_mean": np.zeros(2), "x_sd": np.ones(2)}
+        consts[field][0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            BayesianVMModel(("x1", "x2"), **consts)
 
     def test_fixed_noise_drops_noise_head(self):
         data = toy_data()
