@@ -214,11 +214,12 @@ class JointInputModel:
         return np.array([q.marginal.moments()[1] for q in self.quantities])
 
     def covariance(self) -> np.ndarray:
-        """Input covariance matrix implied by the marginals and correlation."""
-        sd = np.sqrt(self.variances())
-        if self.correlation is None:
-            return np.diag(sd**2)
-        return self.correlation * np.outer(sd, sd)
+        """Input covariance: variances() on the diagonal, R * sd sd' off it."""
+        v = self.variances()
+        r = np.eye(len(v)) if self.correlation is None else self.correlation
+        cov = r * np.outer(np.sqrt(v), np.sqrt(v))
+        np.fill_diagonal(cov, v)
+        return cov
 
     def mean_assignment(self) -> dict[str, float]:
         return {q.name: q.marginal.moments()[0] for q in self.quantities}

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the coverage factor check, package-wide."""
 
 
 class UncertLabError(Exception):
@@ -39,3 +39,9 @@ class DivergenceError(UncertLabError):
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} (step {step})")
         self.step = step
+
+
+def require_coverage_factor(k: float) -> None:
+    """Refuse a coverage factor k that is not finite and > 0."""
+    if not 0.0 < k < float("inf"):
+        raise ConfigError(f"coverage factor k must be > 0 and finite, got {k}")

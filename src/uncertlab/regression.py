@@ -84,7 +84,7 @@ def polynomial_features(x: np.ndarray,
 
 def softplus(t: np.ndarray) -> np.ndarray:
     """log(1 + e^t), computed stably for large |t|."""
-    return np.logaddexp(0.0, t)
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def inv_softplus(s: float) -> float:

@@ -92,9 +92,9 @@ def write_text(path: str, lines: Iterable[str]) -> None:
 
 
 def dump_json(doc: dict) -> str:
-    """Deterministic JSON text of ``doc``; a non-finite number is an error."""
+    """Compact deterministic JSON of ``doc``; non-finite numbers are errors."""
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
     except ValueError as err:
         raise DomainError(
             f"result holds a non-finite number ({err}); the model "

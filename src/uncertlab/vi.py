@@ -48,7 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DatasetError, DivergenceError
+from .errors import (ConfigError, DatasetError, DivergenceError,
+                     require_coverage_factor)
 from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
                          inv_softplus, softplus)
 from .rng import substream
@@ -70,10 +71,12 @@ __all__ = [
 
 FAMILIES = ("mean_field", "full_rank")
 
-# Part-by-draw values evaluated at once by predict_parts: large enough
-# to amortize the per-block overhead, small enough to keep peak memory
-# flat for many parts.
-_PREDICT_BLOCK = 65536
+# Bounds on one slice of a product: OpenBLAS runs at most _BLAS_SERIAL
+# multiply-adds on the calling thread (a larger product it may split
+# across threads, and such a call can stall for milliseconds on a loaded
+# host), and _SLICE_VALUES values (128 KB) keep the noise head in cache.
+_BLAS_SERIAL = 65536 * 4
+_SLICE_VALUES = 16384
 
 # Standard deviation of every weight in the starting posterior.
 _INIT_SCALE = 0.1
@@ -127,14 +130,22 @@ class VariationalPosterior:
         return self.scale @ self.scale.T
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Reparameterized draws w = mu + L z, shape (n, P)."""
+        """Reparameterized draws w = mu + L z, shape (n, P), in row slices."""
         return _draw(self.mu, self.scale,
-                     rng.standard_normal((n, self.n_weights)))
+                     rng.standard_normal((n, self.n_weights)), _by_rows)
 
 
-def _draw(mu: np.ndarray, scale: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _draw(mu: np.ndarray, scale: np.ndarray, z: np.ndarray,
+          matmul=np.matmul) -> np.ndarray:
     """w = mu + L z for each row of z; ``scale`` is L or its diagonal."""
-    return mu + (z * scale if scale.ndim == 1 else z @ scale.T)
+    return mu + (z * scale if scale.ndim == 1 else matmul(z, scale.T))
+
+
+def _by_rows(a: np.ndarray, b: np.ndarray, then=lambda t: t) -> np.ndarray:
+    """then(a @ b), taken over row slices of a within both slice bounds."""
+    step = max(1, min(_BLAS_SERIAL // b.size, _SLICE_VALUES // b.shape[1]))
+    return np.concatenate([then(a[i:i + step] @ b)
+                           for i in range(0, len(a) or 1, step)])
 
 
 @dataclass(frozen=True)
@@ -467,14 +478,13 @@ def predict_parts(
     """Posterior predictive moments at each row of ``x`` (parts, features).
 
     All parts share one draw of ``n_samples`` weights, the same draw
-    :func:`predict` makes for a single part. Parts are evaluated in
-    blocks of at most ``_PREDICT_BLOCK`` part-by-draw values, so memory
-    stays flat however many parts there are.
+    :func:`predict` makes for a single part. The mean head f = phi'w is
+    linear in w, so f's draw mean and ``ddof=1`` variance are phi'w_bar
+    and phi'S phi, w_bar and S the draws' mean and sample covariance.
     """
     if n_samples < 2:
         raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
-    if k <= 0.0:
-        raise ConfigError(f"coverage factor k must be > 0, got {k}")
+    require_coverage_factor(k)
     if q.n_weights != model.n_weights:
         raise ConfigError(
             f"posterior has {q.n_weights} weights, model expects "
@@ -483,33 +493,36 @@ def predict_parts(
 
     w = q.sample(substream(seed, 0), n_samples)
     w_mu, w_sigma = model.split_weights(w)
-    block = max(1, _PREDICT_BLOCK // n_samples)
+    # the mean sums pairwise along a contiguous row per weight; S sums
+    # over slices of centred draws (the copy gets gemm, not syrk)
+    w_bar = w_mu.T.copy().mean(axis=1)
+    c = w_mu - w_bar
+    step = max(1, _BLAS_SERIAL // w_bar.size**2)
+    cov = sum(c[i:i + step].T.copy() @ c[i:i + step]
+              for i in range(0, n_samples, step)) / (n_samples - 1)
+    phi = model.mean_features(x)
+    y_hats = phi @ w_bar
+    # phi'S phi can round below 0 when n_samples <= P_mu
+    epistemics = np.maximum(
+        np.einsum("pi,pi->p", _by_rows(phi, cov), phi), 0.0)
+    if model.fixed_noise_sd is None:
+        aleatorics = _by_rows(model.noise_features(x), w_sigma.T, lambda t:
+                              np.mean((softplus(t) + NOISE_FLOOR)**2, axis=1))
+    else:
+        aleatorics = np.full(len(x), model.fixed_noise_sd**2)
     out = []
-    for start in range(0, len(x), block):
-        rows = x[start:start + block]
-        # (parts, draws): every reduction runs along the contiguous axis
-        f = model.mean_features(rows) @ w_mu.T
-        y_hats = np.mean(f, axis=1)
-        epistemics = np.var(f, axis=1, ddof=1)
-        if model.fixed_noise_sd is None:
-            sigma = (softplus(model.noise_features(rows) @ w_sigma.T)
-                     + NOISE_FLOOR)
-            aleatorics = np.mean(sigma**2, axis=1)
-        for i in range(len(rows)):
-            y_hat = float(y_hats[i])
-            epistemic = float(epistemics[i])
-            aleatoric = (model.fixed_noise_sd**2 if model.fixed_noise_sd
-                         is not None else float(aleatorics[i]))
-            sigma_hat = math.sqrt(aleatoric + epistemic)
-            half = k * sigma_hat
-            out.append(VirtualMeasurementResult(
-                y_hat=y_hat,
-                sigma_hat=sigma_hat,
-                aleatoric_var=aleatoric,
-                epistemic_var=epistemic,
-                k=k,
-                interval=(y_hat - half, y_hat + half),
-                n_posterior_samples=n_samples,
-                seed=seed,
-            ))
+    for y_hat, aleatoric, epistemic in zip(
+            y_hats.tolist(), aleatorics.tolist(), epistemics.tolist()):
+        sigma_hat = math.sqrt(aleatoric + epistemic)
+        half = k * sigma_hat
+        out.append(VirtualMeasurementResult(
+            y_hat=y_hat,
+            sigma_hat=sigma_hat,
+            aleatoric_var=aleatoric,
+            epistemic_var=epistemic,
+            k=k,
+            interval=(y_hat - half, y_hat + half),
+            n_posterior_samples=n_samples,
+            seed=seed,
+        ))
     return out

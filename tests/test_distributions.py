@@ -143,6 +143,30 @@ class TestValidation:
         np.testing.assert_allclose(jm.covariance(),
                                    [[4.0, 3.0], [3.0, 9.0]], rtol=1e-14)
 
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_covariance_diagonal_is_the_variances(self, correlated):
+        # sqrt(v)**2 misses v in the last bit for about half of all v
+        rng = np.random.default_rng(24)
+        n = 40
+        lo = rng.uniform(-1.0, 1.0, size=n)
+        width = rng.uniform(0.03, 3.0, size=n)
+        marginals = [Gaussian(float(m), float(w)) for m, w in zip(lo, width)]
+        if not correlated:
+            marginals[::3] = [Rectangular(float(a), float(a + w))
+                              for a, w in zip(lo[::3], width[::3])]
+            marginals[1::3] = [Triangular(float(a), float(a + w / 3),
+                                          float(a + w))
+                               for a, w in zip(lo[1::3], width[1::3])]
+        corr = np.full((n, n), 0.3) + 0.7 * np.eye(n) if correlated else None
+        jm = JointInputModel([InputQuantity(f"X{i}", m)
+                              for i, m in enumerate(marginals)], corr)
+        cov, v = jm.covariance(), jm.variances()
+        assert np.array_equal(np.diag(cov), v)
+        off = ~np.eye(n, dtype=bool)
+        want = (corr if correlated else np.eye(n)) * np.outer(np.sqrt(v),
+                                                              np.sqrt(v))
+        assert np.array_equal(cov[off], want[off])
+
 
 class TestSampling:
     def test_sample_moments_match_marginals(self):

@@ -160,7 +160,7 @@ class TestTaylor:
                                         propagate_taylor2])
     def test_nonpositive_k_refused(self, method):
         joint = gaussian_joint([1.0], [0.1])
-        for k in (0.0, -1.0, float("nan")):
+        for k in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="k must be > 0"):
                 method(parse_model("2 * X1"), joint, k=k)
 
@@ -252,7 +252,7 @@ class TestMonteCarlo:
     def test_nonpositive_k_refused(self, coverage):
         m = parse_model("X1")
         joint = gaussian_joint([0.0], [1.0])
-        for k in (0.0, -2.0):
+        for k in (0.0, -2.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="k must be > 0"):
                 propagate_monte_carlo(m, joint, M=1000, seed=0, k=k,
                                       coverage=coverage)

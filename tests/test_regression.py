@@ -38,9 +38,20 @@ class TestFeatures:
         assert polynomial_exponents(3, 0) == ((0, 0, 0),)
 
     def test_softplus_matches_reference(self):
-        t = np.array([-40.0, -1.0, 0.0, 1.0, 40.0])
-        want = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-        np.testing.assert_allclose(softplus(t), want, rtol=1e-12)
+        # within 2 ulp of mpmath across [-745, 745]: exact 0, the log(2)
+        # neighbourhood, the subnormal underflow tail below t = -708,
+        # and t where softplus(t) is t itself
+        rng = np.random.default_rng(8)
+        t = np.concatenate([
+            np.linspace(-745.0, 745.0, 6001), [0.0, -0.0, 5e-324, -5e-324],
+            rng.uniform(-745.0, -700.0, 1000), rng.uniform(-40.0, 40.0, 2000),
+            rng.normal(0.0, 1e-8, 200)])
+        got = softplus(t)
+        want = np.array([float(mpmath.log1p(mpmath.exp(mpmath.mpf(v))))
+                         for v in t])
+        # softplus >= 0, so the bit patterns order like the values
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 2, t[np.argmax(ulps)]
 
     def test_inv_softplus_round_trip(self):
         for s in (1e-5, 0.1, 1.0, 5.0, 50.0):
@@ -189,6 +200,6 @@ class TestLikelihood:
         data = toy_data(n=10, seed=1)
         model = build_model(data, noise_degree=0)
         w = np.zeros(model.n_weights)
-        w[model.n_mean_weights] = -200.0  # softplus underflows to 0
+        w[model.n_mean_weights] = -200.0  # softplus is 1.4e-87 here
         (ll,), _ = model.design(data).log_likelihood_and_grad(w)
         assert np.isfinite(ll)

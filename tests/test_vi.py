@@ -305,16 +305,25 @@ class TestPredict:
             predict(model, q, np.array([1.0, 2.0]), n_samples=100)
 
     @pytest.mark.parametrize("fixed_noise", [None, 0.3])
-    def test_parts_match_per_part_loop(self, fixed_noise):
-        # 70 parts at 2000 draws span three 32-part blocks; the reference
-        # is the per-part loop over the same draw (1-D reductions)
+    @pytest.mark.parametrize("mean_degree, n_samples", [
+        (2, 2000),      # 70 parts span two 65-part noise-head slices
+        (2, 2),         # fewest draws a variance allows
+        (3, 3),         # P_mu = 4 > n_samples: S is singular
+    ])
+    def test_parts_match_per_part_loop(self, fixed_noise, mean_degree,
+                                       n_samples):
+        # the reference is the per-part loop over the same draw (1-D
+        # reductions of f itself, not of the draws' moments)
         data = linear_data(n=80, seed=5)
-        model = build_model(data, fixed_noise_sd=fixed_noise)
+        model = build_model(data, fixed_noise_sd=fixed_noise,
+                            mean_degree=mean_degree)
         q = random_posterior(np.random.default_rng(3), model.n_weights,
                              "full_rank")
         rows = np.random.default_rng(4).uniform(-2, 2, size=(70, 1))
-        vms = predict_parts(model, q, rows, 2000, 2.5, 6)
-        w_mu, w_sigma = model.split_weights(q.sample(substream(6, 0), 2000))
+        vms = predict_parts(model, q, rows, n_samples, 2.5, 6)
+        w_mu, w_sigma = model.split_weights(
+            q.sample(substream(6, 0), n_samples))
+        eps = np.finfo(np.float64).eps
         for row, vm in zip(rows, vms):
             f = w_mu @ model.mean_features(row)[0]
             if fixed_noise is None:
@@ -323,10 +332,65 @@ class TestPredict:
             else:
                 aleatoric = fixed_noise ** 2
             assert vm.y_hat == pytest.approx(np.mean(f), rel=1e-12)
+            # with S singular (n_samples <= P_mu) the variance can be 0
+            # up to rounding: allow a few ulps of sum(f^2)/(n-1) there
+            floor = (4 * eps * float(f @ f) / (n_samples - 1)
+                     if n_samples <= model.n_mean_weights else 0.0)
+            assert vm.epistemic_var >= 0.0
             assert vm.epistemic_var == pytest.approx(np.var(f, ddof=1),
-                                                     rel=1e-12)
+                                                     rel=1e-12, abs=floor)
             assert vm.aleatoric_var == pytest.approx(aleatoric, rel=1e-12)
-            assert (vm.k, vm.seed, vm.n_posterior_samples) == (2.5, 6, 2000)
+            assert (vm.k, vm.seed, vm.n_posterior_samples) == (
+                2.5, 6, n_samples)
+
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    def test_row_slices_change_only_rounding(self, monkeypatch, family):
+        # a limit of 7 multiply-adds cuts every product into one-row
+        # slices: the draws, S, phi'S and the noise head
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, mean_degree=3)
+        q = random_posterior(np.random.default_rng(3), model.n_weights,
+                             family)
+        rows = np.random.default_rng(4).uniform(-2, 2, size=(20, 1))
+        whole = predict_parts(model, q, rows, 300, 2.0, 6)
+        monkeypatch.setattr(vi, "_BLAS_SERIAL", 7)
+        sliced = predict_parts(model, q, rows, 300, 2.0, 6)
+        assert len(sliced) == len(whole) == len(rows)
+        for a, b in zip(whole, sliced):
+            assert b.y_hat == pytest.approx(a.y_hat, rel=1e-12)
+            assert b.epistemic_var == pytest.approx(a.epistemic_var,
+                                                    rel=1e-12)
+            assert b.aleatoric_var == pytest.approx(a.aleatoric_var,
+                                                    rel=1e-12)
+
+    def test_epistemic_clamped_where_draws_agree(self):
+        # two draws give S rank 1: at the real roots of phi(x)'(w1 - w2)
+        # the draws agree, the variance is 0 up to rounding, and
+        # phi'S phi rounds below 0 for about half of them
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, fixed_noise_sd=0.3, mean_degree=3)
+        eps = np.finfo(np.float64).eps
+        for s in range(10):
+            q = random_posterior(np.random.default_rng(s), model.n_weights,
+                                 "full_rank")
+            w = q.sample(substream(6, 0), 2)
+            roots = np.roots((w[0] - w[1])[::-1])    # phi = 1, x, x^2, x^3
+            x = model.x_mean + model.x_sd * roots[np.isreal(roots)].real
+            rows = x[:, None]
+            for row, vm in zip(rows, predict_parts(model, q, rows, 2, 2.0, 6)):
+                f = w @ model.mean_features(row)[0]
+                assert vm.epistemic_var >= 0.0
+                assert vm.epistemic_var == pytest.approx(
+                    np.var(f, ddof=1), abs=4 * eps * float(f @ f))
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_k_refused(self, k):
+        data = linear_data(n=50, seed=4)
+        model = build_model(data)
+        q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
+                                 np.ones(model.n_weights))
+        with pytest.raises(ConfigError, match="k must be > 0 and finite"):
+            predict_parts(model, q, np.array([[0.5]]), 100, k, 0)
 
 
 # ---------------------------------------------------------------------------
