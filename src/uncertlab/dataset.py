@@ -12,6 +12,7 @@ resemble the training distribution.
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -119,7 +120,8 @@ def make_dataset(
     return Dataset(x, y, names, target_name, summary, n_rejected_rows)
 
 
-def _parse_cell(path: str, lineno: int, column: str, raw: str) -> float:
+def _parse_cell(path: str, lineno: int, column: str, raw: str) -> None:
+    """Raise the error for a cell that is not a finite number."""
     raw = raw.strip()
     try:
         value = float(raw)
@@ -129,7 +131,6 @@ def _parse_cell(path: str, lineno: int, column: str, raw: str) -> float:
     if not math.isfinite(value):
         raise DatasetError(f"{path}: row {lineno}, column {column!r}: "
                            f"non-finite value {raw!r}")
-    return value
 
 
 def _read_csv(
@@ -165,23 +166,40 @@ def _read_csv(
                 f"{path}: feature column(s) not found: {', '.join(missing)}")
         columns = [(n, header.index(n)) for n in names]
 
-        rows: list[list[float]] = []
+        # itemgetter gives a tuple for two or more indices, else the cell
+        pick = operator.itemgetter(*[i for _, i in columns])
+        cells: list[str] = []
+        add = cells.extend if len(columns) > 1 else cells.append
+        kept: list[tuple[int, list[str]]] = []
         blank = 0
         # line 1 is the header, so data rows are numbered from 2
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 blank += 1
                 continue
+            kept.append((lineno, row))
             if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {lineno} has {len(row)} cells, "
-                    f"expected {len(header)}")
-            rows.append([_parse_cell(path, lineno, n, row[i])
-                         for n, i in columns])
+                break
+            add(pick(row))
 
-    if not rows:
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        valid = (len(cells) == len(kept) * len(columns)
+                 and bool(np.isfinite(values).all()))
+    except ValueError:
+        valid = False
+    if not valid:
+        # replay the checks row by row: the first bad row in file order,
+        # and in it the first bad cell, names the error
+        for lineno, row in kept:
+            if len(row) != len(header):
+                raise DatasetError(f"{path}: row {lineno} has {len(row)} "
+                                   f"cells, expected {len(header)}")
+            for n, i in columns:
+                _parse_cell(path, lineno, n, row[i])
+    if not kept:
         raise DatasetError(f"{path}: no data rows")
-    return names, np.array(rows, dtype=np.float64), blank
+    return names, values.reshape(len(kept), len(columns)), blank
 
 
 def ingest_dataset(

@@ -23,12 +23,16 @@ for every x and w, so the Gaussian log-likelihood below is always
 finite. Records are independent, hence the log-likelihood is a plain
 sum over records; the analytic gradients next to it are what
 variational training consumes, and they are finite-difference-checked
-in the test suite.
+in the test suite. Per record, with u = r / sigma_n the residual in
+noise units, log p = -log(2 pi)/2 - log sigma_n - u^2/2, whose
+derivatives are u / sigma_n in f and (u^2 - 1) / sigma_n in sigma_n;
+softplus' derivative, the logistic s'(t), is 1/(1+e) for t >= 0 and
+e/(1+e) below, from the e = exp(-|t|) softplus evaluates anyway.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -51,6 +55,8 @@ __all__ = [
 # Minimum noise level in y-units; keeps the likelihood away from the
 # degenerate zero-noise spike.
 NOISE_FLOOR = 1e-6
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def polynomial_exponents(n_features: int,
@@ -76,15 +82,29 @@ def polynomial_exponents(n_features: int,
 
 def polynomial_features(x: np.ndarray,
                         exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Design matrix (D, P) of the monomials in ``exponents``."""
+    """Design matrix (D, P) of the monomials in ``exponents``: each column
+    multiplies, in feature order, entries of per-feature power tables."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    exps = np.asarray(exponents, dtype=np.float64)
-    return np.prod(x[:, None, :] ** exps[None, :, :], axis=2)
+    exps = np.asarray(exponents, dtype=np.intp)
+    powers = x[:, :, None] ** np.arange(exps.max() + 1, dtype=np.float64)
+    phi = np.ones((len(x), len(exps)))
+    for j in range(x.shape[1]):
+        phi *= powers[:, j, exps[:, j]]
+    return phi
 
 
-def softplus(t: np.ndarray) -> np.ndarray:
-    """log(1 + e^t), computed stably for large |t|."""
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+def softplus(t: np.ndarray, e: Optional[np.ndarray] = None,
+             log1p_e: Optional[np.ndarray] = None,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """log(1 + e^t), computed stably for large |t|.
+
+    Optional arrays shaped like t receive e = exp(-|t|), log1p(e) and
+    the result.
+    """
+    e = np.exp(np.negative(np.abs(t, out=e), out=e), out=e)
+    out = np.maximum(t, 0.0, out=out)
+    out += np.log1p(e, out=log1p_e)
+    return out
 
 
 def inv_softplus(s: float) -> float:
@@ -198,12 +218,19 @@ class BayesianVMModel:
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Cached design matrices for repeated likelihood evaluations."""
+    """Cached design matrices for repeated likelihood evaluations.
+
+    The likelihood reuses one set of (S, D) work buffers per draw count
+    S, so calls on one instance must not run concurrently; the arrays
+    it returns are never views of the buffers.
+    """
 
     phi_mu: np.ndarray            # (D, P_mu)
     phi_sigma: Optional[np.ndarray]  # (D, P_sigma) or None for fixed noise
     y: np.ndarray                 # (D,)
     model: BayesianVMModel
+    _work: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # S -> six (S, D) buffers
 
     def log_likelihood_batch(self, w: np.ndarray) -> np.ndarray:
         """Log-likelihood of each weight draw; w has shape (S, P)."""
@@ -216,35 +243,48 @@ class DesignMatrices:
         """Batched Gaussian log-likelihood and its weight gradient.
 
         ``w`` is (S, P); returns (S,) log-likelihoods and the (S, P)
-        gradients. The gradient splits into the two heads:
-        d/dw_mu   = phi_mu' (r / sigma^2)
-        d/dw_sigma = phi_sigma' [ (-1/sigma + r^2/sigma^3) * s'(t) ]
-        with r the residuals, t the pre-transform noise activation, and
-        s'(t) the logistic sigmoid (derivative of softplus). A fixed
-        noise sd has no w_sigma, so only the mean head has a gradient.
+        gradients. With residuals r and u = r / sigma, the gradient
+        splits into the two heads:
+        d/dw_mu    = phi_mu' (u / sigma)
+        d/dw_sigma = phi_sigma' [ (u^2 - 1) / sigma * s'(t) ]
+        with t the pre-transform noise activation and s'(t) the
+        logistic sigmoid (derivative of softplus). A fixed noise sd has
+        no w_sigma, so only the mean head has a gradient.
         """
         m = self.model
         w = np.atleast_2d(np.asarray(w, dtype=np.float64))
         w_mu, w_sigma = m.split_weights(w)
-        mean = self.phi_mu @ w_mu.T                      # (D, S)
-        r = self.y[:, None] - mean
-        if m.fixed_noise_sd is not None:
-            sigma = m.fixed_noise_sd
+        n = len(self.y)
+        if len(w) not in self._work:
+            self._work[len(w)] = np.empty((6, len(w), n))
+        r, u, a, t, e, sigma = self._work[len(w)]
+        np.matmul(w_mu, self.phi_mu.T, out=r)
+        np.subtract(self.y, r, out=r)
+        if m.fixed_noise_sd is None:
+            np.matmul(w_sigma, self.phi_sigma.T, out=t)
+            softplus(t, e, a, out=sigma)
+            sigma += NOISE_FLOOR
+            log_sigma = np.log(sigma, out=a).sum(axis=1)
         else:
-            t = self.phi_sigma @ w_sigma.T              # (D, S)
-            sigma = softplus(t) + NOISE_FLOOR
-        sigma2, r2 = sigma**2, r**2
-        ll = (-0.5 * np.log(2.0 * np.pi * sigma2)
-              - r2 / (2.0 * sigma2)).sum(axis=0)
+            sigma = m.fixed_noise_sd
+            log_sigma = n * math.log(sigma)
+        np.divide(r, sigma, out=u)
+        u2 = np.multiply(u, u, out=a)
+        ll = -(log_sigma + 0.5 * u2.sum(axis=1) + n * _HALF_LOG_2PI)
         if not want_grad:
             return ll, None
-        grad = (r / sigma2).T @ self.phi_mu             # (S, P_mu)
-        if m.fixed_noise_sd is None:
-            # imported here so that fixed-noise runs never load scipy
-            from scipy.special import expit
-            dt = (-1.0 / sigma + r2 / sigma**3) * expit(t)
-            grad = np.concatenate([grad, dt.T @ self.phi_sigma], axis=1)
-        return ll, grad
+        grad = np.divide(u, sigma, out=r) @ self.phi_mu
+        if m.fixed_noise_sd is not None:
+            return ll, grad
+        # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
+        q = np.greater_equal(t, 0.0, out=r, casting="unsafe")
+        np.maximum(q, e, out=q)
+        e += 1.0
+        q /= e
+        u2 -= 1.0
+        u2 /= sigma
+        u2 *= q
+        return ll, np.concatenate([grad, u2 @ self.phi_sigma], axis=1)
 
 
 def build_model(data: Dataset, **settings) -> BayesianVMModel:

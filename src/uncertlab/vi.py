@@ -16,7 +16,9 @@ z standard normal, which turns the expectation's gradient into the
 average of analytic per-draw gradients. No autograd framework is
 involved: the chain from likelihood gradients through L and the
 positive-diagonal bijection is written out in :func:`objective`, and
-the test suite holds it against central finite differences.
+the test suite holds it against central finite differences. Each step
+makes one likelihood call for all draws, on the one design training
+builds, which keeps that call's work buffers from step to step.
 
 Optimization is Adam on the unconstrained parameters (mu, log of the
 diagonal of L, and for full-rank the strict lower triangle), with a

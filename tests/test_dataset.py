@@ -60,6 +60,26 @@ class TestIngestDataset:
         with pytest.raises(DatasetError, match="row 3"):
             ingest_dataset(path, target="y")
 
+    @pytest.mark.parametrize("body, message", [
+        # a non-finite cell in row 3 comes before a non-numeric one in row 5
+        ("1,2\n nan ,3\n4,5\nfoo,6\n",
+         "row 3, column 'a': non-finite value 'nan'"),
+        # and before a short row
+        ("1,2\n3,1e999\n4\n", "row 3, column 'y': non-finite value '1e999'"),
+        ("1,2\n3\n4,inf\n", "row 3 has 1 cells, expected 2"),
+        # within a row the columns are checked in order
+        ("1,2\ninf,foo\n", "row 3, column 'a': non-finite value 'inf'"),
+        ("1,2\nfoo,inf\n", "row 3, column 'a': non-numeric value 'foo'"),
+        # blank lines keep their line numbers
+        ("1,2\n\n , \n3,x\n", "row 5, column 'y': non-numeric value 'x'"),
+    ])
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path, body,
+                                                      message):
+        path = write_csv(tmp_path, "a,y\n" + body)
+        with pytest.raises(DatasetError) as err:
+            ingest_dataset(path, target="y")
+        assert str(err.value) == f"{path}: {message}"
+
     def test_blank_rows_skipped_and_counted(self, tmp_path):
         path = write_csv(tmp_path, "a,y\n1,2\n\n3,4\n\n")
         d = ingest_dataset(path, target="y")
@@ -112,6 +132,11 @@ class TestIngestParts:
         path = write_csv(tmp_path, "extra,x2,x1\n9,2,1\n9,4,3\n")
         rows = ingest_parts(path, ("x1", "x2"))
         np.testing.assert_array_equal(rows, [[1, 2], [3, 4]])
+
+    def test_one_feature_among_other_columns(self, tmp_path):
+        path = write_csv(tmp_path, "extra,x1\nfoo,1.5\nbar,-2\n")
+        rows = ingest_parts(path, ("x1",))
+        np.testing.assert_array_equal(rows, [[1.5], [-2.0]])
 
     def test_missing_feature(self, tmp_path):
         path = write_csv(tmp_path, "x1\n1\n")

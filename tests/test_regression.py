@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import uncertlab.regression as regression
 from uncertlab.dataset import make_dataset
@@ -33,6 +34,26 @@ class TestFeatures:
         x = np.array([[2.0, 3.0]])
         phi = polynomial_features(x, polynomial_exponents(2, 2))
         np.testing.assert_allclose(phi[0], [1, 2, 3, 4, 6, 9], rtol=1e-15)
+
+    @pytest.mark.parametrize("n, n_features, degree", [
+        (5000, 3, 2), (500, 20, 2), (7, 1, 0), (10, 4, 0), (300, 5, 3),
+        (50, 2, 6), (1, 1, 1), (64, 20, 3)])
+    def test_power_tables_equal_the_power_tensor(self, n, n_features,
+                                                 degree):
+        def power_tensor(x, exponents):
+            exps = np.asarray(exponents, dtype=np.float64)
+            return np.prod(x[:, None, :] ** exps[None, :, :], axis=2)
+
+        rng = np.random.default_rng(n + n_features + degree)
+        x = rng.standard_normal((n, n_features)) * rng.choice(
+            [1e-3, 1.0, 1e5], (n, n_features))
+        x.flat[::7] = -0.0
+        x.flat[::11] = 0.0
+        exps = polynomial_exponents(n_features, degree)
+        got = polynomial_features(x, exps)
+        # equal bit patterns, so signed zeros must match as well
+        assert np.array_equal(got.view(np.int64),
+                              power_tensor(x, exps).view(np.int64))
 
     def test_degree_zero_is_bias_only(self):
         assert polynomial_exponents(3, 0) == ((0, 0, 0),)
@@ -203,3 +224,64 @@ class TestLikelihood:
         w[model.n_mean_weights] = -200.0  # softplus is 1.4e-87 here
         (ll,), _ = model.design(data).log_likelihood_and_grad(w)
         assert np.isfinite(ll)
+
+
+def replaced_likelihood(design, w):
+    """The records-major (D, S) likelihood the kernel replaced, with
+    scipy's logistic and sigma**3, as an oracle."""
+    m = design.model
+    w_mu, w_sigma = m.split_weights(np.atleast_2d(w))
+    r = design.y[:, None] - design.phi_mu @ w_mu.T
+    if m.fixed_noise_sd is not None:
+        sigma = m.fixed_noise_sd
+    else:
+        t = design.phi_sigma @ w_sigma.T
+        sigma = softplus(t) + NOISE_FLOOR
+    sigma2, r2 = sigma**2, r**2
+    ll = (-0.5 * np.log(2.0 * np.pi * sigma2)
+          - r2 / (2.0 * sigma2)).sum(axis=0)
+    grad = (r / sigma2).T @ design.phi_mu
+    if m.fixed_noise_sd is None:
+        dt = (-1.0 / sigma + r2 / sigma**3) * expit(t)
+        grad = np.concatenate([grad, dt.T @ design.phi_sigma], axis=1)
+    return ll, grad
+
+
+class TestKernel:
+    @staticmethod
+    def design(fixed_noise_sd=None):
+        # t = w_sigma' (1, x) with x = 0 on the middle record
+        x = np.linspace(-1.0, 1.0, 1001)[:, None]
+        y = np.random.default_rng(6).standard_normal(len(x))
+        model = BayesianVMModel(("x1",), np.zeros(1), np.ones(1),
+                                standardize=False,
+                                fixed_noise_sd=fixed_noise_sd)
+        return model.design(make_dataset(x, y, ("x1",)))
+
+    @pytest.mark.parametrize("fixed_noise_sd", [None, 0.3])
+    def test_matches_the_replaced_formulas(self, fixed_noise_sd):
+        design = self.design(fixed_noise_sd)
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((6, design.model.n_weights))
+        if fixed_noise_sd is None:
+            # t spans [-700, 700] and hits 0 in the first two draws
+            w[:, 3:] = [[0.0, 700.0], [0.0, -700.0], [2.0, 30.0],
+                        [-3.0, 5.0], [0.5, -0.1], [-20.0, 1.0]]
+        ll, grad = design.log_likelihood_and_grad(w)
+        want_ll, want_grad = replaced_likelihood(design, w)
+        np.testing.assert_allclose(ll, want_ll, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fixed_noise_sd", [None, 0.3])
+    def test_results_are_not_overwritten_by_later_calls(self,
+                                                        fixed_noise_sd):
+        design = self.design(fixed_noise_sd)
+        rng = np.random.default_rng(13)
+        results = []
+        for s in (1, 8, 1):
+            w = rng.standard_normal((s, design.model.n_weights)) * 0.5
+            out = (*design.log_likelihood_and_grad(w),
+                   design.log_likelihood_batch(w))
+            results.append((out, [a.copy() for a in out]))
+        for out, copies in results:
+            assert all(np.array_equal(a, c) for a, c in zip(out, copies))

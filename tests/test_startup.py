@@ -2,8 +2,8 @@
 
 scipy is imported only inside the functions that call it, and configs
 are checked without jsonschema, so importing the CLI loads neither, and
-the subcommands that never need a normal CDF, quantile or logistic
-function never load scipy. Each check runs in a fresh interpreter,
+the subcommands that never need a normal CDF or quantile (train,
+predict, conformity, verify) never load scipy. Each check runs in a fresh interpreter,
 since this test process has imported both already.
 """
 
@@ -69,6 +69,11 @@ def test_runs_that_need_no_normal_functions_load_no_scipy(
         tmp_path, learned_noise_model):
     data, model = learned_noise_model
     configs = {
+        "train_learned_noise": write_json(tmp_path / "learned.json", {
+            "dataset": {"path": data, "target": "y"},
+            "vi": {"max_steps": 50},
+            "model_out": str(tmp_path / "learned_model.json"),
+        }),
         "train_fixed_noise": write_json(tmp_path / "fixed.json", {
             "dataset": {"path": data, "target": "y"},
             "model": {"fixed_noise_sd": 0.1},

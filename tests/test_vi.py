@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 import uncertlab.vi as vi
 from uncertlab.dataset import make_dataset
@@ -409,18 +408,24 @@ def reference_train(model, data, config):
 
     def log_likelihood_and_grad(w):
         w_mu, w_sigma = model.split_weights(w)
-        r = design.y[:, None] - design.phi_mu @ w_mu.T
+        n = len(design.y)
+        r = design.y - w_mu @ design.phi_mu.T
         if model.fixed_noise_sd is not None:
             sigma = model.fixed_noise_sd
+            log_sigma = n * math.log(sigma)
         else:
-            t = design.phi_sigma @ w_sigma.T
-            sigma = softplus(t) + NOISE_FLOOR
-        ll = np.sum(-0.5 * np.log(2.0 * np.pi * sigma**2)
-                    - r**2 / (2.0 * sigma**2), axis=0)
-        grad = (r / sigma**2).T @ design.phi_mu
+            t = w_sigma @ design.phi_sigma.T
+            e = np.exp(-np.abs(t))
+            sigma = np.maximum(t, 0.0) + np.log1p(e) + NOISE_FLOOR
+            log_sigma = np.sum(np.log(sigma), axis=1)
+        u = r / sigma
+        ll = -(log_sigma + 0.5 * np.sum(u**2, axis=1)
+               + n * (0.5 * math.log(2.0 * math.pi)))
+        grad = (u / sigma) @ design.phi_mu
         if model.fixed_noise_sd is None:
-            dt = (-1.0 / sigma + r**2 / sigma**3) * expit(t)
-            grad = np.concatenate([grad, dt.T @ design.phi_sigma], axis=1)
+            ds = np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+            dt = (u**2 - 1.0) / sigma * ds
+            grad = np.concatenate([grad, dt @ design.phi_sigma], axis=1)
         return ll, grad
 
     def unpack(theta):
