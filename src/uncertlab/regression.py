@@ -28,6 +28,13 @@ noise units, log p = -log(2 pi)/2 - log sigma_n - u^2/2, whose
 derivatives are u / sigma_n in f and (u^2 - 1) / sigma_n in sigma_n;
 softplus' derivative, the logistic s'(t), is 1/(1+e) for t >= 0 and
 e/(1+e) below, from the e = exp(-|t|) softplus evaluates anyway.
+
+With a fixed noise sd the records enter the likelihood only through
+r'r and phi_mu'r, so :class:`DesignMatrices` takes both from the R
+factor of one thin QR of [phi_mu | y - mean(y)] and a likelihood call
+never touches the D records. Centring y first keeps a large offset in
+y out of the cancellation; the normal equations phi_mu'phi_mu and an
+uncentred QR both lose digits there.
 """
 
 import itertools
@@ -220,9 +227,19 @@ class BayesianVMModel:
 class DesignMatrices:
     """Cached design matrices for repeated likelihood evaluations.
 
-    The likelihood reuses one set of (S, D) work buffers per draw count
-    S, so calls on one instance must not run concurrently; the arrays
-    it returns are never views of the buffers.
+    With a fixed noise sd the likelihood needs only r'r and phi_mu'r of
+    the residuals r = y - phi_mu w_mu, and both come from one thin QR
+    taken on first use: with y_bar = mean(y) and A the R factor of
+    [phi_mu | y - y_bar], e = A[:, -1] - A[:, :-1] w~ has e'e = r'r and
+    A[:, :-1]'e = phi_mu'r, where w~ is w_mu with its bias weight
+    (column 0 of phi_mu is the constant 1) lowered by y_bar. A call then
+    costs O(S P_mu^2) whatever D is, and centring keeps a large offset
+    in y out of the cancellation e makes.
+
+    A learned noise level needs every record: that likelihood reuses
+    one set of (S, D) work buffers per draw count S, so calls on one
+    instance must not run concurrently; the arrays it returns are never
+    views of the buffers.
     """
 
     phi_mu: np.ndarray            # (D, P_mu)
@@ -231,6 +248,21 @@ class DesignMatrices:
     model: BayesianVMModel
     _work: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)  # S -> six (S, D) buffers
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(A[:, :-1] / sigma, A[:, -1] / sigma, shift, c) for fixed noise:
+        A is the (min(D, P_mu + 1), P_mu + 1) R factor of
+        [phi_mu | y - y_bar], shift is (y_bar, 0, ..., 0), so that
+        w~ = w_mu - shift, and c = -D (log sigma + log(2 pi) / 2)."""
+        sigma = self.model.fixed_noise_sd
+        y_bar = np.mean(self.y)
+        shift = np.zeros(self.phi_mu.shape[1])
+        shift[0] = y_bar
+        a = np.linalg.qr(np.column_stack([self.phi_mu, self.y - y_bar]),
+                         mode="r") / sigma
+        const = -len(self.y) * (math.log(sigma) + _HALF_LOG_2PI)
+        return a[:, :-1], a[:, -1], shift, const
 
     def log_likelihood_batch(self, w: np.ndarray) -> np.ndarray:
         """Log-likelihood of each weight draw; w has shape (S, P)."""
@@ -249,33 +281,35 @@ class DesignMatrices:
         d/dw_sigma = phi_sigma' [ (u^2 - 1) / sigma * s'(t) ]
         with t the pre-transform noise activation and s'(t) the
         logistic sigmoid (derivative of softplus). A fixed noise sd has
-        no w_sigma, so only the mean head has a gradient.
+        no w_sigma, so only the mean head has a gradient, and the
+        records enter only through the R factor (class docstring):
+        u = e / sigma and phi_mu' (u / sigma) = (A[:, :-1] / sigma)' u.
         """
-        m = self.model
-        w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-        w_mu, w_sigma = m.split_weights(w)
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim < 2:
+            w = w.reshape(1, -1)
+        w_mu, w_sigma = self.model.split_weights(w)
+        if w_sigma is None:
+            phi, b, shift, const = self._factor
+            u = b - (w_mu - shift) @ phi.T
+            ll = const - 0.5 * (u * u).sum(axis=1)
+            return ll, (u @ phi if want_grad else None)
         n = len(self.y)
         if len(w) not in self._work:
             self._work[len(w)] = np.empty((6, len(w), n))
         r, u, a, t, e, sigma = self._work[len(w)]
         np.matmul(w_mu, self.phi_mu.T, out=r)
         np.subtract(self.y, r, out=r)
-        if m.fixed_noise_sd is None:
-            np.matmul(w_sigma, self.phi_sigma.T, out=t)
-            softplus(t, e, a, out=sigma)
-            sigma += NOISE_FLOOR
-            log_sigma = np.log(sigma, out=a).sum(axis=1)
-        else:
-            sigma = m.fixed_noise_sd
-            log_sigma = n * math.log(sigma)
+        np.matmul(w_sigma, self.phi_sigma.T, out=t)
+        softplus(t, e, a, out=sigma)
+        sigma += NOISE_FLOOR
+        log_sigma = np.log(sigma, out=a).sum(axis=1)
         np.divide(r, sigma, out=u)
         u2 = np.multiply(u, u, out=a)
         ll = -(log_sigma + 0.5 * u2.sum(axis=1) + n * _HALF_LOG_2PI)
         if not want_grad:
             return ll, None
         grad = np.divide(u, sigma, out=r) @ self.phi_mu
-        if m.fixed_noise_sd is not None:
-            return ll, grad
         # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
         q = np.greater_equal(t, 0.0, out=r, casting="unsafe")
         np.maximum(q, e, out=q)

@@ -18,7 +18,11 @@ involved: the chain from likelihood gradients through L and the
 positive-diagonal bijection is written out in :func:`objective`, and
 the test suite holds it against central finite differences. Each step
 makes one likelihood call for all draws, on the one design training
-builds, which keeps that call's work buffers from step to step.
+builds, which keeps that call's work from step to step: the learned
+noise level's (S, D) buffers, or for a fixed noise sd the small R
+factor that stands in for the D records, so such a step costs the
+same at any D. The draws z for a block of steps come from one call to
+the generator, in the order one call per step would give.
 
 Optimization is Adam on the unconstrained parameters (mu, log of the
 diagonal of L, and for full-rank the strict lower triangle), with a
@@ -77,6 +81,8 @@ FAMILIES = ("mean_field", "full_rank")
 # multiply-adds on the calling thread (a larger product it may split
 # across threads, and such a call can stall for milliseconds on a loaded
 # host), and _SLICE_VALUES values (128 KB) keep the noise head in cache.
+# Training draws the normals of as many steps at once as fit in
+# _SLICE_VALUES values, and of one step at least.
 _BLAS_SERIAL = 65536 * 4
 _SLICE_VALUES = 16384
 
@@ -179,17 +185,19 @@ def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
 
     (1/2) [ tr(Sigma)/tau^2 + |mu|^2/tau^2 - P + P ln tau^2 - ln det Sigma ].
     """
-    return _kl(q.mu, q.scale, prior_tau)
+    diag = q.scale if q.family == "mean_field" else q.scale.diagonal()
+    return _kl(q.mu, q.scale, diag, prior_tau)
 
 
-def _kl(mu: np.ndarray, scale: np.ndarray, prior_tau: float) -> float:
+def _kl(mu: np.ndarray, scale: np.ndarray, diag: np.ndarray,
+        prior_tau: float) -> float:
+    """KL[N(mu, L L') || N(0, tau^2 I)]; ``diag`` is L's diagonal."""
     if prior_tau <= 0.0:
         raise ConfigError(f"prior tau must be > 0, got {prior_tau}")
     p = len(mu)
     tau2 = prior_tau**2
     # tr(L L') is the sum of squares of L, whichever shape it is stored in
     trace = float((scale**2).sum())
-    diag = scale if scale.ndim == 1 else scale.diagonal()
     logdet = 2.0 * float(np.log(diag).sum())
     mu2 = float(mu @ mu)
     return 0.5 * (trace / tau2 + mu2 / tau2 - p + p * math.log(tau2) - logdet)
@@ -216,16 +224,19 @@ def free_energy(
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _tri_index(p: int) -> tuple[tuple[np.ndarray, np.ndarray],
-                                tuple[np.ndarray, np.ndarray]]:
-    """Read-only (strict lower triangle, diagonal) indices of a p x p matrix.
+def _tri_index(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices into a C-ordered p x p matrix: its strict
+    lower triangle, and its diagonal followed by that triangle.
 
-    Built once per ``p``: training indexes L on every step.
+    Built once per ``p``: training reads and writes L through them on
+    every step, with one ``take`` or ``put`` each.
     """
-    lower, diag = np.tril_indices(p, k=-1), np.diag_indices(p)
-    for index in (*lower, *diag):
+    rows, cols = np.tril_indices(p, k=-1)
+    lower = rows * p + cols
+    both = np.concatenate([np.arange(p) * (p + 1), lower])
+    for index in (lower, both):
         index.flags.writeable = False
-    return lower, diag
+    return lower, both
 
 
 def pack_posterior(q: VariationalPosterior) -> np.ndarray:
@@ -235,7 +246,7 @@ def pack_posterior(q: VariationalPosterior) -> np.ndarray:
     """
     if q.family == "mean_field":
         return np.concatenate([q.mu, np.log(q.scale)])
-    lower = q.scale[_tri_index(q.n_weights)[0]]
+    lower = q.scale.take(_tri_index(q.n_weights)[0])
     return np.concatenate([q.mu, np.log(np.diag(q.scale)), lower])
 
 
@@ -254,10 +265,10 @@ def _unpack(family: str, p: int,
     mu, d = theta[:p], np.exp(theta[p:2 * p])
     if family == "mean_field":
         return mu, d, d
-    lower, diag = _tri_index(p)
+    lower, both = _tri_index(p)
     scale = np.zeros((p, p))
-    scale[lower] = theta[2 * p:]
-    scale[diag] = d
+    scale.put(lower, theta[2 * p:])
+    scale.put(both[:p], d)
     return mu, d, scale
 
 
@@ -284,16 +295,18 @@ def objective(
     # means as sum / count: the same reduction np.mean makes, without
     # its dispatch cost on every step
     n = z.shape[0]
-    value = _kl(mu, scale, prior_tau) - float(ll.sum() / n)
+    value = _kl(mu, scale, d, prior_tau) - float(ll.sum() / n)
     tau2 = prior_tau**2
     d_mu = mu / tau2 - g.sum(axis=0) / n
     if family == "mean_field":
         d_scale = d / tau2 - 1.0 / d - (g * z).sum(axis=0) / n
         return value, np.concatenate([d_mu, d_scale * d])
-    lower, diag = _tri_index(p)
-    d_l = scale / tau2 - (g.T @ z) / n
-    d_l[diag] -= 1.0 / d
-    return value, np.concatenate([d_mu, d_l.diagonal() * d, d_l[lower]])
+    # d_L gathered as [diagonal | strict lower triangle]
+    d_l = (scale / tau2 - (g.T @ z) / n).take(_tri_index(p)[1])
+    d_diag = d_l[:p]
+    d_diag -= 1.0 / d
+    d_diag *= d
+    return value, np.concatenate([d_mu, d_l])
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +380,9 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     theta = _initial_theta(model, data, config)
     gen = substream(config.seed, 0)
 
+    # z for a block of steps comes from one call: the same normals, in
+    # the same order, as one call per step
+    block = max(1, _SLICE_VALUES // (config.n_mc * p))
     # Adam's moments and two scratch vectors, all updated in place
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -378,9 +394,11 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     n_steps = 0
 
     for step in range(config.max_steps):
-        z = gen.standard_normal((config.n_mc, p))
-        value, grad = objective(design, config.family, theta, z,
-                                model.prior_tau)
+        if step % block == 0:
+            zs = gen.standard_normal(
+                (min(block, config.max_steps - step), config.n_mc, p))
+        value, grad = objective(design, config.family, theta,
+                                zs[step % block], model.prior_tau)
         if not math.isfinite(value):
             raise DivergenceError(
                 f"free energy became non-finite at step {step}", step)

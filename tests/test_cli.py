@@ -515,6 +515,15 @@ class TestVerify:
         assert checks["posterior_mean_rel_error"] <= 0.02
         assert checks["posterior_cov_frobenius_rel_error"] <= 0.10
 
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_passes_at_more_seeds(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))
+        checks = json.loads(out)["results"]["conjugate_check"]
+        assert code == 0 and checks["passed"], checks
+        assert checks["tolerances"] == {
+            "posterior_mean": 0.02, "posterior_cov": 0.10,
+            "predictive_mean": 0.02, "predictive_var": 0.02}
+
 
 def echoed_config(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 """Polynomial design matrices and the heteroscedastic likelihood."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -285,3 +286,85 @@ class TestKernel:
             results.append((out, [a.copy() for a in out]))
         for out, copies in results:
             assert all(np.array_equal(a, c) for a, c in zip(out, copies))
+
+
+class TestFixedNoiseFactor:
+    """The fixed-noise likelihood taken from one thin QR of the records."""
+
+    SIGMA = 1e-3
+
+    @classmethod
+    def design(cls, x, offset):
+        # y = offset + a quadratic in x1 + N(0, sigma^2) noise
+        rng = np.random.default_rng(len(x))
+        y = (offset + 0.5 * x[:, 0] - 0.3 * x[:, 0] ** 2
+             + cls.SIGMA * rng.standard_normal(len(x)))
+        data = make_dataset(x, y, tuple(f"x{i + 1}"
+                                        for i in range(x.shape[1])))
+        model = build_model(data, mean_degree=2, fixed_noise_sd=cls.SIGMA)
+        return model.design(data)
+
+    @classmethod
+    def oracle(cls, design, w):
+        """ll and gradient from the D residuals, in 40-digit arithmetic."""
+        phi = [[mpmath.mpf(float(v)) for v in row] for row in design.phi_mu]
+        y = [mpmath.mpf(float(v)) for v in design.y]
+        sigma2 = mpmath.mpf(cls.SIGMA) ** 2
+        lls, grads = [], []
+        for wi in w:
+            wm = [mpmath.mpf(float(v)) for v in wi]
+            r = [yd - mpmath.fsum(p * q for p, q in zip(row, wm))
+                 for row, yd in zip(phi, y)]
+            lls.append(float(-len(y) * mpmath.log(2 * mpmath.pi * sigma2) / 2
+                             - mpmath.fsum(rd ** 2 for rd in r) / (2 * sigma2)))
+            grads.append([float(mpmath.fsum(row[j] * rd
+                                            for row, rd in zip(phi, r))
+                                / sigma2) for j in range(len(wm))])
+        return np.array(lls), np.array(grads)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("records", [
+        "plain",                  # 200 records, P_mu = 3
+        "duplicated_column",      # x2 = x1: phi_mu has rank 3 of 6
+        "fewer_than_weights",     # 2 records, P_mu = 3: A is 2 x 4
+    ])
+    def test_matches_mpmath_oracle(self, records, offset):
+        rng = np.random.default_rng(31)
+        if records == "plain":
+            x = rng.uniform(-1.0, 1.0, (200, 1))
+        elif records == "duplicated_column":
+            x = np.repeat(rng.uniform(-1.0, 1.0, (50, 1)), 2, axis=1)
+        else:
+            x = np.array([[0.2], [0.9]])
+        design = self.design(x, offset)
+        # draws near the least-squares fit, so the residuals are about
+        # sigma and ll, gradient and the y offset differ by many digits
+        fit = np.linalg.lstsq(design.phi_mu, design.y - offset,
+                              rcond=None)[0]
+        fit[0] += offset
+        w = fit + (self.SIGMA / np.sqrt(len(x))
+                   * rng.standard_normal((4, len(fit))))
+        ll, grad = design.log_likelihood_and_grad(w)
+        want_ll, want_grad = self.oracle(design, w)
+        # the D residuals computed directly in doubles miss ll by 4e-13
+        # at offset 1e3 and by 8e-10 at 1e6
+        np.testing.assert_allclose(ll, want_ll, rtol=1e-13, atol=0.0)
+        scale = np.abs(want_grad).max()
+        assert np.abs(grad - want_grad).max() <= 1e-12 * scale
+
+    def test_no_per_record_work_after_the_factor(self):
+        # one (S, D) array of 16 draws x 50,000 records is 6.4 MB
+        x = np.linspace(-1.0, 1.0, 50_000)[:, None]
+        design = self.design(x, 0.0)
+        w = np.random.default_rng(2).standard_normal(
+            (16, design.model.n_weights))
+        design.log_likelihood_batch(w[:1])     # takes the QR
+        tracemalloc.start()
+        try:
+            ll, grad = design.log_likelihood_and_grad(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert design._work == {}
+        assert ll.shape == (16,) and grad.shape == w.shape

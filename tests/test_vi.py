@@ -399,8 +399,9 @@ class TestPredict:
 def reference_train(model, data, config):
     """The plain training loop the optimized one must reproduce bit for bit.
 
-    Index tables built on every step, np.mean, out-of-place Adam, and
-    the likelihood with each power written out where it is used.
+    Index tables built on every step, np.mean, out-of-place Adam, a
+    fresh QR factor per fixed-noise likelihood call, and the learned-noise
+    likelihood with each power written out where it is used.
     """
     design = model.design(data)
     p = model.n_weights
@@ -409,24 +410,33 @@ def reference_train(model, data, config):
     def log_likelihood_and_grad(w):
         w_mu, w_sigma = model.split_weights(w)
         n = len(design.y)
-        r = design.y - w_mu @ design.phi_mu.T
         if model.fixed_noise_sd is not None:
+            # r'r = e'e and phi_mu'r = A'e, with A the R factor of
+            # [phi_mu | y - y_bar] and e = A[:, -1] - A[:, :-1] w_centred;
+            # a = A / sigma gives u = e / sigma and phi_mu'r / sigma^2 = a'u
             sigma = model.fixed_noise_sd
-            log_sigma = n * math.log(sigma)
-        else:
-            t = w_sigma @ design.phi_sigma.T
-            e = np.exp(-np.abs(t))
-            sigma = np.maximum(t, 0.0) + np.log1p(e) + NOISE_FLOOR
-            log_sigma = np.sum(np.log(sigma), axis=1)
+            y_bar = np.mean(design.y)
+            a = np.linalg.qr(np.column_stack([design.phi_mu,
+                                              design.y - y_bar]),
+                             mode="r") / sigma
+            w_centred = w_mu.copy()
+            w_centred[:, 0] -= y_bar
+            u = a[:, -1] - w_centred @ a[:, :-1].T
+            ll = (-n * (math.log(sigma) + 0.5 * math.log(2.0 * math.pi))
+                  - 0.5 * np.sum(u**2, axis=1))
+            return ll, u @ a[:, :-1]
+        r = design.y - w_mu @ design.phi_mu.T
+        t = w_sigma @ design.phi_sigma.T
+        e = np.exp(-np.abs(t))
+        sigma = np.maximum(t, 0.0) + np.log1p(e) + NOISE_FLOOR
+        log_sigma = np.sum(np.log(sigma), axis=1)
         u = r / sigma
         ll = -(log_sigma + 0.5 * np.sum(u**2, axis=1)
                + n * (0.5 * math.log(2.0 * math.pi)))
         grad = (u / sigma) @ design.phi_mu
-        if model.fixed_noise_sd is None:
-            ds = np.where(t >= 0.0, 1.0, e) / (1.0 + e)
-            dt = (u**2 - 1.0) / sigma * ds
-            grad = np.concatenate([grad, dt @ design.phi_sigma], axis=1)
-        return ll, grad
+        ds = np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+        dt = (u**2 - 1.0) / sigma * ds
+        return ll, np.concatenate([grad, dt @ design.phi_sigma], axis=1)
 
     def unpack(theta):
         mu, d = theta[:p], np.exp(theta[p:2 * p])
@@ -544,6 +554,27 @@ def test_index_tables_not_rebuilt_per_step(monkeypatch):
 
     few, many = count(50), count(500)
     assert many <= few <= 2
+
+
+def test_fixed_noise_factor_taken_once_per_run(monkeypatch):
+    data = linear_data(n=40, seed=23)
+    model = build_model(data, mean_degree=2, fixed_noise_sd=0.1)
+    calls = []
+    real = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+
+    def count(steps):
+        calls.clear()
+        train_vi(model, data, VIConfig(family="full_rank", max_steps=steps,
+                                       window=steps, tolerance=0.0))
+        return len(calls)
+
+    assert count(50) == count(500) == 1
 
 
 # ---------------------------------------------------------------------------
