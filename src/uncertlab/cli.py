@@ -55,9 +55,8 @@ log = logging.getLogger("uncertlab")
 _VERIFY_NOISE_SD = 0.2
 _VERIFY_WEIGHTS = (1.0, 2.0, -1.0)
 _VERIFY_QUERY = (0.3, -0.2)
-# the problem size and predictive draw count the tolerances are set for
+# the problem size the tolerances are set for
 _VERIFY_RECORDS = 200
-_VERIFY_SAMPLES = 100_000
 # relative-error bound of each verify check
 _VERIFY_TOLERANCES = {"posterior_mean": 0.02, "posterior_cov": 0.10,
                       "predictive_mean": 0.02, "predictive_var": 0.02}
@@ -208,7 +207,7 @@ def _verify_checks(cfg: dict) -> dict:
                     / np.linalg.norm(exact.cov))
     query = np.array(_VERIFY_QUERY)
     pred_mean, pred_var = conjugate_predictive(model, exact, query)
-    vm = predict(model, q, query, n_samples=_VERIFY_SAMPLES, seed=seed)
+    vm = predict(model, q, query, seed=seed)
     mean_rel = abs(vm.y_hat - pred_mean) / max(abs(pred_mean), 1e-12)
     var_rel = abs(vm.sigma_hat**2 - pred_var) / pred_var
 

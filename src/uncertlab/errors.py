@@ -1,4 +1,4 @@
-"""Exception hierarchy and the coverage factor check, package-wide."""
+"""Exception hierarchy and the positive-setting check, package-wide."""
 
 
 class UncertLabError(Exception):
@@ -41,7 +41,7 @@ class DivergenceError(UncertLabError):
         self.step = step
 
 
-def require_coverage_factor(k: float) -> None:
-    """Refuse a coverage factor k that is not finite and > 0."""
-    if not 0.0 < k < float("inf"):
-        raise ConfigError(f"coverage factor k must be > 0 and finite, got {k}")
+def require_positive(name: str, value: float) -> None:
+    """Refuse a setting that is not finite and > 0, NaN included."""
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"{name} must be > 0 and finite, got {value}")

@@ -49,7 +49,7 @@ import numpy as np
 
 from .autodiff import derivatives
 from .distributions import JointInputModel, normal_cdf, normal_quantile, sample
-from .errors import ConfigError, MonteCarloError, require_coverage_factor
+from .errors import ConfigError, MonteCarloError, require_positive
 from .expr import MeasurementModelExpr, evaluate_batch, is_affine
 
 __all__ = [
@@ -149,7 +149,7 @@ def resolve_coverage(k: float,
         if not 0.0 < coverage < 1.0:
             raise ConfigError(f"coverage must lie in (0, 1), got {coverage}")
         return float(normal_quantile(0.5 * (1.0 + coverage))), float(coverage)
-    require_coverage_factor(k)
+    require_positive("coverage factor k", k)
     return float(k), implied_coverage(k)
 
 
@@ -158,7 +158,7 @@ def _series(expr: MeasurementModelExpr, joint: JointInputModel, k: float,
     """y +/- k*u from one derivative bundle at the input means: u^2 =
     c' Sigma c (JCGM 100 eq. 13) with c the gradient and Sigma the input
     covariance; order 3 adds the second-order correction."""
-    require_coverage_factor(k)
+    require_positive("coverage factor k", k)
     bundle = derivatives(expr, joint.mean_assignment(), order=order,
                          variables=joint.names)
     c = bundle.grad
@@ -255,7 +255,7 @@ def propagate_monte_carlo(
     gaussian_k, coverage = resolve_coverage(
         _DEFAULT_K if k is None else k, coverage)
     k = gaussian_k if k is None else k
-    require_coverage_factor(k)
+    require_positive("coverage factor k", k)
 
     n_chunks = -(-M // MC_CHUNK_SIZE)
     values = np.empty(M)

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 
 __all__ = [
     "NOISE_FLOOR",
@@ -144,11 +144,9 @@ class BayesianVMModel:
     fixed_noise_sd: Optional[float] = None
 
     def __post_init__(self):
-        if self.prior_tau <= 0.0:
-            raise ConfigError(f"prior tau must be > 0, got {self.prior_tau}")
-        if self.fixed_noise_sd is not None and self.fixed_noise_sd <= 0.0:
-            raise ConfigError(
-                f"fixed noise sd must be > 0, got {self.fixed_noise_sd}")
+        require_positive("prior tau", self.prior_tau)
+        if self.fixed_noise_sd is not None:
+            require_positive("fixed noise sd", self.fixed_noise_sd)
         f = self.n_features
         if self.x_mean.shape != (f,) or self.x_sd.shape != (f,):
             raise ConfigError(

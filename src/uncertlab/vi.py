@@ -37,13 +37,12 @@ the tolerance and more than the step-to-step scatter of F in the
 window before, and otherwise runs to the step budget (``max_steps``).
 A non-finite F aborts with the step index.
 
-Prediction draws weights once from the trained q, shares the draw
-across all parts, and reports the posterior predictive moments per
-part: the predictive mean is the average of f(x; w) over draws, and
-the predictive variance splits into an aleatoric part,
-E_q[sigma_n^2(x; w)] (irreducible process noise), and an epistemic
-part, V_q[f(x; w)] (finite-data model uncertainty), which add up
-exactly to sigma_hat^2.
+Prediction reads each part's moments off q = N(mu, L L'), drawing no
+weights. The epistemic part V_q[f(x; w)] of the mean head f = phi'w_mu
+is exact, as is its mean. The aleatoric part E_q[sigma_n^2(x; w)] is a
+fixed sigma^2, or a 1-D expectation over the noise activation
+t = psi'w_sigma ~ N(m, s^2), averaged over one seeded draw of standard
+normals that all parts share. The two add up exactly to sigma_hat^2.
 """
 
 import functools
@@ -55,7 +54,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (ConfigError, DatasetError, DivergenceError,
-                     require_coverage_factor)
+                     require_positive)
 from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
                          inv_softplus, softplus)
 from .rng import substream
@@ -77,13 +76,10 @@ __all__ = [
 
 FAMILIES = ("mean_field", "full_rank")
 
-# Bounds on one slice of a product: OpenBLAS runs at most _BLAS_SERIAL
-# multiply-adds on the calling thread (a larger product it may split
-# across threads, and such a call can stall for milliseconds on a loaded
-# host), and _SLICE_VALUES values (128 KB) keep the noise head in cache.
-# Training draws the normals of as many steps at once as fit in
-# _SLICE_VALUES values, and of one step at least.
-_BLAS_SERIAL = 65536 * 4
+# Values in one block of work (128 KB), which stays in cache: training
+# draws the normals of as many steps at once as fit, and of one step at
+# least; prediction takes the noise head's expectation over as many
+# parts at once.
 _SLICE_VALUES = 16384
 
 # Standard deviation of every weight in the starting posterior.
@@ -138,22 +134,14 @@ class VariationalPosterior:
         return self.scale @ self.scale.T
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Reparameterized draws w = mu + L z, shape (n, P), in row slices."""
+        """Reparameterized draws w = mu + L z, shape (n, P)."""
         return _draw(self.mu, self.scale,
-                     rng.standard_normal((n, self.n_weights)), _by_rows)
+                     rng.standard_normal((n, self.n_weights)))
 
 
-def _draw(mu: np.ndarray, scale: np.ndarray, z: np.ndarray,
-          matmul=np.matmul) -> np.ndarray:
+def _draw(mu: np.ndarray, scale: np.ndarray, z: np.ndarray) -> np.ndarray:
     """w = mu + L z for each row of z; ``scale`` is L or its diagonal."""
-    return mu + (z * scale if scale.ndim == 1 else matmul(z, scale.T))
-
-
-def _by_rows(a: np.ndarray, b: np.ndarray, then=lambda t: t) -> np.ndarray:
-    """then(a @ b), taken over row slices of a within both slice bounds."""
-    step = max(1, min(_BLAS_SERIAL // b.size, _SLICE_VALUES // b.shape[1]))
-    return np.concatenate([then(a[i:i + step] @ b)
-                           for i in range(0, len(a) or 1, step)])
+    return mu + (z * scale if scale.ndim == 1 else z @ scale.T)
 
 
 @dataclass(frozen=True)
@@ -174,9 +162,10 @@ class VIConfig:
             raise ConfigError(f"unknown variational family {self.family!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.learning_rate <= 0.0 or self.n_mc < 1 or self.max_steps < 1:
-            raise ConfigError("learning_rate, n_mc, max_steps must be positive")
-        if self.window < 1 or self.tolerance < 0.0:
+        require_positive("learning_rate", self.learning_rate)
+        if self.n_mc < 1 or self.max_steps < 1:
+            raise ConfigError("n_mc and max_steps must be positive")
+        if self.window < 1 or not 0.0 <= self.tolerance < math.inf:
             raise ConfigError("window and tolerance out of range")
 
 
@@ -192,8 +181,7 @@ def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
 def _kl(mu: np.ndarray, scale: np.ndarray, diag: np.ndarray,
         prior_tau: float) -> float:
     """KL[N(mu, L L') || N(0, tau^2 I)]; ``diag`` is L's diagonal."""
-    if prior_tau <= 0.0:
-        raise ConfigError(f"prior tau must be > 0, got {prior_tau}")
+    require_positive("prior tau", prior_tau)
     p = len(mu)
     tau2 = prior_tau**2
     # tr(L L') is the sum of squares of L, whichever shape it is stored in
@@ -465,7 +453,7 @@ class VirtualMeasurementResult:
     epistemic_var: float
     k: float
     interval: tuple[float, float]
-    n_posterior_samples: int
+    n_posterior_samples: int   # z draws of a learned noise head, from seed
     seed: int
 
     @property
@@ -497,37 +485,45 @@ def predict_parts(
 ) -> list[VirtualMeasurementResult]:
     """Posterior predictive moments at each row of ``x`` (parts, features).
 
-    All parts share one draw of ``n_samples`` weights, the same draw
-    :func:`predict` makes for a single part. The mean head f = phi'w is
-    linear in w, so f's draw mean and ``ddof=1`` variance are phi'w_bar
-    and phi'S phi, w_bar and S the draws' mean and sample covariance.
+    With L_mu, L_sigma the mean-head and noise-head rows of L, y_hat =
+    phi'mu_mu and epistemic_var = |L_mu'phi|^2. A fixed noise sd gives
+    aleatoric_var = sigma^2 and draws nothing. Otherwise aleatoric_var
+    is the mean of (softplus(m + s z_j) + NOISE_FLOOR)^2, m = psi'mu_sigma,
+    s = |L_sigma'psi|, over ``n_samples`` normals z_j from ``seed``.
     """
     if n_samples < 2:
         raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
-    require_coverage_factor(k)
+    require_positive("coverage factor k", k)
     if q.n_weights != model.n_weights:
         raise ConfigError(
             f"posterior has {q.n_weights} weights, model expects "
             f"{model.n_weights}")
     x = np.asarray(x, dtype=np.float64)
 
-    w = q.sample(substream(seed, 0), n_samples)
-    w_mu, w_sigma = model.split_weights(w)
-    # the mean sums pairwise along a contiguous row per weight; S sums
-    # over slices of centred draws (the copy gets gemm, not syrk)
-    w_bar = w_mu.T.copy().mean(axis=1)
-    c = w_mu - w_bar
-    step = max(1, _BLAS_SERIAL // w_bar.size**2)
-    cov = sum(c[i:i + step].T.copy() @ c[i:i + step]
-              for i in range(0, n_samples, step)) / (n_samples - 1)
+    p = model.n_mean_weights
+    chol = q.scale if q.family == "full_rank" else np.diag(q.scale)
     phi = model.mean_features(x)
-    y_hats = phi @ w_bar
-    # phi'S phi can round below 0 when n_samples <= P_mu
-    epistemics = np.maximum(
-        np.einsum("pi,pi->p", _by_rows(phi, cov), phi), 0.0)
+    y_hats = phi @ q.mu[:p]
+    # L is lower-triangular: the mean-head rows end at column p
+    epistemics = np.square(phi @ chol[:p, :p]).sum(axis=1)
     if model.fixed_noise_sd is None:
-        aleatorics = _by_rows(model.noise_features(x), w_sigma.T, lambda t:
-                              np.mean((softplus(t) + NOISE_FLOOR)**2, axis=1))
+        psi = model.noise_features(x)
+        m = psi @ q.mu[p:]
+        s = np.sqrt(np.square(psi @ chol[p:]).sum(axis=1))
+        z = substream(seed, 0).standard_normal(n_samples)
+        # elementwise in slices of parts, never an outer product through
+        # BLAS, which may thread it; t and e are reused for every slice
+        step = max(1, _SLICE_VALUES // n_samples)
+        t_buf, e_buf = np.empty((2, min(step, len(x)), n_samples))
+        aleatorics = np.empty(len(x))
+        for i in range(0, len(x), step):
+            j = min(i + step, len(x))
+            t, e = t_buf[:j - i], e_buf[:j - i]
+            np.multiply.outer(s[i:j], z, out=t)
+            t += m[i:j, None]
+            softplus(t, e, e, out=t)
+            t += NOISE_FLOOR
+            aleatorics[i:j] = np.square(t, out=t).mean(axis=1)
     else:
         aleatorics = np.full(len(x), model.fixed_noise_sd**2)
     out = []

@@ -9,6 +9,7 @@ import pytest
 
 import uncertlab.cli as cli
 import uncertlab.propagation as propagation
+import uncertlab.vi as vi
 from uncertlab.cli import main
 from uncertlab.vi import VariationalPosterior
 
@@ -381,18 +382,33 @@ class TestTrainPredict:
         rows = json.loads(out)["results"]["parts"]
         assert [r["x"] for r in rows] == [[0.1], [-0.4]]
 
+    @pytest.mark.parametrize("fixed_noise_sd", [None, 0.1])
     def test_one_posterior_draw_per_predict_run(self, capsys, tmp_path,
-                                                training_csv, monkeypatch):
+                                                training_csv, monkeypatch,
+                                                fixed_noise_sd):
+        # no weight draws: a learned noise level takes one draw of
+        # n_samples standard normals, a fixed one draws nothing
         cfg = self.make_train_config(tmp_path, training_csv, max_steps=300)
+        doc = json.loads((tmp_path / "train.json").read_text())
+        doc["model"]["fixed_noise_sd"] = fixed_noise_sd
+        write_json(tmp_path / "train.json", doc)
         assert run_cli(capsys, "train", "--config", cfg)[0] == 0
-        draws = []
-        original = VariationalPosterior.sample
+        calls = []
 
-        def counting(self, rng, n):
-            draws.append(n)
-            return original(self, rng, n)
+        class Recording:
+            def __init__(self, gen):
+                self.gen = gen
 
-        monkeypatch.setattr(VariationalPosterior, "sample", counting)
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    calls.append((name, args, kwargs))
+                    return getattr(self.gen, name)(*args, **kwargs)
+                return call
+
+        substream = vi.substream
+        monkeypatch.setattr(vi, "substream",
+                            lambda *a: Recording(substream(*a)))
+        monkeypatch.setattr(VariationalPosterior, "sample", None)
         pred_cfg = write_json(tmp_path / "pred.json", {
             "model_path": str(tmp_path / "model.json"),
             "parts": {"inline": [[v] for v in np.linspace(-1, 1, 40)]},
@@ -401,7 +417,8 @@ class TestTrainPredict:
         code, out, _ = run_cli(capsys, "predict", "--config", pred_cfg)
         assert code == 0
         assert len(json.loads(out)["results"]["parts"]) == 40
-        assert draws == [2000]
+        expected = [("standard_normal", (2000,), {})]
+        assert calls == (expected if fixed_noise_sd is None else [])
 
     def test_bad_standardization_in_model_file(self, capsys, tmp_path,
                                                training_csv):

@@ -230,12 +230,14 @@ class TestOldFiles:
     initial posterior scale became constants.
 
     It carries ``model.mean_include_bias``, ``model.noise_floor``,
-    ``model.n_weights`` and ``training.config.init_scale``. The expected
-    predictions were computed by the code that wrote the file.
+    ``model.n_weights`` and ``training.config.init_scale``. The mean
+    head's predictive moments are checked against phi'mu and
+    |L_mu'phi|^2, built here from the file's own numbers.
     """
 
     def test_loads_and_predicts_the_same_numbers(self):
-        model, q, doc = load_model(os.path.join(DATA, "legacy_model.json"))
+        path = os.path.join(DATA, "legacy_model.json")
+        model, q, doc = load_model(path)
         assert doc["training"]["config"]["init_scale"] == 0.1
         assert model.feature_names == ("temp", "speed")
         assert model.fixed_noise_sd is None and model.n_weights == 9
@@ -243,8 +245,21 @@ class TestOldFiles:
             ref = json.load(fh)
         vms = predict_parts(model, q, np.array(ref["parts"]),
                             ref["n_samples"], ref["k"], ref["seed"])
-        assert len(vms) == len(ref["expected"]) == 3
-        for vm, expected in zip(vms, ref["expected"]):
-            assert vm.y_hat == expected["y_hat"]
-            assert vm.sigma_hat == expected["sigma_hat"]
-            assert list(vm.interval) == expected["interval"]
+        with open(path) as fh:
+            raw = json.load(fh)
+        mu = np.array(raw["posterior"]["mu"][:6])
+        sd = np.array(raw["posterior"]["scale"][:6])    # mean-field L
+        assert raw["posterior"]["family"] == "mean_field"
+        assert len(vms) == len(ref["parts"]) == 3
+        for vm, x in zip(vms, ref["parts"]):
+            z1, z2 = ((np.array(x) - raw["model"]["x_mean"])
+                      / raw["model"]["x_sd"])
+            # degree 2 in two features: 1, z1, z2, z1^2, z1 z2, z2^2
+            phi = np.array([1.0, z1, z2, z1 * z1, z1 * z2, z2 * z2])
+            assert vm.y_hat == pytest.approx(phi @ mu, rel=1e-12)
+            assert vm.epistemic_var == pytest.approx(
+                np.sum((phi * sd) ** 2), rel=1e-12)
+            assert vm.sigma_hat ** 2 == pytest.approx(
+                vm.aleatoric_var + vm.epistemic_var, rel=1e-12)
+            half = ref["k"] * vm.sigma_hat
+            assert vm.interval == (vm.y_hat - half, vm.y_hat + half)

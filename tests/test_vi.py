@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import uncertlab.vi as vi
+from uncertlab.conjugate import conjugate_posterior, conjugate_predictive
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DatasetError
-from uncertlab.regression import (NOISE_FLOOR, build_model, inv_softplus,
-                                  softplus)
+from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
+                                  inv_softplus, softplus)
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, free_energy,
                           kl_gaussian, objective, pack_posterior, predict,
@@ -117,6 +118,24 @@ class TestPosteriorParameterization:
         (mu if field == "mu" else scale.reshape(-1))[1] = bad
         with pytest.raises(ConfigError, match="finite"):
             VariationalPosterior(family, mu, scale)
+
+
+def one_feature_model(**settings):
+    return BayesianVMModel(("x1",), np.zeros(1), np.ones(1), **settings)
+
+
+@pytest.mark.parametrize("make, setting", [
+    (VIConfig, "learning_rate"),
+    (VIConfig, "tolerance"),
+    (one_feature_model, "prior_tau"),
+    (one_feature_model, "fixed_noise_sd"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_setting_refused(make, setting, bad):
+    # refused where it is set, not later as a divergence at step 0 or
+    # a NaN report
+    with pytest.raises(ConfigError):
+        make(**{setting: bad})
 
 
 class TestObjectiveGradients:
@@ -305,14 +324,14 @@ class TestPredict:
 
     @pytest.mark.parametrize("fixed_noise", [None, 0.3])
     @pytest.mark.parametrize("mean_degree, n_samples", [
-        (2, 2000),      # 70 parts span two 65-part noise-head slices
-        (2, 2),         # fewest draws a variance allows
-        (3, 3),         # P_mu = 4 > n_samples: S is singular
+        (2, 2000),      # 70 parts: nine noise-head slices, the last partial
+        (2, 2),         # fewest draws the setting allows
+        (3, 3),         # P_mu = 4 > n_samples
     ])
     def test_parts_match_per_part_loop(self, fixed_noise, mean_degree,
                                        n_samples):
-        # the reference is the per-part loop over the same draw (1-D
-        # reductions of f itself, not of the draws' moments)
+        # the reference is the per-part loop over the same z, with the
+        # moments of each head taken from q's covariance
         data = linear_data(n=80, seed=5)
         model = build_model(data, fixed_noise_sd=fixed_noise,
                             mean_degree=mean_degree)
@@ -320,67 +339,117 @@ class TestPredict:
                              "full_rank")
         rows = np.random.default_rng(4).uniform(-2, 2, size=(70, 1))
         vms = predict_parts(model, q, rows, n_samples, 2.5, 6)
-        w_mu, w_sigma = model.split_weights(
-            q.sample(substream(6, 0), n_samples))
-        eps = np.finfo(np.float64).eps
+        p = model.n_mean_weights
+        cov = q.covariance()
+        z = substream(6, 0).standard_normal(n_samples)
         for row, vm in zip(rows, vms):
-            f = w_mu @ model.mean_features(row)[0]
+            phi = model.mean_features(row)[0]
             if fixed_noise is None:
-                t = w_sigma @ model.noise_features(row)[0]
+                psi = model.noise_features(row)[0]
+                t = psi @ q.mu[p:] + math.sqrt(psi @ cov[p:, p:] @ psi) * z
                 aleatoric = np.mean((softplus(t) + NOISE_FLOOR) ** 2)
             else:
                 aleatoric = fixed_noise ** 2
-            assert vm.y_hat == pytest.approx(np.mean(f), rel=1e-12)
-            # with S singular (n_samples <= P_mu) the variance can be 0
-            # up to rounding: allow a few ulps of sum(f^2)/(n-1) there
-            floor = (4 * eps * float(f @ f) / (n_samples - 1)
-                     if n_samples <= model.n_mean_weights else 0.0)
-            assert vm.epistemic_var >= 0.0
-            assert vm.epistemic_var == pytest.approx(np.var(f, ddof=1),
-                                                     rel=1e-12, abs=floor)
+            assert vm.y_hat == pytest.approx(phi @ q.mu[:p], rel=1e-12)
+            assert vm.epistemic_var == pytest.approx(
+                phi @ cov[:p, :p] @ phi, rel=1e-12)
             assert vm.aleatoric_var == pytest.approx(aleatoric, rel=1e-12)
             assert (vm.k, vm.seed, vm.n_posterior_samples) == (
                 2.5, 6, n_samples)
 
+    def test_fixed_noise_is_the_conjugate_predictive(self):
+        # with q the exact posterior (L = chol Sigma) the predictive is
+        # the closed form, and no seed or draw count moves a bit of it
+        data = linear_data(n=60, seed=9, noise=0.3)
+        model = build_model(data, mean_degree=2, fixed_noise_sd=0.3)
+        exact = conjugate_posterior(model, data.x, data.y)
+        q = VariationalPosterior("full_rank", exact.mu,
+                                 np.linalg.cholesky(exact.cov))
+        rows = np.linspace(0.0, 2.0, 24)[:, None]
+        runs = [predict_parts(model, q, rows, n, 2.0, seed)
+                for seed in (0, 7) for n in (2, 5000)]
+        for i, row in enumerate(rows):
+            mean, var = conjugate_predictive(model, exact, row)
+            vm = runs[0][i]
+            assert vm.y_hat == pytest.approx(mean, rel=1e-12)
+            assert vm.sigma_hat ** 2 == pytest.approx(var, rel=1e-12)
+            assert vm.aleatoric_var == 0.09
+            for run in runs[1:]:
+                other = run[i]
+                assert (other.y_hat, other.sigma_hat, other.aleatoric_var,
+                        other.epistemic_var) == (
+                    vm.y_hat, vm.sigma_hat, vm.aleatoric_var,
+                    vm.epistemic_var)
+
     @pytest.mark.parametrize("family", vi.FAMILIES)
-    def test_row_slices_change_only_rounding(self, monkeypatch, family):
-        # a limit of 7 multiply-adds cuts every product into one-row
-        # slices: the draws, S, phi'S and the noise head
+    def test_learned_noise_matches_weight_draws(self, family):
+        # 400,000 weight draws estimate all three moments; predict's
+        # aleatoric_var is itself an average over 400,000 z, so its
+        # standard error adds to the weight draws' own
+        n = 400_000
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, mean_degree=2)
+        q = random_posterior(np.random.default_rng(21), model.n_weights,
+                             family)
+        rows = np.array([[-1.5], [0.0], [0.4], [1.8]])
+        vms = predict_parts(model, q, rows, n, 2.0, 3)
+        w_mu, w_sigma = model.split_weights(
+            q.sample(np.random.default_rng(8), n))
+        for row, vm in zip(rows, vms):
+            f = w_mu @ model.mean_features(row)[0]
+            g = (softplus(w_sigma @ model.noise_features(row)[0])
+                 + NOISE_FLOOR) ** 2
+            c2 = (f - f.mean()) ** 2
+            assert abs(vm.y_hat - f.mean()) < 5 * f.std() / math.sqrt(n)
+            assert (abs(vm.epistemic_var - c2.mean())
+                    < 5 * c2.std() / math.sqrt(n))
+            assert (abs(vm.aleatoric_var - g.mean())
+                    < 5 * math.sqrt(2.0) * g.std() / math.sqrt(n))
+
+    @pytest.mark.parametrize("n_samples", [2000, 100_000])
+    def test_aleatoric_matches_quadrature(self, n_samples):
+        # E_t[(softplus(t) + floor)^2] for t ~ N(m, s^2), and its
+        # variance, by adaptive quadrature over the standard normal
+        integrate = pytest.importorskip("scipy.integrate")
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, mean_degree=1)
+        q = random_posterior(np.random.default_rng(17), model.n_weights,
+                             "full_rank")
+        p = model.n_mean_weights
+        cov = q.covariance()
+        rows = np.array([[-2.0], [-0.3], [0.9], [2.5]])
+        vms = predict_parts(model, q, rows, n_samples, 2.0, 4)
+        for row, vm in zip(rows, vms):
+            psi = model.noise_features(row)[0]
+            m, s = psi @ q.mu[p:], math.sqrt(psi @ cov[p:, p:] @ psi)
+
+            def moment(power):
+                def integrand(z):
+                    t = m + s * z
+                    g = (max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+                         + NOISE_FLOOR) ** 2
+                    return g ** power * math.exp(-0.5 * z * z)
+                value, _ = integrate.quad(integrand, -np.inf, np.inf,
+                                          epsabs=0.0, epsrel=1e-13)
+                return value / math.sqrt(2.0 * math.pi)
+
+            mean = moment(1)
+            se = math.sqrt((moment(2) - mean ** 2) / n_samples)
+            assert abs(vm.aleatoric_var - mean) < 5 * se
+
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    def test_slices_change_nothing(self, monkeypatch, family):
+        # a slice bound of one value gives one-part slices
         data = linear_data(n=80, seed=5)
         model = build_model(data, mean_degree=3)
         q = random_posterior(np.random.default_rng(3), model.n_weights,
                              family)
         rows = np.random.default_rng(4).uniform(-2, 2, size=(20, 1))
         whole = predict_parts(model, q, rows, 300, 2.0, 6)
-        monkeypatch.setattr(vi, "_BLAS_SERIAL", 7)
+        monkeypatch.setattr(vi, "_SLICE_VALUES", 1)
         sliced = predict_parts(model, q, rows, 300, 2.0, 6)
-        assert len(sliced) == len(whole) == len(rows)
-        for a, b in zip(whole, sliced):
-            assert b.y_hat == pytest.approx(a.y_hat, rel=1e-12)
-            assert b.epistemic_var == pytest.approx(a.epistemic_var,
-                                                    rel=1e-12)
-            assert b.aleatoric_var == pytest.approx(a.aleatoric_var,
-                                                    rel=1e-12)
-
-    def test_epistemic_clamped_where_draws_agree(self):
-        # two draws give S rank 1: at the real roots of phi(x)'(w1 - w2)
-        # the draws agree, the variance is 0 up to rounding, and
-        # phi'S phi rounds below 0 for about half of them
-        data = linear_data(n=80, seed=5)
-        model = build_model(data, fixed_noise_sd=0.3, mean_degree=3)
-        eps = np.finfo(np.float64).eps
-        for s in range(10):
-            q = random_posterior(np.random.default_rng(s), model.n_weights,
-                                 "full_rank")
-            w = q.sample(substream(6, 0), 2)
-            roots = np.roots((w[0] - w[1])[::-1])    # phi = 1, x, x^2, x^3
-            x = model.x_mean + model.x_sd * roots[np.isreal(roots)].real
-            rows = x[:, None]
-            for row, vm in zip(rows, predict_parts(model, q, rows, 2, 2.0, 6)):
-                f = w @ model.mean_features(row)[0]
-                assert vm.epistemic_var >= 0.0
-                assert vm.epistemic_var == pytest.approx(
-                    np.var(f, ddof=1), abs=4 * eps * float(f @ f))
+        assert len(whole) == len(rows)
+        assert sliced == whole
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf")])
     def test_non_finite_k_refused(self, k):
