@@ -4,9 +4,10 @@ Each subcommand reads a JSON config (``--config``), runs its pipeline,
 and emits a JSON report, either to ``--out`` or to stdout. ``--seed``
 overrides the config's seed so the same config can be swept across
 seeds without editing files; ``conformity`` draws nothing at random
-and has no seed. All randomness in a run descends from
-that one seed; identical config plus seed reproduces the report's
-``results`` block byte for byte.
+and has no seed. ``predict`` draws nothing either: it accepts a seed,
+without effect, for configs written for earlier versions. All
+randomness in a run descends from that one seed; identical config plus
+seed reproduces the report's ``results`` block byte for byte.
 
 ``verify`` needs no config: it builds a known-noise linear problem
 internally, trains full-rank variational inference on it, and checks
@@ -45,8 +46,8 @@ from .propagation import (propagate_analytic, propagate_monte_carlo,
                           sensitivity_budget)
 from .regression import build_model
 from .report import (build_report, file_sha256, load_json,
-                     measurement_to_dict, train_result_to_dict,
-                     virtual_measurement_to_dict, write_report, write_text)
+                     measurement_to_dict, train_result_to_dict, write_report,
+                     write_text)
 from .rng import substream
 from .vi import VIConfig, predict, predict_parts, train_vi
 
@@ -142,16 +143,19 @@ def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
             raise ConfigError(
                 f"inline parts have {rows.shape[1]} feature(s), model "
                 f"expects {model.n_features}")
-    spec = Specification(**cfg["spec"]) if cfg["spec"] is not None else None
-    vms = predict_parts(model, posterior, rows, cfg["n_samples"], cfg["k"],
-                        cfg["seed"])
-    out = []
-    for row, vm in zip(rows, vms):
-        entry = {"x": [float(v) for v in row]}
-        entry.update(virtual_measurement_to_dict(vm))
-        if spec is not None:
-            entry["conformity"] = classify(vm.y_hat, vm.U, spec).to_dict()
-        out.append(entry)
+    vm = predict_parts(model, posterior, rows, cfg["k"])
+    lower, upper = vm.interval
+    out = [{"x": x, "y_hat": y_hat, "sigma_hat": sigma_hat,
+            "aleatoric_var": aleatoric, "epistemic_var": epistemic,
+            "k": vm.k, "interval": [lo, hi]}
+           for x, y_hat, sigma_hat, aleatoric, epistemic, lo, hi in zip(
+               rows.tolist(), vm.y_hat.tolist(), vm.sigma_hat.tolist(),
+               vm.aleatoric_var.tolist(), vm.epistemic_var.tolist(),
+               lower.tolist(), upper.tolist())]
+    if cfg["spec"] is not None:
+        decisions = classify(vm.y_hat, vm.U, Specification(**cfg["spec"]))
+        for entry, decision in zip(out, decisions.to_dicts()):
+            entry["conformity"] = decision
     return out
 
 
@@ -173,10 +177,11 @@ def _run_predict(args) -> tuple[dict, int]:
 def _run_conformity(args) -> tuple[dict, int]:
     doc = load_json(args.config)
     cfg = resolve_conformity(doc, args.lsl, args.usl)
-    spec = Specification(**cfg["spec"])
-    decisions = [classify(m["y"], m["U"], spec).to_dict()
-                 for m in cfg["measurements"]]
-    results = {"decisions": decisions}
+    measurements = cfg["measurements"]
+    decisions = classify([m["y"] for m in measurements],
+                         [m["U"] for m in measurements],
+                         Specification(**cfg["spec"]))
+    results = {"decisions": decisions.to_dicts()}
     return build_report("conformity", cfg, results), 0
 
 
@@ -207,7 +212,7 @@ def _verify_checks(cfg: dict) -> dict:
                     / np.linalg.norm(exact.cov))
     query = np.array(_VERIFY_QUERY)
     pred_mean, pred_var = conjugate_predictive(model, exact, query)
-    vm = predict(model, q, query, seed=seed)
+    vm = predict(model, q, query)
     mean_rel = abs(vm.y_hat - pred_mean) / max(abs(pred_mean), 1e-12)
     var_rel = abs(vm.sigma_hat**2 - pred_var) / pred_var
 

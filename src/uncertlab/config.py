@@ -290,12 +290,12 @@ PREDICT_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "n_samples": {"type": "integer", "minimum": 2,
-                      "default": _default(predict, "n_samples")},
+        # accepted and validated, but predict draws nothing: neither
+        # has an effect or a default
+        "n_samples": {"type": "integer", "minimum": 2},
         "k": {"type": "number", "exclusiveMinimum": 0,
               "default": _default(predict, "k")},
-        "seed": {"type": "integer", "minimum": 0,
-                 "default": _default(predict, "seed")},
+        "seed": {"type": "integer", "minimum": 0},
         "spec": {**_SPEC_SCHEMA, "default": None},
     },
     "required": ["model_path", "parts"],

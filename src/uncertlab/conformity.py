@@ -14,12 +14,16 @@ so U = 0 degenerates exactly to the plain limit comparison; the
 uncertainty/non-conformity boundaries resolve into the uncertainty
 band, the safer call. Once 2U reaches the specification width the
 conformity zone is empty: the decision is still returned, but it is
-flagged and the resulting manufacturing tolerance is gone.
+flagged and the resulting manufacturing tolerance is gone. One call
+classifies one (y, U) or whole columns of them, as predict and the
+conformity subcommand do.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -32,6 +36,7 @@ ZONES = (
     "non_conformity_lower",
     "non_conformity_upper",
 )
+_ZONE_NAMES = np.array(ZONES)
 
 
 @dataclass(frozen=True)
@@ -59,41 +64,62 @@ class Specification:
 class ConformityDecision:
     """Zone classification with the echoed inputs.
 
-    ``resulting_tolerance`` is the guard-banded interval
-    (lsl+U, usl-U) still usable for manufacturing, or None when the
-    uncertainty has consumed the whole specification
-    (``no_reliable_zone``).
+    Each of ``zone``, ``y`` and ``U`` is a scalar for one decision or a
+    column with one entry per decision, as :func:`classify` was given.
     """
 
-    zone: str
-    resulting_tolerance: Optional[tuple[float, float]]
-    y: float
-    U: float
-    no_reliable_zone: bool = False
+    zone: Any
+    y: Any
+    U: Any
+    spec: Specification
 
-    def to_dict(self) -> dict:
-        tolerance = self.resulting_tolerance
-        return dict(vars(self), resulting_tolerance=None if tolerance is None
-                    else list(tolerance))
+    @property
+    def no_reliable_zone(self) -> Any:
+        """True where the uncertainty has consumed the whole
+        specification: 2U >= usl - lsl."""
+        return 2.0 * self.U >= self.spec.width
+
+    @property
+    def resulting_tolerance(self) -> Optional[tuple[Any, Any]]:
+        """The guard-banded interval (lsl+U, usl-U) still usable for
+        manufacturing; None for one decision with no reliable zone."""
+        if np.ndim(self.U) == 0 and self.no_reliable_zone:
+            return None
+        return self.spec.lsl + self.U, self.spec.usl - self.U
+
+    def to_dicts(self) -> list[dict]:
+        """One JSON-ready dict per decision, built from per-column
+        ``tolist()``s."""
+        zone, y, U, no_zone = np.atleast_1d(self.zone, self.y, self.U,
+                                            self.no_reliable_zone)
+        return [{"zone": z, "resulting_tolerance": None if nz else [lo, hi],
+                 "y": y_i, "U": U_i, "no_reliable_zone": nz}
+                for z, y_i, U_i, nz, lo, hi in zip(
+                    zone.tolist(), y.tolist(), U.tolist(), no_zone.tolist(),
+                    (self.spec.lsl + U).tolist(),
+                    (self.spec.usl - U).tolist())]
 
 
-def classify(y: float, U: float, spec: Specification) -> ConformityDecision:
-    """Place (y, U) into one of the five conformity zones."""
-    if not (math.isfinite(y) and math.isfinite(U)):
-        raise ConfigError(f"y and U must be finite, got y={y}, U={U}")
-    if U < 0.0:
-        raise ConfigError(f"expanded uncertainty must be >= 0, got {U}")
-    no_zone = 2.0 * U >= spec.width
-    tolerance = None if no_zone else (spec.lsl + U, spec.usl - U)
+def classify(y: Any, U: Any, spec: Specification) -> ConformityDecision:
+    """Place each (y, U) into one of the five conformity zones.
 
-    if spec.lsl + U <= y <= spec.usl - U:
-        zone = "conformity"
-    elif y < spec.lsl - U:
-        zone = "non_conformity_lower"
-    elif y > spec.usl + U:
-        zone = "non_conformity_upper"
-    elif y <= 0.5 * (spec.lsl + spec.usl):
-        zone = "uncertainty_lower"
-    else:
-        zone = "uncertainty_upper"
-    return ConformityDecision(zone, tolerance, y, U, no_zone)
+    ``y`` and ``U`` are scalars or equal-length 1-D arrays, classified
+    in one pass. A non-finite entry or a negative U is a ConfigError
+    naming the first bad entry.
+    """
+    y, U = np.broadcast_arrays(np.asarray(y, dtype=np.float64),
+                               np.asarray(U, dtype=np.float64))
+    bad = np.flatnonzero(~(np.isfinite(y) & np.isfinite(U) & (U >= 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(
+            f"entry {i}: y and U must be finite and U >= 0, got "
+            f"y={y.flat[i]}, U={U.flat[i]}")
+    # the first condition that holds names the zone
+    index = np.select(
+        [(spec.lsl + U <= y) & (y <= spec.usl - U),
+         y < spec.lsl - U,
+         y > spec.usl + U,
+         y <= 0.5 * (spec.lsl + spec.usl)],
+        [0, 3, 4, 1], default=2)
+    return ConformityDecision(_ZONE_NAMES[index], y[()], U[()], spec)

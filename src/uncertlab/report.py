@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from . import __version__
 from .errors import ConfigError, DomainError
 from .propagation import MeasurementResult, implied_coverage
-from .vi import TrainResult, VirtualMeasurementResult
+from .vi import TrainResult
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -32,14 +32,13 @@ __all__ = [
     "dump_json",
     "file_sha256",
     "measurement_to_dict",
-    "virtual_measurement_to_dict",
     "train_result_to_dict",
     "build_report",
     "write_text",
     "write_report",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def _reject_non_finite(literal: str) -> float:
@@ -126,11 +125,6 @@ def measurement_to_dict(r: MeasurementResult) -> dict:
             "domain_error_count": r.mc_diagnostics.domain_error_count,
         }
     return out
-
-
-def virtual_measurement_to_dict(vm: VirtualMeasurementResult) -> dict:
-    """Every field of ``vm``, with the interval as a list."""
-    return dict(vars(vm), interval=list(vm.interval))
 
 
 def train_result_to_dict(t: TrainResult) -> dict:

@@ -383,42 +383,56 @@ class TestTrainPredict:
         assert [r["x"] for r in rows] == [[0.1], [-0.4]]
 
     @pytest.mark.parametrize("fixed_noise_sd", [None, 0.1])
-    def test_one_posterior_draw_per_predict_run(self, capsys, tmp_path,
-                                                training_csv, monkeypatch,
-                                                fixed_noise_sd):
-        # no weight draws: a learned noise level takes one draw of
-        # n_samples standard normals, a fixed one draws nothing
+    def test_predict_draws_nothing(self, capsys, tmp_path, training_csv,
+                                   monkeypatch, fixed_noise_sd):
+        # no weight draws and no normals: n_samples and seed are
+        # accepted, but change no byte of the results
         cfg = self.make_train_config(tmp_path, training_csv, max_steps=300)
         doc = json.loads((tmp_path / "train.json").read_text())
-        doc["model"]["fixed_noise_sd"] = fixed_noise_sd
+        doc["model"].update(noise_degree=1, fixed_noise_sd=fixed_noise_sd)
         write_json(tmp_path / "train.json", doc)
         assert run_cli(capsys, "train", "--config", cfg)[0] == 0
-        calls = []
-
-        class Recording:
-            def __init__(self, gen):
-                self.gen = gen
-
-            def __getattr__(self, name):
-                def call(*args, **kwargs):
-                    calls.append((name, args, kwargs))
-                    return getattr(self.gen, name)(*args, **kwargs)
-                return call
-
-        substream = vi.substream
-        monkeypatch.setattr(vi, "substream",
-                            lambda *a: Recording(substream(*a)))
+        monkeypatch.setattr(vi, "substream", None)
         monkeypatch.setattr(VariationalPosterior, "sample", None)
+        results = []
+        for extra in ({}, {"n_samples": 2000, "seed": 1},
+                      {"n_samples": 2, "seed": 2}):
+            pred_cfg = write_json(tmp_path / "pred.json", {
+                "model_path": str(tmp_path / "model.json"),
+                "parts": {"inline": [[v] for v in np.linspace(-1, 1, 40)]},
+                "spec": {"lsl": 0.0, "usl": 2.4}, **extra,
+            })
+            code, out, _ = run_cli(capsys, "predict", "--config", pred_cfg,
+                                   "--seed", "7")
+            assert code == 0
+            results.append(json.dumps(json.loads(out)["results"],
+                                      sort_keys=True))
+        parts = json.loads(results[0])["parts"]
+        assert len(parts) == 40
+        assert not {"seed", "n_posterior_samples"} & set(parts[0])
+        assert results[1:] == results[:1] * 2
+
+    def test_noise_sd_above_the_cap_is_refused(self, capsys, tmp_path,
+                                                training_csv):
+        cfg = self.make_train_config(tmp_path, training_csv, max_steps=50)
+        doc = json.loads((tmp_path / "train.json").read_text())
+        doc["model"]["noise_degree"] = 1
+        write_json(tmp_path / "train.json", doc)
+        assert run_cli(capsys, "train", "--config", cfg)[0] == 0
+        # the noise head's slope weight gets sd 10: s > 100 only far out
+        model_path = tmp_path / "model.json"
+        model_doc = json.loads(model_path.read_text())
+        model_doc["posterior"]["scale"][-1] = 10.0
+        model_path.write_text(json.dumps(model_doc))
         pred_cfg = write_json(tmp_path / "pred.json", {
-            "model_path": str(tmp_path / "model.json"),
-            "parts": {"inline": [[v] for v in np.linspace(-1, 1, 40)]},
-            "n_samples": 2000,
-        })
-        code, out, _ = run_cli(capsys, "predict", "--config", pred_cfg)
-        assert code == 0
-        assert len(json.loads(out)["results"]["parts"]) == 40
-        expected = [("standard_normal", (2000,), {})]
-        assert calls == (expected if fixed_noise_sd is None else [])
+            "model_path": str(model_path),
+            "parts": {"inline": [[0.0], [0.5], [100.0], [200.0]]}})
+        code, out, err = run_cli(capsys, "predict", "--config", pred_cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["mode"] == "predict" and e["type"] == "DomainError"
+        assert e["message"].startswith("part 2: ")
+        assert f"[0, {vi.MAX_NOISE_SD:g}]" in e["message"]
 
     def test_bad_standardization_in_model_file(self, capsys, tmp_path,
                                                training_csv):
@@ -594,7 +608,14 @@ class TestConfigEcho:
         assert echoed_config(capsys, "predict", "--config", cfg) == \
             canonical({"model_path": model_out,
                        "parts": {"inline": [[0.0], [0.5]]},
-                       "n_samples": 2000, "k": 2.0, "seed": 0,
+                       "k": 2.0, "spec": None})
+        # n_samples and seed have no default; given, they are echoed
+        cfg = write_json(tmp_path / "pr.json", {
+            "model_path": model_out, "parts": {"inline": [[0]]},
+            "n_samples": 2000.0, "seed": 5})
+        assert echoed_config(capsys, "predict", "--config", cfg) == \
+            canonical({"model_path": model_out, "parts": {"inline": [[0.0]]},
+                       "n_samples": 2000, "k": 2.0, "seed": 5,
                        "spec": None})
 
     def test_conformity(self, capsys, tmp_path):

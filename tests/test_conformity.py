@@ -126,8 +126,7 @@ class TestVirtualClassification:
     def test_uses_k_sigma_as_u(self):
         vm = VirtualMeasurementResult(
             y_hat=10.1, sigma_hat=0.01, aleatoric_var=5e-5,
-            epistemic_var=5e-5, k=2.0, interval=(10.08, 10.12),
-            n_posterior_samples=100, seed=0)
+            epistemic_var=5e-5, k=2.0)
         d = classify(vm.y_hat, vm.U, Specification(10.0, 10.2))
         assert d.U == pytest.approx(0.02, rel=1e-12)
         assert d.zone == "conformity"
@@ -135,7 +134,8 @@ class TestVirtualClassification:
     def test_wide_predictive_spread_flags_no_zone(self):
         vm = VirtualMeasurementResult(
             y_hat=5.0, sigma_hat=3.0, aleatoric_var=4.5, epistemic_var=4.5,
-            k=2.0, interval=(-1.0, 11.0), n_posterior_samples=100, seed=0)
+            k=2.0)
+        assert vm.interval == (-1.0, 11.0)
         d = classify(vm.y_hat, vm.U, Specification(0.0, 10.0))
         assert d.no_reliable_zone  # 2U = 12 exceeds the 10-wide window
         assert d.resulting_tolerance is None
@@ -143,6 +143,77 @@ class TestVirtualClassification:
     def test_decision_dict_round_trips_json(self):
         import json
         d = classify(10.1, 0.02, Specification(10.0, 10.2))
-        doc = d.to_dict()
-        json.dumps(doc)
-        assert doc["zone"] == "conformity"
+        [doc] = d.to_dicts()
+        assert json.loads(json.dumps(doc)) == {
+            "zone": "conformity", "resulting_tolerance": [10.02, 10.18],
+            "y": 10.1, "U": 0.02, "no_reliable_zone": False}
+
+
+def readme_zone(y, U, lsl, usl):
+    """The five-zone rule as the README states it, one value at a time."""
+    if lsl + U <= y <= usl - U:
+        return "conformity"
+    if y < lsl - U:
+        return "non_conformity_lower"
+    if y > usl + U:
+        return "non_conformity_upper"
+    return "uncertainty_lower" if y <= 0.5 * (lsl + usl) else \
+        "uncertainty_upper"
+
+
+class TestArrays:
+    @pytest.mark.parametrize("lsl, usl", [(10.0, 10.2), (-1.0, 3.0),
+                                          (0.1, 0.7)])
+    def test_every_boundary_matches_the_readme_rule(self, lsl, usl):
+        # y on lsl and usl, on lsl +/- U and usl +/- U, at the midpoint,
+        # and a hair to either side of each, for U from 0 through 2U =
+        # width to 2U > width
+        width = usl - lsl
+        ys, us = [], []
+        for U in (0.0, 0.1 * width, 0.25 * width, 0.5 * width,
+                  0.6 * width, 1.5 * width):
+            for edge in (lsl, usl, lsl - U, lsl + U, usl - U, usl + U,
+                         0.5 * (lsl + usl)):
+                for y in (edge, np.nextafter(edge, -np.inf),
+                          np.nextafter(edge, np.inf)):
+                    ys.append(float(y))
+                    us.append(U)
+        d = classify(np.array(ys), np.array(us), Specification(lsl, usl))
+        assert d.zone.tolist() == [readme_zone(y, U, lsl, usl)
+                                   for y, U in zip(ys, us)]
+        assert d.no_reliable_zone.tolist() == [2.0 * U >= width for U in us]
+        assert "conformity" in d.zone.tolist()
+        assert {"uncertainty_lower", "uncertainty_upper"} <= set(d.zone)
+
+    def test_rows_match_scalar_decisions(self):
+        rng = np.random.default_rng(5)
+        spec = Specification(10.0, 10.2)
+        y = rng.uniform(9.8, 10.4, 300)
+        U = rng.uniform(0.0, 0.15, 300)
+        rows = classify(y, U, spec).to_dicts()
+        assert len(rows) == 300
+        for row, y_i, U_i in zip(rows, y.tolist(), U.tolist()):
+            one = classify(y_i, U_i, spec)
+            tolerance = one.resulting_tolerance
+            assert row == {
+                "zone": one.zone, "y": y_i, "U": U_i,
+                "no_reliable_zone": bool(one.no_reliable_zone),
+                "resulting_tolerance":
+                    None if tolerance is None else list(tolerance)}
+
+    @pytest.mark.parametrize("y, U, message", [
+        ([10.1, math.nan, 10.0, math.inf], [0.01] * 4,
+         r"^entry 1: .* got y=nan, U=0.01$"),
+        ([10.1, 10.1, 10.1], [0.01, 0.01, math.inf],
+         r"^entry 2: .* got y=10.1, U=inf$"),
+        ([10.1, 10.1, 10.1], [0.01, -0.01, math.nan],
+         r"^entry 1: .* U >= 0, got y=10.1, U=-0.01$"),
+    ])
+    def test_bad_entry_is_named(self, y, U, message):
+        with pytest.raises(ConfigError, match=message):
+            classify(np.array(y), np.array(U), Specification(10.0, 10.2))
+
+    def test_scalar_decision_has_scalar_fields(self):
+        d = classify(10.1, 0.02, Specification(10.0, 10.2))
+        assert isinstance(d.zone, str) and d.zone == "conformity"
+        assert np.ndim(d.y) == np.ndim(d.U) == 0

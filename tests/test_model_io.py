@@ -11,8 +11,8 @@ from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DomainError
 from uncertlab.config import load_model, save_model
 from uncertlab.regression import build_model
-from uncertlab.vi import (VIConfig, VariationalPosterior, predict_parts,
-                          train_vi)
+from uncertlab.vi import (VIConfig, VariationalPosterior, predict,
+                          predict_parts, train_vi)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -243,15 +243,16 @@ class TestOldFiles:
         assert model.fixed_noise_sd is None and model.n_weights == 9
         with open(os.path.join(DATA, "legacy_model_predict.json")) as fh:
             ref = json.load(fh)
-        vms = predict_parts(model, q, np.array(ref["parts"]),
-                            ref["n_samples"], ref["k"], ref["seed"])
+        vms = predict_parts(model, q, np.array(ref["parts"]), ref["k"])
         with open(path) as fh:
             raw = json.load(fh)
         mu = np.array(raw["posterior"]["mu"][:6])
         sd = np.array(raw["posterior"]["scale"][:6])    # mean-field L
         assert raw["posterior"]["family"] == "mean_field"
-        assert len(vms) == len(ref["parts"]) == 3
-        for vm, x in zip(vms, ref["parts"]):
+        assert len(vms.y_hat) == len(ref["parts"]) == 3
+        for i, x in enumerate(ref["parts"]):
+            vm = predict(model, q, np.array(x), ref["k"])
+            assert vm.aleatoric_var == vms.aleatoric_var[i]
             z1, z2 = ((np.array(x) - raw["model"]["x_mean"])
                       / raw["model"]["x_sd"])
             # degree 2 in two features: 1, z1, z2, z1^2, z1 z2, z2^2

@@ -8,7 +8,7 @@ import pytest
 import uncertlab.vi as vi
 from uncertlab.conjugate import conjugate_posterior, conjugate_predictive
 from uncertlab.dataset import make_dataset
-from uncertlab.errors import ConfigError, DatasetError
+from uncertlab.errors import ConfigError, DatasetError, DomainError
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, softplus)
 from uncertlab.rng import substream
@@ -138,6 +138,24 @@ def test_non_finite_setting_refused(make, setting, bad):
         make(**{setting: bad})
 
 
+@pytest.mark.parametrize("setting, bad", [
+    ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
+    ("window", math.nan), ("window", 2.5), ("window", "500"),
+    ("n_mc", 2.5), ("n_mc", False), ("n_mc", np.float64(8.0)),
+])
+def test_integer_setting_refused(setting, bad):
+    # refused where it is set, not later inside numpy as a TypeError
+    with pytest.raises(ConfigError, match=f"^{setting} must be an integer"):
+        VIConfig(**{setting: bad})
+
+
+def test_numpy_integer_setting_accepted():
+    config = VIConfig(max_steps=np.int64(10), window=np.int32(5), n_mc=2)
+    data = linear_data(n=30, seed=2)
+    out = train_vi(build_model(data, mean_degree=1), data, config)
+    assert out.n_steps == 10
+
+
 class TestObjectiveGradients:
     @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
     @pytest.mark.parametrize("fixed_noise", [None, 0.15])
@@ -261,6 +279,32 @@ class TestTraining:
         assert len(out.trajectory) == 400
 
 
+def noise_bias_posterior(model, m, s):
+    """Mean-field q whose noise head, with psi = [1], has t ~ N(m, s^2)."""
+    p = model.n_mean_weights
+    mu, scale = np.zeros(model.n_weights), np.full(model.n_weights, 0.5)
+    mu[p], scale[p] = m, s
+    return VariationalPosterior("mean_field", mu, scale)
+
+
+def quad_noise_variance(m, s):
+    """E[(softplus(t) + floor)^2], t ~ N(m, s^2), by adaptive quadrature
+    over the standard normal, split at the kink t = 0 and every 3 sd."""
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def integrand(z):
+        t = m + s * z
+        g = (max(t, 0.0) + math.log1p(math.exp(-abs(t))) + NOISE_FLOOR) ** 2
+        return g * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    cuts = [-math.inf] + sorted([float(v) for v in range(-12, 13, 3)]
+                                + ([-m / s] if abs(m / s) < 12 else [])
+                                ) + [math.inf]
+    return sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+               for a, b in zip(cuts, cuts[1:]))
+
+
 class TestPredict:
     def test_variance_decomposition_identity(self):
         data = linear_data(n=100, seed=3)
@@ -269,7 +313,7 @@ class TestPredict:
         q = random_posterior(rng, model.n_weights, "full_rank")
         for _ in range(10):
             x = rng.uniform(-2, 2, size=1)
-            vm = predict(model, q, x, n_samples=500, seed=0)
+            vm = predict(model, q, x)
             total = vm.aleatoric_var + vm.epistemic_var
             assert vm.sigma_hat ** 2 == pytest.approx(total, rel=1e-9)
 
@@ -278,8 +322,7 @@ class TestPredict:
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.full(model.n_weights, 0.5))
-        vm = predict(model, q, np.array([0.3]), n_samples=2000, k=2.5,
-                     seed=2)
+        vm = predict(model, q, np.array([0.3]), k=2.5)
         lo, hi = vm.interval
         assert lo == pytest.approx(vm.y_hat - 2.5 * vm.sigma_hat, rel=1e-12)
         assert hi == pytest.approx(vm.y_hat + 2.5 * vm.sigma_hat, rel=1e-12)
@@ -291,10 +334,8 @@ class TestPredict:
                                              schedule="cosine",
                                              learning_rate=0.02,
                                              tolerance=0.0, window=3000))
-        near = predict(model, out.posterior, np.array([0.0]),
-                       n_samples=8000, seed=0)
-        far = predict(model, out.posterior, np.array([6.0]),
-                      n_samples=8000, seed=0)
+        near = predict(model, out.posterior, np.array([0.0]))
+        far = predict(model, out.posterior, np.array([6.0]))
         assert far.epistemic_var > 5 * near.epistemic_var
 
     def test_fixed_noise_aleatoric_is_constant(self):
@@ -302,17 +343,19 @@ class TestPredict:
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.25)
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.ones(model.n_weights))
-        vm = predict(model, q, np.array([1.0]), n_samples=100, seed=0)
+        vm = predict(model, q, np.array([1.0]))
         assert vm.aleatoric_var == pytest.approx(0.0625, rel=1e-12)
 
-    def test_seed_reproducibility(self):
+    def test_reruns_identical(self):
         data = linear_data(n=50, seed=4)
         model = build_model(data)
         rng = np.random.default_rng(10)
         q = random_posterior(rng, model.n_weights, "mean_field")
-        a = predict(model, q, np.array([0.5]), n_samples=300, seed=8)
-        b = predict(model, q, np.array([0.5]), n_samples=300, seed=8)
-        assert a.y_hat == b.y_hat and a.sigma_hat == b.sigma_hat
+        a = predict(model, q, np.array([0.5]))
+        b = predict(model, q, np.array([0.5]))
+        assert a == b
+        assert all(type(v) is float for v in (
+            a.y_hat, a.sigma_hat, a.aleatoric_var, a.epistemic_var))
 
     def test_wrong_feature_count(self):
         data = linear_data(n=50, seed=4)
@@ -320,136 +363,149 @@ class TestPredict:
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.ones(model.n_weights))
         with pytest.raises(ConfigError):
-            predict(model, q, np.array([1.0, 2.0]), n_samples=100)
+            predict(model, q, np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("fixed_noise", [None, 0.3])
-    @pytest.mark.parametrize("mean_degree, n_samples", [
-        (2, 2000),      # 70 parts: nine noise-head slices, the last partial
-        (2, 2),         # fewest draws the setting allows
-        (3, 3),         # P_mu = 4 > n_samples
-    ])
-    def test_parts_match_per_part_loop(self, fixed_noise, mean_degree,
-                                       n_samples):
-        # the reference is the per-part loop over the same z, with the
-        # moments of each head taken from q's covariance
+    @pytest.mark.parametrize("mean_degree", [1, 2, 3])
+    def test_parts_match_per_part_loop(self, fixed_noise, mean_degree):
+        # the reference is the loop over parts, with the moments of each
+        # head taken from q's covariance; a part predicted alone has the
+        # batch's noise head to the bit
         data = linear_data(n=80, seed=5)
         model = build_model(data, fixed_noise_sd=fixed_noise,
                             mean_degree=mean_degree)
         q = random_posterior(np.random.default_rng(3), model.n_weights,
                              "full_rank")
         rows = np.random.default_rng(4).uniform(-2, 2, size=(70, 1))
-        vms = predict_parts(model, q, rows, n_samples, 2.5, 6)
+        vms = predict_parts(model, q, rows, 2.5)
+        assert vms.k == 2.5
+        assert all(len(column) == 70 for column in (
+            vms.y_hat, vms.sigma_hat, vms.aleatoric_var, vms.epistemic_var))
         p = model.n_mean_weights
         cov = q.covariance()
-        z = substream(6, 0).standard_normal(n_samples)
-        for row, vm in zip(rows, vms):
+        for i, row in enumerate(rows):
             phi = model.mean_features(row)[0]
-            if fixed_noise is None:
-                psi = model.noise_features(row)[0]
-                t = psi @ q.mu[p:] + math.sqrt(psi @ cov[p:, p:] @ psi) * z
-                aleatoric = np.mean((softplus(t) + NOISE_FLOOR) ** 2)
-            else:
-                aleatoric = fixed_noise ** 2
-            assert vm.y_hat == pytest.approx(phi @ q.mu[:p], rel=1e-12)
-            assert vm.epistemic_var == pytest.approx(
+            assert vms.y_hat[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12)
+            assert vms.epistemic_var[i] == pytest.approx(
                 phi @ cov[:p, :p] @ phi, rel=1e-12)
-            assert vm.aleatoric_var == pytest.approx(aleatoric, rel=1e-12)
-            assert (vm.k, vm.seed, vm.n_posterior_samples) == (
-                2.5, 6, n_samples)
+            alone = predict(model, q, row, 2.5)
+            if fixed_noise is None:
+                assert vms.aleatoric_var[i] == alone.aleatoric_var
+            else:
+                assert vms.aleatoric_var[i] == fixed_noise ** 2
+
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    def test_part_does_not_depend_on_its_batch(self, monkeypatch, family):
+        # noise sds from below 2 to above 50 give rules of 49 to over
+        # 2,000 nodes; each part's noise head is the same to the bit
+        # alone, in any order, and in one-part slices
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, mean_degree=2, noise_degree=2)
+        q = random_posterior(np.random.default_rng(3), model.n_weights,
+                             family)
+        rows = np.concatenate([np.linspace(-1, 1, 12),
+                               [-4.0, -2.5, 2.0, 3.0]])[:, None]
+        psi = model.noise_features(rows)
+        p = model.n_mean_weights
+        s = np.sqrt(np.einsum("ij,jk,ik->i", psi, q.covariance()[p:, p:],
+                              psi))
+        assert s.min() < 2.0 and s.max() > 50.0
+        whole = predict_parts(model, q, rows, 2.0)
+        order = np.random.default_rng(1).permutation(len(rows))
+        shuffled = predict_parts(model, q, rows[order], 2.0)
+        np.testing.assert_array_equal(shuffled.aleatoric_var,
+                                      whole.aleatoric_var[order])
+        for i, row in enumerate(rows):
+            assert predict(model, q, row).aleatoric_var \
+                == whole.aleatoric_var[i]
+        monkeypatch.setattr(vi, "_SLICE_VALUES", 1)
+        sliced = predict_parts(model, q, rows, 2.0)
+        for name in ("y_hat", "sigma_hat", "aleatoric_var", "epistemic_var"):
+            np.testing.assert_array_equal(getattr(sliced, name),
+                                          getattr(whole, name))
 
     def test_fixed_noise_is_the_conjugate_predictive(self):
         # with q the exact posterior (L = chol Sigma) the predictive is
-        # the closed form, and no seed or draw count moves a bit of it
+        # the closed form
         data = linear_data(n=60, seed=9, noise=0.3)
         model = build_model(data, mean_degree=2, fixed_noise_sd=0.3)
         exact = conjugate_posterior(model, data.x, data.y)
         q = VariationalPosterior("full_rank", exact.mu,
                                  np.linalg.cholesky(exact.cov))
         rows = np.linspace(0.0, 2.0, 24)[:, None]
-        runs = [predict_parts(model, q, rows, n, 2.0, seed)
-                for seed in (0, 7) for n in (2, 5000)]
+        vms = predict_parts(model, q, rows, 2.0)
         for i, row in enumerate(rows):
             mean, var = conjugate_predictive(model, exact, row)
-            vm = runs[0][i]
-            assert vm.y_hat == pytest.approx(mean, rel=1e-12)
-            assert vm.sigma_hat ** 2 == pytest.approx(var, rel=1e-12)
-            assert vm.aleatoric_var == 0.09
-            for run in runs[1:]:
-                other = run[i]
-                assert (other.y_hat, other.sigma_hat, other.aleatoric_var,
-                        other.epistemic_var) == (
-                    vm.y_hat, vm.sigma_hat, vm.aleatoric_var,
-                    vm.epistemic_var)
+            assert vms.y_hat[i] == pytest.approx(mean, rel=1e-12)
+            assert vms.sigma_hat[i] ** 2 == pytest.approx(var, rel=1e-12)
+            assert vms.aleatoric_var[i] == 0.09
 
     @pytest.mark.parametrize("family", vi.FAMILIES)
     def test_learned_noise_matches_weight_draws(self, family):
-        # 400,000 weight draws estimate all three moments; predict's
-        # aleatoric_var is itself an average over 400,000 z, so its
-        # standard error adds to the weight draws' own
+        # 400,000 weight draws estimate all three moments
         n = 400_000
         data = linear_data(n=80, seed=5)
         model = build_model(data, mean_degree=2)
         q = random_posterior(np.random.default_rng(21), model.n_weights,
                              family)
         rows = np.array([[-1.5], [0.0], [0.4], [1.8]])
-        vms = predict_parts(model, q, rows, n, 2.0, 3)
+        vms = predict_parts(model, q, rows, 2.0)
         w_mu, w_sigma = model.split_weights(
             q.sample(np.random.default_rng(8), n))
-        for row, vm in zip(rows, vms):
+        for i, row in enumerate(rows):
             f = w_mu @ model.mean_features(row)[0]
             g = (softplus(w_sigma @ model.noise_features(row)[0])
                  + NOISE_FLOOR) ** 2
             c2 = (f - f.mean()) ** 2
-            assert abs(vm.y_hat - f.mean()) < 5 * f.std() / math.sqrt(n)
-            assert (abs(vm.epistemic_var - c2.mean())
+            assert abs(vms.y_hat[i] - f.mean()) < 5 * f.std() / math.sqrt(n)
+            assert (abs(vms.epistemic_var[i] - c2.mean())
                     < 5 * c2.std() / math.sqrt(n))
-            assert (abs(vm.aleatoric_var - g.mean())
-                    < 5 * math.sqrt(2.0) * g.std() / math.sqrt(n))
+            assert (abs(vms.aleatoric_var[i] - g.mean())
+                    < 5 * g.std() / math.sqrt(n))
 
-    @pytest.mark.parametrize("n_samples", [2000, 100_000])
-    def test_aleatoric_matches_quadrature(self, n_samples):
-        # E_t[(softplus(t) + floor)^2] for t ~ N(m, s^2), and its
-        # variance, by adaptive quadrature over the standard normal
-        integrate = pytest.importorskip("scipy.integrate")
+    def test_aleatoric_matches_quadrature(self):
+        # t ~ N(m, s^2) exactly, for m from -40 to 15 and s up to the cap
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, mean_degree=1, noise_degree=0)
+        worst = 0.0
+        for m in (-40.0, -20.0, -5.0, -1.0, 0.0, 0.7, 3.0, 15.0):
+            for s in (1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 30.0, 99.5,
+                      vi.MAX_NOISE_SD):
+                vm = predict(model, noise_bias_posterior(model, m, s),
+                             np.array([0.3]))
+                want = quad_noise_variance(m, s)
+                worst = max(worst, abs(vm.aleatoric_var - want) / want)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    def test_aleatoric_matches_quadrature_on_a_posterior(self, family):
         data = linear_data(n=80, seed=5)
         model = build_model(data, mean_degree=1)
         q = random_posterior(np.random.default_rng(17), model.n_weights,
-                             "full_rank")
+                             family)
         p = model.n_mean_weights
         cov = q.covariance()
         rows = np.array([[-2.0], [-0.3], [0.9], [2.5]])
-        vms = predict_parts(model, q, rows, n_samples, 2.0, 4)
-        for row, vm in zip(rows, vms):
+        vms = predict_parts(model, q, rows, 2.0)
+        for i, row in enumerate(rows):
             psi = model.noise_features(row)[0]
             m, s = psi @ q.mu[p:], math.sqrt(psi @ cov[p:, p:] @ psi)
+            assert vms.aleatoric_var[i] == pytest.approx(
+                quad_noise_variance(m, s), rel=1e-12, abs=0.0)
 
-            def moment(power):
-                def integrand(z):
-                    t = m + s * z
-                    g = (max(t, 0.0) + math.log1p(math.exp(-abs(t)))
-                         + NOISE_FLOOR) ** 2
-                    return g ** power * math.exp(-0.5 * z * z)
-                value, _ = integrate.quad(integrand, -np.inf, np.inf,
-                                          epsabs=0.0, epsrel=1e-13)
-                return value / math.sqrt(2.0 * math.pi)
-
-            mean = moment(1)
-            se = math.sqrt((moment(2) - mean ** 2) / n_samples)
-            assert abs(vm.aleatoric_var - mean) < 5 * se
-
-    @pytest.mark.parametrize("family", vi.FAMILIES)
-    def test_slices_change_nothing(self, monkeypatch, family):
-        # a slice bound of one value gives one-part slices
+    def test_noise_sd_above_the_cap_is_refused(self):
         data = linear_data(n=80, seed=5)
-        model = build_model(data, mean_degree=3)
-        q = random_posterior(np.random.default_rng(3), model.n_weights,
-                             family)
-        rows = np.random.default_rng(4).uniform(-2, 2, size=(20, 1))
-        whole = predict_parts(model, q, rows, 300, 2.0, 6)
-        monkeypatch.setattr(vi, "_SLICE_VALUES", 1)
-        sliced = predict_parts(model, q, rows, 300, 2.0, 6)
-        assert len(whole) == len(rows)
-        assert sliced == whole
+        model = build_model(data, mean_degree=1, noise_degree=0)
+        q = noise_bias_posterior(model, 0.0, vi.MAX_NOISE_SD * 1.0001)
+        with pytest.raises(DomainError, match=r"^part 0: .* 100.01"):
+            predict_parts(model, q, np.array([[0.0], [1.0]]), 2.0)
+        # an overflowing noise feature makes s NaN, refused by part
+        model = build_model(data, mean_degree=1, noise_degree=2)
+        q = random_posterior(np.random.default_rng(2), model.n_weights,
+                             "mean_field")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match=r"^part 1: .* nan"):
+            predict_parts(model, q, np.array([[0.0], [1e200], [0.5]]), 2.0)
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf")])
     def test_non_finite_k_refused(self, k):
@@ -458,7 +514,7 @@ class TestPredict:
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.ones(model.n_weights))
         with pytest.raises(ConfigError, match="k must be > 0 and finite"):
-            predict_parts(model, q, np.array([[0.5]]), 100, k, 0)
+            predict_parts(model, q, np.array([[0.5]]), k)
 
 
 # ---------------------------------------------------------------------------
