@@ -1,4 +1,6 @@
-"""Exception hierarchy and the positive-setting check, package-wide."""
+"""Exception hierarchy and the setting checks, package-wide."""
+
+import numbers
 
 
 class UncertLabError(Exception):
@@ -45,3 +47,11 @@ def require_positive(name: str, value: float) -> None:
     """Refuse a setting that is not finite and > 0, NaN included."""
     if not 0.0 < value < float("inf"):
         raise ConfigError(f"{name} must be > 0 and finite, got {value}")
+
+
+def require_integer(name: str, value, low: int) -> None:
+    """Refuse a setting that is not an integer >= ``low``: bools and
+    floats are refused, numpy integers accepted."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")

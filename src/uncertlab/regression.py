@@ -178,7 +178,7 @@ class BayesianVMModel:
     def n_noise_weights(self) -> int:
         return 0 if self.fixed_noise_sd is not None else len(self.noise_exponents)
 
-    @property
+    @cached_property
     def n_weights(self) -> int:
         """Total weight count P reported with every trained model."""
         return self.n_mean_weights + self.n_noise_weights
@@ -290,7 +290,8 @@ class DesignMatrices:
         if w_sigma is None:
             phi, b, shift, const = self._factor
             u = b - (w_mu - shift) @ phi.T
-            ll = const - 0.5 * (u * u).sum(axis=1)
+            # np.add.reduce is what ndarray.sum calls, less its dispatch
+            ll = const - 0.5 * np.add.reduce(u * u, axis=1)
             return ll, (u @ phi if want_grad else None)
         n = len(self.y)
         if len(w) not in self._work:

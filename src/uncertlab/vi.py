@@ -2,33 +2,37 @@
 
 The exact weight posterior p(w | data) is intractable for the
 heteroscedastic model, so it is approximated with a Gaussian family
-q(w; phi), either mean-field (diagonal covariance) or full-rank
-(dense lower-triangular factor). Training minimizes the variational
-free energy
+q(w) = N(mu, L L'), mean-field (diagonal L) or full-rank (dense
+lower-triangular L). Training minimizes the variational free energy
 
-    F(phi) = KL[q(w; phi) || p(w)] - E_q[log p(y | x, w)],
+    F(q) = KL[q || p(w)] - E_q[log p(y | x, w)],
 
 whose minimizer also minimizes the KL divergence to the true posterior
-(the evidence term does not depend on phi). The KL against the
-isotropic N(0, tau^2 I) prior is closed form; the expected
-log-likelihood is estimated by reparameterized draws w = mu + L z with
-z standard normal, which turns the expectation's gradient into the
-average of analytic per-draw gradients. No autograd framework is
-involved: the chain from likelihood gradients through L and the
-positive-diagonal bijection is written out in :func:`objective`, and
-the test suite holds it against central finite differences. Each step
-makes one likelihood call for all draws, on the one design training
-builds, which keeps that call's work from step to step: the learned
-noise level's (S, D) buffers, or for a fixed noise sd the small R
-factor that stands in for the D records, so such a step costs the
-same at any D. The draws z for a block of steps come from one call to
-the generator, in the order one call per step would give.
+(the evidence term does not depend on q). Both families share one
+parameter matrix M = [mu | L], P x (P + 1); Adam walks on theta =
+[mu | log diag L | strict lower triangle of L (full-rank only)], and
+one table of flat indices per family writes theta into M (``put``) and
+reads the gradient back (``take``), so mean-field is the M whose
+off-diagonal L stays 0 and a step has one path for both. The KL against
+the isotropic N(0, tau^2 I) prior is closed form in |M|_F and theta's
+log-diagonal; the expected log-likelihood is estimated by
+reparameterized draws w = [1 | z] M' with z standard normal, which
+turns its gradient into G'[1 | z] for the per-draw likelihood gradients
+G. No autograd framework is involved: :func:`objective` writes the
+chain out, and the test suite holds it against central finite
+differences. Each step makes one likelihood call for all draws, on the
+one design training builds, which keeps that call's work from step to
+step (class :class:`~uncertlab.regression.DesignMatrices`), and the
+draws z for a block of steps come from one call to the generator, in
+the order one call per step would give.
 
-Optimization is Adam on the unconstrained parameters (mu, log of the
-diagonal of L, and for full-rank the strict lower triangle), with a
-constant or cosine step schedule, from q = N(mu0, s^2 I) with s the
-constant ``_INIT_SCALE`` = 0.1. Every random draw comes from one
-seeded Philox substream, so training is bit-reproducible. Every
+Adam (Kingma & Ba, 2015) runs in the form of their section 2:
+m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g g, then theta <- theta
+- a_t m / (sqrt(v) + e_t) with a_t = lr sqrt(1 - b2^t) / (1 - b1^t) and
+e_t = eps sqrt(1 - b2^t), their Algorithm 1 rearranged. The step size
+lr is constant or follows a cosine schedule, from q = N(mu0, s^2 I)
+with s the constant ``_INIT_SCALE`` = 0.1. Every random draw comes from
+one seeded Philox substream, so training is bit-reproducible. Every
 ``window`` steps the mean of F over the last window is compared with
 the window before it, and training stops once it no longer improves by
 ``tolerance`` (relative). It stops as converged (``plateau``) when F
@@ -51,7 +55,6 @@ up exactly to sigma_hat^2.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -59,7 +62,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (ConfigError, DatasetError, DivergenceError,
-                     DomainError, require_positive)
+                     DomainError, require_integer, require_positive)
 from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
                          inv_softplus, softplus)
 from .rng import substream
@@ -128,7 +131,7 @@ class VariationalPosterior:
         if not (np.all(np.isfinite(self.mu))
                 and np.all(np.isfinite(self.scale))):
             raise ConfigError("mu and scale entries must be finite")
-        if np.any((np.diag(self.scale) if full else self.scale) <= 0.0):
+        if np.any(self.factor.diagonal() <= 0.0):
             raise ConfigError("scale diagonal must be strictly positive")
         if full and np.any(np.triu(self.scale, k=1) != 0.0):
             raise ConfigError("full_rank scale must be lower-triangular")
@@ -137,20 +140,20 @@ class VariationalPosterior:
     def n_weights(self) -> int:
         return len(self.mu)
 
+    @property
+    def factor(self) -> np.ndarray:
+        """L as a P x P matrix, for either family."""
+        full = self.family == "full_rank"
+        return self.scale if full else np.diag(self.scale)
+
     def covariance(self) -> np.ndarray:
-        if self.family == "mean_field":
-            return np.diag(self.scale**2)
-        return self.scale @ self.scale.T
+        factor = self.factor
+        return factor @ factor.T
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Reparameterized draws w = mu + L z, shape (n, P)."""
-        return _draw(self.mu, self.scale,
-                     rng.standard_normal((n, self.n_weights)))
-
-
-def _draw(mu: np.ndarray, scale: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """w = mu + L z for each row of z; ``scale`` is L or its diagonal."""
-    return mu + (z * scale if scale.ndim == 1 else z @ scale.T)
+        z = rng.standard_normal((n, self.n_weights))
+        return self.mu + z @ self.factor.T
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,8 @@ class VIConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         require_positive("learning_rate", self.learning_rate)
         for name in ("n_mc", "max_steps", "window"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool) or value < 1):
-                raise ConfigError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+            require_integer(name, getattr(self, name), 1)
+        require_integer("seed", self.seed, 0)
         if not 0.0 <= self.tolerance < math.inf:
             raise ConfigError(
                 f"tolerance must be >= 0 and finite, got {self.tolerance}")
@@ -186,23 +186,15 @@ class VIConfig:
 def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
     """Closed-form KL[q || N(0, tau^2 I)].
 
-    (1/2) [ tr(Sigma)/tau^2 + |mu|^2/tau^2 - P + P ln tau^2 - ln det Sigma ].
+    (1/2) [ (|mu|^2 + tr(L L')) / tau^2 - P + P ln tau^2 ] - ln det L,
+    where |mu|^2 + tr(L L') is |M|_F^2 for M = [mu | L].
     """
-    diag = q.scale if q.family == "mean_field" else q.scale.diagonal()
-    return _kl(q.mu, q.scale, diag, prior_tau)
-
-
-def _kl(mu: np.ndarray, scale: np.ndarray, diag: np.ndarray,
-        prior_tau: float) -> float:
-    """KL[N(mu, L L') || N(0, tau^2 I)]; ``diag`` is L's diagonal."""
     require_positive("prior tau", prior_tau)
-    p = len(mu)
+    p = q.n_weights
     tau2 = prior_tau**2
-    # tr(L L') is the sum of squares of L, whichever shape it is stored in
-    trace = float((scale**2).sum())
-    logdet = 2.0 * float(np.log(diag).sum())
-    mu2 = float(mu @ mu)
-    return 0.5 * (trace / tau2 + mu2 / tau2 - p + p * math.log(tau2) - logdet)
+    norm2 = float(q.mu @ q.mu) + float(np.vdot(q.scale, q.scale))
+    logdet = float(np.log(q.factor.diagonal()).sum())
+    return 0.5 * (norm2 / tau2 - p + p * math.log(tau2)) - logdet
 
 
 def free_energy(
@@ -213,8 +205,8 @@ def free_energy(
     seed: int = VIConfig.seed,
 ) -> float:
     """Stochastic free-energy estimate with ``n_mc`` reparameterized draws."""
-    if n_mc < 1:
-        raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
+    require_integer("n_mc", n_mc, 1)
+    require_integer("seed", seed, 0)
     design = model.design(data)
     w = q.sample(substream(seed, 0), n_mc)
     ll = design.log_likelihood_batch(w)
@@ -226,19 +218,33 @@ def free_energy(
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _tri_index(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat indices into a C-ordered p x p matrix: its strict
-    lower triangle, and its diagonal followed by that triangle.
+def _index_table(family: str, p: int) -> np.ndarray:
+    """Read-only flat indices of theta's entries in the C-ordered
+    P x (P + 1) matrix M = [mu | L]: mu, L's diagonal, and for
+    full_rank L's strict lower triangle. Built once per family and P;
+    every step puts theta and takes the gradient through it."""
+    rows = np.arange(p)
+    parts = [rows * (p + 1), rows * (p + 2) + 1]
+    if family == "full_rank":
+        lower_rows, lower_cols = np.tril_indices(p, k=-1)
+        parts.append(lower_rows * (p + 1) + lower_cols + 1)
+    index = np.concatenate(parts)
+    index.flags.writeable = False
+    return index
 
-    Built once per ``p``: training reads and writes L through them on
-    every step, with one ``take`` or ``put`` each.
-    """
-    rows, cols = np.tril_indices(p, k=-1)
-    lower = rows * p + cols
-    both = np.concatenate([np.arange(p) * (p + 1), lower])
-    for index in (lower, both):
-        index.flags.writeable = False
-    return lower, both
+
+def _matrix(family: str, p: int,
+            theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, L's diagonal, the index table) for the parameter vector theta."""
+    index = _index_table(family, p)
+    if len(theta) != len(index):
+        raise ConfigError(
+            f"{family} parameter vector must have length {len(index)}")
+    m = np.zeros((p, p + 1))
+    m.put(index, theta)
+    d = np.exp(theta[p:2 * p])
+    m.put(index[p:2 * p], d)
+    return m, d, index
 
 
 def pack_posterior(q: VariationalPosterior) -> np.ndarray:
@@ -246,32 +252,17 @@ def pack_posterior(q: VariationalPosterior) -> np.ndarray:
 
     Layout: [mu | log diag L | strict lower triangle of L (full_rank)].
     """
-    if q.family == "mean_field":
-        return np.concatenate([q.mu, np.log(q.scale)])
-    lower = q.scale.take(_tri_index(q.n_weights)[0])
-    return np.concatenate([q.mu, np.log(np.diag(q.scale)), lower])
+    p = q.n_weights
+    theta = np.column_stack([q.mu, q.factor]).take(_index_table(q.family, p))
+    np.log(theta[p:2 * p], out=theta[p:2 * p])
+    return theta
 
 
 def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPosterior:
     """Inverse of :func:`pack_posterior`."""
-    mu, _, scale = _unpack(family, p, theta)
-    return VariationalPosterior(family, mu.copy(), scale)
-
-
-def _unpack(family: str, p: int,
-            theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mu, diag of L, L or its diagonal), with mu a view of theta."""
-    n = 2 * p if family == "mean_field" else 2 * p + p * (p - 1) // 2
-    if len(theta) != n:
-        raise ConfigError(f"{family} parameter vector must have length {n}")
-    mu, d = theta[:p], np.exp(theta[p:2 * p])
-    if family == "mean_field":
-        return mu, d, d
-    lower, both = _tri_index(p)
-    scale = np.zeros((p, p))
-    scale.put(lower, theta[2 * p:])
-    scale.put(both[:p], d)
-    return mu, d, scale
+    m, d, _ = _matrix(family, p, theta)
+    scale = m[:, 1:].copy() if family == "full_rank" else d
+    return VariationalPosterior(family, m[:, 0].copy(), scale)
 
 
 def objective(
@@ -283,32 +274,34 @@ def objective(
 ) -> tuple[float, np.ndarray]:
     """Free-energy estimate and its exact gradient at fixed draws ``z``.
 
-    With z held fixed this is a deterministic, differentiable function
-    of theta; the returned gradient is analytic (KL terms in closed
-    form, expectation terms averaged per-draw likelihood gradients
-    chained through w = mu + L z and the log-diagonal bijection). The
-    finite-difference gate in the tests runs against exactly this
-    function.
+    With the (S, P) normals z held fixed this is a deterministic,
+    differentiable function of theta; the returned gradient is analytic
+    (KL terms in closed form, expectation terms averaged per-draw
+    likelihood gradients chained through w = [1 | z] M' and the
+    log-diagonal bijection). The finite-difference gate in the tests
+    runs against exactly this function. ``prior_tau`` is the model's,
+    which the model already checked.
     """
-    p = design.model.n_weights
-    mu, d, scale = _unpack(family, p, theta)
-    ll, g = design.log_likelihood_and_grad(_draw(mu, scale, z))
+    n, p = z.shape
+    m, d, index = _matrix(family, p, theta)
+    z1 = np.empty((n, p + 1))
+    z1[:, 0] = 1.0
+    z1[:, 1:] = z
+    ll, g = design.log_likelihood_and_grad(z1 @ m.T)
 
-    # means as sum / count: the same reduction np.mean makes, without
-    # its dispatch cost on every step
-    n = z.shape[0]
-    value = _kl(mu, scale, d, prior_tau) - float(ll.sum() / n)
     tau2 = prior_tau**2
-    d_mu = mu / tau2 - g.sum(axis=0) / n
-    if family == "mean_field":
-        d_scale = d / tau2 - 1.0 / d - (g * z).sum(axis=0) / n
-        return value, np.concatenate([d_mu, d_scale * d])
-    # d_L gathered as [diagonal | strict lower triangle]
-    d_l = (scale / tau2 - (g.T @ z) / n).take(_tri_index(p)[1])
-    d_diag = d_l[:p]
-    d_diag -= 1.0 / d
-    d_diag *= d
-    return value, np.concatenate([d_mu, d_l])
+    # np.add.reduce: the sums ndarray.sum and np.mean make, less dispatch
+    kl = (0.5 * (float(np.vdot(m, m)) / tau2 - p + p * math.log(tau2))
+          - float(np.add.reduce(theta[p:2 * p])))
+    value = kl - float(np.add.reduce(ll) / n)
+    # dF/dM in place of M, then dF/dtheta: d(log d) = d * dF/dd - 1
+    m /= tau2
+    m -= (g.T @ z1) / n
+    grad = m.take(index)
+    d_log = grad[p:2 * p]
+    d_log *= d
+    d_log -= 1.0
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +328,14 @@ class TrainResult:
 def _initial_theta(model: BayesianVMModel, data: Dataset,
                    config: VIConfig) -> np.ndarray:
     p = model.n_weights
-    mu = np.zeros(p)
+    theta = np.zeros(len(_index_table(config.family, p)))
+    theta[p:2 * p] = math.log(_INIT_SCALE)
     if model.fixed_noise_sd is None:
         # noise-head bias starts at sigma_n ~ sd(y): a sane noise scale
         # keeps early likelihood values bounded
         sd_y = max(data.summary.target.sd, 1e-3)
-        mu[model.n_mean_weights] = inv_softplus(sd_y)
-    scale = np.full(p, _INIT_SCALE)
-    if config.family == "full_rank":
-        scale = np.diag(scale)
-    return pack_posterior(VariationalPosterior(config.family, mu, scale))
-
-
-def _step_size(config: VIConfig, step: int) -> float:
-    if config.schedule == "constant":
-        return config.learning_rate
-    frac = min(step / config.max_steps, 1.0)
-    return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
+        theta[model.n_mean_weights] = inv_softplus(sd_y)
+    return theta
 
 
 def train_vi(model: BayesianVMModel, data: Dataset,
@@ -378,6 +362,7 @@ def train_vi(model: BayesianVMModel, data: Dataset,
             "identifiable (fix the noise sd to train anyway)")
 
     design = model.design(data)
+    family, tau = config.family, model.prior_tau
     p = model.n_weights
     theta = _initial_theta(model, data, config)
     gen = substream(config.seed, 0)
@@ -385,11 +370,14 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     # z for a block of steps comes from one call: the same normals, in
     # the same order, as one call per step
     block = max(1, _SLICE_VALUES // (config.n_mc * p))
-    # Adam's moments and two scratch vectors, all updated in place
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    step_buf = np.empty_like(theta)
-    denom = np.empty_like(theta)
+    # Adam's (m; v) and the step's ((1 - b1) g; (1 - b2) g g) as one
+    # array each, updated in place in the order of the out-of-place form
+    moments = np.zeros((2, len(theta)))
+    m, v = moments
+    scaled = np.empty_like(moments)
+    decay = np.array([[_ADAM_BETA1], [_ADAM_BETA2]])
+    gain = 1.0 - decay
+    step_buf, denom = np.empty_like(moments)
     w = config.window
     trajectory = np.empty(config.max_steps)
     stop_reason = "max_steps"
@@ -399,29 +387,28 @@ def train_vi(model: BayesianVMModel, data: Dataset,
         if step % block == 0:
             zs = gen.standard_normal(
                 (min(block, config.max_steps - step), config.n_mc, p))
-        value, grad = objective(design, config.family, theta,
-                                zs[step % block], model.prior_tau)
+        value, grad = objective(design, family, theta, zs[step % block], tau)
         if not math.isfinite(value):
             raise DivergenceError(
                 f"free energy became non-finite at step {step}", step)
         trajectory[step] = value
         n_steps = step + 1
 
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps), in place but in
-        # this order, so every rounding matches the out-of-place form
-        m *= _ADAM_BETA1
-        np.multiply(1.0 - _ADAM_BETA1, grad, out=step_buf)
-        m += step_buf
-        v *= _ADAM_BETA2
-        np.square(grad, out=step_buf)
-        step_buf *= 1.0 - _ADAM_BETA2
-        v += step_buf
-        np.divide(m, 1.0 - _ADAM_BETA1 ** n_steps, out=step_buf)
-        step_buf *= _step_size(config, step)
-        np.divide(v, 1.0 - _ADAM_BETA2 ** n_steps, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += _ADAM_EPS
+        # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
+        # theta -= a_t m / (sqrt(v) + e_t)
+        np.multiply(gain, grad, out=scaled)
+        scaled[1] *= grad
+        moments *= decay
+        moments += scaled
+        rate = config.learning_rate
+        if config.schedule == "cosine":
+            frac = step / config.max_steps
+            rate = rate * 0.5 * (1.0 + math.cos(math.pi * frac))
+        root = math.sqrt(1.0 - _ADAM_BETA2 ** n_steps)
+        rate = rate * root / (1.0 - _ADAM_BETA1 ** n_steps)
+        np.multiply(m, rate, out=step_buf)
+        np.sqrt(v, out=denom)
+        denom += _ADAM_EPS * root
         step_buf /= denom
         theta -= step_buf
 
@@ -440,7 +427,7 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     trajectory = trajectory[:n_steps].copy()
     tail = trajectory[-min(config.window, n_steps):]
     return TrainResult(
-        posterior=unpack_posterior(config.family, p, theta),
+        posterior=unpack_posterior(family, p, theta),
         trajectory=trajectory,
         n_steps=n_steps,
         stop_reason=stop_reason,
@@ -517,7 +504,7 @@ def predict_parts(
     x = np.asarray(x, dtype=np.float64)
 
     p = model.n_mean_weights
-    chol = q.scale if q.family == "full_rank" else np.diag(q.scale)
+    chol = q.factor
     phi = model.mean_features(x)
     y_hat = phi @ q.mu[:p]
     # L is lower-triangular: the mean-head rows end at column p

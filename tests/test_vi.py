@@ -142,15 +142,27 @@ def test_non_finite_setting_refused(make, setting, bad):
     ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
     ("window", math.nan), ("window", 2.5), ("window", "500"),
     ("n_mc", 2.5), ("n_mc", False), ("n_mc", np.float64(8.0)),
+    ("n_mc", True), ("n_mc", math.nan), ("n_mc", 0),
+    ("seed", -1), ("seed", 2.5), ("seed", True), ("seed", "0"),
 ])
 def test_integer_setting_refused(setting, bad):
-    # refused where it is set, not later inside numpy as a TypeError
-    with pytest.raises(ConfigError, match=f"^{setting} must be an integer"):
+    # refused where it is set, not later inside numpy or substream as a
+    # TypeError or ValueError
+    match = f"^{setting} must be an integer"
+    with pytest.raises(ConfigError, match=match):
         VIConfig(**{setting: bad})
+    if setting in ("n_mc", "seed"):
+        data = linear_data(n=10, seed=1)
+        model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
+        q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
+                                 np.ones(model.n_weights))
+        with pytest.raises(ConfigError, match=match):
+            free_energy(model, q, data, **{setting: bad})
 
 
 def test_numpy_integer_setting_accepted():
-    config = VIConfig(max_steps=np.int64(10), window=np.int32(5), n_mc=2)
+    config = VIConfig(max_steps=np.int64(10), window=np.int32(5), n_mc=2,
+                      seed=np.uint8(3))
     data = linear_data(n=30, seed=2)
     out = train_vi(build_model(data, mean_degree=1), data, config)
     assert out.n_steps == 10
@@ -179,6 +191,25 @@ class TestObjectiveGradients:
                 fm, _ = objective(design, family, theta - e, z, 1.0)
                 fd = (fp - fm) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=5e-4, abs=1e-6)
+
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    def test_full_rank_with_zero_lower_triangle_is_mean_field(self,
+                                                              fixed_noise):
+        # both families run one path on M = [mu | L]: a full-rank theta
+        # whose strict lower triangle is 0 is the mean-field q, to the bit
+        data = linear_data(n=30, seed=11)
+        model = build_model(data, mean_degree=2, fixed_noise_sd=fixed_noise)
+        design = model.design(data)
+        p = model.n_weights
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            theta = rng.standard_normal(2 * p) * 0.3
+            z = rng.standard_normal((6, p))
+            f_mf, g_mf = objective(design, "mean_field", theta, z, 1.3)
+            full = np.concatenate([theta, np.zeros(p * (p - 1) // 2)])
+            f_fr, g_fr = objective(design, "full_rank", full, z, 1.3)
+            assert f_fr == f_mf
+            assert np.array_equal(g_fr[:2 * p], g_mf)
 
     def test_free_energy_is_kl_minus_expected_loglik(self):
         data = linear_data(n=20, seed=1)
@@ -524,9 +555,11 @@ class TestPredict:
 def reference_train(model, data, config):
     """The plain training loop the optimized one must reproduce bit for bit.
 
-    Index tables built on every step, np.mean, out-of-place Adam, a
-    fresh QR factor per fixed-noise likelihood call, and the learned-noise
-    likelihood with each power written out where it is used.
+    M = [mu | L] rebuilt from theta by fancy indexing on every step,
+    index tables built on every step, np.mean, out-of-place Adam in the
+    form of Kingma & Ba's section 2, a fresh QR factor per fixed-noise
+    likelihood call, and the learned-noise likelihood with each power
+    written out where it is used.
     """
     design = model.design(data)
     p = model.n_weights
@@ -563,33 +596,33 @@ def reference_train(model, data, config):
         dt = (u**2 - 1.0) / sigma * ds
         return ll, np.concatenate([grad, dt @ design.phi_sigma], axis=1)
 
-    def unpack(theta):
-        mu, d = theta[:p], np.exp(theta[p:2 * p])
-        if not full:
-            return mu, d, d
-        scale = np.zeros((p, p))
-        scale[np.tril_indices(p, k=-1)] = theta[2 * p:]
-        scale[np.diag_indices(p)] = d
-        return mu, d, scale
+    def to_matrix(theta):
+        mat = np.zeros((p, p + 1))
+        mat[:, 0] = theta[:p]
+        d = np.exp(theta[p:2 * p])
+        mat[np.arange(p), np.arange(p) + 1] = d
+        if full:
+            rows, cols = np.tril_indices(p, k=-1)
+            mat[rows, cols + 1] = theta[2 * p:]
+        return mat, d
+
+    def to_theta(mat):
+        parts = [mat[:, 0], np.diag(mat[:, 1:])]
+        if full:
+            parts.append(mat[:, 1:][np.tril_indices(p, k=-1)])
+        return np.concatenate(parts)
 
     def step_objective(theta, z, tau):
-        mu, d, scale = unpack(theta)
-        ll, g = log_likelihood_and_grad(
-            mu + (z @ scale.T if full else z * scale))
+        mat, d = to_matrix(theta)
+        z1 = np.column_stack([np.ones(len(z)), z])
+        ll, g = log_likelihood_and_grad(z1 @ mat.T)
         tau2 = tau**2
-        trace = float(np.sum(scale**2))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(scale) if full else d)))
-        kl = 0.5 * (trace / tau2 + float(mu @ mu) / tau2 - p
-                    + p * math.log(tau2) - logdet)
+        kl = (0.5 * (float(np.vdot(mat, mat)) / tau2 - p + p * math.log(tau2))
+              - float(np.sum(theta[p:2 * p])))
         value = kl - float(np.mean(ll))
-        d_mu = mu / tau2 - np.mean(g, axis=0)
-        if not full:
-            d_scale = d / tau2 - 1.0 / d - np.mean(g * z, axis=0)
-            return value, np.concatenate([d_mu, d_scale * d])
-        d_l = scale / tau2 - (g.T @ z) / z.shape[0]
-        d_l[np.diag_indices(p)] -= 1.0 / d
-        d_lower = d_l[np.tril_indices(p, k=-1)]
-        return value, np.concatenate([d_mu, np.diag(d_l) * d, d_lower])
+        grad = to_theta(mat / tau2 - (g.T @ z1) / len(z))
+        grad[p:2 * p] = grad[p:2 * p] * d - 1.0
+        return value, grad
 
     mu = np.zeros(p)
     if model.fixed_noise_sd is None:
@@ -606,24 +639,24 @@ def reference_train(model, data, config):
         value, grad = step_objective(theta, z, model.prior_tau)
         trajectory.append(value)
         m = 0.9 * m + (1.0 - 0.9) * grad
-        v = 0.999 * v + (1.0 - 0.999) * grad**2
-        m_hat = m / (1.0 - 0.9 ** (step + 1))
-        v_hat = v / (1.0 - 0.999 ** (step + 1))
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
         lr = config.learning_rate
         if config.schedule == "cosine":
             frac = min(step / config.max_steps, 1.0)
             lr = lr * 0.5 * (1.0 + math.cos(math.pi * frac))
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        root = math.sqrt(1.0 - 0.999 ** (step + 1))
+        rate = lr * root / (1.0 - 0.9 ** (step + 1))
+        theta = theta - rate * m / (np.sqrt(v) + 1e-8 * root)
         n, w = step + 1, config.window
         if n >= 2 * w and n % w == 0:
             prev = float(np.mean(trajectory[n - 2 * w:n - w]))
             recent = float(np.mean(trajectory[n - w:n]))
             if prev - recent < config.tolerance * max(1.0, abs(prev)):
                 break
-    _, _, scale = unpack(theta)
+    mat, d = to_matrix(theta)
     trajectory = np.array(trajectory)
     final = float(np.mean(trajectory[-min(config.window, len(trajectory)):]))
-    return theta[:p], scale, trajectory, final
+    return theta[:p], (mat[:, 1:] if full else d), trajectory, final
 
 
 class TestSameNumbersAsReference:
@@ -672,7 +705,7 @@ def test_index_tables_not_rebuilt_per_step(monkeypatch):
 
     def count(steps):
         calls.clear()
-        vi._tri_index.cache_clear()
+        vi._index_table.cache_clear()
         train_vi(model, data, VIConfig(family="full_rank", max_steps=steps,
                                        window=steps, tolerance=0.0))
         return len(calls)
