@@ -26,20 +26,21 @@ step (class :class:`~uncertlab.regression.DesignMatrices`), and the
 draws z for a block of steps come from one call to the generator, in
 the order one call per step would give.
 
-Adam (Kingma & Ba, 2015) runs in the form of their section 2:
-m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g g, then theta <- theta
-- a_t m / (sqrt(v) + e_t) with a_t = lr sqrt(1 - b2^t) / (1 - b1^t) and
-e_t = eps sqrt(1 - b2^t), their Algorithm 1 rearranged. The step size
-lr is constant or follows a cosine schedule, from q = N(mu0, s^2 I)
-with s the constant ``_INIT_SCALE`` = 0.1. Every random draw comes from
-one seeded Philox substream, so training is bit-reproducible. Every
-``window`` steps the mean of F over the last window is compared with
-the window before it, and training stops once it no longer improves by
-``tolerance`` (relative). It stops as converged (``plateau``) when F
-held level, as not converged (``worsened``) when F rose by more than
-the tolerance and more than the step-to-step scatter of F in the
-window before, and otherwise runs to the step budget (``max_steps``).
-A non-finite F aborts with the step index.
+Adam (Kingma & Ba, 2015) runs in the form of their section 2, which
+rearranges their Algorithm 1: m <- b1 m + (1 - b1) g and
+v <- b2 v + (1 - b2) g g, then theta <- theta - a_t m / (sqrt(v) + e_t)
+with a_t = lr sqrt(1 - b2^t) / (1 - b1^t), e_t = eps sqrt(1 - b2^t).
+The step size lr is constant or follows a cosine schedule, from
+q = N(mu0, s^2 I) with s the constant ``_INIT_SCALE`` = 0.1. Every
+random draw comes from one seeded Philox substream, so training is
+bit-reproducible. Every ``window`` steps the mean of F over the last
+window is compared with the window before it, and training stops once
+it no longer improves by ``tolerance`` (relative). It stops as
+converged (``plateau``) when F held level, as not converged
+(``worsened``) when F rose by more than the tolerance and more than
+the step-to-step scatter of F in the window before, and otherwise runs
+to the step budget (``max_steps``). A non-finite F aborts with the
+step index.
 
 Prediction reads each part's moments off q = N(mu, L L') and draws
 nothing. The epistemic part V_q[f(x; w)] of the mean head f = phi'w_mu
