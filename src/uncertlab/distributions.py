@@ -225,6 +225,16 @@ class JointInputModel:
         return {q.name: q.marginal.moments()[0] for q in self.quantities}
 
 
+# Values in one block of draws, mapped (and evaluated by Monte Carlo) at
+# once: a block's temporaries fit in cache, numpy's per-call cost is small.
+_BLOCK_VALUES = 65536
+
+
+def block_rows(n_inputs: int) -> int:
+    """Rows of ``n_inputs`` values in one block; at least one."""
+    return max(1, _BLOCK_VALUES // n_inputs)
+
+
 def sample(
     joint: JointInputModel,
     count: int,
@@ -242,20 +252,23 @@ def sample(
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
     rng = substream(seed, stream)
-    n = len(joint)
-    u = rng.random((count, n))
+    u = rng.random((count, len(joint)))
     # random() yields [0, 1); nudge exact zeros so ndtri stays finite
-    tiny = np.finfo(np.float64).tiny
-    np.maximum(u, tiny, out=u)
+    np.maximum(u, np.finfo(np.float64).tiny, out=u)
     if joint._chol is not None:
+        # one product over all rows: BLAS may round a row block otherwise
         from scipy import special
-        z = special.ndtri(u) @ joint._chol.T
-        means = joint.means()
-        sds = np.sqrt(joint.variances())
-        return means + sds * z
-    # each column is mapped in place: ppf reads only its own column
-    for i, q in enumerate(joint.quantities):
-        u[:, i] = q.marginal.ppf(u[:, i])
+        z = special.ndtri(u, out=u) @ joint._chol.T
+        z *= np.sqrt(joint.variances())
+        z += joint.means()
+        return z
+    # each column is mapped in place, one block of rows at a time: ppf
+    # reads only its own column, and its temporaries stay block-sized
+    rows = block_rows(len(joint))
+    for lo in range(0, count, rows):
+        block = u[lo:lo + rows]
+        for i, q in enumerate(joint.quantities):
+            block[:, i] = q.marginal.ppf(block[:, i])
     return u
 
 

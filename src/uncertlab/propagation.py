@@ -24,14 +24,16 @@ expected value y, a standard uncertainty u(Y), and a coverage interval:
 Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks with one Philox substream per chunk
 index. The chunks run concurrently, one thread per available core, and
-each writes its evaluations at its own fixed offset of one preallocated
-sample vector, so the sample set and its order depend only on M and
-never on the worker count or on which thread finished first. The final
-statistics are computed on the sorted sample vector with numpy's
-pairwise summation. Evaluations that land outside the model's domain
-come back non-finite, are excluded, and are counted; more than 1% of
-them aborts the run with a diagnostic rather than quietly reporting a
-distorted distribution.
+each writes its evaluations, one cache-sized block of rows at a time,
+at its own fixed offset of one preallocated sample vector, so the
+sample set and its order depend only on M and never on the worker
+count or on which thread finished first. Evaluations outside the
+model's domain come back non-finite; in-place sorting puts them at the
+ends, so the finite ones are a slice of the vector, counted, not copied.
+Failures in over 1% of the draws abort the run with a diagnostic. The
+mean and standard deviation are numpy's bit for bit, with no M-sized
+copy: a run holds 8 bytes per draw plus one chunk of draws and one
+block of temporaries per worker.
 
 Expanded uncertainty is U = k u(Y), with the k the caller resolved
 (:func:`resolve_coverage` turns a coverage into its two-sided Gaussian
@@ -48,8 +50,10 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import derivatives
-from .distributions import JointInputModel, normal_cdf, normal_quantile, sample
-from .errors import ConfigError, MonteCarloError, require_positive
+from .distributions import (JointInputModel, block_rows, normal_cdf,
+                            normal_quantile, sample)
+from .errors import (ConfigError, MonteCarloError, require_integer,
+                     require_positive)
 from .expr import MeasurementModelExpr, evaluate_batch, is_affine
 
 __all__ = [
@@ -233,6 +237,20 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _sum_squares(x: np.ndarray, mean: float, scratch: np.ndarray) -> float:
+    """sum((x - mean)^2) as np.std adds it, with no len(x)-sized
+    temporary: split as numpy's pairwise sum splits (n // 2 rounded down
+    to a multiple of 8) until a part fits ``scratch`` (>= 128 values),
+    where numpy sums the part's squares."""
+    n = len(x)
+    if n <= len(scratch):
+        d = np.subtract(x, mean, out=scratch[:n])
+        return np.add.reduce(np.square(d, out=d))
+    half = n // 2 - n // 2 % 8
+    return (_sum_squares(x[:half], mean, scratch)
+            + _sum_squares(x[half:], mean, scratch))
+
+
 def propagate_monte_carlo(
     expr: MeasurementModelExpr,
     joint: JointInputModel,
@@ -250,8 +268,8 @@ def propagate_monte_carlo(
     the coverage it implies when neither is given. The interval itself
     is empirical and keeps any asymmetry of the output distribution.
     """
-    if M < 100:
-        raise ConfigError(f"Monte Carlo sample count must be >= 100, got {M}")
+    require_integer("Monte Carlo sample count M", M, 100)
+    require_integer("seed", seed, 0)
     gaussian_k, coverage = resolve_coverage(
         _DEFAULT_K if k is None else k, coverage)
     k = gaussian_k if k is None else k
@@ -259,16 +277,17 @@ def propagate_monte_carlo(
 
     n_chunks = -(-M // MC_CHUNK_SIZE)
     values = np.empty(M)
+    rows = block_rows(len(joint))
 
-    def run_chunk(ci: int) -> int:
-        """Evaluate chunk ``ci`` into its slice; return its non-finite count."""
+    def run_chunk(ci: int) -> None:
+        """Evaluate chunk ``ci`` into its slice, one block of rows at a time."""
         start = ci * MC_CHUNK_SIZE
-        n = min(MC_CHUNK_SIZE, M - start)
-        draws = sample(joint, n, seed, stream=ci)
-        cols = {name: draws[:, i] for i, name in enumerate(joint.names)}
-        out = values[start:start + n]
-        out[:] = evaluate_batch(expr, cols, n=n)
-        return n - int(np.count_nonzero(np.isfinite(out)))
+        draws = sample(joint, min(MC_CHUNK_SIZE, M - start), seed, stream=ci)
+        out = values[start:start + len(draws)]
+        for lo in range(0, len(draws), rows):
+            block = draws[lo:lo + rows]
+            cols = {name: block[:, i] for i, name in enumerate(joint.names)}
+            out[lo:lo + rows] = evaluate_batch(expr, cols, n=len(block))
 
     # The calling thread takes every workers-th chunk itself: a helper
     # thread's malloc arena keeps its memory after the thread exits, so
@@ -279,25 +298,31 @@ def propagate_monte_carlo(
     try:
         helped = [pool.submit(run_chunk, ci)
                   for ci in range(n_chunks) if ci % workers]
-        n_errors = sum(map(run_chunk, range(0, n_chunks, workers)))
-        n_errors += sum(f.result() for f in helped)
+        for ci in range(0, n_chunks, workers):
+            run_chunk(ci)
+        for f in helped:
+            f.result()
     finally:
         pool.shutdown(cancel_futures=True)
 
+    # numpy sorts -inf first and +inf and NaN last, so the finite
+    # evaluations are one slice of the sorted buffer: no filtered copy
+    values.sort()
+    values = values[np.searchsorted(values, -np.inf, "right"):
+                    np.searchsorted(values, np.inf, "left")]
+    n_valid = len(values)
+    n_errors = M - n_valid
     if n_errors > 0.01 * M:
         raise MonteCarloError(
             f"{n_errors} of {M} model evaluations ({n_errors / M:.1%}) hit "
             "domain errors; the input distributions extend outside the "
             "model's domain")
 
-    # Rebinding frees the unfiltered buffer before the statistics run.
-    if n_errors:
-        values = values[np.isfinite(values)]
-    values.sort()
     ecdf = EmpiricalCDF(values)
-    n_valid = len(values)
     y = float(np.mean(values))
-    u = float(np.std(values, ddof=1))
+    # np.std(values, ddof=1) bit for bit
+    scratch = np.empty(min(n_valid, block_rows(1)))
+    u = math.sqrt(_sum_squares(values, y, scratch) / (n_valid - 1))
 
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
     result = MeasurementResult(y, u, k, k * u, ecdf.interval(coverage),

@@ -1,14 +1,18 @@
 """Uncertainty propagation: analytic, series expansion, Monte Carlo."""
 
+import gc
+import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from uncertlab import propagation
+from uncertlab import distributions, propagation
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
-                                     Rectangular, normal_quantile, sample)
+                                     Rectangular, Triangular, normal_quantile,
+                                     sample)
 from uncertlab.errors import ConfigError, DomainError, MonteCarloError
 from uncertlab.expr import evaluate_batch, parse_model
 from uncertlab.propagation import (MC_CHUNK_SIZE, EmpiricalCDF,
@@ -290,6 +294,16 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             propagate_monte_carlo(m, joint, M=50, seed=0)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("seed", 2.5), ("seed", -1), ("seed", True),
+        ("M", 1000.5), ("M", True), ("M", 50)])
+    def test_seed_and_sample_count_are_checked(self, setting, value):
+        m = parse_model("X1")
+        joint = gaussian_joint([0.0], [1.0])
+        settings = {"M": 1000, "seed": 0, setting: value}
+        with pytest.raises(ConfigError, match=f"{setting} must be an integer"):
+            propagate_monte_carlo(m, joint, **settings)
+
     def test_standard_error_scale(self):
         m = parse_model("X1")
         joint = gaussian_joint([0.0], [1.0])
@@ -383,6 +397,22 @@ class TestParallelChunks:
                                              seed=5)
         assert sum(1 for f in failures if f) >= 3
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_infinite_and_nan_outputs_match_serial(self, monkeypatch,
+                                                   workers):
+        force_workers(monkeypatch, workers)
+        # exp overflows for about 0.27% of each of X1 and X2, which makes
+        # the difference +inf, -inf or NaN; ln(X3) adds NaN at Phi(-3)
+        joint = gaussian_joint([700.0, 700.0, 3.0], [3.5, 3.5, 1.0])
+        expr = parse_model("1e-300 * exp(X1) - 1e-300 * exp(X2) + ln(X3)")
+        failures = self.check_against_serial(expr, joint, seed=9)
+        assert 0 < sum(failures) < 0.01 * self.M
+        draws = sample(joint, MC_CHUNK_SIZE, 9, stream=0)
+        first = evaluate_batch(
+            expr, {name: draws[:, i] for i, name in enumerate(joint.names)})
+        kinds = {str(v) for v in first[~np.isfinite(first)]}
+        assert kinds == {"inf", "-inf", "nan"}
+
     def test_helper_thread_error_reaches_caller(self, monkeypatch):
         force_workers(monkeypatch, 2)
         real_sample = propagation.sample
@@ -402,6 +432,57 @@ class TestParallelChunks:
                                   seed=0)
         assert raised_on and raised_on[0] is not threading.main_thread()
         assert threading.active_count() == before
+
+
+class TestMonteCarloMemory:
+    def test_peak_is_the_buffer_plus_a_block_per_worker(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        # mixed marginals; sqrt(X4) fails for about 0.04% of the draws
+        joint = JointInputModel([
+            InputQuantity("X1", Gaussian(2.0, 0.1)),
+            InputQuantity("X2", Rectangular(0.7, 1.5)),
+            InputQuantity("X3", Triangular(0.3, 0.5, 1.0)),
+            InputQuantity("X4", Gaussian(1.0, 0.3))])
+        expr = parse_model(
+            "X1 * X2 / (1 + X3) + sqrt(X4) + ln(X1 ^ 2 + X4 ^ 2)")
+        M = 2_000_000
+        # a first run imports what the traced one needs
+        propagate_monte_carlo(expr, joint, M=1000, seed=1)
+        # with the collector off, a reference cycle keeps what it holds
+        gc.disable()
+        tracemalloc.start()
+        try:
+            r, ecdf = propagate_monte_carlo(expr, joint, M=M, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+            del ecdf
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert r.mc_diagnostics.domain_error_count > 0
+        # one 8-byte value per draw, and 3 MiB for each of 2 workers
+        assert peak < 8 * M + 2 * 3 * 2**20
+        # dropping the sorted values frees the buffer
+        assert left < 2**20
+
+
+class TestSumSquares:
+    # around numpy's 8-wide unroll, its 128-value pairwise leaf, one
+    # block, and splits several levels deep
+    LENGTHS = [2, 7, 8, 9, 127, 128, 129, 16_383, 16_384, 16_385,
+               3 * 65_536 + 17, 2_000_003]
+
+    # the smallest scratch that keeps numpy's order, and the driver's
+    @pytest.mark.parametrize("scratch", [128, distributions.block_rows(1)])
+    def test_gives_numpy_std_bit_for_bit(self, scratch):
+        rng = np.random.default_rng(0)
+        for n in self.LENGTHS:
+            for offset in (0.0, 1.0, 1e3, 1e6):
+                x = offset + rng.uniform(0.01, 10.0) * rng.standard_normal(n)
+                ss = propagation._sum_squares(x, float(np.mean(x)),
+                                              np.empty(min(n, scratch)))
+                assert math.sqrt(ss / (n - 1)) == float(np.std(x, ddof=1)), \
+                    (n, offset)
 
 
 class TestAvailableCores:
