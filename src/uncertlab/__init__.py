@@ -31,8 +31,8 @@ from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
                           sensitivity_budget)
 from .regression import BayesianVMModel, build_model
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
-                 VirtualMeasurementResult, free_energy, kl_gaussian, predict,
-                 predict_parts, train_vi)
+                 VirtualMeasurementResult, kl_gaussian, predict_parts,
+                 train_vi)
 
 __all__ = [
     "__version__",
@@ -67,14 +67,12 @@ __all__ = [
     "conjugate_posterior",
     "conjugate_predictive",
     "evaluate",
-    "free_energy",
     "implied_coverage",
     "ingest_dataset",
     "ingest_parts",
     "kl_gaussian",
     "make_dataset",
     "parse_model",
-    "predict",
     "predict_parts",
     "propagate_analytic",
     "propagate_monte_carlo",

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .config import (load_model, resolve_conformity, resolve_predict,
-                     resolve_propagate, resolve_train, resolve_verify,
-                     save_model)
+                     resolve_propagate, resolve_train, save_model,
+                     validate_config)
 from .conformity import Specification, classify
 from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
@@ -49,7 +49,7 @@ from .report import (build_report, file_sha256, load_json,
                      measurement_to_dict, train_result_to_dict, write_report,
                      write_text)
 from .rng import substream
-from .vi import VIConfig, predict, predict_parts, train_vi
+from .vi import VIConfig, predict_parts, train_vi
 
 log = logging.getLogger("uncertlab")
 
@@ -212,9 +212,10 @@ def _verify_checks(cfg: dict) -> dict:
                     / np.linalg.norm(exact.cov))
     query = np.array(_VERIFY_QUERY)
     pred_mean, pred_var = conjugate_predictive(model, exact, query)
-    vm = predict(model, q, query)
-    mean_rel = abs(vm.y_hat - pred_mean) / max(abs(pred_mean), 1e-12)
-    var_rel = abs(vm.sigma_hat**2 - pred_var) / pred_var
+    # k only scales U, which the checks do not read
+    vm = predict_parts(model, q, query[None], 1.0)
+    mean_rel = abs(vm.y_hat.item() - pred_mean) / max(abs(pred_mean), 1e-12)
+    var_rel = abs(vm.sigma_hat.item()**2 - pred_var) / pred_var
 
     errors = {"posterior_mean": mu_rel, "posterior_cov": cov_rel,
               "predictive_mean": mean_rel, "predictive_var": var_rel}
@@ -234,7 +235,7 @@ def _run_verify(args) -> tuple[dict, int]:
     doc = load_json(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
-    cfg = resolve_verify(doc)
+    cfg = validate_config(doc, "verify")
     checks = _verify_checks(cfg)
     report = build_report("verify", cfg, {"conjugate_check": checks})
     return report, 0 if checks["passed"] else 1

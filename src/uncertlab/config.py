@@ -28,7 +28,8 @@ no validation library is loaded.
 Relative file paths inside a config resolve against the config file's
 own directory, which keeps config+data bundles relocatable. Each
 ``resolve_*`` returns that resolved config (propagate adds the parsed
-model and input distributions); the CLI runs from it.
+model and input distributions); the CLI runs from it. ``verify`` names
+no file, so it runs from :func:`validate_config`'s result itself.
 """
 
 import inspect
@@ -48,8 +49,7 @@ from .propagation import (propagate_monte_carlo, propagate_taylor1,
                           resolve_coverage)
 from .regression import NOISE_FLOOR, BayesianVMModel
 from .report import dump_json, load_json, train_result_to_dict, write_text
-from .vi import (FAMILIES, TrainResult, VariationalPosterior, VIConfig,
-                 predict)
+from .vi import FAMILIES, TrainResult, VariationalPosterior, VIConfig
 
 __all__ = [
     "MODEL_SCHEMA_VERSION",
@@ -61,7 +61,6 @@ __all__ = [
     "resolve_train",
     "resolve_predict",
     "resolve_conformity",
-    "resolve_verify",
 ]
 
 
@@ -294,7 +293,7 @@ PREDICT_SCHEMA = {
         # has an effect or a default
         "n_samples": {"type": "integer", "minimum": 2},
         "k": {"type": "number", "exclusiveMinimum": 0,
-              "default": _default(predict, "k")},
+              "default": _default(propagate_taylor1, "k")},
         "seed": {"type": "integer", "minimum": 0},
         "spec": {**_SPEC_SCHEMA, "default": None},
     },
@@ -646,7 +645,3 @@ def resolve_conformity(
     if usl_override is not None:
         r["spec"]["usl"] = usl_override
     return r
-
-
-def resolve_verify(doc: Optional[dict]) -> dict:
-    return validate_config(doc or {}, "verify")

@@ -14,8 +14,8 @@ phi(x)' mu_post and variance sigma_n^2 + phi(x)' Sigma phi(x).
 This module exists to check the variational path against an
 independent route: it shares only the feature map with the model and
 derives everything else from the normal equations. The ``verify`` CLI
-subcommand and the test suite compare full-rank VI and sampled
-prediction against these numbers. A is positive definite for any
+subcommand and the test suite compare full-rank VI and its
+predictive moments against these numbers. A is positive definite for any
 design, including an empty one, because the prior term I/tau^2 is
 always there; with zero observations the posterior is exactly the
 prior.

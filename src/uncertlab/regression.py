@@ -262,14 +262,8 @@ class DesignMatrices:
         const = -len(self.y) * (math.log(sigma) + _HALF_LOG_2PI)
         return a[:, :-1], a[:, -1], shift, const
 
-    def log_likelihood_batch(self, w: np.ndarray) -> np.ndarray:
-        """Log-likelihood of each weight draw; w has shape (S, P)."""
-        ll, _ = self.log_likelihood_and_grad(w, want_grad=False)
-        return ll
-
     def log_likelihood_and_grad(
-        self, w: np.ndarray, want_grad: bool = True
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+            self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched Gaussian log-likelihood and its weight gradient.
 
         ``w`` is (S, P); returns (S,) log-likelihoods and the (S, P)
@@ -292,7 +286,7 @@ class DesignMatrices:
             u = b - (w_mu - shift) @ phi.T
             # np.add.reduce is what ndarray.sum calls, less its dispatch
             ll = const - 0.5 * np.add.reduce(u * u, axis=1)
-            return ll, (u @ phi if want_grad else None)
+            return ll, u @ phi
         n = len(self.y)
         if len(w) not in self._work:
             self._work[len(w)] = np.empty((6, len(w), n))
@@ -306,8 +300,6 @@ class DesignMatrices:
         np.divide(r, sigma, out=u)
         u2 = np.multiply(u, u, out=a)
         ll = -(log_sigma + 0.5 * u2.sum(axis=1) + n * _HALF_LOG_2PI)
-        if not want_grad:
-            return ll, None
         grad = np.divide(u, sigma, out=r) @ self.phi_mu
         # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
         q = np.greater_equal(t, 0.0, out=r, casting="unsafe")

@@ -49,15 +49,15 @@ fixed sigma^2, or a 1-D expectation over the noise activation
 t = psi'w_sigma ~ N(m, s^2), taken by the trapezoid rule in the
 standardised variable (t - m) / s. That rule converges exponentially
 for this analytic integrand (Trefethen & Weideman, SIAM Review 56,
-2014); its nodes depend only on the part's own s, so a part's noise
-head does not depend on the batch it is predicted in. The two parts add
-up exactly to sigma_hat^2.
+2014); its nodes depend only on the part's own s. Every product runs
+in numpy's own loops, not BLAS, so each of a part's numbers is the same
+to the bit whichever batch it is predicted in, alone or among others.
+The two parts add up exactly to sigma_hat^2.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -74,12 +74,10 @@ __all__ = [
     "TrainResult",
     "VirtualMeasurementResult",
     "kl_gaussian",
-    "free_energy",
     "pack_posterior",
     "unpack_posterior",
     "objective",
     "train_vi",
-    "predict",
     "predict_parts",
 ]
 
@@ -196,22 +194,6 @@ def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
     norm2 = float(q.mu @ q.mu) + float(np.vdot(q.scale, q.scale))
     logdet = float(np.log(q.factor.diagonal()).sum())
     return 0.5 * (norm2 / tau2 - p + p * math.log(tau2)) - logdet
-
-
-def free_energy(
-    model: BayesianVMModel,
-    q: VariationalPosterior,
-    data: Dataset,
-    n_mc: int = VIConfig.n_mc,
-    seed: int = VIConfig.seed,
-) -> float:
-    """Stochastic free-energy estimate with ``n_mc`` reparameterized draws."""
-    require_integer("n_mc", n_mc, 1)
-    require_integer("seed", seed, 0)
-    design = model.design(data)
-    w = q.sample(substream(seed, 0), n_mc)
-    ll = design.log_likelihood_batch(w)
-    return kl_gaussian(q, model.prior_tau) - float(np.mean(ll))
 
 
 # ---------------------------------------------------------------------------
@@ -445,40 +427,27 @@ def train_vi(model: BayesianVMModel, data: Dataset,
 class VirtualMeasurementResult:
     """Virtual measurement: predictive mean and decomposed spread.
 
-    Each field is a float for one part (:func:`predict`) or a column
-    with one entry per part (:func:`predict_parts`).
+    Each field is a column with one entry per part, in the order of the
+    rows given to :func:`predict_parts`.
     sigma_hat^2 = aleatoric_var + epistemic_var holds exactly.
     """
 
-    y_hat: Any
-    sigma_hat: Any
-    aleatoric_var: Any
-    epistemic_var: Any
+    y_hat: np.ndarray
+    sigma_hat: np.ndarray
+    aleatoric_var: np.ndarray
+    epistemic_var: np.ndarray
     k: float
 
     @property
-    def U(self) -> Any:
+    def U(self) -> np.ndarray:
         """Expanded uncertainty k * sigma_hat, the interval's half-width."""
         return self.k * self.sigma_hat
 
     @property
-    def interval(self) -> tuple[Any, Any]:
+    def interval(self) -> tuple[np.ndarray, np.ndarray]:
         """y_hat -/+ k * sigma_hat."""
         half = self.U
         return self.y_hat - half, self.y_hat + half
-
-
-def predict(
-    model: BayesianVMModel,
-    q: VariationalPosterior,
-    x: np.ndarray,
-    k: float = 2.0,
-) -> VirtualMeasurementResult:
-    """Posterior predictive moments at one part's feature vector."""
-    vm = predict_parts(model, q, np.reshape(x, (1, -1)), k)
-    return VirtualMeasurementResult(
-        vm.y_hat.item(), vm.sigma_hat.item(), vm.aleatoric_var.item(),
-        vm.epistemic_var.item(), k)
 
 
 def predict_parts(
@@ -506,15 +475,15 @@ def predict_parts(
 
     p = model.n_mean_weights
     chol = q.factor
+    # every product comes from numpy's own loops, which give a row the
+    # same bits in any batch; BLAS picks its kernels by the batch's shape
     phi = model.mean_features(x)
-    y_hat = phi @ q.mu[:p]
+    y_hat = np.einsum("ij,j->i", phi, q.mu[:p])
     # L is lower-triangular: the mean-head rows end at column p
-    epistemic = np.square(phi @ chol[:p, :p]).sum(axis=1)
+    epistemic = np.square(np.einsum("ij,jk->ik", phi, chol[:p, :p])
+                          ).sum(axis=1)
     if model.fixed_noise_sd is None:
         psi = model.noise_features(x)
-        # m and s choose each part's rule, so they come from numpy's own
-        # loops, which give a row the same bits in any batch; BLAS picks
-        # its kernels by the batch's shape
         m = np.einsum("ij,j->i", psi, q.mu[p:])
         s = np.sqrt(np.square(np.einsum("ij,jk->ik", psi, chol[p:]))
                     .sum(axis=1))

@@ -25,7 +25,7 @@ from uncertlab.propagation import (implied_coverage, propagate_analytic,
 from uncertlab.regression import build_model
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
-                          objective, predict, train_vi)
+                          objective, predict_parts, train_vi)
 
 
 def check(index, ok, detail, elapsed, budget):
@@ -143,9 +143,9 @@ def test_05_full_rank_vi_recovers_conjugate_posterior():
                / np.linalg.norm(exact.cov))
     xq = np.array([0.3, -0.2])
     want_mean, want_var = conjugate_predictive(model, exact, xq)
-    vm = predict(model, q, xq)
-    mean_rel = abs(vm.y_hat - want_mean) / abs(want_mean)
-    var_rel = abs(vm.sigma_hat ** 2 - want_var) / want_var
+    vm = predict_parts(model, q, xq[None], 2.0)
+    mean_rel = abs(vm.y_hat[0] - want_mean) / abs(want_mean)
+    var_rel = abs(vm.sigma_hat[0] ** 2 - want_var) / want_var
     ok = (mu_rel <= 0.02 and cov_rel <= 0.10
           and mean_rel <= 0.02 and var_rel <= 0.02)
     check(5, ok,
@@ -179,10 +179,10 @@ def test_06_predictive_variance_decomposition_identity():
             q = VariationalPosterior("full_rank", rng.standard_normal(p),
                                      scale)
         xq = rng.standard_normal(n_features) * 2.0
-        vm = predict(model, q, xq)
-        worst = max(worst, abs(vm.sigma_hat ** 2
-                               - (vm.aleatoric_var + vm.epistemic_var))
-                    / vm.sigma_hat ** 2)
+        vm = predict_parts(model, q, xq[None], 2.0)
+        worst = max(worst, abs(vm.sigma_hat[0] ** 2
+                               - (vm.aleatoric_var[0] + vm.epistemic_var[0]))
+                    / vm.sigma_hat[0] ** 2)
     check(6, worst <= 1e-9,
           f"100 random triples: |sigma^2 - (aleatoric + epistemic)| "
           f"<= {worst:.2e} rel (<= 1e-9)", time.monotonic() - t0, 30.0)

@@ -11,8 +11,8 @@ from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DomainError
 from uncertlab.config import load_model, save_model
 from uncertlab.regression import build_model
-from uncertlab.vi import (VIConfig, VariationalPosterior, predict,
-                          predict_parts, train_vi)
+from uncertlab.vi import (VIConfig, VariationalPosterior, predict_parts,
+                          train_vi)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -250,17 +250,21 @@ class TestOldFiles:
         sd = np.array(raw["posterior"]["scale"][:6])    # mean-field L
         assert raw["posterior"]["family"] == "mean_field"
         assert len(vms.y_hat) == len(ref["parts"]) == 3
+        lower, upper = vms.interval
         for i, x in enumerate(ref["parts"]):
-            vm = predict(model, q, np.array(x), ref["k"])
-            assert vm.aleatoric_var == vms.aleatoric_var[i]
+            alone = predict_parts(model, q, np.array([x]), ref["k"])
+            for name in ("y_hat", "sigma_hat", "aleatoric_var",
+                         "epistemic_var"):
+                assert getattr(alone, name)[0] == getattr(vms, name)[i]
             z1, z2 = ((np.array(x) - raw["model"]["x_mean"])
                       / raw["model"]["x_sd"])
             # degree 2 in two features: 1, z1, z2, z1^2, z1 z2, z2^2
             phi = np.array([1.0, z1, z2, z1 * z1, z1 * z2, z2 * z2])
-            assert vm.y_hat == pytest.approx(phi @ mu, rel=1e-12)
-            assert vm.epistemic_var == pytest.approx(
+            assert vms.y_hat[i] == pytest.approx(phi @ mu, rel=1e-12)
+            assert vms.epistemic_var[i] == pytest.approx(
                 np.sum((phi * sd) ** 2), rel=1e-12)
-            assert vm.sigma_hat ** 2 == pytest.approx(
-                vm.aleatoric_var + vm.epistemic_var, rel=1e-12)
-            half = ref["k"] * vm.sigma_hat
-            assert vm.interval == (vm.y_hat - half, vm.y_hat + half)
+            assert vms.sigma_hat[i] ** 2 == pytest.approx(
+                vms.aleatoric_var[i] + vms.epistemic_var[i], rel=1e-12)
+            half = ref["k"] * vms.sigma_hat[i]
+            assert (lower[i], upper[i]) == (vms.y_hat[i] - half,
+                                            vms.y_hat[i] + half)

@@ -213,10 +213,11 @@ class TestLikelihood:
         design = model.design(data)
         rng = np.random.default_rng(21)
         ws = rng.standard_normal((6, model.n_weights)) * 0.4
-        batched = design.log_likelihood_batch(ws)
-        single = np.array([design.log_likelihood_and_grad(w)[0][0]
-                           for w in ws])
-        np.testing.assert_allclose(batched, single, rtol=1e-12)
+        batched, grads = design.log_likelihood_and_grad(ws)
+        for w, ll, grad in zip(ws, batched, grads):
+            (single,), (single_grad,) = design.log_likelihood_and_grad(w)
+            assert ll == pytest.approx(single, rel=1e-12)
+            np.testing.assert_allclose(grad, single_grad, rtol=1e-12)
 
     def test_noise_floor_keeps_sd_positive(self):
         data = toy_data(n=10, seed=1)
@@ -269,9 +270,9 @@ class TestKernel:
             w[:, 3:] = [[0.0, 700.0], [0.0, -700.0], [2.0, 30.0],
                         [-3.0, 5.0], [0.5, -0.1], [-20.0, 1.0]]
         ll, grad = design.log_likelihood_and_grad(w)
-        want_ll, want_grad = replaced_likelihood(design, w)
+        want_ll, want_g = replaced_likelihood(design, w)
         np.testing.assert_allclose(ll, want_ll, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, want_g, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("fixed_noise_sd", [None, 0.3])
     def test_results_are_not_overwritten_by_later_calls(self,
@@ -281,8 +282,7 @@ class TestKernel:
         results = []
         for s in (1, 8, 1):
             w = rng.standard_normal((s, design.model.n_weights)) * 0.5
-            out = (*design.log_likelihood_and_grad(w),
-                   design.log_likelihood_batch(w))
+            out = design.log_likelihood_and_grad(w)
             results.append((out, [a.copy() for a in out]))
         for out, copies in results:
             assert all(np.array_equal(a, c) for a, c in zip(out, copies))
@@ -345,12 +345,12 @@ class TestFixedNoiseFactor:
         w = fit + (self.SIGMA / np.sqrt(len(x))
                    * rng.standard_normal((4, len(fit))))
         ll, grad = design.log_likelihood_and_grad(w)
-        want_ll, want_grad = self.oracle(design, w)
+        want_ll, want_g = self.oracle(design, w)
         # the D residuals computed directly in doubles miss ll by 4e-13
         # at offset 1e3 and by 8e-10 at 1e6
         np.testing.assert_allclose(ll, want_ll, rtol=1e-13, atol=0.0)
-        scale = np.abs(want_grad).max()
-        assert np.abs(grad - want_grad).max() <= 1e-12 * scale
+        scale = np.abs(want_g).max()
+        assert np.abs(grad - want_g).max() <= 1e-12 * scale
 
     def test_no_per_record_work_after_the_factor(self):
         # one (S, D) array of 16 draws x 50,000 records is 6.4 MB
@@ -358,7 +358,7 @@ class TestFixedNoiseFactor:
         design = self.design(x, 0.0)
         w = np.random.default_rng(2).standard_normal(
             (16, design.model.n_weights))
-        design.log_likelihood_batch(w[:1])     # takes the QR
+        design.log_likelihood_and_grad(w[:1])     # takes the QR
         tracemalloc.start()
         try:
             ll, grad = design.log_likelihood_and_grad(w)

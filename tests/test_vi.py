@@ -12,9 +12,9 @@ from uncertlab.errors import ConfigError, DatasetError, DomainError
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, softplus)
 from uncertlab.rng import substream
-from uncertlab.vi import (VIConfig, VariationalPosterior, free_energy,
-                          kl_gaussian, objective, pack_posterior, predict,
-                          predict_parts, train_vi, unpack_posterior)
+from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
+                          objective, pack_posterior, predict_parts, train_vi,
+                          unpack_posterior)
 
 
 def linear_data(n=120, seed=0, noise=0.1):
@@ -148,16 +148,8 @@ def test_non_finite_setting_refused(make, setting, bad):
 def test_integer_setting_refused(setting, bad):
     # refused where it is set, not later inside numpy or substream as a
     # TypeError or ValueError
-    match = f"^{setting} must be an integer"
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=f"^{setting} must be an integer"):
         VIConfig(**{setting: bad})
-    if setting in ("n_mc", "seed"):
-        data = linear_data(n=10, seed=1)
-        model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
-        q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
-                                 np.ones(model.n_weights))
-        with pytest.raises(ConfigError, match=match):
-            free_energy(model, q, data, **{setting: bad})
 
 
 def test_numpy_integer_setting_accepted():
@@ -211,17 +203,24 @@ class TestObjectiveGradients:
             assert f_fr == f_mf
             assert np.array_equal(g_fr[:2 * p], g_mf)
 
-    def test_free_energy_is_kl_minus_expected_loglik(self):
-        data = linear_data(n=20, seed=1)
-        model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
-        rng = np.random.default_rng(8)
-        q = random_posterior(rng, model.n_weights, "mean_field")
-        f = free_energy(model, q, data, n_mc=50_000, seed=0)
-        kl = kl_gaussian(q, model.prior_tau)
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    def test_value_is_kl_minus_mean_loglik(self, family, fixed_noise):
+        # F at the draws z is the closed-form KL of q less the mean
+        # log-likelihood of the draws w = mu + z L', whichever way the
+        # objective forms them
+        data = linear_data(n=30, seed=11)
+        model = build_model(data, mean_degree=2, fixed_noise_sd=fixed_noise)
         design = model.design(data)
-        draws = q.sample(substream(0, 0), 50_000)
-        ell = design.log_likelihood_batch(draws).mean()
-        assert f == pytest.approx(kl - ell, rel=0.01)
+        p = model.n_weights
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            q = random_posterior(rng, p, family)
+            z = rng.standard_normal((6, p))
+            f, _ = objective(design, family, pack_posterior(q), z, 1.3)
+            ll, _ = design.log_likelihood_and_grad(q.mu + z @ q.factor.T)
+            want = kl_gaussian(q, 1.3) - ll.mean()
+            assert f == pytest.approx(want, rel=1e-12)
 
     def test_collapsed_posterior_limit(self):
         # scale -> 0: the expectation collapses onto the loglik at mu
@@ -231,8 +230,11 @@ class TestObjectiveGradients:
         mu = rng.standard_normal(model.n_weights) * 0.5
         q = VariationalPosterior("mean_field", mu,
                                  np.full(model.n_weights, 1e-8))
-        f = free_energy(model, q, data, n_mc=64, seed=0)
-        (ll,), _ = model.design(data).log_likelihood_and_grad(mu)
+        z = rng.standard_normal((64, model.n_weights))
+        design = model.design(data)
+        f, _ = objective(design, "mean_field", pack_posterior(q), z,
+                         model.prior_tau)
+        (ll,), _ = design.log_likelihood_and_grad(mu)
         want = kl_gaussian(q, model.prior_tau) - ll
         assert f == pytest.approx(want, rel=1e-6)
 
@@ -245,8 +247,8 @@ class TestObjectiveGradients:
         kl = kl_gaussian(q, model.prior_tau)
 
         def estimate(n_mc, seed):
-            ll = design.log_likelihood_batch(q.sample(substream(seed, 0),
-                                                      n_mc))
+            ll, _ = design.log_likelihood_and_grad(
+                q.sample(substream(seed, 0), n_mc))
             return kl - ll.mean(), ll.std(ddof=1) / np.sqrt(n_mc)
 
         f1, se1 = estimate(10_000, 0)
@@ -336,24 +338,25 @@ def quad_noise_variance(m, s):
                for a, b in zip(cuts, cuts[1:]))
 
 
+FIELDS = ("y_hat", "sigma_hat", "aleatoric_var", "epistemic_var")
+
+
 class TestPredict:
     def test_variance_decomposition_identity(self):
         data = linear_data(n=100, seed=3)
         model = build_model(data)
         rng = np.random.default_rng(44)
         q = random_posterior(rng, model.n_weights, "full_rank")
-        for _ in range(10):
-            x = rng.uniform(-2, 2, size=1)
-            vm = predict(model, q, x)
-            total = vm.aleatoric_var + vm.epistemic_var
-            assert vm.sigma_hat ** 2 == pytest.approx(total, rel=1e-9)
+        vm = predict_parts(model, q, rng.uniform(-2, 2, size=(10, 1)), 2.0)
+        total = vm.aleatoric_var + vm.epistemic_var
+        assert vm.sigma_hat ** 2 == pytest.approx(total, rel=1e-9)
 
     def test_interval_is_khat(self):
         data = linear_data(n=50, seed=1)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.full(model.n_weights, 0.5))
-        vm = predict(model, q, np.array([0.3]), k=2.5)
+        vm = predict_parts(model, q, np.array([[0.3]]), k=2.5)
         lo, hi = vm.interval
         assert lo == pytest.approx(vm.y_hat - 2.5 * vm.sigma_hat, rel=1e-12)
         assert hi == pytest.approx(vm.y_hat + 2.5 * vm.sigma_hat, rel=1e-12)
@@ -365,28 +368,28 @@ class TestPredict:
                                              schedule="cosine",
                                              learning_rate=0.02,
                                              tolerance=0.0, window=3000))
-        near = predict(model, out.posterior, np.array([0.0]))
-        far = predict(model, out.posterior, np.array([6.0]))
-        assert far.epistemic_var > 5 * near.epistemic_var
+        near, far = predict_parts(model, out.posterior,
+                                  np.array([[0.0], [6.0]]), 2.0).epistemic_var
+        assert far > 5 * near
 
     def test_fixed_noise_aleatoric_is_constant(self):
         data = linear_data(n=50, seed=4)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.25)
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.ones(model.n_weights))
-        vm = predict(model, q, np.array([1.0]))
-        assert vm.aleatoric_var == pytest.approx(0.0625, rel=1e-12)
+        vm = predict_parts(model, q, np.array([[1.0]]), 2.0)
+        assert vm.aleatoric_var[0] == pytest.approx(0.0625, rel=1e-12)
 
     def test_reruns_identical(self):
         data = linear_data(n=50, seed=4)
         model = build_model(data)
         rng = np.random.default_rng(10)
         q = random_posterior(rng, model.n_weights, "mean_field")
-        a = predict(model, q, np.array([0.5]))
-        b = predict(model, q, np.array([0.5]))
-        assert a == b
-        assert all(type(v) is float for v in (
-            a.y_hat, a.sigma_hat, a.aleatoric_var, a.epistemic_var))
+        a, b = (predict_parts(model, q, np.array([[0.5]]), 2.0)
+                for _ in range(2))
+        for name in FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).shape == (1,)
 
     def test_wrong_feature_count(self):
         data = linear_data(n=50, seed=4)
@@ -394,14 +397,14 @@ class TestPredict:
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.ones(model.n_weights))
         with pytest.raises(ConfigError):
-            predict(model, q, np.array([1.0, 2.0]))
+            predict_parts(model, q, np.array([[1.0, 2.0]]), 2.0)
 
     @pytest.mark.parametrize("fixed_noise", [None, 0.3])
     @pytest.mark.parametrize("mean_degree", [1, 2, 3])
     def test_parts_match_per_part_loop(self, fixed_noise, mean_degree):
         # the reference is the loop over parts, with the moments of each
         # head taken from q's covariance; a part predicted alone has the
-        # batch's noise head to the bit
+        # batch's numbers to the bit
         data = linear_data(n=80, seed=5)
         model = build_model(data, fixed_noise_sd=fixed_noise,
                             mean_degree=mean_degree)
@@ -419,41 +422,54 @@ class TestPredict:
             assert vms.y_hat[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12)
             assert vms.epistemic_var[i] == pytest.approx(
                 phi @ cov[:p, :p] @ phi, rel=1e-12)
-            alone = predict(model, q, row, 2.5)
-            if fixed_noise is None:
-                assert vms.aleatoric_var[i] == alone.aleatoric_var
-            else:
+            alone = predict_parts(model, q, row[None], 2.5)
+            for name in FIELDS:
+                assert getattr(alone, name)[0] == getattr(vms, name)[i]
+            if fixed_noise is not None:
                 assert vms.aleatoric_var[i] == fixed_noise ** 2
 
     @pytest.mark.parametrize("family", vi.FAMILIES)
-    def test_part_does_not_depend_on_its_batch(self, monkeypatch, family):
-        # noise sds from below 2 to above 50 give rules of 49 to over
-        # 2,000 nodes; each part's noise head is the same to the bit
-        # alone, in any order, and in one-part slices
-        data = linear_data(n=80, seed=5)
-        model = build_model(data, mean_degree=2, noise_degree=2)
-        q = random_posterior(np.random.default_rng(3), model.n_weights,
-                             family)
-        rows = np.concatenate([np.linspace(-1, 1, 12),
-                               [-4.0, -2.5, 2.0, 3.0]])[:, None]
-        psi = model.noise_features(rows)
-        p = model.n_mean_weights
-        s = np.sqrt(np.einsum("ij,jk,ik->i", psi, q.covariance()[p:, p:],
-                              psi))
-        assert s.min() < 2.0 and s.max() > 50.0
+    @pytest.mark.parametrize("case", ["learned", "fixed", "wide"])
+    def test_part_does_not_depend_on_its_batch(self, monkeypatch, family,
+                                                case):
+        # every field of a part is the same to the bit alone, in any
+        # order, and in one-part slices. Learned noise: sds from below 2
+        # to above 50 give rules of 49 to over 2,000 nodes. Wide: 20
+        # features at degree 2, 231 mean-head weights
+        rng = np.random.default_rng(3)
+        if case == "wide":
+            names = tuple(f"x{i}" for i in range(20))
+            data = make_dataset(rng.standard_normal((80, 20)),
+                                rng.standard_normal(80), names)
+            model = build_model(data, mean_degree=2, noise_degree=1)
+            rows = rng.standard_normal((40, 20))
+        else:
+            data = linear_data(n=80, seed=5)
+            model = build_model(data, mean_degree=2, noise_degree=2,
+                                fixed_noise_sd=0.3 if case == "fixed"
+                                else None)
+            rows = np.concatenate([np.linspace(-1, 1, 12),
+                                   [-4.0, -2.5, 2.0, 3.0]])[:, None]
+        q = random_posterior(rng, model.n_weights, family)
+        if case == "learned":
+            psi = model.noise_features(rows)
+            p = model.n_mean_weights
+            s = np.sqrt(np.einsum("ij,jk,ik->i", psi,
+                                  q.covariance()[p:, p:], psi))
+            assert s.min() < 2.0 and s.max() > 50.0
         whole = predict_parts(model, q, rows, 2.0)
         order = np.random.default_rng(1).permutation(len(rows))
         shuffled = predict_parts(model, q, rows[order], 2.0)
-        np.testing.assert_array_equal(shuffled.aleatoric_var,
-                                      whole.aleatoric_var[order])
-        for i, row in enumerate(rows):
-            assert predict(model, q, row).aleatoric_var \
-                == whole.aleatoric_var[i]
+        alone = [predict_parts(model, q, row[None], 2.0) for row in rows]
         monkeypatch.setattr(vi, "_SLICE_VALUES", 1)
         sliced = predict_parts(model, q, rows, 2.0)
-        for name in ("y_hat", "sigma_hat", "aleatoric_var", "epistemic_var"):
-            np.testing.assert_array_equal(getattr(sliced, name),
-                                          getattr(whole, name))
+        for name in FIELDS:
+            want = getattr(whole, name)
+            np.testing.assert_array_equal(getattr(shuffled, name),
+                                          want[order])
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(vm, name) for vm in alone]), want)
+            np.testing.assert_array_equal(getattr(sliced, name), want)
 
     def test_fixed_noise_is_the_conjugate_predictive(self):
         # with q the exact posterior (L = chol Sigma) the predictive is
@@ -502,10 +518,10 @@ class TestPredict:
         for m in (-40.0, -20.0, -5.0, -1.0, 0.0, 0.7, 3.0, 15.0):
             for s in (1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 30.0, 99.5,
                       vi.MAX_NOISE_SD):
-                vm = predict(model, noise_bias_posterior(model, m, s),
-                             np.array([0.3]))
+                vm = predict_parts(model, noise_bias_posterior(model, m, s),
+                                   np.array([[0.3]]), 2.0)
                 want = quad_noise_variance(m, s)
-                worst = max(worst, abs(vm.aleatoric_var - want) / want)
+                worst = max(worst, abs(vm.aleatoric_var[0] - want) / want)
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("family", vi.FAMILIES)
