@@ -3,11 +3,12 @@
 Each subcommand reads a JSON config (``--config``), runs its pipeline,
 and emits a JSON report, either to ``--out`` or to stdout. ``--seed``
 overrides the config's seed so the same config can be swept across
-seeds without editing files; ``conformity`` draws nothing at random
-and has no seed. ``predict`` draws nothing either: it accepts a seed,
-without effect, for configs written for earlier versions. All
-randomness in a run descends from that one seed; identical config plus
-seed reproduces the report's ``results`` block byte for byte.
+seeds without editing files; ``conformity`` and ``predict`` draw
+nothing at random and have no ``--seed``. All randomness in a run
+descends from that one seed; identical config plus seed reproduces the
+report's ``results`` block byte for byte. Each command-line value is
+written into the config document at the key :data:`_OVERRIDES` names,
+before validation, so the schema checks it like any other key.
 
 ``verify`` needs no config: it builds a known-noise linear problem
 internally, trains full-rank variational inference on it, and checks
@@ -34,9 +35,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (load_model, resolve_conformity, resolve_predict,
-                     resolve_propagate, resolve_train, save_model,
-                     validate_config)
+from .config import (load_model, resolve_predict, resolve_propagate,
+                     resolve_train, save_model, validate_config)
 from .conformity import Specification, classify
 from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
@@ -72,11 +72,8 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _run_propagate(args) -> tuple[dict, int]:
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    run = resolve_propagate(doc, os.path.dirname(os.path.abspath(args.config)))
+def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
+    run = resolve_propagate(doc, base_dir)
     cfg = run.resolved
 
     if cfg["method"] == "analytic":
@@ -101,11 +98,8 @@ def _run_propagate(args) -> tuple[dict, int]:
     return build_report("propagate", cfg, results), 0
 
 
-def _run_train(args) -> tuple[dict, int]:
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc.setdefault("vi", {})["seed"] = args.seed
-    cfg = resolve_train(doc, os.path.dirname(os.path.abspath(args.config)))
+def _run_train(doc: dict, base_dir: str) -> tuple[dict, int]:
+    cfg = resolve_train(doc, base_dir)
     ds = cfg["dataset"]
 
     data = ingest_dataset(ds["path"], ds["target"], ds["features"])
@@ -159,11 +153,8 @@ def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
     return out
 
 
-def _run_predict(args) -> tuple[dict, int]:
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = resolve_predict(doc, os.path.dirname(os.path.abspath(args.config)))
+def _run_predict(doc: dict, base_dir: str) -> tuple[dict, int]:
+    cfg = resolve_predict(doc, base_dir)
     model, posterior, model_doc = load_model(cfg["model_path"])
     results = {
         "parts": _predict_rows(cfg, model, posterior),
@@ -174,9 +165,8 @@ def _run_predict(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _run_conformity(args) -> tuple[dict, int]:
-    doc = load_json(args.config)
-    cfg = resolve_conformity(doc, args.lsl, args.usl)
+def _run_conformity(doc: dict, base_dir: str) -> tuple[dict, int]:
+    cfg = validate_config(doc, "conformity")
     measurements = cfg["measurements"]
     decisions = classify([m["y"] for m in measurements],
                          [m["U"] for m in measurements],
@@ -231,14 +221,38 @@ def _verify_checks(cfg: dict) -> dict:
     }
 
 
-def _run_verify(args) -> tuple[dict, int]:
-    doc = load_json(args.config) if args.config else {}
-    if args.seed is not None:
-        doc["seed"] = args.seed
+def _run_verify(doc: dict, base_dir: str) -> tuple[dict, int]:
     cfg = validate_config(doc, "verify")
     checks = _verify_checks(cfg)
     report = build_report("verify", cfg, {"conjugate_check": checks})
     return report, 0 if checks["passed"] else 1
+
+
+# per subcommand, each command-line flag and the config key it sets
+_OVERRIDES = {
+    "propagate": {"seed": ("seed",)},
+    "train": {"seed": ("vi", "seed")},
+    "predict": {},
+    "conformity": {"lsl": ("spec", "lsl"), "usl": ("spec", "usl")},
+    "verify": {"seed": ("seed",)},
+}
+
+_FLAG_TYPES = {"seed": int, "lsl": float, "usl": float}
+
+
+def _override(doc: dict, args) -> None:
+    """Write each command-line value given into ``doc`` at its key."""
+    for flag, path in _OVERRIDES[args.mode].items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        block = doc
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+            if not isinstance(block, dict):
+                break       # the schema refuses it with its path
+        else:
+            block[path[-1]] = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,30 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def add(name: str, help_text: str, config_required: bool = True,
-            seeded: bool = True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required,
+    for mode, help_text in (
+            ("propagate", "propagate input uncertainty through a model"),
+            ("train", "train the virtual-measurement posterior on a dataset"),
+            ("predict", "virtually measure new parts with a trained model"),
+            ("conformity", "classify measurements against specification "
+                           "limits"),
+            ("verify", "run the built-in conjugate-posterior self-check")):
+        p = sub.add_parser(mode, help=help_text)
+        p.add_argument("--config", required=mode != "verify",
                        help="JSON run configuration")
         p.add_argument("--out", help="write the JSON report here "
                                      "(default: stdout)")
-        if seeded:
-            p.add_argument("--seed", type=int,
-                           help="override the config's seed")
-        return p
-
-    add("propagate", "propagate input uncertainty through a model")
-    add("train", "train the virtual-measurement posterior on a dataset")
-    add("predict", "virtually measure new parts with a trained model")
-    conf = add("conformity", "classify measurements against specification "
-                             "limits", seeded=False)
-    conf.add_argument("--lsl", type=float,
-                      help="override the lower specification limit")
-    conf.add_argument("--usl", type=float,
-                      help="override the upper specification limit")
-    add("verify", "run the built-in conjugate-posterior self-check",
-        config_required=False)
+        for flag, path in _OVERRIDES[mode].items():
+            p.add_argument(f"--{flag}", type=_FLAG_TYPES[flag],
+                           help=f"override the config's {'.'.join(path)}")
     return parser
 
 
@@ -289,7 +294,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        report, code = _RUNNERS[args.mode](args)
+        if args.config is None:         # verify runs without a config
+            doc, base_dir = {}, "."
+        else:
+            doc = load_json(args.config)
+            base_dir = os.path.dirname(os.path.abspath(args.config))
+        _override(doc, args)
+        report, code = _RUNNERS[args.mode](doc, base_dir)
         text = write_report(report, args.out)
     except (UncertLabError, MemoryError) as err:
         # numpy raises a private MemoryError subclass

@@ -30,6 +30,9 @@ own directory, which keeps config+data bundles relocatable. Each
 ``resolve_*`` returns that resolved config (propagate adds the parsed
 model and input distributions); the CLI runs from it. ``verify`` names
 no file, so it runs from :func:`validate_config`'s result itself.
+The CLI writes its command-line overrides into the document before
+validation, so the schema checks them like any other key. An input
+marginal's keys are its class's fields in ``MARGINALS``.
 """
 
 import inspect
@@ -41,8 +44,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .dataset import DatasetSummary
-from .distributions import (Gaussian, InputQuantity, JointInputModel,
-                            Rectangular, Triangular)
+from .distributions import MARGINALS, InputQuantity, JointInputModel
 from .errors import ConfigError, ParseError
 from .expr import MeasurementModelExpr, parse_model
 from .propagation import (propagate_monte_carlo, propagate_taylor1,
@@ -60,7 +62,6 @@ __all__ = [
     "resolve_propagate",
     "resolve_train",
     "resolve_predict",
-    "resolve_conformity",
 ]
 
 
@@ -105,35 +106,13 @@ _DIST_SCHEMA = {
     "oneOf": [
         {
             "type": "object",
-            "properties": {
-                "kind": {"const": "gaussian"},
-                "mean": {"type": "number"},
-                "sd": {"type": "number"},
-            },
-            "required": ["kind", "mean", "sd"],
+            "properties": {"kind": {"const": kind},
+                           **{f.name: {"type": "number"}
+                              for f in fields(cls)}},
+            "required": ["kind", *(f.name for f in fields(cls))],
             "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "rectangular"},
-                "lower": {"type": "number"},
-                "upper": {"type": "number"},
-            },
-            "required": ["kind", "lower", "upper"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "triangular"},
-                "lower": {"type": "number"},
-                "mode": {"type": "number"},
-                "upper": {"type": "number"},
-            },
-            "required": ["kind", "lower", "mode", "upper"],
-            "additionalProperties": False,
-        },
+        }
+        for kind, cls in MARGINALS.items()
     ]
 }
 
@@ -548,15 +527,6 @@ def load_model(path: str) -> tuple[BayesianVMModel, VariationalPosterior, dict]:
     return model, posterior, doc
 
 
-def _marginal_from_dict(d: dict) -> Any:
-    kind = d["kind"]
-    if kind == "gaussian":
-        return Gaussian(d["mean"], d["sd"])
-    if kind == "rectangular":
-        return Rectangular(d["lower"], d["upper"])
-    return Triangular(d["lower"], d["mode"], d["upper"])
-
-
 def _resolve_path(base_dir: str, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
@@ -578,10 +548,11 @@ class PropagateRun:
 
 def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
     r = validate_config(doc, "propagate")
-    quantities = [
-        InputQuantity(q["name"], _marginal_from_dict(q["dist"]))
-        for q in r["inputs"]["quantities"]
-    ]
+    quantities = []
+    for q in r["inputs"]["quantities"]:
+        params = dict(q["dist"])
+        kind = params.pop("kind")
+        quantities.append(InputQuantity(q["name"], MARGINALS[kind](**params)))
     names = [q.name for q in quantities]
     try:
         expr = parse_model(r["model"]["expression"], declared=names)
@@ -631,17 +602,4 @@ def resolve_predict(doc: dict, base_dir: str = ".") -> dict:
                                       "parts")
     elif len({len(row) for row in parts["inline"]}) != 1:
         raise ConfigError("inline parts rows differ in length")
-    return r
-
-
-def resolve_conformity(
-    doc: dict,
-    lsl_override: Optional[float] = None,
-    usl_override: Optional[float] = None,
-) -> dict:
-    r = validate_config(doc, "conformity")
-    if lsl_override is not None:
-        r["spec"]["lsl"] = lsl_override
-    if usl_override is not None:
-        r["spec"]["usl"] = usl_override
     return r

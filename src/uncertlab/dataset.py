@@ -13,7 +13,7 @@ resemble the training distribution.
 import csv
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,8 @@ class ColumnSummary:
     name: str
     mean: float
     sd: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,8 @@ class DatasetSummary:
     target: ColumnSummary
 
     def to_dict(self) -> dict:
-        def col(c: ColumnSummary) -> dict:
-            return {"name": c.name, "mean": c.mean, "sd": c.sd,
-                    "min": c.minimum, "max": c.maximum}
-        return {
-            "n_records": self.n_records,
-            "features": [col(c) for c in self.features],
-            "target": col(self.target),
-        }
+        # the field names are the document's keys
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "Rectangular",
     "Triangular",
     "MarginalDistribution",
+    "MARGINALS",
     "InputQuantity",
     "JointInputModel",
     "sample",
@@ -142,6 +143,10 @@ class Triangular:
 
 
 MarginalDistribution = Union[Gaussian, Rectangular, Triangular]
+
+# each marginal class by its config ``kind``; its fields are the keys
+MARGINALS = {"gaussian": Gaussian, "rectangular": Rectangular,
+             "triangular": Triangular}
 
 
 @dataclass(frozen=True)

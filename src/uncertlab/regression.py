@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_integer, require_positive
 
 __all__ = [
     "NOISE_FLOOR",
@@ -144,6 +144,8 @@ class BayesianVMModel:
     fixed_noise_sd: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("mean_degree", "noise_degree"):
+            require_integer(name, getattr(self, name), 0)
         require_positive("prior tau", self.prior_tau)
         if self.fixed_noise_sd is not None:
             require_positive("fixed noise sd", self.fixed_noise_sd)
@@ -170,13 +172,15 @@ class BayesianVMModel:
     def noise_exponents(self) -> tuple[tuple[int, ...], ...]:
         return polynomial_exponents(self.n_features, self.noise_degree)
 
+    # comb(F + d, d) monomials of degree <= d, counted without listing them
     @property
     def n_mean_weights(self) -> int:
-        return len(self.mean_exponents)
+        return math.comb(self.n_features + self.mean_degree, self.mean_degree)
 
     @property
     def n_noise_weights(self) -> int:
-        return 0 if self.fixed_noise_sd is not None else len(self.noise_exponents)
+        return 0 if self.fixed_noise_sd is not None else math.comb(
+            self.n_features + self.noise_degree, self.noise_degree)
 
     @cached_property
     def n_weights(self) -> int:

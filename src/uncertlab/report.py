@@ -17,6 +17,7 @@ way out; that covers literals outside the double range, such as
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from typing import Iterable, Optional
@@ -119,11 +120,7 @@ def measurement_to_dict(r: MeasurementResult) -> dict:
         "method": r.method,
     }
     if r.mc_diagnostics is not None:
-        out["mc_diagnostics"] = {
-            "M": r.mc_diagnostics.M,
-            "mc_standard_error": r.mc_diagnostics.mc_standard_error,
-            "domain_error_count": r.mc_diagnostics.domain_error_count,
-        }
+        out["mc_diagnostics"] = asdict(r.mc_diagnostics)
     return out
 
 

@@ -263,7 +263,7 @@ class TestPropagate:
         class ArrayMemoryError(MemoryError):
             """Stands in for numpy's private subclass."""
 
-        def runner(args):
+        def runner(doc, base_dir):
             raise ArrayMemoryError("Unable to allocate 728. TiB")
 
         monkeypatch.setitem(cli._RUNNERS, "propagate", runner)
@@ -402,8 +402,7 @@ class TestTrainPredict:
                 "parts": {"inline": [[v] for v in np.linspace(-1, 1, 40)]},
                 "spec": {"lsl": 0.0, "usl": 2.4}, **extra,
             })
-            code, out, _ = run_cli(capsys, "predict", "--config", pred_cfg,
-                                   "--seed", "7")
+            code, out, _ = run_cli(capsys, "predict", "--config", pred_cfg)
             assert code == 0
             results.append(json.dumps(json.loads(out)["results"],
                                       sort_keys=True))
@@ -533,6 +532,48 @@ class TestConformity:
         })
         with pytest.raises(SystemExit) as exc:
             main(["conformity", "--config", cfg, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+class TestOverrides:
+    """Command-line values are written into the document before
+    validation, so the schema checks them like any other key."""
+
+    @pytest.mark.parametrize("mode,doc,flags,path", [
+        *[("train", {"dataset": {"path": "d.csv", "target": "y"},
+                     "model_out": "m.json", "vi": vi}, ["--seed", "3"], "$.vi")
+          for vi in (None, [], 5)],
+        ("conformity", {"spec": None, "measurements": [{"y": 1, "U": 0}]},
+         ["--lsl", "1"], "$.spec"),
+    ], ids=["vi-null", "vi-list", "vi-number", "spec-null"])
+    def test_block_that_is_no_object_is_refused(self, capsys, tmp_path,
+                                                 mode, doc, flags, path):
+        cfg = write_json(tmp_path / "c.json", doc)
+        code, out, err = run_cli(capsys, mode, "--config", cfg, *flags)
+        assert code == 1 and out == "" and "Traceback" not in err
+        e = json.loads(err)["error"]
+        assert e["mode"] == mode and e["type"] == "ConfigError"
+        assert e["message"].startswith(f"config invalid at {path}: ")
+
+    def test_limits_are_checked_as_config_keys(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "measurements": [{"y": 10.1, "U": 0.02}]})
+        code, _, err = run_cli(capsys, "conformity", "--config", cfg,
+                               "--lsl", "10")
+        assert code == 1
+        assert json.loads(err)["error"]["message"] == (
+            "config invalid at $.spec: 'usl' is a required property")
+        assert json.loads(echoed_config(
+            capsys, "conformity", "--config", cfg, "--lsl", "10",
+            "--usl", "10.2"))["spec"] == {"lsl": 10.0, "usl": 10.2}
+
+    def test_predict_has_no_seed_flag(self, capsys, tmp_path):
+        # predict draws nothing; its config still accepts a seed key
+        cfg = write_json(tmp_path / "p.json", {
+            "model_path": "m.json", "parts": {"inline": [[0.0]]}})
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--config", cfg, "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 

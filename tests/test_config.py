@@ -14,11 +14,13 @@ import functools
 import json
 import operator
 import os
+from dataclasses import fields
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from uncertlab import config
+from uncertlab.distributions import MARGINALS
 from uncertlab.errors import ConfigError
 
 DELETE = object()
@@ -314,6 +316,34 @@ def test_keyword_semantics_match_jsonschema(monkeypatch, keyword, schema,
 def test_unknown_mode_rejected():
     with pytest.raises(ConfigError, match="unknown run mode"):
         config.validate_config({}, "calibrate")
+
+
+def _one_input(kind, params):
+    return {"model": {"expression": "X1"}, "method": "taylor1",
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": kind, **params}}]}}
+
+
+@pytest.mark.parametrize("kind", sorted(MARGINALS))
+def test_schema_and_constructor_agree_on_each_marginal(kind):
+    # a kind's keys are its class's fields; the values 1, 2, 3, ... in
+    # field order are valid parameters of every kind
+    cls = MARGINALS[kind]
+    params = {f.name: float(i) for i, f in enumerate(fields(cls), 1)}
+    run = config.resolve_propagate(_one_input(kind, params))
+    assert run.joint.quantities[0].marginal == cls(**params)
+
+    foreign = {f.name for other in MARGINALS.values()
+               for f in fields(other)} - set(params)
+    assert foreign
+    broken = [{k: v for k, v in params.items() if k != drop}
+              for drop in params]
+    broken += [{**params, name: 1.0} for name in sorted(foreign)]
+    for doc in broken:
+        with pytest.raises(ConfigError) as info:
+            config.resolve_propagate(_one_input(kind, doc))
+        assert str(info.value).startswith(
+            "config invalid at $.inputs.quantities[0].dist: ")
 
 
 # Valid model files as save_model writes them, and one written before

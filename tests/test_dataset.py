@@ -99,7 +99,7 @@ class TestIngestDataset:
         a = s.features[0]
         assert a.mean == pytest.approx(2.0)
         assert a.sd == pytest.approx(1.0)
-        assert (a.minimum, a.maximum) == (1.0, 3.0)
+        assert (a.min, a.max) == (1.0, 3.0)
         assert s.target.mean == pytest.approx(20.0)
 
     def test_summary_dict_is_json_plain(self, tmp_path):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uncertlab import regression
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DomainError
 from uncertlab.config import load_model, save_model
@@ -96,6 +97,24 @@ class TestRoundTrip:
         doc["posterior"]["mu"] = doc["posterior"]["mu"][:-1]
         json.dump(doc, open(path, "w"))
         with pytest.raises(ConfigError):
+            load_model(path)
+
+    def test_huge_degree_refused_without_listing_monomials(
+            self, trained, tmp_path, monkeypatch):
+        # comb(1 + 100000, 100000) weights against the file's 2: the
+        # count alone refuses the file; listing 5e9 monomials would hang
+        model, train, cfg, data = trained
+        path = str(tmp_path / "h.json")
+        save_model(path, model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        doc["model"]["mean_degree"] = 100000
+        json.dump(doc, open(path, "w"))
+
+        def refuse(*args):
+            raise AssertionError("monomials listed")
+
+        monkeypatch.setattr(regression, "polynomial_exponents", refuse)
+        with pytest.raises(ConfigError, match="the model defines 100002"):
             load_model(path)
 
     @pytest.mark.parametrize("x_mean,x_sd,match", [

@@ -125,6 +125,22 @@ class TestModelAssembly:
         assert wm.tolist() == list(range(6))
         assert ws.tolist() == [6.0, 7.0, 8.0]
 
+    @pytest.mark.parametrize("n_features", [1, 2, 5])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_weight_counts_equal_the_listed_monomials(self, n_features,
+                                                       degree):
+        model = BayesianVMModel(tuple(f"x{i}" for i in range(n_features)),
+                                np.zeros(n_features), np.ones(n_features),
+                                mean_degree=degree, noise_degree=degree)
+        assert model.n_mean_weights == len(model.mean_exponents)
+        assert model.n_noise_weights == len(model.noise_exponents)
+
+    @pytest.mark.parametrize("field", ["mean_degree", "noise_degree"])
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, True])
+    def test_degrees_must_be_non_negative_integers(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            BayesianVMModel(("x1",), np.zeros(1), np.ones(1), **{field: bad})
+
     @pytest.mark.parametrize("field", ["x_mean", "x_sd"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_standardization_constants_must_be_finite(self, field, bad):
