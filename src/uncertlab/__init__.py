@@ -17,7 +17,6 @@ limits into an accept / reject / undecided zone with guard bands.
 __version__ = "0.1.0"
 
 from .conformity import ConformityDecision, Specification, classify
-from .conjugate import ConjugatePosterior, conjugate_posterior, conjugate_predictive
 from .dataset import Dataset, DatasetSummary, ingest_dataset, ingest_parts, make_dataset
 from .distributions import (Gaussian, InputQuantity, JointInputModel,
                             Rectangular, Triangular, sample)
@@ -31,15 +30,14 @@ from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
                           sensitivity_budget)
 from .regression import BayesianVMModel, build_model
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
-                 VirtualMeasurementResult, kl_gaussian, predict_parts,
-                 train_vi)
+                 VirtualMeasurementResult, conjugate_posterior, kl_gaussian,
+                 predict_parts, train_vi)
 
 __all__ = [
     "__version__",
     "BayesianVMModel",
     "ConfigError",
     "ConformityDecision",
-    "ConjugatePosterior",
     "Dataset",
     "DatasetError",
     "DatasetSummary",
@@ -65,7 +63,6 @@ __all__ = [
     "build_model",
     "classify",
     "conjugate_posterior",
-    "conjugate_predictive",
     "evaluate",
     "implied_coverage",
     "ingest_dataset",

@@ -10,12 +10,14 @@ report's ``results`` block byte for byte. Each command-line value is
 written into the config document at the key :data:`_OVERRIDES` names,
 before validation, so the schema checks it like any other key.
 
+``train`` with a fixed noise sd takes the exact posterior in closed
+form and runs no optimizer; a learned noise level runs Adam.
 ``verify`` needs no config: it builds a known-noise linear problem
-internally, trains full-rank variational inference on it, and checks
-the result against the closed-form conjugate posterior, exiting
-nonzero when the tolerances are missed. It is the installed
-self-check that the optimization machinery still lands on the exact
-answer where one exists.
+internally, runs Adam for full-rank variational inference on it, and
+checks the result against the exact posterior taken from the same
+design's R factor, exiting nonzero when the tolerances are missed. It
+is the installed self-check that the optimizer still lands on the
+exact answer where one exists.
 
 Failures from any pipeline stage, and a run too large to allocate,
 surface as a structured JSON error on stderr with the run mode and
@@ -30,6 +32,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -38,7 +41,6 @@ from . import __version__
 from .config import (load_model, resolve_predict, resolve_propagate,
                      resolve_train, save_model, validate_config)
 from .conformity import Specification, classify
-from .conjugate import conjugate_posterior, conjugate_predictive
 from .dataset import ingest_dataset, ingest_parts, make_dataset
 from .errors import ConfigError, UncertLabError
 from .propagation import (propagate_analytic, propagate_monte_carlo,
@@ -49,7 +51,8 @@ from .report import (build_report, file_sha256, load_json,
                      measurement_to_dict, train_result_to_dict, write_report,
                      write_text)
 from .rng import substream
-from .vi import VIConfig, predict_parts, train_vi
+from .vi import (VIConfig, conjugate_posterior, optimize, predict_parts,
+                 train_vi)
 
 log = logging.getLogger("uncertlab")
 
@@ -122,7 +125,7 @@ def _run_train(doc: dict, base_dir: str) -> tuple[dict, int]:
         "n_rejected_rows": data.n_rejected_rows,
     }
     report = build_report("train", cfg, results,
-                          dataset_summary=data.summary.to_dict(),
+                          dataset_summary=asdict(data.summary),
                           dataset_sha256=sha)
     return report, 0
 
@@ -176,7 +179,7 @@ def _run_conformity(doc: dict, base_dir: str) -> tuple[dict, int]:
 
 
 def _verify_checks(cfg: dict) -> dict:
-    """Train full-rank VI on a conjugate problem; compare to closed form."""
+    """Run Adam on a conjugate problem; compare to the exact posterior."""
     seed = cfg["seed"]
     rng = substream(seed, 0)
     x = rng.standard_normal((_VERIFY_RECORDS, 2))
@@ -187,23 +190,25 @@ def _verify_checks(cfg: dict) -> dict:
     model = build_model(data, mean_degree=1, standardize=False,
                         fixed_noise_sd=_VERIFY_NOISE_SD)
 
-    exact = conjugate_posterior(model, data.x, data.y)
+    design = model.design(data)
+    exact = conjugate_posterior(design, "full_rank")
     # window == max_steps disables the early stop so the cosine schedule
     # anneals fully; the covariance match is about 3x tighter that way
     config = VIConfig(family="full_rank", schedule="cosine",
                       learning_rate=0.02, n_mc=16, max_steps=4000,
                       tolerance=0.0, window=4000, seed=seed)
-    train = train_vi(model, data, config)
+    train = optimize(design, config)
     q = train.posterior
 
     mu_rel = float(np.linalg.norm(q.mu - exact.mu)
                    / np.linalg.norm(exact.mu))
-    cov_rel = float(np.linalg.norm(q.covariance() - exact.cov)
-                    / np.linalg.norm(exact.cov))
-    query = np.array(_VERIFY_QUERY)
-    pred_mean, pred_var = conjugate_predictive(model, exact, query)
+    want_cov = exact.covariance()
+    cov_rel = float(np.linalg.norm(q.covariance() - want_cov)
+                    / np.linalg.norm(want_cov))
     # k only scales U, which the checks do not read
-    vm = predict_parts(model, q, query[None], 1.0)
+    query = np.array([_VERIFY_QUERY])
+    want, vm = (predict_parts(model, post, query, 1.0) for post in (exact, q))
+    pred_mean, pred_var = want.y_hat.item(), want.sigma_hat.item()**2
     mean_rel = abs(vm.y_hat.item() - pred_mean) / max(abs(pred_mean), 1e-12)
     var_rel = abs(vm.sigma_hat.item()**2 - pred_var) / pred_var
 

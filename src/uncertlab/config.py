@@ -94,7 +94,7 @@ def save_model(
                       "scale": q.scale.ravel().tolist()},
         "training": {"config": asdict(train_config),
                      **train_result_to_dict(train)},
-        "dataset_summary": dataset_summary.to_dict(),
+        "dataset_summary": asdict(dataset_summary),
         "dataset_sha256": dataset_sha256,
     }
     if store_trajectory:

@@ -13,7 +13,7 @@ resemble the training distribution.
 import csv
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,10 +44,6 @@ class DatasetSummary:
     n_records: int
     features: tuple[ColumnSummary, ...]
     target: ColumnSummary
-
-    def to_dict(self) -> dict:
-        # the field names are the document's keys
-        return asdict(self)
 
 
 @dataclass(frozen=True)

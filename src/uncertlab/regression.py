@@ -10,11 +10,11 @@ vector w = (w_mu, w_sigma):
 
 Both feature maps are polynomial bases over standardized inputs, so
 the conditional noise level can vary across the process window
-(heteroscedastic) while everything stays differentiable in w and a
-conjugate closed form remains reachable for validation: setting
+(heteroscedastic) while everything stays differentiable in w. Setting
 ``fixed_noise_sd`` freezes the noise level to a known constant and
 drops w_sigma entirely, which is exactly the Bayesian linear
-regression whose posterior the normal-equations oracle computes.
+regression whose Gaussian posterior training takes in closed form from
+the R factor below (:func:`uncertlab.vi.conjugate_posterior`).
 
 The prior over all P weights is isotropic Gaussian N(0, tau^2 I) in
 the standardized feature space. The softplus transform plus the
@@ -50,6 +50,7 @@ from .errors import ConfigError, require_integer, require_positive
 
 __all__ = [
     "NOISE_FLOOR",
+    "MAX_WEIGHTS",
     "polynomial_exponents",
     "polynomial_features",
     "softplus",
@@ -64,6 +65,12 @@ __all__ = [
 NOISE_FLOOR = 1e-6
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Most weights P a model may have. Training holds M = [mu | L], a
+# P x (P + 1) array of doubles for either family, and forms its gradient
+# in a second one; at 2,048 weights each is 34 MB. A model above the cap
+# is refused from its weight count alone, before any monomial is listed.
+MAX_WEIGHTS = 2048
 
 
 def polynomial_exponents(n_features: int,
@@ -159,6 +166,11 @@ class BayesianVMModel:
             raise ConfigError("x_mean and x_sd entries must be finite")
         if not np.all(self.x_sd > 0.0):
             raise ConfigError(f"x_sd entries must be > 0, got {self.x_sd}")
+        if self.n_weights > MAX_WEIGHTS:
+            raise ConfigError(
+                f"the model defines {self.n_weights} weights, more than the "
+                f"{MAX_WEIGHTS} training takes; lower mean_degree or "
+                f"noise_degree")
 
     @property
     def n_features(self) -> int:

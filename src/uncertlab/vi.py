@@ -8,7 +8,13 @@ lower-triangular L). Training minimizes the variational free energy
     F(q) = KL[q || p(w)] - E_q[log p(y | x, w)],
 
 whose minimizer also minimizes the KL divergence to the true posterior
-(the evidence term does not depend on q). Both families share one
+(the evidence term does not depend on q).
+
+A fixed noise sd makes the posterior Gaussian, and training returns
+each family's minimizer of F in closed form (:func:`conjugate_posterior`),
+taken from the design's R factor rather than the normal equations so
+that a large offset in y costs no digits. A learned noise level runs
+Adam (:func:`optimize`), as follows. Both families share one
 parameter matrix M = [mu | L], P x (P + 1); Adam walks on theta =
 [mu | log diag L | strict lower triangle of L (full-rank only)], and
 one table of flat indices per family writes theta into M (``put``) and
@@ -77,6 +83,8 @@ __all__ = [
     "pack_posterior",
     "unpack_posterior",
     "objective",
+    "conjugate_posterior",
+    "optimize",
     "train_vi",
     "predict_parts",
 ]
@@ -157,7 +165,12 @@ class VariationalPosterior:
 
 @dataclass(frozen=True)
 class VIConfig:
-    """Knobs of the stochastic optimizer; defaults are the shipped ones."""
+    """Knobs of the stochastic optimizer; defaults are the shipped ones.
+
+    ``family`` applies to every model. The other fields steer Adam, which
+    only a learned noise level runs: a fixed-noise model trains in
+    closed form and reads none of them.
+    """
 
     family: str = "mean_field"
     learning_rate: float = 1e-2
@@ -296,34 +309,73 @@ class TrainResult:
     """Trained posterior plus the optimization record."""
 
     posterior: VariationalPosterior
-    trajectory: np.ndarray     # stochastic F estimate per step
+    trajectory: np.ndarray     # stochastic F estimate per step (none if exact)
     n_steps: int
-    stop_reason: str           # "plateau", "worsened" or "max_steps"
+    stop_reason: str           # "exact", "plateau", "worsened" or "max_steps"
     initial_free_energy: float
-    final_free_energy: float   # trailing-window mean at termination
+    final_free_energy: float   # trailing-window mean, or exact F if exact
 
     @property
     def converged(self) -> bool:
-        """True only when F reached a plateau."""
-        return self.stop_reason == "plateau"
+        """True when q is the exact optimum or F reached a plateau."""
+        return self.stop_reason in ("exact", "plateau")
 
 
-def _initial_theta(model: BayesianVMModel, data: Dataset,
-                   config: VIConfig) -> np.ndarray:
+def _initial_theta(design: DesignMatrices, family: str) -> np.ndarray:
+    model = design.model
     p = model.n_weights
-    theta = np.zeros(len(_index_table(config.family, p)))
+    theta = np.zeros(len(_index_table(family, p)))
     theta[p:2 * p] = math.log(_INIT_SCALE)
     if model.fixed_noise_sd is None:
         # noise-head bias starts at sigma_n ~ sd(y): a sane noise scale
         # keeps early likelihood values bounded
-        sd_y = max(data.summary.target.sd, 1e-3)
+        sd_y = max(float(np.std(design.y, ddof=1)), 1e-3)
         theta[model.n_mean_weights] = inv_softplus(sd_y)
     return theta
 
 
-def train_vi(model: BayesianVMModel, data: Dataset,
-             config: VIConfig = VIConfig()) -> TrainResult:
-    """Minimize the free energy; returns the posterior and F trajectory.
+def conjugate_posterior(design: DesignMatrices,
+                        family: str) -> VariationalPosterior:
+    """The q in ``family`` that minimizes F exactly, for a fixed noise sd.
+
+    With A, b and shift the design's R factor (already divided by
+    sigma) and y offset, log p(y | w) = c - |b - A (w - shift)|^2 / 2,
+    so the posterior is Gaussian with precision
+    Lambda = A'A + I / tau^2 and its mean mu solves
+    Lambda (mu - shift) = A'b - shift / tau^2. full_rank gets that
+    posterior itself, L = chol(Lambda^-1); mean_field gets the same mu
+    and s_i = 1 / sqrt(Lambda_ii) (Bishop 2006, section 10.1.2).
+    """
+    model = design.model
+    if model.fixed_noise_sd is None:
+        raise ConfigError(
+            "the closed-form posterior needs a model with fixed_noise_sd set")
+    a, b, shift, _ = design._factor
+    tau2 = model.prior_tau**2
+    precision = a.T @ a + np.eye(len(shift)) / tau2
+    mu = shift + np.linalg.solve(precision, a.T @ b - shift / tau2)
+    if family == "mean_field":
+        return VariationalPosterior(family, mu,
+                                    1.0 / np.sqrt(precision.diagonal()))
+    return VariationalPosterior(
+        family, mu, np.linalg.cholesky(np.linalg.inv(precision)))
+
+
+def _exact_free_energy(design: DesignMatrices,
+                       q: VariationalPosterior) -> float:
+    """F(q) in closed form for a fixed noise sd: with the R factor of
+    :func:`conjugate_posterior`, E_q |b - A (w - shift)|^2 is
+    |b - A (mu - shift)|^2 + |A L|_F^2."""
+    a, b, shift, const = design._factor
+    e = b - a @ (q.mu - shift)
+    spread = a @ q.factor
+    return (kl_gaussian(q, design.model.prior_tau) - const
+            + 0.5 * (float(e @ e) + float(np.vdot(spread, spread))))
+
+
+def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
+    """Minimize the free energy by Adam; returns the posterior and F
+    trajectory.
 
     Every ``window`` steps, from step ``2 * window`` on, the mean of F
     over the last window is compared with the mean over the window
@@ -334,20 +386,12 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     otherwise with ``"plateau"`` (converged). A run that keeps improving
     stops at ``max_steps`` with ``"max_steps"``. Raises
     :class:`~uncertlab.errors.DivergenceError` with the step index if F
-    turns non-finite.
+    turns non-finite. Runs for either noise mode; :func:`train_vi` calls
+    it for a learned one only.
     """
-    if data.n_records < 2:
-        raise DatasetError(
-            f"training needs at least 2 records, got {data.n_records}")
-    if model.fixed_noise_sd is None and data.summary.target.sd == 0.0:
-        raise DatasetError(
-            "all target values are identical; the noise level is not "
-            "identifiable (fix the noise sd to train anyway)")
-
-    design = model.design(data)
-    family, tau = config.family, model.prior_tau
-    p = model.n_weights
-    theta = _initial_theta(model, data, config)
+    family, tau = config.family, design.model.prior_tau
+    p = design.model.n_weights
+    theta = _initial_theta(design, family)
     gen = substream(config.seed, 0)
 
     # z for a block of steps comes from one call: the same normals, in
@@ -417,6 +461,36 @@ def train_vi(model: BayesianVMModel, data: Dataset,
         initial_free_energy=float(trajectory[0]),
         final_free_energy=float(np.mean(tail)),
     )
+
+
+def train_vi(model: BayesianVMModel, data: Dataset,
+             config: VIConfig = VIConfig()) -> TrainResult:
+    """Fit q in ``config.family`` to the weight posterior on ``data``.
+
+    A learned noise level runs :func:`optimize`. A fixed noise sd
+    returns :func:`conjugate_posterior` with ``stop_reason`` ``"exact"``,
+    no steps and an empty trajectory; its two free energies are the
+    exact F at the starting q Adam would use and at the optimum, and
+    ``config`` is read for ``family`` alone.
+    """
+    if data.n_records < 2:
+        raise DatasetError(
+            f"training needs at least 2 records, got {data.n_records}")
+    if model.fixed_noise_sd is None and data.summary.target.sd == 0.0:
+        raise DatasetError(
+            "all target values are identical; the noise level is not "
+            "identifiable (fix the noise sd to train anyway)")
+
+    design = model.design(data)
+    if model.fixed_noise_sd is None:
+        return optimize(design, config)
+    family = config.family
+    start = unpack_posterior(family, model.n_weights,
+                             _initial_theta(design, family))
+    q = conjugate_posterior(design, family)
+    return TrainResult(q, np.empty(0), 0, "exact",
+                       _exact_free_energy(design, start),
+                       _exact_free_energy(design, q))
 
 
 # ---------------------------------------------------------------------------

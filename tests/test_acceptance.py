@@ -15,7 +15,6 @@ import pytest
 
 from uncertlab.cli import main as cli_main
 from uncertlab.conformity import ZONES, Specification, classify
-from uncertlab.conjugate import conjugate_posterior, conjugate_predictive
 from uncertlab.dataset import make_dataset
 from uncertlab.distributions import Gaussian, InputQuantity, JointInputModel
 from uncertlab.expr import parse_model
@@ -24,8 +23,9 @@ from uncertlab.propagation import (implied_coverage, propagate_analytic,
                                    propagate_taylor2)
 from uncertlab.regression import build_model
 from uncertlab.rng import substream
-from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
-                          objective, predict_parts, train_vi)
+from uncertlab.vi import (VIConfig, VariationalPosterior, conjugate_posterior,
+                          kl_gaussian, objective, optimize, predict_parts,
+                          train_vi)
 
 
 def check(index, ok, detail, elapsed, budget):
@@ -135,15 +135,18 @@ def test_04_second_order_square_model_exact():
 def test_05_full_rank_vi_recovers_conjugate_posterior():
     t0 = time.monotonic()
     model, data = conjugate_problem(seed=0)
-    exact = conjugate_posterior(model, data.x, data.y)
-    out = train_vi(model, data, full_anneal(seed=0))
+    design = model.design(data)
+    exact = conjugate_posterior(design, "full_rank")
+    out = optimize(design, full_anneal(seed=0))
     q = out.posterior
+    exact_cov = exact.covariance()
     mu_rel = np.linalg.norm(q.mu - exact.mu) / np.linalg.norm(exact.mu)
-    cov_rel = (np.linalg.norm(q.covariance() - exact.cov)
-               / np.linalg.norm(exact.cov))
-    xq = np.array([0.3, -0.2])
-    want_mean, want_var = conjugate_predictive(model, exact, xq)
-    vm = predict_parts(model, q, xq[None], 2.0)
+    cov_rel = (np.linalg.norm(q.covariance() - exact_cov)
+               / np.linalg.norm(exact_cov))
+    xq = np.array([[0.3, -0.2]])
+    want = predict_parts(model, exact, xq, 2.0)
+    want_mean, want_var = want.y_hat[0], want.sigma_hat[0] ** 2
+    vm = predict_parts(model, q, xq, 2.0)
     mean_rel = abs(vm.y_hat[0] - want_mean) / abs(want_mean)
     var_rel = abs(vm.sigma_hat[0] ** 2 - want_var) / want_var
     ok = (mu_rel <= 0.02 and cov_rel <= 0.10
@@ -269,7 +272,7 @@ def test_08_free_energy_descends_and_full_rank_wins_when_correlated():
                         standardize=False)
     runs = {}
     for family in ("mean_field", "full_rank"):
-        runs[family] = train_vi(model, corr,
+        runs[family] = optimize(model.design(corr),
                                 full_anneal(seed=5, family=family,
                                             max_steps=8000, n_mc=8))
         descended.append(runs[family].final_free_energy

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -484,6 +485,25 @@ class TestTrainPredict:
         code, _, err = run_cli(capsys, "train", "--config", cfg)
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ConfigError"
+
+    def test_too_many_weights_refused_at_once(self, capsys, tmp_path):
+        # comb(2003, 3) = 1.3e9 mean-head monomials for 3 features at
+        # degree 2000: refused from that count, before any is listed
+        data = tmp_path / "three.csv"
+        data.write_text("x1,x2,x3,y\n0,1,2,3\n1,0,2,4\n2,1,0,5\n")
+        model_out = tmp_path / "m.json"
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": str(data), "target": "y"},
+            "model": {"mean_degree": 2000},
+            "model_out": str(model_out),
+        })
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "train", "--config", cfg)
+        assert time.monotonic() - start < 1.0
+        assert code == 1 and out == "" and not model_out.exists()
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError"
+        assert "1337337005 weights" in e["message"]
 
 
 class TestConformity:

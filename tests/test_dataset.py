@@ -1,5 +1,7 @@
 """CSV ingestion for training data and parts lists."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestIngestDataset:
 
     def test_summary_dict_is_json_plain(self, tmp_path):
         path = write_csv(tmp_path, "a,y\n1,2\n3,4\n")
-        doc = ingest_dataset(path, target="y").summary.to_dict()
+        doc = asdict(ingest_dataset(path, target="y").summary)
         import json
         json.dumps(doc)  # must not raise
         assert doc["n_records"] == 2

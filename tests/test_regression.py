@@ -149,6 +149,19 @@ class TestModelAssembly:
         with pytest.raises(ConfigError, match="finite"):
             BayesianVMModel(("x1", "x2"), **consts)
 
+    def test_weight_count_capped(self):
+        # one feature at degree d has d + 1 mean weights; a fixed noise sd
+        # has no noise head
+        def model(degree):
+            return BayesianVMModel(("x1",), np.zeros(1), np.ones(1),
+                                   mean_degree=degree, fixed_noise_sd=0.1)
+
+        assert model(regression.MAX_WEIGHTS - 1).n_weights \
+            == regression.MAX_WEIGHTS
+        with pytest.raises(ConfigError, match=f"{regression.MAX_WEIGHTS + 1} "
+                                              "weights"):
+            model(regression.MAX_WEIGHTS)
+
     def test_fixed_noise_drops_noise_head(self):
         data = toy_data()
         model = build_model(data, fixed_noise_sd=0.2)

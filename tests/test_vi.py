@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import uncertlab.vi as vi
-from uncertlab.conjugate import conjugate_posterior, conjugate_predictive
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DatasetError, DomainError
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, softplus)
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
-                          objective, pack_posterior, predict_parts, train_vi,
-                          unpack_posterior)
+                          objective, optimize, pack_posterior, predict_parts,
+                          train_vi, unpack_posterior)
 
 
 def linear_data(n=120, seed=0, noise=0.1):
@@ -264,10 +263,11 @@ class TestTraining:
         data = linear_data(n=200, seed=42)
         model = build_model(data, mean_degree=1, standardize=False,
                             fixed_noise_sd=0.1)
-        out = train_vi(model, data, VIConfig(seed=3, max_steps=4000,
-                                             schedule="cosine",
-                                             learning_rate=0.02,
-                                             tolerance=0.0, window=4000))
+        out = optimize(model.design(data), VIConfig(seed=3, max_steps=4000,
+                                                    schedule="cosine",
+                                                    learning_rate=0.02,
+                                                    tolerance=0.0,
+                                                    window=4000))
         w = out.posterior.mu
         assert w[0] == pytest.approx(1.0, abs=0.05)
         assert w[1] == pytest.approx(2.0, abs=0.05)
@@ -282,8 +282,8 @@ class TestTraining:
     def test_convergence_stops_early(self):
         data = linear_data(n=100, seed=5)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
-        out = train_vi(model, data, VIConfig(seed=1, max_steps=20_000,
-                                             tolerance=1e-4))
+        out = optimize(model.design(data), VIConfig(seed=1, max_steps=20_000,
+                                                    tolerance=1e-4))
         assert out.converged
         assert out.n_steps < 20_000
 
@@ -306,8 +306,9 @@ class TestTraining:
     def test_trajectory_length_matches_steps(self):
         data = linear_data(n=60, seed=9)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
-        out = train_vi(model, data, VIConfig(seed=0, max_steps=400,
-                                             window=400, tolerance=0.0))
+        out = optimize(model.design(data), VIConfig(seed=0, max_steps=400,
+                                                    window=400,
+                                                    tolerance=0.0))
         assert out.n_steps == 400
         assert len(out.trajectory) == 400
 
@@ -364,10 +365,7 @@ class TestPredict:
     def test_epistemic_grows_away_from_data(self):
         data = linear_data(n=200, seed=12)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
-        out = train_vi(model, data, VIConfig(seed=2, max_steps=3000,
-                                             schedule="cosine",
-                                             learning_rate=0.02,
-                                             tolerance=0.0, window=3000))
+        out = train_vi(model, data)
         near, far = predict_parts(model, out.posterior,
                                   np.array([[0.0], [6.0]]), 2.0).epistemic_var
         assert far > 5 * near
@@ -470,22 +468,6 @@ class TestPredict:
             np.testing.assert_array_equal(
                 np.concatenate([getattr(vm, name) for vm in alone]), want)
             np.testing.assert_array_equal(getattr(sliced, name), want)
-
-    def test_fixed_noise_is_the_conjugate_predictive(self):
-        # with q the exact posterior (L = chol Sigma) the predictive is
-        # the closed form
-        data = linear_data(n=60, seed=9, noise=0.3)
-        model = build_model(data, mean_degree=2, fixed_noise_sd=0.3)
-        exact = conjugate_posterior(model, data.x, data.y)
-        q = VariationalPosterior("full_rank", exact.mu,
-                                 np.linalg.cholesky(exact.cov))
-        rows = np.linspace(0.0, 2.0, 24)[:, None]
-        vms = predict_parts(model, q, rows, 2.0)
-        for i, row in enumerate(rows):
-            mean, var = conjugate_predictive(model, exact, row)
-            assert vms.y_hat[i] == pytest.approx(mean, rel=1e-12)
-            assert vms.sigma_hat[i] ** 2 == pytest.approx(var, rel=1e-12)
-            assert vms.aleatoric_var[i] == 0.09
 
     @pytest.mark.parametrize("family", vi.FAMILIES)
     def test_learned_noise_matches_weight_draws(self, family):
@@ -685,8 +667,7 @@ class TestSameNumbersAsReference:
         cfg = VIConfig(family=family, schedule=schedule, max_steps=300,
                        window=300, tolerance=0.0, learning_rate=0.05,
                        seed=4)
-        self.assert_same(model, data, cfg)
-        assert train_vi(model, data, cfg).n_steps == 300
+        assert self.assert_same(model, data, cfg).n_steps == 300
 
     def test_early_stop(self):
         data = linear_data(n=60, seed=22)
@@ -697,7 +678,11 @@ class TestSameNumbersAsReference:
 
     @staticmethod
     def assert_same(model, data, cfg):
-        out = train_vi(model, data, cfg)
+        # train_vi runs Adam for a learned noise level only
+        if model.fixed_noise_sd is None:
+            out = train_vi(model, data, cfg)
+        else:
+            out = optimize(model.design(data), cfg)
         mu, scale, trajectory, final = reference_train(model, data, cfg)
         assert np.array_equal(out.posterior.mu, mu)
         assert np.array_equal(out.posterior.scale, scale)
@@ -744,11 +729,16 @@ def test_fixed_noise_factor_taken_once_per_run(monkeypatch):
 
     def count(steps):
         calls.clear()
-        train_vi(model, data, VIConfig(family="full_rank", max_steps=steps,
-                                       window=steps, tolerance=0.0))
+        optimize(model.design(data), VIConfig(family="full_rank",
+                                              max_steps=steps, window=steps,
+                                              tolerance=0.0))
         return len(calls)
 
     assert count(50) == count(500) == 1
+    # the closed form and both of its free energies share that one factor
+    calls.clear()
+    train_vi(model, data, VIConfig(family="full_rank"))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +755,9 @@ class TestStopRule:
                                                    np.zeros_like(theta)))
         data = linear_data(n=20, seed=24)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
-        return train_vi(model, data, VIConfig(max_steps=100, window=window,
-                                              tolerance=tolerance))
+        return optimize(model.design(data),
+                        VIConfig(max_steps=100, window=window,
+                                 tolerance=tolerance))
 
     def test_falling_then_flat_is_plateau(self, monkeypatch):
         f = [100.0 - 2.5 * s for s in range(20)] + [50.0] * 80
