@@ -10,8 +10,8 @@ report's ``results`` block byte for byte. Each command-line value is
 written into the config document at the key :data:`_OVERRIDES` names,
 before validation, so the schema checks it like any other key.
 
-``train`` with a fixed noise sd takes the exact posterior in closed
-form and runs no optimizer; a learned noise level runs Adam.
+``train`` with a fixed noise sd stores the exact full-rank posterior
+and runs no optimizer; a learned noise level runs Adam.
 ``verify`` needs no config: it builds a known-noise linear problem
 internally, runs Adam for full-rank variational inference on it, and
 checks the result against the exact posterior taken from the same
@@ -191,7 +191,7 @@ def _verify_checks(cfg: dict) -> dict:
                         fixed_noise_sd=_VERIFY_NOISE_SD)
 
     design = model.design(data)
-    exact = conjugate_posterior(design, "full_rank")
+    exact = conjugate_posterior(design)
     # window == max_steps disables the early stop so the cosine schedule
     # anneals fully; the covariance match is about 3x tighter that way
     config = VIConfig(family="full_rank", schedule="cosine",

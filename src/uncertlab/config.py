@@ -51,7 +51,8 @@ from .propagation import (propagate_monte_carlo, propagate_taylor1,
                           resolve_coverage)
 from .regression import NOISE_FLOOR, BayesianVMModel
 from .report import dump_json, load_json, train_result_to_dict, write_text
-from .vi import FAMILIES, TrainResult, VariationalPosterior, VIConfig
+from .vi import (FAMILIES, SCHEDULES, TrainResult, VariationalPosterior,
+                 VIConfig)
 
 __all__ = [
     "MODEL_SCHEMA_VERSION",
@@ -219,11 +220,11 @@ TRAIN_SCHEMA = {
         "vi": {
             "type": "object",
             "properties": {
-                "family": {"enum": ["mean_field", "full_rank"],
+                "family": {"enum": list(FAMILIES),
                            "default": VIConfig.family},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0,
                                   "default": VIConfig.learning_rate},
-                "schedule": {"enum": ["constant", "cosine"],
+                "schedule": {"enum": list(SCHEDULES),
                              "default": VIConfig.schedule},
                 "n_mc": {"type": "integer", "minimum": 1,
                          "default": VIConfig.n_mc},

@@ -13,8 +13,8 @@ the conditional noise level can vary across the process window
 (heteroscedastic) while everything stays differentiable in w. Setting
 ``fixed_noise_sd`` freezes the noise level to a known constant and
 drops w_sigma entirely, which is exactly the Bayesian linear
-regression whose Gaussian posterior training takes in closed form from
-the R factor below (:func:`uncertlab.vi.conjugate_posterior`).
+regression whose Gaussian posterior training takes exactly from the R
+factor below (:func:`uncertlab.vi.conjugate_posterior`).
 
 The prior over all P weights is isotropic Gaussian N(0, tau^2 I) in
 the standardized feature space. The softplus transform plus the
@@ -29,12 +29,8 @@ derivatives are u / sigma_n in f and (u^2 - 1) / sigma_n in sigma_n;
 softplus' derivative, the logistic s'(t), is 1/(1+e) for t >= 0 and
 e/(1+e) below, from the e = exp(-|t|) softplus evaluates anyway.
 
-With a fixed noise sd the records enter the likelihood only through
-r'r and phi_mu'r, so :class:`DesignMatrices` takes both from the R
-factor of one thin QR of [phi_mu | y - mean(y)] and a likelihood call
-never touches the D records. Centring y first keeps a large offset in
-y out of the cancellation; the normal equations phi_mu'phi_mu and an
-uncentred QR both lose digits there.
+With a fixed noise sd the likelihood reads the records only through
+one thin QR of them, centred, taken once (:class:`DesignMatrices`).
 """
 
 import itertools

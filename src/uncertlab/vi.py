@@ -10,11 +10,10 @@ lower-triangular L). Training minimizes the variational free energy
 whose minimizer also minimizes the KL divergence to the true posterior
 (the evidence term does not depend on q).
 
-A fixed noise sd makes the posterior Gaussian, and training returns
-each family's minimizer of F in closed form (:func:`conjugate_posterior`),
-taken from the design's R factor rather than the normal equations so
-that a large offset in y costs no digits. A learned noise level runs
-Adam (:func:`optimize`), as follows. Both families share one
+A fixed noise sd makes the posterior Gaussian, and training returns it
+exactly, full-rank, from one QR of the design's R factor and the prior
+(:func:`conjugate_posterior`). A learned noise level runs Adam
+(:func:`optimize`) in either family, as follows. Both families share one
 parameter matrix M = [mu | L], P x (P + 1); Adam walks on theta =
 [mu | log diag L | strict lower triangle of L (full-rank only)], and
 one table of flat indices per family writes theta into M (``put``) and
@@ -39,14 +38,7 @@ with a_t = lr sqrt(1 - b2^t) / (1 - b1^t), e_t = eps sqrt(1 - b2^t).
 The step size lr is constant or follows a cosine schedule, from
 q = N(mu0, s^2 I) with s the constant ``_INIT_SCALE`` = 0.1. Every
 random draw comes from one seeded Philox substream, so training is
-bit-reproducible. Every ``window`` steps the mean of F over the last
-window is compared with the window before it, and training stops once
-it no longer improves by ``tolerance`` (relative). It stops as
-converged (``plateau``) when F held level, as not converged
-(``worsened``) when F rose by more than the tolerance and more than
-the step-to-step scatter of F in the window before, and otherwise runs
-to the step budget (``max_steps``). A non-finite F aborts with the
-step index.
+bit-reproducible. :func:`optimize` states the stop rule.
 
 Prediction reads each part's moments off q = N(mu, L L') and draws
 nothing. The epistemic part V_q[f(x; w)] of the mean head f = phi'w_mu
@@ -90,6 +82,7 @@ __all__ = [
 ]
 
 FAMILIES = ("mean_field", "full_rank")
+SCHEDULES = ("constant", "cosine")
 
 # Values in one block of work (128 KB), which stays in cache: training
 # draws the normals of as many steps at once as fit, and of one step at
@@ -167,14 +160,13 @@ class VariationalPosterior:
 class VIConfig:
     """Knobs of the stochastic optimizer; defaults are the shipped ones.
 
-    ``family`` applies to every model. The other fields steer Adam, which
-    only a learned noise level runs: a fixed-noise model trains in
-    closed form and reads none of them.
+    Every field steers Adam, which only a learned noise level runs; a
+    fixed-noise model reads none of them, ``family`` included.
     """
 
     family: str = "mean_field"
     learning_rate: float = 1e-2
-    schedule: str = "constant"          # or "cosine"
+    schedule: str = "constant"          # one of SCHEDULES
     n_mc: int = 8
     max_steps: int = 20000
     tolerance: float = 1e-5
@@ -184,7 +176,7 @@ class VIConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown variational family {self.family!r}")
-        if self.schedule not in ("constant", "cosine"):
+        if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         require_positive("learning_rate", self.learning_rate)
         for name in ("n_mc", "max_steps", "window"):
@@ -308,11 +300,11 @@ def objective(
 class TrainResult:
     """Trained posterior plus the optimization record."""
 
-    posterior: VariationalPosterior
+    posterior: VariationalPosterior  # full_rank if exact
     trajectory: np.ndarray     # stochastic F estimate per step (none if exact)
     n_steps: int
     stop_reason: str           # "exact", "plateau", "worsened" or "max_steps"
-    initial_free_energy: float
+    initial_free_energy: float  # exact F at the full-rank start if exact
     final_free_energy: float   # trailing-window mean, or exact F if exact
 
     @property
@@ -334,31 +326,43 @@ def _initial_theta(design: DesignMatrices, family: str) -> np.ndarray:
     return theta
 
 
-def conjugate_posterior(design: DesignMatrices,
-                        family: str) -> VariationalPosterior:
-    """The q in ``family`` that minimizes F exactly, for a fixed noise sd.
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """R^-1 for an upper-triangular R, by halves: [[R11, R12], [0, R22]]^-1
+    is [[X11, -X11 R12 X22], [0, X22]] with X11 = R11^-1, X22 = R22^-1."""
+    if len(r) == 1:
+        return 1.0 / r
+    h = len(r) // 2
+    x = np.zeros_like(r)
+    x[:h, :h], x[h:, h:] = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
+    x[:h, h:] = -(x[:h, :h] @ r[:h, h:]) @ x[h:, h:]
+    return x
 
-    With A, b and shift the design's R factor (already divided by
-    sigma) and y offset, log p(y | w) = c - |b - A (w - shift)|^2 / 2,
-    so the posterior is Gaussian with precision
-    Lambda = A'A + I / tau^2 and its mean mu solves
-    Lambda (mu - shift) = A'b - shift / tau^2. full_rank gets that
-    posterior itself, L = chol(Lambda^-1); mean_field gets the same mu
-    and s_i = 1 / sqrt(Lambda_ii) (Bishop 2006, section 10.1.2).
+
+def conjugate_posterior(design: DesignMatrices) -> VariationalPosterior:
+    """The exact weight posterior, full-rank, for a fixed noise sd.
+
+    With A, b and shift the design's R factor (already divided by sigma)
+    and y offset, log p(y | w) = c - |b - A (w - shift)|^2 / 2, and the
+    prior N(0, tau^2 I) adds the rows (w - shift) / tau = -shift / tau.
+    With J reversing the P columns, one QR of [[A J, b], [J / tau,
+    -shift / tau]], rows signed to a positive diagonal, gives R and a
+    last column c: mu = shift + J R^-1 c, and L = J R^-1 J is
+    lower-triangular with L L' = Lambda^-1, the posterior covariance.
+    The precision Lambda is never formed, so no condition is squared.
     """
     model = design.model
     if model.fixed_noise_sd is None:
         raise ConfigError(
             "the closed-form posterior needs a model with fixed_noise_sd set")
     a, b, shift, _ = design._factor
-    tau2 = model.prior_tau**2
-    precision = a.T @ a + np.eye(len(shift)) / tau2
-    mu = shift + np.linalg.solve(precision, a.T @ b - shift / tau2)
-    if family == "mean_field":
-        return VariationalPosterior(family, mu,
-                                    1.0 / np.sqrt(precision.diagonal()))
-    return VariationalPosterior(
-        family, mu, np.linalg.cholesky(np.linalg.inv(precision)))
+    p, tau = len(shift), model.prior_tau
+    r = np.linalg.qr(np.block([[a[:, ::-1], b[:, None]],
+                               [np.eye(p)[::-1] / tau,
+                                -shift[:, None] / tau]]), mode="r")[:p]
+    r *= np.sign(r.diagonal())[:, None]
+    x = _upper_inverse(r[:, :p])
+    return VariationalPosterior("full_rank", shift + (x @ r[:, p])[::-1],
+                                x[::-1, ::-1].copy())
 
 
 def _exact_free_energy(design: DesignMatrices,
@@ -465,13 +469,13 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
 
 def train_vi(model: BayesianVMModel, data: Dataset,
              config: VIConfig = VIConfig()) -> TrainResult:
-    """Fit q in ``config.family`` to the weight posterior on ``data``.
+    """Fit q to the weight posterior on ``data``.
 
-    A learned noise level runs :func:`optimize`. A fixed noise sd
-    returns :func:`conjugate_posterior` with ``stop_reason`` ``"exact"``,
-    no steps and an empty trajectory; its two free energies are the
-    exact F at the starting q Adam would use and at the optimum, and
-    ``config`` is read for ``family`` alone.
+    A learned noise level runs :func:`optimize` in ``config.family``. A
+    fixed noise sd reads no field of ``config`` and returns the exact
+    posterior (:func:`conjugate_posterior`) with ``stop_reason``
+    ``"exact"``, no steps, an empty trajectory and the exact F at the
+    full-rank start Adam would use and at the posterior.
     """
     if data.n_records < 2:
         raise DatasetError(
@@ -484,10 +488,9 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     design = model.design(data)
     if model.fixed_noise_sd is None:
         return optimize(design, config)
-    family = config.family
-    start = unpack_posterior(family, model.n_weights,
-                             _initial_theta(design, family))
-    q = conjugate_posterior(design, family)
+    start = unpack_posterior("full_rank", model.n_weights,
+                             _initial_theta(design, "full_rank"))
+    q = conjugate_posterior(design)
     return TrainResult(q, np.empty(0), 0, "exact",
                        _exact_free_energy(design, start),
                        _exact_free_energy(design, q))

@@ -136,7 +136,7 @@ def test_05_full_rank_vi_recovers_conjugate_posterior():
     t0 = time.monotonic()
     model, data = conjugate_problem(seed=0)
     design = model.design(data)
-    exact = conjugate_posterior(design, "full_rank")
+    exact = conjugate_posterior(design)
     out = optimize(design, full_anneal(seed=0))
     q = out.posterior
     exact_cov = exact.covariance()

@@ -505,6 +505,34 @@ class TestTrainPredict:
         assert e["type"] == "ConfigError"
         assert "1337337005 weights" in e["message"]
 
+    def test_collinear_fixed_noise_trains_at_a_wide_prior(self, capsys,
+                                                          tmp_path):
+        # x2 = 2 x1 leaves only the prior to pin three weight directions;
+        # at tau = 1e6 the precision matrix's Cholesky factor failed.
+        # Either family's config stores the exact full-rank posterior
+        rng = np.random.default_rng(1)
+        x1 = np.round(rng.uniform(0.0, 1.0, 50), 6)
+        y = np.round(1.0 + 2.0 * x1 + 0.1 * rng.standard_normal(50), 6)
+        data = tmp_path / "collinear.csv"
+        data.write_text("x1,x2,y\n" + "".join(
+            f"{a!r},{2.0 * a!r},{b!r}\n"
+            for a, b in zip(x1.tolist(), y.tolist())))
+        model_out = tmp_path / "m.json"
+        for family in vi.FAMILIES:
+            cfg = write_json(tmp_path / "t.json", {
+                "dataset": {"path": str(data), "target": "y"},
+                "model": {"fixed_noise_sd": 0.1, "prior_tau": 1e6},
+                "vi": {"family": family},
+                "model_out": str(model_out),
+            })
+            code, out, err = run_cli(capsys, "train", "--config", cfg)
+            assert (code, err) == (0, "")
+            training = json.loads(out)["results"]["training"]
+            assert (training["family"], training["stop_reason"]) == \
+                ("full_rank", "exact")
+            saved = json.loads(model_out.read_text())
+            assert saved["posterior"]["family"] == "full_rank"
+
 
 class TestConformity:
     def test_decisions_and_overrides(self, capsys, tmp_path):

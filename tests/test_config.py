@@ -318,6 +318,47 @@ def test_unknown_mode_rejected():
         config.validate_config({}, "calibrate")
 
 
+# TRAIN_SCHEMA as JSON text: reading its enums from uncertlab.vi's
+# tuples must leave every byte as it was
+TRAIN_SCHEMA_JSON = (
+    '{"type": "object", "properties": {"dataset": {"type": "object", '
+    '"properties": {"path": {"type": "string", "minLength": 1}, '
+    '"target": {"type": "string", "minLength": 1}, '
+    '"features": {"type": "array", "items": {"type": "string", '
+    '"minLength": 1}, "minItems": 1, "default": null}}, '
+    '"required": ["path", "target"], "additionalProperties": false}, '
+    '"model": {"type": "object", '
+    '"properties": {"mean_degree": {"type": "integer", "minimum": 0, '
+    '"default": 2}, "noise_degree": {"type": "integer", '
+    '"minimum": 0, "default": 1}, "prior_tau": {"type": "number", '
+    '"exclusiveMinimum": 0, "default": 1.0}, '
+    '"standardize": {"type": "boolean", "default": true}, '
+    '"fixed_noise_sd": {"type": ["number", "null"], '
+    '"exclusiveMinimum": 0, "default": null}}, '
+    '"additionalProperties": false, "default": {}}, '
+    '"vi": {"type": "object", '
+    '"properties": {"family": {"enum": ["mean_field", "full_rank"], '
+    '"default": "mean_field"}, "learning_rate": {"type": "number", '
+    '"exclusiveMinimum": 0, "default": 0.01}, '
+    '"schedule": {"enum": ["constant", "cosine"], '
+    '"default": "constant"}, "n_mc": {"type": "integer", '
+    '"minimum": 1, "default": 8}, "max_steps": {"type": "integer", '
+    '"minimum": 1, "default": 20000}, '
+    '"tolerance": {"type": "number", "minimum": 0, '
+    '"default": 1e-05}, "window": {"type": "integer", "minimum": 1, '
+    '"default": 500}, "seed": {"type": "integer", "minimum": 0, '
+    '"default": 0}}, "additionalProperties": false, "default": {}}, '
+    '"model_out": {"type": "string", "minLength": 1}, '
+    '"store_trajectory": {"type": "boolean", "default": false}}, '
+    '"required": ["dataset", "model_out"], '
+    '"additionalProperties": false}'
+)
+
+
+def test_train_schema_serialises_as_before():
+    assert json.dumps(config.TRAIN_SCHEMA) == TRAIN_SCHEMA_JSON
+
+
 def _one_input(kind, params):
     return {"model": {"expression": "X1"}, "method": "taylor1",
             "inputs": {"quantities": [

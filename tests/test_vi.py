@@ -716,14 +716,18 @@ def test_index_tables_not_rebuilt_per_step(monkeypatch):
 
 
 def test_fixed_noise_factor_taken_once_per_run(monkeypatch):
+    # counts the QRs of the D records; the closed form's own QR, of the
+    # factor and the prior, has at most 2 P + 1 rows
     data = linear_data(n=40, seed=23)
     model = build_model(data, mean_degree=2, fixed_noise_sd=0.1)
+    assert data.n_records > 2 * model.n_weights + 1
     calls = []
     real = np.linalg.qr
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        if len(a) == data.n_records:
+            calls.append(a)
+        return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting)
 
