@@ -181,7 +181,7 @@ def _run_conformity(doc: dict, base_dir: str) -> tuple[dict, int]:
 def _verify_checks(cfg: dict) -> dict:
     """Run Adam on a conjugate problem; compare to the exact posterior."""
     seed = cfg["seed"]
-    rng = substream(seed, 0)
+    rng = substream(seed, 1)    # Adam draws from stream 0
     x = rng.standard_normal((_VERIFY_RECORDS, 2))
     w = np.array(_VERIFY_WEIGHTS)
     y = (w[0] + x @ w[1:]

@@ -20,10 +20,13 @@ function parameter that the setting feeds. The schemas point at those
 through the JSON Schema ``default`` annotation; only settings that
 exist in the CLI alone carry a literal there. The resolved config is
 the validated document with every absent default filled in and every
-number cast to the type the run uses. One walk over schema and
-document does both: it checks each JSON Schema keyword the schemas use
-(Draft 2020-12 semantics) in the same pass that fills the defaults, so
-no validation library is loaded.
+number cast to the type the run uses. One walk over the document does
+both: it checks each JSON Schema keyword the schemas use (Draft
+2020-12 semantics) in the same pass that fills the defaults, so no
+validation library is loaded. Each schema node is compiled on first
+use, never at import, into one closure cached by the node's identity
+that holds its keywords and its children's closures, so a value costs
+a closure call and the walk never reads the schema again.
 
 Relative file paths inside a config resolve against the config file's
 own directory, which keeps config+data bundles relocatable. Each
@@ -37,9 +40,10 @@ marginal's keys are its class's fields in ``MARGINALS``.
 
 import inspect
 import numbers
+import operator
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -366,10 +370,6 @@ class _Invalid(Exception):
         self.path: list[str] = []
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, numbers.Number) and not isinstance(value, bool)
-
-
 # JSON Schema Draft 2020-12 types: a bool is no number, and a float with
 # no fractional part is an integer
 _TYPE_CHECKS = {
@@ -378,7 +378,8 @@ _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
-    "number": _is_number,
+    "number": lambda v: (isinstance(v, numbers.Number)
+                         and not isinstance(v, bool)),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }
@@ -389,100 +390,155 @@ def _same(a: Any, b: Any) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
-def _materialize(schema: dict, value: Any) -> Any:
-    """``value`` checked against ``schema`` and made what the run uses.
+# node closures by schema identity; each entry keeps its schema alive,
+# so no other schema can take over its id
+_COMPILED: dict[int, tuple[dict, Callable[[Any], Any]]] = {}
+_ABSENT = object()
+_BOUNDS = (("minimum", operator.lt, "less than the minimum"),
+           ("exclusiveMinimum", operator.le,
+            "less than or equal to the minimum"),
+           ("exclusiveMaximum", operator.ge,
+            "greater than or equal to the maximum"))
 
-    Enforces ``type``, ``properties``, ``required``,
-    ``additionalProperties: false``, ``items``, ``minItems``,
-    ``minLength``, ``minimum``, ``exclusiveMinimum``,
-    ``exclusiveMaximum``, ``enum``, ``const`` and ``oneOf`` with Draft
-    2020-12 semantics, raising :class:`_Invalid` at the first violation.
-    Absent object properties take the schema's ``default``; a value
-    typed ``number`` becomes float and one typed ``integer`` int.
-    Anything else, nullable values, ``oneOf`` subtrees and objects
-    whose schema lists no ``properties`` included, is kept as written.
-    """
+
+def _compile(schema: dict) -> Callable[[Any], Any]:
+    """``schema``'s node closure, built on first use, then cached."""
+    if id(schema) not in _COMPILED:
+        _COMPILED[id(schema)] = (schema, _build(schema))
+    return _COMPILED[id(schema)][1]
+
+
+def _build(schema: dict) -> Callable[[Any], Any]:
+    """One schema node as a closure that checks a value with Draft
+    2020-12 semantics, raising :class:`_Invalid` at the first violation,
+    and returns it with absent properties at their ``default``, a
+    ``number`` as float, an ``integer`` as int and all else (nullable
+    values, ``oneOf`` subtrees, objects with no ``properties``) as is."""
     kind = schema.get("type")
-    if kind is not None and not (
-            _TYPE_CHECKS[kind](value) if isinstance(kind, str)
-            else any(_TYPE_CHECKS[k](value) for k in kind)):
-        raise _Invalid(f"{value!r} is not of type {kind!r}")
-    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
-        raise _Invalid(f"{value!r} is not one of {schema['enum']!r}")
-    if "const" in schema and not _same(value, schema["const"]):
-        raise _Invalid(f"{schema['const']!r} was expected")
-    if "oneOf" in schema:
-        matches = 0
-        for sub in schema["oneOf"]:
-            try:
-                _materialize(sub, value)
-                matches += 1
-            except _Invalid:
-                pass
-        if matches != 1:
-            raise _Invalid(f"{value!r} matches {matches} of the "
-                           f"{len(schema['oneOf'])} oneOf schemas, not 1")
-    if _is_number(value):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise _Invalid(f"{value!r} is less than the minimum of "
-                           f"{schema['minimum']!r}")
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            raise _Invalid(f"{value!r} is less than or equal to the minimum "
-                           f"of {schema['exclusiveMinimum']!r}")
-        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
-            raise _Invalid(f"{value!r} is greater than or equal to the "
-                           f"maximum of {schema['exclusiveMaximum']!r}")
-    elif isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            raise _Invalid(f"{value!r} is too short")
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            raise _Invalid(f"{value!r} is too short")
-        if "items" in schema:
-            out = []
-            try:
-                for index, item in enumerate(value):
-                    out.append(_materialize(schema["items"], item))
-            except _Invalid as err:
-                err.path.append(f"[{index}]")
-                raise
-            if kind == "array":
-                return out
-    elif isinstance(value, dict):
-        props = schema.get("properties", {})
-        for key in schema.get("required", ()):
+    type_ok = (None if kind is None else _TYPE_CHECKS[kind]
+               if isinstance(kind, str)
+               else lambda v: any(_TYPE_CHECKS[k](v) for k in kind))
+    limits = [(test, schema[key], text) for key, test, text in _BOUNDS
+              if key in schema]
+
+    def bounds(value):
+        for test, limit, text in limits:
+            if test(value, limit):
+                raise _Invalid(f"{value!r} is {text} of {limit!r}")
+
+    if kind in ("number", "integer"):
+        cast = float if kind == "number" else int
+
+        def plain(value):   # an exact float or int passes on its type
+            t = type(value)
+            if t is not cast and t is not int and not type_ok(value):
+                raise _Invalid(f"{value!r} is not of type {kind!r}")
+            if limits:
+                bounds(value)
+            return value if t is cast else cast(value)
+    else:
+        on_dict, on_list = _object(schema), _array(schema)
+        min_length = schema.get("minLength", 0)
+
+        def plain(value):
+            if type_ok is not None and not type_ok(value):
+                raise _Invalid(f"{value!r} is not of type {kind!r}")
+            if isinstance(value, dict):
+                return on_dict(value)
+            if isinstance(value, list):
+                return on_list(value)
+            if isinstance(value, str) and len(value) < min_length:
+                raise _Invalid(f"{value!r} is too short")
+            if limits and _TYPE_CHECKS["number"](value):
+                bounds(value)
+            return value
+    if not {"enum", "const", "oneOf"} & schema.keys():
+        return plain
+    enum, const = schema.get("enum"), schema.get("const", _ABSENT)
+    branches = [_compile(sub) for sub in schema.get("oneOf", ())]
+
+    def node(value):
+        if type_ok is not None and not type_ok(value):
+            raise _Invalid(f"{value!r} is not of type {kind!r}")
+        if enum is not None and not any(_same(value, e) for e in enum):
+            raise _Invalid(f"{value!r} is not one of {enum!r}")
+        if const is not _ABSENT and not _same(value, const):
+            raise _Invalid(f"{const!r} was expected")
+        if branches:
+            matches = 0
+            for branch in branches:
+                try:
+                    branch(value)
+                    matches += 1
+                except _Invalid:
+                    pass
+            if matches != 1:
+                raise _Invalid(f"{value!r} matches {matches} of the "
+                               f"{len(branches)} oneOf schemas, not 1")
+        return plain(value)
+
+    return node
+
+
+def _object(schema: dict) -> Callable[[dict], Any]:
+    """A node's walk of a dict."""
+    props = schema.get("properties", {})
+    required = schema.get("required", ())
+    closed = schema.get("additionalProperties") is False
+    keep = schema.get("type") == "object" and "properties" in schema
+    children = [(key, _compile(sub), sub.get("default", _ABSENT))
+                for key, sub in props.items()]
+
+    def walk(value):
+        for key in required:
             if key not in value:
                 raise _Invalid(f"{key!r} is a required property")
-        if schema.get("additionalProperties") is False:
-            extra = [key for key in value if key not in props]
-            if extra:
-                raise _Invalid("additional properties are not allowed: "
-                               + ", ".join(map(repr, extra)))
+        if closed and not value.keys() <= props.keys():
+            raise _Invalid("additional properties are not allowed: "
+                           + ", ".join(repr(key) for key in value
+                                       if key not in props))
         out = {}
         try:
-            for key, sub in props.items():
+            for key, child, default in children:
                 if key in value:
-                    out[key] = _materialize(sub, value[key])
-                elif "default" in sub:
-                    default = sub["default"]
-                    out[key] = (None if default is None
-                                else _materialize(sub, default))
+                    out[key] = child(value[key])
+                elif default is not _ABSENT:
+                    out[key] = None if default is None else child(default)
         except _Invalid as err:
             err.path.append(f".{key}")
             raise
-        if kind == "object" and "properties" in schema:
-            return out
-    if kind == "number":
-        return float(value)
-    if kind == "integer":
-        return int(value)
-    return value
+        return out if keep else value
+
+    return walk
+
+
+def _array(schema: dict) -> Callable[[list], Any]:
+    """A node's walk of a list."""
+    min_items = schema.get("minItems", 0)
+    item = _compile(schema["items"]) if "items" in schema else None
+    keep = schema.get("type") == "array"
+
+    def walk(value):
+        if len(value) < min_items:
+            raise _Invalid(f"{value!r} is too short")
+        if item is None:
+            return value
+        out = []
+        try:
+            for v in value:
+                out.append(item(v))
+        except _Invalid as err:
+            err.path.append(f"[{len(out)}]")
+            raise
+        return out if keep else value
+
+    return walk
 
 
 def _validated(schema: dict, doc: dict, what: str) -> dict:
     """``doc`` resolved, or ``ConfigError("<what> invalid at $...")``."""
     try:
-        return _materialize(schema, doc)
+        return _compile(schema)(doc)
     except _Invalid as err:
         path = "$" + "".join(reversed(err.path))
         raise ConfigError(f"{what} invalid at {path}: {err}") from None

@@ -33,7 +33,8 @@ ends, so the finite ones are a slice of the vector, counted, not copied.
 Failures in over 1% of the draws abort the run with a diagnostic. The
 mean and standard deviation are numpy's bit for bit, with no M-sized
 copy: a run holds 8 bytes per draw plus one chunk of draws and one
-block of temporaries per worker.
+block of temporaries per worker. ``concurrent.futures`` is imported by
+the first Monte Carlo run, so the other methods never load it.
 
 Expanded uncertainty is U = k u(Y), with the k the caller resolved
 (:func:`resolve_coverage` turns a coverage into its two-sided Gaussian
@@ -43,7 +44,6 @@ method. Monte Carlo also takes ``coverage`` for its empirical interval.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -288,6 +288,8 @@ def propagate_monte_carlo(
             block = draws[lo:lo + rows]
             cols = {name: block[:, i] for i, name in enumerate(joint.names)}
             out[lo:lo + rows] = evaluate_batch(expr, cols, n=len(block))
+
+    from concurrent.futures import ThreadPoolExecutor
 
     # The calling thread takes every workers-th chunk itself: a helper
     # thread's malloc arena keeps its memory after the thread exits, so

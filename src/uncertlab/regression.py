@@ -35,6 +35,7 @@ one thin QR of them, centred, taken once (:class:`DesignMatrices`).
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -150,6 +151,11 @@ class BayesianVMModel:
         for name in ("mean_degree", "noise_degree"):
             require_integer(name, getattr(self, name), 0)
         require_positive("prior tau", self.prior_tau)
+        tau = float(self.prior_tau)     # KL and the prior divide by tau^2
+        if not sys.float_info.min <= tau * tau < math.inf:
+            raise ConfigError(
+                f"prior tau must have a square that is a finite normal "
+                f"double (about 1.5e-154 to 1.3e154), got {self.prior_tau}")
         if self.fixed_noise_sd is not None:
             require_positive("fixed noise sd", self.fixed_noise_sd)
         f = self.n_features

@@ -5,13 +5,14 @@ a numpy ``Generator`` backed by the counter-based Philox bit generator,
 keyed by ``SeedSequence(seed, spawn_key=(stream,))``. Distinct stream
 indices give non-overlapping deterministic substreams, so parallel
 workers (MC chunks, per-step training draws) can draw independently
-while the overall run stays bit-reproducible.
+while the overall run stays bit-reproducible. ``numpy.random`` loads on
+the first call: conformity, predict, taylor and analytic runs never load it.
 """
 
 import numpy as np
 
 
-def substream(seed: int, stream: int = 0) -> np.random.Generator:
+def substream(seed: int, stream: int = 0) -> "np.random.Generator":
     """Return the deterministic generator for (seed, stream)."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

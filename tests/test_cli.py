@@ -12,6 +12,7 @@ import uncertlab.cli as cli
 import uncertlab.propagation as propagation
 import uncertlab.vi as vi
 from uncertlab.cli import main
+from uncertlab.dataset import make_dataset
 from uncertlab.vi import VariationalPosterior
 
 
@@ -505,6 +506,26 @@ class TestTrainPredict:
         assert e["type"] == "ConfigError"
         assert "1337337005 weights" in e["message"]
 
+    @pytest.mark.parametrize("tau", [1e300, 1e-200])
+    @pytest.mark.parametrize("fixed_noise_sd", [None, 0.1])
+    def test_prior_tau_outside_the_double_square_range(
+            self, capsys, tmp_path, training_csv, tau, fixed_noise_sd):
+        # tau^2 overflowed (OverflowError) or 1 / tau^2 divided by zero
+        # (ZeroDivisionError), both as bare tracebacks
+        model_out = tmp_path / "m.json"
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": training_csv, "target": "y"},
+            "model": {"prior_tau": tau, "fixed_noise_sd": fixed_noise_sd},
+            "vi": {"max_steps": 5},
+            "model_out": str(model_out),
+        })
+        code, out, err = run_cli(capsys, "train", "--config", cfg)
+        assert code == 1 and out == "" and not model_out.exists()
+        e = json.loads(err)["error"]
+        assert (e["mode"], e["type"]) == ("train", "ConfigError")
+        assert e["message"].startswith("prior tau must have a square")
+        assert e["message"].endswith(f"got {tau!r}")
+
     def test_collinear_fixed_noise_trains_at_a_wide_prior(self, capsys,
                                                           tmp_path):
         # x2 = 2 x1 leaves only the prior to pin three weight directions;
@@ -634,6 +655,32 @@ class TestVerify:
         assert checks["passed"]
         assert checks["posterior_mean_rel_error"] <= 0.02
         assert checks["posterior_cov_frobenius_rel_error"] <= 0.10
+
+    def test_data_and_vi_draws_come_from_different_streams(
+            self, capsys, monkeypatch):
+        # both once came from stream 0 of the seed: Adam's first 600
+        # normals were the data's 400 features and 200 noise draws
+        streams = {"data": [], "vi": []}
+        records = []
+
+        def spy(who, draw):
+            def substream(seed, stream=0):
+                streams[who].append((seed, stream))
+                return draw(seed, stream)
+            return substream
+
+        monkeypatch.setattr(cli, "substream", spy("data", cli.substream))
+        monkeypatch.setattr(vi, "substream", spy("vi", vi.substream))
+        monkeypatch.setattr(cli, "make_dataset", lambda x, y, names: (
+            records.append((x, y)) or make_dataset(x, y, names)))
+        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
+        assert code == 0 and json.loads(out)["results"][
+            "conjugate_check"]["passed"]
+        assert streams["data"] and streams["vi"]
+        assert not set(streams["data"]) & set(streams["vi"])
+        (x, y), = records
+        first = vi.substream(*streams["vi"][0]).standard_normal(x.size)
+        assert not np.array_equal(x.ravel(), first)
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_passes_at_more_seeds(self, capsys, seed):

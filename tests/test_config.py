@@ -6,7 +6,10 @@ that walk too. Every config and model file in the corpora below must
 get the verdict jsonschema's Draft 2020-12 validator gives; a rejected
 one must name a path jsonschema also reports, and an accepted one must
 resolve exactly as the pre-walk materializer (kept here as
-``reference_resolved``) resolved a jsonschema-validated document.
+``reference_resolved``) resolved a jsonschema-validated document. The
+corpora include the benchmark's full-size configs, since the walk is
+compiled into closures once per schema node and a document of any size
+must go through the same ones.
 """
 
 import copy
@@ -16,6 +19,7 @@ import operator
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -526,3 +530,125 @@ def test_every_model_schema_keyword_is_enforced():
         - {"default"}
     assert not unchecked
     assert all(v is False for k, v in used if k == "additionalProperties")
+
+
+@pytest.fixture(scope="module")
+def bench_configs(tmp_path_factory):
+    """(workload, subcommand, document) of every config the benchmark
+    writes, at full size: 1,000 conformity measurements, 24 correlated
+    analytic inputs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                        os.pardir, "bench"))
+        import workloads
+        out = []
+        for workload in workloads.WORKLOADS:
+            for op in workloads.build(workload, 1,
+                                      str(tmp_path_factory.mktemp(workload))):
+                if "--config" in op.argv:
+                    path = op.argv[op.argv.index("--config") + 1]
+                    with open(path) as fh:
+                        out.append((workload, op.argv[0], json.load(fh)))
+    return out
+
+
+def test_benchmark_configs_resolve_as_before(bench_configs):
+    seen = {}
+    for workload, mode, doc in bench_configs:
+        check_against_jsonschema(config._SCHEMAS[mode], doc,
+                                 lambda: config.validate_config(doc, mode),
+                                 None)
+        seen.setdefault(workload, set()).add(mode)
+    assert all(modes == {"propagate", "train", "predict", "conformity"}
+               for modes in seen.values()) and len(seen) == 3
+    sizes = {(mode, len(doc.get("measurements", ())),
+              len(doc.get("inputs", {}).get("correlation", ())))
+             for _, mode, doc in bench_configs}
+    assert ("conformity", 1000, 0) in sizes and ("propagate", 0, 576) in sizes
+
+
+def test_bad_entry_deep_in_a_full_size_config_names_its_path(bench_configs):
+    doc = next(copy.deepcopy(doc) for _, mode, doc in bench_configs
+               if mode == "conformity")
+    assert len(doc["measurements"]) == 1000
+    doc["measurements"][737]["U"] = -0.5
+    check_against_jsonschema(config.CONFORMITY_SCHEMA, doc,
+                             lambda: config.validate_config(doc,
+                                                            "conformity"),
+                             "minimum")
+    with pytest.raises(ConfigError) as info:
+        config.validate_config(doc, "conformity")
+    assert str(info.value) == ("config invalid at $.measurements[737].U: "
+                               "-0.5 is less than the minimum of 0")
+
+
+_NULLABLE = {"type": ["number", "null"], "minimum": 0}
+
+
+# (schema, value, resolved value or the error after "$: "); numpy
+# scalars are numbers, an np.int64 is no integer (it is no int), a bool
+# is neither, and only a value typed number or integer is cast
+@pytest.mark.parametrize("schema,value,expected", [
+    ({"type": "number"}, np.float64(1.5), 1.5),
+    ({"type": "number"}, np.int64(3), 3.0),
+    ({"type": "number"}, True, "True is not of type 'number'"),
+    ({"type": "number"}, 2.0, 2.0),
+    ({"type": "number"}, 2, 2.0),
+    ({"type": "integer", "minimum": 0}, np.float64(2.0), 2),
+    ({"type": "integer", "minimum": 0}, np.float64(-1.0),
+     "np.float64(-1.0) is less than the minimum of 0"),
+    ({"type": "integer", "minimum": 0}, np.float64(1.5),
+     "np.float64(1.5) is not of type 'integer'"),
+    ({"type": "integer", "minimum": 0}, np.int64(3),
+     "np.int64(3) is not of type 'integer'"),
+    ({"type": "integer", "minimum": 0}, True,
+     "True is not of type 'integer'"),
+    ({"type": "integer", "minimum": 0}, 2.0, 2),
+    (_NULLABLE, np.float64(1.5), np.float64(1.5)),
+    (_NULLABLE, np.int64(3), np.int64(3)),
+    (_NULLABLE, np.float64(-1.0),
+     "np.float64(-1.0) is less than the minimum of 0"),
+    (_NULLABLE, True, "True is not of type ['number', 'null']"),
+    (_NULLABLE, 2, 2),
+], ids=repr)
+def test_numpy_scalars_bools_and_integral_floats(monkeypatch, schema, value,
+                                                 expected):
+    monkeypatch.setitem(config._SCHEMAS, "synthetic", schema)
+    errors = list(Draft202012Validator(schema).iter_errors(value))
+    if isinstance(expected, str):
+        assert errors
+        with pytest.raises(ConfigError) as info:
+            config.validate_config(value, "synthetic")
+        assert str(info.value) == f"config invalid at $: {expected}"
+    else:
+        assert not errors
+        resolved = config.validate_config(value, "synthetic")
+        assert type(resolved) is type(expected) and resolved == expected
+
+
+def _schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+    for sub in schema.get("oneOf", ()):
+        yield from _schema_nodes(sub)
+
+
+def test_each_schema_node_is_compiled_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(config, "_COMPILED", {})
+    built = []
+    build = config._build
+    monkeypatch.setattr(config, "_build", lambda schema: (
+        built.append(id(schema)) or build(schema)))
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps(MODEL_BASE["mean_field"]))
+    for _ in range(3):
+        for mode, doc in BASE.values():
+            config.validate_config(doc, mode)
+        config.load_model(str(model_file))
+    roots = [*config._SCHEMAS.values(), config.MODEL_SCHEMA]
+    nodes = {id(node) for root in roots for node in _schema_nodes(root)}
+    assert len(built) == len(set(built)) == len(nodes)
+    assert set(built) == nodes == set(config._COMPILED)

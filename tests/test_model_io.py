@@ -133,6 +133,23 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match=match):
             load_model(path)
 
+    @pytest.mark.parametrize("tau", [1e300, 1e-200])
+    def test_prior_tau_outside_the_double_square_range(self, trained,
+                                                       tmp_path, tau):
+        model, train, cfg, data = trained
+        path = tmp_path / "tau.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        doc["model"]["prior_tau"] = tau
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(ConfigError) as info:
+            load_model(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}: malformed model document: ")
+        assert message.endswith(f"prior tau must have a square that is a "
+                                f"finite normal double (about 1.5e-154 to "
+                                f"1.3e154), got {tau!r}")
+
     def test_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -1,6 +1,7 @@
 """Polynomial design matrices and the heteroscedastic likelihood."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -148,6 +149,23 @@ class TestModelAssembly:
         consts[field][0] = bad
         with pytest.raises(ConfigError, match="finite"):
             BayesianVMModel(("x1", "x2"), **consts)
+
+    @pytest.mark.parametrize("tau,ok", [
+        (1.5e-154, True), (1.3e154, True),
+        (1.4e-154, False), (1e-200, False), (5e-324, False),
+        (1.35e154, False), (1e300, False)])
+    def test_prior_tau_square_must_be_a_normal_double(self, tau, ok):
+        # KL and the prior rows divide by tau^2: outside this range it
+        # overflows or is no normal number
+        def model():
+            return BayesianVMModel(("x1",), np.zeros(1), np.ones(1),
+                                   prior_tau=tau)
+
+        if ok:
+            assert model().prior_tau == tau
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"got {tau!r}")):
+                model()
 
     def test_weight_count_capped(self):
         # one feature at degree d has d + 1 mean weights; a fixed noise sd

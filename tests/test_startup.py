@@ -1,10 +1,12 @@
 """Start-up guards: what a fresh interpreter loads for each subcommand.
 
 scipy is imported only inside the functions that call it, and configs
-are checked without jsonschema, so importing the CLI loads neither, and
-the subcommands that never need a normal CDF or quantile (train,
-predict, conformity, verify) never load scipy. Each check runs in a fresh interpreter,
-since this test process has imported both already.
+are checked without jsonschema, so importing the CLI loads neither; nor
+does it load numpy.random or concurrent.futures, which the first draw
+and the first Monte Carlo run import. The subcommands that never need a
+normal CDF or quantile (train, predict, conformity, verify) never load
+scipy. Each check runs in a fresh interpreter, since this test process
+has imported all of them already.
 """
 
 import json
@@ -44,6 +46,20 @@ def test_importing_the_cli_loads_neither_scipy_nor_jsonschema():
         import sys
         import uncertlab.cli
         print([m for m in ("scipy", "jsonschema") if m in sys.modules])
+    """)
+    assert json.loads(out) == []
+
+
+def test_importing_the_cli_loads_no_random_streams_and_no_thread_pool():
+    """``numpy.random`` loads with the first draw and
+    ``concurrent.futures`` with the first Monte Carlo run; no config
+    schema is compiled before its first document."""
+    out = run_fresh("""
+        import sys
+        import uncertlab.cli
+        import uncertlab.config
+        print([m for m in ("numpy.random", "concurrent.futures")
+               if m in sys.modules] + list(uncertlab.config._COMPILED))
     """)
     assert json.loads(out) == []
 
@@ -106,8 +122,9 @@ def test_runs_that_need_no_normal_functions_load_no_scipy(
 @pytest.mark.parametrize("correlated", [False, True])
 def test_first_monte_carlo_run_imports_scipy_in_its_chunks(
         tmp_path, monkeypatch, capsys, correlated):
-    """scipy's first import happens inside concurrently running chunks
-    (2 workers, 4 chunks); the samples must not notice."""
+    """scipy's and numpy.random's first imports happen inside
+    concurrently running chunks (2 workers, 4 chunks); the samples must
+    not notice."""
     quantities = [
         {"name": "X1", "dist": {"kind": "gaussian", "mean": 2.0, "sd": 0.1}},
         {"name": "X2", "dist": {"kind": "gaussian", "mean": 3.0, "sd": 0.2}},
@@ -128,6 +145,7 @@ def test_first_monte_carlo_run_imports_scipy_in_its_chunks(
         from uncertlab.cli import main
         propagation._available_cores = lambda: 2
         assert "scipy" not in sys.modules
+        assert "numpy.random" not in sys.modules
         assert main(["propagate", "--config", sys.argv[1], "--out",
                      sys.argv[2]]) == 0
         with open(sys.argv[2]) as fh:
