@@ -260,6 +260,17 @@ def _override(doc: dict, args) -> None:
             block[path[-1]] = value
 
 
+def _add_mode_arguments(parser: argparse.ArgumentParser, mode: str) -> None:
+    """Declare one subcommand's flags: the one place each flag is named."""
+    parser.add_argument("--config", required=mode != "verify",
+                        help="JSON run configuration")
+    parser.add_argument("--out", help="write the JSON report here "
+                                      "(default: stdout)")
+    for flag, path in _OVERRIDES[mode].items():
+        parser.add_argument(f"--{flag}", type=_FLAG_TYPES[flag],
+                            help=f"override the config's {'.'.join(path)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uncertlab",
@@ -275,15 +286,30 @@ def build_parser() -> argparse.ArgumentParser:
             ("conformity", "classify measurements against specification "
                            "limits"),
             ("verify", "run the built-in conjugate-posterior self-check")):
-        p = sub.add_parser(mode, help=help_text)
-        p.add_argument("--config", required=mode != "verify",
-                       help="JSON run configuration")
-        p.add_argument("--out", help="write the JSON report here "
-                                     "(default: stdout)")
-        for flag, path in _OVERRIDES[mode].items():
-            p.add_argument(f"--{flag}", type=_FLAG_TYPES[flag],
-                           help=f"override the config's {'.'.join(path)}")
+        _add_mode_arguments(sub.add_parser(mode, help=help_text), mode)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_parser`'s parser would.
+
+    A call that starts with a subcommand builds only that subcommand's
+    parser, the same one the top-level parser hands the rest of
+    ``argv`` to, so its help and errors are the same bytes. The full
+    parser is built for everything else: help, version, a missing or
+    unknown mode, an option before the mode, and arguments left over
+    after the mode, which the top-level parser reports under its own
+    usage line.
+    """
+    if argv and argv[0] in _RUNNERS:
+        mode = argv[0]
+        parser = argparse.ArgumentParser(prog=f"uncertlab {mode}")
+        parser.set_defaults(mode=mode)
+        _add_mode_arguments(parser, mode)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 _RUNNERS = {
@@ -297,7 +323,7 @@ _RUNNERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.config is None:         # verify runs without a config
             doc, base_dir = {}, "."

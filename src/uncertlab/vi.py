@@ -390,8 +390,8 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     otherwise with ``"plateau"`` (converged). A run that keeps improving
     stops at ``max_steps`` with ``"max_steps"``. Raises
     :class:`~uncertlab.errors.DivergenceError` with the step index if F
-    turns non-finite. Runs for either noise mode; :func:`train_vi` calls
-    it for a learned one only.
+    turns non-finite or any of a step's arithmetic overflows. Runs for
+    either noise mode; :func:`train_vi` calls it for a learned one only.
     """
     family, tau = config.family, design.model.prior_tau
     p = design.model.n_weights
@@ -414,46 +414,52 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     stop_reason = "max_steps"
     n_steps = 0
 
-    for step in range(config.max_steps):
-        if step % block == 0:
-            zs = gen.standard_normal(
-                (min(block, config.max_steps - step), config.n_mc, p))
-        value, grad = objective(design, family, theta, zs[step % block], tau)
-        if not math.isfinite(value):
-            raise DivergenceError(
-                f"free energy became non-finite at step {step}", step)
-        trajectory[step] = value
-        n_steps = step + 1
+    def overflowed(kind, flag):
+        # an infinite v would freeze theta while F stays finite
+        raise DivergenceError(f"arithmetic {kind} in a training step", step)
 
-        # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
-        # theta -= a_t m / (sqrt(v) + e_t)
-        np.multiply(gain, grad, out=scaled)
-        scaled[1] *= grad
-        moments *= decay
-        moments += scaled
-        rate = config.learning_rate
-        if config.schedule == "cosine":
-            frac = step / config.max_steps
-            rate = rate * 0.5 * (1.0 + math.cos(math.pi * frac))
-        root = math.sqrt(1.0 - _ADAM_BETA2 ** n_steps)
-        rate = rate * root / (1.0 - _ADAM_BETA1 ** n_steps)
-        np.multiply(m, rate, out=step_buf)
-        np.sqrt(v, out=denom)
-        denom += _ADAM_EPS * root
-        step_buf /= denom
-        theta -= step_buf
+    with np.errstate(over="call", call=overflowed):
+        for step in range(config.max_steps):
+            if step % block == 0:
+                zs = gen.standard_normal(
+                    (min(block, config.max_steps - step), config.n_mc, p))
+            value, grad = objective(design, family, theta,
+                                    zs[step % block], tau)
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"free energy became non-finite at step {step}", step)
+            trajectory[step] = value
+            n_steps = step + 1
 
-        if n_steps >= 2 * w and n_steps % w == 0:
-            before = trajectory[n_steps - 2 * w:n_steps - w]
-            prev = float(np.mean(before))
-            rise = float(np.mean(trajectory[n_steps - w:n_steps])) - prev
-            bound = config.tolerance * max(1.0, abs(prev))
-            if rise > -bound:
-                # no longer improving; a rise within the step-to-step
-                # scatter of F is the noise floor, not a worsening
-                worse = rise > max(bound, float(np.std(before)))
-                stop_reason = "worsened" if worse else "plateau"
-                break
+            # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
+            # theta -= a_t m / (sqrt(v) + e_t)
+            np.multiply(gain, grad, out=scaled)
+            scaled[1] *= grad
+            moments *= decay
+            moments += scaled
+            rate = config.learning_rate
+            if config.schedule == "cosine":
+                frac = step / config.max_steps
+                rate = rate * 0.5 * (1.0 + math.cos(math.pi * frac))
+            root = math.sqrt(1.0 - _ADAM_BETA2 ** n_steps)
+            rate = rate * root / (1.0 - _ADAM_BETA1 ** n_steps)
+            np.multiply(m, rate, out=step_buf)
+            np.sqrt(v, out=denom)
+            denom += _ADAM_EPS * root
+            step_buf /= denom
+            theta -= step_buf
+
+            if n_steps >= 2 * w and n_steps % w == 0:
+                before = trajectory[n_steps - 2 * w:n_steps - w]
+                prev = float(np.mean(before))
+                rise = float(np.mean(trajectory[n_steps - w:n_steps])) - prev
+                bound = config.tolerance * max(1.0, abs(prev))
+                if rise > -bound:
+                    # no longer improving; a rise within the step-to-step
+                    # scatter of F is the noise floor, not a worsening
+                    worse = rise > max(bound, float(np.std(before)))
+                    stop_reason = "worsened" if worse else "plateau"
+                    break
 
     trajectory = trajectory[:n_steps].copy()
     tail = trajectory[-min(config.window, n_steps):]

@@ -45,7 +45,7 @@ def gaussian_joint(means, sds):
 
 
 def conjugate_problem(seed=0, n=200, sd=0.2):
-    rng = substream(seed, 0)
+    rng = substream(seed, 1)    # optimize draws from stream 0
     x = rng.standard_normal((n, 2))
     w = np.array([1.0, 2.0, -1.0])
     y = w[0] + x @ w[1:] + sd * rng.standard_normal(n)

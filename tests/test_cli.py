@@ -1,9 +1,14 @@
 """End-to-end command-line runs through the real entry point."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -554,6 +559,31 @@ class TestTrainPredict:
             saved = json.loads(model_out.read_text())
             assert saved["posterior"]["family"] == "full_rank"
 
+    def test_tiny_prior_tau_overflow_is_a_divergence(self, capsys, tmp_path):
+        # 1 / tau^2 = 1e300 makes Adam's g g overflow: v turned infinite,
+        # theta froze and the run exited 0 with F near 1e298
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, 30)
+        y = 1.0 + 2.0 * x + 0.1 * rng.standard_normal(30)
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        model_out = tmp_path / "m.json"
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": str(data), "target": "y"},
+            "model": {"prior_tau": 1e-150},
+            "vi": {"max_steps": 200},
+            "model_out": str(model_out),
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "train", "--config", cfg)
+        assert code == 1 and out == "" and not model_out.exists()
+        e = json.loads(err)["error"]
+        assert (e["mode"], e["type"]) == ("train", "DivergenceError")
+        assert e["message"] == \
+            "arithmetic overflow in a training step (step 0)"
+
 
 class TestConformity:
     def test_decisions_and_overrides(self, capsys, tmp_path):
@@ -764,3 +794,122 @@ class TestConfigEcho:
 
     def test_verify(self, capsys):
         assert echoed_config(capsys, "verify") == canonical({"seed": 0})
+
+
+MODES = ("propagate", "train", "predict", "conformity", "verify")
+
+
+def parsed(parse, argv):
+    """``parse(argv)``'s namespace or exit code, with its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.fixture()
+def count_parsers(monkeypatch):
+    """Count ``argparse.ArgumentParser`` constructions."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+class TestParser:
+    """A call that starts with a mode builds only that mode's parser;
+    help, version and usage errors read as the top-level parser's."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_help_is_the_subparser_help(self, mode):
+        for flag in ("--help", "-h"):
+            code, out, err = parsed(cli._parse_args, [mode, flag])
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: uncertlab {mode} [-h]")
+            assert (code, out, err) == parsed(full_parse, [mode, flag])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_mode_call_builds_one_parser(self, count_parsers, mode):
+        argv = [mode, "--config", "c.json", "--out", "o.json"]
+        for flag in cli._OVERRIDES[mode]:
+            argv += [f"--{flag}", "1"]
+        args = cli._parse_args(argv)
+        assert count_parsers == [f"uncertlab {mode}"]
+        assert vars(args) == vars(full_parse(argv))
+
+    def test_help_and_version_exit_zero(self, capsys, count_parsers):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: uncertlab [-h] [--version]")
+        assert "run the built-in conjugate-posterior self-check" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"uncertlab {cli.__version__}\n"
+        # the top-level parser and its five subparsers, both times
+        assert len(count_parsers) == 12
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: mode"),
+        (["bogus"], "argument mode: invalid choice: 'bogus'"),
+        (["--config", "c.json", "propagate"],
+         "argument mode: invalid choice: 'c.json'"),
+        (["propagate", "--config", "c.json", "extra"],
+         "unrecognized arguments: extra"),
+        (["verify", "--version"], "unrecognized arguments: --version"),
+    ], ids=["no-mode", "unknown-mode", "option-first", "extra", "version"])
+    def test_usage_errors_exit_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: uncertlab [-h] [--version]")
+        assert f"\nuncertlab: error: {message}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--version"], ["bogus"], ["--seed", "1"], ["-x"],
+        ["--", "propagate"], ["--help", "propagate"], ["Propagate"],
+        *[[mode, *rest] for mode in MODES for rest in (
+            [], ["--config"], ["--config", "c.json"],
+            ["--config=c.json", "--out", "o.json"],
+            ["--config", "c.json", "--seed", "x"],
+            ["--config", "c.json", "--lsl", "1", "--usl", "2"],
+            ["--config", "c.json", "--usl", "a"],
+            ["--conf", "c.json", "--bogus"],
+            ["--config", "c.json", "--"],
+            ["--config", "c.json", "--", "x"],
+            ["--", "--config", "c.json"],
+            ["--v"], ["-hx"], ["propagate"],
+            ["--se", "2", "--c", "q"], ["--seed", "-1", "--config", "c"])],
+    ])
+    def test_same_result_as_the_top_level_parser(self, argv):
+        assert parsed(cli._parse_args, argv) == parsed(full_parse, argv)
+
+    def test_main_reads_sys_argv(self, capsys, tmp_path, monkeypatch,
+                                 count_parsers):
+        cfg = write_json(tmp_path / "c.json", {
+            "spec": {"lsl": 10.0, "usl": 10.2},
+            "measurements": [{"y": 10.1, "U": 0.02}]})
+        monkeypatch.setattr(sys, "argv",
+                            ["uncertlab", "conformity", "--config", cfg,
+                             "--usl", "10.15"])
+        assert main() == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "conformity"
+        assert report["config"]["spec"] == {"lsl": 10.0, "usl": 10.15}
+        assert count_parsers == ["uncertlab conformity"]
