@@ -9,19 +9,27 @@ polynomials in two perturbations e1, e2 up to total degree 3 (Griewank,
 Utke & Walther, Math. Comp. 69 (2000); Griewank & Walther, *Evaluating
 Derivatives*, 2008, ch. 13).
 
-A jet is a (K, 10) array: one row per seeding, one column per monomial
-e1^a e2^b with a + b <= 3. Seeding x_i = mu_i + e1 and x_j = mu_j + e2
-makes the row's coefficient of e1^a e2^b equal to
+A jet is a (width, K) array: one row per monomial e1^a e2^b, one column
+per seeding. Seeding x_i = mu_i + e1 and x_j = mu_j + e2 makes the
+column's coefficient of e1^a e2^b equal to
 
     d^(a+b) f / (dx_i^a dx_j^b) / (a! b!).
 
+A jet carries only the monomials the requested order reads: with pair
+columns, the 6 of degree <= 2 for order 2 and all 10 of degree <= 3
+for order 3; without them (order 1, or a single input), the order + 1
+powers of e1, so a gradient carries the value and e1 alone. Truncation
+is exact: a coefficient of degree d sums products of coefficients of
+degree <= d, so dropping higher degrees changes no bit of the ones
+kept, and an order-1 gradient equals the order-3 one to the bit.
+
 All seedings of a point go side by side through one pass of
 :func:`uncertlab.expr.walk`, the walk every evaluator uses, with the jet
-operations below: a row per index pair i < j for Hessians and third
-derivatives, a row per input seeded on e1 alone for gradients. Column 0
-is the model value, equal in every row and computed by the scalar
+operations below: a column per index pair i < j for Hessians and third
+derivatives, a column per input seeded on e1 alone for gradients. Row 0
+is the model value, equal in every column and computed by the scalar
 evaluator's rules; chain-rule coefficients and domain checks read it
-from row 0. Results are exact up to floating-point rounding; there is
+from column 0. Results are exact up to floating-point rounding; there is
 no step size.
 
 Domain rules match the scalar evaluator, with one addition: points
@@ -32,7 +40,7 @@ is meaningless there.
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,40 +49,62 @@ from .expr import FUNCTIONS, MeasurementModelExpr, Ops, checked_pow, walk
 
 __all__ = ["DerivativeBundle", "derivatives"]
 
-# Jet columns as monomial exponents (a, b) of e1^a e2^b. They are sorted
-# by the number of terms their product coefficient sums (1, 2, 3, 4, 6),
-# so the k-th terms of all coefficients that have one fill a column
-# suffix.
+# Jet rows as monomial exponents (a, b) of e1^a e2^b. They are sorted
+# by degree, then by the number of terms their product coefficient sums
+# (1, 2, 3, 4, 6), so every degree from 2 on and the k-th terms of all
+# coefficients that have one fill a row suffix.
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1),
               (3, 0), (0, 3), (2, 1), (1, 2))
-_COL = {m: c for c, m in enumerate(_MONOMIALS)}
 
 
-def _product_table():
+def _monomials(order: int, pairs: bool) -> tuple:
+    return tuple(m for m in _MONOMIALS
+                 if m[0] + m[1] <= order and (pairs or m[1] == 0))
+
+
+class _Table(NamedTuple):
+    monomials: tuple
+    left: np.ndarray
+    right: np.ndarray
+    slots: list
+    start: np.ndarray
+    degree2: int        # first row of degree 2, the width if none
+    degree3: int        # first row of degree 3, the width if none
+
+
+def _product_table(monomials: tuple) -> _Table:
     """Coefficient (a, b) of x*y sums x[p, q] y[a-p, b-q] over p <= a,
     q <= b in that order. Slot k holds the k-th terms, as gather
-    indices from ``start`` on and the first output column they fill."""
-    terms = [[(_COL[(p, q)], _COL[(a - p, b - q)])
+    indices from ``start`` on and the first output row they fill."""
+    row = {m: r for r, m in enumerate(monomials)}
+    terms = [[(row[(p, q)], row[(a - p, b - q)])
               for p in range(a + 1) for q in range(b + 1)]
-             for a, b in _MONOMIALS]
+             for a, b in monomials]
     left, right, slots = [], [], []
     for k in range(len(terms[-1])):
         first = next(c for c, t in enumerate(terms) if len(t) > k)
         slots.append((len(left), first))
         left += [t[k][0] for t in terms[first:]]
         right += [t[k][1] for t in terms[first:]]
-    return np.array(left), np.array(right), slots
+    # Sums start from +0.0, except the value row: adding -0.0 keeps
+    # x0*y0 exactly as the scalar evaluator computes it, sign of zero
+    # included.
+    start = np.array([[-0.0]] + [[0.0]] * (len(monomials) - 1))
+    degree2, degree3 = (sum(a + b < d for a, b in monomials) for d in (2, 3))
+    return _Table(monomials, np.array(left), np.array(right), slots, start,
+                  degree2, degree3)
 
 
-_LEFT, _RIGHT, _SLOTS = _product_table()
-# Sums start from +0.0, except the value column: adding -0.0 keeps x0*y0
-# exactly as the scalar evaluator computes it, sign of zero included.
-_SUM_START = np.array([-0.0] + [0.0] * (len(_MONOMIALS) - 1))
+# one table per jet width: 2, 3, 4 without pair columns, 6 and 10 with
+_TABLES = {len(t.monomials): t for t in (
+    _product_table(_monomials(order, pairs))
+    for order, pairs in ((1, False), (2, False), (3, False),
+                         (2, True), (3, True)))}
 
 
-def _constant(value: float) -> np.ndarray:
-    """A one-row jet; broadcasting shares it across every seeding."""
-    out = np.zeros((1, len(_MONOMIALS)))
+def _constant(value: float, width: int) -> np.ndarray:
+    """A one-column jet; broadcasting shares it across every seeding."""
+    out = np.zeros((width, 1))
     out[0, 0] = value
     return out
 
@@ -86,12 +116,22 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     matrix, fixes the rounding order and keeps an infinite term out of
     the other coefficients (0 * inf is NaN).
     """
-    terms = x[:, _LEFT] * y[:, _RIGHT]
-    n = len(_MONOMIALS)
-    out = terms[:, :n] + _SUM_START
-    for start, first in _SLOTS[1:]:
-        out[:, first:] += terms[:, start:start + n - first]
+    n = len(x)
+    table = _TABLES[n]
+    terms = x.take(table.left, axis=0) * y.take(table.right, axis=0)
+    out = terms[:n] + table.start
+    for start, first in table.slots[1:]:
+        out[first:] += terms[start:start + n - first]
     return out
+
+
+def _scaled(g: float, pk: np.ndarray) -> np.ndarray:
+    """g * pk, where a zero coefficient of pk stays zero even when g
+    overflowed: the true g is finite, so inf * 0 = NaN would be wrong."""
+    term = g * pk
+    if not math.isfinite(g):
+        term[pk == 0.0] = 0.0
+    return term
 
 
 def _compose(u: np.ndarray, g0: float, g1: float, g2: float,
@@ -99,13 +139,22 @@ def _compose(u: np.ndarray, g0: float, g1: float, g2: float,
     """g(u) for scalar g with value g0 and derivatives g1..g3 at u's value.
 
     Writing u = a + p with p the zero-constant perturbation part,
-    g(u) truncates to g(a) + g1 p + (g2/2) p^2 + (g3/6) p^3.
+    g(u) truncates to g(a) + g1 p + (g2/2) p^2 + (g3/6) p^3. As p^k
+    reaches only the coefficients of degree >= k, each term is added to
+    those rows alone, so an overflowing g2 or g3 (ln at 1e-200) cannot
+    reach the gradient.
     """
+    table = _TABLES[len(u)]
     p = u.copy()
-    p[:, 0] = 0.0
-    p2 = _mul(p, p)
-    out = g1 * p + (g2 / 2.0) * p2 + (g3 / 6.0) * _mul(p2, p)
-    out[:, 0] = g0
+    p[0] = 0.0
+    out = _scaled(g1, p)
+    if table.degree2 < len(u):
+        p2 = _mul(p, p)
+        out[table.degree2:] += _scaled(g2 / 2.0, p2[table.degree2:])
+        if table.degree3 < len(u):
+            out[table.degree3:] += _scaled(g3 / 6.0,
+                                           _mul(p2, p)[table.degree3:])
+    out[0] = g0
     return out
 
 
@@ -114,7 +163,7 @@ def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if v == 0.0:
         raise DomainError("division by zero")
     out = _mul(x, _compose(y, 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
-    out[:, 0] = x[0, 0] / v
+    out[0] = x[0, 0] / v
     return out
 
 
@@ -125,7 +174,7 @@ def _int_pow(u: np.ndarray, n: int) -> np.ndarray:
     base, including zero, where the series-composition route would
     divide by the base value.
     """
-    result = _constant(1.0)
+    result = _constant(1.0, len(u))
     base = u
     while n:
         if n & 1:
@@ -143,8 +192,8 @@ def _pow_const(u: np.ndarray, exponent: float) -> np.ndarray:
         n = int(exponent)
         out = _int_pow(u, abs(n))
         if n < 0:
-            out = _div(_constant(1.0), out)
-        out[:, 0] = value
+            out = _div(_constant(1.0, len(u)), out)
+        out[0] = value
         return out
     g1 = exponent * a ** (exponent - 1.0)
     g2 = exponent * (exponent - 1.0) * a ** (exponent - 2.0)
@@ -185,8 +234,8 @@ def derivatives(
 ) -> DerivativeBundle:
     """Compute value and derivatives of ``expr`` up to ``order`` (1, 2, or 3).
 
-    One walk of the tree over stacked seedings: N rows seeded on e1
-    alone for order 1 (or a single input), N(N-1)/2 pair rows for
+    One walk of the tree over stacked seedings: N columns seeded on e1
+    alone for order 1 (or a single input), N(N-1)/2 pair columns for
     orders 2 and 3. ``variables`` fixes the variable order of the
     output arrays and defaults to the expression's own first-appearance
     order; callers that carry a declared input list (possibly a
@@ -208,39 +257,43 @@ def derivatives(
 
     n = len(names)
     pairs = order > 1 and n > 1
-    # row r seeds input first[r] on e1 and, for pairs, second[r] on e2
+    monomials = _monomials(order, pairs)
+    width = len(monomials)
+    # column r seeds input first[r] on e1 and, for pairs, second[r] on e2
     idx = np.arange(n)
     first, second = (np.nonzero(idx[:, None] < idx) if pairs
-                     else (idx, np.full(n, -1)))
+                     else (idx, None))
     position = {name: t for t, name in enumerate(names)}
 
     def leaf(name: str) -> np.ndarray:
-        # built per leaf: keeping all N jets of N^2/2 rows would cost N^3
-        jet = np.zeros((len(first), len(_MONOMIALS)))
-        jet[:, 0] = float(at[name])
-        jet[:, 1] = first == position[name]    # column (1, 0): e1
-        jet[:, 2] = second == position[name]   # column (0, 1): e2
+        # built per leaf: keeping all N jets of N^2/2 columns would cost N^3
+        jet = np.zeros((width, len(first)))
+        jet[0] = float(at[name])
+        jet[1] = first == position[name]        # row (1, 0): e1
+        if pairs:
+            jet[2] = second == position[name]   # row (0, 1): e2
         return jet
 
-    ops = Ops(const=_constant, var=leaf, apply=_apply_function,
-              power=_pow_const, mul=_mul, div=_div)
+    ops = Ops(const=lambda value: _constant(value, width), var=leaf,
+              apply=_apply_function, power=_pow_const, mul=_mul, div=_div)
     with np.errstate(all="ignore"):
         jet = walk(expr.root, ops)
-    rows = np.broadcast_to(jet, (len(first), len(_MONOMIALS)))
-    c = dict(zip(_MONOMIALS, rows.T))
+    c = dict(zip(monomials, np.broadcast_to(jet, (width, len(first)))))
 
     grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    third = np.zeros((n, n))
+    hess = np.zeros((n, n)) if order >= 2 else None
+    third = np.zeros((n, n)) if order >= 3 else None
     grad[first] = c[1, 0]
-    hess[first, first] = 2.0 * c[2, 0]
-    third[first, first] = 6.0 * c[3, 0]
+    if hess is not None:
+        hess[first, first] = 2.0 * c[2, 0]
+    if third is not None:
+        third[first, first] = 6.0 * c[3, 0]
     if pairs:
         grad[second] = c[0, 1]
         hess[second, second] = 2.0 * c[0, 2]
         hess[first, second] = hess[second, first] = c[1, 1]
-        third[second, second] = 6.0 * c[0, 3]
-        third[first, second] = 2.0 * c[1, 2]
-        third[second, first] = 2.0 * c[2, 1]
-    return DerivativeBundle(float(jet[0, 0]), grad, hess if order >= 2 else None,
-                            third if order >= 3 else None)
+        if third is not None:
+            third[second, second] = 6.0 * c[0, 3]
+            third[first, second] = 2.0 * c[1, 2]
+            third[second, first] = 2.0 * c[2, 1]
+    return DerivativeBundle(float(jet[0, 0]), grad, hess, third)

@@ -14,6 +14,11 @@ loosest to tightest binding:
 right-associative. Exponents must not reference variables, and a
 non-integer exponent requires a positive base at evaluation time; both
 rules keep every supported model single-valued and differentiable.
+Parsing and every evaluator recurse over the tree, so an expression
+may nest at most :data:`MAX_NESTING` levels (parentheses, function
+calls, unary minus and exponents) and its tree may be at most
+:data:`MAX_HEIGHT` levels high (a sum of n terms is n levels high);
+deeper input is a :class:`~uncertlab.errors.ParseError`.
 
 Variable names must either match ``X`` followed by digits or be listed
 explicitly in ``declared``, so a typo cannot silently become a new free
@@ -142,15 +147,23 @@ def _scalar_sqrt(x: float) -> float:
     return math.sqrt(x)
 
 
+def _scalar_periodic(fn: Callable[[float], float]) -> Callable[[float], float]:
+    def scalar(x: float) -> float:
+        if math.isinf(x):
+            raise DomainError(f"{fn.__name__} of infinite value {x}")
+        return fn(x)
+    return scalar
+
+
 def _sqrt_deriv_check(x: float) -> None:
     if x <= 0.0:
         raise DomainError(f"sqrt is not differentiable at {x}")
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
-    "sin": FunctionSpec(math.sin, np.sin, math.cos,
+    "sin": FunctionSpec(_scalar_periodic(math.sin), np.sin, math.cos,
                         lambda a: -math.sin(a), lambda a: -math.cos(a)),
-    "cos": FunctionSpec(math.cos, np.cos, lambda a: -math.sin(a),
+    "cos": FunctionSpec(_scalar_periodic(math.cos), np.cos, lambda a: -math.sin(a),
                         lambda a: -math.cos(a), math.sin),
     "exp": FunctionSpec(_scalar_exp, np.exp, _scalar_exp, _scalar_exp, _scalar_exp),
     "ln": FunctionSpec(_scalar_ln, np.log, lambda a: 1.0 / a,
@@ -206,10 +219,22 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Python's default recursion limit is 1,000 frames. The parser spends
+# at most five frames per nesting level (a parenthesis, function call,
+# unary minus or exponent) and every walk of the tree one per level of
+# height, so these bounds leave about half the stack to the callers.
+MAX_NESTING = 100
+MAX_HEIGHT = 500
+
+
 class _Parser:
+    """Recursive descent; every rule returns its subtree and the
+    subtree's height in levels, a leaf being one level."""
+
     def __init__(self, tokens: list[_Token], declared: frozenset[str]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.declared = declared
         self.seen_vars: dict[str, None] = {}
 
@@ -222,9 +247,11 @@ class _Parser:
         return tok
 
     def accept_op(self, *ops: str) -> Optional[_Token]:
-        tok = self.peek()
+        # the parser's most frequent call, so peek and advance are inlined
+        tok = self.tokens[self.i]
         if tok.kind == "op" and tok.text in ops:
-            return self.advance()
+            self.i += 1
+            return tok
         return None
 
     def expect_op(self, op: str) -> None:
@@ -233,49 +260,69 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
         self.advance()
 
+    def grow(self, tok: _Token, *heights: int) -> int:
+        """The height of a node at ``tok`` over subtrees ``heights`` high."""
+        if max(heights) >= MAX_HEIGHT:
+            raise ParseError(
+                f"expression more than {MAX_HEIGHT} levels high", tok.pos)
+        return max(heights) + 1
+
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, height = self.term()
         while True:
             tok = self.accept_op("+", "-")
             if tok is None:
-                return node
-            node = Binary(tok.text, node, self.term())
+                return node, height
+            rhs, h = self.term()
+            node, height = Binary(tok.text, node, rhs), self.grow(tok, height, h)
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple[Node, int]:
+        node, height = self.unary()
         while True:
             tok = self.accept_op("*", "/")
             if tok is None:
-                return node
-            node = Binary(tok.text, node, self.unary())
+                return node, height
+            rhs, h = self.unary()
+            node, height = Binary(tok.text, node, rhs), self.grow(tok, height, h)
 
-    def unary(self) -> Node:
-        if self.accept_op("-"):
-            return Unary("neg", self.unary())
-        return self.power()
+    def unary(self) -> tuple[Node, int]:
+        # every nested rule passes through here
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep",
+                self.peek().pos)
+        tok = self.accept_op("-")
+        if tok is None:
+            node, height = self.power()
+        else:
+            arg, h = self.unary()
+            node, height = Unary("neg", arg), self.grow(tok, h)
+        self.depth -= 1
+        return node, height
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self) -> tuple[Node, int]:
+        base, height = self.atom()
         tok = self.accept_op("^")
         if tok is None:
-            return base
-        exponent = self.unary()
+            return base, height
+        exponent, h = self.unary()
         if _references_variables(exponent):
             raise ParseError("exponent must be a constant expression", tok.pos)
-        return Binary("^", base, exponent)
+        return Binary("^", base, exponent), self.grow(tok, height, h)
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "name":
             self.advance()
             if self.accept_op("("):
@@ -283,20 +330,20 @@ class _Parser:
                     known = ", ".join(sorted(FUNCTIONS))
                     raise ParseError(
                         f"unknown function {tok.text!r} (known: {known})", tok.pos)
-                arg = self.expr()
+                arg, height = self.expr()
                 self.expect_op(")")
-                return Unary(tok.text, arg)
+                return Unary(tok.text, arg), self.grow(tok, height)
             if _VAR_PATTERN.match(tok.text) or tok.text in self.declared:
                 self.seen_vars.setdefault(tok.text)
-                return Var(tok.text)
+                return Var(tok.text), 1
             raise ParseError(
                 f"unknown variable {tok.text!r} (use X<digits> or declare it "
                 f"in the input list)", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            subtree = self.expr()
             self.expect_op(")")
-            return node
+            return subtree
         shown = tok.text if tok.kind != "end" else "end of input"
         raise ParseError(f"expected a number, name, or '(', got {shown!r}", tok.pos)
 

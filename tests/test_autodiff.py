@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from uncertlab.autodiff import _MONOMIALS, _mul, derivatives
+from uncertlab.autodiff import _TABLES, _mul, derivatives
 from uncertlab.errors import DomainError
 from uncertlab.expr import evaluate, evaluate_batch, parse_model
 
@@ -259,23 +259,173 @@ class TestRandomSweep:
                         want, rel=1e-9, abs=1e-10)
 
 
-def test_truncated_product_matches_plain_loop_bit_for_bit():
+def test_jet_widths():
+    # order 1 carries the value and e1; pair columns carry every
+    # monomial of degree <= order, a single input the powers of e1
+    widths = {w: t.monomials for w, t in _TABLES.items()}
+    assert widths[2] == ((0, 0), (1, 0))
+    assert widths[3] == ((0, 0), (1, 0), (2, 0))
+    assert widths[4] == ((0, 0), (1, 0), (2, 0), (3, 0))
+    assert sorted(widths[6]) == [(a, b) for a in range(3) for b in range(3)
+                                 if a + b <= 2]
+    assert sorted(widths[10]) == [(a, b) for a in range(4) for b in range(4)
+                                  if a + b <= 3]
+
+
+@pytest.mark.parametrize("width", sorted(_TABLES))
+def test_truncated_product_matches_plain_loop_bit_for_bit(width):
     # reference: coefficient (a, b) = sum over p <= a, q <= b, in loop
-    # order, of x[p, q] * y[a - p, b - q], accumulated from 0.0
+    # order, of x[p, q] * y[a - p, b - q], accumulated from 0.0; a jet
+    # holds one monomial per row and one seeding per column
     rng = np.random.default_rng(11)
-    col = {m: c for c, m in enumerate(_MONOMIALS)}
-    x = rng.standard_normal((7, 10))
-    y = rng.standard_normal((7, 10))
-    x[3] = 0.0
-    y[4, 0] = -0.0
+    row = {m: r for r, m in enumerate(_TABLES[width].monomials)}
+    x = rng.standard_normal((width, 7))
+    y = rng.standard_normal((width, 7))
+    x[:, 3] = 0.0
+    y[0, 4] = -0.0
     got = _mul(x, y)
-    for r in range(7):
-        for (a, b), c in col.items():
+    assert got.shape == (width, 7)
+    for k in range(7):
+        for (a, b), r in row.items():
             s = 0.0
             for p in range(a + 1):
                 for q in range(b + 1):
-                    s += x[r, col[(p, q)]] * y[r, col[(a - p, b - q)]]
-            if c == 0:
-                s = x[r, 0] * y[r, 0]   # the value keeps its sign of zero
-            assert got[r, c] == s and math.copysign(1, got[r, c]) == \
+                    s += x[row[(p, q)], k] * y[row[(a - p, b - q)], k]
+            if r == 0:
+                s = x[0, k] * y[0, k]   # the value keeps its sign of zero
+            assert got[r, k] == s and math.copysign(1, got[r, k]) == \
                 math.copysign(1, s)
+
+
+def random_model(rng, names, depth):
+    """A random expression over ``names`` with every node kind."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.8:
+            return names[int(rng.integers(len(names)))]
+        return f"{rng.uniform(0.5, 3.0):.3f}"
+    kind = int(rng.integers(8))
+    arg = random_model(rng, names, depth - 1)
+    if kind < 4:
+        rhs = random_model(rng, names, depth - 1)
+        return f"({arg} {'+-*/'[kind]} {rhs})"
+    if kind < 7:
+        fn = ("sin", "cos", "exp", "ln", "sqrt")[int(rng.integers(5))]
+        return f"{fn}({arg})"
+    return f"({arg}) ^ {('2', '3', '-1', '0.5', '2.5')[int(rng.integers(5))]}"
+
+
+def random_requests():
+    rng = np.random.default_rng(1729)
+    for _ in range(120):
+        names = tuple(f"X{i + 1}" for i in range(int(rng.integers(1, 5))))
+        point = np.round(rng.uniform(0.2, 2.0, len(names)), 3)
+        yield (random_model(rng, names, int(rng.integers(1, 5))), names,
+               dict(zip(names, point.tolist())))
+
+
+def model_requests():
+    for text, _, names, points in MODELS:
+        for point in points:
+            yield text, names, dict(zip(names, point))
+
+
+class TestTruncation:
+    """A jet sized to a lower order carries the same coefficients, so the
+    order-1 gradient and the order-2 Hessian are the order-3 ones."""
+
+    @pytest.mark.parametrize("requests", [model_requests, random_requests])
+    def test_lower_orders_are_the_order_3_entries_bit_for_bit(self,
+                                                              requests):
+        checked = 0
+        for text, names, at in requests():
+            m = parse_model(text)
+            outcomes = []
+            for order in (1, 2, 3):
+                try:
+                    outcomes.append(derivatives(m, at, order, names))
+                except DomainError as err:
+                    outcomes.append(str(err))
+            b1, b2, b3 = outcomes
+            if isinstance(b3, str):
+                assert b1 == b2 == b3, text
+                continue
+            checked += 1
+            assert b1.value == b2.value == b3.value or math.isnan(b3.value)
+            for b in (b1, b2):
+                assert b.grad.tobytes() == b3.grad.tobytes(), text
+            assert b2.hess.tobytes() == b3.hess.tobytes(), text
+        assert checked >= 10
+
+
+def series_model(n):
+    """sum_i X_i sin(X_{i+1}), indices cyclic over n inputs."""
+    return " + ".join(f"X{i + 1} * sin(X{(i + 1) % n + 1})" for i in range(n))
+
+
+class TestWideSeries:
+    # closed forms of f = sum_i x_i sin(x_{i+1}), cyclic: with nxt = i + 1
+    # and prv = i - 1,
+    #   df/dx_i            = sin(x_nxt) + x_prv cos(x_i)
+    #   d2f/dx_i^2         = -x_prv sin(x_i)
+    #   d2f/dx_i dx_nxt    = cos(x_nxt)
+    #   d3f/dx_i^3         = -x_prv cos(x_i)
+    #   d3f/dx_prv dx_i^2  = -sin(x_i)
+    # and every other second and third_mixed entry is 0 (n >= 3)
+    N = 24
+
+    def closed_forms(self, x):
+        n = self.N
+        grad, hess, third = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+        for i in range(n):
+            nxt, prv = (i + 1) % n, (i - 1) % n
+            grad[i] = math.sin(x[nxt]) + x[prv] * math.cos(x[i])
+            hess[i, i] = -x[prv] * math.sin(x[i])
+            hess[i, nxt] = hess[nxt, i] = math.cos(x[nxt])
+            third[i, i] = -x[prv] * math.cos(x[i])
+            third[prv, i] = -math.sin(x[i])
+        return grad, hess, third
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_closed_forms(self, order):
+        names = tuple(f"X{i + 1}" for i in range(self.N))
+        x = np.random.default_rng(24).uniform(-2.0, 2.0, self.N)
+        b = derivatives(parse_model(series_model(self.N)),
+                        dict(zip(names, x.tolist())), order, names)
+        grad, hess, third = self.closed_forms(x)
+        assert b.value == pytest.approx(
+            sum(x[i] * math.sin(x[(i + 1) % self.N]) for i in range(self.N)),
+            rel=1e-14)
+        assert b.grad == pytest.approx(grad, rel=1e-14, abs=1e-15)
+        if order >= 2:
+            assert b.hess == pytest.approx(hess, rel=1e-14, abs=1e-15)
+        if order == 3:
+            assert b.third_mixed == pytest.approx(third, rel=1e-14, abs=1e-15)
+
+
+class TestOverflowingDerivatives:
+    # a derivative the request does not read, or a zero seed times one
+    # that overflows, must not turn a finite entry into inf * 0 = NaN
+
+    @pytest.mark.parametrize("text,at,want", [
+        ("ln(X1)", 1e-200, 1.0 / 1e-200),              # g2, g3 overflow
+        ("sqrt(X1)", 1e-300, 0.5 / math.sqrt(1e-300)),
+    ])
+    def test_gradient_ignores_higher_derivatives(self, text, at, want):
+        b = derivatives(parse_model(text), {"X1": at}, order=1)
+        assert b.grad.tolist() == [want]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_quotient_by_a_tiny_denominator(self, order):
+        # d(X1/X2)/dX1 = 1/X2 = 1e170; d/dX2 = -1e340 overflows; the
+        # reciprocal's overflowing first derivative meets X1's columns,
+        # where X2 is not seeded
+        b = derivatives(parse_model("X1 / X2"), {"X1": 1.0, "X2": 1e-170},
+                        order)
+        assert b.grad.tolist() == [1.0 / 1e-170, -math.inf]
+        if order >= 2:
+            assert b.hess[0, 0] == 0.0 and b.hess[0, 1] == -math.inf
+
+    def test_trig_of_infinite_value(self):
+        with pytest.raises(DomainError, match="sin of infinite value"):
+            derivatives(parse_model("sin(X1 * X2)"),
+                        {"X1": 1e200, "X2": 1e200}, order=1)

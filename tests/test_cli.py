@@ -208,6 +208,66 @@ class TestPropagate:
         assert e["mode"] == "propagate"
         assert e["type"] == "DomainError" and "non-finite" in e["message"]
 
+    def test_overflowing_third_derivative_leaves_taylor1_finite(
+            self, capsys, tmp_path):
+        # d3 sqrt / dx3 = 0.375 x^-2.5 overflows at 1e-130; the gradient
+        # 0.5 / sqrt(x) = 5e64 does not, so u = 5e64 * 1e-131
+        cfg = write_json(tmp_path / "sqrt.json", {
+            "model": {"expression": "sqrt(X1)"},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "gaussian", "mean": 1e-130,
+                                        "sd": 1e-131}}]},
+            "method": "taylor1",
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 0 and err == ""
+        m = json.loads(out)["results"]["measurement"]
+        assert m["u"] == pytest.approx(5e-67, rel=1e-14)
+
+    @pytest.mark.parametrize("expression,means", [
+        ("sin(X1 * X2)", [1e200, 1e200]),
+        ("sin(exp(X1))", [800.0, 1.0]),
+        ("cos(X1 / X2)", [1.0, 1e-320]),
+    ])
+    @pytest.mark.parametrize("method", ["taylor1", "taylor2"])
+    def test_trig_of_infinite_value_is_domain_error(
+            self, capsys, tmp_path, expression, means, method):
+        cfg = write_json(tmp_path / "trig.json", {
+            "model": {"expression": expression},
+            "inputs": {"quantities": [
+                {"name": f"X{i + 1}", "dist": {"kind": "gaussian",
+                                               "mean": mean, "sd": 1.0}}
+                for i, mean in enumerate(means)]},
+            "method": method,
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == "" and "Traceback" not in err
+        e = json.loads(err)["error"]
+        assert e["type"] == "DomainError"
+        assert "of infinite value inf" in e["message"]
+
+    @pytest.mark.parametrize("expression,message", [
+        (" + ".join(["X1"] * 1200), "levels high"),
+        ("(" * 250 + "X1" + ")" * 250, "nested more than"),
+        (" ^ ".join(["X1"] + ["1"] * 600), "nested more than"),
+    ], ids=["sum-1200", "parentheses-250", "powers-600"])
+    def test_deep_expression_is_parse_error(self, capsys, tmp_path,
+                                            expression, message):
+        cfg = write_json(tmp_path / "deep.json", {
+            "model": {"expression": expression},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "gaussian", "mean": 1.0,
+                                        "sd": 0.1}}]},
+            "method": "taylor1",
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == "" and "Traceback" not in err
+        # a malformed expression is a ConfigError naming its key
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError"
+        assert e["message"].startswith("model.expression: ")
+        assert message in e["message"] and "(offset " in e["message"]
+
     def test_overflowing_input_is_config_error(self, capsys, tmp_path):
         # the input's own variance overflows: before, taylor1 blamed the
         # model ("overflows or leaves its domain")

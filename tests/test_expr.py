@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uncertlab.errors import DomainError, EvaluationError, ParseError
-from uncertlab.expr import evaluate, evaluate_batch, parse_model
+from uncertlab.expr import (MAX_HEIGHT, MAX_NESTING, evaluate,
+                            evaluate_batch, parse_model)
 
 ABC = ("a", "b", "c", "x", "y")
 
@@ -54,6 +55,45 @@ class TestParsing:
     def test_power_allows_constant_arithmetic_exponent(self):
         m = parse_model("x ^ (1 + 2)", declared=ABC)
         assert evaluate(m, {"x": 2.0}) == 8.0
+
+
+class TestDepthBounds:
+    # every evaluator recurses over the tree: past the bounds a model is
+    # a ParseError at the offending token, not a RecursionError
+    @pytest.mark.parametrize("opening", ["(", "sin(", "-"])
+    def test_nesting_bound(self, opening):
+        def nested(levels):
+            closing = ")" * (levels - 1) if opening != "-" else ""
+            return opening * (levels - 1) + "X1" + closing
+
+        assert math.isfinite(evaluate(parse_model(nested(MAX_NESTING)),
+                                      {"X1": 0.5}))
+        with pytest.raises(ParseError, match="nested more than") as err:
+            parse_model(nested(MAX_NESTING + 1))
+        assert err.value.position == len(opening) * MAX_NESTING
+
+    def test_exponent_chain_is_nesting(self):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_model(" ^ ".join(["X1"] + ["1"] * 600))
+
+    def test_height_bound(self):
+        at_bound = " + ".join(["X1"] * MAX_HEIGHT)
+        assert evaluate(parse_model(at_bound), {"X1": 1.0}) == MAX_HEIGHT
+        with pytest.raises(ParseError, match="levels high") as err:
+            parse_model(at_bound + " + X1")
+        assert err.value.position == len(at_bound) + 1    # the last "+"
+
+    def test_height_counts_every_kind_of_node(self):
+        # a product chain, a function over it and a sum on top
+        def model(factors):
+            return "sin(" + " * ".join(["X1"] * factors) + ") + X1"
+
+        assert evaluate(parse_model(model(MAX_HEIGHT - 2)), {"X1": 1.0}) \
+            == math.sin(1.0) + 1.0
+        text = model(MAX_HEIGHT - 1)
+        with pytest.raises(ParseError, match="levels high") as err:
+            parse_model(text)
+        assert err.value.position == text.rindex("+")
 
 
 class TestPrecedenceAndAssociativity:
@@ -131,6 +171,15 @@ class TestEvaluation:
 
     def test_integer_power_of_negative_base_is_fine(self):
         assert evaluate(parse_model("X1 ^ 3"), {"X1": -2.0}) == -8.0
+
+    @pytest.mark.parametrize("text,at", [
+        ("sin(X1 * X2)", {"X1": 1e200, "X2": 1e200}),
+        ("sin(exp(X1))", {"X1": 800.0}),
+        ("cos(X1 / X2)", {"X1": 1.0, "X2": 1e-320}),
+    ])
+    def test_trig_of_infinite_value(self, text, at):
+        with pytest.raises(DomainError, match="of infinite value inf"):
+            evaluate(parse_model(text), at)
 
     def test_zero_to_zero_is_one(self):
         # convention consistent with float pow
