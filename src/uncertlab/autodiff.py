@@ -114,11 +114,22 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Adding one slot at a time, rather than a matmul with a 0/1 scatter
     matrix, fixes the rounding order and keeps an infinite term out of
-    the other coefficients (0 * inf is NaN).
+    the other coefficients. A term with an exactly-zero factor is 0, not
+    0 * inf = NaN, looked for only once the coefficients sum to NaN.
     """
-    n = len(x)
-    table = _TABLES[n]
-    terms = x.take(table.left, axis=0) * y.take(table.right, axis=0)
+    table = _TABLES[len(x)]
+    xs, ys = x.take(table.left, axis=0), y.take(table.right, axis=0)
+    terms = xs * ys
+    out = _sum_terms(terms, table)
+    if not math.isnan(out.sum()):
+        return out
+    terms[np.isnan(terms) & ((xs == 0.0) | (ys == 0.0))] = 0.0
+    return _sum_terms(terms, table)
+
+
+def _sum_terms(terms: np.ndarray, table: _Table) -> np.ndarray:
+    """Each coefficient's terms summed in order."""
+    n = len(table.monomials)
     out = terms[:n] + table.start
     for start, first in table.slots[1:]:
         out[first:] += terms[start:start + n - first]

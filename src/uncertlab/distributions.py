@@ -8,11 +8,11 @@ every marginal is Gaussian, where the Cholesky construction is exact.
 How to correlate mixed marginals is not settled ground, so such input
 is rejected at validation rather than silently approximated.
 
-All sampling runs through one route: uniform draws from a counter-based
-Philox generator mapped through each marginal's inverse CDF. Together
-with explicit stream indices (see :mod:`uncertlab.rng`) this makes
-every Monte Carlo run bit-reproducible and lets parallel workers draw
-non-overlapping substreams. Moments are closed form, never estimated.
+All sampling runs through one route: uniform draws from the caller's
+generator mapped through each marginal's inverse CDF. Monte Carlo
+passes each chunk's own Philox substream (see :mod:`uncertlab.rng`),
+which makes every run bit-reproducible and lets parallel workers draw
+non-overlapping streams. Moments are closed form, never estimated.
 
 ``scipy.special`` is imported inside the functions that call it, so a
 run that never draws Gaussian samples or evaluates the normal CDF or
@@ -26,7 +26,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError
-from .rng import substream
 
 __all__ = [
     "Gaussian",
@@ -226,54 +225,30 @@ class JointInputModel:
         np.fill_diagonal(cov, v)
         return cov
 
-    def mean_assignment(self) -> dict[str, float]:
-        return {q.name: q.marginal.moments()[0] for q in self.quantities}
 
+def sample(joint: JointInputModel, count: int,
+           rng: "np.random.Generator") -> np.ndarray:
+    """Draw ``count`` joint realizations from ``rng``, shape (count, N).
 
-# Values in one block of draws, mapped (and evaluated by Monte Carlo) at
-# once: a block's temporaries fit in cache, numpy's per-call cost is small.
-_BLOCK_VALUES = 65536
-
-
-def block_rows(n_inputs: int) -> int:
-    """Rows of ``n_inputs`` values in one block; at least one."""
-    return max(1, _BLOCK_VALUES // n_inputs)
-
-
-def sample(
-    joint: JointInputModel,
-    count: int,
-    seed: int,
-    stream: int = 0,
-) -> np.ndarray:
-    """Draw ``count`` joint realizations, shape (count, N).
-
-    Deterministic in (seed, stream); distinct streams are
-    non-overlapping, so chunked or parallel drivers stay reproducible.
     Uniforms are mapped through each marginal's inverse CDF; under
     correlation the standard-normal columns are mixed by the Cholesky
-    factor first, then shifted and scaled per marginal.
+    factor first, then shifted and scaled per marginal. The generator's
+    stream carries on from one call to the next, so calls of a and b
+    rows give the rows of one (a + b)-row call, except that a one-row
+    correlated call may round its last bit otherwise (BLAS gemv).
     """
-    if count < 1:
-        raise ConfigError(f"sample count must be >= 1, got {count}")
-    rng = substream(seed, stream)
     u = rng.random((count, len(joint)))
     # random() yields [0, 1); nudge exact zeros so ndtri stays finite
     np.maximum(u, np.finfo(np.float64).tiny, out=u)
     if joint._chol is not None:
-        # one product over all rows: BLAS may round a row block otherwise
         from scipy import special
         z = special.ndtri(u, out=u) @ joint._chol.T
         z *= np.sqrt(joint.variances())
         z += joint.means()
         return z
-    # each column is mapped in place, one block of rows at a time: ppf
-    # reads only its own column, and its temporaries stay block-sized
-    rows = block_rows(len(joint))
-    for lo in range(0, count, rows):
-        block = u[lo:lo + rows]
-        for i, q in enumerate(joint.quantities):
-            block[:, i] = q.marginal.ppf(block[:, i])
+    # each column is mapped in place: ppf reads only its own column
+    for i, q in enumerate(joint.quantities):
+        u[:, i] = q.marginal.ppf(u[:, i])
     return u
 
 

@@ -322,7 +322,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text)), 1
+            value = float(tok.text)
+            if math.isinf(value):       # an underflow to 0 is kept
+                raise ParseError(f"number {tok.text:.24} is outside the "
+                                 "double range", tok.pos)
+            return Const(value), 1
         if tok.kind == "name":
             self.advance()
             if self.accept_op("("):

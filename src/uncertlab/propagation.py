@@ -23,18 +23,18 @@ expected value y, a standard uncertainty u(Y), and a coverage interval:
 
 Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks with one Philox substream per chunk
-index. The chunks run concurrently, one thread per available core, and
-each writes its evaluations, one cache-sized block of rows at a time,
-at its own fixed offset of one preallocated sample vector, so the
-sample set and its order depend only on M and never on the worker
-count or on which thread finished first. Evaluations outside the
-model's domain come back non-finite; in-place sorting puts them at the
-ends, so the finite ones are a slice of the vector, counted, not copied.
-Failures in over 1% of the draws abort the run with a diagnostic. The
-mean and standard deviation are numpy's bit for bit, with no M-sized
-copy: a run holds 8 bytes per draw plus one chunk of draws and one
-block of temporaries per worker. ``concurrent.futures`` is imported by
-the first Monte Carlo run, so the other methods never load it.
+index. The chunks run concurrently, one thread per available core;
+each draws and evaluates one cache-sized block of rows after the other
+from its substream into its fixed offset of one preallocated sample
+vector, so the sample set and its order depend only on M and never on
+the worker count or on which thread finished first. Evaluations outside
+the model's domain come back non-finite; in-place sorting puts them at
+the ends, so the finite ones are a slice of the vector, counted, not
+copied. Failures in over 1% of the draws abort the run with a
+diagnostic. The mean and standard deviation are numpy's bit for bit,
+with no M-sized copy: a run holds 8 bytes per draw plus one block of
+draws and its temporaries per worker. ``concurrent.futures`` is
+imported by the first Monte Carlo run, so the other methods never load it.
 
 Expanded uncertainty is U = k u(Y), with the k the caller resolved
 (:func:`resolve_coverage` turns a coverage into its two-sided Gaussian
@@ -50,11 +50,12 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import derivatives
-from .distributions import (JointInputModel, block_rows, normal_cdf,
-                            normal_quantile, sample)
+from .distributions import (JointInputModel, normal_cdf, normal_quantile,
+                            sample)
 from .errors import (ConfigError, MonteCarloError, require_integer,
                      require_positive)
 from .expr import MeasurementModelExpr, evaluate_batch, is_affine
+from .rng import substream
 
 __all__ = [
     "MeasurementResult",
@@ -73,6 +74,10 @@ __all__ = [
 # Fixed chunk width for Monte Carlo draws. Part of the reproducibility
 # contract: chunk boundaries depend only on M, never on parallelism.
 MC_CHUNK_SIZE = 65536
+
+# Values in one block of draws, drawn and evaluated by Monte Carlo at
+# once: a block's temporaries fit in cache, numpy's per-call cost is small.
+_BLOCK_VALUES = 65536
 
 # Default coverage factor of every method; it implies 2*Phi(2) - 1.
 _DEFAULT_K = 2.0
@@ -163,8 +168,8 @@ def _series(expr: MeasurementModelExpr, joint: JointInputModel, k: float,
     c' Sigma c (JCGM 100 eq. 13) with c the gradient and Sigma the input
     covariance; order 3 adds the second-order correction."""
     require_positive("coverage factor k", k)
-    bundle = derivatives(expr, joint.mean_assignment(), order=order,
-                         variables=joint.names)
+    bundle = derivatives(expr, dict(zip(joint.names, joint.means())),
+                         order=order, variables=joint.names)
     c = bundle.grad
     var = float(c @ joint.covariance() @ c)
     if order == 3:
@@ -230,6 +235,11 @@ def propagate_taylor2(
     return _series(expr, joint, k, "taylor2", order=3)
 
 
+def block_rows(n_inputs: int) -> int:
+    """Rows of ``n_inputs`` values in one block; at least one."""
+    return max(1, _BLOCK_VALUES // n_inputs)
+
+
 def _available_cores() -> int:
     """Cores this process may run on (all cores where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
@@ -280,21 +290,19 @@ def propagate_monte_carlo(
     rows = block_rows(len(joint))
 
     def run_chunk(ci: int) -> None:
-        """Evaluate chunk ``ci`` into its slice, one block of rows at a time."""
-        start = ci * MC_CHUNK_SIZE
-        draws = sample(joint, min(MC_CHUNK_SIZE, M - start), seed, stream=ci)
-        out = values[start:start + len(draws)]
-        for lo in range(0, len(draws), rows):
-            block = draws[lo:lo + rows]
-            cols = {name: block[:, i] for i, name in enumerate(joint.names)}
-            out[lo:lo + rows] = evaluate_batch(expr, cols, n=len(block))
+        """Draw and evaluate chunk ``ci`` into its slice, block by block."""
+        rng = substream(seed, ci)
+        stop = min((ci + 1) * MC_CHUNK_SIZE, M)
+        for lo in range(ci * MC_CHUNK_SIZE, stop, rows):
+            draws = sample(joint, min(rows, stop - lo), rng)
+            cols = dict(zip(joint.names, draws.T))
+            values[lo:lo + len(draws)] = evaluate_batch(expr, cols, len(draws))
 
     from concurrent.futures import ThreadPoolExecutor
 
     # The calling thread takes every workers-th chunk itself: a helper
     # thread's malloc arena keeps its memory after the thread exits, so
-    # fewer helpers hold less peak memory.
-    # With one worker nothing is submitted, so the pool starts no thread.
+    # fewer helpers hold less peak memory. One worker starts no thread.
     workers = min(_available_cores(), n_chunks)
     pool = ThreadPoolExecutor(max(workers - 1, 1))
     try:

@@ -3,10 +3,10 @@
 All randomness in the package flows through ``substream(seed, stream)``:
 a numpy ``Generator`` backed by the counter-based Philox bit generator,
 keyed by ``SeedSequence(seed, spawn_key=(stream,))``. Distinct stream
-indices give non-overlapping deterministic substreams, so parallel
-workers (MC chunks, per-step training draws) can draw independently
-while the overall run stays bit-reproducible. ``numpy.random`` loads on
-the first call: conformity, predict, taylor and analytic runs never load it.
+indices give disjoint substreams: Monte Carlo chunk i draws from stream i,
+``vi.optimize`` all training steps from stream 0 (a block of steps per
+call), ``verify`` its data from stream 1. ``numpy.random`` loads on the
+first call: conformity, predict, taylor and analytic runs never load it.
 """
 
 import numpy as np

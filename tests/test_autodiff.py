@@ -418,12 +418,18 @@ class TestOverflowingDerivatives:
     def test_quotient_by_a_tiny_denominator(self, order):
         # d(X1/X2)/dX1 = 1/X2 = 1e170; d/dX2 = -1e340 overflows; the
         # reciprocal's overflowing first derivative meets X1's columns,
-        # where X2 is not seeded
+        # where X2 is not seeded; X1's zero coefficients there times the
+        # overflowed ones are 0, not NaN: d2/dX2^2 = 2/X2^3 and
+        # d3/dX1 dX2^2 = 2/X2^3 overflow to +inf, d3/dX2^3 to -inf
         b = derivatives(parse_model("X1 / X2"), {"X1": 1.0, "X2": 1e-170},
                         order)
         assert b.grad.tolist() == [1.0 / 1e-170, -math.inf]
         if order >= 2:
-            assert b.hess[0, 0] == 0.0 and b.hess[0, 1] == -math.inf
+            assert b.hess.tolist() == [[0.0, -math.inf],
+                                       [-math.inf, math.inf]]
+        if order == 3:
+            assert b.third_mixed.tolist() == [[0.0, math.inf],
+                                              [0.0, -math.inf]]
 
     def test_trig_of_infinite_value(self):
         with pytest.raises(DomainError, match="sin of infinite value"):

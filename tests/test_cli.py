@@ -324,6 +324,22 @@ class TestPropagate:
         assert e["type"] == "ConfigError" and str(path) in e["message"]
         assert "outside the double range" in e["message"]
 
+    @pytest.mark.parametrize("method", ["taylor1", "monte_carlo"])
+    def test_expression_number_outside_double_range(self, capsys, tmp_path,
+                                                    propagate_config, method):
+        # before, 1e999 parsed as inf: taylor1 blamed an overflowing
+        # model, monte_carlo the input distributions
+        doc = json.load(open(propagate_config))
+        doc["model"]["expression"] = "X1 + 1e999"
+        doc["method"] = method
+        cfg = write_json(tmp_path / "big-literal.json", doc)
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == "" and "Traceback" not in err
+        e = json.loads(err)["error"]
+        assert e["type"] == "ConfigError"
+        assert e["message"] == ("model.expression: number 1e999 is outside "
+                                "the double range (offset 5)")
+
     def test_allocation_failure_is_structured_error(self, capsys,
                                                     monkeypatch,
                                                     propagate_config):

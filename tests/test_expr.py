@@ -36,6 +36,15 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"offset"):
             parse_model("1 + * 2")
 
+    @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400, "2e308"])
+    def test_number_outside_double_range(self, literal):
+        with pytest.raises(ParseError, match="outside the double range") as err:
+            parse_model(f"X1 + {literal}")
+        assert err.value.position == 5
+
+    def test_number_underflowing_to_zero_is_kept(self):
+        assert evaluate(parse_model("X1 + 1e-999"), {"X1": 2.0}) == 2.0
+
     def test_unbalanced_parenthesis(self):
         with pytest.raises(ParseError):
             parse_model("(X1 + X2")

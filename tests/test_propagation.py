@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uncertlab import distributions, propagation
+from uncertlab import propagation
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
                                      Rectangular, Triangular, normal_quantile,
                                      sample)
@@ -19,6 +19,7 @@ from uncertlab.propagation import (MC_CHUNK_SIZE, EmpiricalCDF,
                                    implied_coverage, propagate_analytic,
                                    propagate_monte_carlo, propagate_taylor1,
                                    propagate_taylor2, sensitivity_budget)
+from uncertlab.rng import substream
 
 
 def gaussian_joint(means, sds, corr=None):
@@ -344,7 +345,7 @@ def serial_reference(expr, joint, M, seed):
     chunks, failures = [], []
     for ci, start in enumerate(range(0, M, MC_CHUNK_SIZE)):
         n = min(MC_CHUNK_SIZE, M - start)
-        draws = sample(joint, n, seed, stream=ci)
+        draws = sample(joint, n, substream(seed, ci))
         values = evaluate_batch(
             expr, {name: draws[:, i] for i, name in enumerate(joint.names)},
             n=n)
@@ -389,6 +390,17 @@ class TestParallelChunks:
         assert sum(failures) == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_mixed_marginals_match_serial(self, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        joint = JointInputModel([
+            InputQuantity("X1", Gaussian(2.0, 0.1)),
+            InputQuantity("X2", Rectangular(0.7, 1.5)),
+            InputQuantity("X3", Triangular(0.3, 0.5, 1.0))])
+        failures = self.check_against_serial(
+            parse_model("X1 * X2 / (1 + X3) + sin(X3)"), joint, seed=13)
+        assert sum(failures) == 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_domain_failures_match_serial(self, monkeypatch, workers):
         force_workers(monkeypatch, workers)
         # P(X1 <= 0) = Phi(-3): about 0.13% of the draws fail
@@ -407,7 +419,7 @@ class TestParallelChunks:
         expr = parse_model("1e-300 * exp(X1) - 1e-300 * exp(X2) + ln(X3)")
         failures = self.check_against_serial(expr, joint, seed=9)
         assert 0 < sum(failures) < 0.01 * self.M
-        draws = sample(joint, MC_CHUNK_SIZE, 9, stream=0)
+        draws = sample(joint, MC_CHUNK_SIZE, substream(9, 0))
         first = evaluate_batch(
             expr, {name: draws[:, i] for i, name in enumerate(joint.names)})
         kinds = {str(v) for v in first[~np.isfinite(first)]}
@@ -415,16 +427,16 @@ class TestParallelChunks:
 
     def test_helper_thread_error_reaches_caller(self, monkeypatch):
         force_workers(monkeypatch, 2)
-        real_sample = propagation.sample
+        real_substream = propagation.substream
         raised_on = []
 
-        def failing_sample(joint, count, seed, stream=0):
+        def failing_substream(seed, stream=0):
             if stream == 1:
                 raised_on.append(threading.current_thread())
                 raise RuntimeError("chunk 1 failed")
-            return real_sample(joint, count, seed, stream=stream)
+            return real_substream(seed, stream)
 
-        monkeypatch.setattr(propagation, "sample", failing_sample)
+        monkeypatch.setattr(propagation, "substream", failing_substream)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
             propagate_monte_carlo(parse_model("X1"),
@@ -435,6 +447,26 @@ class TestParallelChunks:
 
 
 class TestMonteCarloMemory:
+    M = 2_000_000
+
+    def traced_run(self, expr, joint):
+        """The Monte Carlo result, its tracemalloc peak, and what stays
+        allocated once the sorted values are dropped."""
+        # a first run imports what the traced one needs
+        propagate_monte_carlo(expr, joint, M=1000, seed=1)
+        # with the collector off, a reference cycle keeps what it holds
+        gc.disable()
+        tracemalloc.start()
+        try:
+            r, ecdf = propagate_monte_carlo(expr, joint, M=self.M, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+            del ecdf
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        return r, peak, left
+
     def test_peak_is_the_buffer_plus_a_block_per_worker(self, monkeypatch):
         force_workers(monkeypatch, 2)
         # mixed marginals; sqrt(X4) fails for about 0.04% of the draws
@@ -445,25 +477,22 @@ class TestMonteCarloMemory:
             InputQuantity("X4", Gaussian(1.0, 0.3))])
         expr = parse_model(
             "X1 * X2 / (1 + X3) + sqrt(X4) + ln(X1 ^ 2 + X4 ^ 2)")
-        M = 2_000_000
-        # a first run imports what the traced one needs
-        propagate_monte_carlo(expr, joint, M=1000, seed=1)
-        # with the collector off, a reference cycle keeps what it holds
-        gc.disable()
-        tracemalloc.start()
-        try:
-            r, ecdf = propagate_monte_carlo(expr, joint, M=M, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-            del ecdf
-            left, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            gc.enable()
+        r, peak, left = self.traced_run(expr, joint)
         assert r.mc_diagnostics.domain_error_count > 0
-        # one 8-byte value per draw, and 3 MiB for each of 2 workers
-        assert peak < 8 * M + 2 * 3 * 2**20
+        # one 8-byte value per draw, and 2 MiB for each of 2 workers
+        # (2.8 MiB over the buffer measured)
+        assert peak < 8 * self.M + 2 * 2 * 2**20
         # dropping the sorted values frees the buffer
         assert left < 2**20
+
+    def test_block_per_worker_does_not_grow_with_inputs(self, monkeypatch):
+        # a chunk of 24 inputs is 12 MiB of draws; a block is 512 KiB
+        force_workers(monkeypatch, 2)
+        joint = gaussian_joint([0.1 * i for i in range(1, 25)], [0.01] * 24)
+        expr = parse_model(" + ".join(f"sin({n})" for n in joint.names))
+        _, peak, _ = self.traced_run(expr, joint)
+        # 2.1 MiB over the buffer measured
+        assert peak < 8 * self.M + 2 * 2 * 2**20
 
 
 class TestSumSquares:
@@ -473,7 +502,7 @@ class TestSumSquares:
                3 * 65_536 + 17, 2_000_003]
 
     # the smallest scratch that keeps numpy's order, and the driver's
-    @pytest.mark.parametrize("scratch", [128, distributions.block_rows(1)])
+    @pytest.mark.parametrize("scratch", [128, propagation.block_rows(1)])
     def test_gives_numpy_std_bit_for_bit(self, scratch):
         rng = np.random.default_rng(0)
         for n in self.LENGTHS:
