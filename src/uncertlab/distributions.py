@@ -1,4 +1,4 @@
-"""Input-quantity distributions: moments, sampling, and normal helpers.
+"""Input-quantity distributions: mean and u, sampling, and normal helpers.
 
 Each input quantity of a measurement model carries one marginal
 distribution in its physical unit: gaussian, rectangular, or
@@ -12,7 +12,9 @@ All sampling runs through one route: uniform draws from the caller's
 generator mapped through each marginal's inverse CDF. Monte Carlo
 passes each chunk's own Philox substream (see :mod:`uncertlab.rng`),
 which makes every run bit-reproducible and lets parallel workers draw
-non-overlapping streams. Moments are closed form, never estimated.
+non-overlapping streams. Each marginal's mean and standard uncertainty
+u are closed form, never estimated, and u squares nothing, so it is
+right wherever it is itself a double; no variance is kept.
 
 ``scipy.special`` is imported inside the functions that call it, so a
 run that never draws Gaussian samples or evaluates the normal CDF or
@@ -48,14 +50,10 @@ def _require_finite(kind: str, **params: float) -> None:
 
 
 def _require_finite_moments(kind: str, dist) -> None:
-    """Reject parameters whose closed-form mean or variance overflows."""
-    try:
-        finite = all(math.isfinite(m) for m in dist.moments())
-    except OverflowError:       # a float ** 2 beyond the double range
-        finite = False
-    if not finite:
-        raise ConfigError(f"{kind} mean or variance overflows the double "
-                          f"range for {dist}")
+    """Reject parameters whose closed-form mean or u is not a finite double."""
+    if not all(map(math.isfinite, dist.mean_and_u())):
+        raise ConfigError(f"{kind} mean or standard uncertainty overflows "
+                          f"the double range for {dist}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,9 @@ class Gaussian:
         _require_finite("gaussian", mean=self.mean, sd=self.sd)
         if self.sd < 0.0:
             raise ConfigError(f"gaussian sd must be >= 0, got {self.sd}")
-        _require_finite_moments("gaussian", self)
 
-    def moments(self) -> tuple[float, float]:
-        return self.mean, self.sd**2
+    def mean_and_u(self) -> tuple[float, float]:
+        return self.mean, self.sd
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         from scipy import special
@@ -98,9 +95,9 @@ class Rectangular:
                 f"got [{self.lower}, {self.upper}]")
         _require_finite_moments("rectangular", self)
 
-    def moments(self) -> tuple[float, float]:
+    def mean_and_u(self) -> tuple[float, float]:
         a, b = self.lower, self.upper
-        return 0.5 * (a + b), (b - a) ** 2 / 12.0
+        return 0.5 * (a + b), (b - a) / math.sqrt(12.0)
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return self.lower + (self.upper - self.lower) * u
@@ -126,11 +123,10 @@ class Triangular:
                 f"triangular mode {self.mode} outside [{self.lower}, {self.upper}]")
         _require_finite_moments("triangular", self)
 
-    def moments(self) -> tuple[float, float]:
+    def mean_and_u(self) -> tuple[float, float]:
+        # u^2 = (a^2 + m^2 + b^2 - am - ab - mb) / 18 = hypot(...)^2 / 36
         a, m, b = self.lower, self.mode, self.upper
-        mean = (a + m + b) / 3.0
-        var = (a * a + m * m + b * b - a * m - a * b - m * b) / 18.0
-        return mean, var
+        return (a + m + b) / 3.0, math.hypot(a - m, a - b, m - b) / 6.0
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         a, m, b = self.lower, self.mode, self.upper
@@ -159,10 +155,11 @@ class InputQuantity:
 class JointInputModel:
     """Ordered input quantities plus an optional Gaussian correlation.
 
-    The correlation matrix, when given, must be symmetric with unit
-    diagonal, entries in [-1, 1], and positive definite; its Cholesky
-    factor is computed once here. Correlation with any non-Gaussian
-    marginal is rejected.
+    ``means`` and ``u`` hold each input's mean and u. The correlation
+    matrix, when given, must be symmetric with unit diagonal and entries
+    in [-1, 1] (to 1e-12 absolute), and positive definite; its Cholesky
+    factor ``chol`` is computed once here. Correlation with any
+    non-Gaussian marginal is rejected.
     """
 
     def __init__(
@@ -178,8 +175,10 @@ class JointInputModel:
             raise ConfigError(f"duplicate input name(s): {', '.join(dupes)}")
         self.quantities = list(quantities)
         self.names = tuple(names)
+        self.means, self.u = map(np.array, zip(
+            *(q.marginal.mean_and_u() for q in quantities)))
         self.correlation: Optional[np.ndarray] = None
-        self._chol: Optional[np.ndarray] = None
+        self.chol: Optional[np.ndarray] = None
         if correlation is not None:
             self._init_correlation(np.asarray(correlation, dtype=np.float64))
 
@@ -194,9 +193,9 @@ class JointInputModel:
             raise ConfigError(
                 "correlation requires all-Gaussian marginals; non-Gaussian "
                 f"input(s): {', '.join(non_gauss)}")
-        if not np.allclose(r, r.T, atol=1e-12):
+        if not np.allclose(r, r.T, rtol=0.0, atol=1e-12):
             raise ConfigError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(r), 1.0, atol=1e-12):
+        if not np.allclose(np.diag(r), 1.0, rtol=0.0, atol=1e-12):
             raise ConfigError("correlation matrix must have unit diagonal")
         if np.any(np.abs(r) > 1.0 + 1e-12):
             raise ConfigError("correlation entries must lie in [-1, 1]")
@@ -206,24 +205,10 @@ class JointInputModel:
             raise ConfigError(
                 "correlation matrix is not positive definite") from err
         self.correlation = r
-        self._chol = chol
+        self.chol = chol
 
     def __len__(self) -> int:
         return len(self.quantities)
-
-    def means(self) -> np.ndarray:
-        return np.array([q.marginal.moments()[0] for q in self.quantities])
-
-    def variances(self) -> np.ndarray:
-        return np.array([q.marginal.moments()[1] for q in self.quantities])
-
-    def covariance(self) -> np.ndarray:
-        """Input covariance: variances() on the diagonal, R * sd sd' off it."""
-        v = self.variances()
-        r = np.eye(len(v)) if self.correlation is None else self.correlation
-        cov = r * np.outer(np.sqrt(v), np.sqrt(v))
-        np.fill_diagonal(cov, v)
-        return cov
 
 
 def sample(joint: JointInputModel, count: int,
@@ -232,19 +217,20 @@ def sample(joint: JointInputModel, count: int,
 
     Uniforms are mapped through each marginal's inverse CDF; under
     correlation the standard-normal columns are mixed by the Cholesky
-    factor first, then shifted and scaled per marginal. The generator's
-    stream carries on from one call to the next, so calls of a and b
-    rows give the rows of one (a + b)-row call, except that a one-row
-    correlated call may round its last bit otherwise (BLAS gemv).
+    factor first, then scaled by each input's u and shifted by its mean.
+    The generator's stream carries on from one call to the next, so
+    calls of a and b rows give the rows of one (a + b)-row call, except
+    that a one-row correlated call may round its last bit otherwise
+    (BLAS gemv).
     """
     u = rng.random((count, len(joint)))
     # random() yields [0, 1); nudge exact zeros so ndtri stays finite
     np.maximum(u, np.finfo(np.float64).tiny, out=u)
-    if joint._chol is not None:
+    if joint.chol is not None:
         from scipy import special
-        z = special.ndtri(u, out=u) @ joint._chol.T
-        z *= np.sqrt(joint.variances())
-        z += joint.means()
+        z = special.ndtri(u, out=u) @ joint.chol.T
+        z *= joint.u
+        z += joint.means
         return z
     # each column is mapped in place: ppf reads only its own column
     for i, q in enumerate(joint.quantities):

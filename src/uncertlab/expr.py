@@ -314,7 +314,7 @@ class _Parser:
         if tok is None:
             return base, height
         exponent, h = self.unary()
-        if _references_variables(exponent):
+        if affinity(exponent):
             raise ParseError("exponent must be a constant expression", tok.pos)
         return Binary("^", base, exponent), self.grow(tok, height, h)
 
@@ -352,35 +352,27 @@ class _Parser:
         raise ParseError(f"expected a number, name, or '(', got {shown!r}", tok.pos)
 
 
-def _references_variables(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _references_variables(node.arg)
-    if isinstance(node, Binary):
-        return _references_variables(node.lhs) or _references_variables(node.rhs)
-    return False
-
-
-def is_affine(node: Node) -> bool:
-    """Whether the tree is affine in its variables by structure alone.
+def affinity(node: Node) -> int:
+    """0 if the tree holds no variable, 1 if it is affine in its
+    variables by structure alone, 2 otherwise; one visit per node.
 
     Constants, variables and variable-free subtrees are affine, and so
     are negations, sums and differences of affine trees and an affine
     tree multiplied or divided by a variable-free one. Every other
-    tree is refused, even one whose terms cancel to an affine function.
+    tree is not, even one whose terms cancel to an affine function.
     """
-    if isinstance(node, Var) or not _references_variables(node):
-        return True
+    if isinstance(node, Var):
+        return 1
     if isinstance(node, Unary):
-        return node.fn == "neg" and is_affine(node.arg)
-    if node.op in ("+", "-"):
-        return is_affine(node.lhs) and is_affine(node.rhs)
-    if node.op == "*" and not _references_variables(node.lhs):
-        return is_affine(node.rhs)
-    if node.op in ("*", "/") and not _references_variables(node.rhs):
-        return is_affine(node.lhs)
-    return False
+        arg = affinity(node.arg)
+        return arg if arg == 0 or node.fn == "neg" else 2
+    if not isinstance(node, Binary):
+        return 0
+    lhs, rhs = affinity(node.lhs), affinity(node.rhs)
+    # whether the result is as affine as its less affine operand
+    closed = {"+": True, "-": True, "*": not (lhs and rhs), "/": not rhs,
+              "^": not (lhs or rhs)}[node.op]
+    return max(lhs, rhs) if closed else 2
 
 
 def parse_model(text: str, declared: Iterable[str] = ()) -> MeasurementModelExpr:

@@ -3,14 +3,14 @@
 Four methods turn a model plus its joint input distribution into an
 expected value y, a standard uncertainty u(Y), and a coverage interval:
 
-- ``analytic``: exact mean/variance for affine models, u^2 = c' Sigma c
-  over the input covariance; with Gaussian inputs the output is exactly
-  Gaussian, so the interval is exact at the requested coverage.
-  Affinity is read from the parsed tree (:func:`~uncertlab.expr.is_affine`),
-  so a model whose terms only cancel, such as ``X1 * X2 / X2``, is refused.
+- ``analytic``: exact mean/variance for affine models; with Gaussian
+  inputs the output is exactly Gaussian, so the interval is exact at
+  the requested coverage. Affinity is read from the parsed tree
+  (:func:`~uncertlab.expr.affinity`), so a model whose terms only
+  cancel, such as ``X1 * X2 / X2``, is refused.
 - ``taylor1``: the first-order law of propagation of uncertainty
-  (JCGM 100:2008 eq. 13), u^2 = c' Sigma c with c the gradient at the
-  input means; on an affine model it is ``analytic`` bit for bit.
+  (JCGM 100:2008 eqs. 13 and 16) with c the gradient at the input
+  means; on an affine model it is ``analytic`` bit for bit.
 - ``taylor2``: adds the second-order correction
   sum_ij [ (1/2) (d2f/dx_i dx_j)^2 + (df/dx_i)(d3f/dx_i dx_j^2) ]
   u^2(x_i) u^2(x_j) on top of the first-order sum, which repairs
@@ -20,6 +20,11 @@ expected value y, a standard uncertainty u(Y), and a coverage interval:
   per draw, and reports the sample mean, unbiased sample standard
   deviation, and the probabilistically symmetric coverage interval of
   JCGM 101:2008 7.7.2 read off the sorted evaluations.
+
+The series read u^2 = a' R a, a_i = c_i u(x_i) and R the correlation,
+as the norm (``math.hypot``) of a, or of a L with L R's Cholesky factor:
+no input's u is squared, so u is right wherever it is itself a double,
+and an exactly known input (u_i = 0) adds 0 even if its c_i overflowed.
 
 Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks with one Philox substream per chunk
@@ -49,12 +54,12 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import derivatives
+from .autodiff import DerivativeBundle, derivatives
 from .distributions import (JointInputModel, normal_cdf, normal_quantile,
                             sample)
 from .errors import (ConfigError, MonteCarloError, require_integer,
                      require_positive)
-from .expr import MeasurementModelExpr, evaluate_batch, is_affine
+from .expr import MeasurementModelExpr, affinity, evaluate_batch
 from .rng import substream
 
 __all__ = [
@@ -162,27 +167,47 @@ def resolve_coverage(k: float,
     return float(k), implied_coverage(k)
 
 
+def _output_units(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a_i = c_i u_i, exactly 0 wherever u_i = 0; an overflow is an inf."""
+    with np.errstate(over="ignore"):
+        return np.multiply(c, u, out=np.zeros_like(c), where=u != 0.0)
+
+
+def _second_order(u1: float, a: np.ndarray, bundle: DerivativeBundle,
+                  u: np.ndarray) -> float:
+    """u with the second-order terms of the inputs with u_i > 0, formed
+    from h_ij = H_ij u_i u_j and t_ij = T_ij u_i u_j^2 in units of
+    g = sqrt(u1^2 + sum h^2 / 2): u^2 = g^2 (1 + sum_ij a_i t_ij / g^2)."""
+    live = np.flatnonzero(u)
+    ul, block = u[live], np.ix_(live, live)
+    with np.errstate(over="ignore"):
+        h = bundle.hess[block] * ul[:, None] * ul
+        t = bundle.third_mixed[block] * ul[:, None] * ul * ul
+    g = math.hypot(u1, *(h.ravel() * math.sqrt(0.5)))
+    if not 0.0 < g < math.inf:
+        return g
+    cross = float((a[live] / g) @ (t / g).sum(axis=1))
+    if cross < -1.0:
+        raise ConfigError("second-order Taylor variance is negative "
+                          f"({g * g * (1.0 + cross):.6g}); the expansion is "
+                          "invalid here, use monte_carlo")
+    return g * math.sqrt(1.0 + cross)
+
+
 def _series(expr: MeasurementModelExpr, joint: JointInputModel, k: float,
             method: str, order: int) -> MeasurementResult:
     """y +/- k*u from one derivative bundle at the input means: u^2 =
-    c' Sigma c (JCGM 100 eq. 13) with c the gradient and Sigma the input
-    covariance; order 3 adds the second-order correction."""
+    a' R a (JCGM 100 eq. 16); order 3 adds the second-order terms."""
     require_positive("coverage factor k", k)
-    bundle = derivatives(expr, dict(zip(joint.names, joint.means())),
+    bundle = derivatives(expr, dict(zip(joint.names, joint.means)),
                          order=order, variables=joint.names)
-    c = bundle.grad
-    var = float(c @ joint.covariance() @ c)
+    a = _output_units(bundle.grad, joint.u)
+    u = math.hypot(*(a if joint.chol is None else a @ joint.chol))
     if order == 3:
-        v = joint.variances()
-        var += float((0.5 * bundle.hess**2 + c[:, None] * bundle.third_mixed)
-                     @ v @ v)
-        if var < 0.0:
-            raise ConfigError(
-                "second-order Taylor variance is negative "
-                f"({var:.6g}); the expansion is invalid here, use monte_carlo")
-    y, u = bundle.value, math.sqrt(max(var, 0.0))
+        u = _second_order(u, a, bundle, joint.u)
+    y = bundle.value
     return MeasurementResult(y, u, k, k * u, (y - k * u, y + k * u), method,
-                             grad=c)
+                             grad=bundle.grad)
 
 
 def propagate_analytic(
@@ -192,12 +217,12 @@ def propagate_analytic(
 ) -> MeasurementResult:
     """Exact propagation for affine models.
 
-    y = f(mu) and u^2 = c' Sigma c with c the (constant) gradient and
-    Sigma the input covariance, correlation included. Inputs must be
-    independent or jointly Gaussian, which the joint model already
-    guarantees by construction.
+    y = f(mu) and u^2 = a' R a with a_i = c_i u(x_i), c the (constant)
+    gradient and R the input correlation. Inputs must be independent or
+    jointly Gaussian, which the joint model already guarantees by
+    construction.
     """
-    if not is_affine(expr.root):
+    if affinity(expr.root) > 1:
         raise ConfigError(
             "analytic propagation requires an affine model: a sum of "
             "inputs times constant factors; use taylor1, taylor2 or "
@@ -211,7 +236,7 @@ def propagate_taylor1(
     k: float = _DEFAULT_K,
 ) -> MeasurementResult:
     """First-order law of propagation of uncertainty at the input means:
-    u^2 = c' Sigma c, correlated inputs included."""
+    u^2 = a' R a with a_i = c_i u(x_i), correlated inputs included."""
     return _series(expr, joint, k, "taylor1", order=1)
 
 
@@ -347,19 +372,15 @@ def sensitivity_budget(
 
     Built from the gradient an analytic or Taylor ``result`` computed
     for ``joint``; nothing is differentiated again. Each entry carries
-    the sensitivity coefficient df/dx_i and the first-order variance
-    contribution (df/dx_i)^2 u^2(x_i); under correlation the rows do
-    not sum to u^2, which also holds the covariance terms.
+    the sensitivity c_i = df/dx_i, the input's u_i and the first-order
+    contribution (c_i u_i)^2, 0 for an exactly known input; under
+    correlation the rows do not sum to u^2, which also holds the
+    cross terms.
     """
     if result.grad is None:
         raise ValueError(f"a {result.method} result carries no gradient")
-    variances = joint.variances()
-    return [
-        {
-            "name": name,
-            "sensitivity": float(result.grad[i]),
-            "u_input": float(math.sqrt(variances[i])),
-            "contribution": float(result.grad[i] ** 2 * variances[i]),
-        }
-        for i, name in enumerate(joint.names)
-    ]
+    a = _output_units(result.grad, joint.u)
+    return [{"name": name, "sensitivity": c, "u_input": u,
+             "contribution": ai * ai}
+            for name, c, u, ai in zip(joint.names, result.grad.tolist(),
+                                      joint.u.tolist(), a.tolist())]

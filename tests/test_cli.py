@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -269,21 +270,32 @@ class TestPropagate:
         assert message in e["message"] and "(offset " in e["message"]
 
     def test_overflowing_input_is_config_error(self, capsys, tmp_path):
-        # the input's own variance overflows: before, taylor1 blamed the
-        # model ("overflows or leaves its domain")
-        cfg = write_json(tmp_path / "tri.json", {
-            "model": {"expression": "X1 * 2"},
-            "inputs": {"quantities": [
-                {"name": "X1", "dist": {"kind": "triangular",
-                                        "lower": 1e200, "mode": 1.5e200,
-                                        "upper": 2e200}}]},
-            "method": "taylor1",
-        })
+        # an input is refused only when its own u is not a double: a
+        # triangular width of 2e308 overflows, so the input is refused
+        # instead of taylor1 blaming the model
+        def tri(lower, mode, upper, expression):
+            return write_json(tmp_path / "tri.json", {
+                "model": {"expression": expression},
+                "inputs": {"quantities": [
+                    {"name": "X1", "dist": {"kind": "triangular",
+                                            "lower": lower, "mode": mode,
+                                            "upper": upper}}]},
+                "method": "taylor1",
+            })
+
+        cfg = tri(-1e308, 0.0, 1e308, "X1 * 2")
         code, out, err = run_cli(capsys, "propagate", "--config", cfg)
         assert code == 1 and out == ""
         e = json.loads(err)["error"]
         assert e["type"] == "ConfigError"
-        assert "triangular mean or variance overflows" in e["message"]
+        assert ("triangular mean or standard uncertainty overflows"
+                in e["message"])
+        # its variance 4.2e398 overflows, u = 1e200 sqrt(1.5) / 6 does not
+        cfg = tri(1e200, 1.5e200, 2e200, "X1 * 1e-200")
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 0 and err == ""
+        m = json.loads(out)["results"]["measurement"]
+        assert m["u"] == pytest.approx(math.sqrt(1.5) / 6.0, rel=1e-15)
 
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):

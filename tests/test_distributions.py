@@ -1,5 +1,8 @@
 """Input marginals, the joint input model, and inverse-CDF sampling."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,29 +16,50 @@ from uncertlab.rng import substream
 
 class TestMoments:
     def test_gaussian(self):
-        mean, var = Gaussian(3.0, 0.5).moments()
-        assert mean == 3.0 and var == 0.25
+        assert Gaussian(3.0, 0.5).mean_and_u() == (3.0, 0.5)
 
-    def test_rectangular_unit_interval_variance(self):
-        mean, var = Rectangular(0.0, 1.0).moments()
+    def test_rectangular_unit_interval_u(self):
+        mean, u = Rectangular(0.0, 1.0).mean_and_u()
         assert mean == pytest.approx(0.5, rel=1e-15)
-        assert var == pytest.approx(1.0 / 12.0, rel=1e-13)
+        assert u == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-15)
 
-    def test_triangular_symmetric_variance(self):
-        mean, var = Triangular(0.0, 0.5, 1.0).moments()
+    def test_triangular_symmetric_u(self):
+        mean, u = Triangular(0.0, 0.5, 1.0).mean_and_u()
         assert mean == pytest.approx(0.5, rel=1e-15)
-        assert var == pytest.approx(1.0 / 24.0, rel=1e-13)
-
-    def test_asymmetric_triangular_matches_scipy(self):
-        lo, mode, hi = 1.0, 1.5, 4.0
-        mean, var = Triangular(lo, mode, hi).moments()
-        dist = stats.triang(c=(mode - lo) / (hi - lo), loc=lo, scale=hi - lo)
-        assert mean == pytest.approx(dist.mean(), rel=1e-12)
-        assert var == pytest.approx(dist.var(), rel=1e-12)
+        assert u == pytest.approx(math.sqrt(1.0 / 24.0), rel=1e-15)
 
     def test_degenerate_gaussian_allowed(self):
-        mean, var = Gaussian(2.0, 0.0).moments()
-        assert var == 0.0
+        assert Gaussian(2.0, 0.0).mean_and_u() == (2.0, 0.0)
+
+    @pytest.mark.parametrize("marginal, dist", [
+        (Gaussian(-3.0, 0.7), stats.norm(-3.0, 0.7)),
+        (Rectangular(-2.0, 5.0), stats.uniform(-2.0, 7.0)),
+        (Triangular(0.0, 0.3, 1.0), stats.triang(0.3, 0.0, 1.0)),
+        (Triangular(1.0, 1.5, 4.0), stats.triang(1 / 6, 1.0, 3.0)),
+        (Triangular(-4.0, -4.0, 2.5), stats.triang(0.0, -4.0, 6.5)),
+        (Triangular(1.0, 3.0, 3.0), stats.triang(1.0, 1.0, 2.0)),
+    ], ids=["gaussian", "rectangular", "triangular", "asymmetric", "left",
+            "right"])
+    def test_u_is_scipy_std(self, marginal, dist):
+        mean, u = marginal.mean_and_u()
+        assert mean == pytest.approx(dist.mean(), rel=1e-14)
+        assert u == pytest.approx(dist.std(), rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_u_across_the_double_range(self, scale):
+        # 50-digit oracle of u^2 = (a^2 + m^2 + b^2 - am - ab - mb) / 18
+        # and (b - a)^2 / 12: no square is formed, so no scale over- or
+        # underflows while u itself is a normal double
+        a, m, b = 0.2 * scale, 0.5 * scale, 0.6 * scale
+        with mpmath.workdps(50):
+            A, M, B = map(mpmath.mpf, (a, m, b))
+            tri = mpmath.sqrt((A * A + M * M + B * B - A * M - A * B - M * B)
+                              / 18)
+            rect = (B - A) / mpmath.sqrt(12)
+            assert Triangular(a, m, b).mean_and_u()[1] == pytest.approx(
+                float(tri), rel=1e-15, abs=0.0)
+            assert Rectangular(a, b).mean_and_u()[1] == pytest.approx(
+                float(rect), rel=1e-15, abs=0.0)
 
 
 class TestQuantileFunctions:
@@ -99,21 +123,29 @@ class TestValidation:
             make()
 
     @pytest.mark.parametrize("make,kind", [
-        (lambda: Gaussian(0.0, 1.4e154), "gaussian"),
         (lambda: Rectangular(-1e308, 1e308), "rectangular"),
-        (lambda: Rectangular(0.0, 1e200), "rectangular"),
-        (lambda: Triangular(1e200, 1.5e200, 2e200), "triangular"),
-    ])
+        (lambda: Rectangular(1e308, 1.5e308), "rectangular"),
+        (lambda: Triangular(-1e308, 0.0, 1e308), "triangular"),
+        (lambda: Triangular(1e308, 1.5e308, 1.7e308), "triangular"),
+    ], ids=["rect-width", "rect-mean", "tri-width", "tri-mean"])
     def test_overflowing_moments_rejected(self, make, kind):
-        # finite parameters whose variance is inf or nan (or whose
-        # float ** 2 raises OverflowError) used to reach propagation
-        with pytest.raises(ConfigError, match=f"{kind} mean or variance "
-                                              "overflows"):
+        # finite parameters whose closed-form mean or u is not a finite
+        # double (a width or a sum beyond the double range)
+        with pytest.raises(ConfigError, match=f"{kind} mean or standard "
+                                              "uncertainty overflows"):
             make()
 
     def test_largest_representable_moments_accepted(self):
-        assert Gaussian(1e308, 1.3e154).moments()[1] == 1.3e154**2
-        assert Rectangular(-1e153, 1e153).moments()[1] == (2e153)**2 / 12.0
+        # refused while the variance was kept, although u is a double
+        assert Gaussian(1e308, 1e308).mean_and_u() == (1e308, 1e308)
+        assert Gaussian(0.0, 1.4e154).mean_and_u() == (0.0, 1.4e154)
+        assert Rectangular(0.0, 1e200).mean_and_u()[1] == pytest.approx(
+            1e200 / math.sqrt(12.0), rel=1e-15)
+        assert Rectangular(-8e307, 8e307).mean_and_u()[1] == pytest.approx(
+            1.6e308 / math.sqrt(12.0), rel=1e-15)
+        mean, u = Triangular(1e200, 1.5e200, 2e200).mean_and_u()
+        assert mean == pytest.approx(1.5e200, rel=1e-15)
+        assert u == pytest.approx(1e200 * math.sqrt(1.5) / 6.0, rel=1e-15)
 
     def test_duplicate_names_rejected(self):
         qs = [InputQuantity("X1", Gaussian(0, 1)),
@@ -135,37 +167,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="[Gg]aussian"):
             JointInputModel(qs, corr)
 
-    def test_covariance_assembles_from_correlation(self):
-        qs = [InputQuantity("X1", Gaussian(0, 2.0)),
-              InputQuantity("X2", Gaussian(0, 3.0))]
-        corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-        jm = JointInputModel(qs, corr)
-        np.testing.assert_allclose(jm.covariance(),
-                                   [[4.0, 3.0], [3.0, 9.0]], rtol=1e-14)
+    @pytest.mark.parametrize("corr", [
+        [[1.0, 0.5], [0.500004, 1.0]],
+        [[1.0, 0.5], [0.5, 0.999991]],
+    ], ids=["asymmetric", "diagonal"])
+    def test_correlation_tolerance_is_absolute(self, corr):
+        # numpy's default rtol of 1e-5 let both through: sampling read
+        # only the lower triangle, and a 0.999991 diagonal shrank the
+        # Monte Carlo spread while the series ignored it
+        qs = [InputQuantity("X1", Gaussian(0, 1)),
+              InputQuantity("X2", Gaussian(0, 1))]
+        with pytest.raises(ConfigError, match="symmetric|unit diagonal"):
+            JointInputModel(qs, np.array(corr))
 
-    @pytest.mark.parametrize("correlated", [False, True])
-    def test_covariance_diagonal_is_the_variances(self, correlated):
-        # sqrt(v)**2 misses v in the last bit for about half of all v
-        rng = np.random.default_rng(24)
-        n = 40
-        lo = rng.uniform(-1.0, 1.0, size=n)
-        width = rng.uniform(0.03, 3.0, size=n)
-        marginals = [Gaussian(float(m), float(w)) for m, w in zip(lo, width)]
-        if not correlated:
-            marginals[::3] = [Rectangular(float(a), float(a + w))
-                              for a, w in zip(lo[::3], width[::3])]
-            marginals[1::3] = [Triangular(float(a), float(a + w / 3),
-                                          float(a + w))
-                               for a, w in zip(lo[1::3], width[1::3])]
-        corr = np.full((n, n), 0.3) + 0.7 * np.eye(n) if correlated else None
+    def test_joint_holds_each_mean_and_u(self):
+        marginals = [Gaussian(1.0, 0.2), Rectangular(-1.0, 3.0),
+                     Triangular(0.0, 0.2, 1.0)]
         jm = JointInputModel([InputQuantity(f"X{i}", m)
-                              for i, m in enumerate(marginals)], corr)
-        cov, v = jm.covariance(), jm.variances()
-        assert np.array_equal(np.diag(cov), v)
-        off = ~np.eye(n, dtype=bool)
-        want = (corr if correlated else np.eye(n)) * np.outer(np.sqrt(v),
-                                                              np.sqrt(v))
-        assert np.array_equal(cov[off], want[off])
+                              for i, m in enumerate(marginals)])
+        want = np.array([m.mean_and_u() for m in marginals])
+        assert np.array_equal(jm.means, want[:, 0])
+        assert np.array_equal(jm.u, want[:, 1])
+        assert jm.chol is None
 
 
 class TestSampling:
@@ -177,13 +200,11 @@ class TestSampling:
         ])
         x = sample(joint, 200_000, substream(12))
         assert x.shape == (200_000, 3)
-        means = joint.means()
-        variances = joint.variances()
         for j in range(3):
-            se_mean = np.sqrt(variances[j] / 200_000)
-            assert abs(x[:, j].mean() - means[j]) < 5 * se_mean
-            assert x[:, j].var(ddof=1) == pytest.approx(
-                variances[j], rel=0.02)
+            se_mean = joint.u[j] / np.sqrt(200_000)
+            assert abs(x[:, j].mean() - joint.means[j]) < 5 * se_mean
+            assert x[:, j].std(ddof=1) == pytest.approx(joint.u[j],
+                                                        rel=0.01)
 
     def test_bounded_marginals_stay_in_support(self):
         joint = JointInputModel([
@@ -202,7 +223,7 @@ class TestSampling:
         ], corr)
         x = sample(joint, 400_000, substream(31))
         c = np.cov(x.T)
-        np.testing.assert_allclose(c, joint.covariance(), rtol=0.02)
+        np.testing.assert_allclose(c, [[4.0, -0.7], [-0.7, 0.25]], rtol=0.02)
 
     def test_same_seed_same_draws(self):
         joint = JointInputModel([InputQuantity("X1", Gaussian(0, 1))])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uncertlab.errors import DomainError, EvaluationError, ParseError
-from uncertlab.expr import (MAX_HEIGHT, MAX_NESTING, evaluate,
+from uncertlab.expr import (FUNCTIONS, MAX_HEIGHT, MAX_NESTING, Binary,
+                            Const, Unary, Var, affinity, evaluate,
                             evaluate_batch, parse_model)
 
 ABC = ("a", "b", "c", "x", "y")
@@ -218,3 +219,70 @@ class TestBatchEvaluation:
         vals = evaluate_batch(m, {"x": np.zeros(7)}, n=7)
         assert vals.shape == (7,)
         assert (vals == 5.0).all()
+
+
+def _references_variables(node):
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Unary):
+        return _references_variables(node.arg)
+    if isinstance(node, Binary):
+        return (_references_variables(node.lhs)
+                or _references_variables(node.rhs))
+    return False
+
+
+def _is_affine_by_rescan(node):
+    """The structural affinity test that re-scanned every subtree for
+    variables at each level: the reference for the one-pass walk
+    ``affinity``."""
+    if isinstance(node, Var) or not _references_variables(node):
+        return True
+    if isinstance(node, Unary):
+        return node.fn == "neg" and _is_affine_by_rescan(node.arg)
+    if node.op in ("+", "-"):
+        return (_is_affine_by_rescan(node.lhs)
+                and _is_affine_by_rescan(node.rhs))
+    if node.op == "*" and not _references_variables(node.lhs):
+        return _is_affine_by_rescan(node.rhs)
+    if node.op in ("*", "/") and not _references_variables(node.rhs):
+        return _is_affine_by_rescan(node.lhs)
+    return False
+
+
+class TestAffinity:
+    def _tree(self, rng, depth):
+        # leaves are mostly constants so that variable-free subtrees,
+        # the walk's third answer, are common at every level
+        if depth == 0 or rng.random() < 0.25:
+            return (Var(f"X{rng.integers(1, 4)}") if rng.random() < 0.4
+                    else Const(float(rng.integers(-3, 4))))
+        if rng.random() < 0.25:
+            fn = "neg" if rng.random() < 0.6 else str(
+                rng.choice(sorted(FUNCTIONS)))
+            return Unary(fn, self._tree(rng, depth - 1))
+        return Binary(str(rng.choice(list("+-*/^"))),
+                      self._tree(rng, depth - 1), self._tree(rng, depth - 1))
+
+    def test_one_pass_walk_agrees_with_the_rescan(self):
+        rng = np.random.default_rng(27)
+        trees = [self._tree(rng, int(rng.integers(1, 8)))
+                 for _ in range(3000)]
+        verdicts = [affinity(t) < 2 for t in trees]
+        assert verdicts == [_is_affine_by_rescan(t) for t in trees]
+        # 0 exactly for the trees that name no variable
+        assert ([affinity(t) == 0 for t in trees]
+                == [not _references_variables(t) for t in trees])
+        # both answers are well represented
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_long_sum_is_affine(self):
+        text = " + ".join(f"{i} * X{i % 7 + 1}" for i in range(400))
+        assert affinity(parse_model(text).root) == 1
+        assert affinity(parse_model(text + " + X1 * X2").root) == 2
+
+    @pytest.mark.parametrize("text", ["2 ^ X1", "2 ^ (1 + -X1)",
+                                      "X2 ^ sin(X1)"])
+    def test_exponent_with_a_variable_is_refused(self, text):
+        with pytest.raises(ParseError, match="constant expression"):
+            parse_model(text)

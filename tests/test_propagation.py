@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -586,3 +587,179 @@ class TestSummaries:
         r, _ = propagate_monte_carlo(m, joint, M=1000, seed=0)
         with pytest.raises(ValueError, match="monte_carlo"):
             sensitivity_budget(r, joint)
+
+
+# -- 50-digit oracles across the double range ---------------------------
+
+_SUBNORMAL_ULPS = 4 * 2.0 ** -1074
+
+
+def within(got, want, rel):
+    """|got - want| <= rel |want| for an mpmath ``want``. A want beyond
+    the double range must come back as the infinity of its sign, and one
+    below the normal range within a few units of the last subnormal
+    place, as a correctly rounded double would."""
+    if abs(want) > sys.float_info.max:
+        return got == math.copysign(math.inf, want)
+    return abs(mpmath.mpf(got) - want) <= rel * abs(want) + _SUBNORMAL_ULPS
+
+
+def law_u(c, u, corr=None):
+    """sqrt(sum_ij c_i c_j u_i u_j r_ij), JCGM 100:2008 eq. 16, in mpmath."""
+    n = len(c)
+    r = np.eye(n) if corr is None else np.asarray(corr)
+    return mpmath.sqrt(mpmath.fsum(
+        c[i] * c[j] * mpmath.mpf(u[i]) * mpmath.mpf(u[j])
+        * mpmath.mpf(r[i, j]) for i in range(n) for j in range(n)))
+
+
+def check_budget(rows, c, sds, rel):
+    for row, ci, si in zip(rows, c, sds):
+        assert within(row["sensitivity"], ci, rel), row
+        assert row["u_input"] == si, row
+        assert within(row["contribution"], (ci * mpmath.mpf(si)) ** 2,
+                      2 * rel), row
+
+
+# model text, exact gradient at the means (mpmath), means for sd scale s
+ORACLE_MODELS = [
+    ("2.5 * X1 - X2 / 3 + 7", lambda m: [mpmath.mpf(2.5), -mpmath.mpf(1) / 3],
+     lambda s: (1.5, -2.0)),
+    ("X1 * X2", lambda m: [m[1], m[0]], lambda s: (1.5, -2.0)),
+    ("X1 / X2", lambda m: [1 / m[1], -m[0] / m[1] ** 2],
+     lambda s: (1.5, -2.0)),
+    ("ln(X1) - sqrt(X2)",
+     lambda m: [1 / m[0], -1 / (2 * mpmath.sqrt(m[1]))],
+     lambda s: (10.0 * s, 3.0 * s)),
+]
+SCALES = [10.0 ** e for e in range(-300, 301, 50)]
+CORR3 = [[1.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.0]]
+
+
+class TestDoubleRangeOracles:
+    """u and every budget row against 50-digit mpmath, for input sds from
+    1e-300 to 1e300. Each stated relative error covers the gradient's own
+    rounding, one product c_i u_i and the root sum of squares; a u or a
+    contribution beyond the double range comes back infinite, which the
+    report refuses as a non-finite number."""
+
+    @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
+    @pytest.mark.parametrize("text, grad, means", ORACLE_MODELS,
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_independent_taylor1_and_budget(self, text, grad, means, s):
+        mu, sds = means(s), (s, 0.7 * s)
+        joint = gaussian_joint(mu, sds)
+        r = propagate_taylor1(parse_model(text), joint)
+        with mpmath.workdps(50):
+            c = grad([mpmath.mpf(m) for m in mu])
+            assert within(r.u, law_u(c, sds), 1.6e-15), (r.u, s)
+            check_budget(sensitivity_budget(r, joint), c, sds, 1.6e-15)
+
+    @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
+    @pytest.mark.parametrize("corr", [None, CORR3], ids=["indep", "corr"])
+    def test_affine_analytic_is_taylor1(self, corr, s):
+        text = "2 * X1 - 0.5 * X2 + X3 / 4"
+        sds = (s, 0.7 * s, 0.3 * s)
+        joint = gaussian_joint([1.0, -2.0, 0.5], sds, corr)
+        m = parse_model(text)
+        ra, r1 = propagate_analytic(m, joint), propagate_taylor1(m, joint)
+        assert ra.u == r1.u
+        with mpmath.workdps(50):
+            c = [mpmath.mpf(2), mpmath.mpf(-0.5), mpmath.mpf(0.25)]
+            assert within(ra.u, law_u(c, sds, corr), 1e-15), (ra.u, s)
+            check_budget(sensitivity_budget(ra, joint), c, sds, 4e-16)
+
+    @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
+    def test_correlated_three_inputs(self, s):
+        mu, sds = (1.5, -2.0, 0.4), (s, 0.7 * s, 0.3 * s)
+        joint = gaussian_joint(mu, sds, CORR3)
+        r = propagate_taylor1(parse_model("X1 * X2 + sin(X3)"), joint)
+        with mpmath.workdps(50):
+            c = [mpmath.mpf(mu[1]), mpmath.mpf(mu[0]),
+                 mpmath.cos(mpmath.mpf(mu[2]))]
+            assert within(r.u, law_u(c, sds, CORR3), 1e-15), (r.u, s)
+            check_budget(sensitivity_budget(r, joint), c, sds, 4e-16)
+
+    @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
+    def test_taylor2_square(self, s):
+        # X1 ^ 2 at N(10 s, s): u^2 = (2 mu s)^2 + (1/2) 2^2 s^4
+        joint = gaussian_joint([10.0 * s], [s])
+        r = propagate_taylor2(parse_model("X1 ^ 2"), joint)
+        with mpmath.workdps(50):
+            S = mpmath.mpf(s)
+            want = mpmath.sqrt((20 * S * S) ** 2 + 2 * S ** 4)
+            assert within(r.u, want, 1e-15), (r.u, s)
+
+    @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
+    def test_taylor2_mixed(self, s):
+        # f = sin(X1) X2; T_ij = d3f / dx_i dx_j^2
+        mu, sds = (0.7, 1.3), (s, 0.7 * s)
+        joint = gaussian_joint(mu, sds)
+        with mpmath.workdps(50):
+            x, y = map(mpmath.mpf, mu)
+            c = [mpmath.cos(x) * y, mpmath.sin(x)]
+            h = [[-mpmath.sin(x) * y, mpmath.cos(x)], [mpmath.cos(x), 0]]
+            t = [[-mpmath.cos(x) * y, 0], [-mpmath.sin(x), 0]]
+            v = [mpmath.mpf(u) ** 2 for u in sds]
+            var = law_u(c, sds) ** 2 + mpmath.fsum(
+                (h[i][j] ** 2 / 2 + c[i] * t[i][j]) * v[i] * v[j]
+                for i in range(2) for j in range(2))
+            if var >= 0:
+                r = propagate_taylor2(parse_model("sin(X1) * X2"), joint)
+                assert within(r.u, mpmath.sqrt(var), 1e-14), (r.u, s)
+                return
+            # a negative variance is refused; where its terms are beyond
+            # the double range, as an infinite u the report refuses
+            try:
+                u = propagate_taylor2(parse_model("sin(X1) * X2"), joint).u
+            except ConfigError as err:
+                assert "negative" in str(err)
+            else:
+                assert u == math.inf, s
+                assert mpmath.sqrt(-var) > sys.float_info.max, s
+
+    @pytest.mark.parametrize("text, mean, sd, method, oracle", [
+        # each of these squared an sd or a gradient out of range before
+        ("X1 * 1e-170", 1.0, 0.1, propagate_taylor1,
+         lambda m, s: mpmath.mpf(1e-170) * s),
+        ("X1 * 1e-160", 1.0, 0.1, propagate_taylor1,
+         lambda m, s: mpmath.mpf(1e-160) * s),
+        ("ln(X1)", 1e-200, 1e-201, propagate_taylor1, lambda m, s: s / m),
+        ("X1 ^ 2", 1e-100, 1e-101, propagate_taylor2,
+         lambda m, s: mpmath.sqrt((2 * m * s) ** 2 + 2 * s ** 4)),
+    ], ids=["scaled-1e-170", "scaled-1e-160", "ln", "square"])
+    def test_scales_whose_squares_left_the_range(self, text, mean, sd,
+                                                  method, oracle):
+        joint = gaussian_joint([mean], [sd])
+        r = method(parse_model(text), joint)
+        with mpmath.workdps(50):
+            want = oracle(mpmath.mpf(mean), mpmath.mpf(sd))
+            assert r.u > 0.0 and within(r.u, want, 1e-15), r.u
+        rows = sensitivity_budget(r, joint)
+        assert all(math.isfinite(v) for v in rows[0].values()
+                   if isinstance(v, float))
+
+    @pytest.mark.parametrize("method", [propagate_analytic,
+                                        propagate_taylor1])
+    def test_triangular_beyond_the_square_range(self, method):
+        # its variance 4.2e398 is not a double; u = 1e200 sqrt(1.5) / 6 is
+        joint = JointInputModel([
+            InputQuantity("X1", Triangular(1e200, 1.5e200, 2e200))])
+        r = method(parse_model("X1 * 2"), joint)
+        with mpmath.workdps(50):
+            a, m, b = (mpmath.mpf(v) for v in (1e200, 1.5e200, 2e200))
+            u = mpmath.sqrt((a * a + m * m + b * b - a * m - a * b - m * b)
+                            / 18)
+            assert within(r.u, 2 * u, 1e-15)
+            assert within(r.y, 2 * (a + m + b) / 3, 1e-15)
+
+    @pytest.mark.parametrize("method", [propagate_taylor1,
+                                        propagate_taylor2])
+    def test_exactly_known_input_contributes_zero(self, method):
+        # d/dX2 (X1 / X2) = -1e340 overflows, and -inf * 0 was NaN
+        joint = gaussian_joint([1.0, 1e-170], [0.1, 0.0])
+        r = method(parse_model("X1 / X2"), joint)
+        assert within(r.u, mpmath.mpf(0.1) / mpmath.mpf(1e-170), 1e-15)
+        rows = sensitivity_budget(r, joint)
+        assert rows[1]["sensitivity"] == -math.inf
+        assert rows[1]["contribution"] == 0.0
