@@ -8,9 +8,9 @@ by first- or second-order series expansion, or by chunked Monte Carlo
 with an empirical coverage interval. The regression side learns a
 virtual measurement from reference data: a heteroscedastic Bayesian
 polynomial model trained with Gaussian variational inference, whose
-predictions separate noise variance from model-weight variance and
-carry the same expanded-interval semantics. Both kinds of result feed
-the conformity module, which turns an interval plus specification
+predictions are the same ``MeasurementResult`` with method
+``virtual``, their variance split into noise and model-weight parts.
+Both kinds of result feed the conformity module, which turns an interval plus specification
 limits into an accept / reject / undecided zone with guard bands.
 """
 
@@ -30,8 +30,7 @@ from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
                           sensitivity_budget)
 from .regression import BayesianVMModel, build_model
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
-                 VirtualMeasurementResult, conjugate_posterior, kl_gaussian,
-                 predict_parts, train_vi)
+                 conjugate_posterior, kl_gaussian, predict_parts, train_vi)
 
 __all__ = [
     "__version__",
@@ -59,7 +58,6 @@ __all__ = [
     "UncertLabError",
     "VIConfig",
     "VariationalPosterior",
-    "VirtualMeasurementResult",
     "build_model",
     "classify",
     "conjugate_posterior",

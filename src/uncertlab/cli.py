@@ -47,7 +47,7 @@ from .propagation import (propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
                           sensitivity_budget)
 from .regression import build_model
-from .report import (build_report, file_sha256, load_json,
+from .report import (budget_to_dicts, build_report, file_sha256, load_json,
                      measurement_to_dict, train_result_to_dict, write_report,
                      write_text)
 from .rng import substream
@@ -97,7 +97,8 @@ def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
 
     results = {"measurement": measurement_to_dict(result)}
     if cfg["method"] != "monte_carlo":
-        results["budget"] = sensitivity_budget(result, run.joint)
+        results["budget"] = budget_to_dicts(
+            sensitivity_budget(result, run.joint))
     return build_report("propagate", cfg, results), 0
 
 
@@ -142,15 +143,15 @@ def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
                 f"expects {model.n_features}")
     vm = predict_parts(model, posterior, rows, cfg["k"])
     lower, upper = vm.interval
-    out = [{"x": x, "y_hat": y_hat, "sigma_hat": sigma_hat,
+    out = [{"x": x, "y_hat": y, "sigma_hat": u,
             "aleatoric_var": aleatoric, "epistemic_var": epistemic,
             "k": vm.k, "interval": [lo, hi]}
-           for x, y_hat, sigma_hat, aleatoric, epistemic, lo, hi in zip(
-               rows.tolist(), vm.y_hat.tolist(), vm.sigma_hat.tolist(),
+           for x, y, u, aleatoric, epistemic, lo, hi in zip(
+               rows.tolist(), vm.y.tolist(), vm.u.tolist(),
                vm.aleatoric_var.tolist(), vm.epistemic_var.tolist(),
                lower.tolist(), upper.tolist())]
     if cfg["spec"] is not None:
-        decisions = classify(vm.y_hat, vm.U, Specification(**cfg["spec"]))
+        decisions = classify(vm.y, vm.U, Specification(**cfg["spec"]))
         for entry, decision in zip(out, decisions.to_dicts()):
             entry["conformity"] = decision
     return out
@@ -205,12 +206,11 @@ def _verify_checks(cfg: dict) -> dict:
     want_cov = exact.covariance()
     cov_rel = float(np.linalg.norm(q.covariance() - want_cov)
                     / np.linalg.norm(want_cov))
-    # k only scales U, which the checks do not read
     query = np.array([_VERIFY_QUERY])
-    want, vm = (predict_parts(model, post, query, 1.0) for post in (exact, q))
-    pred_mean, pred_var = want.y_hat.item(), want.sigma_hat.item()**2
-    mean_rel = abs(vm.y_hat.item() - pred_mean) / max(abs(pred_mean), 1e-12)
-    var_rel = abs(vm.sigma_hat.item()**2 - pred_var) / pred_var
+    want, vm = (predict_parts(model, post, query) for post in (exact, q))
+    pred_mean, pred_var = want.y.item(), want.u.item()**2
+    mean_rel = abs(vm.y.item() - pred_mean) / max(abs(pred_mean), 1e-12)
+    var_rel = abs(vm.u.item()**2 - pred_var) / pred_var
 
     errors = {"posterior_mean": mu_rel, "posterior_cov": cov_rel,
               "predictive_mean": mean_rel, "predictive_var": var_rel}

@@ -56,7 +56,7 @@ from .propagation import (propagate_monte_carlo, propagate_taylor1,
 from .regression import NOISE_FLOOR, BayesianVMModel
 from .report import dump_json, load_json, train_result_to_dict, write_text
 from .vi import (FAMILIES, SCHEDULES, TrainResult, VariationalPosterior,
-                 VIConfig)
+                 VIConfig, predict_parts)
 
 __all__ = [
     "MODEL_SCHEMA_VERSION",
@@ -277,7 +277,7 @@ PREDICT_SCHEMA = {
         # has an effect or a default
         "n_samples": {"type": "integer", "minimum": 2},
         "k": {"type": "number", "exclusiveMinimum": 0,
-              "default": _default(propagate_taylor1, "k")},
+              "default": _default(predict_parts, "k")},
         "seed": {"type": "integer", "minimum": 0},
         "spec": {**_SPEC_SCHEMA, "default": None},
     },

@@ -35,12 +35,17 @@ vector, so the sample set and its order depend only on M and never on
 the worker count or on which thread finished first. Evaluations outside
 the model's domain come back non-finite; in-place sorting puts them at
 the ends, so the finite ones are a slice of the vector, counted, not
-copied. Failures in over 1% of the draws abort the run with a
-diagnostic. The mean and standard deviation are numpy's bit for bit,
-with no M-sized copy: a run holds 8 bytes per draw plus one block of
-draws and its temporaries per worker. ``concurrent.futures`` is
-imported by the first Monte Carlo run, so the other methods never load it.
+copied. A draw beyond the double range fails the same way. Failures
+in over 1% of the draws abort the run with a diagnostic. The mean and
+standard deviation are numpy's bit for bit, with no M-sized copy: a
+run holds 8 bytes per draw plus one block of draws and its
+temporaries per worker. A statistic whose sum leaves the double range
+is taken again on the values scaled by a power of two, exactly.
+``concurrent.futures`` is imported by the first Monte Carlo run, so
+the other methods never load it.
 
+Every method returns a :class:`MeasurementResult`, the type a virtual
+measurement (:func:`~uncertlab.vi.predict_parts`) returns too.
 Expanded uncertainty is U = k u(Y), with the k the caller resolved
 (:func:`resolve_coverage` turns a coverage into its two-sided Gaussian
 factor); the default k = 2 implies 95.45% Gaussian coverage, for every
@@ -49,8 +54,9 @@ method. Monte Carlo also takes ``coverage`` for its empirical interval.
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -99,24 +105,33 @@ class MCDiagnostics:
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    """Propagated measurement: y, u(Y), and the expanded statement.
+    """A physical or virtual measurement: y, u(Y), and U = k*u.
 
-    U equals k*u exactly. For the analytic and Taylor methods the
-    interval is y +/- U; for monte_carlo it is the equal-tail interval
-    of the empirical output distribution at the run's coverage.
-    Analytic and Taylor results also keep the gradient at the input
-    means, which :func:`sensitivity_budget` reads; reports omit it.
+    A propagated result holds floats. A ``virtual`` one, from
+    :func:`~uncertlab.vi.predict_parts`, holds a column entry per part
+    and splits u^2 into ``aleatoric_var`` plus ``epistemic_var``. The
+    interval is y +/- U, except for monte_carlo: there it is the
+    equal-tail interval of the empirical output distribution at the
+    run's coverage. Analytic and Taylor results also keep the gradient
+    at the input means, which :func:`sensitivity_budget` reads; reports
+    omit it.
     """
 
-    y: float
-    u: float
+    y: Any
+    u: Any
     k: float
-    U: float
-    interval: tuple[float, float]
+    interval: tuple[Any, Any]
     method: str
     mc_diagnostics: Optional[MCDiagnostics] = None
+    aleatoric_var: Optional[np.ndarray] = None
+    epistemic_var: Optional[np.ndarray] = None
     grad: Optional[np.ndarray] = field(default=None, repr=False,
                                        compare=False)
+
+    @property
+    def U(self) -> Any:
+        """Expanded uncertainty k * u."""
+        return self.k * self.u
 
 
 @dataclass(frozen=True)
@@ -206,7 +221,7 @@ def _series(expr: MeasurementModelExpr, joint: JointInputModel, k: float,
     if order == 3:
         u = _second_order(u, a, bundle, joint.u)
     y = bundle.value
-    return MeasurementResult(y, u, k, k * u, (y - k * u, y + k * u), method,
+    return MeasurementResult(y, u, k, (y - k * u, y + k * u), method,
                              grad=bundle.grad)
 
 
@@ -272,18 +287,44 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _sum_squares(x: np.ndarray, mean: float, scratch: np.ndarray) -> float:
-    """sum((x - mean)^2) as np.std adds it, with no len(x)-sized
+def _pairwise_sum(x: np.ndarray, scratch: np.ndarray, exponent: int = 0,
+                  mean: Optional[float] = None) -> float:
+    """The sum of x 2^exponent, or of (x 2^exponent - mean)^2, as
+    np.mean and np.std add x and (x - mean)^2, with no len(x)-sized
     temporary: split as numpy's pairwise sum splits (n // 2 rounded down
     to a multiple of 8) until a part fits ``scratch`` (>= 128 values),
-    where numpy sums the part's squares."""
+    where numpy sums the part's terms."""
     n = len(x)
-    if n <= len(scratch):
-        d = np.subtract(x, mean, out=scratch[:n])
-        return np.add.reduce(np.square(d, out=d))
-    half = n // 2 - n // 2 % 8
-    return (_sum_squares(x[:half], mean, scratch)
-            + _sum_squares(x[half:], mean, scratch))
+    if n > len(scratch):
+        half = n // 2 - n // 2 % 8
+        return (_pairwise_sum(x[:half], scratch, exponent, mean)
+                + _pairwise_sum(x[half:], scratch, exponent, mean))
+    d = np.ldexp(x, exponent, out=scratch[:n]) if exponent else x
+    if mean is not None:
+        d = np.subtract(d, mean, out=scratch[:n])
+        np.square(d, out=d)
+    return np.add.reduce(d)
+
+
+def _mean_and_sd(values: np.ndarray) -> tuple[float, float]:
+    """np.mean and np.std(ddof=1) of the sorted finite ``values``, bit
+    for bit. A sum beyond the double range (values near 1e308, spreads
+    beyond about 1e154 or below about 1e-154) is taken again on the
+    values times 2^-e, 2^e above every |value|: a power of two scales
+    exactly, so the statistic is numpy's without the exponent limit."""
+    n = len(values)
+    scratch = np.empty(min(n, block_rows(1)))
+    e = math.frexp(max(-values[0], values[-1]))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = float(np.mean(values))
+        if not math.isfinite(y):
+            y = math.ldexp(_pairwise_sum(values, scratch, -e) / n, e)
+        ss = _pairwise_sum(values, scratch, mean=y)
+        if n * sys.float_info.min <= ss < math.inf:
+            return y, math.sqrt(ss / (n - 1))
+        ss = _pairwise_sum(values, scratch, -e, math.ldexp(y, -e))
+        # a u beyond the double range comes back inf
+        return y, float(np.ldexp(math.sqrt(ss / (n - 1)), e))
 
 
 def propagate_monte_carlo(
@@ -319,7 +360,10 @@ def propagate_monte_carlo(
         rng = substream(seed, ci)
         stop = min((ci + 1) * MC_CHUNK_SIZE, M)
         for lo in range(ci * MC_CHUNK_SIZE, stop, rows):
-            draws = sample(joint, min(rows, stop - lo), rng)
+            # a draw beyond the double range is an inf, counted as a
+            # domain failure
+            with np.errstate(over="ignore"):
+                draws = sample(joint, min(rows, stop - lo), rng)
             cols = dict(zip(joint.names, draws.T))
             values[lo:lo + len(draws)] = evaluate_batch(expr, cols, len(draws))
 
@@ -354,13 +398,9 @@ def propagate_monte_carlo(
             "model's domain")
 
     ecdf = EmpiricalCDF(values)
-    y = float(np.mean(values))
-    # np.std(values, ddof=1) bit for bit
-    scratch = np.empty(min(n_valid, block_rows(1)))
-    u = math.sqrt(_sum_squares(values, y, scratch) / (n_valid - 1))
-
+    y, u = _mean_and_sd(values)
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
-    result = MeasurementResult(y, u, k, k * u, ecdf.interval(coverage),
+    result = MeasurementResult(y, u, k, ecdf.interval(coverage),
                                "monte_carlo", diagnostics)
     return result, ecdf
 

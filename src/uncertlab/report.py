@@ -33,6 +33,7 @@ __all__ = [
     "dump_json",
     "file_sha256",
     "measurement_to_dict",
+    "budget_to_dicts",
     "train_result_to_dict",
     "build_report",
     "write_text",
@@ -121,7 +122,22 @@ def measurement_to_dict(r: MeasurementResult) -> dict:
     }
     if r.mc_diagnostics is not None:
         out["mc_diagnostics"] = asdict(r.mc_diagnostics)
+    # a measurement the report cannot hold is refused before its budget
+    dump_json(out)
     return out
+
+
+def budget_to_dicts(rows: list[dict]) -> list[dict]:
+    """The budget rows; one whose sensitivity or contribution is not a
+    finite double is a DomainError naming the input and the quantity."""
+    for row in rows:
+        for key in ("sensitivity", "contribution"):
+            if not math.isfinite(row[key]):
+                raise DomainError(
+                    f"budget row {row['name']}: its {key} is {row[key]}, "
+                    "outside the double range, so the budget cannot be "
+                    "reported")
+    return rows
 
 
 def train_result_to_dict(t: TrainResult) -> dict:

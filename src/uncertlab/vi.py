@@ -40,17 +40,19 @@ q = N(mu0, s^2 I) with s the constant ``_INIT_SCALE`` = 0.1. Every
 random draw comes from one seeded Philox substream, so training is
 bit-reproducible. :func:`optimize` states the stop rule.
 
-Prediction reads each part's moments off q = N(mu, L L') and draws
-nothing. The epistemic part V_q[f(x; w)] of the mean head f = phi'w_mu
-is exact, as is its mean. The aleatoric part E_q[sigma_n^2(x; w)] is a
-fixed sigma^2, or a 1-D expectation over the noise activation
-t = psi'w_sigma ~ N(m, s^2), taken by the trapezoid rule in the
-standardised variable (t - m) / s. That rule converges exponentially
-for this analytic integrand (Trefethen & Weideman, SIAM Review 56,
-2014); its nodes depend only on the part's own s. Every product runs
-in numpy's own loops, not BLAS, so each of a part's numbers is the same
-to the bit whichever batch it is predicted in, alone or among others.
-The two parts add up exactly to sigma_hat^2.
+Prediction reads each part's moments off q = N(mu, L L'), draws
+nothing, and returns the propagation side's
+:class:`~uncertlab.propagation.MeasurementResult` with method
+``virtual``. The epistemic part V_q[f(x; w)] of the mean head
+f = phi'w_mu is exact, as is its mean. The aleatoric part
+E_q[sigma_n^2(x; w)] is a fixed sigma^2, or a 1-D expectation over
+the noise activation t = psi'w_sigma ~ N(m, s^2), taken by the
+trapezoid rule in the standardised variable (t - m) / s. That rule
+converges exponentially for this analytic integrand (Trefethen &
+Weideman, SIAM Review 56, 2014); its nodes depend only on the part's
+own s. Every product runs in numpy's own loops, not BLAS, so each of a
+part's numbers is the same to the bit whichever batch it is predicted
+in, alone or among others. The two parts add up exactly to u^2.
 """
 
 import functools
@@ -62,6 +64,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (ConfigError, DatasetError, DivergenceError,
                      DomainError, require_integer, require_positive)
+from .propagation import _DEFAULT_K, MeasurementResult
 from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
                          inv_softplus, softplus)
 from .rng import substream
@@ -70,7 +73,6 @@ __all__ = [
     "VariationalPosterior",
     "VIConfig",
     "TrainResult",
-    "VirtualMeasurementResult",
     "kl_gaussian",
     "pack_posterior",
     "unpack_posterior",
@@ -506,48 +508,23 @@ def train_vi(model: BayesianVMModel, data: Dataset,
 # Posterior prediction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VirtualMeasurementResult:
-    """Virtual measurement: predictive mean and decomposed spread.
-
-    Each field is a column with one entry per part, in the order of the
-    rows given to :func:`predict_parts`.
-    sigma_hat^2 = aleatoric_var + epistemic_var holds exactly.
-    """
-
-    y_hat: np.ndarray
-    sigma_hat: np.ndarray
-    aleatoric_var: np.ndarray
-    epistemic_var: np.ndarray
-    k: float
-
-    @property
-    def U(self) -> np.ndarray:
-        """Expanded uncertainty k * sigma_hat, the interval's half-width."""
-        return self.k * self.sigma_hat
-
-    @property
-    def interval(self) -> tuple[np.ndarray, np.ndarray]:
-        """y_hat -/+ k * sigma_hat."""
-        half = self.U
-        return self.y_hat - half, self.y_hat + half
-
-
 def predict_parts(
     model: BayesianVMModel,
     q: VariationalPosterior,
     x: np.ndarray,
-    k: float,
-) -> VirtualMeasurementResult:
-    """Posterior predictive moments at each row of ``x`` (parts, features).
+    k: float = _DEFAULT_K,
+) -> MeasurementResult:
+    """The virtual measurement of each row of ``x`` (parts, features):
+    posterior predictive moments, one column entry per row.
 
-    With L_mu, L_sigma the mean-head and noise-head rows of L, y_hat =
-    phi'mu_mu and epistemic_var = |L_mu'phi|^2. A fixed noise sd gives
-    aleatoric_var = sigma^2. Otherwise aleatoric_var is
-    E[(softplus(t) + NOISE_FLOOR)^2] over t ~ N(m, s^2), m = psi'mu_sigma,
-    s = |L_sigma'psi|, by a trapezoid rule that depends on s alone. A
-    part with s above ``MAX_NOISE_SD``, or s not a number, is a
-    DomainError that names the part by its row index.
+    With L_mu, L_sigma the mean-head and noise-head rows of L, y =
+    phi'mu_mu and u^2 = aleatoric_var + epistemic_var, epistemic_var =
+    |L_mu'phi|^2. A fixed noise sd gives aleatoric_var = sigma^2.
+    Otherwise aleatoric_var is E[(softplus(t) + NOISE_FLOOR)^2] over
+    t ~ N(m, s^2), m = psi'mu_sigma, s = |L_sigma'psi|, by a trapezoid
+    rule that depends on s alone. A part with s above ``MAX_NOISE_SD``,
+    or s not a number, is a DomainError that names the part by its row
+    index.
     """
     require_positive("coverage factor k", k)
     if q.n_weights != model.n_weights:
@@ -561,7 +538,7 @@ def predict_parts(
     # every product comes from numpy's own loops, which give a row the
     # same bits in any batch; BLAS picks its kernels by the batch's shape
     phi = model.mean_features(x)
-    y_hat = np.einsum("ij,j->i", phi, q.mu[:p])
+    y = np.einsum("ij,j->i", phi, q.mu[:p])
     # L is lower-triangular: the mean-head rows end at column p
     epistemic = np.square(np.einsum("ij,jk->ik", phi, chol[:p, :p])
                           ).sum(axis=1)
@@ -573,8 +550,9 @@ def predict_parts(
         aleatoric = _expected_noise_variance(m, s)
     else:
         aleatoric = np.full(len(x), model.fixed_noise_sd**2)
-    return VirtualMeasurementResult(y_hat, np.sqrt(aleatoric + epistemic),
-                                    aleatoric, epistemic, k)
+    u = np.sqrt(aleatoric + epistemic)
+    return MeasurementResult(y, u, k, (y - k * u, y + k * u), "virtual",
+                             aleatoric_var=aleatoric, epistemic_var=epistemic)
 
 
 def _expected_noise_variance(m: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -145,10 +145,10 @@ def test_05_full_rank_vi_recovers_conjugate_posterior():
                / np.linalg.norm(exact_cov))
     xq = np.array([[0.3, -0.2]])
     want = predict_parts(model, exact, xq, 2.0)
-    want_mean, want_var = want.y_hat[0], want.sigma_hat[0] ** 2
+    want_mean, want_var = want.y[0], want.u[0] ** 2
     vm = predict_parts(model, q, xq, 2.0)
-    mean_rel = abs(vm.y_hat[0] - want_mean) / abs(want_mean)
-    var_rel = abs(vm.sigma_hat[0] ** 2 - want_var) / want_var
+    mean_rel = abs(vm.y[0] - want_mean) / abs(want_mean)
+    var_rel = abs(vm.u[0] ** 2 - want_var) / want_var
     ok = (mu_rel <= 0.02 and cov_rel <= 0.10
           and mean_rel <= 0.02 and var_rel <= 0.02)
     check(5, ok,
@@ -183,9 +183,9 @@ def test_06_predictive_variance_decomposition_identity():
                                      scale)
         xq = rng.standard_normal(n_features) * 2.0
         vm = predict_parts(model, q, xq[None], 2.0)
-        worst = max(worst, abs(vm.sigma_hat[0] ** 2
+        worst = max(worst, abs(vm.u[0] ** 2
                                - (vm.aleatoric_var[0] + vm.epistemic_var[0]))
-                    / vm.sigma_hat[0] ** 2)
+                    / vm.u[0] ** 2)
     check(6, worst <= 1e-9,
           f"100 random triples: |sigma^2 - (aleatoric + epistemic)| "
           f"<= {worst:.2e} rel (<= 1e-9)", time.monotonic() - t0, 30.0)

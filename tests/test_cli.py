@@ -208,6 +208,35 @@ class TestPropagate:
         e = json.loads(err)["error"]
         assert e["mode"] == "propagate"
         assert e["type"] == "DomainError" and "non-finite" in e["message"]
+        assert e["message"].endswith(
+            "the model overflows or leaves its domain at these inputs")
+
+    @pytest.mark.parametrize("expression,quantities,row", [
+        # u = 2e200 is a double, its square (the contribution) is not
+        ("X1 * 2", [(0.0, 1e200)], "budget row X1: its contribution is inf"),
+        # X2 is exactly known, so d/dX2 = -1e340 adds 0 to u = 1e150
+        ("X1 / X2", [(1.0, 1e-20), (1e-170, 0.0)],
+         "budget row X2: its sensitivity is -inf"),
+    ], ids=["contribution", "sensitivity"])
+    def test_budget_row_beyond_the_double_range_is_named(
+            self, capsys, tmp_path, expression, quantities, row):
+        cfg = write_json(tmp_path / "row.json", {
+            "model": {"expression": expression},
+            "inputs": {"quantities": [
+                {"name": f"X{i + 1}", "dist": {"kind": "gaussian",
+                                               "mean": mean, "sd": sd}}
+                for i, (mean, sd) in enumerate(quantities)]},
+            "method": "taylor1",
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "DomainError"
+        assert e["message"].startswith(row + ", outside the double range")
+        # the measurement itself is a finite double
+        run = cli.resolve_propagate(json.load(open(cfg)), str(tmp_path))
+        r = cli.propagate_taylor1(run.expr, run.joint)
+        assert math.isfinite(r.y) and math.isfinite(r.u)
 
     def test_overflowing_third_derivative_leaves_taylor1_finite(
             self, capsys, tmp_path):
@@ -223,7 +252,7 @@ class TestPropagate:
         code, out, err = run_cli(capsys, "propagate", "--config", cfg)
         assert code == 0 and err == ""
         m = json.loads(out)["results"]["measurement"]
-        assert m["u"] == pytest.approx(5e-67, rel=1e-14)
+        assert m["u"] == pytest.approx(5e-67, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("expression,means", [
         ("sin(X1 * X2)", [1e200, 1e200]),

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from uncertlab.conformity import ZONES, Specification, classify
+from uncertlab.distributions import Gaussian, InputQuantity, JointInputModel
 from uncertlab.errors import ConfigError
-from uncertlab.vi import VirtualMeasurementResult
+from uncertlab.expr import parse_model
+from uncertlab.propagation import MeasurementResult, propagate_taylor1
 
 
 class TestSpecification:
@@ -122,23 +124,43 @@ class TestPartitionProperties:
                 last = rank
 
 
+def virtual(y, u, k, aleatoric_var, epistemic_var):
+    """A virtual measurement result as predict_parts builds it."""
+    return MeasurementResult(y, u, k, (y - k * u, y + k * u), "virtual",
+                             aleatoric_var=aleatoric_var,
+                             epistemic_var=epistemic_var)
+
+
 class TestVirtualClassification:
     def test_uses_k_sigma_as_u(self):
-        vm = VirtualMeasurementResult(
-            y_hat=10.1, sigma_hat=0.01, aleatoric_var=5e-5,
-            epistemic_var=5e-5, k=2.0)
-        d = classify(vm.y_hat, vm.U, Specification(10.0, 10.2))
+        vm = virtual(10.1, 0.01, 2.0, aleatoric_var=5e-5, epistemic_var=5e-5)
+        d = classify(vm.y, vm.U, Specification(10.0, 10.2))
         assert d.U == pytest.approx(0.02, rel=1e-12)
         assert d.zone == "conformity"
 
     def test_wide_predictive_spread_flags_no_zone(self):
-        vm = VirtualMeasurementResult(
-            y_hat=5.0, sigma_hat=3.0, aleatoric_var=4.5, epistemic_var=4.5,
-            k=2.0)
+        vm = virtual(5.0, 3.0, 2.0, aleatoric_var=4.5, epistemic_var=4.5)
         assert vm.interval == (-1.0, 11.0)
-        d = classify(vm.y_hat, vm.U, Specification(0.0, 10.0))
+        d = classify(vm.y, vm.U, Specification(0.0, 10.0))
         assert d.no_reliable_zone  # 2U = 12 exceeds the 10-wide window
         assert d.resulting_tolerance is None
+
+    @pytest.mark.parametrize("lsl,usl", [
+        (9.0, 11.0), (10.3, 12.0), (7.0, 10.2), (10.5, 11.0), (9.9, 10.1)])
+    def test_virtual_and_propagated_results_decide_alike(self, lsl, usl):
+        # one type: a virtual result with a propagated result's (y, U)
+        # is classified exactly as the propagated one
+        joint = JointInputModel([
+            InputQuantity("X1", Gaussian(5.0, 0.1)),
+            InputQuantity("X2", Gaussian(5.0, 0.2))])
+        measured = propagate_taylor1(parse_model("X1 + X2"), joint)
+        vm = virtual(np.array([measured.y]), np.array([measured.u]),
+                     measured.k, aleatoric_var=np.array([0.01]),
+                     epistemic_var=np.array([0.04]))
+        assert vm.U[0] == measured.U
+        spec = Specification(lsl, usl)
+        assert (classify(vm.y, vm.U, spec).to_dicts()
+                == classify(measured.y, measured.U, spec).to_dicts())
 
     def test_decision_dict_round_trips_json(self):
         import json

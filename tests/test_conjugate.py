@@ -179,7 +179,7 @@ class TestTrainPredict:
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_train_then_predict_is_the_conjugate_predictive(self, degree):
-        # y_hat = phi'mu and sigma_hat^2 = sigma^2 + phi'Sigma phi, with
+        # y = phi'mu and u^2 = sigma^2 + phi'Sigma phi, with
         # mu and Sigma from the normal equations
         rng = np.random.default_rng(9)
         x = rng.uniform(-1, 1, size=(60, 1))
@@ -191,9 +191,9 @@ class TestTrainPredict:
         vm = predict_parts(model, out.posterior, rows, 2.0)
         mu, cov, _ = normal_equations(model, data)
         phi = model.mean_features(rows)
-        np.testing.assert_allclose(vm.y_hat, phi @ mu, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vm.y, phi @ mu, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            vm.sigma_hat ** 2, 0.09 + np.einsum("ij,jk,ik->i", phi, cov, phi),
+            vm.u ** 2, 0.09 + np.einsum("ij,jk,ik->i", phi, cov, phi),
             rtol=1e-12, atol=0.0)
         assert np.all(vm.aleatoric_var == 0.09)
 
@@ -201,7 +201,7 @@ class TestTrainPredict:
         model, data = fixture(n=5000)
         out = train_vi(model, data, VIConfig(family="full_rank"))
         vm = predict_parts(model, out.posterior, np.zeros((1, 2)), 2.0)
-        var = vm.sigma_hat[0] ** 2
+        var = vm.u[0] ** 2
         assert var >= model.fixed_noise_sd ** 2
         assert var == pytest.approx(model.fixed_noise_sd ** 2, rel=0.01)
 
@@ -235,7 +235,7 @@ class TestTrainPredict:
         _, cov, _ = normal_equations(model, data)
         phi = model.mean_features(parts)
         want = np.sqrt(0.04 + np.einsum("ij,jk,ik->i", phi, cov, phi))
-        np.testing.assert_allclose(vm.sigma_hat, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vm.u, want, rtol=1e-12, atol=0.0)
 
 
 def collinear_data(seed=1, n=50):

@@ -119,7 +119,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("x_mean,x_sd,match", [
         ([0.0, 0.0], [1.0], "per feature"),  # lengths differ from features
-        ([0.0], [0.0], "x_sd"),               # zero scale: y_hat NaN
+        ([0.0], [0.0], "x_sd"),               # zero scale: y NaN
         ([0.0], [-1.0], "x_sd"),
     ])
     def test_standardization_constants_checked(self, trained, tmp_path,
@@ -285,22 +285,21 @@ class TestOldFiles:
         mu = np.array(raw["posterior"]["mu"][:6])
         sd = np.array(raw["posterior"]["scale"][:6])    # mean-field L
         assert raw["posterior"]["family"] == "mean_field"
-        assert len(vms.y_hat) == len(ref["parts"]) == 3
+        assert len(vms.y) == len(ref["parts"]) == 3
         lower, upper = vms.interval
         for i, x in enumerate(ref["parts"]):
             alone = predict_parts(model, q, np.array([x]), ref["k"])
-            for name in ("y_hat", "sigma_hat", "aleatoric_var",
-                         "epistemic_var"):
+            for name in ("y", "u", "aleatoric_var", "epistemic_var"):
                 assert getattr(alone, name)[0] == getattr(vms, name)[i]
             z1, z2 = ((np.array(x) - raw["model"]["x_mean"])
                       / raw["model"]["x_sd"])
             # degree 2 in two features: 1, z1, z2, z1^2, z1 z2, z2^2
             phi = np.array([1.0, z1, z2, z1 * z1, z1 * z2, z2 * z2])
-            assert vms.y_hat[i] == pytest.approx(phi @ mu, rel=1e-12)
+            assert vms.y[i] == pytest.approx(phi @ mu, rel=1e-12)
             assert vms.epistemic_var[i] == pytest.approx(
                 np.sum((phi * sd) ** 2), rel=1e-12)
-            assert vms.sigma_hat[i] ** 2 == pytest.approx(
+            assert vms.u[i] ** 2 == pytest.approx(
                 vms.aleatoric_var[i] + vms.epistemic_var[i], rel=1e-12)
-            half = ref["k"] * vms.sigma_hat[i]
-            assert (lower[i], upper[i]) == (vms.y_hat[i] - half,
-                                            vms.y_hat[i] + half)
+            half = ref["k"] * vms.u[i]
+            assert (lower[i], upper[i]) == (vms.y[i] - half,
+                                            vms.y[i] + half)

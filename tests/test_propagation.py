@@ -509,10 +509,26 @@ class TestSumSquares:
         for n in self.LENGTHS:
             for offset in (0.0, 1.0, 1e3, 1e6):
                 x = offset + rng.uniform(0.01, 10.0) * rng.standard_normal(n)
-                ss = propagation._sum_squares(x, float(np.mean(x)),
-                                              np.empty(min(n, scratch)))
+                ss = propagation._pairwise_sum(
+                    x, np.empty(min(n, scratch)), mean=float(np.mean(x)))
                 assert math.sqrt(ss / (n - 1)) == float(np.std(x, ddof=1)), \
                     (n, offset)
+                x.sort()
+                assert propagation._mean_and_sd(x) == (
+                    float(np.mean(x)), float(np.std(x, ddof=1))), (n, offset)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_statistics_are_numpy_times_a_power_of_two(self):
+        # at 2^700 the squares overflow, at 2^-700 they underflow, and
+        # at 2^1020 the sum does too: each statistic is numpy's at scale
+        # 1, scaled exactly, through every level of the pairwise split
+        rng = np.random.default_rng(1)
+        for n in self.LENGTHS:
+            x = np.sort(1.0 + rng.uniform(0.5, 2.0) * rng.standard_normal(n))
+            y, u = float(np.mean(x)), float(np.std(x, ddof=1))
+            for p in (700, -700, 1020):
+                assert propagation._mean_and_sd(np.ldexp(x, p)) == (
+                    math.ldexp(y, p), math.ldexp(u, p)), (n, p)
 
 
 class TestAvailableCores:
@@ -738,6 +754,34 @@ class TestDoubleRangeOracles:
         rows = sensitivity_budget(r, joint)
         assert all(math.isfinite(v) for v in rows[0].values()
                    if isinstance(v, float))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sd", [1e200, 1e307, 1e-200])
+    def test_monte_carlo_statistics_beyond_the_square_range(self, sd):
+        # squares of 1e200 overflowed and of 1e-200 underflowed, and a sum
+        # of values near 1e308 overflowed: the same draws at sd 1, scaled,
+        # give y and u to within the rounding of the scaled draws
+        m = parse_model("X1 * 2")
+        ref, _ = propagate_monte_carlo(m, gaussian_joint([0.0], [1.0]),
+                                       M=20_000, seed=1)
+        r, ecdf = propagate_monte_carlo(m, gaussian_joint([0.0], [sd]),
+                                        M=20_000, seed=1)
+        assert r.u == pytest.approx(sd * ref.u, rel=1e-13, abs=0.0)
+        assert r.y == pytest.approx(sd * ref.y, rel=1e-13, abs=0.0)
+        # each statistic is numpy's on the values times 2^-e, scaled back
+        v = ecdf.sorted_values
+        e = math.frexp(max(-v[0], v[-1]))[1]
+        scaled = np.ldexp(v, -e)
+        assert r.y == math.ldexp(float(np.mean(scaled)), e)
+        assert r.u == math.ldexp(float(np.std(scaled, ddof=1)), e)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_monte_carlo_draws_beyond_the_double_range_fail(self):
+        # a third of the draws at sd 1e308 are infinite: domain failures
+        with pytest.raises(MonteCarloError, match="domain errors"):
+            propagate_monte_carlo(parse_model("X1 * 2"),
+                                  gaussian_joint([0.0], [1e308]),
+                                  M=20_000, seed=1)
 
     @pytest.mark.parametrize("method", [propagate_analytic,
                                         propagate_taylor1])

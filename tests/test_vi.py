@@ -8,6 +8,7 @@ import pytest
 import uncertlab.vi as vi
 from uncertlab.dataset import make_dataset
 from uncertlab.errors import ConfigError, DatasetError, DomainError
+from uncertlab.propagation import MeasurementResult, propagate_taylor1
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, softplus)
 from uncertlab.rng import substream
@@ -339,7 +340,7 @@ def quad_noise_variance(m, s):
                for a, b in zip(cuts, cuts[1:]))
 
 
-FIELDS = ("y_hat", "sigma_hat", "aleatoric_var", "epistemic_var")
+FIELDS = ("y", "u", "aleatoric_var", "epistemic_var")
 
 
 class TestPredict:
@@ -350,7 +351,7 @@ class TestPredict:
         q = random_posterior(rng, model.n_weights, "full_rank")
         vm = predict_parts(model, q, rng.uniform(-2, 2, size=(10, 1)), 2.0)
         total = vm.aleatoric_var + vm.epistemic_var
-        assert vm.sigma_hat ** 2 == pytest.approx(total, rel=1e-9)
+        assert vm.u ** 2 == pytest.approx(total, rel=1e-9)
 
     def test_interval_is_khat(self):
         data = linear_data(n=50, seed=1)
@@ -359,8 +360,27 @@ class TestPredict:
                                  np.full(model.n_weights, 0.5))
         vm = predict_parts(model, q, np.array([[0.3]]), k=2.5)
         lo, hi = vm.interval
-        assert lo == pytest.approx(vm.y_hat - 2.5 * vm.sigma_hat, rel=1e-12)
-        assert hi == pytest.approx(vm.y_hat + 2.5 * vm.sigma_hat, rel=1e-12)
+        assert lo == pytest.approx(vm.y - 2.5 * vm.u, rel=1e-12)
+        assert hi == pytest.approx(vm.y + 2.5 * vm.u, rel=1e-12)
+
+    def test_result_is_a_virtual_measurement_result(self):
+        # one result type: U is k * u and the interval y -/+ U, bit for
+        # bit, and a call without k takes the propagation default 2
+        data = linear_data(n=100, seed=3)
+        model = build_model(data)
+        rng = np.random.default_rng(45)
+        q = random_posterior(rng, model.n_weights, "full_rank")
+        rows = rng.uniform(-2, 2, size=(12, 1))
+        vm = predict_parts(model, q, rows, 2.5)
+        assert isinstance(vm, MeasurementResult)
+        assert vm.method == "virtual" and vm.mc_diagnostics is None
+        assert np.array_equal(vm.U, 2.5 * vm.u)
+        lo, hi = vm.interval
+        assert np.array_equal(lo, vm.y - vm.U)
+        assert np.array_equal(hi, vm.y + vm.U)
+        default = predict_parts(model, q, rows)
+        assert default.k == 2.0 == propagate_taylor1.__defaults__[0]
+        assert np.array_equal(default.U, 2.0 * vm.u)
 
     def test_epistemic_grows_away_from_data(self):
         data = linear_data(n=200, seed=12)
@@ -412,12 +432,12 @@ class TestPredict:
         vms = predict_parts(model, q, rows, 2.5)
         assert vms.k == 2.5
         assert all(len(column) == 70 for column in (
-            vms.y_hat, vms.sigma_hat, vms.aleatoric_var, vms.epistemic_var))
+            vms.y, vms.u, vms.aleatoric_var, vms.epistemic_var))
         p = model.n_mean_weights
         cov = q.covariance()
         for i, row in enumerate(rows):
             phi = model.mean_features(row)[0]
-            assert vms.y_hat[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12)
+            assert vms.y[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12)
             assert vms.epistemic_var[i] == pytest.approx(
                 phi @ cov[:p, :p] @ phi, rel=1e-12)
             alone = predict_parts(model, q, row[None], 2.5)
@@ -486,7 +506,7 @@ class TestPredict:
             g = (softplus(w_sigma @ model.noise_features(row)[0])
                  + NOISE_FLOOR) ** 2
             c2 = (f - f.mean()) ** 2
-            assert abs(vms.y_hat[i] - f.mean()) < 5 * f.std() / math.sqrt(n)
+            assert abs(vms.y[i] - f.mean()) < 5 * f.std() / math.sqrt(n)
             assert (abs(vms.epistemic_var[i] - c2.mean())
                     < 5 * c2.std() / math.sqrt(n))
             assert (abs(vms.aleatoric_var[i] - g.mean())
