@@ -14,7 +14,9 @@ passes each chunk's own Philox substream (see :mod:`uncertlab.rng`),
 which makes every run bit-reproducible and lets parallel workers draw
 non-overlapping streams. Each marginal's mean and standard uncertainty
 u are closed form, never estimated, and u squares nothing, so it is
-right wherever it is itself a double; no variance is kept.
+right wherever it is itself a double; no variance is kept. Rectangular
+and triangular ones, and draws, scale the bounds by a power of two
+(exactly), so only a Gaussian draw can leave the double range.
 
 ``scipy.special`` is imported inside the functions that call it, so a
 run that never draws Gaussian samples or evaluates the normal CDF or
@@ -47,13 +49,6 @@ def _require_finite(kind: str, **params: float) -> None:
     for name, value in params.items():
         if not math.isfinite(value):
             raise ConfigError(f"{kind} {name} must be finite, got {value}")
-
-
-def _require_finite_moments(kind: str, dist) -> None:
-    """Reject parameters whose closed-form mean or u is not a finite double."""
-    if not all(map(math.isfinite, dist.mean_and_u())):
-        raise ConfigError(f"{kind} mean or standard uncertainty overflows "
-                          f"the double range for {dist}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +88,15 @@ class Rectangular:
             raise ConfigError(
                 f"rectangular bounds must satisfy lower < upper, "
                 f"got [{self.lower}, {self.upper}]")
-        _require_finite_moments("rectangular", self)
 
     def mean_and_u(self) -> tuple[float, float]:
-        a, b = self.lower, self.upper
-        return 0.5 * (a + b), (b - a) / math.sqrt(12.0)
+        # on the half bounds, so no sum or width leaves the double range
+        a, b = 0.5 * self.lower, 0.5 * self.upper
+        return a + b, (b - a) / math.sqrt(3.0)
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        return self.lower + (self.upper - self.lower) * u
+        a, b = 0.5 * self.lower, 0.5 * self.upper
+        return (a + (b - a) * u) * 2.0
 
 
 @dataclass(frozen=True)
@@ -121,20 +117,20 @@ class Triangular:
         if not (self.lower <= self.mode <= self.upper):
             raise ConfigError(
                 f"triangular mode {self.mode} outside [{self.lower}, {self.upper}]")
-        _require_finite_moments("triangular", self)
 
     def mean_and_u(self) -> tuple[float, float]:
-        # u^2 = (a^2 + m^2 + b^2 - am - ab - mb) / 18 = hypot(...)^2 / 36
-        a, m, b = self.lower, self.mode, self.upper
-        return (a + m + b) / 3.0, math.hypot(a - m, a - b, m - b) / 6.0
+        # u^2 = (a^2 + m^2 + b^2 - am - ab - mb) / 18, here on quarter bounds
+        a, m, b = 0.25 * self.lower, 0.25 * self.mode, 0.25 * self.upper
+        return 4.0 * ((a + m + b) / 3.0), math.hypot(a - m, a - b, m - b) / 1.5
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        a, m, b = self.lower, self.mode, self.upper
-        u = np.asarray(u, dtype=np.float64)
-        split = (m - a) / (b - a)
+        # on the bounds times 2^-e, below 1 in size: no product overflows
+        e = math.frexp(max(-self.lower, self.upper))[1]
+        a, m, b = np.ldexp([self.lower, self.mode, self.upper], -e)
         left = a + np.sqrt(np.maximum(u, 0.0) * (b - a) * (m - a))
         right = b - np.sqrt(np.maximum(1.0 - u, 0.0) * (b - a) * (b - m))
-        return np.where(u < split, left, right)
+        x = np.where(u < (m - a) / (b - a), left, right)
+        return np.ldexp(x, e, out=x)
 
 
 MarginalDistribution = Union[Gaussian, Rectangular, Triangular]

@@ -35,14 +35,15 @@ vector, so the sample set and its order depend only on M and never on
 the worker count or on which thread finished first. Evaluations outside
 the model's domain come back non-finite; in-place sorting puts them at
 the ends, so the finite ones are a slice of the vector, counted, not
-copied. A draw beyond the double range fails the same way. Failures
-in over 1% of the draws abort the run with a diagnostic. The mean and
-standard deviation are numpy's bit for bit, with no M-sized copy: a
-run holds 8 bytes per draw plus one block of draws and its
-temporaries per worker. A statistic whose sum leaves the double range
-is taken again on the values scaled by a power of two, exactly.
-``concurrent.futures`` is imported by the first Monte Carlo run, so
-the other methods never load it.
+copied. A Gaussian draw beyond the double range fails the same way
+(no other draw can), and failures in over 1% of the draws abort the
+run with a diagnostic that names such inputs. The mean and standard
+deviation are numpy's bit for bit, with no M-sized copy: a run holds
+8 bytes per draw plus one block of draws and its temporaries per
+worker. A statistic whose sum leaves the double range is taken again
+on the values scaled by a power of two, exactly. ``concurrent.futures``
+is imported by the first Monte Carlo run, so the other methods never
+load it.
 
 Every method returns a :class:`MeasurementResult`, the type a virtual
 measurement (:func:`~uncertlab.vi.predict_parts`) returns too.
@@ -339,13 +340,16 @@ def propagate_monte_carlo(
 
     Returns the result together with the sorted evaluations. A given
     ``k`` is reported as is, U = k*u, and the interval covers
-    ``coverage``, by default the Gaussian 2*Phi(k) - 1. Without ``k``
-    it is the Gaussian factor for ``coverage``, or the default k and
-    the coverage it implies when neither is given. The interval itself
-    is empirical and keeps any asymmetry of the output distribution.
+    ``coverage``, by default the Gaussian 2*Phi(k) - 1 (from k ~ 8.3 up
+    that rounds to 1: the whole sample). Without ``k`` it is the
+    Gaussian factor for ``coverage``, or the default k and the coverage
+    it implies when neither is given. The interval itself is empirical
+    and keeps any asymmetry of the output distribution.
     """
     require_integer("Monte Carlo sample count M", M, 100)
     require_integer("seed", seed, 0)
+    if k is not None and coverage == implied_coverage(k):
+        coverage = None  # k's own coverage, not a separate choice
     gaussian_k, coverage = resolve_coverage(
         _DEFAULT_K if k is None else k, coverage)
     k = gaussian_k if k is None else k
@@ -360,8 +364,8 @@ def propagate_monte_carlo(
         rng = substream(seed, ci)
         stop = min((ci + 1) * MC_CHUNK_SIZE, M)
         for lo in range(ci * MC_CHUNK_SIZE, stop, rows):
-            # a draw beyond the double range is an inf, counted as a
-            # domain failure
+            # a Gaussian draw beyond the double range is an inf, counted
+            # as a failed evaluation
             with np.errstate(over="ignore"):
                 draws = sample(joint, min(rows, stop - lo), rng)
             cols = dict(zip(joint.names, draws.T))
@@ -392,7 +396,15 @@ def propagate_monte_carlo(
     n_valid = len(values)
     n_errors = M - n_valid
     if n_errors > 0.01 * M:
+        # only a Gaussian draw can overflow: redraw chunk 0's first block
+        with np.errstate(over="ignore"):
+            draws = sample(joint, min(rows, M), substream(seed, 0))
+        bad = ", ".join(name for name, col in zip(joint.names, draws.T)
+                        if not np.isfinite(col).all())
         raise MonteCarloError(
+            f"{n_errors} of {M} Monte Carlo draws ({n_errors / M:.1%}) "
+            f"failed: draws of {bad} leave the double range before the "
+            "model is evaluated" if bad else
             f"{n_errors} of {M} model evaluations ({n_errors / M:.1%}) hit "
             "domain errors; the input distributions extend outside the "
             "model's domain")
@@ -400,8 +412,10 @@ def propagate_monte_carlo(
     ecdf = EmpiricalCDF(values)
     y, u = _mean_and_sd(values)
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
-    result = MeasurementResult(y, u, k, ecdf.interval(coverage),
-                               "monte_carlo", diagnostics)
+    # p = 1 and the largest p below it give the same clamped JCGM 101
+    # ranks: [y_(1), y_(M)]
+    interval = ecdf.interval(min(coverage, math.nextafter(1.0, 0.0)))
+    result = MeasurementResult(y, u, k, interval, "monte_carlo", diagnostics)
     return result, ecdf
 
 

@@ -328,18 +328,6 @@ def _initial_theta(design: DesignMatrices, family: str) -> np.ndarray:
     return theta
 
 
-def _upper_inverse(r: np.ndarray) -> np.ndarray:
-    """R^-1 for an upper-triangular R, by halves: [[R11, R12], [0, R22]]^-1
-    is [[X11, -X11 R12 X22], [0, X22]] with X11 = R11^-1, X22 = R22^-1."""
-    if len(r) == 1:
-        return 1.0 / r
-    h = len(r) // 2
-    x = np.zeros_like(r)
-    x[:h, :h], x[h:, h:] = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
-    x[:h, h:] = -(x[:h, :h] @ r[:h, h:]) @ x[h:, h:]
-    return x
-
-
 def conjugate_posterior(design: DesignMatrices) -> VariationalPosterior:
     """The exact weight posterior, full-rank, for a fixed noise sd.
 
@@ -348,9 +336,10 @@ def conjugate_posterior(design: DesignMatrices) -> VariationalPosterior:
     prior N(0, tau^2 I) adds the rows (w - shift) / tau = -shift / tau.
     With J reversing the P columns, one QR of [[A J, b], [J / tau,
     -shift / tau]], rows signed to a positive diagonal, gives R and a
-    last column c: mu = shift + J R^-1 c, and L = J R^-1 J is
-    lower-triangular with L L' = Lambda^-1, the posterior covariance.
-    The precision Lambda is never formed, so no condition is squared.
+    last column c: mu = shift + J R^-1 c, and L = J R^-1 J has L L' =
+    Lambda^-1, the posterior covariance. LAPACK's LU of the triangle R
+    pivots nothing, so L is exactly lower-triangular. The precision
+    Lambda is never formed, so no condition is squared.
     """
     model = design.model
     if model.fixed_noise_sd is None:
@@ -362,7 +351,7 @@ def conjugate_posterior(design: DesignMatrices) -> VariationalPosterior:
                                [np.eye(p)[::-1] / tau,
                                 -shift[:, None] / tau]]), mode="r")[:p]
     r *= np.sign(r.diagonal())[:, None]
-    x = _upper_inverse(r[:, :p])
+    x = np.linalg.inv(r[:, :p])
     return VariationalPosterior("full_rank", shift + (x @ r[:, p])[::-1],
                                 x[::-1, ::-1].copy())
 

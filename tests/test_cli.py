@@ -298,33 +298,91 @@ class TestPropagate:
         assert e["message"].startswith("model.expression: ")
         assert message in e["message"] and "(offset " in e["message"]
 
-    def test_overflowing_input_is_config_error(self, capsys, tmp_path):
-        # an input is refused only when its own u is not a double: a
-        # triangular width of 2e308 overflows, so the input is refused
-        # instead of taylor1 blaming the model
-        def tri(lower, mode, upper, expression):
+    def test_input_with_finite_bounds_is_accepted(self, capsys, tmp_path):
+        # a triangular width of 2e308 is beyond the double range, but the
+        # mean 0 and u = 1e308 / sqrt(6) are doubles, and so is each draw
+        def tri(lower, mode, upper, expression, method="taylor1"):
             return write_json(tmp_path / "tri.json", {
                 "model": {"expression": expression},
                 "inputs": {"quantities": [
                     {"name": "X1", "dist": {"kind": "triangular",
                                             "lower": lower, "mode": mode,
                                             "upper": upper}}]},
-                "method": "taylor1",
+                "method": method, "M": 20_000, "seed": 1,
             })
 
-        cfg = tri(-1e308, 0.0, 1e308, "X1 * 2")
+        cfg = tri(-1e308, 0.0, 1e308, "X1 * 1e-200")
         code, out, err = run_cli(capsys, "propagate", "--config", cfg)
-        assert code == 1 and out == ""
-        e = json.loads(err)["error"]
-        assert e["type"] == "ConfigError"
-        assert ("triangular mean or standard uncertainty overflows"
-                in e["message"])
+        assert code == 0 and err == ""
+        m = json.loads(out)["results"]["measurement"]
+        assert m["y"] == 0.0
+        assert m["u"] == pytest.approx(1e108 / math.sqrt(6.0), rel=1e-15)
         # its variance 4.2e398 overflows, u = 1e200 sqrt(1.5) / 6 does not
         cfg = tri(1e200, 1.5e200, 2e200, "X1 * 1e-200")
         code, out, err = run_cli(capsys, "propagate", "--config", cfg)
         assert code == 0 and err == ""
         m = json.loads(out)["results"]["measurement"]
         assert m["u"] == pytest.approx(math.sqrt(1.5) / 6.0, rel=1e-15)
+        # each draw once put (b - a)(m - a) = 5e399 under a square root:
+        # every draw was inf and Monte Carlo blamed the model
+        cfg = tri(1e200, 1.5e200, 2e200, "X1 * 1e-200", "monte_carlo")
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 0 and err == ""
+        m = json.loads(out)["results"]["measurement"]
+        se = m["mc_diagnostics"]["mc_standard_error"]
+        assert abs(m["y"] - 1.5) < 5 * se
+        # the standard error of a sample sd is about sd / sqrt(2 (M - 1))
+        assert abs(m["u"] - math.sqrt(1.5) / 6.0) < 5 * m["u"] / math.sqrt(
+            2 * 19_999)
+
+    def test_draws_beyond_the_double_range_are_named(self, capsys, tmp_path):
+        # X1 * 2 has no domain limit: a third of the N(0, 1e308) draws
+        # overflow, and the refusal says so instead of blaming the model
+        def mc(expression, mean, sd):
+            return write_json(tmp_path / "mc.json", {
+                "model": {"expression": expression},
+                "inputs": {"quantities": [
+                    {"name": "Z0", "dist": {"kind": "gaussian", "mean": 1.0,
+                                            "sd": 1.0}},
+                    {"name": "X1", "dist": {"kind": "gaussian",
+                                            "mean": mean, "sd": sd}}]},
+                "method": "monte_carlo", "M": 20_000, "seed": 1,
+            })
+
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 mc("X1 * 2 + Z0", 0.0, 1e308))
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "MonteCarloError"
+        assert e["message"].endswith(" failed: draws of X1 leave the double "
+                                     "range before the model is evaluated")
+        assert "domain" not in e["message"]
+        # a model-domain failure keeps its message
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 mc("ln(X1) + Z0", 0.0, 1.0))
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "MonteCarloError"
+        assert e["message"].endswith(
+            "hit domain errors; the input distributions extend outside the "
+            "model's domain")
+
+    def test_large_k_takes_the_whole_sample(self, capsys, tmp_path,
+                                            propagate_config):
+        # 2 Phi(9) - 1 rounds to 1; the JCGM 101 ranks clamp to the
+        # smallest and largest draw instead of refusing a coverage of 1
+        doc = json.load(open(propagate_config))
+        doc.update(method="monte_carlo", M=5000, k=9,
+                   dump_samples="samples.csv")
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 write_json(tmp_path / "k9.json", doc))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        m = report["results"]["measurement"]
+        assert report["config"]["coverage"] == 1.0 and m["k"] == 9.0
+        lines = open(tmp_path / "samples.csv").read().splitlines()
+        assert m["interval"] == [float(lines[1]), float(lines[-1])]
+        assert m["U"] == 9.0 * m["u"]
 
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):

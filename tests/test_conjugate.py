@@ -95,6 +95,17 @@ class TestPosterior:
         np.testing.assert_allclose(q.mu, want_mu, rtol=1e-14, atol=0.0)
         assert rel(q.covariance(), want_cov) <= 1e-14
 
+    @pytest.mark.parametrize("degree, n", [(1, 60), (3, 60), (6, 200),
+                                           (4, 5)])
+    def test_factor_is_exactly_lower_triangular(self, degree, n):
+        # LU of the triangular R pivots nothing, so R^-1 and L = J R^-1 J
+        # keep exact zeros on their other side
+        model, data = fixture(n=n, degree=degree)
+        q = conjugate_posterior(model.design(data))
+        assert q.factor.shape[0] > 1
+        assert np.all(np.triu(q.factor, 1) == 0.0)
+        assert np.all(q.factor.diagonal() > 0.0)
+
     def test_posterior_tightens_with_data(self):
         model, data = fixture(n=400)
         few = make_dataset(data.x[:20], data.y[:20], data.feature_names)

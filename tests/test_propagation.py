@@ -575,6 +575,21 @@ class TestEmpiricalCDF:
         assert e.interval(implied_coverage(3.0)) == (1.0, 100.0)
         assert EmpiricalCDF(np.array([5.0, 6.0])).interval(1e-9) == (5.0, 5.0)
 
+    def test_large_k_interval_is_the_whole_sample(self):
+        # 2 Phi(9) - 1 rounds to 1: k's own coverage takes the clamped
+        # ranks, [y_(1), y_(M)], alone or echoed back with k
+        m = parse_model("X1 * 2")
+        joint = gaussian_joint([1.0], [0.1])
+        assert implied_coverage(9.0) == 1.0
+        for coverage in (None, 1.0):
+            r, ecdf = propagate_monte_carlo(m, joint, M=5000, seed=1, k=9.0,
+                                            coverage=coverage)
+            v = ecdf.sorted_values
+            assert r.interval == (v[0], v[-1]) and r.k == 9.0
+        # a coverage of 1 on its own is still refused
+        with pytest.raises(ConfigError, match="coverage must lie in"):
+            propagate_monte_carlo(m, joint, M=5000, seed=1, coverage=1.0)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
     def test_interval_probability_domain(self, p):
         with pytest.raises(ConfigError, match="coverage"):
@@ -777,11 +792,24 @@ class TestDoubleRangeOracles:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_monte_carlo_draws_beyond_the_double_range_fail(self):
-        # a third of the draws at sd 1e308 are infinite: domain failures
-        with pytest.raises(MonteCarloError, match="domain errors"):
+        # a third of the draws at sd 1e308 are infinite: the draws failed,
+        # not the model
+        with pytest.raises(MonteCarloError, match=r"^7327 of 20000 Monte "
+                           r"Carlo draws \(36\.6%\) failed: draws of X1 "
+                           "leave the double range"):
             propagate_monte_carlo(parse_model("X1 * 2"),
                                   gaussian_joint([0.0], [1e308]),
                                   M=20_000, seed=1)
+
+    def test_rectangular_near_the_largest_double(self):
+        # mean 1.35e308 and u 2.02e307 are doubles; the sum of the bounds
+        # is not. The budget's (c u)^2 = 1e614 is not either, so only the
+        # measurement itself can be reported
+        joint = JointInputModel([
+            InputQuantity("X1", Rectangular(1e308, 1.7e308))])
+        r = propagate_taylor1(parse_model("X1 * 0.5"), joint)
+        assert r.y == 6.75e307
+        assert r.u == pytest.approx(0.35e308 / math.sqrt(12.0), rel=1e-15)
 
     @pytest.mark.parametrize("method", [propagate_analytic,
                                         propagate_taylor1])
