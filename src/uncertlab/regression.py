@@ -298,13 +298,26 @@ class DesignMatrices:
         w = np.asarray(w, dtype=np.float64)
         if w.ndim < 2:
             w = w.reshape(1, -1)
-        w_mu, w_sigma = self.model.split_weights(w)
-        if w_sigma is None:
-            phi, b, shift, const = self._factor
-            u = b - (w_mu - shift) @ phi.T
-            # np.add.reduce is what ndarray.sum calls, less its dispatch
-            ll = const - 0.5 * np.add.reduce(u * u, axis=1)
-            return ll, u @ phi
+        self.model.split_weights(w)     # refuses a wrong weight count
+        return self._kernel(w)
+
+    @property
+    def _kernel(self):
+        """:meth:`log_likelihood_and_grad` unchecked, for a float64 (S, P)
+        w: the fixed-noise R-factor product or the learned-noise kernel."""
+        fixed = self.model.fixed_noise_sd is not None
+        return self._fixed_noise if fixed else self._learned_noise
+
+    def _fixed_noise(self, w):
+        phi, b, shift, const = self._factor
+        u = b - (w - shift) @ phi.T
+        # np.add.reduce is what ndarray.sum calls, less its dispatch
+        ll = const - 0.5 * np.add.reduce(u * u, axis=1)
+        return ll, u @ phi
+
+    def _learned_noise(self, w):
+        p = self.model.n_mean_weights
+        w_mu, w_sigma = w[..., :p], w[..., p:]
         n = len(self.y)
         if len(w) not in self._work:
             self._work[len(w)] = np.empty((6, len(w), n))

@@ -25,11 +25,15 @@ reparameterized draws w = [1 | z] M' with z standard normal, which
 turns its gradient into G'[1 | z] for the per-draw likelihood gradients
 G. No autograd framework is involved: :func:`objective` writes the
 chain out, and the test suite holds it against central finite
-differences. Each step makes one likelihood call for all draws, on the
-one design training builds, which keeps that call's work from step to
-step (class :class:`~uncertlab.regression.DesignMatrices`), and the
-draws z for a block of steps come from one call to the generator, in
-the order one call per step would give.
+differences. A run sets its step up once: the index table, the
+likelihood entry (the fixed-noise R-factor product or the learned-noise
+kernel of :class:`~uncertlab.regression.DesignMatrices`, on the one
+design training builds) and a workspace holding M, exp of L's
+diagonal, w and G'[1 | z], so a step does only its arithmetic, and
+:func:`objective` is that same step. The draws of a block of steps come
+from one call to the generator, in the order one call per step would
+give, written once as [1 | z] rows: one (steps, S, P + 1) array whose
+column 0 is 1.
 
 Adam (Kingma & Ba, 2015) runs in the form of their section 2, which
 rearranges their Algorithm 1: m <- b1 m + (1 - b1) g and
@@ -133,7 +137,7 @@ class VariationalPosterior:
         if not (np.all(np.isfinite(self.mu))
                 and np.all(np.isfinite(self.scale))):
             raise ConfigError("mu and scale entries must be finite")
-        if np.any(self.factor.diagonal() <= 0.0):
+        if np.any(self.diagonal <= 0.0):
             raise ConfigError("scale diagonal must be strictly positive")
         if full and np.any(np.triu(self.scale, k=1) != 0.0):
             raise ConfigError("full_rank scale must be lower-triangular")
@@ -141,6 +145,12 @@ class VariationalPosterior:
     @property
     def n_weights(self) -> int:
         return len(self.mu)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """L's diagonal, for either family, without a P x P matrix."""
+        full = self.family == "full_rank"
+        return self.scale.diagonal() if full else self.scale
 
     @property
     def factor(self) -> np.ndarray:
@@ -199,7 +209,7 @@ def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
     p = q.n_weights
     tau2 = prior_tau**2
     norm2 = float(q.mu @ q.mu) + float(np.vdot(q.scale, q.scale))
-    logdet = float(np.log(q.factor.diagonal()).sum())
+    logdet = float(np.log(q.diagonal).sum())
     return 0.5 * (norm2 / tau2 - p + p * math.log(tau2)) - logdet
 
 
@@ -255,6 +265,46 @@ def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPoste
     return VariationalPosterior(family, m[:, 0].copy(), scale)
 
 
+def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float):
+    """:func:`objective` as step(theta, z1) on the (n, P + 1) rows
+    z1 = [1 | z], with its setup done once: the index table, the
+    likelihood entry, the prior's constants and a workspace (M, exp of
+    L's diagonal, w and G'[1 | z]) that each call, and the gradient it
+    returns, overwrite."""
+    p = design.model.n_weights
+    index = _index_table(family, p)
+    diag = index[p:2 * p]
+    likelihood = design._kernel
+    tau2 = prior_tau**2
+    p_log_tau2 = p * math.log(tau2)
+    m = np.zeros((p, p + 1))        # off the index table M stays 0
+    d, grad = np.empty(p), np.empty(len(index))
+    w, gz = np.empty((n, p)), np.empty((p, p + 1))
+
+    def step(theta: np.ndarray, z1: np.ndarray) -> tuple[float, np.ndarray]:
+        m.put(index, theta)
+        np.exp(theta[p:2 * p], out=d)
+        m.put(diag, d)
+        ll, g = likelihood(np.matmul(z1, m.T, out=w))
+        # np.add.reduce: the sums ndarray.sum and np.mean make, less dispatch
+        kl = (0.5 * (float(np.vdot(m, m)) / tau2 - p + p_log_tau2)
+              - float(np.add.reduce(theta[p:2 * p])))
+        value = kl - float(np.add.reduce(ll) / n)
+        # dF/dM = M / tau^2 - G'[1 | z] / n, then dF/dtheta:
+        # d(log d) = d * dF/dd - 1
+        np.matmul(g.T, z1, out=gz)
+        np.divide(gz, n, out=gz)
+        np.divide(m, tau2, out=m)
+        np.subtract(m, gz, out=gz)
+        gz.take(index, out=grad, mode="clip")
+        d_log = grad[p:2 * p]
+        d_log *= d
+        d_log -= 1.0
+        return value, grad
+
+    return step
+
+
 def objective(
     design: DesignMatrices,
     family: str,
@@ -268,30 +318,20 @@ def objective(
     differentiable function of theta; the returned gradient is analytic
     (KL terms in closed form, expectation terms averaged per-draw
     likelihood gradients chained through w = [1 | z] M' and the
-    log-diagonal bijection). The finite-difference gate in the tests
-    runs against exactly this function. ``prior_tau`` is the model's,
-    which the model already checked.
+    log-diagonal bijection). It runs the step :func:`optimize` runs, so
+    the finite-difference gate in the tests checks training's own
+    arithmetic. ``prior_tau`` is the model's, which the model already
+    checked.
     """
     n, p = z.shape
-    m, d, index = _matrix(family, p, theta)
+    design.model.split_weights(z)       # refuses a wrong weight count
+    size = len(_index_table(family, p))
+    if len(theta) != size:
+        raise ConfigError(f"{family} parameter vector must have length {size}")
     z1 = np.empty((n, p + 1))
     z1[:, 0] = 1.0
     z1[:, 1:] = z
-    ll, g = design.log_likelihood_and_grad(z1 @ m.T)
-
-    tau2 = prior_tau**2
-    # np.add.reduce: the sums ndarray.sum and np.mean make, less dispatch
-    kl = (0.5 * (float(np.vdot(m, m)) / tau2 - p + p * math.log(tau2))
-          - float(np.add.reduce(theta[p:2 * p])))
-    value = kl - float(np.add.reduce(ll) / n)
-    # dF/dM in place of M, then dF/dtheta: d(log d) = d * dF/dd - 1
-    m /= tau2
-    m -= (g.T @ z1) / n
-    grad = m.take(index)
-    d_log = grad[p:2 * p]
-    d_log *= d
-    d_log -= 1.0
-    return value, grad
+    return _stepper(design, family, n, prior_tau)(theta, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +424,17 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     turns non-finite or any of a step's arithmetic overflows. Runs for
     either noise mode; :func:`train_vi` calls it for a learned one only.
     """
-    family, tau = config.family, design.model.prior_tau
+    family, n_mc = config.family, config.n_mc
     p = design.model.n_weights
     theta = _initial_theta(design, family)
     gen = substream(config.seed, 0)
+    step_f = _stepper(design, family, n_mc, design.model.prior_tau)
 
     # z for a block of steps comes from one call: the same normals, in
-    # the same order, as one call per step
-    block = max(1, _SLICE_VALUES // (config.n_mc * p))
+    # the same order, as one call per step, written once as [1 | z] rows
+    block = max(1, _SLICE_VALUES // (n_mc * p))
+    z1s = np.empty((min(block, config.max_steps), n_mc, p + 1))
+    z1s[:, :, 0] = 1.0
     # Adam's (m; v) and the step's ((1 - b1) g; (1 - b2) g g) as one
     # array each, updated in place in the order of the out-of-place form
     moments = np.zeros((2, len(theta)))
@@ -412,10 +455,9 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     with np.errstate(over="call", call=overflowed):
         for step in range(config.max_steps):
             if step % block == 0:
-                zs = gen.standard_normal(
-                    (min(block, config.max_steps - step), config.n_mc, p))
-            value, grad = objective(design, family, theta,
-                                    zs[step % block], tau)
+                rows = min(block, config.max_steps - step)
+                z1s[:rows, :, 1:] = gen.standard_normal((rows, n_mc, p))
+            value, grad = step_f(theta, z1s[step % block])
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"free energy became non-finite at step {step}", step)

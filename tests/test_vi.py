@@ -1,16 +1,18 @@
 """Gaussian variational inference: objective, gradients, training, predict."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import uncertlab.vi as vi
 from uncertlab.dataset import make_dataset
-from uncertlab.errors import ConfigError, DatasetError, DomainError
+from uncertlab.errors import (ConfigError, DatasetError, DivergenceError,
+                              DomainError)
 from uncertlab.propagation import MeasurementResult, propagate_taylor1
-from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
-                                  inv_softplus, softplus)
+from uncertlab.regression import (MAX_WEIGHTS, NOISE_FLOOR, BayesianVMModel,
+                                  build_model, inv_softplus, softplus)
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
                           objective, optimize, pack_posterior, predict_parts,
@@ -65,6 +67,26 @@ class TestKL:
                       + p * np.log(tau ** 2)
                       - np.linalg.slogdet(cov)[1])
         assert kl_gaussian(q, tau) == pytest.approx(want, rel=1e-12)
+
+    def test_mean_field_at_max_weights_forms_no_square_matrix(self):
+        # construction and KL read L's diagonal from scale itself; a
+        # P x P array of doubles would be 32 MiB here
+        p = MAX_WEIGHTS
+        rng = np.random.default_rng(8)
+        mu, scale = rng.standard_normal(p), rng.uniform(0.2, 2.0, p)
+        tracemalloc.start()
+        try:
+            q = VariationalPosterior("mean_field", mu, scale)
+            kl = kl_gaussian(q, 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p * p // 64
+        tau2 = 1.3**2
+        norm2 = float(mu @ mu) + float(np.vdot(scale, scale))
+        want = (0.5 * (norm2 / tau2 - p + p * math.log(tau2))
+                - float(np.log(np.diag(scale).diagonal()).sum()))
+        assert kl == want
 
 
 class TestPosteriorParameterization:
@@ -712,6 +734,104 @@ class TestSameNumbersAsReference:
         return out
 
 
+def reference_adam(design, config):
+    """Adam in the textbook out-of-place form of Kingma & Ba's section 2,
+    stepping on the public objective with normals drawn block by block
+    from substream(seed, 0), and the documented stop rule.
+
+    Returns (theta, trajectory, stop reason); a non-finite F or an
+    overflow at step s returns the stop reason ("diverged", s).
+    """
+    model, family = design.model, config.family
+    p = model.n_weights
+    theta = np.zeros(len(vi._index_table(family, p)))
+    theta[p:2 * p] = math.log(vi._INIT_SCALE)
+    if model.fixed_noise_sd is None:
+        theta[model.n_mean_weights] = inv_softplus(
+            max(float(np.std(design.y, ddof=1)), 1e-3))
+    gen = substream(config.seed, 0)
+    block = max(1, vi._SLICE_VALUES // (config.n_mc * p))
+    m = v = np.zeros_like(theta)
+    trajectory = []
+    for step in range(config.max_steps):
+        if step % block == 0:
+            zs = gen.standard_normal(
+                (min(block, config.max_steps - step), config.n_mc, p))
+        try:
+            with np.errstate(over="raise"):
+                value, grad = objective(design, family, theta,
+                                        zs[step % block], model.prior_tau)
+                if not math.isfinite(value):
+                    return theta, trajectory, ("diverged", step)
+                m = 0.9 * m + (1.0 - 0.9) * grad
+                v = 0.999 * v + (1.0 - 0.999) * grad * grad
+                lr = config.learning_rate
+                if config.schedule == "cosine":
+                    lr = lr * 0.5 * (1.0 + math.cos(
+                        math.pi * (step / config.max_steps)))
+                root = math.sqrt(1.0 - 0.999 ** (step + 1))
+                rate = lr * root / (1.0 - 0.9 ** (step + 1))
+                theta = theta - rate * m / (np.sqrt(v) + 1e-8 * root)
+        except FloatingPointError:
+            return theta, trajectory, ("diverged", step)
+        trajectory.append(value)
+        n, w = step + 1, config.window
+        if n >= 2 * w and n % w == 0:
+            before = trajectory[n - 2 * w:n - w]
+            prev = float(np.mean(before))
+            rise = float(np.mean(trajectory[n - w:n])) - prev
+            bound = config.tolerance * max(1.0, abs(prev))
+            if rise > -bound:
+                worse = rise > max(bound, float(np.std(before)))
+                return theta, trajectory, "worsened" if worse else "plateau"
+    return theta, trajectory, "max_steps"
+
+
+class TestOptimizerBitIdentity:
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_fixed_budget(self, family, fixed_noise, schedule):
+        design = self.design(31, mean_degree=2, fixed_noise_sd=fixed_noise)
+        cfg = VIConfig(family=family, schedule=schedule, max_steps=300,
+                       window=300, tolerance=0.0, learning_rate=0.05,
+                       n_mc=5, seed=6)
+        assert self.assert_same(design, cfg) == "max_steps"
+
+    def test_plateau(self):
+        cfg = VIConfig(family="mean_field", max_steps=5000, window=40,
+                       tolerance=1e-3, learning_rate=0.03, seed=7)
+        assert self.assert_same(self.design(32), cfg) == "plateau"
+
+    def test_overflow_at_the_same_step(self):
+        # a first step of about lr = 200 in log diag L puts exp(L_ii)^2
+        # past the double range on the second step
+        design = self.design(33)
+        cfg = VIConfig(family="full_rank", learning_rate=200.0,
+                       max_steps=300, seed=8)
+        _, trajectory, stop = reference_adam(design, cfg)
+        assert stop == ("diverged", 1) and len(trajectory) == 1
+        with pytest.raises(DivergenceError) as err:
+            optimize(design, cfg)
+        assert err.value.step == 1
+
+    @staticmethod
+    def design(seed, **settings):
+        data = linear_data(n=60, seed=seed)
+        return build_model(data, **settings).design(data)
+
+    @staticmethod
+    def assert_same(design, cfg):
+        out = optimize(design, cfg)
+        theta, trajectory, stop = reference_adam(design, cfg)
+        want = unpack_posterior(cfg.family, design.model.n_weights, theta)
+        assert np.array_equal(out.posterior.mu, want.mu)
+        assert np.array_equal(out.posterior.scale, want.scale)
+        assert np.array_equal(out.trajectory, trajectory)
+        assert out.stop_reason == stop
+        return stop
+
+
 def test_index_tables_not_rebuilt_per_step(monkeypatch):
     data = linear_data(n=40, seed=23)
     model = build_model(data, mean_degree=2)
@@ -773,10 +893,11 @@ class TestStopRule:
     @staticmethod
     def run(monkeypatch, values, window=10, tolerance=1e-3):
         values = iter(values)
+        # the training step optimize builds once per run, scripted
         monkeypatch.setattr(
-            vi, "objective",
-            lambda design, family, theta, z, tau: (next(values),
-                                                   np.zeros_like(theta)))
+            vi, "_stepper",
+            lambda design, family, n, tau: lambda theta, z1: (
+                next(values), np.zeros_like(theta)))
         data = linear_data(n=20, seed=24)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
         return optimize(model.design(data),
