@@ -17,20 +17,24 @@ column's coefficient of e1^a e2^b equal to
 
 A jet carries only the monomials the requested order reads: with pair
 columns, the 6 of degree <= 2 for order 2 and all 10 of degree <= 3
-for order 3; without them (order 1, or a single input), the order + 1
-powers of e1, so a gradient carries the value and e1 alone. Truncation
-is exact: a coefficient of degree d sums products of coefficients of
-degree <= d, so dropping higher degrees changes no bit of the ones
-kept, and an order-1 gradient equals the order-3 one to the bit.
+for order 3; without them, the order + 1 powers of e1, so a gradient
+carries the value and e1 alone. Truncation is exact: a coefficient of
+degree d sums products of coefficients of degree <= d, so dropping
+higher degrees changes no bit of the ones kept, and an order-1 gradient
+equals the order-3 one to the bit.
 
 All seedings of a point go side by side through one pass of
 :func:`uncertlab.expr.walk`, the walk every evaluator uses, with the jet
-operations below: a column per index pair i < j for Hessians and third
-derivatives, a column per input seeded on e1 alone for gradients. Row 0
-is the model value, equal in every column and computed by the scalar
-evaluator's rules; chain-rule coefficients and domain checks read it
-from column 0. Results are exact up to floating-point rounding; there is
-no step size.
+operations below: from order 2 on a column per coupled pair i < j
+(:func:`uncertlab.expr.coupled_pairs`), and one seeded on e1 alone per
+referenced input in no such pair. A column's coefficients depend on its
+own seeding alone, and an uncoupled pair's mixed entries are exact
+zeros. Row 0 is the model value, equal in every column and computed by
+the scalar evaluator's rules; chain-rule coefficients and domain checks
+read it from column 0. A product term with an exactly-zero factor is 0,
+not 0 * inf = NaN: a walk runs without that fix, and only one that ends
+in NaN or fails is made again with it. Results are exact up to
+floating-point rounding; there is no step size.
 
 Domain rules match the scalar evaluator, with one addition: points
 where the model's value exists but a derivative does not (sqrt at zero)
@@ -40,12 +44,14 @@ is meaningless there.
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .expr import FUNCTIONS, MeasurementModelExpr, Ops, checked_pow, walk
+from .expr import (FUNCTIONS, MeasurementModelExpr, Ops, checked_pow,
+                   coupled_pairs, walk)
 
 __all__ = ["DerivativeBundle", "derivatives"]
 
@@ -109,21 +115,19 @@ def _constant(value: float, width: int) -> np.ndarray:
     return out
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mul(x: np.ndarray, y: np.ndarray, fix: bool = False) -> np.ndarray:
     """Truncated product, summing each coefficient's terms in order.
 
     Adding one slot at a time, rather than a matmul with a 0/1 scatter
     matrix, fixes the rounding order and keeps an infinite term out of
-    the other coefficients. A term with an exactly-zero factor is 0, not
-    0 * inf = NaN, looked for only once the coefficients sum to NaN.
+    the other coefficients. With ``fix``, a term with an exactly-zero
+    factor is 0, not 0 * inf = NaN.
     """
     table = _TABLES[len(x)]
     xs, ys = x.take(table.left, axis=0), y.take(table.right, axis=0)
     terms = xs * ys
-    out = _sum_terms(terms, table)
-    if not math.isnan(out.sum()):
-        return out
-    terms[np.isnan(terms) & ((xs == 0.0) | (ys == 0.0))] = 0.0
+    if fix:
+        terms[np.isnan(terms) & ((xs == 0.0) | (ys == 0.0))] = 0.0
     return _sum_terms(terms, table)
 
 
@@ -145,8 +149,8 @@ def _scaled(g: float, pk: np.ndarray) -> np.ndarray:
     return term
 
 
-def _compose(u: np.ndarray, g0: float, g1: float, g2: float,
-             g3: float) -> np.ndarray:
+def _compose(u: np.ndarray, g0: float, g1: float, g2: float, g3: float,
+             mul: Callable) -> np.ndarray:
     """g(u) for scalar g with value g0 and derivatives g1..g3 at u's value.
 
     Writing u = a + p with p the zero-constant perturbation part,
@@ -160,25 +164,26 @@ def _compose(u: np.ndarray, g0: float, g1: float, g2: float,
     p[0] = 0.0
     out = _scaled(g1, p)
     if table.degree2 < len(u):
-        p2 = _mul(p, p)
+        p2 = mul(p, p)
         out[table.degree2:] += _scaled(g2 / 2.0, p2[table.degree2:])
         if table.degree3 < len(u):
             out[table.degree3:] += _scaled(g3 / 6.0,
-                                           _mul(p2, p)[table.degree3:])
+                                           mul(p2, p)[table.degree3:])
     out[0] = g0
     return out
 
 
-def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _div(x: np.ndarray, y: np.ndarray, mul: Callable) -> np.ndarray:
     v = y[0, 0]
     if v == 0.0:
         raise DomainError("division by zero")
-    out = _mul(x, _compose(y, 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
+    out = mul(x, _compose(y, 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4,
+                          mul))
     out[0] = x[0, 0] / v
     return out
 
 
-def _int_pow(u: np.ndarray, n: int) -> np.ndarray:
+def _int_pow(u: np.ndarray, n: int, mul: Callable) -> np.ndarray:
     """u**n for n >= 0 by square-and-multiply on the polynomial itself.
 
     Staying in polynomial arithmetic keeps integer powers exact at any
@@ -189,36 +194,39 @@ def _int_pow(u: np.ndarray, n: int) -> np.ndarray:
     base = u
     while n:
         if n & 1:
-            result = _mul(result, base)
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = _mul(base, base)
+            base = mul(base, base)
     return result
 
 
-def _pow_const(u: np.ndarray, exponent: float) -> np.ndarray:
+def _pow_const(u: np.ndarray, exponent: float, mul: Callable) -> np.ndarray:
     a = u[0, 0]
     value = checked_pow(a, exponent)
     if math.isfinite(exponent) and exponent == int(exponent):
         n = int(exponent)
-        out = _int_pow(u, abs(n))
+        if n == 0 and math.isnan(a) and mul is _mul:
+            # the fix may give the dropped base a value, or fail in it
+            raise DomainError("zeroth power of a NaN base")
+        out = _int_pow(u, abs(n), mul)
         if n < 0:
-            out = _div(_constant(1.0, len(u)), out)
+            out = _div(_constant(1.0, len(u)), out, mul)
         out[0] = value
         return out
     g1 = exponent * a ** (exponent - 1.0)
     g2 = exponent * (exponent - 1.0) * a ** (exponent - 2.0)
     g3 = exponent * (exponent - 1.0) * (exponent - 2.0) * a ** (exponent - 3.0)
-    return _compose(u, value, g1, g2, g3)
+    return _compose(u, value, g1, g2, g3, mul)
 
 
-def _apply_function(fn: str, u: np.ndarray) -> np.ndarray:
+def _apply_function(fn: str, u: np.ndarray, mul: Callable) -> np.ndarray:
     spec = FUNCTIONS[fn]
     a = u[0, 0]
     g0 = spec.scalar(a)
     if spec.deriv_check is not None:
         spec.deriv_check(a)
-    return _compose(u, g0, spec.d1(a), spec.d2(a), spec.d3(a))
+    return _compose(u, g0, spec.d1(a), spec.d2(a), spec.d3(a), mul)
 
 
 @dataclass(frozen=True)
@@ -245,13 +253,14 @@ def derivatives(
 ) -> DerivativeBundle:
     """Compute value and derivatives of ``expr`` up to ``order`` (1, 2, or 3).
 
-    One walk of the tree over stacked seedings: N columns seeded on e1
-    alone for order 1 (or a single input), N(N-1)/2 pair columns for
-    orders 2 and 3. ``variables`` fixes the variable order of the
-    output arrays and defaults to the expression's own first-appearance
-    order; callers that carry a declared input list (possibly a
-    superset of the variables actually referenced) pass it here, and
-    unreferenced inputs get exact zero derivatives. Raises
+    One walk of the tree over stacked seedings, two where the first
+    ends in NaN or fails: a column per coupled input pair for orders 2
+    and 3, and one seeded on e1 alone per referenced input in no such
+    pair. ``variables`` fixes the variable order of the output arrays
+    and defaults to the expression's own first-appearance order;
+    callers that carry a declared input list (possibly a superset of
+    the variables actually referenced) pass it here, and unreferenced
+    inputs get exact zero derivatives. Raises
     :class:`DomainError` where the model or one of the needed
     derivatives is undefined.
     """
@@ -267,28 +276,43 @@ def derivatives(
         raise EvaluationError(f"no value for variable(s): {', '.join(absent)}")
 
     n = len(names)
-    pairs = order > 1 and n > 1
-    monomials = _monomials(order, pairs)
-    width = len(monomials)
-    # column r seeds input first[r] on e1 and, for pairs, second[r] on e2
-    idx = np.arange(n)
-    first, second = (np.nonzero(idx[:, None] < idx) if pairs
-                     else (idx, None))
     position = {name: t for t, name in enumerate(names)}
+    # column r seeds input first[r] on e1 and, for r < pairs, second[r]
+    # on e2: a column per coupled pair, then one per referenced input in
+    # no coupled pair
+    first, second = coupled_pairs(expr.root, names) if order > 1 else ([], [])
+    pairs = len(first)
+    alone = {position[v] for v in expr.variables} - {*first, *second}
+    first, second = np.array(first + sorted(alone), int), np.array(second, int)
+    monomials = _monomials(order, pairs > 0)
+    width = len(monomials)
 
     def leaf(name: str) -> np.ndarray:
         # built per leaf: keeping all N jets of N^2/2 columns would cost N^3
         jet = np.zeros((width, len(first)))
         jet[0] = float(at[name])
-        jet[1] = first == position[name]        # row (1, 0): e1
+        jet[1] = first == position[name]                # row (1, 0): e1
         if pairs:
-            jet[2] = second == position[name]   # row (0, 1): e2
+            jet[2, :pairs] = second == position[name]   # row (0, 1): e2
         return jet
 
-    ops = Ops(const=lambda value: _constant(value, width), var=leaf,
-              apply=_apply_function, power=_pow_const, mul=_mul, div=_div)
+    def walk_with(mul: Callable) -> np.ndarray:
+        return walk(expr.root, Ops(
+            const=lambda value: _constant(value, width), var=leaf,
+            apply=partial(_apply_function, mul=mul),
+            power=partial(_pow_const, mul=mul), mul=mul,
+            div=partial(_div, mul=mul)))
+
+    # Without the fix only NaN coefficients differ, and a NaN value stays
+    # NaN to the root (or raises at a zeroth power). A failed walk is
+    # made again: the fixing one may fail first, at a NaN value it fixes.
     with np.errstate(all="ignore"):
-        jet = walk(expr.root, ops)
+        try:
+            jet = walk_with(_mul)
+        except DomainError:
+            jet = None
+        if jet is None or math.isnan(jet.sum()):
+            jet = walk_with(partial(_mul, fix=True))
     c = dict(zip(monomials, np.broadcast_to(jet, (width, len(first)))))
 
     grad = np.zeros(n)
@@ -300,11 +324,14 @@ def derivatives(
     if third is not None:
         third[first, first] = 6.0 * c[3, 0]
     if pairs:
+        i = first[:pairs]
+        if len(first) > pairs:
+            c = {m: row[:pairs] for m, row in c.items()}
         grad[second] = c[0, 1]
         hess[second, second] = 2.0 * c[0, 2]
-        hess[first, second] = hess[second, first] = c[1, 1]
+        hess[i, second] = hess[second, i] = c[1, 1]
         if third is not None:
             third[second, second] = 6.0 * c[0, 3]
-            third[first, second] = 2.0 * c[1, 2]
-            third[second, first] = 2.0 * c[2, 1]
+            third[i, second] = 2.0 * c[1, 2]
+            third[second, i] = 2.0 * c[2, 1]
     return DerivativeBundle(float(jet[0, 0]), grad, hess, third)

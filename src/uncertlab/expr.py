@@ -352,6 +352,28 @@ class _Parser:
         raise ParseError(f"expected a number, name, or '(', got {shown!r}", tok.pos)
 
 
+def _couplings(node: Node, bit: Callable[[str], int], blocks: set) -> int:
+    """The tree's variables as a bit mask (``bit`` gives a name's); adds
+    to ``blocks`` each (A, B) of masks whose pairs a node couples."""
+    if isinstance(node, Var):
+        return bit(node.name)
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Unary):
+        arg = _couplings(node.arg, bit, blocks)
+        if node.fn != "neg":
+            blocks.add((arg, arg))
+        return arg
+    lhs = _couplings(node.lhs, bit, blocks)
+    rhs = _couplings(node.rhs, bit, blocks)
+    if node.op in "*/":
+        blocks.add((lhs, rhs))
+    if node.op in "/^":
+        own = rhs if node.op == "/" else lhs | rhs
+        blocks.add((own, own))
+    return lhs | rhs
+
+
 def affinity(node: Node) -> int:
     """0 if the tree holds no variable, 1 if it is affine in its
     variables by structure alone, 2 otherwise; one visit per node.
@@ -361,18 +383,39 @@ def affinity(node: Node) -> int:
     tree multiplied or divided by a variable-free one. Every other
     tree is not, even one whose terms cancel to an affine function.
     """
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Unary):
-        arg = affinity(node.arg)
-        return arg if arg == 0 or node.fn == "neg" else 2
-    if not isinstance(node, Binary):
-        return 0
-    lhs, rhs = affinity(node.lhs), affinity(node.rhs)
-    # whether the result is as affine as its less affine operand
-    closed = {"+": True, "-": True, "*": not (lhs and rhs), "/": not rhs,
-              "^": not (lhs or rhs)}[node.op]
-    return max(lhs, rhs) if closed else 2
+    # with one bit for all variables, a coupling of two is a block (1, 1)
+    blocks = set()
+    return _couplings(node, lambda name: 1, blocks) + ((1, 1) in blocks)
+
+
+def coupled_pairs(node: Node, names: tuple[str, ...]) -> tuple[list, list]:
+    """The index pairs i < j into ``names`` whose mixed partials can be
+    nonzero by structure, as lists of i and of j in row-major order.
+
+    A product couples each variable of one operand with each of the
+    other, a quotient also all of its denominator's, a function or
+    power all of its operands'; sums and negation pass pairs up. Any
+    other pair is additively separable. One visit per node, one pass
+    over the variables of each distinct block, then one over the pairs.
+    """
+    bit, blocks = {name: 1 << t for t, name in enumerate(names)}, set()
+    _couplings(node, bit.__getitem__, blocks)
+    rows = [0] * len(names)         # rows[i]: the variables coupled with i
+    for a, b in blocks:
+        for side, other in {(a, b), (b, a)}:
+            while side:
+                top = side.bit_length() - 1
+                rows[top] |= other
+                side ^= 1 << top
+    first, second = [], []
+    for i, row in enumerate(rows):
+        row >>= i + 1
+        while row:
+            low = row & -row
+            first.append(i)
+            second.append(i + low.bit_length())
+            row ^= low
+    return first, second
 
 
 def parse_model(text: str, declared: Iterable[str] = ()) -> MeasurementModelExpr:

@@ -263,10 +263,13 @@ def propagate_taylor2(
 ) -> MeasurementResult:
     """Second-order Taylor propagation over independent inputs.
 
-    Adds the Hessian and mixed-third-derivative correction to the
-    first-order variance. The truncated series can turn negative far
-    from the expansion point; that is reported as an error instead of a
-    clamped number, since it means the expansion is not trustworthy.
+    y is f(mu), the model at the input means as in taylor1, not the
+    second-order mean f(mu) + sum_i H_ii u_i^2 / 2. Only u takes the
+    second-order terms: the Hessian and mixed-third-derivative
+    correction to the first-order variance. The truncated series can
+    turn negative far from the expansion point; that is reported as an
+    error instead of a clamped number, since it means the expansion is
+    not trustworthy.
     """
     if joint.correlation is not None:
         raise ConfigError(

@@ -421,7 +421,8 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     otherwise with ``"plateau"`` (converged). A run that keeps improving
     stops at ``max_steps`` with ``"max_steps"``. Raises
     :class:`~uncertlab.errors.DivergenceError` with the step index if F
-    turns non-finite or any of a step's arithmetic overflows. Runs for
+    turns non-finite or any of a step's arithmetic overflows, and with
+    the last step's if a scale of q ends at exp(log scale) = 0. Runs for
     either noise mode; :func:`train_vi` calls it for a learned one only.
     """
     family, n_mc = config.family, config.n_mc
@@ -494,6 +495,10 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
                     stop_reason = "worsened" if worse else "plateau"
                     break
 
+    dead = np.flatnonzero(np.exp(theta[p:2 * p]) == 0.0)
+    if dead.size:
+        raise DivergenceError(f"the scale of weight {dead[0]} underflowed to "
+                              f"0 after {n_steps} steps", n_steps - 1)
     trajectory = trajectory[:n_steps].copy()
     tail = trajectory[-min(config.window, n_steps):]
     return TrainResult(

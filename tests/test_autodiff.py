@@ -6,14 +6,18 @@ true derivatives, not finite-difference approximations.
 """
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
+from uncertlab import autodiff
 from uncertlab.autodiff import _TABLES, _mul, derivatives
+from uncertlab.distributions import Gaussian, InputQuantity, JointInputModel
 from uncertlab.errors import DomainError
-from uncertlab.expr import evaluate, evaluate_batch, parse_model
+from uncertlab.expr import coupled_pairs, evaluate, evaluate_batch, parse_model
+from uncertlab.propagation import propagate_taylor2
 
 mpmath.mp.dps = 50
 
@@ -272,8 +276,9 @@ def test_jet_widths():
                                   if a + b <= 3]
 
 
+@pytest.mark.parametrize("mul", [_mul, partial(_mul, fix=True)])
 @pytest.mark.parametrize("width", sorted(_TABLES))
-def test_truncated_product_matches_plain_loop_bit_for_bit(width):
+def test_truncated_product_matches_plain_loop_bit_for_bit(width, mul):
     # reference: coefficient (a, b) = sum over p <= a, q <= b, in loop
     # order, of x[p, q] * y[a - p, b - q], accumulated from 0.0; a jet
     # holds one monomial per row and one seeding per column
@@ -283,7 +288,7 @@ def test_truncated_product_matches_plain_loop_bit_for_bit(width):
     y = rng.standard_normal((width, 7))
     x[:, 3] = 0.0
     y[0, 4] = -0.0
-    got = _mul(x, y)
+    got = mul(x, y)
     assert got.shape == (width, 7)
     for k in range(7):
         for (a, b), r in row.items():
@@ -435,3 +440,206 @@ class TestOverflowingDerivatives:
         with pytest.raises(DomainError, match="sin of infinite value"):
             derivatives(parse_model("sin(X1 * X2)"),
                         {"X1": 1e200, "X2": 1e200}, order=1)
+
+
+def pair_list(text, names=None):
+    m = parse_model(text)
+    return list(zip(*coupled_pairs(m.root, names or m.variables)))
+
+
+class TestCoupledPairs:
+    """The pairs whose mixed partials can be nonzero, read off the tree."""
+
+    def test_cyclic_sine_series_couples_neighbours(self):
+        assert pair_list(series_model(24)) == sorted(
+            tuple(sorted((i, (i + 1) % 24))) for i in range(24))
+
+    @pytest.mark.parametrize("text", ["sin(X1 + X2 + X3)", "X1 / (X2 + X3)",
+                                      "(X1 + X2 - X3) ^ 2"])
+    def test_function_quotient_and_power_couple_their_arguments(self, text):
+        assert pair_list(text) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_product_couples_across_its_operands_only(self):
+        assert pair_list("X1 * X2 + X3") == [(0, 1)]
+        assert pair_list("(X1 + X2) * X3") == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("text", ["X1 + 2 * X2", "sin(X1) + X2 ^ 2",
+                                      "-X1 / 3 - exp(X2) * 2", "X1 * X1"])
+    def test_separable_models_couple_nothing(self, text):
+        assert pair_list(text) == []
+
+    @pytest.mark.parametrize("text", ["X1 + 2 * X2", "sin(X1) + X2 ^ 2"])
+    def test_uncoupled_models_take_the_pairless_width(self, text, monkeypatch):
+        # the bits of every pair seeded, on jets of order + 1 rows
+        m = parse_model(text)
+        at = {"X1": 0.7, "X2": -1.3}
+        with monkeypatch.context() as patch:
+            patch.setattr(autodiff, "coupled_pairs", every_pair)
+            dense = [derivatives(m, at, order) for order in (2, 3)]
+        shapes = jet_shapes(monkeypatch)
+        for order, want in zip((2, 3), dense):
+            got = derivatives(m, at, order)
+            assert shapes.pop() == (order + 1, 2)
+            for field in ("grad", "hess", "third_mixed"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a is None) == (b is None)
+                assert a is None or a.tobytes() == b.tobytes(), field
+
+    def test_unreferenced_input_gets_no_column(self, monkeypatch):
+        shapes = jet_shapes(monkeypatch)
+        names = ("X1", "X2", "X3")
+        b = derivatives(parse_model("X1 * sin(X3)"),
+                        {"X1": 1.0, "X2": 5.0, "X3": 0.5}, 3, names)
+        assert shapes == [(10, 1)]      # the pair (X1, X3), nothing else
+        for field in (b.hess, b.third_mixed):
+            for line in (field[1], field[:, 1]):
+                assert line.tobytes() == np.zeros(3).tobytes()
+        assert b.grad[1] == 0.0 and math.copysign(1.0, b.grad[1]) == 1.0
+
+
+def jet_shapes(monkeypatch):
+    """Record the (rows, columns) of X1's jet in every walk."""
+    shapes = []
+    real_walk = autodiff.walk
+
+    def walk(node, ops):
+        shapes.append(ops.var("X1").shape)
+        return real_walk(node, ops)
+
+    monkeypatch.setattr(autodiff, "walk", walk)
+    return shapes
+
+
+def every_pair(node, names):
+    """Dense seeding: every index pair i < j, coupled or not."""
+    n = len(names)
+    return ([i for i in range(n) for j in range(i + 1, n)],
+            [j for i in range(n) for j in range(i + 1, n)])
+
+
+def dense_and_fixing(monkeypatch):
+    """Seed every pair and fix zero terms in every product."""
+    monkeypatch.setattr(autodiff, "coupled_pairs", every_pair)
+    monkeypatch.setattr(autodiff, "_mul", partial(_mul, fix=True))
+
+
+# values where a product meets 0 * inf, a quotient a tiny denominator,
+# exp an overflow and a square an underflow
+EDGE_POINTS = (0.0, 1e-300, 1e-170, -1e-170, 1e200, 700.0)
+
+
+def wild_model(rng, names, depth):
+    """A random expression that also reaches zero constants and zeroth
+    and negative powers."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.75:
+            return names[int(rng.integers(len(names)))]
+        return ("0", "1e-300", "0.5", "2.5", "3")[int(rng.integers(5))]
+    kind = int(rng.integers(9))
+    arg = wild_model(rng, names, depth - 1)
+    if kind < 5:
+        rhs = wild_model(rng, names, depth - 1)
+        return f"({arg} {'+-**/'[kind]} {rhs})"
+    if kind < 7:
+        fn = ("sin", "cos", "exp", "ln", "sqrt")[int(rng.integers(5))]
+        return f"{fn}({arg})"
+    if kind == 7:
+        return f"-({arg})"
+    exponent = ("0", "1", "2", "3", "-1", "-2", "0.5", "2.5")
+    return f"({arg}) ^ {exponent[int(rng.integers(len(exponent)))]}"
+
+
+def outcome(m, at, order, names):
+    try:
+        return derivatives(m, at, order, names)
+    except Exception as err:            # compared by type and message
+        return type(err), str(err)
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    if isinstance(got, tuple):
+        return False
+    if not (got.value == want.value
+            or (math.isnan(got.value) and math.isnan(want.value))):
+        return False
+    for field in ("grad", "hess", "third_mixed"):
+        a, b = getattr(got, field), getattr(want, field)
+        if (a is None) != (b is None):
+            return False
+        if a is not None and not np.array_equal(a, b, equal_nan=True):
+            return False
+    return True
+
+
+class TestAgainstDenseFixingWalk:
+    """Coupled-pair seeding with one NaN check per walk gives the bundle
+    that seeding every pair and fixing zero terms in every product
+    gives; only the sign of a structural zero may differ."""
+
+    def test_random_models_at_edge_points(self, monkeypatch):
+        rng = np.random.default_rng(2718)
+        requests = []
+        for _ in range(1100):
+            names = tuple(f"X{i + 1}" for i in range(int(rng.integers(1, 8))))
+            point = [EDGE_POINTS[int(rng.integers(len(EDGE_POINTS)))]
+                     if rng.random() < 0.5 else float(rng.uniform(-2.0, 2.0))
+                     for _ in names]
+            text = wild_model(rng, names, int(rng.integers(1, 6)))
+            requests.append((parse_model(text, names), names,
+                             dict(zip(names, point)), int(rng.integers(1, 4))))
+
+        walks = jet_shapes(monkeypatch)
+        got, rewalked = [], 0
+        for m, names, at, order in requests:
+            del walks[:]
+            got.append(outcome(m, at, order, names))
+            rewalked += len(walks) == 2 and not isinstance(got[-1], tuple)
+        with monkeypatch.context() as patch:
+            dense_and_fixing(patch)
+            want = [outcome(m, at, order, names)
+                    for m, names, at, order in requests]
+        bad = [(str(m.root), at, order) for (m, names, at, order), g, w
+               in zip(requests, got, want) if not same_outcome(g, w)]
+        assert not bad, bad[:3]
+        assert rewalked >= 10       # walks that ended in NaN
+        errors = sum(isinstance(w, tuple) for w in want)
+        assert 10 <= errors <= len(requests) - 500
+
+    def test_zeroth_power_of_a_nan_base_walks_again(self, monkeypatch):
+        # 0 * exp(X1)^2 is NaN without the fix and 0 with it, where ln
+        # fails; the zeroth power drops the base either way
+        m = parse_model("ln(0 * exp(X1) ^ 2) ^ 0 + X2")
+        at = {"X1": 700.0, "X2": 1.0}
+        got = outcome(m, at, 3, ("X1", "X2"))
+        dense_and_fixing(monkeypatch)
+        assert got == outcome(m, at, 3, ("X1", "X2")) == (
+            DomainError, "ln of non-positive value 0.0")
+
+    def test_taylor2_results_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(300):
+            names = tuple(f"X{i + 1}" for i in range(int(rng.integers(1, 8))))
+            text = random_model(rng, names, int(rng.integers(1, 6)))
+            means = rng.uniform(0.3, 2.0, len(names))
+            sds = np.where(rng.random(len(names)) < 0.25, 0.0,
+                           rng.uniform(0.01, 0.2, len(names)))
+            joint = JointInputModel([
+                InputQuantity(name, Gaussian(float(mean), float(sd)))
+                for name, mean, sd in zip(names, means, sds)])
+            cases.append((parse_model(text, names), joint))
+
+        def run(m, joint):
+            try:
+                r = propagate_taylor2(m, joint)
+            except Exception as err:
+                return type(err), str(err)
+            return "ok", np.array([r.y, r.u, *r.interval]).tobytes()
+
+        got = [run(m, joint) for m, joint in cases]
+        dense_and_fixing(monkeypatch)
+        want = [run(m, joint) for m, joint in cases]
+        assert got == want
+        assert sum(g[0] == "ok" for g in got) >= 200

@@ -485,6 +485,21 @@ class TestTrainPredict:
             "model_out": str(tmp_path / "model.json"),
         })
 
+    def test_underflowed_scale_is_a_divergence(self, capsys, tmp_path,
+                                               training_csv):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": {"path": training_csv, "target": "y"},
+            "model": {"mean_degree": 2, "prior_tau": 1e3},
+            "vi": {"learning_rate": 160.0, "max_steps": 300, "seed": 4},
+            "model_out": str(tmp_path / "model.json"),
+        })
+        code, out, err = run_cli(capsys, "train", "--config", cfg)
+        assert code == 1 and out == "" and "Traceback" not in err
+        e = json.loads(err)["error"]
+        assert e["type"] == "DivergenceError"
+        assert "underflowed to 0 after 300 steps" in e["message"]
+        assert not (tmp_path / "model.json").exists()
+
     def test_round_trip(self, capsys, tmp_path, training_csv):
         cfg = self.make_train_config(tmp_path, training_csv)
         code, out, _ = run_cli(capsys, "train", "--config", cfg)

@@ -815,6 +815,23 @@ class TestOptimizerBitIdentity:
             optimize(design, cfg)
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    def test_underflowed_scale_is_a_divergence(self, family):
+        # steps of about lr = 160 take a log scale to about -750, where
+        # exp is 0: q would have no spread in that weight
+        design = self.design(33, mean_degree=2, prior_tau=1e3)
+        cfg = VIConfig(family=family, learning_rate=160.0, max_steps=300,
+                       seed=4)
+        with pytest.raises(DivergenceError, match=r"^the scale of weight 3 "
+                           r"underflowed to 0 after 300 steps \(step 299\)$"
+                           ) as err:
+            optimize(design, cfg)
+        assert err.value.step == 299
+        # at a rate that leaves every scale a double, the same run trains
+        cfg = VIConfig(family=family, learning_rate=100.0, max_steps=300,
+                       seed=4)
+        assert np.all(optimize(design, cfg).posterior.diagonal > 0.0)
+
     @staticmethod
     def design(seed, **settings):
         data = linear_data(n=60, seed=seed)
