@@ -31,9 +31,11 @@ referenced input in no such pair. A column's coefficients depend on its
 own seeding alone, and an uncoupled pair's mixed entries are exact
 zeros. Row 0 is the model value, equal in every column and computed by
 the scalar evaluator's rules; chain-rule coefficients and domain checks
-read it from column 0. A product term with an exactly-zero factor is 0,
-not 0 * inf = NaN: a walk runs without that fix, and only one that ends
-in NaN or fails is made again with it. Results are exact up to
+read it from column 0. A perturbation term of a product with an
+exactly-zero factor is 0, not 0 * inf = NaN. The fix never touches the
+value row, so a NaN model value (0 times an overflow) stays NaN as in
+the scalar evaluator. A walk runs without the fix and is made again
+with it only when it ends in NaN. Results are exact up to
 floating-point rounding; there is no step size.
 
 Domain rules match the scalar evaluator, with one addition: points
@@ -120,14 +122,16 @@ def _mul(x: np.ndarray, y: np.ndarray, fix: bool = False) -> np.ndarray:
 
     Adding one slot at a time, rather than a matmul with a 0/1 scatter
     matrix, fixes the rounding order and keeps an infinite term out of
-    the other coefficients. With ``fix``, a term with an exactly-zero
-    factor is 0, not 0 * inf = NaN.
+    the other coefficients. With ``fix``, a perturbation term with an
+    exactly-zero factor is 0, not 0 * inf = NaN; term 0, the value row's
+    x0 * y0, keeps its IEEE result.
     """
     table = _TABLES[len(x)]
     xs, ys = x.take(table.left, axis=0), y.take(table.right, axis=0)
     terms = xs * ys
     if fix:
-        terms[np.isnan(terms) & ((xs == 0.0) | (ys == 0.0))] = 0.0
+        zero = (xs[1:] == 0.0) | (ys[1:] == 0.0)
+        terms[1:][np.isnan(terms[1:]) & zero] = 0.0
     return _sum_terms(terms, table)
 
 
@@ -206,9 +210,6 @@ def _pow_const(u: np.ndarray, exponent: float, mul: Callable) -> np.ndarray:
     value = checked_pow(a, exponent)
     if math.isfinite(exponent) and exponent == int(exponent):
         n = int(exponent)
-        if n == 0 and math.isnan(a) and mul is _mul:
-            # the fix may give the dropped base a value, or fail in it
-            raise DomainError("zeroth power of a NaN base")
         out = _int_pow(u, abs(n), mul)
         if n < 0:
             out = _div(_constant(1.0, len(u)), out, mul)
@@ -253,16 +254,17 @@ def derivatives(
 ) -> DerivativeBundle:
     """Compute value and derivatives of ``expr`` up to ``order`` (1, 2, or 3).
 
-    One walk of the tree over stacked seedings, two where the first
-    ends in NaN or fails: a column per coupled input pair for orders 2
-    and 3, and one seeded on e1 alone per referenced input in no such
-    pair. ``variables`` fixes the variable order of the output arrays
-    and defaults to the expression's own first-appearance order;
-    callers that carry a declared input list (possibly a superset of
-    the variables actually referenced) pass it here, and unreferenced
-    inputs get exact zero derivatives. Raises
-    :class:`DomainError` where the model or one of the needed
-    derivatives is undefined.
+    One walk of the tree over stacked seedings: a column per coupled
+    input pair for orders 2 and 3, and one seeded on e1 alone per
+    referenced input in no such pair. The walk is made again, fixing
+    zero terms outside the value row, only where it ends in NaN, so
+    ``value`` is the scalar evaluator's, NaN included. ``variables``
+    fixes the variable order of the output arrays and defaults to the
+    expression's own first-appearance order; callers that carry a
+    declared input list (possibly a superset of the variables actually
+    referenced) pass it here, and unreferenced inputs get exact zero
+    derivatives. Raises :class:`DomainError` where the model or one of
+    the needed derivatives is undefined.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
@@ -303,15 +305,12 @@ def derivatives(
             power=partial(_pow_const, mul=mul), mul=mul,
             div=partial(_div, mul=mul)))
 
-    # Without the fix only NaN coefficients differ, and a NaN value stays
-    # NaN to the root (or raises at a zeroth power). A failed walk is
-    # made again: the fixing one may fail first, at a NaN value it fixes.
+    # The fix touches no value row, and every domain check reads value
+    # rows alone: both walks fail alike, and differ only in coefficients
+    # the plain walk leaves NaN.
     with np.errstate(all="ignore"):
-        try:
-            jet = walk_with(_mul)
-        except DomainError:
-            jet = None
-        if jet is None or math.isnan(jet.sum()):
+        jet = walk_with(_mul)
+        if math.isnan(jet.sum()):
             jet = walk_with(partial(_mul, fix=True))
     c = dict(zip(monomials, np.broadcast_to(jet, (width, len(first)))))
 

@@ -1,4 +1,4 @@
-"""Input-quantity distributions: mean and u, sampling, and normal helpers.
+"""Input-quantity distributions: mean and u, sampling, the normal quantile.
 
 Each input quantity of a measurement model carries one marginal
 distribution in its physical unit: gaussian, rectangular, or
@@ -19,8 +19,8 @@ and triangular ones, and draws, scale the bounds by a power of two
 (exactly), so only a Gaussian draw can leave the double range.
 
 ``scipy.special`` is imported inside the functions that call it, so a
-run that never draws Gaussian samples or evaluates the normal CDF or
-quantile never loads scipy.
+run that never draws Gaussian samples or evaluates the normal quantile
+never loads scipy.
 """
 
 import math
@@ -40,7 +40,6 @@ __all__ = [
     "InputQuantity",
     "JointInputModel",
     "sample",
-    "normal_cdf",
     "normal_quantile",
 ]
 
@@ -232,13 +231,6 @@ def sample(joint: JointInputModel, count: int,
     for i, q in enumerate(joint.quantities):
         u[:, i] = q.marginal.ppf(u[:, i])
     return u
-
-
-def normal_cdf(z) -> Union[float, np.ndarray]:
-    """Standard normal CDF Phi(z)."""
-    from scipy import special
-    out = special.ndtr(z)
-    return float(out) if np.isscalar(z) else out
 
 
 def normal_quantile(p) -> Union[float, np.ndarray]:

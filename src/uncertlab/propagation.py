@@ -62,8 +62,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .autodiff import DerivativeBundle, derivatives
-from .distributions import (JointInputModel, normal_cdf, normal_quantile,
-                            sample)
+from .distributions import JointInputModel, normal_quantile, sample
 from .errors import (ConfigError, MonteCarloError, require_integer,
                      require_positive)
 from .expr import MeasurementModelExpr, affinity, evaluate_batch
@@ -91,7 +90,7 @@ MC_CHUNK_SIZE = 65536
 # once: a block's temporaries fit in cache, numpy's per-call cost is small.
 _BLOCK_VALUES = 65536
 
-# Default coverage factor of every method; it implies 2*Phi(2) - 1.
+# Default coverage factor of every method; it implies erf(2 / sqrt(2)).
 _DEFAULT_K = 2.0
 
 
@@ -163,8 +162,10 @@ class EmpiricalCDF:
 
 
 def implied_coverage(k: float) -> float:
-    """Two-sided Gaussian coverage probability implied by k: 2*Phi(k) - 1."""
-    return 2.0 * float(normal_cdf(k)) - 1.0
+    """Two-sided Gaussian coverage probability implied by k: 2*Phi(k) - 1,
+    taken as erf(k / sqrt(2)), which needs no subtraction and so keeps
+    its relative precision down to the smallest k."""
+    return math.erf(k / math.sqrt(2.0))
 
 
 def resolve_coverage(k: float,
@@ -173,7 +174,7 @@ def resolve_coverage(k: float,
 
     k and coverage are two views of one choice: an explicit coverage
     wins and fixes k as its two-sided Gaussian factor; otherwise k
-    implies the Gaussian coverage 2*Phi(k) - 1.
+    implies the Gaussian coverage :func:`implied_coverage`.
     """
     if coverage is not None:
         if not 0.0 < coverage < 1.0:
@@ -343,7 +344,7 @@ def propagate_monte_carlo(
 
     Returns the result together with the sorted evaluations. A given
     ``k`` is reported as is, U = k*u, and the interval covers
-    ``coverage``, by default the Gaussian 2*Phi(k) - 1 (from k ~ 8.3 up
+    ``coverage``, by default the Gaussian 2*Phi(k) - 1 (from k ~ 8.4 up
     that rounds to 1: the whole sample). Without ``k`` it is the
     Gaussian factor for ``coverage``, or the default k and the coverage
     it implies when neither is given. The interval itself is empirical

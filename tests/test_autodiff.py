@@ -573,6 +573,35 @@ def same_outcome(got, want):
     return True
 
 
+def test_value_is_the_scalar_evaluators_at_edge_points():
+    """Where ``derivatives`` returns, its value is ``evaluate``'s bit for
+    bit, NaN matching NaN; where ``evaluate`` refuses, so does it."""
+    rng = np.random.default_rng(5)
+    returned = refused = nans = 0
+    for _ in range(5000):
+        names = tuple(f"X{i + 1}" for i in range(int(rng.integers(1, 5))))
+        at = {name: EDGE_POINTS[int(rng.integers(len(EDGE_POINTS)))]
+              for name in names}
+        m = parse_model(wild_model(rng, names, int(rng.integers(1, 6))),
+                        names)
+        try:
+            want = evaluate(m, at)
+        except DomainError:
+            with pytest.raises(DomainError):
+                derivatives(m, at, int(rng.integers(1, 4)), names)
+            refused += 1
+            continue
+        try:
+            got = derivatives(m, at, int(rng.integers(1, 4)), names).value
+        except DomainError:     # a derivative the value does not need
+            continue
+        assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+                or math.isnan(got) and math.isnan(want)), (str(m.root), at)
+        returned += 1
+        nans += math.isnan(want)
+    assert returned >= 3000 and refused >= 500 and nans >= 10
+
+
 class TestAgainstDenseFixingWalk:
     """Coupled-pair seeding with one NaN check per walk gives the bundle
     that seeding every pair and fixing zero terms in every product
@@ -607,15 +636,17 @@ class TestAgainstDenseFixingWalk:
         errors = sum(isinstance(w, tuple) for w in want)
         assert 10 <= errors <= len(requests) - 500
 
-    def test_zeroth_power_of_a_nan_base_walks_again(self, monkeypatch):
-        # 0 * exp(X1)^2 is NaN without the fix and 0 with it, where ln
-        # fails; the zeroth power drops the base either way
+    def test_zeroth_power_of_a_nan_base_is_one_as_in_evaluate(
+            self, monkeypatch):
+        # 0 * exp(X1)^2 is 0 * inf = NaN in both walks, ln(NaN) is NaN,
+        # and the zeroth power drops the base
         m = parse_model("ln(0 * exp(X1) ^ 2) ^ 0 + X2")
         at = {"X1": 700.0, "X2": 1.0}
         got = outcome(m, at, 3, ("X1", "X2"))
+        assert got.value == evaluate(m, at) == 2.0
+        assert got.grad.tolist() == [0.0, 1.0]
         dense_and_fixing(monkeypatch)
-        assert got == outcome(m, at, 3, ("X1", "X2")) == (
-            DomainError, "ln of non-positive value 0.0")
+        assert same_outcome(got, outcome(m, at, 3, ("X1", "X2")))
 
     def test_taylor2_results_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(31)

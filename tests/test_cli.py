@@ -211,6 +211,24 @@ class TestPropagate:
         assert e["message"].endswith(
             "the model overflows or leaves its domain at these inputs")
 
+    @pytest.mark.parametrize("method", ["taylor1", "taylor2"])
+    def test_nan_model_value_is_refused(self, capsys, tmp_path, method):
+        # 1e-100 ^ 3.5 underflows to 0 and X1 * X1 overflows: the model's
+        # value 0 * inf is NaN, as evaluate gives it, not 0 + X2 = 1
+        cfg = write_json(tmp_path / "nan.json", {
+            "model": {"expression": "1e-100 ^ 3.5 * (X1 * X1) + X2"},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "gaussian", "mean": 1e200,
+                                        "sd": 0.0}},
+                {"name": "X2", "dist": {"kind": "gaussian", "mean": 1.0,
+                                        "sd": 0.1}}]},
+            "method": method,
+        })
+        code, out, err = run_cli(capsys, "propagate", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "DomainError" and "non-finite" in e["message"]
+
     @pytest.mark.parametrize("expression,quantities,row", [
         # u = 2e200 is a double, its square (the contribution) is not
         ("X1 * 2", [(0.0, 1e200)], "budget row X1: its contribution is inf"),

@@ -5,11 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
-                                     Rectangular, Triangular, normal_cdf,
-                                     normal_quantile, sample)
+                                     Rectangular, Triangular, normal_quantile,
+                                     sample)
 from uncertlab.errors import ConfigError
 from uncertlab.rng import substream
 
@@ -160,7 +160,7 @@ class TestQuantileFunctions:
         d = Gaussian(1.0, 2.0)
         for p in (0.025, 0.5, 0.975):
             x = d.ppf(p)
-            assert normal_cdf((x - 1.0) / 2.0) == pytest.approx(p, rel=1e-12)
+            assert special.ndtr((x - 1.0) / 2.0) == pytest.approx(p, rel=1e-12)
 
     def test_normal_quantile_oracle_value(self):
         assert normal_quantile(0.975) == pytest.approx(
@@ -339,6 +339,6 @@ class TestSampling:
         # push samples back through the CDF: must be uniform
         joint = JointInputModel([InputQuantity("X1", Gaussian(3.0, 2.0))])
         x = sample(joint, 100_000, substream(4))[:, 0]
-        u = normal_cdf((x - 3.0) / 2.0)
+        u = special.ndtr((x - 3.0) / 2.0)
         stat = stats.kstest(u, "uniform").statistic
         assert stat < 0.01

@@ -590,6 +590,16 @@ class TestEmpiricalCDF:
         with pytest.raises(ConfigError, match="coverage must lie in"):
             propagate_monte_carlo(m, joint, M=5000, seed=1, coverage=1.0)
 
+    def test_tiny_k_interval_is_the_median_pair(self):
+        # erf(1e-17 / sqrt(2)) = 8e-18 > 0, where 2 Phi(k) - 1 gave 0.0
+        # and the run refused a coverage it was never given: q = 0 and
+        # both ends are y_(r), r = floor((M + 1) / 2)
+        m = parse_model("X1 * 2")
+        r, ecdf = propagate_monte_carlo(m, gaussian_joint([1.0], [0.1]),
+                                        M=5000, seed=1, k=1e-17)
+        median = ecdf.sorted_values[(5000 + 1) // 2 - 1]
+        assert r.interval == (median, median) and r.k == 1e-17
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
     def test_interval_probability_domain(self, p):
         with pytest.raises(ConfigError, match="coverage"):
@@ -602,6 +612,19 @@ class TestSummaries:
                                                       abs=1e-15)
         assert implied_coverage(1.959963984540054) == pytest.approx(
             0.95, abs=1e-12)
+
+    def test_implied_coverage_against_mpmath(self):
+        # erf(k / sqrt(2)) at 50 digits, from the smallest k to where
+        # the coverage rounds to 1
+        ks = np.concatenate([np.geomspace(1e-300, 9.0, 1500),
+                             np.linspace(1e-3, 9.0, 1500)])
+        with mpmath.workdps(50):
+            worst = max(
+                abs(implied_coverage(float(k)) - want) / want
+                for k in ks
+                for want in [mpmath.erf(mpmath.mpf(float(k))
+                                        / mpmath.sqrt(2))])
+        assert worst <= 4.5e-16
 
     def test_budget_rows_sum_to_first_order_variance(self):
         m = parse_model("X1 * X2 + sin(X3)")

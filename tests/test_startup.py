@@ -3,10 +3,11 @@
 scipy is imported only inside the functions that call it, and configs
 are checked without jsonschema, so importing the CLI loads neither; nor
 does it load numpy.random or concurrent.futures, which the first draw
-and the first Monte Carlo run import. The subcommands that never need a
-normal CDF or quantile (train, predict, conformity, verify) never load
-scipy. Each check runs in a fresh interpreter, since this test process
-has imported all of them already.
+and the first Monte Carlo run import. Runs that never need a normal
+quantile (train, predict, conformity, verify, and propagate by a series
+method without a ``coverage``) never load scipy. Each check runs in a
+fresh interpreter, since this test process has imported all of them
+already.
 """
 
 import json
@@ -105,6 +106,16 @@ def test_runs_that_need_no_normal_functions_load_no_scipy(
             "spec": {"lsl": 10.0, "usl": 10.2},
             "measurements": [{"y": 10.1, "U": 0.02}],
         }),
+        **{f"propagate_{method}": write_json(tmp_path / f"{method}.json", {
+            "model": {"expression": "2 * X1 - X2 + 1"},
+            "inputs": {"quantities": [
+                {"name": "X1", "dist": {"kind": "gaussian", "mean": 1.0,
+                                        "sd": 0.1}},
+                {"name": "X2", "dist": {"kind": "rectangular",
+                                        "lower": 1.0, "upper": 3.0}}]},
+            "method": method,
+            "k": 2.5,
+        }) for method in ("analytic", "taylor1", "taylor2")},
     }
     runs = [[name.split("_")[0], "--config", cfg, "--out",
              str(tmp_path / f"{name}.report.json")]
