@@ -28,13 +28,16 @@ and an exactly known input (u_i = 0) adds 0 even if its c_i overflowed.
 
 Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks with one Philox substream per chunk
-index. The chunks run concurrently, one thread per available core;
-each draws and evaluates one cache-sized block of rows after the other
-from its substream into its fixed offset of one preallocated sample
-vector, so the sample set and its order depend only on M and never on
-the worker count or on which thread finished first. Evaluations outside
-the model's domain come back non-finite; in-place sorting puts them at
-the ends, so the finite ones are a slice of the vector, counted, not
+index, and each chunk is drawn and evaluated one cache-sized block of
+rows after the other, each block continuing the chunk's stream. Each
+available core takes one contiguous span of about M / workers rows of
+blocks, so the workers finish together; one that starts inside a chunk
+advances the chunk's stream past the earlier blocks' draws. Each block
+goes to its fixed offset of one preallocated sample vector, so the
+sample set and its order depend only on M and never on the worker
+count or on which thread finished first. Evaluations outside the
+model's domain come back non-finite; in-place sorting puts them at the
+ends, so the finite ones are a slice of the vector, counted, not
 copied. A Gaussian draw beyond the double range fails the same way
 (no other draw can), and failures in over 1% of the draws abort the
 run with a diagnostic that names such inputs. The mean and standard
@@ -359,34 +362,43 @@ def propagate_monte_carlo(
     k = gaussian_k if k is None else k
     require_positive("coverage factor k", k)
 
-    n_chunks = -(-M // MC_CHUNK_SIZE)
     values = np.empty(M)
-    rows = block_rows(len(joint))
+    rows, C = block_rows(len(joint)), MC_CHUNK_SIZE
+    # block starts in chunk order; no block crosses a chunk boundary
+    starts = [lo for c in range(0, M, C)
+              for lo in range(c, min(c + C, M), rows)]
 
-    def run_chunk(ci: int) -> None:
-        """Draw and evaluate chunk ``ci`` into its slice, block by block."""
-        rng = substream(seed, ci)
-        stop = min((ci + 1) * MC_CHUNK_SIZE, M)
-        for lo in range(ci * MC_CHUNK_SIZE, stop, rows):
+    def run_span(span: list[int]) -> None:
+        """Draw and evaluate each block starting in ``span`` into its slice."""
+        for lo in span:
+            ci, skip = divmod(lo, C)
+            if not skip or lo == span[0]:
+                # a span starting inside a chunk skips the earlier blocks'
+                # uniforms: a Philox step makes 4 words, a double takes 1
+                rng = substream(seed, ci)
+                rng.bit_generator.advance(skip * len(joint) // 4)
+                rng.random(skip * len(joint) % 4)
             # a Gaussian draw beyond the double range is an inf, counted
             # as a failed evaluation
             with np.errstate(over="ignore"):
-                draws = sample(joint, min(rows, stop - lo), rng)
+                draws = sample(joint, min(rows, ci * C + C - lo, M - lo), rng)
             cols = dict(zip(joint.names, draws.T))
             values[lo:lo + len(draws)] = evaluate_batch(expr, cols, len(draws))
 
     from concurrent.futures import ThreadPoolExecutor
 
-    # The calling thread takes every workers-th chunk itself: a helper
-    # thread's malloc arena keeps its memory after the thread exits, so
-    # fewer helpers hold less peak memory. One worker starts no thread.
-    workers = min(_available_cores(), n_chunks)
+    # Worker w takes the blocks from the start nearest w M / workers on;
+    # there are no more workers than M has full blocks. The calling
+    # thread takes span 0: a helper thread's malloc arena keeps its
+    # memory after the thread exits, so fewer helpers hold less memory.
+    workers = max(1, min(_available_cores(), M // rows))
+    at = np.array(starts) * workers
+    cuts = [int(np.abs(at - w * M).argmin()) for w in range(workers)]
+    spans = [starts[a:b] for a, b in zip(cuts, cuts[1:] + [len(starts)])]
     pool = ThreadPoolExecutor(max(workers - 1, 1))
     try:
-        helped = [pool.submit(run_chunk, ci)
-                  for ci in range(n_chunks) if ci % workers]
-        for ci in range(0, n_chunks, workers):
-            run_chunk(ci)
+        helped = [pool.submit(run_span, span) for span in spans[1:]]
+        run_span(spans[0])
         for f in helped:
             f.result()
     finally:

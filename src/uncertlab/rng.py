@@ -3,7 +3,8 @@
 All randomness in the package flows through ``substream(seed, stream)``:
 a numpy ``Generator`` backed by the counter-based Philox bit generator,
 keyed by ``SeedSequence(seed, spawn_key=(stream,))``. Distinct stream
-indices give disjoint substreams: Monte Carlo chunk i draws from stream i,
+indices give disjoint substreams: Monte Carlo chunk i draws from stream i
+(advanced past earlier blocks where a worker starts inside the chunk),
 ``vi.optimize`` all training steps from stream 0 (a block of steps per
 call), ``verify`` its data from stream 1. ``numpy.random`` loads on the
 first call: conformity, predict, taylor and analytic runs never load it.

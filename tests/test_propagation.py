@@ -370,9 +370,9 @@ class TestParallelChunks:
         finally:
             sys.setswitchinterval(old)
 
-    def check_against_serial(self, expr, joint, seed):
-        ref, failures = serial_reference(expr, joint, self.M, seed)
-        r, ecdf = propagate_monte_carlo(expr, joint, M=self.M, seed=seed)
+    def check_against_serial(self, expr, joint, seed, M=M):
+        ref, failures = serial_reference(expr, joint, M, seed)
+        r, ecdf = propagate_monte_carlo(expr, joint, M=M, seed=seed)
         assert np.array_equal(ecdf.sorted_values, ref)
         assert r.y == float(np.mean(ref))
         assert r.u == float(np.std(ref, ddof=1))
@@ -381,7 +381,7 @@ class TestParallelChunks:
         return failures
 
     # 4 workers on a 2-core host: more threads than cores
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_correlated_joint_matches_serial(self, monkeypatch, workers):
         force_workers(monkeypatch, workers)
         joint = gaussian_joint([1.0, -2.0], [0.3, 0.5],
@@ -390,7 +390,9 @@ class TestParallelChunks:
             parse_model("X1 * X2 + sin(X1)"), joint, seed=11)
         assert sum(failures) == 0
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    # three inputs make 21,845-row blocks, so a worker that starts inside
+    # a chunk skips a number of uniforms that is not whole Philox steps
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_mixed_marginals_match_serial(self, monkeypatch, workers):
         force_workers(monkeypatch, workers)
         joint = JointInputModel([
@@ -401,7 +403,7 @@ class TestParallelChunks:
             parse_model("X1 * X2 / (1 + X3) + sin(X3)"), joint, seed=13)
         assert sum(failures) == 0
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_domain_failures_match_serial(self, monkeypatch, workers):
         force_workers(monkeypatch, workers)
         # P(X1 <= 0) = Phi(-3): about 0.13% of the draws fail
@@ -410,7 +412,7 @@ class TestParallelChunks:
                                              seed=5)
         assert sum(1 for f in failures if f) >= 3
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_infinite_and_nan_outputs_match_serial(self, monkeypatch,
                                                    workers):
         force_workers(monkeypatch, workers)
@@ -431,20 +433,89 @@ class TestParallelChunks:
         real_substream = propagation.substream
         raised_on = []
 
+        # one input: the calling thread draws chunks 0 and 1, the helper
+        # chunks 2 and 3
         def failing_substream(seed, stream=0):
-            if stream == 1:
+            if stream == 3:
                 raised_on.append(threading.current_thread())
-                raise RuntimeError("chunk 1 failed")
+                raise RuntimeError("chunk 3 failed")
             return real_substream(seed, stream)
 
         monkeypatch.setattr(propagation, "substream", failing_substream)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
             propagate_monte_carlo(parse_model("X1"),
                                   gaussian_joint([0.0], [1.0]), M=self.M,
                                   seed=0)
         assert raised_on and raised_on[0] is not threading.main_thread()
         assert threading.active_count() == before
+
+    # Spans of blocks that start inside a chunk: 32,768-row blocks cut
+    # inside chunk 1 at the default M; 2,730-row blocks at a ragged M
+    SPAN_CASES = {
+        "two_inputs": ("X1 * X2 + sin(X1)",
+                       gaussian_joint([1.0, -2.0], [0.3, 0.5]), 200_000),
+        "24_inputs": (" + ".join(f"sin(X{i})" for i in range(1, 25)),
+                      gaussian_joint([0.1 * i for i in range(24)],
+                                     [0.01] * 24),
+                      2 * MC_CHUNK_SIZE + 4321),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", SPAN_CASES)
+    def test_span_starting_inside_a_chunk_matches_serial(self, monkeypatch,
+                                                         case, workers):
+        force_workers(monkeypatch, workers)
+        expression, joint, M = self.SPAN_CASES[case]
+        failures = self.check_against_serial(parse_model(expression), joint,
+                                             seed=3, M=M)
+        assert sum(failures) == 0
+
+    def rows_per_thread(self, monkeypatch, expr, joint, M):
+        """Rows each thread draws in one Monte Carlo run, by thread id."""
+        rows = {}
+        real_sample = propagation.sample
+
+        def counting_sample(joint, count, rng):
+            tid = threading.get_ident()
+            rows[tid] = rows.get(tid, 0) + count
+            return real_sample(joint, count, rng)
+
+        monkeypatch.setattr(propagation, "sample", counting_sample)
+        propagate_monte_carlo(expr, joint, M=M, seed=1)
+        return rows
+
+    def test_two_workers_draw_half_each(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        rows = self.rows_per_thread(
+            monkeypatch, parse_model("X1 * X2"),
+            gaussian_joint([1.0, 2.0], [0.1, 0.2]), 200_000)
+        # the cut is the block start nearest M / 2, so within half a
+        # 32,768-row block of it; whole chunks dealt out round-robin had
+        # drawn 131,072 against 68,928
+        assert len(rows) == 2 and sum(rows.values()) == 200_000
+        assert all(abs(n - 100_000) <= 16_384 for n in rows.values())
+
+    def test_no_helper_without_a_full_block_each(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        # 16,384-row blocks: 20,000 draws are one full block and a part
+        rows = self.rows_per_thread(
+            monkeypatch, parse_model("X1 + X2 + X3 + X4"),
+            gaussian_joint([0.0] * 4, [1.0] * 4), 20_000)
+        assert rows == {threading.get_ident(): 20_000}
+
+
+@pytest.mark.parametrize("n_inputs", [1, 2, 3, 5, 24])
+def test_advanced_substream_continues_a_fresh_one(n_inputs):
+    # a span's first block skips k uniforms of its chunk's stream: k // 4
+    # Philox counter steps of four words, then k % 4 single doubles
+    for blocks in (1, 2, 3):
+        k = blocks * propagation.block_rows(n_inputs) * n_inputs
+        rng = substream(7, 2)
+        rng.bit_generator.advance(k // 4)
+        rng.random(k % 4)
+        fresh = substream(7, 2).random(k + 100)
+        assert np.array_equal(rng.random(100), fresh[k:])
 
 
 class TestMonteCarloMemory:
