@@ -69,9 +69,13 @@ class Gaussian:
     def mean_and_u(self) -> tuple[float, float]:
         return self.mean, self.sd
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
+    def ppf(self, u: np.ndarray, out=None) -> np.ndarray:
+        """Inverse CDF at u, written into ``out`` if given (may be u)."""
         from scipy import special
-        return self.mean + self.sd * special.ndtri(u)
+        x = special.ndtri(u, out=out)
+        x *= self.sd
+        x += self.mean
+        return x
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,13 @@ class Rectangular:
         a, b = 0.5 * self.lower, 0.5 * self.upper
         return a + b, (b - a) / math.sqrt(3.0)
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
+    def ppf(self, u: np.ndarray, out=None) -> np.ndarray:
+        """Inverse CDF at u, written into ``out`` if given (may be u)."""
         a, b = 0.5 * self.lower, 0.5 * self.upper
-        return (a + (b - a) * u) * 2.0
+        x = np.multiply(u, b - a, out=out)
+        x += a
+        x *= 2.0
+        return x
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,20 @@ class Triangular:
         a, m, b = 0.25 * self.lower, 0.25 * self.mode, 0.25 * self.upper
         return 4.0 * ((a + m + b) / 3.0), math.hypot(a - m, a - b, m - b) / 1.5
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
+    def ppf(self, u: np.ndarray, out=None) -> np.ndarray:
+        """Inverse CDF at u, written into ``out`` if given (may be u)."""
         # on the bounds times 2^-e, below 1 in size: no product overflows
         e = math.frexp(max(-self.lower, self.upper))[1]
         a, m, b = np.ldexp([self.lower, self.mode, self.upper], -e)
-        left = a + np.sqrt(np.maximum(u, 0.0) * (b - a) * (m - a))
+        # the right branch and the split read u before ``out`` is written
         right = b - np.sqrt(np.maximum(1.0 - u, 0.0) * (b - a) * (b - m))
-        x = np.where(u < (m - a) / (b - a), left, right)
+        on_right = ~(u < (m - a) / (b - a))
+        x = np.maximum(u, 0.0, out=np.empty(np.shape(u)) if out is None
+                       else out)
+        x *= b - a
+        x *= m - a
+        np.add(np.sqrt(x, out=x), a, out=x)
+        np.copyto(x, right, where=on_right)
         return np.ldexp(x, e, out=x)
 
 
@@ -210,27 +225,29 @@ def sample(joint: JointInputModel, count: int,
            rng: "np.random.Generator") -> np.ndarray:
     """Draw ``count`` joint realizations from ``rng``, shape (count, N).
 
-    Uniforms are mapped through each marginal's inverse CDF; under
-    correlation the standard-normal columns are mixed by the Cholesky
-    factor first, then scaled by each input's u and shifted by its mean.
-    The generator's stream carries on from one call to the next, so
-    calls of a and b rows give the rows of one (a + b)-row call, except
-    that a one-row correlated call may round its last bit otherwise
-    (BLAS gemv).
+    Uniforms are copied into an (N, count) buffer, one contiguous row
+    per input. Without correlation each row is mapped in place by its
+    marginal's inverse CDF, and the result is the buffer's transpose:
+    each input's draws are one contiguous column. Under correlation the
+    standard-normal rows are mixed by the Cholesky factor first, then
+    scaled by each input's u and shifted by its mean. The generator's
+    stream carries on from one call to the next, so calls of a and b
+    rows give the rows of one (a + b)-row call, except that a one-row
+    correlated call may round its last bit otherwise (BLAS gemv).
     """
-    u = rng.random((count, len(joint)))
     # random() yields [0, 1); nudge exact zeros so ndtri stays finite
-    np.maximum(u, np.finfo(np.float64).tiny, out=u)
+    cols = np.maximum(rng.random((count, len(joint))).T,
+                      np.finfo(np.float64).tiny,
+                      out=np.empty((len(joint), count)))
     if joint.chol is not None:
         from scipy import special
-        z = special.ndtri(u, out=u) @ joint.chol.T
+        z = special.ndtri(cols, out=cols).T @ joint.chol.T
         z *= joint.u
         z += joint.means
         return z
-    # each column is mapped in place: ppf reads only its own column
-    for i, q in enumerate(joint.quantities):
-        u[:, i] = q.marginal.ppf(u[:, i])
-    return u
+    for q, col in zip(joint.quantities, cols):
+        q.marginal.ppf(col, out=col)
+    return cols.T
 
 
 def normal_quantile(p) -> Union[float, np.ndarray]:

@@ -33,20 +33,22 @@ rows after the other, each block continuing the chunk's stream. Each
 available core takes one contiguous span of about M / workers rows of
 blocks, so the workers finish together; one that starts inside a chunk
 advances the chunk's stream past the earlier blocks' draws. Each block
-goes to its fixed offset of one preallocated sample vector, so the
-sample set and its order depend only on M and never on the worker
-count or on which thread finished first. Evaluations outside the
-model's domain come back non-finite; in-place sorting puts them at the
-ends, so the finite ones are a slice of the vector, counted, not
-copied. A Gaussian draw beyond the double range fails the same way
-(no other draw can), and failures in over 1% of the draws abort the
-run with a diagnostic that names such inputs. The mean and standard
-deviation are numpy's bit for bit, with no M-sized copy: a run holds
-8 bytes per draw plus one block of draws and its temporaries per
-worker. A statistic whose sum leaves the double range is taken again
-on the values scaled by a power of two, exactly. ``concurrent.futures``
-is imported by the first Monte Carlo run, so the other methods never
-load it.
+goes to its fixed offset of one preallocated sample vector as value +
+0.0, which stores a -0.0 as 0.0. Once every span is in, the vector is
+partitioned in place at ranks w M / workers and each worker sorts one
+piece. With no -0.0 left, finite values that compare equal have equal
+bits, so the sorted sample depends only on M, never on the worker count
+or on which thread finished first. Evaluations outside the model's
+domain come back non-finite; sorting puts them at the ends, so the
+finite ones are a slice of the vector, counted, not copied. A Gaussian
+draw beyond the double range fails the same way (no other draw can),
+and failures in over 1% of the draws abort the run with a diagnostic
+that names such inputs. The mean and standard deviation are numpy's bit
+for bit, with no M-sized copy: a run holds 8 bytes per draw plus one
+block of draws and its temporaries per worker. A statistic whose sum
+leaves the double range is taken again on the values scaled by a power
+of two, exactly. ``concurrent.futures`` is imported by the first Monte
+Carlo run, so the other methods never load it.
 
 Every method returns a :class:`MeasurementResult`, the type a virtual
 measurement (:func:`~uncertlab.vi.predict_parts`) returns too.
@@ -383,7 +385,9 @@ def propagate_monte_carlo(
             with np.errstate(over="ignore"):
                 draws = sample(joint, min(rows, ci * C + C - lo, M - lo), rng)
             cols = dict(zip(joint.names, draws.T))
-            values[lo:lo + len(draws)] = evaluate_batch(expr, cols, len(draws))
+            # + 0.0 stores a -0.0 as 0.0: zeros sort alike in any split
+            np.add(evaluate_batch(expr, cols, len(draws)), 0.0,
+                   out=values[lo:lo + len(draws)])
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -395,18 +399,27 @@ def propagate_monte_carlo(
     at = np.array(starts) * workers
     cuts = [int(np.abs(at - w * M).argmin()) for w in range(workers)]
     spans = [starts[a:b] for a, b in zip(cuts, cuts[1:] + [len(starts)])]
+    ranks = [M * w // workers for w in range(workers + 1)]
+    pieces = [values[a:b] for a, b in zip(ranks, ranks[1:])]
     pool = ThreadPoolExecutor(max(workers - 1, 1))
-    try:
-        helped = [pool.submit(run_span, span) for span in spans[1:]]
-        run_span(spans[0])
+
+    def each(task, items: list) -> None:
+        """Run ``task`` on every item, the first on the calling thread."""
+        helped = [pool.submit(task, item) for item in items[1:]]
+        task(items[0])
         for f in helped:
             f.result()
+
+    try:
+        each(run_span, spans)
+        if workers > 1:
+            values.partition(ranks[1:-1])
+        each(np.ndarray.sort, pieces)
     finally:
         pool.shutdown(cancel_futures=True)
 
     # numpy sorts -inf first and +inf and NaN last, so the finite
     # evaluations are one slice of the sorted buffer: no filtered copy
-    values.sort()
     values = values[np.searchsorted(values, -np.inf, "right"):
                     np.searchsorted(values, np.inf, "left")]
     n_valid = len(values)

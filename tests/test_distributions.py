@@ -105,6 +105,19 @@ def make_marginal(a, m, b):
     return Rectangular(a, b) if m is None else Triangular(a, m, b)
 
 
+def edge_grid(m):
+    """The draws' edge grid; for a triangular ``m`` also its mode split
+    and the doubles either side of it."""
+    v = [np.linspace(0.0, 1.0, 1001),
+         [np.finfo(np.float64).tiny, 2.0 ** -53, 1.0 - 2.0 ** -53]]
+    if isinstance(m, Triangular):
+        e = math.frexp(max(-m.lower, m.upper))[1]
+        a, md, b = np.ldexp([m.lower, m.mode, m.upper], -e)
+        split = (md - a) / (b - a)
+        v.append([np.nextafter(split, 0.0), split, np.nextafter(split, 1.0)])
+    return np.concatenate(v)
+
+
 class TestScaledForms:
     @pytest.mark.parametrize("a, m, b", SCALED_BOUNDS)
     def test_mean_and_u_against_mpmath(self, a, m, b):
@@ -115,11 +128,9 @@ class TestScaledForms:
 
     @pytest.mark.parametrize("a, m, b", SCALED_BOUNDS)
     def test_draws_are_finite_and_inside_the_bounds(self, a, m, b):
-        v = np.concatenate([np.linspace(0.0, 1.0, 1001),
-                            [np.finfo(np.float64).tiny, 2.0 ** -53,
-                             1.0 - 2.0 ** -53]])
+        dist = make_marginal(a, m, b)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x = make_marginal(a, m, b).ppf(v)
+            x = dist.ppf(edge_grid(dist))
         assert np.all(np.isfinite(x))
         assert np.all((a <= x) & (x <= b))
 
@@ -139,6 +150,31 @@ class TestScaledForms:
                 dist = make_marginal(a, mode, b)
                 assert dist.mean_and_u() == want[:2], (a, mode, b)
                 assert np.array_equal(dist.ppf(v), want[2]), (a, mode, b)
+
+
+class TestPpfOut:
+    @staticmethod
+    def check(marginal):
+        v = edge_grid(marginal)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = marginal.ppf(v)
+            u = v.copy()
+            got = marginal.ppf(u, out=u)
+            scalars = [marginal.ppf(x) for x in v.tolist()]
+        assert got is u
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.array(scalars).view(np.int64),
+                              want.view(np.int64))
+
+    # u = 0 maps to -inf, and to NaN where sd = 0
+    @pytest.mark.parametrize("marginal", [
+        Gaussian(-3.0, 0.7), Gaussian(1e300, 1e-300), Gaussian(2.0, 0.0)])
+    def test_gaussian_ppf_into_u_is_ppf_bit_for_bit(self, marginal):
+        self.check(marginal)
+
+    @pytest.mark.parametrize("a, m, b", SCALED_BOUNDS)
+    def test_scaled_ppf_into_u_is_ppf_bit_for_bit(self, a, m, b):
+        self.check(make_marginal(a, m, b))
 
 
 class TestQuantileFunctions:
@@ -308,7 +344,10 @@ class TestSampling:
         u = np.maximum(u, np.finfo(np.float64).tiny)
         ref = np.column_stack([q.marginal.ppf(u[:, i].copy())
                                for i, q in enumerate(joint.quantities)])
-        assert np.array_equal(sample(joint, 5000, substream(8, 3)), ref)
+        x = sample(joint, 5000, substream(8, 3))
+        # one contiguous column per input
+        assert x.shape == (5000, 3) and x.flags.f_contiguous
+        assert np.array_equal(x, ref)
 
     # a one-row product under correlation goes to BLAS gemv, which may
     # round differently, so the correlated pair splits at two rows or more
