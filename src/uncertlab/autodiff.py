@@ -38,6 +38,10 @@ the scalar evaluator. A walk runs without the fix and is made again
 with it only when it ends in NaN. Results are exact up to
 floating-point rounding; there is no step size.
 
+Function nodes and constant powers share one series composition. For
+every constant n the k-th derivative of a^n is n (n-1) ... (n-k+1)
+a^(n-k), each power by the scalar evaluator's rule, and an exact 0.0
+past an integer n's degree, so a zero base never meets a negative power.
 Domain rules match the scalar evaluator, with one addition: points
 where the model's value exists but a derivative does not (sqrt at zero)
 raise :class:`~uncertlab.errors.DomainError`, since a truncated series
@@ -145,11 +149,14 @@ def _sum_terms(terms: np.ndarray, table: _Table) -> np.ndarray:
 
 
 def _scaled(g: float, pk: np.ndarray) -> np.ndarray:
-    """g * pk, where a zero coefficient of pk stays zero even when g
-    overflowed: the true g is finite, so inf * 0 = NaN would be wrong."""
+    """g * pk, where an exactly-zero factor gives 0, not inf * 0 = NaN:
+    a zero of pk when g overflowed, and a zero g (a power past its
+    degree) when pk did."""
     term = g * pk
     if not math.isfinite(g):
         term[pk == 0.0] = 0.0
+    elif g == 0.0:
+        term[np.isnan(term)] = 0.0
     return term
 
 
@@ -187,38 +194,17 @@ def _div(x: np.ndarray, y: np.ndarray, mul: Callable) -> np.ndarray:
     return out
 
 
-def _int_pow(u: np.ndarray, n: int, mul: Callable) -> np.ndarray:
-    """u**n for n >= 0 by square-and-multiply on the polynomial itself.
-
-    Staying in polynomial arithmetic keeps integer powers exact at any
-    base, including zero, where the series-composition route would
-    divide by the base value.
-    """
-    result = _constant(1.0, len(u))
-    base = u
-    while n:
-        if n & 1:
-            result = mul(result, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return result
-
-
-def _pow_const(u: np.ndarray, exponent: float, mul: Callable) -> np.ndarray:
+def _pow_const(u: np.ndarray, n: float, mul: Callable) -> np.ndarray:
+    """u^n composed from d^k a^n / da^k = n (n-1) ... (n-k+1) a^(n-k),
+    an exact 0.0 once the falling factorial or the power is 0, so no
+    zero base meets a negative power and no 0 * inf is formed."""
     a = u[0, 0]
-    value = checked_pow(a, exponent)
-    if math.isfinite(exponent) and exponent == int(exponent):
-        n = int(exponent)
-        out = _int_pow(u, abs(n), mul)
-        if n < 0:
-            out = _div(_constant(1.0, len(u)), out, mul)
-        out[0] = value
-        return out
-    g1 = exponent * a ** (exponent - 1.0)
-    g2 = exponent * (exponent - 1.0) * a ** (exponent - 2.0)
-    g3 = exponent * (exponent - 1.0) * (exponent - 2.0) * a ** (exponent - 3.0)
-    return _compose(u, value, g1, g2, g3, mul)
+    g, factor = [checked_pow(a, n)], 1.0
+    for k in (1, 2, 3):
+        factor *= n - k + 1
+        power = checked_pow(a, n - k) if factor else 0.0
+        g.append(factor * power if power else 0.0)
+    return _compose(u, *g, mul)
 
 
 def _apply_function(fn: str, u: np.ndarray, mul: Callable) -> np.ndarray:

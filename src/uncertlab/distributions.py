@@ -1,4 +1,4 @@
-"""Input-quantity distributions: mean and u, sampling, the normal quantile.
+"""Input-quantity distributions: mean and u, and sampling.
 
 Each input quantity of a measurement model carries one marginal
 distribution in its physical unit: gaussian, rectangular, or
@@ -17,10 +17,8 @@ u are closed form, never estimated, and u squares nothing, so it is
 right wherever it is itself a double; no variance is kept. Rectangular
 and triangular ones, and draws, scale the bounds by a power of two
 (exactly), so only a Gaussian draw can leave the double range.
-
-``scipy.special`` is imported inside the functions that call it, so a
-run that never draws Gaussian samples or evaluates the normal quantile
-never loads scipy.
+``scipy.special`` is imported by the Gaussian draws alone, so a run
+that draws none never loads scipy.
 """
 
 import math
@@ -40,7 +38,6 @@ __all__ = [
     "InputQuantity",
     "JointInputModel",
     "sample",
-    "normal_quantile",
 ]
 
 
@@ -248,13 +245,3 @@ def sample(joint: JointInputModel, count: int,
     for q, col in zip(joint.quantities, cols):
         q.marginal.ppf(col, out=col)
     return cols.T
-
-
-def normal_quantile(p) -> Union[float, np.ndarray]:
-    """Standard normal quantile Phi^-1(p) for p in the open unit interval."""
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ConfigError(f"quantile probability must lie in (0, 1), got {p}")
-    from scipy import special
-    out = special.ndtri(arr)
-    return float(out) if np.isscalar(p) else out

@@ -506,7 +506,8 @@ def constant_exponent(node: Node) -> float:
 
 
 def checked_pow(base: float, exponent: float) -> float:
-    """``base ** exponent`` with the grammar's domain rules applied."""
+    """``base ** exponent`` with the grammar's domain rules applied; an
+    overflow is an inf of the power's sign."""
     if math.isfinite(exponent) and exponent == int(exponent):
         if base == 0.0 and exponent < 0:
             raise DomainError("zero base raised to a negative power")
@@ -516,7 +517,7 @@ def checked_pow(base: float, exponent: float) -> float:
     try:
         return math.pow(base, exponent)
     except OverflowError:
-        return math.inf
+        return -math.inf if base < 0.0 and exponent % 2 else math.inf
     except ValueError as err:
         raise DomainError(f"power {base} ^ {exponent} undefined") from err
 

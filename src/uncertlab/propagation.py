@@ -67,7 +67,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .autodiff import DerivativeBundle, derivatives
-from .distributions import JointInputModel, normal_quantile, sample
+from .distributions import JointInputModel, sample
 from .errors import (ConfigError, MonteCarloError, require_integer,
                      require_positive)
 from .expr import MeasurementModelExpr, affinity, evaluate_batch
@@ -175,16 +175,14 @@ def implied_coverage(k: float) -> float:
 
 def resolve_coverage(k: float,
                      coverage: Optional[float]) -> tuple[float, float]:
-    """The (k, coverage) pair of one choice.
-
-    k and coverage are two views of one choice: an explicit coverage
-    wins and fixes k as its two-sided Gaussian factor; otherwise k
-    implies the Gaussian coverage :func:`implied_coverage`.
-    """
+    """The (k, coverage) pair of one choice: an explicit coverage wins
+    and fixes k as sqrt(2) erfinv(coverage), the exact inverse of
+    :func:`implied_coverage`; otherwise k implies that coverage."""
     if coverage is not None:
         if not 0.0 < coverage < 1.0:
             raise ConfigError(f"coverage must lie in (0, 1), got {coverage}")
-        return float(normal_quantile(0.5 * (1.0 + coverage))), float(coverage)
+        from scipy.special import erfinv
+        return math.sqrt(2.0) * float(erfinv(coverage)), float(coverage)
     require_positive("coverage factor k", k)
     return float(k), implied_coverage(k)
 

@@ -169,14 +169,15 @@ class TestContract:
         with pytest.raises(DomainError):
             derivatives(m, {"X1": 0.0}, order=1)
 
-    def test_integer_power_at_zero_base_is_exact(self):
-        # polynomial powers must not go through exp/ln
-        m = parse_model("X1 ^ 3")
-        b = derivatives(m, {"X1": 0.0}, order=3)
-        assert b.value == 0.0
-        assert b.grad[0] == 0.0
-        assert b.hess[0, 0] == 0.0
-        assert b.third_mixed[0, 0] == 6.0
+    @pytest.mark.parametrize("n", range(8))
+    def test_integer_power_at_zero_base_is_exact(self, n):
+        # the k-th derivative of X1^n at 0 is n! at k = n, 0 otherwise:
+        # no derivative past the degree raises 0 to a negative power
+        b = derivatives(parse_model(f"X1 ^ {n}"), {"X1": 0.0}, order=3)
+        assert b.value == (1.0 if n == 0 else 0.0)
+        assert b.grad.tolist() == [1.0 if n == 1 else 0.0]
+        assert b.hess.tolist() == [[2.0 if n == 2 else 0.0]]
+        assert b.third_mixed.tolist() == [[6.0 if n == 3 else 0.0]]
 
 
 class TestRandomSweep:
@@ -440,6 +441,171 @@ class TestOverflowingDerivatives:
         with pytest.raises(DomainError, match="sin of infinite value"):
             derivatives(parse_model("sin(X1 * X2)"),
                         {"X1": 1e200, "X2": 1e200}, order=1)
+
+
+def falling(n, k):
+    """n (n - 1) ... (n - k + 1) in mpmath."""
+    out = mpmath.mpf(1)
+    for i in range(k):
+        out *= mpmath.mpf(n) - i
+    return out
+
+
+def power_product(*exponents):
+    """Partial of X1^n1 X2^n2 ... of the given orders, in closed form."""
+    def partial_at(point, orders):
+        out = mpmath.mpf(1)
+        for x, n, k in zip(point, exponents, orders):
+            out *= falling(n, k) * mpmath.mpf(x) ** (mpmath.mpf(n) - k)
+        return out
+    return partial_at
+
+
+def power_of_sum(n):
+    """Partial of (X1 + X2 + ...)^n of the given orders, in closed form."""
+    def partial_at(point, orders):
+        total = sum(mpmath.mpf(x) for x in point)
+        return falling(n, sum(orders)) * total ** (n - sum(orders))
+    return partial_at
+
+
+# power models, the closed form of their partials, and whether their
+# bases may be negative
+POWER_MODELS = [
+    ("X1 ^ -2", power_product(-2), True),
+    ("X1 ^ -3 * X2", power_product(-3, 1), True),
+    ("X1 ^ -4", power_product(-4), True),
+    ("X1 ^ -1", power_product(-1), True),
+    ("X1 ^ 2", power_product(2), True),
+    ("X1 ^ 3", power_product(3), True),
+    ("X1 ^ 5", power_product(5), True),
+    ("X1 ^ 7", power_product(7), True),
+    ("(X1 + X2) ^ 3", power_of_sum(3), True),
+    ("X1 ^ 2.5", power_product("2.5"), False),
+    ("X1 ^ -0.5 * X2 ^ 2", power_product("-0.5", 2), False),
+]
+
+# the bases of the power sweep: signed zeros, tiny and subnormal values,
+# values whose powers overflow, and ordinary ones
+POWER_BASES = (0.0, -0.0, 1e-170, -1e-170, 5e-324, -5e-324, 1e-300,
+               1e200, -1e200, 1.7e308, 0.3, -2.5, 7.0)
+
+
+class TestConstantPowers:
+    """Every constant power takes the function nodes' composition, with
+    derivatives n (n - 1) ... (n - k + 1) a^(n - k) by the scalar
+    evaluator's power rule."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_negative_power_of_a_tiny_base_is_no_division(self, order):
+        # X1^-2 overflows to inf at X1 = -1e-170; the model has no
+        # division, so no "division by zero": the value is evaluate's
+        m = parse_model("X1 ^ -2 * (X1 - X3)")
+        at = {"X1": -1e-170, "X3": 0.0}
+        assert derivatives(m, at, order).value == evaluate(m, at) == -math.inf
+
+    def test_sweep_matches_the_scalar_evaluator(self):
+        # value bits where evaluate returns, its message where it refuses
+        cases = mismatches = refused = 0
+        for n in range(-4, 8):
+            m = parse_model(f"X1 ^ {n}")
+            for a in POWER_BASES:
+                try:
+                    want = np.float64(evaluate(m, {"X1": a})).tobytes()
+                except DomainError as err:
+                    want = str(err)
+                    refused += 1
+                for order in (1, 2, 3):
+                    try:
+                        got = np.float64(
+                            derivatives(m, {"X1": a}, order).value).tobytes()
+                    except DomainError as err:
+                        got = str(err)
+                    cases += 1
+                    mismatches += got != want
+        assert cases == 468 and mismatches == 0
+        assert refused == 4 * 2     # negative powers of the two zeros
+
+    @pytest.mark.parametrize("text,partial_at,signed", POWER_MODELS,
+                             ids=[model[0] for model in POWER_MODELS])
+    def test_order_1_gradient_is_order_3_gradient(self, text, partial_at,
+                                                  signed):
+        m = parse_model(text)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = rng.uniform(0.1, 3.0, len(m.variables))
+            if signed:
+                x *= rng.choice([-1.0, 1.0], len(x))
+            at = dict(zip(m.variables, x))
+            one, three = derivatives(m, at, 1), derivatives(m, at, 3)
+            assert one.grad.tobytes() == three.grad.tobytes()
+            assert one.value == three.value
+
+    def test_zero_base_in_pair_columns(self):
+        # d2/dX1 dX2 (X1 + X2)^2 = 2 and d3/dX1 dX2^2 (X1 + X2)^3 = 6 at 0
+        at = {"X1": 0.0, "X2": 0.0}
+        b = derivatives(parse_model("(X1 + X2) ^ 2"), at, 3)
+        assert b.hess.tolist() == [[2.0, 2.0], [2.0, 2.0]]
+        assert b.third_mixed.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        b = derivatives(parse_model("(X1 + X2) ^ 3"), at, 3)
+        assert b.hess.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert b.third_mixed.tolist() == [[6.0, 6.0], [6.0, 6.0]]
+
+    @pytest.mark.parametrize("text,partial_at,signed", POWER_MODELS,
+                             ids=[model[0] for model in POWER_MODELS])
+    def test_against_closed_forms(self, text, partial_at, signed):
+        # gradient, Hessian and d3 / dx_i dx_j^2 against the closed forms
+        # at 50 digits: within 1e-15 relative, and exactly 0 where the
+        # partial is 0
+        m = parse_model(text)
+        names = m.variables
+        rng = np.random.default_rng(200)
+        worst = 0.0
+        for _ in range(40):
+            x = rng.uniform(0.1, 3.0, len(names))
+            if signed:
+                x *= rng.choice([-1.0, 1.0], len(x))
+            b = derivatives(m, dict(zip(names, x)), 3)
+            for i in range(len(names)):
+                for j in range(len(names)):
+                    for got, orders in (
+                            (b.grad[i], {i: 1}),
+                            (b.hess[i, j], {i: 1, j: 1 + (i == j)}),
+                            (b.third_mixed[i, j],
+                             {i: 1 + 2 * (i == j), j: 2 + (i == j)})):
+                        want = partial_at(
+                            x, [orders.get(v, 0) for v in range(len(names))])
+                        if want == 0:
+                            assert got == 0.0, (text, x, orders)
+                        else:
+                            worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-15, (text, worst)
+
+    @pytest.mark.parametrize("text,at,want", [
+        ("X1 ^ 4", -1e200, [math.inf, -math.inf, math.inf, -2.4e201]),
+        ("X1 ^ 5", -1e200, [-math.inf, math.inf, -math.inf, math.inf]),
+        ("X1 ^ -4", -1e-170, [math.inf] * 4),
+    ])
+    def test_overflowing_derivatives_keep_their_sign(self, text, at, want):
+        # an odd power of a negative base overflows to -inf
+        b = derivatives(parse_model(text), {"X1": at}, 3)
+        assert [b.value, b.grad[0], b.hess[0, 0],
+                b.third_mixed[0, 0]] == want
+
+    @pytest.mark.parametrize("text,at", [
+        ("(X1 * 1e300 * 1e300) ^ 0 + X2", 1.0),
+        ("(X1 * 1e300) ^ 1 + X2", 0.0),
+        ("(X1 * 1e300) ^ 2 + X2", 0.0),
+        ("X1 ^ 1e300 + X2", 0.5),
+    ])
+    def test_derivative_past_the_degree_meets_no_overflow(self, text, at):
+        # a zero derivative times a perturbation power that overflowed
+        # (or an underflowed power times an overflowed factor) is 0, not
+        # 0 * inf = NaN
+        b = derivatives(parse_model(text), {"X1": at, "X2": 1.0}, 3)
+        assert not np.isnan(b.hess).any()
+        assert not np.isnan(b.third_mixed).any()
+        assert b.grad[1] == 1.0 and b.third_mixed[0, 0] == 0.0
 
 
 def pair_list(text, names=None):

@@ -402,6 +402,37 @@ class TestPropagate:
         assert m["interval"] == [float(lines[1]), float(lines[-1])]
         assert m["U"] == 9.0 * m["u"]
 
+    def test_coverage_next_to_one_gives_its_factor(self, capsys, tmp_path,
+                                                   propagate_config):
+        # the largest double below 1 is a valid coverage: k is
+        # sqrt(2) erfinv(coverage), with no 1 + coverage rounded to 2
+        doc = json.load(open(propagate_config))
+        doc.update(method="taylor1", coverage=0.9999999999999999)
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 write_json(tmp_path / "c1.json", doc))
+        assert code == 0 and err == ""
+        m = json.loads(out)["results"]["measurement"]
+        assert m["k"] == 8.292361075813595 and m["U"] == m["k"] * m["u"]
+
+    def test_negative_power_overflow_is_refused_as_non_finite(
+            self, capsys, tmp_path, propagate_config):
+        # X1^-2 overflows at X1 = -1e-170, so y = -inf: the report refuses
+        # a non-finite number; the model has no division by zero
+        doc = json.load(open(propagate_config))
+        doc.update(method="taylor1",
+                   model={"expression": "X1 ^ -2 * (X1 - X3)"},
+                   inputs={"quantities": [
+                       {"name": "X1", "dist": {"kind": "gaussian",
+                                               "mean": -1e-170, "sd": 1e-171}},
+                       {"name": "X3", "dist": {"kind": "gaussian",
+                                               "mean": 0.0, "sd": 0.1}}]})
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 write_json(tmp_path / "pow.json", doc))
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "DomainError"
+        assert e["message"].startswith("result holds a non-finite number")
+
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):
         doc = json.load(open(propagate_config))

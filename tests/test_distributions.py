@@ -8,8 +8,7 @@ import pytest
 from scipy import special, stats
 
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
-                                     Rectangular, Triangular, normal_quantile,
-                                     sample)
+                                     Rectangular, Triangular, sample)
 from uncertlab.errors import ConfigError
 from uncertlab.rng import substream
 
@@ -197,16 +196,6 @@ class TestQuantileFunctions:
         for p in (0.025, 0.5, 0.975):
             x = d.ppf(p)
             assert special.ndtr((x - 1.0) / 2.0) == pytest.approx(p, rel=1e-12)
-
-    def test_normal_quantile_oracle_value(self):
-        assert normal_quantile(0.975) == pytest.approx(
-            1.959963984540054, abs=1e-12)
-
-    def test_normal_quantile_domain(self):
-        with pytest.raises(ConfigError):
-            normal_quantile(0.0)
-        with pytest.raises(ConfigError):
-            normal_quantile(1.0)
 
 
 class TestValidation:

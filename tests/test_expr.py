@@ -182,6 +182,20 @@ class TestEvaluation:
     def test_integer_power_of_negative_base_is_fine(self):
         assert evaluate(parse_model("X1 ^ 3"), {"X1": -2.0}) == -8.0
 
+    @pytest.mark.parametrize("text,at,want", [
+        ("X1 ^ 309", -10.0, -math.inf),
+        ("X1 ^ 3", -1e200, -math.inf),
+        ("X1 ^ -3", -1e-170, -math.inf),
+        ("X1 ^ 4", -1e200, math.inf),
+        ("-(X1 ^ 3)", -1e200, math.inf),
+    ])
+    def test_overflowing_power_keeps_its_sign(self, text, at, want):
+        # as numpy's batch power does: an odd power of a negative base
+        # overflows to -inf
+        m = parse_model(text)
+        assert evaluate(m, {"X1": at}) == want
+        assert evaluate_batch(m, {"X1": np.array([at])}).tolist() == [want]
+
     @pytest.mark.parametrize("text,at", [
         ("sin(X1 * X2)", {"X1": 1e200, "X2": 1e200}),
         ("sin(exp(X1))", {"X1": 800.0}),

@@ -12,14 +12,14 @@ import pytest
 
 from uncertlab import propagation
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
-                                     Rectangular, Triangular, normal_quantile,
-                                     sample)
+                                     Rectangular, Triangular, sample)
 from uncertlab.errors import ConfigError, DomainError, MonteCarloError
 from uncertlab.expr import evaluate_batch, parse_model
 from uncertlab.propagation import (MC_CHUNK_SIZE, EmpiricalCDF,
                                    implied_coverage, propagate_analytic,
                                    propagate_monte_carlo, propagate_taylor1,
-                                   propagate_taylor2, sensitivity_budget)
+                                   propagate_taylor2, resolve_coverage,
+                                   sensitivity_budget)
 from uncertlab.rng import substream
 
 
@@ -240,7 +240,10 @@ class TestMonteCarlo:
         joint = gaussian_joint([0.0], [1.0])
         r, ecdf = propagate_monte_carlo(m, joint, M=1000, seed=2,
                                         coverage=0.95)
-        assert r.k == normal_quantile(0.975) and r.U == r.k * r.u
+        # sqrt(2) * erfinv(0.95) at 50 digits, rounded to a double
+        with mpmath.workdps(50):
+            want = float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(0.95)))
+        assert r.k == want == 1.9599639845400538 and r.U == r.k * r.u
         assert r.interval == ecdf.interval(0.95)
 
     def test_given_k_is_reported_exactly(self):
@@ -718,6 +721,31 @@ class TestSummaries:
                 for want in [mpmath.erf(mpmath.mpf(float(k))
                                         / mpmath.sqrt(2))])
         assert worst <= 4.5e-16
+
+    def test_coverage_oracle_value(self):
+        assert resolve_coverage(2.0, 0.95) == (1.9599639845400538, 0.95)
+
+    @pytest.mark.parametrize("coverage", [0.0, 1.0, -0.5, 1.5])
+    def test_coverage_domain(self, coverage):
+        with pytest.raises(ConfigError, match=r"coverage must lie in \(0, 1\)"):
+            resolve_coverage(2.0, coverage)
+
+    def test_coverage_factor_against_mpmath(self):
+        # sqrt(2) * erfinv(coverage) at 50 digits over the whole open
+        # interval: uniform coverages, tiny ones down to 1e-300, and
+        # ones within 1e-16 of 1, which 1 + coverage would round
+        rng = np.random.default_rng(17)
+        coverages = np.concatenate([rng.uniform(0.0, 1.0, 1000),
+                                    10.0 ** rng.uniform(-300.0, -1.0, 1000),
+                                    1.0 - rng.uniform(0.0, 1e-16, 1000)])
+        coverages = coverages[(coverages > 0.0) & (coverages < 1.0)]
+        assert len(coverages) >= 2300
+        with mpmath.workdps(50):
+            worst = max(
+                abs((resolve_coverage(2.0, float(c))[0] - want) / want)
+                for c in coverages
+                for want in [mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(c))])
+        assert worst <= 1e-15
 
     def test_budget_rows_sum_to_first_order_variance(self):
         m = parse_model("X1 * X2 + sin(X3)")
