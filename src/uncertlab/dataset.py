@@ -7,7 +7,13 @@ observations, which is what lets the likelihood factorize over them.
 The per-feature and target summary statistics computed here travel with
 every trained model and report: they document what data the model saw,
 which is the minimum needed to judge later whether new parts still
-resemble the training distribution.
+resemble the training distribution. Each column's mean and sample sd
+come from the routine Monte Carlo uses for its sample
+(:func:`~uncertlab.propagation._mean_and_sd`): numpy's np.mean and
+np.std(ddof=1) bit for bit, taken again on the values scaled by an
+exact power of two where a sum leaves the double range, so finite data
+always give a finite mean and, unless the spread itself passes about
+1.8e308, a finite sd.
 """
 
 import csv
@@ -19,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DatasetError
+from .propagation import _mean_and_sd
 
 __all__ = [
     "ColumnSummary",
@@ -67,10 +74,11 @@ class Dataset:
 
 
 def _column_summary(name: str, values: np.ndarray) -> ColumnSummary:
-    # sample sd (ddof=1); a single record has no spread to estimate
-    sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return ColumnSummary(name, float(np.mean(values)), sd,
-                         float(np.min(values)), float(np.max(values)))
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if len(values) == 1:    # a single record has no spread to estimate
+        return ColumnSummary(name, lo, 0.0, lo, hi)
+    # sample sd (ddof=1), also where its sum of squares overflows
+    return ColumnSummary(name, *_mean_and_sd(values, lo, hi), lo, hi)
 
 
 def make_dataset(

@@ -314,15 +314,17 @@ def _pairwise_sum(x: np.ndarray, scratch: np.ndarray, exponent: int = 0,
     return np.add.reduce(d)
 
 
-def _mean_and_sd(values: np.ndarray) -> tuple[float, float]:
-    """np.mean and np.std(ddof=1) of the sorted finite ``values``, bit
-    for bit. A sum beyond the double range (values near 1e308, spreads
-    beyond about 1e154 or below about 1e-154) is taken again on the
-    values times 2^-e, 2^e above every |value|: a power of two scales
-    exactly, so the statistic is numpy's without the exponent limit."""
+def _mean_and_sd(values: np.ndarray, lo: float,
+                 hi: float) -> tuple[float, float]:
+    """np.mean and np.std(ddof=1) of the finite ``values``, whose least
+    and greatest are ``lo`` and ``hi``, bit for bit. A sum beyond the
+    double range (values near 1e308, spreads beyond about 1e154 or below
+    about 1e-154) is taken again on the values times 2^-e, 2^e above
+    every |value|: a power of two scales exactly, so the statistic is
+    numpy's without the exponent limit."""
     n = len(values)
     scratch = np.empty(min(n, block_rows(1)))
-    e = math.frexp(max(-values[0], values[-1]))[1]
+    e = math.frexp(max(-lo, hi))[1]
     with np.errstate(over="ignore", invalid="ignore"):
         y = float(np.mean(values))
         if not math.isfinite(y):
@@ -437,7 +439,7 @@ def propagate_monte_carlo(
             "model's domain")
 
     ecdf = EmpiricalCDF(values)
-    y, u = _mean_and_sd(values)
+    y, u = _mean_and_sd(values, values[0], values[-1])
     diagnostics = MCDiagnostics(M, u / math.sqrt(n_valid), n_errors)
     # p = 1 and the largest p below it give the same clamped JCGM 101
     # ranks: [y_(1), y_(M)]

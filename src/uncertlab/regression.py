@@ -43,7 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, require_integer, require_positive
+from .errors import (ConfigError, DatasetError, require_integer,
+                     require_positive)
 
 __all__ = [
     "NOISE_FLOOR",
@@ -93,14 +94,25 @@ def polynomial_exponents(n_features: int,
 
 def polynomial_features(x: np.ndarray,
                         exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Design matrix (D, P) of the monomials in ``exponents``: each column
-    multiplies, in feature order, entries of per-feature power tables."""
+    """Design matrix (D, P) of the monomials in ``exponents``.
+
+    Each feature's powers come from repeated products, x^k = x^(k-1) x,
+    one array multiply per degree: a square is correctly rounded, x^k
+    carries k - 1 roundings, and no ``pow`` kernel is involved. Each
+    column then multiplies, in feature order, one power of each feature.
+    A value beyond the double range comes out inf (or NaN, where it
+    meets a zero) without a floating-point warning; callers refuse it.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     exps = np.asarray(exponents, dtype=np.intp)
-    powers = x[:, :, None] ** np.arange(exps.max() + 1, dtype=np.float64)
+    powers = np.empty((exps.max() + 1,) + x.shape)     # powers[k] = x^k
+    powers[0] = 1.0
     phi = np.ones((len(x), len(exps)))
-    for j in range(x.shape[1]):
-        phi *= powers[:, j, exps[:, j]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        for j in range(x.shape[1]):
+            phi *= powers[exps[:, j], :, j].T
     return phi
 
 
@@ -208,7 +220,10 @@ class BayesianVMModel:
                 f"expected {self.n_features} feature(s), got {x.shape[1]}")
         if not self.standardize:
             return x
-        return (x - self.x_mean) / self.x_sd
+        # a value beyond the double range comes out inf, refused by
+        # features() with the monomial it reaches
+        with np.errstate(over="ignore"):
+            return (x - self.x_mean) / self.x_sd
 
     def mean_features(self, x: np.ndarray) -> np.ndarray:
         return polynomial_features(self.standardized(x), self.mean_exponents)
@@ -217,6 +232,28 @@ class BayesianVMModel:
         if self.fixed_noise_sd is not None:
             return None
         return polynomial_features(self.standardized(x), self.noise_exponents)
+
+    def features(self, x: np.ndarray, row: str,
+                 error: type) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Both heads' design matrices of ``x``, from one table: the
+        monomials of a lower degree are a prefix of those of a higher
+        one. The first row with a feature outside the double range is
+        refused as ``error``, named as ``row`` and its index, with the
+        first such feature."""
+        learned = self.fixed_noise_sd is None
+        exps = max(self.mean_exponents, self.noise_exponents if learned
+                   else (), key=len)
+        table = polynomial_features(self.standardized(x), exps)
+        finite = np.isfinite(table)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0].tolist()
+            monomial = "*".join(name if e == 1 else f"{name}^{e}" for name, e
+                                in zip(self.feature_names, exps[j]) if e)
+            raise error(f"{row} {i}: feature {monomial} leaves the double "
+                        f"range ({table[i, j]})")
+        phi_mu = np.ascontiguousarray(table[:, :self.n_mean_weights])
+        return phi_mu, (np.ascontiguousarray(table[:, :self.n_noise_weights])
+                        if learned else None)
 
     def split_weights(self, w: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         w = np.asarray(w, dtype=np.float64)
@@ -234,9 +271,9 @@ class BayesianVMModel:
             raise ConfigError(
                 f"dataset features {data.feature_names} do not match "
                 f"model features {self.feature_names}")
-        return DesignMatrices(self.mean_features(data.x),
-                              self.noise_features(data.x),
-                              data.y.astype(np.float64), self)
+        phi_mu, phi_sigma = self.features(data.x, "record", DatasetError)
+        return DesignMatrices(phi_mu, phi_sigma, data.y.astype(np.float64),
+                              self)
 
 
 @dataclass(frozen=True)

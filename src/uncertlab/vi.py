@@ -460,8 +460,7 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
                 z1s[:rows, :, 1:] = gen.standard_normal((rows, n_mc, p))
             value, grad = step_f(theta, z1s[step % block])
             if not math.isfinite(value):
-                raise DivergenceError(
-                    f"free energy became non-finite at step {step}", step)
+                raise DivergenceError("free energy became non-finite", step)
             trajectory[step] = value
             n_steps = step + 1
 
@@ -558,9 +557,10 @@ def predict_parts(
     |L_mu'phi|^2. A fixed noise sd gives aleatoric_var = sigma^2.
     Otherwise aleatoric_var is E[(softplus(t) + NOISE_FLOOR)^2] over
     t ~ N(m, s^2), m = psi'mu_sigma, s = |L_sigma'psi|, by a trapezoid
-    rule that depends on s alone. A part with s above ``MAX_NOISE_SD``,
-    or s not a number, is a DomainError that names the part by its row
-    index.
+    rule that depends on s alone; where the squares of L_sigma'psi
+    overflow, s is taken without squaring. A part with a feature outside
+    the double range, or with s above ``MAX_NOISE_SD`` or not a number,
+    is a DomainError that names the part by its row index.
     """
     require_positive("coverage factor k", k)
     if q.n_weights != model.n_weights:
@@ -571,23 +571,28 @@ def predict_parts(
 
     p = model.n_mean_weights
     chol = q.factor
+    phi, psi = model.features(x, "part", DomainError)
     # every product comes from numpy's own loops, which give a row the
-    # same bits in any batch; BLAS picks its kernels by the batch's shape
-    phi = model.mean_features(x)
-    y = np.einsum("ij,j->i", phi, q.mu[:p])
-    # L is lower-triangular: the mean-head rows end at column p
-    epistemic = np.square(np.einsum("ij,jk->ik", phi, chol[:p, :p])
-                          ).sum(axis=1)
-    if model.fixed_noise_sd is None:
-        psi = model.noise_features(x)
-        m = np.einsum("ij,j->i", psi, q.mu[p:])
-        s = np.sqrt(np.square(np.einsum("ij,jk->ik", psi, chol[p:]))
-                    .sum(axis=1))
-        aleatoric = _expected_noise_variance(m, s)
-    else:
-        aleatoric = np.full(len(x), model.fixed_noise_sd**2)
-    u = np.sqrt(aleatoric + epistemic)
-    return MeasurementResult(y, u, k, (y - k * u, y + k * u), "virtual",
+    # same bits in any batch; BLAS picks its kernels by the batch's shape.
+    # A number that overflows comes out inf, which the report refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.einsum("ij,j->i", phi, q.mu[:p])
+        # L is lower-triangular: the mean-head rows end at column p
+        epistemic = np.square(np.einsum("ij,jk->ik", phi, chol[:p, :p])
+                              ).sum(axis=1)
+        if psi is not None:
+            m = np.einsum("ij,j->i", psi, q.mu[p:])
+            a = np.einsum("ij,jk->ik", psi, chol[p:])
+            s = np.sqrt(np.square(a).sum(axis=1))
+            # where the squares overflow, the norm without squaring
+            big = np.flatnonzero(s == np.inf)
+            s[big] = np.hypot.reduce(a[big], axis=1)
+            aleatoric = _expected_noise_variance(m, s)
+        else:
+            aleatoric = np.full(len(x), model.fixed_noise_sd**2)
+        u = np.sqrt(aleatoric + epistemic)
+        interval = (y - k * u, y + k * u)
+    return MeasurementResult(y, u, k, interval, "virtual",
                              aleatoric_var=aleatoric, epistemic_var=epistemic)
 
 

@@ -824,6 +824,83 @@ class TestTrainPredict:
             "arithmetic overflow in a training step (step 0)"
 
 
+def outlier_csv(tmp_path, a4):
+    """60 records a, b, y with y = 1 + a - b / 2 + N(0, 0.1) and a of
+    record 4 set to ``a4``."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(60), rng.standard_normal(60)
+    y = 1.0 + a - 0.5 * b + rng.normal(0.0, 0.1, 60)
+    if a4 is not None:
+        a[4] = a4
+    path = tmp_path / f"outlier-{a4}.csv"
+    path.write_text("a,b,y\n" + "".join(
+        f"{p!r},{q!r},{r!r}\n"
+        for p, q, r in zip(a.tolist(), b.tolist(), y.tolist())))
+    return str(path)
+
+
+class TestOverflowingData:
+    """Finite data whose statistics or features leave the double range:
+    each run trains, or refuses with one structured error and no numpy
+    warning on stderr."""
+
+    def train(self, capsys, tmp_path, data, **model):
+        cfg = write_json(tmp_path / "t.json", {
+            "dataset": {"path": data, "target": "y"}, "model": model,
+            "vi": {"max_steps": 300},
+            "model_out": str(tmp_path / "model.json"),
+        })
+        return run_cli(capsys, "train", "--config", cfg)
+
+    def test_summary_of_a_finite_outlier_is_finite(self, capsys, tmp_path):
+        # np.std overflowed in its squares: x_sd = inf was a ConfigError
+        code, out, err = self.train(capsys, tmp_path,
+                                    outlier_csv(tmp_path, 1e200),
+                                    mean_degree=2)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["results"]["training"]["n_steps"] == 300
+        sd = report["dataset_summary"]["features"][0]["sd"]
+        assert sd == pytest.approx(1e200 / math.sqrt(60), rel=1e-12)
+
+    @pytest.mark.parametrize("fixed_noise_sd", [None, 0.1])
+    def test_overflowing_feature_is_refused_by_record(
+            self, capsys, tmp_path, fixed_noise_sd):
+        # a DivergenceError at step 0, or a ConfigError on a non-finite
+        # posterior, after numpy's overflow warnings
+        code, out, err = self.train(capsys, tmp_path,
+                                    outlier_csv(tmp_path, 1e200),
+                                    standardize=False,
+                                    fixed_noise_sd=fixed_noise_sd)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert (e["mode"], e["type"]) == ("train", "DatasetError")
+        assert e["message"] == \
+            "record 4: feature a^2 leaves the double range (inf)"
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("mean_degree, message", [
+        (2, "part 0: feature a^2 leaves the double range (inf)"),
+        # the sd's square overflowed: it was reported as inf
+        (1, "part 0: the noise activation's sd under the posterior is "
+            "1.38725e+159, outside the noise-head quadrature's range "
+            "[0, 100]")])
+    def test_overflowing_part_is_refused_by_part(self, capsys, tmp_path,
+                                                 mean_degree, message):
+        code, _, err = self.train(capsys, tmp_path,
+                                  outlier_csv(tmp_path, None),
+                                  mean_degree=mean_degree)
+        assert (code, err) == (0, "")
+        cfg = write_json(tmp_path / "p.json", {
+            "model_path": str(tmp_path / "model.json"),
+            "parts": {"inline": [[1e160, 0.0]]}})
+        code, out, err = run_cli(capsys, "predict", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert (e["mode"], e["type"]) == ("predict", "DomainError")
+        assert e["message"] == message
+
+
 class TestConformity:
     def test_decisions_and_overrides(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "c.json", {

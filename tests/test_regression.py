@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import tracemalloc
 
 import mpmath
@@ -11,7 +12,7 @@ from scipy.special import expit
 
 import uncertlab.regression as regression
 from uncertlab.dataset import make_dataset
-from uncertlab.errors import ConfigError
+from uncertlab.errors import ConfigError, DatasetError, DomainError
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, polynomial_exponents,
                                   polynomial_features, softplus)
@@ -42,9 +43,16 @@ class TestFeatures:
         (50, 2, 6), (1, 1, 1), (64, 20, 3)])
     def test_power_tables_equal_the_power_tensor(self, n, n_features,
                                                  degree):
-        def power_tensor(x, exponents):
-            exps = np.asarray(exponents, dtype=np.float64)
-            return np.prod(x[:, None, :] ** exps[None, :, :], axis=2)
+        def left_to_right(row, exponents):
+            # each feature's power as repeated products in Python floats,
+            # times the next feature's, in feature order
+            out = 1.0
+            for value, e in zip(row, exponents):
+                power = 1.0
+                for _ in range(e):
+                    power *= value
+                out *= power
+            return out
 
         rng = np.random.default_rng(n + n_features + degree)
         x = rng.standard_normal((n, n_features)) * rng.choice(
@@ -53,9 +61,32 @@ class TestFeatures:
         x.flat[::11] = 0.0
         exps = polynomial_exponents(n_features, degree)
         got = polynomial_features(x, exps)
+        want = np.array([[left_to_right(row, e) for e in exps]
+                         for row in x.tolist()])
         # equal bit patterns, so signed zeros must match as well
-        assert np.array_equal(got.view(np.int64),
-                              power_tensor(x, exps).view(np.int64))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # every square is the correctly rounded x^2
+        for j in range(n_features if degree >= 2 else 0):
+            square = exps.index(tuple(2 * (i == j) for i in range(n_features)))
+            assert got[:, square].tolist() == [
+                float(Fraction(v) ** 2) for v in x[:, j].tolist()]
+
+    def test_first_row_out_of_the_double_range_is_refused(self):
+        # row 1's square overflows in the noise head only; row 2 fails in
+        # both heads but comes later. No floating-point warning escapes.
+        data = toy_data(n_features=1)
+        model = build_model(data, mean_degree=1, noise_degree=2,
+                            standardize=False)
+        with pytest.raises(DatasetError, match=r"^record 1: feature "
+                           r"x1\^2 leaves the double range \(inf\)$"):
+            model.features(np.array([[0.5], [1e200], [1e300]]),
+                           "record", DatasetError)
+        # standardizing by a tiny sd overflows before any power is taken
+        x = np.column_stack([np.arange(10.0) * 1e-300, np.arange(10.0)])
+        model = build_model(make_dataset(x, np.arange(10.0), ("a", "b")))
+        with pytest.raises(DomainError, match=r"^part 0: feature a leaves "
+                           r"the double range \(inf\)$"):
+            model.features(np.array([[1e10, 0.0]]), "part", DomainError)
 
     def test_degree_zero_is_bias_only(self):
         assert polynomial_exponents(3, 0) == ((0, 0, 0),)
