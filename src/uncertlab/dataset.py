@@ -14,11 +14,26 @@ np.std(ddof=1) bit for bit, taken again on the values scaled by an
 exact power of two where a sum leaves the double range, so finite data
 always give a finite mean and, unless the spread itself passes about
 1.8e308, a finite sd.
+
+One reader, :func:`_read_csv`, takes both training files and parts
+files, in two stages. The header is read by the csv module. The body
+then goes through numpy's C tokenizer (``np.loadtxt``, every column as
+a float, no quoting, no comments), which gives the bits ``float``
+gives: both round by CPython's correctly rounded string-to-double
+routine. That stage holds only when every non-empty line is the
+header's width of numbers and every selected value is finite; it
+counts the skipped empty lines from the file's line count. Any other
+body (a quoted or non-numeric cell, a short or long row, a whitespace-
+only line, no rows, a non-finite value, or a file that cannot be read
+twice) is read again row by row with the csv module, which accepts and
+refuses exactly as before and names the first bad row and column.
 """
 
 import csv
+import functools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -131,6 +146,40 @@ def _parse_cell(path: str, lineno: int, column: str, raw: str) -> None:
                            f"non-finite value {raw!r}")
 
 
+def _read_numbers(fh, width: int, picked: list[int]) -> Optional[np.ndarray]:
+    """The ``picked`` columns of the rest of ``fh``, read by numpy's C
+    tokenizer, or None unless every non-empty line holds ``width``
+    numbers, there is at least one, and every picked value is finite."""
+    with warnings.catch_warnings():
+        # a warning such as "input contained no data" refuses too
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                               comments=None, quotechar=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if not len(table) or table.shape[1] != width:
+        return None
+    values = table[:, picked]
+    return values if np.isfinite(values).all() else None
+
+
+def _count_lines(raw) -> int:
+    """The lines in the binary file ``raw`` from its position on, each
+    ended by b"\\n", b"\\r\\n", a lone b"\\r" or the end of the file, as
+    csv splits them; in every ASCII-compatible encoding these bytes are
+    only ever those characters."""
+    lines, last = 0, b"\n"
+    for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
+        lines += chunk.count(b"\n")
+        if b"\r" in chunk:    # a search, much faster than a count
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        # a b"\r\n" split between two chunks ends one line
+        lines -= last == b"\r" and chunk[:1] == b"\n"
+        last = chunk[-1:]
+    return lines + (last not in b"\r\n")
+
+
 def _read_csv(
     path: str, kind: str, choose: Callable[[list[str]], list[str]]
 ) -> tuple[list[str], np.ndarray, int]:
@@ -140,7 +189,8 @@ def _read_csv(
     must have the header's width, and every selected cell must be a
     finite number; errors name the file line and column. Returns the
     selected names, their (rows, columns) values, and the number of
-    fully blank lines skipped.
+    fully blank lines skipped. The body is read by
+    :func:`_read_numbers` where that stage holds, else row by row.
     """
     try:
         fh = open(path, newline="")
@@ -163,9 +213,22 @@ def _read_csv(
             raise DatasetError(
                 f"{path}: feature column(s) not found: {', '.join(missing)}")
         columns = [(n, header.index(n)) for n in names]
+        picked = [i for _, i in columns]
+
+        # numpy's stage, where a file it refuses can be read again
+        if fh.seekable():
+            values = _read_numbers(fh, len(header), picked)
+            if values is not None:
+                # what numpy skipped is the empty lines
+                fh.buffer.seek(0)
+                blank = _count_lines(fh.buffer) - reader.line_num - len(values)
+                return names, values, blank
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
 
         # itemgetter gives a tuple for two or more indices, else the cell
-        pick = operator.itemgetter(*[i for _, i in columns])
+        pick = operator.itemgetter(*picked)
         cells: list[str] = []
         add = cells.extend if len(columns) > 1 else cells.append
         kept: list[tuple[int, list[str]]] = []
@@ -195,6 +258,10 @@ def _read_csv(
                                    f"cells, expected {len(header)}")
             for n, i in columns:
                 _parse_cell(path, lineno, n, row[i])
+        # every cell is a number once stripped: float alone refuses the
+        # separators \x1c-\x1f that strip and numpy's reader remove
+        values = np.fromiter((float(c.strip()) for c in cells), np.float64,
+                             len(cells))
     if not kept:
         raise DatasetError(f"{path}: no data rows")
     return names, values.reshape(len(kept), len(columns)), blank

@@ -68,7 +68,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (ConfigError, DatasetError, DivergenceError,
                      DomainError, require_integer, require_positive)
-from .propagation import _DEFAULT_K, MeasurementResult
+from .propagation import _DEFAULT_K, MeasurementResult, _mean_and_sd
 from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
                          inv_softplus, softplus)
 from .rng import substream
@@ -362,8 +362,11 @@ def _initial_theta(design: DesignMatrices, family: str) -> np.ndarray:
     theta[p:2 * p] = math.log(_INIT_SCALE)
     if model.fixed_noise_sd is None:
         # noise-head bias starts at sigma_n ~ sd(y): a sane noise scale
-        # keeps early likelihood values bounded
-        sd_y = max(float(np.std(design.y, ddof=1)), 1e-3)
+        # keeps early likelihood values bounded. np.std(ddof=1) bit for
+        # bit, also where its squares overflow
+        y = design.y
+        sd_y = max(_mean_and_sd(y, float(np.min(y)), float(np.max(y)))[1],
+                   1e-3)
         theta[model.n_mean_weights] = inv_softplus(sd_y)
     return theta
 
@@ -400,12 +403,19 @@ def _exact_free_energy(design: DesignMatrices,
                        q: VariationalPosterior) -> float:
     """F(q) in closed form for a fixed noise sd: with the R factor of
     :func:`conjugate_posterior`, E_q |b - A (w - shift)|^2 is
-    |b - A (mu - shift)|^2 + |A L|_F^2."""
+    |b - A (mu - shift)|^2 + |A L|_F^2. An F beyond the double range,
+    as from a target value some 1e154 noise sds off the fit, is a
+    DomainError."""
     a, b, shift, const = design._factor
-    e = b - a @ (q.mu - shift)
-    spread = a @ q.factor
-    return (kl_gaussian(q, design.model.prior_tau) - const
-            + 0.5 * (float(e @ e) + float(np.vdot(spread, spread))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = b - a @ (q.mu - shift)
+        spread = a @ q.factor
+        f = (kl_gaussian(q, design.model.prior_tau) - const
+             + 0.5 * (float(e @ e) + float(np.vdot(spread, spread))))
+    if not math.isfinite(f):
+        raise DomainError(f"the free energy is {f}: its sums of squares "
+                          f"leave the double range")
+    return f
 
 
 def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
@@ -559,8 +569,9 @@ def predict_parts(
     t ~ N(m, s^2), m = psi'mu_sigma, s = |L_sigma'psi|, by a trapezoid
     rule that depends on s alone; where the squares of L_sigma'psi
     overflow, s is taken without squaring. A part with a feature outside
-    the double range, or with s above ``MAX_NOISE_SD`` or not a number,
-    is a DomainError that names the part by its row index.
+    the double range, with s above ``MAX_NOISE_SD`` or not a number, or
+    with u^2 beyond the double range, is a DomainError that names the
+    part by its row index.
     """
     require_positive("coverage factor k", k)
     if q.n_weights != model.n_weights:
@@ -578,8 +589,8 @@ def predict_parts(
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.einsum("ij,j->i", phi, q.mu[:p])
         # L is lower-triangular: the mean-head rows end at column p
-        epistemic = np.square(np.einsum("ij,jk->ik", phi, chol[:p, :p])
-                              ).sum(axis=1)
+        spread = np.einsum("ij,jk->ik", phi, chol[:p, :p])
+        epistemic = np.square(spread).sum(axis=1)
         if psi is not None:
             m = np.einsum("ij,j->i", psi, q.mu[p:])
             a = np.einsum("ij,jk->ik", psi, chol[p:])
@@ -590,8 +601,17 @@ def predict_parts(
             aleatoric = _expected_noise_variance(m, s)
         else:
             aleatoric = np.full(len(x), model.fixed_noise_sd**2)
-        u = np.sqrt(aleatoric + epistemic)
+        u2 = aleatoric + epistemic
+        u = np.sqrt(u2)
         interval = (y - k * u, y + k * u)
+    over = np.flatnonzero(u2 == np.inf)
+    if over.size:
+        # u itself, taken without squaring
+        i = int(over[0])
+        u_i = math.hypot(math.sqrt(aleatoric[i]),
+                         float(np.hypot.reduce(spread[i])))
+        raise DomainError(f"part {i}: u is {u_i:.6g} under the posterior, "
+                          f"and u^2 leaves the double range")
     return MeasurementResult(y, u, k, interval, "virtual",
                              aleatoric_var=aleatoric, epistemic_var=epistemic)
 

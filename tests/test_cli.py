@@ -824,15 +824,17 @@ class TestTrainPredict:
             "arithmetic overflow in a training step (step 0)"
 
 
-def outlier_csv(tmp_path, a4):
-    """60 records a, b, y with y = 1 + a - b / 2 + N(0, 0.1) and a of
-    record 4 set to ``a4``."""
+def outlier_csv(tmp_path, a4, y7=None):
+    """60 records a, b, y with y = 1 + a - b / 2 + N(0, 0.1), a of
+    record 4 set to ``a4`` and y of record 7 to ``y7``."""
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(60), rng.standard_normal(60)
     y = 1.0 + a - 0.5 * b + rng.normal(0.0, 0.1, 60)
     if a4 is not None:
         a[4] = a4
-    path = tmp_path / f"outlier-{a4}.csv"
+    if y7 is not None:
+        y[7] = y7
+    path = tmp_path / f"outlier-{a4}-{y7}.csv"
     path.write_text("a,b,y\n" + "".join(
         f"{p!r},{q!r},{r!r}\n"
         for p, q, r in zip(a.tolist(), b.tolist(), y.tolist())))
@@ -899,6 +901,42 @@ class TestOverflowingData:
         e = json.loads(err)["error"]
         assert (e["mode"], e["type"]) == ("predict", "DomainError")
         assert e["message"] == message
+
+    @pytest.mark.parametrize("fixed_noise_sd, kind, message", [
+        # np.std's squares overflowed, with numpy's warning, before this
+        (None, "DivergenceError", "free energy became non-finite (step 0)"),
+        # two matmul overflow warnings, then the report refused an inf
+        (1.0, "DomainError",
+         "the free energy is inf: its sums of squares leave the double "
+         "range")])
+    def test_overflowing_target_is_refused_without_warning(
+            self, capsys, tmp_path, fixed_noise_sd, kind, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self.train(capsys, tmp_path,
+                                        outlier_csv(tmp_path, None, 1e200),
+                                        mean_degree=2,
+                                        fixed_noise_sd=fixed_noise_sd)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert (e["mode"], e["type"], e["message"]) == ("train", kind, message)
+
+    def test_overflowing_variance_is_refused_by_part(self, capsys, tmp_path):
+        # |L_mu'phi|^2 overflowed: the report refused an inf and named no
+        # part; u itself is a double
+        code, _, err = self.train(capsys, tmp_path,
+                                  outlier_csv(tmp_path, None),
+                                  mean_degree=1, fixed_noise_sd=1.0)
+        assert (code, err) == (0, "")
+        cfg = write_json(tmp_path / "p.json", {
+            "model_path": str(tmp_path / "model.json"),
+            "parts": {"inline": [[1e160, 0.0]]}})
+        code, out, err = run_cli(capsys, "predict", "--config", cfg)
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert (e["mode"], e["type"]) == ("predict", "DomainError")
+        assert e["message"] == ("part 0: u is 1.43586e+159 under the "
+                                "posterior, and u^2 leaves the double range")
 
 
 class TestConformity:

@@ -14,7 +14,7 @@ import pytest
 
 import uncertlab.vi as vi
 from uncertlab.dataset import make_dataset
-from uncertlab.errors import ConfigError
+from uncertlab.errors import ConfigError, DomainError
 from uncertlab.regression import build_model
 from uncertlab.vi import (VariationalPosterior, VIConfig,
                           conjugate_posterior, objective, pack_posterior,
@@ -139,6 +139,17 @@ class TestExactFreeEnergy:
         f = vi._exact_free_energy(design, q)
         assert f == pytest.approx(-log_evidence, rel=1e-12)
         assert vi._exact_free_energy(design, diagonal(q)) > f
+
+    def test_free_energy_beyond_the_double_range_is_refused(self):
+        # |b - A (mu - shift)|^2 and |mu|^2 overflowed with numpy's matmul
+        # warnings, and only the report refused the inf F
+        _, data = fixture(n=30)
+        y = data.y.copy()
+        y[7] = 1e200
+        data = make_dataset(data.x, y, ("x1", "x2"))
+        model = build_model(data, standardize=False, fixed_noise_sd=0.2)
+        with pytest.raises(DomainError, match=r"^the free energy is inf: "):
+            train_vi(model, data)
 
     @pytest.mark.parametrize("family", vi.FAMILIES)
     def test_within_monte_carlo_error_of_objective(self, family):

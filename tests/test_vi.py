@@ -283,6 +283,21 @@ class TestObjectiveGradients:
 
 
 class TestTraining:
+    def test_noise_bias_starts_at_the_target_sd(self):
+        data = linear_data(n=80, seed=3)
+        design = build_model(data).design(data)
+        theta = vi._initial_theta(design, "mean_field")
+        assert theta[design.model.n_mean_weights] == inv_softplus(
+            float(np.std(design.y, ddof=1)))
+        # np.std overflowed in its squares: a warning, then inf
+        y = data.y.copy()
+        y[7] = 1e200
+        data = make_dataset(data.x, y, ("x1",))
+        design = build_model(data).design(data)
+        theta = vi._initial_theta(design, "mean_field")
+        assert theta[design.model.n_mean_weights] == pytest.approx(
+            1e200 * math.sqrt(1 / 80), rel=1e-12)
+
     def test_recovers_linear_weights(self):
         data = linear_data(n=200, seed=42)
         model = build_model(data, mean_degree=1, standardize=False,
@@ -578,6 +593,26 @@ class TestPredict:
         with pytest.raises(DomainError, match=r"^part 1: feature "
                            r"x1\^2 leaves the double range \(inf\)$"):
             predict_parts(model, q, np.array([[0.0], [1e200], [0.5]]), 2.0)
+
+    def test_variance_beyond_the_double_range_is_refused(self):
+        # epistemic_var = |L_mu'phi|^2 overflowed and the report refused
+        # an inf; u, without squaring, is a double
+        mpmath = pytest.importorskip("mpmath")
+        data = linear_data(n=80, seed=5)
+        model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
+        q = train_vi(model, data).posterior
+        rows = np.array([[0.0], [1e160], [0.5]])
+        phi = model.mean_features(rows[1:2])[0]
+        chol = q.factor[:2, :2]
+        mp_phi = [mpmath.mpf(v) for v in phi.tolist()]
+        u = mpmath.sqrt(mpmath.mpf(0.1) ** 2 + sum(
+            sum(mp_phi[j] * mpmath.mpf(float(chol[j, c])) for j in range(2))
+            ** 2 for c in range(2)))
+        with pytest.raises(DomainError) as err:
+            predict_parts(model, q, rows, 2.0)
+        assert str(err.value) == (f"part 1: u is {float(u):.6g} under the "
+                                  f"posterior, and u^2 leaves the double "
+                                  f"range")
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf")])
     def test_non_finite_k_refused(self, k):
