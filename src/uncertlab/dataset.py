@@ -26,7 +26,9 @@ counts the skipped empty lines from the file's line count. Any other
 body (a quoted or non-numeric cell, a short or long row, a whitespace-
 only line, no rows, a non-finite value, or a file that cannot be read
 twice) is read again row by row with the csv module, which accepts and
-refuses exactly as before and names the first bad row and column.
+refuses exactly as before and names the first bad row and column. A
+byte the file's text encoding refuses, or a cell past csv's field
+limit, is a DatasetError that names the file and the line.
 """
 
 import csv
@@ -180,6 +182,28 @@ def _count_lines(raw) -> int:
     return lines + (last not in b"\r\n")
 
 
+def _unreadable(path: str, fh, reader, err: Exception) -> DatasetError:
+    """The error for a csv error of ``reader`` or a decoding error of
+    ``fh``, naming the line. The decoder reads ahead of the reader, so a
+    file that can be read again is decoded again whole to find the line
+    of a bad byte; a pipe's message names no line."""
+    if isinstance(err, csv.Error):
+        return DatasetError(f"{path}: line {reader.line_num}: {err}")
+    where = ""
+    if fh.seekable():
+        fh.buffer.seek(0)
+        data = fh.buffer.read()
+        try:
+            data.decode(fh.encoding)
+        except UnicodeDecodeError as whole:
+            err, n = whole, whole.start
+            ends = (data.count(b"\n", 0, n) + data.count(b"\r", 0, n)
+                    - data.count(b"\r\n", 0, n))
+            where = f"line {ends + 1}: "
+    return DatasetError(f"{path}: {where}not {fh.encoding} text: byte "
+                        f"0x{err.object[err.start]:02x}, {err.reason}")
+
+
 def _read_csv(
     path: str, kind: str, choose: Callable[[list[str]], list[str]]
 ) -> tuple[list[str], np.ndarray, int]:
@@ -202,6 +226,8 @@ def _read_csv(
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
+        except (csv.Error, UnicodeDecodeError) as err:
+            raise _unreadable(path, fh, reader, err) from None
         seen: set[str] = set()
         for h in header:
             if h in seen:
@@ -233,15 +259,18 @@ def _read_csv(
         add = cells.extend if len(columns) > 1 else cells.append
         kept: list[tuple[int, list[str]]] = []
         blank = 0
-        # line 1 is the header, so data rows are numbered from 2
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                blank += 1
-                continue
-            kept.append((lineno, row))
-            if len(row) != len(header):
-                break
-            add(pick(row))
+        try:
+            # line 1 is the header, so data rows are numbered from 2
+            for lineno, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    blank += 1
+                    continue
+                kept.append((lineno, row))
+                if len(row) != len(header):
+                    break
+                add(pick(row))
+        except (csv.Error, UnicodeDecodeError) as err:
+            raise _unreadable(path, fh, reader, err) from None
 
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))

@@ -289,10 +289,19 @@ class DesignMatrices:
     costs O(S P_mu^2) whatever D is, and centring keeps a large offset
     in y out of the cancellation e makes.
 
-    A learned noise level needs every record: that likelihood reuses
-    one set of (S, D) work buffers per draw count S, so calls on one
-    instance must not run concurrently; the arrays it returns are never
-    views of the buffers.
+    Training takes the likelihood from ``_likelihood(S)`` once per run.
+    For a fixed noise sd that is one closure over a workspace of its
+    own, whose products (w - shift) A' and u A go through ``np.dot``,
+    about 0.3 us less dispatch each than ``np.matmul`` and the same BLAS
+    dgemm. The bits are np.matmul's at every P and S measured (P up to
+    1,024) but one: u A for a single draw at P = 3, where np.matmul on
+    A's strided view rounds otherwise. Each call of the closure
+    overwrites the arrays the last one returned.
+    :meth:`log_likelihood_and_grad` makes a new one per call, so the
+    arrays it returns are never written again. A learned noise level
+    needs every record: that likelihood reuses one set of (S, D) work
+    buffers per draw count S, so calls on one instance must not run
+    concurrently; the arrays it returns are never views of the buffers.
     """
 
     phi_mu: np.ndarray            # (D, P_mu)
@@ -336,21 +345,38 @@ class DesignMatrices:
         if w.ndim < 2:
             w = w.reshape(1, -1)
         self.model.split_weights(w)     # refuses a wrong weight count
-        return self._kernel(w)
+        # a likelihood of its own, so no later call writes the arrays
+        return self._likelihood(len(w))(w)
 
-    @property
-    def _kernel(self):
-        """:meth:`log_likelihood_and_grad` unchecked, for a float64 (S, P)
-        w: the fixed-noise R-factor product or the learned-noise kernel."""
-        fixed = self.model.fixed_noise_sd is not None
-        return self._fixed_noise if fixed else self._learned_noise
-
-    def _fixed_noise(self, w):
+    def _likelihood(self, n: int):
+        """:meth:`log_likelihood_and_grad` unchecked, for float64 (n, P)
+        w, set up once for a run of calls (see the class docstring)."""
+        if self.model.fixed_noise_sd is None:
+            return self._learned_noise
         phi, b, shift, const = self._factor
-        u = b - (w - shift) @ phi.T
-        # np.add.reduce is what ndarray.sum calls, less its dispatch
-        ll = const - 0.5 * np.add.reduce(u * u, axis=1)
-        return ll, u @ phi
+        # np.dot on a contiguous copy of A: given the strided view itself
+        # it copies A' into rows and, from P = 16 on, takes a dgemm
+        # kernel that rounds otherwise than np.matmul on the view
+        phi = np.ascontiguousarray(phi)
+        phi_t = phi.T
+        k, p = phi.shape
+        v, grad = np.empty((2, n, p))
+        u, u2 = np.empty((2, n, k))
+        ll = np.empty(n)
+        add, subtract, multiply, dot = np.add, np.subtract, np.multiply, np.dot
+        add_reduce = np.add.reduce
+
+        def fixed_noise(w):
+            subtract(w, shift, out=v)
+            dot(v, phi_t, out=u)
+            subtract(b, u, out=u)
+            # ll = const - (1/2) sum u^2, rounded as written
+            add_reduce(multiply(u, u, out=u2), axis=1, out=ll)
+            multiply(ll, -0.5, out=ll)
+            add(ll, const, out=ll)
+            return ll, dot(u, phi, out=grad)
+
+        return fixed_noise
 
     def _learned_noise(self, w):
         p = self.model.n_mean_weights

@@ -26,14 +26,24 @@ turns its gradient into G'[1 | z] for the per-draw likelihood gradients
 G. No autograd framework is involved: :func:`objective` writes the
 chain out, and the test suite holds it against central finite
 differences. A run sets its step up once: the index table, the
-likelihood entry (the fixed-noise R-factor product or the learned-noise
-kernel of :class:`~uncertlab.regression.DesignMatrices`, on the one
-design training builds) and a workspace holding M, exp of L's
-diagonal, w and G'[1 | z], so a step does only its arithmetic, and
+likelihood with its workspace (the fixed-noise R-factor product or the
+learned-noise kernel of :class:`~uncertlab.regression.DesignMatrices`,
+on the one design training builds) and a workspace holding M, exp of
+L's diagonal, w and G'[1 | z], so a step does only its arithmetic, and
 :func:`objective` is that same step. The draws of a block of steps come
 from one call to the generator, in the order one call per step would
 give, written once as [1 | z] rows: one (steps, S, P + 1) array whose
-column 0 is 1.
+column 0 is 1. :func:`optimize` binds Adam's constants, numpy's
+functions and the row views of that array before its loop.
+
+At the P = 3 of ``verify`` a step's cost is numpy's dispatch, not its
+arithmetic, about 0.4 us per call. w = [1 | z] M' goes through
+``np.dot``, which reaches the same BLAS dgemm as ``np.matmul`` with
+about 0.3 us less dispatch, and gives the same bits at P = 1 to 1,024.
+G'[1 | z] stays on ``np.matmul``: through ``np.dot`` that product is
+slower from P of about 231 on (180 us against 101 us at P = 462). A
+``verify`` step costs 16.5 us, where it cost 18.8 us with these
+products on ``np.matmul`` and its constants looked up in the loop.
 
 Adam (Kingma & Ba, 2015) runs in the form of their section 2, which
 rearranges their Algorithm 1: m <- b1 m + (1 - b1) g and
@@ -268,38 +278,43 @@ def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPoste
 def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float):
     """:func:`objective` as step(theta, z1) on the (n, P + 1) rows
     z1 = [1 | z], with its setup done once: the index table, the
-    likelihood entry, the prior's constants and a workspace (M, exp of
-    L's diagonal, w and G'[1 | z]) that each call, and the gradient it
-    returns, overwrite."""
+    likelihood with its workspace, the prior's constants and a workspace
+    (M, exp of L's diagonal, w and G'[1 | z]) that each call, and the
+    gradient it returns, overwrite."""
     p = design.model.n_weights
     index = _index_table(family, p)
     diag = index[p:2 * p]
-    likelihood = design._kernel
+    likelihood = design._likelihood(n)
     tau2 = prior_tau**2
     p_log_tau2 = p * math.log(tau2)
     m = np.zeros((p, p + 1))        # off the index table M stays 0
+    m_t = m.T
     d, grad = np.empty(p), np.empty(len(index))
+    d_log = grad[p:2 * p]
     w, gz = np.empty((n, p)), np.empty((p, p + 1))
+    exp, dot, matmul, vdot = np.exp, np.dot, np.matmul, np.vdot
+    divide, subtract, multiply = np.divide, np.subtract, np.multiply
+    add_reduce = np.add.reduce
 
     def step(theta: np.ndarray, z1: np.ndarray) -> tuple[float, np.ndarray]:
+        log_d = theta[p:2 * p]
         m.put(index, theta)
-        np.exp(theta[p:2 * p], out=d)
-        m.put(diag, d)
-        ll, g = likelihood(np.matmul(z1, m.T, out=w))
+        m.put(diag, exp(log_d, out=d))
+        # w = [1 | z] M' by np.dot, G'[1 | z] by np.matmul: see the module
+        ll, g = likelihood(dot(z1, m_t, out=w))
         # np.add.reduce: the sums ndarray.sum and np.mean make, less dispatch
-        kl = (0.5 * (float(np.vdot(m, m)) / tau2 - p + p_log_tau2)
-              - float(np.add.reduce(theta[p:2 * p])))
-        value = kl - float(np.add.reduce(ll) / n)
+        kl = (0.5 * (float(vdot(m, m)) / tau2 - p + p_log_tau2)
+              - float(add_reduce(log_d)))
+        value = kl - float(add_reduce(ll)) / n
         # dF/dM = M / tau^2 - G'[1 | z] / n, then dF/dtheta:
         # d(log d) = d * dF/dd - 1
-        np.matmul(g.T, z1, out=gz)
-        np.divide(gz, n, out=gz)
-        np.divide(m, tau2, out=m)
-        np.subtract(m, gz, out=gz)
+        matmul(g.T, z1, out=gz)
+        divide(gz, n, out=gz)
+        divide(m, tau2, out=m)
+        subtract(m, gz, out=gz)
         gz.take(index, out=grad, mode="clip")
-        d_log = grad[p:2 * p]
-        d_log *= d
-        d_log -= 1.0
+        multiply(d_log, d, out=d_log)
+        subtract(d_log, 1.0, out=d_log)
         return value, grad
 
     return step
@@ -446,16 +461,24 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     block = max(1, _SLICE_VALUES // (n_mc * p))
     z1s = np.empty((min(block, config.max_steps), n_mc, p + 1))
     z1s[:, :, 0] = 1.0
+    z1_rows = list(z1s)
     # Adam's (m; v) and the step's ((1 - b1) g; (1 - b2) g g) as one
     # array each, updated in place in the order of the out-of-place form
     moments = np.zeros((2, len(theta)))
     m, v = moments
     scaled = np.empty_like(moments)
+    scaled_v = scaled[1]
     decay = np.array([[_ADAM_BETA1], [_ADAM_BETA2]])
     gain = 1.0 - decay
     step_buf, denom = np.empty_like(moments)
-    w = config.window
-    trajectory = np.empty(config.max_steps)
+    b1, b2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
+    lr, cosine = config.learning_rate, config.schedule == "cosine"
+    max_steps, w = config.max_steps, config.window
+    multiply, add, divide, subtract = (np.multiply, np.add, np.divide,
+                                       np.subtract)
+    sqrt, msqrt, cos, pi = np.sqrt, math.sqrt, math.cos, math.pi
+    isfinite = math.isfinite
+    trajectory = np.empty(max_steps)
     stop_reason = "max_steps"
     n_steps = 0
 
@@ -464,33 +487,32 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
         raise DivergenceError(f"arithmetic {kind} in a training step", step)
 
     with np.errstate(over="call", call=overflowed):
-        for step in range(config.max_steps):
+        for step in range(max_steps):
             if step % block == 0:
-                rows = min(block, config.max_steps - step)
+                rows = min(block, max_steps - step)
                 z1s[:rows, :, 1:] = gen.standard_normal((rows, n_mc, p))
-            value, grad = step_f(theta, z1s[step % block])
-            if not math.isfinite(value):
+            value, grad = step_f(theta, z1_rows[step % block])
+            if not isfinite(value):
                 raise DivergenceError("free energy became non-finite", step)
             trajectory[step] = value
             n_steps = step + 1
 
             # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
             # theta -= a_t m / (sqrt(v) + e_t)
-            np.multiply(gain, grad, out=scaled)
-            scaled[1] *= grad
-            moments *= decay
-            moments += scaled
-            rate = config.learning_rate
-            if config.schedule == "cosine":
-                frac = step / config.max_steps
-                rate = rate * 0.5 * (1.0 + math.cos(math.pi * frac))
-            root = math.sqrt(1.0 - _ADAM_BETA2 ** n_steps)
-            rate = rate * root / (1.0 - _ADAM_BETA1 ** n_steps)
-            np.multiply(m, rate, out=step_buf)
-            np.sqrt(v, out=denom)
-            denom += _ADAM_EPS * root
-            step_buf /= denom
-            theta -= step_buf
+            multiply(gain, grad, out=scaled)
+            multiply(scaled_v, grad, out=scaled_v)
+            multiply(moments, decay, out=moments)
+            add(moments, scaled, out=moments)
+            rate = lr
+            if cosine:
+                rate = rate * 0.5 * (1.0 + cos(pi * (step / max_steps)))
+            root = msqrt(1.0 - b2 ** n_steps)
+            rate = rate * root / (1.0 - b1 ** n_steps)
+            multiply(m, rate, out=step_buf)
+            sqrt(v, out=denom)
+            add(denom, eps * root, out=denom)
+            divide(step_buf, denom, out=step_buf)
+            subtract(theta, step_buf, out=theta)
 
             if n_steps >= 2 * w and n_steps % w == 0:
                 before = trajectory[n_steps - 2 * w:n_steps - w]

@@ -1066,6 +1066,18 @@ class TestVerify:
         first = vi.substream(*streams["vi"][0]).standard_normal(x.size)
         assert not np.array_equal(x.ravel(), first)
 
+    def test_same_seed_writes_the_same_results(self, capsys, tmp_path):
+        # the same results block twice, after all 4,000 Adam steps
+        runs = []
+        for run in (1, 2):
+            out = str(tmp_path / f"verify-seed3-run{run}.json")
+            assert run_cli(capsys, "verify", "--seed", "3", "--out", out)[0] \
+                == 0
+            with open(out) as fh:
+                runs.append(json.dumps(json.load(fh)["results"]))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0])["conjugate_check"]["n_steps"] == 4000
+
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_passes_at_more_seeds(self, capsys, seed):
         code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))

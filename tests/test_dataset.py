@@ -1,5 +1,6 @@
 """CSV ingestion for training data and parts lists."""
 
+import codecs
 import csv
 import gc
 import io
@@ -356,7 +357,11 @@ def test_reader_matches_the_row_by_row_reader(tmp_path, name):
         except Exception as err:
             results.append(err)
     new, old = results
-    if isinstance(old, Exception):
+    if isinstance(old, csv.Error):
+        # such as Python 3.10's "line contains NUL": once a raw traceback,
+        # now a DatasetError that names the line
+        assert type(new) is DatasetError and str(new).endswith(f": {old}")
+    elif isinstance(old, Exception):
         assert (type(new), str(new)) == (type(old), str(old))
     else:
         assert not isinstance(new, Exception), new
@@ -478,3 +483,70 @@ class TestReaderMemory:
         # 24 MB of numbers read and 16 MB selected (43 MB measured); the
         # row-by-row reader peaked near 390 MB
         assert peak < 8 * self.ROWS * (3 + 2) * 1.25
+
+
+class TestUnreadableFiles:
+    """Decoding and csv errors are DatasetErrors naming file and line."""
+
+    @staticmethod
+    def read(kind, path):
+        if kind == "dataset":
+            return ingest_dataset(path, target="y")
+        return ingest_parts(path, ("a",))
+
+    @staticmethod
+    def write_bytes(tmp_path, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["dataset", "parts"])
+    @pytest.mark.parametrize("data, line, byte, reason", [
+        # a CP-1252 export read as UTF-8, in the body and in the header
+        (b"a,y\n1,2\n\xff3,4\n", 3, "0xff", "invalid start byte"),
+        (b"a\xe9,a,y\n1,2,3\n", 1, "0xe9", "invalid continuation byte"),
+        # every line end csv knows counts, also past the decoder's chunk
+        (b"a,y\r1,2\r\n\r" + b"3,4\n" * 5000 + b"5,\xe96\n", 5004, "0xe9",
+         "invalid continuation byte")])
+    def test_undecodable_byte_names_its_line(self, tmp_path, kind, data,
+                                             line, byte, reason):
+        path = self.write_bytes(tmp_path, data)
+        with open(path) as fh:
+            encoding = fh.encoding
+        if codecs.lookup(encoding).name != "utf-8":
+            pytest.skip(f"the locale's encoding is {encoding}")
+        with pytest.raises(DatasetError) as err:
+            self.read(kind, path)
+        assert str(err.value) == (f"{path}: line {line}: not {encoding} "
+                                  f"text: byte {byte}, {reason}")
+
+    @pytest.mark.parametrize("kind", ["dataset", "parts"])
+    @pytest.mark.parametrize("text, line", [
+        # a quoted cell sends the file to csv, which caps a cell's length
+        ('a,y\n"1",2\n' + "1" * 140_000 + ",3\n", 3),
+        ("a" * 140_000 + ",y\n1,2\n", 1)])
+    def test_cell_past_csv_field_limit_names_its_line(self, tmp_path, kind,
+                                                      text, line):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DatasetError) as err:
+            self.read(kind, path)
+        assert str(err.value) == (f"{path}: line {line}: field larger than "
+                                  f"field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_undecodable_pipe_names_no_line(self, tmp_path):
+        # a pipe cannot be decoded again to find the line
+        path = str(tmp_path / "parts.csv")
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "wb") as fh:
+                fh.write(b"a\n1\n\xff\n")
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with pytest.raises(DatasetError) as err:
+            ingest_parts(path, ("a",))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(err.value).startswith(f"{path}: not ")
+        assert str(err.value).endswith(" text: byte 0xff, invalid start byte")

@@ -355,15 +355,23 @@ class TestKernel:
     @pytest.mark.parametrize("fixed_noise_sd", [None, 0.3])
     def test_results_are_not_overwritten_by_later_calls(self,
                                                         fixed_noise_sd):
+        # training's likelihood keeps one workspace for a whole run; each
+        # public call gets arrays of its own, with the same numbers
         design = self.design(fixed_noise_sd)
         rng = np.random.default_rng(13)
         results = []
-        for s in (1, 8, 1):
+        for s in (1, 8, 8, 1):
             w = rng.standard_normal((s, design.model.n_weights)) * 0.5
             out = design.log_likelihood_and_grad(w)
             results.append((out, [a.copy() for a in out]))
-        for out, copies in results:
+            step = design._likelihood(s)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(step(w), out))
+        for i, (out, copies) in enumerate(results):
             assert all(np.array_equal(a, c) for a, c in zip(out, copies))
+            assert not any(np.shares_memory(a, b)
+                           for later, _ in results[i + 1:]
+                           for a in out for b in later)
 
 
 class TestFixedNoiseFactor:

@@ -747,6 +747,21 @@ class TestSameNumbersAsReference:
                        seed=4)
         assert self.assert_same(model, data, cfg).n_steps == 300
 
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    def test_many_weights(self, family, fixed_noise):
+        # P = 70 or 75, so the step's products run at shapes where BLAS
+        # blocks its loops, not only at the P <= 5 of the cases above
+        rng = np.random.default_rng(25)
+        x = rng.uniform(-1.0, 1.0, size=(200, 4))
+        y = 1.0 + x @ [2.0, -1.0, 0.5, 0.3] + 0.1 * rng.standard_normal(200)
+        data = make_dataset(x, y, ("x1", "x2", "x3", "x4"))
+        model = build_model(data, mean_degree=4, fixed_noise_sd=fixed_noise)
+        assert model.n_weights == (70 if fixed_noise else 75)
+        cfg = VIConfig(family=family, max_steps=60, window=60, tolerance=0.0,
+                       learning_rate=0.01, seed=9)
+        assert self.assert_same(model, data, cfg).n_steps == 60
+
     def test_early_stop(self):
         data = linear_data(n=60, seed=22)
         model = build_model(data)
