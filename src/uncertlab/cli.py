@@ -79,12 +79,10 @@ def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
     run = resolve_propagate(doc, base_dir)
     cfg = run.resolved
 
-    if cfg["method"] == "analytic":
-        result = propagate_analytic(run.expr, run.joint, k=cfg["k"])
-    elif cfg["method"] == "taylor1":
-        result = propagate_taylor1(run.expr, run.joint, k=cfg["k"])
-    elif cfg["method"] == "taylor2":
-        result = propagate_taylor2(run.expr, run.joint, k=cfg["k"])
+    series = {"analytic": propagate_analytic, "taylor1": propagate_taylor1,
+              "taylor2": propagate_taylor2}.get(cfg["method"])
+    if series is not None:
+        result = series(run.expr, run.joint, k=cfg["k"])
     else:
         result, ecdf = propagate_monte_carlo(
             run.expr, run.joint, M=cfg["M"], seed=cfg["seed"],

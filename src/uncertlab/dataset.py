@@ -20,15 +20,16 @@ files, in two stages. The header is read by the csv module. The body
 then goes through numpy's C tokenizer (``np.loadtxt``, every column as
 a float, no quoting, no comments), which gives the bits ``float``
 gives: both round by CPython's correctly rounded string-to-double
-routine. That stage holds only when every non-empty line is the
-header's width of numbers and every selected value is finite; it
-counts the skipped empty lines from the file's line count. Any other
-body (a quoted or non-numeric cell, a short or long row, a whitespace-
-only line, no rows, a non-finite value, or a file that cannot be read
-twice) is read again row by row with the csv module, which accepts and
-refuses exactly as before and names the first bad row and column. A
-byte the file's text encoding refuses, or a cell past csv's field
-limit, is a DatasetError that names the file and the line.
+routine. That stage holds only where csv's would: when every non-empty
+line is the header's width of numbers, none is longer than csv's field
+limit, and every selected value is finite; it counts the skipped empty
+lines from the file's line count. Any other body (a quoted or non-
+numeric cell, a short, long or over-long row, a whitespace-only line,
+no rows, a non-finite value, or a file that cannot be read twice) is
+read again row by row with the csv module, which accepts and refuses
+exactly as before and names the first bad row and column. A byte the
+file's text encoding refuses, or a cell past csv's field limit, is a
+DatasetError that names the file and the line.
 """
 
 import csv
@@ -166,12 +167,12 @@ def _read_numbers(fh, width: int, picked: list[int]) -> Optional[np.ndarray]:
     return values if np.isfinite(values).all() else None
 
 
-def _count_lines(raw) -> int:
+def _count_lines(raw, limit: int) -> tuple[int, bool]:
     """The lines in the binary file ``raw`` from its position on, each
     ended by b"\\n", b"\\r\\n", a lone b"\\r" or the end of the file, as
-    csv splits them; in every ASCII-compatible encoding these bytes are
-    only ever those characters."""
-    lines, last = 0, b"\n"
+    csv splits them, and whether one is longer than ``limit`` bytes; in
+    every ASCII-compatible encoding these bytes are only those characters."""
+    lines, last, run, long = 0, b"\n", 0, False
     for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
         lines += chunk.count(b"\n")
         if b"\r" in chunk:    # a search, much faster than a count
@@ -179,7 +180,19 @@ def _count_lines(raw) -> int:
         # a b"\r\n" split between two chunks ends one line
         lines -= last == b"\r" and chunk[:1] == b"\n"
         last = chunk[-1:]
-    return lines + (last not in b"\r\n")
+        # a line with ``run`` bytes before chunk[pos] ends in the next
+        # limit + 1 - run bytes (at the last end there) or is too long
+        pos = 0
+        while not long:
+            stop = pos + limit + 1 - run
+            end = max(chunk.rfind(b"\n", pos, stop),
+                      chunk.rfind(b"\r", pos, stop))
+            if end < 0:
+                run += len(chunk) - pos
+                long = run > limit
+                break
+            run, pos = 0, end + 1
+    return lines + (last not in b"\r\n"), long
 
 
 def _unreadable(path: str, fh, reader, err: Exception) -> DatasetError:
@@ -245,10 +258,12 @@ def _read_csv(
         if fh.seekable():
             values = _read_numbers(fh, len(header), picked)
             if values is not None:
-                # what numpy skipped is the empty lines
+                # what numpy skipped is the empty lines; csv takes a line
+                # longer in bytes, so maybe in characters, than its limit
                 fh.buffer.seek(0)
-                blank = _count_lines(fh.buffer) - reader.line_num - len(values)
-                return names, values, blank
+                lines, long = _count_lines(fh.buffer, csv.field_size_limit())
+                if not long:
+                    return names, values, lines - reader.line_num - len(values)
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)

@@ -36,7 +36,7 @@ one thin QR of them, centred, taken once (:class:`DesignMatrices`).
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -81,15 +81,10 @@ def polynomial_exponents(n_features: int,
     """
     if degree < 0:
         raise ConfigError(f"polynomial degree must be >= 0, got {degree}")
-    out = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(
-                range(n_features), total):
-            exps = [0] * n_features
-            for idx in combo:
-                exps[idx] += 1
-            out.append(tuple(exps))
-    return tuple(out)
+    return tuple(tuple(map(combo.count, range(n_features)))
+                 for total in range(degree + 1)
+                 for combo in itertools.combinations_with_replacement(
+                     range(n_features), total))
 
 
 def polynomial_features(x: np.ndarray,
@@ -296,20 +291,17 @@ class DesignMatrices:
     dgemm. The bits are np.matmul's at every P and S measured (P up to
     1,024) but one: u A for a single draw at P = 3, where np.matmul on
     A's strided view rounds otherwise. Each call of the closure
-    overwrites the arrays the last one returned.
-    :meth:`log_likelihood_and_grad` makes a new one per call, so the
-    arrays it returns are never written again. A learned noise level
-    needs every record: that likelihood reuses one set of (S, D) work
-    buffers per draw count S, so calls on one instance must not run
-    concurrently; the arrays it returns are never views of the buffers.
+    overwrites the arrays the last one returned. A learned noise level
+    needs every record: its closure works in six (S, D) buffers of its
+    own and returns arrays that are never views of them.
+    :meth:`log_likelihood_and_grad` makes a new closure per call, so the
+    arrays it returns are never written again.
     """
 
     phi_mu: np.ndarray            # (D, P_mu)
     phi_sigma: Optional[np.ndarray]  # (D, P_sigma) or None for fixed noise
     y: np.ndarray                 # (D,)
     model: BayesianVMModel
-    _work: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)  # S -> six (S, D) buffers
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -341,9 +333,7 @@ class DesignMatrices:
         records enter only through the R factor (class docstring):
         u = e / sigma and phi_mu' (u / sigma) = (A[:, :-1] / sigma)' u.
         """
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim < 2:
-            w = w.reshape(1, -1)
+        w = np.atleast_2d(np.asarray(w, dtype=np.float64))
         self.model.split_weights(w)     # refuses a wrong weight count
         # a likelihood of its own, so no later call writes the arrays
         return self._likelihood(len(w))(w)
@@ -352,7 +342,7 @@ class DesignMatrices:
         """:meth:`log_likelihood_and_grad` unchecked, for float64 (n, P)
         w, set up once for a run of calls (see the class docstring)."""
         if self.model.fixed_noise_sd is None:
-            return self._learned_noise
+            return self._learned_noise(n)
         phi, b, shift, const = self._factor
         # np.dot on a contiguous copy of A: given the strided view itself
         # it copies A' into rows and, from P = 16 on, takes a dgemm
@@ -378,32 +368,34 @@ class DesignMatrices:
 
         return fixed_noise
 
-    def _learned_noise(self, w):
-        p = self.model.n_mean_weights
-        w_mu, w_sigma = w[..., :p], w[..., p:]
-        n = len(self.y)
-        if len(w) not in self._work:
-            self._work[len(w)] = np.empty((6, len(w), n))
-        r, u, a, t, e, sigma = self._work[len(w)]
-        np.matmul(w_mu, self.phi_mu.T, out=r)
-        np.subtract(self.y, r, out=r)
-        np.matmul(w_sigma, self.phi_sigma.T, out=t)
-        softplus(t, e, a, out=sigma)
-        sigma += NOISE_FLOOR
-        log_sigma = np.log(sigma, out=a).sum(axis=1)
-        np.divide(r, sigma, out=u)
-        u2 = np.multiply(u, u, out=a)
-        ll = -(log_sigma + 0.5 * u2.sum(axis=1) + n * _HALF_LOG_2PI)
-        grad = np.divide(u, sigma, out=r) @ self.phi_mu
-        # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
-        q = np.greater_equal(t, 0.0, out=r, casting="unsafe")
-        np.maximum(q, e, out=q)
-        e += 1.0
-        q /= e
-        u2 -= 1.0
-        u2 /= sigma
-        u2 *= q
-        return ll, np.concatenate([grad, u2 @ self.phi_sigma], axis=1)
+    def _learned_noise(self, n: int):
+        """The learned-noise likelihood of (n, P) w, over (n, D) buffers."""
+        p, d = self.model.n_mean_weights, len(self.y)
+        r, u, a, t, e, sigma = np.empty((6, n, d))
+
+        def learned_noise(w):
+            w_mu, w_sigma = w[..., :p], w[..., p:]
+            np.matmul(w_mu, self.phi_mu.T, out=r)
+            np.subtract(self.y, r, out=r)
+            np.matmul(w_sigma, self.phi_sigma.T, out=t)
+            softplus(t, e, a, out=sigma)
+            np.add(sigma, NOISE_FLOOR, out=sigma)
+            log_sigma = np.log(sigma, out=a).sum(axis=1)
+            np.divide(r, sigma, out=u)
+            u2 = np.multiply(u, u, out=a)
+            ll = -(log_sigma + 0.5 * u2.sum(axis=1) + d * _HALF_LOG_2PI)
+            grad = np.divide(u, sigma, out=r) @ self.phi_mu
+            # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
+            q = np.greater_equal(t, 0.0, out=r, casting="unsafe")
+            np.maximum(q, e, out=q)
+            np.add(e, 1.0, out=e)
+            q /= e
+            u2 -= 1.0
+            u2 /= sigma
+            u2 *= q
+            return ll, np.concatenate([grad, u2 @ self.phi_sigma], axis=1)
+
+        return learned_noise
 
 
 def build_model(data: Dataset, **settings) -> BayesianVMModel:

@@ -172,11 +172,6 @@ class VariationalPosterior:
         factor = self.factor
         return factor @ factor.T
 
-    def sample(self, rng: "np.random.Generator", n: int) -> np.ndarray:
-        """Reparameterized draws w = mu + L z, shape (n, P)."""
-        z = rng.standard_normal((n, self.n_weights))
-        return self.mu + z @ self.factor.T
-
 
 @dataclass(frozen=True)
 class VIConfig:

@@ -19,7 +19,6 @@ import uncertlab.propagation as propagation
 import uncertlab.vi as vi
 from uncertlab.cli import main
 from uncertlab.dataset import make_dataset
-from uncertlab.vi import VariationalPosterior
 
 
 def run_cli(capsys, *argv):
@@ -295,7 +294,8 @@ class TestPropagate:
         assert "of infinite value inf" in e["message"]
 
     @pytest.mark.parametrize("expression,message", [
-        (" + ".join(["X1"] * 1200), "levels high"),
+        (" + ".join(["X1"] * 1200),
+         "model.expression: expression more than 500 levels high (offset "),
         ("(" * 250 + "X1" + ")" * 250, "nested more than"),
         (" ^ ".join(["X1"] + ["1"] * 600), "nested more than"),
     ], ids=["sum-1200", "parentheses-250", "powers-600"])
@@ -639,7 +639,6 @@ class TestTrainPredict:
         write_json(tmp_path / "train.json", doc)
         assert run_cli(capsys, "train", "--config", cfg)[0] == 0
         monkeypatch.setattr(vi, "substream", None)
-        monkeypatch.setattr(VariationalPosterior, "sample", None)
         results = []
         for extra in ({}, {"n_samples": 2000, "seed": 1},
                       {"n_samples": 2, "seed": 2}):
@@ -986,7 +985,8 @@ class TestConformity:
         with pytest.raises(SystemExit) as exc:
             main(["conformity", "--config", cfg, "--seed", "1"])
         assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert "\nuncertlab: error: unrecognized arguments: --seed 1\n" \
+            in capsys.readouterr().err
 
 
 class TestOverrides:

@@ -387,8 +387,21 @@ def test_line_count_across_read_chunks(ends):
     head = "1,2\n" * (2**18 - 1) + "123" + ends[0]
     text = head + ends[1] + "3,4\r\n\r5,6"
     assert len(head.encode()) == 2**20
-    want = sum(1 for _ in io.StringIO(text, newline=""))
-    assert dataset._count_lines(io.BytesIO(text.encode())) == want
+    lines = io.StringIO(text, newline="").readlines()
+    longest = max(len(line.rstrip("\r\n")) for line in lines)
+    for limit in (longest - 1, longest):
+        assert dataset._count_lines(io.BytesIO(text.encode()), limit) == \
+            (len(lines), limit < longest)
+
+
+@pytest.mark.parametrize("before", [2**20 - 5, 2**20 - 150_000, 2**20 + 7])
+def test_line_past_the_limit_across_read_chunks(before):
+    # a 200,000-byte line that starts ``before`` bytes into the file
+    text = (("1" * 9 + "\n") * (before // 10) + "\r" * (before % 10)
+            + "2" * 200_000 + "\r\n3\n")
+    for limit in (199_999, 200_000):
+        assert dataset._count_lines(io.BytesIO(text.encode()), limit)[1] == \
+            (limit < 200_000)
 
 
 class TestReaderStages:
@@ -524,6 +537,8 @@ class TestUnreadableFiles:
     @pytest.mark.parametrize("text, line", [
         # a quoted cell sends the file to csv, which caps a cell's length
         ('a,y\n"1",2\n' + "1" * 140_000 + ",3\n", 3),
+        # without one, numpy's stage declines the line past the cap
+        ("a,y\n1,2\n0." + "0" * 140_000 + "1,3\n", 3),
         ("a" * 140_000 + ",y\n1,2\n", 1)])
     def test_cell_past_csv_field_limit_names_its_line(self, tmp_path, kind,
                                                       text, line):

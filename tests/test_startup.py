@@ -7,7 +7,7 @@ and the first Monte Carlo run import. Runs that never need a normal
 quantile (train, predict, conformity, verify, and propagate by a series
 method without a ``coverage``) never load scipy. Each check runs in a
 fresh interpreter, since this test process has imported all of them
-already.
+already; there jsonschema, a test dependency only, cannot be imported.
 """
 
 import json
@@ -24,13 +24,27 @@ from uncertlab.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+# a meta-path finder that refuses jsonschema before any other looks
+_REFUSE_JSONSCHEMA = """
+import sys
+
+class _Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "jsonschema":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, _Refuse())
+"""
+
 
 def run_fresh(code: str, *args: str) -> str:
-    """Run ``code`` in a fresh interpreter importing this checkout."""
+    """Run ``code`` in a fresh interpreter importing this checkout, in
+    which jsonschema cannot be imported."""
     path = [SRC] + ([os.environ["PYTHONPATH"]]
                     if os.environ.get("PYTHONPATH") else [])
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code), *args],
+        [sys.executable, "-c", _REFUSE_JSONSCHEMA + textwrap.dedent(code),
+         *args],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
