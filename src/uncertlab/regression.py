@@ -293,7 +293,8 @@ class DesignMatrices:
     A's strided view rounds otherwise. Each call of the closure
     overwrites the arrays the last one returned. A learned noise level
     needs every record: its closure works in six (S, D) buffers of its
-    own and returns arrays that are never views of them.
+    own and returns arrays that are never views of them. Without
+    ``free_energy`` either closure returns None for the log-likelihoods.
     :meth:`log_likelihood_and_grad` makes a new closure per call, so the
     arrays it returns are never written again.
     """
@@ -338,11 +339,11 @@ class DesignMatrices:
         # a likelihood of its own, so no later call writes the arrays
         return self._likelihood(len(w))(w)
 
-    def _likelihood(self, n: int):
+    def _likelihood(self, n: int, free_energy: bool = True):
         """:meth:`log_likelihood_and_grad` unchecked, for float64 (n, P)
         w, set up once for a run of calls (see the class docstring)."""
         if self.model.fixed_noise_sd is None:
-            return self._learned_noise(n)
+            return self._learned_noise(n, free_energy)
         phi, b, shift, const = self._factor
         # np.dot on a contiguous copy of A: given the strided view itself
         # it copies A' into rows and, from P = 16 on, takes a dgemm
@@ -352,7 +353,7 @@ class DesignMatrices:
         k, p = phi.shape
         v, grad = np.empty((2, n, p))
         u, u2 = np.empty((2, n, k))
-        ll = np.empty(n)
+        ll = np.empty(n) if free_energy else None
         add, subtract, multiply, dot = np.add, np.subtract, np.multiply, np.dot
         add_reduce = np.add.reduce
 
@@ -360,15 +361,16 @@ class DesignMatrices:
             subtract(w, shift, out=v)
             dot(v, phi_t, out=u)
             subtract(b, u, out=u)
-            # ll = const - (1/2) sum u^2, rounded as written
-            add_reduce(multiply(u, u, out=u2), axis=1, out=ll)
-            multiply(ll, -0.5, out=ll)
-            add(ll, const, out=ll)
+            if ll is not None:
+                # ll = const - (1/2) sum u^2, rounded as written
+                add_reduce(multiply(u, u, out=u2), axis=1, out=ll)
+                multiply(ll, -0.5, out=ll)
+                add(ll, const, out=ll)
             return ll, dot(u, phi, out=grad)
 
         return fixed_noise
 
-    def _learned_noise(self, n: int):
+    def _learned_noise(self, n: int, free_energy: bool):
         """The learned-noise likelihood of (n, P) w, over (n, D) buffers."""
         p, d = self.model.n_mean_weights, len(self.y)
         r, u, a, t, e, sigma = np.empty((6, n, d))
@@ -380,10 +382,12 @@ class DesignMatrices:
             np.matmul(w_sigma, self.phi_sigma.T, out=t)
             softplus(t, e, a, out=sigma)
             np.add(sigma, NOISE_FLOOR, out=sigma)
-            log_sigma = np.log(sigma, out=a).sum(axis=1)
             np.divide(r, sigma, out=u)
             u2 = np.multiply(u, u, out=a)
-            ll = -(log_sigma + 0.5 * u2.sum(axis=1) + d * _HALF_LOG_2PI)
+            ll = None
+            if free_energy:     # r is spare once u = r / sigma
+                log_sigma = np.log(sigma, out=r).sum(axis=1)
+                ll = -(log_sigma + 0.5 * u2.sum(axis=1) + d * _HALF_LOG_2PI)
             grad = np.divide(u, sigma, out=r) @ self.phi_mu
             # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
             q = np.greater_equal(t, 0.0, out=r, casting="unsafe")

@@ -57,14 +57,14 @@ def _in_double_range(literal: str, kind: type = float):
 
 
 def load_json(path: str) -> dict:
-    """The JSON object in ``path``, a config or a model file.
+    """The JSON object in UTF-8 file ``path``, a config or a model file.
 
     An unreadable file, invalid JSON, a non-finite literal, a number
     outside the double range or a top level that is not an object is a
     ConfigError naming the file.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_non_finite,
                             parse_float=_in_double_range,
                             parse_int=partial(_in_double_range, kind=int))
@@ -78,13 +78,13 @@ def load_json(path: str) -> dict:
 
 
 def write_text(path: str, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` and a newline to ``path``.
+    """Write each of ``lines`` and a newline to ``path``, as UTF-8.
 
     A file that cannot be written, for example in a missing directory,
     is a ConfigError naming the path.
     """
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
@@ -95,7 +95,9 @@ def write_text(path: str, lines: Iterable[str]) -> None:
 def dump_json(doc: dict) -> str:
     """Compact deterministic JSON of ``doc``; non-finite numbers are errors."""
     try:
-        return json.dumps(doc, sort_keys=True, allow_nan=False)
+        # doc is a tree the program built: no cycle to look for
+        return json.dumps(doc, sort_keys=True, allow_nan=False,
+                          check_circular=False)
     except ValueError as err:
         raise DomainError(
             f"result holds a non-finite number ({err}); the model "

@@ -41,9 +41,9 @@ arithmetic, about 0.4 us per call. w = [1 | z] M' goes through
 ``np.dot``, which reaches the same BLAS dgemm as ``np.matmul`` with
 about 0.3 us less dispatch, and gives the same bits at P = 1 to 1,024.
 G'[1 | z] stays on ``np.matmul``: through ``np.dot`` that product is
-slower from P of about 231 on (180 us against 101 us at P = 462). A
-``verify`` step costs 16.5 us, where it cost 18.8 us with these
-products on ``np.matmul`` and its constants looked up in the loop.
+slower from P of about 231 on (180 us against 101 us at P = 462).
+``verify`` reads only the posterior, so its steps skip F, 7 of a step's
+31 numpy calls: 16.6 us a step against 22.0 us with F, on 2 vCPUs.
 
 Adam (Kingma & Ba, 2015) runs in the form of their section 2, which
 rearranges their Algorithm 1: m <- b1 m + (1 - b1) g and
@@ -270,16 +270,17 @@ def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPoste
     return VariationalPosterior(family, m[:, 0].copy(), scale)
 
 
-def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float):
+def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float,
+             free_energy: bool = True):
     """:func:`objective` as step(theta, z1) on the (n, P + 1) rows
     z1 = [1 | z], with its setup done once: the index table, the
     likelihood with its workspace, the prior's constants and a workspace
     (M, exp of L's diagonal, w and G'[1 | z]) that each call, and the
-    gradient it returns, overwrite."""
+    gradient it returns, overwrite. Without ``free_energy`` F is NaN."""
     p = design.model.n_weights
     index = _index_table(family, p)
     diag = index[p:2 * p]
-    likelihood = design._likelihood(n)
+    likelihood = design._likelihood(n, free_energy)
     tau2 = prior_tau**2
     p_log_tau2 = p * math.log(tau2)
     m = np.zeros((p, p + 1))        # off the index table M stays 0
@@ -297,10 +298,12 @@ def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float):
         m.put(diag, exp(log_d, out=d))
         # w = [1 | z] M' by np.dot, G'[1 | z] by np.matmul: see the module
         ll, g = likelihood(dot(z1, m_t, out=w))
-        # np.add.reduce: the sums ndarray.sum and np.mean make, less dispatch
-        kl = (0.5 * (float(vdot(m, m)) / tau2 - p + p_log_tau2)
-              - float(add_reduce(log_d)))
-        value = kl - float(add_reduce(ll)) / n
+        value = math.nan
+        if free_energy:
+            # np.add.reduce: ndarray.sum's and np.mean's sums, less dispatch
+            kl = (0.5 * (float(vdot(m, m)) / tau2 - p + p_log_tau2)
+                  - float(add_reduce(log_d)))
+            value = kl - float(add_reduce(ll)) / n
         # dF/dM = M / tau^2 - G'[1 | z] / n, then dF/dtheta:
         # d(log d) = d * dF/dd - 1
         matmul(g.T, z1, out=gz)
@@ -428,7 +431,8 @@ def _exact_free_energy(design: DesignMatrices,
     return f
 
 
-def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
+def optimize(design: DesignMatrices, config: VIConfig,
+             free_energy: bool = True) -> TrainResult:
     """Minimize the free energy by Adam; returns the posterior and F
     trajectory.
 
@@ -442,14 +446,18 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     stops at ``max_steps`` with ``"max_steps"``. Raises
     :class:`~uncertlab.errors.DivergenceError` with the step index if F
     turns non-finite or any of a step's arithmetic overflows, and with
-    the last step's if a scale of q ends at exp(log scale) = 0. Runs for
-    either noise mode; :func:`train_vi` calls it for a learned one only.
+    the last step's if theta ends non-finite or a scale of q ends at
+    exp(log scale) = 0. Runs for either noise mode; :func:`train_vi` calls
+    it for a learned one only. ``free_energy=False`` skips F: the same
+    posterior to the bit in exactly ``max_steps`` steps, with no
+    trajectory and NaN free energies, which ``dump_json`` refuses.
     """
     family, n_mc = config.family, config.n_mc
     p = design.model.n_weights
     theta = _initial_theta(design, family)
     gen = substream(config.seed, 0)
-    step_f = _stepper(design, family, n_mc, design.model.prior_tau)
+    step_f = _stepper(design, family, n_mc, design.model.prior_tau,
+                      free_energy)
 
     # z for a block of steps comes from one call: the same normals, in
     # the same order, as one call per step, written once as [1 | z] rows
@@ -473,7 +481,7 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
                                        np.subtract)
     sqrt, msqrt, cos, pi = np.sqrt, math.sqrt, math.cos, math.pi
     isfinite = math.isfinite
-    trajectory = np.empty(max_steps)
+    trajectory = np.empty(max_steps if free_energy else 0)
     stop_reason = "max_steps"
     n_steps = 0
 
@@ -487,9 +495,11 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
                 rows = min(block, max_steps - step)
                 z1s[:rows, :, 1:] = gen.standard_normal((rows, n_mc, p))
             value, grad = step_f(theta, z1_rows[step % block])
-            if not isfinite(value):
-                raise DivergenceError("free energy became non-finite", step)
-            trajectory[step] = value
+            if free_energy:
+                if not isfinite(value):
+                    raise DivergenceError("free energy became non-finite",
+                                          step)
+                trajectory[step] = value
             n_steps = step + 1
 
             # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
@@ -509,7 +519,7 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
             divide(step_buf, denom, out=step_buf)
             subtract(theta, step_buf, out=theta)
 
-            if n_steps >= 2 * w and n_steps % w == 0:
+            if free_energy and n_steps >= 2 * w and n_steps % w == 0:
                 before = trajectory[n_steps - 2 * w:n_steps - w]
                 prev = float(np.mean(before))
                 rise = float(np.mean(trajectory[n_steps - w:n_steps])) - prev
@@ -521,6 +531,8 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
                     stop_reason = "worsened" if worse else "plateau"
                     break
 
+    if not np.all(np.isfinite(theta)):
+        raise DivergenceError("the parameters became non-finite", n_steps - 1)
     dead = np.flatnonzero(np.exp(theta[p:2 * p]) == 0.0)
     if dead.size:
         raise DivergenceError(f"the scale of weight {dead[0]} underflowed to "
@@ -532,8 +544,8 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
         trajectory=trajectory,
         n_steps=n_steps,
         stop_reason=stop_reason,
-        initial_free_energy=float(trajectory[0]),
-        final_free_energy=float(np.mean(tail)),
+        initial_free_energy=float(trajectory[0]) if free_energy else math.nan,
+        final_free_energy=float(np.mean(tail)) if free_energy else math.nan,
     )
 
 

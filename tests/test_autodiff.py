@@ -127,7 +127,8 @@ class TestContract:
     def test_value_matches_direct_evaluation(self):
         m = parse_model("sin(X1) + X1 ^ 2")
         b = derivatives(m, {"X1": 0.7}, order=3)
-        assert b.value == pytest.approx(math.sin(0.7) + 0.49, rel=1e-15)
+        assert b.value == pytest.approx(math.sin(0.7) + 0.49,
+                                        rel=1e-15, abs=0.0)
 
     def test_variable_superset_gives_zero_columns(self):
         m = parse_model("X1 ^ 2")
@@ -148,14 +149,15 @@ class TestContract:
         # f = x^4: f''' = 24x
         m = parse_model("X1 ^ 4")
         b = derivatives(m, {"X1": 1.5}, order=3)
-        assert b.third_mixed[0, 0] == pytest.approx(24 * 1.5, rel=1e-12)
+        assert b.third_mixed[0, 0] == pytest.approx(24 * 1.5,
+                                                    rel=1e-12, abs=0.0)
 
     def test_third_mixed_index_convention(self):
         # f = X1^2 * X2: entry [i, j] holds d3f / dxi dxj^2, so the
         # X2-row X1-column entry is d3f / dX2 dX1^2 = 2
         m = parse_model("X1 ^ 2 * X2")
         b = derivatives(m, {"X1": 1.0, "X2": 1.0}, order=3)
-        assert b.third_mixed[1, 0] == pytest.approx(2.0, rel=1e-14)
+        assert b.third_mixed[1, 0] == pytest.approx(2.0, rel=1e-14, abs=0.0)
         assert b.third_mixed[0, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_domain_error_propagates(self):
@@ -400,7 +402,7 @@ class TestWideSeries:
         grad, hess, third = self.closed_forms(x)
         assert b.value == pytest.approx(
             sum(x[i] * math.sin(x[(i + 1) % self.N]) for i in range(self.N)),
-            rel=1e-14)
+            rel=1e-14, abs=0.0)
         assert b.grad == pytest.approx(grad, rel=1e-14, abs=1e-15)
         if order >= 2:
             assert b.hess == pytest.approx(hess, rel=1e-14, abs=1e-15)

@@ -19,6 +19,7 @@ import uncertlab.propagation as propagation
 import uncertlab.vi as vi
 from uncertlab.cli import main
 from uncertlab.dataset import make_dataset
+from uncertlab.regression import DesignMatrices
 
 
 def run_cli(capsys, *argv):
@@ -77,7 +78,7 @@ class TestPropagate:
         r = json.loads(out)
         assert r["mode"] == "propagate"
         m = r["results"]["measurement"]
-        assert m["u"] ** 2 == pytest.approx(0.1301, rel=1e-12)
+        assert m["u"] ** 2 == pytest.approx(0.1301, rel=1e-12, abs=0.0)
         assert r["results"]["budget"][0]["name"] == "X1"
 
     def test_out_file(self, capsys, propagate_config, tmp_path):
@@ -94,7 +95,7 @@ class TestPropagate:
         cfg = json.loads(out)["config"]
         assert cfg["k"] == 2.0
         assert cfg["M"] == 200000
-        assert cfg["coverage"] == pytest.approx(0.9544997361036416)
+        assert cfg["coverage"] == pytest.approx(0.9544997361036416, abs=0.0)
 
     def test_analytic_matches_hand_value(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "lin.json", {
@@ -109,8 +110,8 @@ class TestPropagate:
         })
         _, out, _ = run_cli(capsys, "propagate", "--config", cfg)
         m = json.loads(out)["results"]["measurement"]
-        assert m["y"] == pytest.approx(1.0, rel=1e-12)
-        assert m["u"] == pytest.approx(np.sqrt(4.25), rel=1e-12)
+        assert m["y"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert m["u"] == pytest.approx(np.sqrt(4.25), rel=1e-12, abs=0.0)
 
     def test_monte_carlo_with_sample_dump(self, capsys, tmp_path,
                                           propagate_config):
@@ -334,13 +335,15 @@ class TestPropagate:
         assert code == 0 and err == ""
         m = json.loads(out)["results"]["measurement"]
         assert m["y"] == 0.0
-        assert m["u"] == pytest.approx(1e108 / math.sqrt(6.0), rel=1e-15)
+        assert m["u"] == pytest.approx(1e108 / math.sqrt(6.0),
+                                       rel=1e-15, abs=0.0)
         # its variance 4.2e398 overflows, u = 1e200 sqrt(1.5) / 6 does not
         cfg = tri(1e200, 1.5e200, 2e200, "X1 * 1e-200")
         code, out, err = run_cli(capsys, "propagate", "--config", cfg)
         assert code == 0 and err == ""
         m = json.loads(out)["results"]["measurement"]
-        assert m["u"] == pytest.approx(math.sqrt(1.5) / 6.0, rel=1e-15)
+        assert m["u"] == pytest.approx(math.sqrt(1.5) / 6.0,
+                                       rel=1e-15, abs=0.0)
         # each draw once put (b - a)(m - a) = 5e399 under a square root:
         # every draw was inf and Monte Carlo blamed the model
         cfg = tri(1e200, 1.5e200, 2e200, "X1 * 1e-200", "monte_carlo")
@@ -451,7 +454,7 @@ class TestPropagate:
         assert code == 0
         m = json.loads(out)["results"]["measurement"]
         # 9 * 0.01 + 4 * 0.01 + 2 * 0.5 * 6 * 0.01
-        assert m["u"] ** 2 == pytest.approx(0.19, rel=1e-14)
+        assert m["u"] ** 2 == pytest.approx(0.19, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("key, literal", [
         ("k", "1e400"),
@@ -572,7 +575,8 @@ class TestTrainPredict:
         assert parts[1]["y_hat"] == pytest.approx(2.0, abs=0.1)
         assert parts[0]["conformity"]["zone"] == "conformity"
         total = parts[0]["aleatoric_var"] + parts[0]["epistemic_var"]
-        assert parts[0]["sigma_hat"] ** 2 == pytest.approx(total, rel=1e-9)
+        assert parts[0]["sigma_hat"] ** 2 == pytest.approx(total,
+                                                           rel=1e-9, abs=0.0)
 
     def test_stop_reason_in_report_and_model_file(self, capsys, tmp_path,
                                                   training_csv):
@@ -862,7 +866,7 @@ class TestOverflowingData:
         report = json.loads(out)
         assert report["results"]["training"]["n_steps"] == 300
         sd = report["dataset_summary"]["features"][0]["sd"]
-        assert sd == pytest.approx(1e200 / math.sqrt(60), rel=1e-12)
+        assert sd == pytest.approx(1e200 / math.sqrt(60), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("fixed_noise_sd", [None, 0.1])
     def test_overflowing_feature_is_refused_by_record(
@@ -1065,6 +1069,37 @@ class TestVerify:
         (x, y), = records
         first = vi.substream(*streams["vi"][0]).standard_normal(x.size)
         assert not np.array_equal(x.ravel(), first)
+
+    def test_computes_no_free_energy(self, capsys, monkeypatch):
+        # no step computes F or the log-likelihoods under it
+        values, log_likelihoods = [], []
+        stepper, likelihood = vi._stepper, DesignMatrices._likelihood
+
+        def spy_stepper(*args, **kwargs):
+            step = stepper(*args, **kwargs)
+
+            def spied(theta, z1):
+                value, grad = step(theta, z1)
+                values.append(value)
+                return value, grad
+            return spied
+
+        def spy_likelihood(self, *args, **kwargs):
+            closure = likelihood(self, *args, **kwargs)
+
+            def spied(w):
+                ll, grad = closure(w)
+                log_likelihoods.append(ll)
+                return ll, grad
+            return spied
+
+        monkeypatch.setattr(vi, "_stepper", spy_stepper)
+        monkeypatch.setattr(DesignMatrices, "_likelihood", spy_likelihood)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
+        assert code == 0 and json.loads(out)["results"][
+            "conjugate_check"]["passed"]
+        assert len(values) == 4000 and all(map(math.isnan, values))
+        assert log_likelihoods == [None] * 4000
 
     def test_same_seed_writes_the_same_results(self, capsys, tmp_path):
         # the same results block twice, after all 4,000 Adam steps

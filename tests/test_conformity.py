@@ -33,8 +33,8 @@ class TestZones:
     def test_center_conforms(self):
         d = classify(10.1, 0.02, self.SPEC)
         assert d.zone == "conformity"
-        assert d.resulting_tolerance == (pytest.approx(10.02),
-                                         pytest.approx(10.18))
+        assert d.resulting_tolerance == (pytest.approx(10.02, abs=0.0),
+                                         pytest.approx(10.18, abs=0.0))
         assert not d.no_reliable_zone
 
     def test_guard_band_is_uncertain(self):
@@ -135,7 +135,7 @@ class TestVirtualClassification:
     def test_uses_k_sigma_as_u(self):
         vm = virtual(10.1, 0.01, 2.0, aleatoric_var=5e-5, epistemic_var=5e-5)
         d = classify(vm.y, vm.U, Specification(10.0, 10.2))
-        assert d.U == pytest.approx(0.02, rel=1e-12)
+        assert d.U == pytest.approx(0.02, rel=1e-12, abs=0.0)
         assert d.zone == "conformity"
 
     def test_wide_predictive_spread_flags_no_zone(self):

@@ -61,8 +61,8 @@ class TestPosterior:
         model = build_model(data, mean_degree=0, standardize=False,
                             fixed_noise_sd=1.0, prior_tau=1.0)
         q = conjugate_posterior(model.design(data))
-        assert q.mu[0] == pytest.approx(0.5, rel=1e-13)
-        assert q.covariance()[0, 0] == pytest.approx(0.5, rel=1e-13)
+        assert q.mu[0] == pytest.approx(0.5, rel=1e-13, abs=0.0)
+        assert q.covariance()[0, 0] == pytest.approx(0.5, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("degree, sd, tau", [
         (1, 0.2, 1.0), (2, 0.2, 1.0), (2, 0.05, 0.3), (3, 1.5, 10.0)])
@@ -137,7 +137,7 @@ class TestExactFreeEnergy:
                                + data.y @ np.linalg.solve(evidence_cov,
                                                           data.y))
         f = vi._exact_free_energy(design, q)
-        assert f == pytest.approx(-log_evidence, rel=1e-12)
+        assert f == pytest.approx(-log_evidence, rel=1e-12, abs=0.0)
         assert vi._exact_free_energy(design, diagonal(q)) > f
 
     def test_free_energy_beyond_the_double_range_is_refused(self):
@@ -225,7 +225,8 @@ class TestTrainPredict:
         vm = predict_parts(model, out.posterior, np.zeros((1, 2)), 2.0)
         var = vm.u[0] ** 2
         assert var >= model.fixed_noise_sd ** 2
-        assert var == pytest.approx(model.fixed_noise_sd ** 2, rel=0.01)
+        assert var == pytest.approx(model.fixed_noise_sd ** 2,
+                                    rel=0.01, abs=0.0)
 
     def test_both_configs_train_the_same_full_rank_posterior(self):
         model, data = fixture(n=50, seed=5, degree=2)

@@ -109,10 +109,10 @@ class TestIngestDataset:
         s = d.summary
         assert s.n_records == 3
         a = s.features[0]
-        assert a.mean == pytest.approx(2.0)
-        assert a.sd == pytest.approx(1.0)
+        assert a.mean == pytest.approx(2.0, abs=0.0)
+        assert a.sd == pytest.approx(1.0, abs=0.0)
         assert (a.min, a.max) == (1.0, 3.0)
-        assert s.target.mean == pytest.approx(20.0)
+        assert s.target.mean == pytest.approx(20.0, abs=0.0)
 
     def test_summary_dict_is_json_plain(self, tmp_path):
         path = write_csv(tmp_path, "a,y\n1,2\n3,4\n")
@@ -135,8 +135,9 @@ class TestIngestDataset:
                              (d.y, d.summary.target)):
             mean = math.fsum(col) / n
             var = math.fsum((v - mean) ** 2 for v in col) / (n - 1)
-            assert summary.mean == pytest.approx(mean, rel=1e-9)
-            assert summary.sd == pytest.approx(math.sqrt(var), rel=1e-9)
+            assert summary.mean == pytest.approx(mean, rel=1e-9, abs=0.0)
+            assert summary.sd == pytest.approx(math.sqrt(var),
+                                               rel=1e-9, abs=0.0)
 
 
 class TestIngestParts:

@@ -19,13 +19,13 @@ class TestMoments:
 
     def test_rectangular_unit_interval_u(self):
         mean, u = Rectangular(0.0, 1.0).mean_and_u()
-        assert mean == pytest.approx(0.5, rel=1e-15)
-        assert u == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-15)
+        assert mean == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert u == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-15, abs=0.0)
 
     def test_triangular_symmetric_u(self):
         mean, u = Triangular(0.0, 0.5, 1.0).mean_and_u()
-        assert mean == pytest.approx(0.5, rel=1e-15)
-        assert u == pytest.approx(math.sqrt(1.0 / 24.0), rel=1e-15)
+        assert mean == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert u == pytest.approx(math.sqrt(1.0 / 24.0), rel=1e-15, abs=0.0)
 
     def test_degenerate_gaussian_allowed(self):
         assert Gaussian(2.0, 0.0).mean_and_u() == (2.0, 0.0)
@@ -41,8 +41,8 @@ class TestMoments:
             "right"])
     def test_u_is_scipy_std(self, marginal, dist):
         mean, u = marginal.mean_and_u()
-        assert mean == pytest.approx(dist.mean(), rel=1e-14)
-        assert u == pytest.approx(dist.std(), rel=1e-14)
+        assert mean == pytest.approx(dist.mean(), rel=1e-14, abs=0.0)
+        assert u == pytest.approx(dist.std(), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
     def test_u_across_the_double_range(self, scale):
@@ -195,7 +195,8 @@ class TestQuantileFunctions:
         d = Gaussian(1.0, 2.0)
         for p in (0.025, 0.5, 0.975):
             x = d.ppf(p)
-            assert special.ndtr((x - 1.0) / 2.0) == pytest.approx(p, rel=1e-12)
+            assert special.ndtr((x - 1.0) / 2.0) == pytest.approx(
+                p, rel=1e-12, abs=0.0)
 
 
 class TestValidation:
@@ -231,12 +232,13 @@ class TestValidation:
         assert Gaussian(1e308, 1e308).mean_and_u() == (1e308, 1e308)
         assert Gaussian(0.0, 1.4e154).mean_and_u() == (0.0, 1.4e154)
         assert Rectangular(0.0, 1e200).mean_and_u()[1] == pytest.approx(
-            1e200 / math.sqrt(12.0), rel=1e-15)
+            1e200 / math.sqrt(12.0), rel=1e-15, abs=0.0)
         assert Rectangular(-8e307, 8e307).mean_and_u()[1] == pytest.approx(
-            1.6e308 / math.sqrt(12.0), rel=1e-15)
+            1.6e308 / math.sqrt(12.0), rel=1e-15, abs=0.0)
         mean, u = Triangular(1e200, 1.5e200, 2e200).mean_and_u()
-        assert mean == pytest.approx(1.5e200, rel=1e-15)
-        assert u == pytest.approx(1e200 * math.sqrt(1.5) / 6.0, rel=1e-15)
+        assert mean == pytest.approx(1.5e200, rel=1e-15, abs=0.0)
+        assert u == pytest.approx(1e200 * math.sqrt(1.5) / 6.0,
+                                  rel=1e-15, abs=0.0)
 
     def test_duplicate_names_rejected(self):
         qs = [InputQuantity("X1", Gaussian(0, 1)),
@@ -295,7 +297,7 @@ class TestSampling:
             se_mean = joint.u[j] / np.sqrt(200_000)
             assert abs(x[:, j].mean() - joint.means[j]) < 5 * se_mean
             assert x[:, j].std(ddof=1) == pytest.approx(joint.u[j],
-                                                        rel=0.01)
+                                                        rel=0.01, abs=0.0)
 
     def test_bounded_marginals_stay_in_support(self):
         joint = JointInputModel([

@@ -123,7 +123,8 @@ class TestPrecedenceAndAssociativity:
     @pytest.mark.parametrize("text,assignment,expected", CASES)
     def test_value(self, text, assignment, expected):
         m = parse_model(text, declared=ABC)
-        assert evaluate(m, assignment) == pytest.approx(expected, rel=1e-15)
+        assert evaluate(m, assignment) == pytest.approx(expected,
+                                                        rel=1e-15, abs=0.0)
 
     def test_random_expressions_match_python(self):
         # the generator emits only numbers, names, + - * /, parentheses
@@ -157,7 +158,7 @@ class TestEvaluation:
         x = 1.7
         want = (math.sin(x) + math.cos(x) + math.exp(x) + math.log(x)
                 + math.sqrt(x))
-        assert evaluate(m, {"x": x}) == pytest.approx(want, rel=1e-15)
+        assert evaluate(m, {"x": x}) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_missing_assignment_is_an_error(self):
         with pytest.raises(EvaluationError, match="no value"):

@@ -295,11 +295,12 @@ class TestOldFiles:
                       / raw["model"]["x_sd"])
             # degree 2 in two features: 1, z1, z2, z1^2, z1 z2, z2^2
             phi = np.array([1.0, z1, z2, z1 * z1, z1 * z2, z2 * z2])
-            assert vms.y[i] == pytest.approx(phi @ mu, rel=1e-12)
+            assert vms.y[i] == pytest.approx(phi @ mu, rel=1e-12, abs=0.0)
             assert vms.epistemic_var[i] == pytest.approx(
-                np.sum((phi * sd) ** 2), rel=1e-12)
+                np.sum((phi * sd) ** 2), rel=1e-12, abs=0.0)
             assert vms.u[i] ** 2 == pytest.approx(
-                vms.aleatoric_var[i] + vms.epistemic_var[i], rel=1e-12)
+                vms.aleatoric_var[i] + vms.epistemic_var[i], rel=1e-12,
+                abs=0.0)
             half = ref["k"] * vms.u[i]
             assert (lower[i], upper[i]) == (vms.y[i] - half,
                                             vms.y[i] + half)

@@ -34,10 +34,10 @@ class TestAnalytic:
         m = parse_model("2 * X1 - 0.5 * X2 + 1")
         joint = gaussian_joint([1.0, 4.0], [0.2, 0.3])
         r = propagate_analytic(m, joint)
-        assert r.y == pytest.approx(2.0 - 2.0 + 1.0, rel=1e-14)
+        assert r.y == pytest.approx(2.0 - 2.0 + 1.0, rel=1e-14, abs=0.0)
         assert r.u == pytest.approx(np.sqrt(4 * 0.04 + 0.25 * 0.09),
-                                    rel=1e-13)
-        assert r.U == pytest.approx(2 * r.u, rel=1e-15)
+                                    rel=1e-13, abs=0.0)
+        assert r.U == pytest.approx(2 * r.u, rel=1e-15, abs=0.0)
         assert r.method == "analytic"
 
     def test_correlation_term_enters(self):
@@ -46,7 +46,7 @@ class TestAnalytic:
         joint = gaussian_joint([1.0, 4.0], [0.2, 0.3], corr)
         r = propagate_analytic(m, joint)
         # 4*.04 + .25*.09 + 2*(2)(-0.5)(0.5*0.2*0.3)
-        assert r.u ** 2 == pytest.approx(0.1225, rel=1e-13)
+        assert r.u ** 2 == pytest.approx(0.1225, rel=1e-13, abs=0.0)
 
     def test_nonlinear_model_refused(self):
         m = parse_model("X1 * X2")
@@ -75,8 +75,8 @@ class TestAnalytic:
         joint = gaussian_joint([1.0, -2.0], [0.3, 0.2])
         ra = propagate_analytic(m, joint)
         r1 = propagate_taylor1(m, joint)
-        assert ra.y == pytest.approx(r1.y, rel=1e-12)
-        assert ra.u == pytest.approx(r1.u, rel=1e-12)
+        assert ra.y == pytest.approx(r1.y, rel=1e-12, abs=0.0)
+        assert ra.u == pytest.approx(r1.u, rel=1e-12, abs=0.0)
 
     def test_domain_error_in_constant_factor(self):
         joint = gaussian_joint([1.0], [0.1])
@@ -90,7 +90,7 @@ class TestAnalytic:
             InputQuantity("X2", Rectangular(0.0, 1.0)),
         ])
         r = propagate_analytic(m, joint)
-        assert r.u ** 2 == pytest.approx(2.0 / 12.0, rel=1e-13)
+        assert r.u ** 2 == pytest.approx(2.0 / 12.0, rel=1e-13, abs=0.0)
 
 
 class TestTaylor:
@@ -98,22 +98,22 @@ class TestTaylor:
         m = parse_model("X1 * X2")
         joint = gaussian_joint([2.0, 3.0], [0.1, 0.1])
         r = propagate_taylor1(m, joint)
-        assert r.y == pytest.approx(6.0, rel=1e-14)
-        assert r.u ** 2 == pytest.approx(0.13, rel=1e-13)
+        assert r.y == pytest.approx(6.0, rel=1e-14, abs=0.0)
+        assert r.u ** 2 == pytest.approx(0.13, rel=1e-13, abs=0.0)
 
     def test_product_model_second_order_correction(self):
         m = parse_model("X1 * X2")
         joint = gaussian_joint([2.0, 3.0], [0.1, 0.1])
         r = propagate_taylor2(m, joint)
         # adds (1/2) * 1^2 * u1^2 u2^2 twice -> +0.0001
-        assert r.u ** 2 == pytest.approx(0.1301, rel=1e-13)
+        assert r.u ** 2 == pytest.approx(0.1301, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("u0", [0.1, 1.0, 3.0])
     def test_pure_square_second_order_is_exact(self, u0):
         m = parse_model("X1 ^ 2")
         joint = gaussian_joint([0.0], [u0])
         r = propagate_taylor2(m, joint)
-        assert r.u ** 2 == pytest.approx(2 * u0 ** 4, rel=1e-12)
+        assert r.u ** 2 == pytest.approx(2 * u0 ** 4, rel=1e-12, abs=0.0)
 
     def test_first_order_blind_at_stationary_point(self):
         m = parse_model("X1 ^ 2")
@@ -137,7 +137,7 @@ class TestTaylor:
         r = propagate_taylor1(parse_model("X1 * X2"), joint)
         expected = (mu2**2 * s1**2 + mu1**2 * s2**2
                     + 2 * rho * mu1 * mu2 * s1 * s2)
-        assert r.u ** 2 == pytest.approx(expected, rel=1e-14)
+        assert r.u ** 2 == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert r.U == 2.0 * r.u
         assert r.interval == (r.y - r.U, r.y + r.U)
 
@@ -184,9 +184,9 @@ class TestTaylor:
             ra = propagate_analytic(m, joint)
             r1 = propagate_taylor1(m, joint)
             r2 = propagate_taylor2(m, joint)
-            assert r1.u == pytest.approx(ra.u, rel=1e-12)
-            assert r2.u == pytest.approx(ra.u, rel=1e-12)
-            assert r1.y == pytest.approx(ra.y, rel=1e-12)
+            assert r1.u == pytest.approx(ra.u, rel=1e-12, abs=0.0)
+            assert r2.u == pytest.approx(ra.u, rel=1e-12, abs=0.0)
+            assert r1.y == pytest.approx(ra.y, rel=1e-12, abs=0.0)
 
 
 class TestMonteCarlo:
@@ -195,7 +195,7 @@ class TestMonteCarlo:
         joint = gaussian_joint([2.0, 3.0], [0.1, 0.1])
         r, ecdf = propagate_monte_carlo(m, joint, M=200_000, seed=1)
         assert r.y == pytest.approx(6.0, abs=5 * r.mc_diagnostics.mc_standard_error)
-        assert r.u == pytest.approx(np.sqrt(0.1301), rel=0.02)
+        assert r.u == pytest.approx(np.sqrt(0.1301), rel=0.02, abs=0.0)
         assert r.method == "monte_carlo"
         assert r.mc_diagnostics.M == 200_000
         assert r.mc_diagnostics.domain_error_count == 0
@@ -314,7 +314,7 @@ class TestMonteCarlo:
         joint = gaussian_joint([0.0], [1.0])
         r, _ = propagate_monte_carlo(m, joint, M=100_000, seed=0)
         assert r.mc_diagnostics.mc_standard_error == pytest.approx(
-            r.u / np.sqrt(100_000), rel=1e-12)
+            r.u / np.sqrt(100_000), rel=1e-12, abs=0.0)
 
     def test_rectangular_input_quantile_interval(self):
         m = parse_model("X1")
@@ -755,7 +755,7 @@ class TestSummaries:
         rows = sensitivity_budget(r1, joint)
         assert [r["name"] for r in rows] == ["X1", "X2", "X3"]
         total = sum(r["contribution"] for r in rows)
-        assert total == pytest.approx(r1.u ** 2, rel=1e-12)
+        assert total == pytest.approx(r1.u ** 2, rel=1e-12, abs=0.0)
 
     def test_budget_needs_a_gradient(self):
         m = parse_model("X1 * X2")
@@ -954,7 +954,8 @@ class TestDoubleRangeOracles:
             InputQuantity("X1", Rectangular(1e308, 1.7e308))])
         r = propagate_taylor1(parse_model("X1 * 0.5"), joint)
         assert r.y == 6.75e307
-        assert r.u == pytest.approx(0.35e308 / math.sqrt(12.0), rel=1e-15)
+        assert r.u == pytest.approx(0.35e308 / math.sqrt(12.0), rel=1e-15,
+                                    abs=0.0)
 
     @pytest.mark.parametrize("method", [propagate_analytic,
                                         propagate_taylor1])

@@ -109,7 +109,8 @@ class TestFeatures:
 
     def test_inv_softplus_round_trip(self):
         for s in (1e-5, 0.1, 1.0, 5.0, 50.0):
-            assert softplus(inv_softplus(s)) == pytest.approx(s, rel=1e-10)
+            assert softplus(inv_softplus(s)) == pytest.approx(s, rel=1e-10,
+                                                              abs=0.0)
 
 
 class TestModelAssembly:
@@ -117,7 +118,7 @@ class TestModelAssembly:
         data = toy_data()
         model = build_model(data)
         assert model.x_mean == pytest.approx(
-            tuple(c.mean for c in data.summary.features))
+            tuple(c.mean for c in data.summary.features), abs=0.0)
         xs = model.standardized(data.x)
         np.testing.assert_allclose(xs.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(xs.std(axis=0, ddof=1), 1.0, rtol=1e-12)
@@ -229,7 +230,8 @@ class TestLikelihood:
         w = np.zeros(model.n_weights)
         w[model.n_mean_weights] = inv_softplus(1.0 - NOISE_FLOOR)
         (ll,), _ = model.design(data).log_likelihood_and_grad(w)
-        assert ll == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
+        assert ll == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12,
+                                   abs=0.0)
 
     def test_matches_mpmath_oracle(self):
         data = toy_data(n=12, seed=3)
@@ -250,7 +252,7 @@ class TestLikelihood:
             total += (-mpmath.log(2 * mpmath.pi * sd ** 2) / 2
                       - r ** 2 / (2 * sd ** 2))
         (ll,), _ = model.design(data).log_likelihood_and_grad(w)
-        assert ll == pytest.approx(float(total), rel=1e-10)
+        assert ll == pytest.approx(float(total), rel=1e-10, abs=0.0)
 
     def test_gradient_matches_finite_differences(self):
         data = toy_data(n=25, seed=9)
@@ -294,7 +296,7 @@ class TestLikelihood:
         batched, grads = design.log_likelihood_and_grad(ws)
         for w, ll, grad in zip(ws, batched, grads):
             (single,), (single_grad,) = design.log_likelihood_and_grad(w)
-            assert ll == pytest.approx(single, rel=1e-12)
+            assert ll == pytest.approx(single, rel=1e-12, abs=0.0)
             np.testing.assert_allclose(grad, single_grad, rtol=1e-12)
 
     def test_noise_floor_keeps_sd_positive(self):

@@ -49,6 +49,28 @@ def help_text(capsys, *argv):
     return capsys.readouterr().out
 
 
+def test_json_is_read_as_utf8_in_any_locale(tmp_path):
+    # RFC 8259 section 8.1: JSON text is UTF-8. Under the C locale
+    # Python's default text encoding is ASCII, which refused this file
+    doc = {"model": {"expression": "X1"}, "method": "taylor1",
+           "inputs": gaussians((2.0, 0.1))}
+    doc["inputs"]["quantities"].append(
+        {"name": "L\u00e4nge", "dist": {"kind": "gaussian", "mean": 1.0,
+                                      "sd": 0.1}})
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    out = run_fresh("""
+        import sys
+        from uncertlab.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """, "propagate", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert out == ""
+    with open(tmp_path / "r.json", encoding="ascii") as fh:
+        echoed = json.load(fh)["config"]["inputs"]["quantities"][1]["name"]
+    assert echoed == "L\u00e4nge"
+
+
 def test_help_lists_the_modes_and_propagate_needs_a_config(capsys):
     lines = help_text(capsys, "--help").splitlines()
     assert any(line.startswith("usage: uncertlab [-h] [--version]")

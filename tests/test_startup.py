@@ -37,15 +37,16 @@ sys.meta_path.insert(0, _Refuse())
 """
 
 
-def run_fresh(code: str, *args: str) -> str:
+def run_fresh(code: str, *args: str, **env: str) -> str:
     """Run ``code`` in a fresh interpreter importing this checkout, in
-    which jsonschema cannot be imported."""
+    which jsonschema cannot be imported, with ``env`` added to the
+    environment."""
     path = [SRC] + ([os.environ["PYTHONPATH"]]
                     if os.environ.get("PYTHONPATH") else [])
     proc = subprocess.run(
         [sys.executable, "-c", _REFUSE_JSONSCHEMA + textwrap.dedent(code),
          *args],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

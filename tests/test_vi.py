@@ -14,6 +14,7 @@ from uncertlab.errors import (ConfigError, DatasetError, DivergenceError,
 from uncertlab.propagation import MeasurementResult, propagate_taylor1
 from uncertlab.regression import (MAX_WEIGHTS, NOISE_FLOOR, BayesianVMModel,
                                   build_model, inv_softplus, softplus)
+from uncertlab.report import dump_json, train_result_to_dict
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
                           objective, optimize, pack_posterior, predict_parts,
@@ -47,7 +48,7 @@ class TestKL:
         # KL(N(1,1) || N(0,1)) = 1/2
         q = VariationalPosterior("mean_field", np.array([1.0]),
                                  np.array([1.0]))
-        assert kl_gaussian(q, 1.0) == pytest.approx(0.5, rel=1e-13)
+        assert kl_gaussian(q, 1.0) == pytest.approx(0.5, rel=1e-13, abs=0.0)
 
     def test_zero_iff_prior(self):
         p = 4
@@ -72,7 +73,7 @@ class TestKL:
                       + q.mu @ q.mu / tau ** 2 - p
                       + p * np.log(tau ** 2)
                       - np.linalg.slogdet(cov)[1])
-        assert kl_gaussian(q, tau) == pytest.approx(want, rel=1e-12)
+        assert kl_gaussian(q, tau) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_mean_field_at_max_weights_forms_no_square_matrix(self):
         # construction and KL read L's diagonal from scale itself; a
@@ -240,7 +241,7 @@ class TestObjectiveGradients:
             f, _ = objective(design, family, pack_posterior(q), z, 1.3)
             ll, _ = design.log_likelihood_and_grad(q.mu + z @ q.factor.T)
             want = kl_gaussian(q, 1.3) - ll.mean()
-            assert f == pytest.approx(want, rel=1e-12)
+            assert f == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_collapsed_posterior_limit(self):
         # scale -> 0: the expectation collapses onto the loglik at mu
@@ -256,7 +257,7 @@ class TestObjectiveGradients:
                          model.prior_tau)
         (ll,), _ = design.log_likelihood_and_grad(mu)
         want = kl_gaussian(q, model.prior_tau) - ll
-        assert f == pytest.approx(want, rel=1e-6)
+        assert f == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_estimator_self_consistency_across_n_mc(self):
         data = linear_data(n=30, seed=2)
@@ -276,7 +277,7 @@ class TestObjectiveGradients:
         assert abs(f1 - f2) < 3 * np.hypot(se1, se2)
         # and seed choice washes out at large n_mc
         f3, _ = estimate(100_000, 2)
-        assert f3 == pytest.approx(f2, rel=0.01)
+        assert f3 == pytest.approx(f2, rel=0.01, abs=0.0)
 
 
 class TestTraining:
@@ -293,7 +294,7 @@ class TestTraining:
         design = build_model(data).design(data)
         theta = vi._initial_theta(design, "mean_field")
         assert theta[design.model.n_mean_weights] == pytest.approx(
-            1e200 * math.sqrt(1 / 80), rel=1e-12)
+            1e200 * math.sqrt(1 / 80), rel=1e-12, abs=0.0)
 
     def test_recovers_linear_weights(self):
         data = linear_data(n=200, seed=42)
@@ -386,7 +387,7 @@ class TestPredict:
         q = random_posterior(rng, model.n_weights, "full_rank")
         vm = predict_parts(model, q, rng.uniform(-2, 2, size=(10, 1)), 2.0)
         total = vm.aleatoric_var + vm.epistemic_var
-        assert vm.u ** 2 == pytest.approx(total, rel=1e-9)
+        assert vm.u ** 2 == pytest.approx(total, rel=1e-9, abs=0.0)
 
     def test_interval_is_khat(self):
         data = linear_data(n=50, seed=1)
@@ -395,8 +396,8 @@ class TestPredict:
                                  np.full(model.n_weights, 0.5))
         vm = predict_parts(model, q, np.array([[0.3]]), k=2.5)
         lo, hi = vm.interval
-        assert lo == pytest.approx(vm.y - 2.5 * vm.u, rel=1e-12)
-        assert hi == pytest.approx(vm.y + 2.5 * vm.u, rel=1e-12)
+        assert lo == pytest.approx(vm.y - 2.5 * vm.u, rel=1e-12, abs=0.0)
+        assert hi == pytest.approx(vm.y + 2.5 * vm.u, rel=1e-12, abs=0.0)
 
     def test_result_is_a_virtual_measurement_result(self):
         # one result type: U is k * u and the interval y -/+ U, bit for
@@ -431,7 +432,7 @@ class TestPredict:
         q = VariationalPosterior("mean_field", np.zeros(model.n_weights),
                                  np.ones(model.n_weights))
         vm = predict_parts(model, q, np.array([[1.0]]), 2.0)
-        assert vm.aleatoric_var[0] == pytest.approx(0.0625, rel=1e-12)
+        assert vm.aleatoric_var[0] == pytest.approx(0.0625, rel=1e-12, abs=0.0)
 
     def test_reruns_identical(self):
         data = linear_data(n=50, seed=4)
@@ -472,9 +473,10 @@ class TestPredict:
         cov = q.covariance()
         for i, row in enumerate(rows):
             phi = model.mean_features(row)[0]
-            assert vms.y[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12)
+            assert vms.y[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12,
+                                             abs=0.0)
             assert vms.epistemic_var[i] == pytest.approx(
-                phi @ cov[:p, :p] @ phi, rel=1e-12)
+                phi @ cov[:p, :p] @ phi, rel=1e-12, abs=0.0)
             alone = predict_parts(model, q, row[None], 2.5)
             for name in FIELDS:
                 assert getattr(alone, name)[0] == getattr(vms, name)[i]
@@ -908,6 +910,66 @@ class TestOptimizerBitIdentity:
         return stop
 
 
+class TestWithoutFreeEnergy:
+    """optimize(free_energy=False), the walk verify runs: the gradient
+    alone, so the same posterior to the bit, and no stop rule."""
+
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_posterior_bits(self, family, fixed_noise, schedule, seed):
+        design = TestOptimizerBitIdentity.design(
+            40 + seed, mean_degree=2, fixed_noise_sd=fixed_noise)
+        cfg = VIConfig(family=family, schedule=schedule, max_steps=300,
+                       window=300, tolerance=0.0, learning_rate=0.05,
+                       n_mc=5, seed=seed)
+        out = optimize(design, cfg, free_energy=False)
+        self.assert_same_posterior(out, optimize(design, cfg))
+        assert out.n_steps == 300 and out.stop_reason == "max_steps"
+        assert out.trajectory.size == 0
+        assert math.isnan(out.initial_free_energy)
+        assert math.isnan(out.final_free_energy)
+        # such a result reaches no report or model file
+        with pytest.raises(DomainError, match="non-finite"):
+            dump_json(train_result_to_dict(out))
+
+    def test_no_stop_rule(self):
+        # the walk with F stops on its plateau at step 320
+        design = TestOptimizerBitIdentity.design(32)
+        cfg = VIConfig(family="mean_field", max_steps=1000, window=40,
+                       tolerance=1e-3, learning_rate=0.03, seed=7)
+        assert optimize(design, cfg).stop_reason == "plateau"
+        out = optimize(design, cfg, free_energy=False)
+        assert (out.n_steps, out.stop_reason) == (1000, "max_steps")
+        # the same walk as the one with F and no early stop
+        full = optimize(design, dataclasses.replace(cfg, window=1000))
+        self.assert_same_posterior(out, full)
+
+    def test_overflow_at_the_same_step(self):
+        design = TestOptimizerBitIdentity.design(33)
+        cfg = VIConfig(family="full_rank", learning_rate=200.0,
+                       max_steps=300, seed=8)
+        with pytest.raises(DivergenceError) as err:
+            optimize(design, cfg, free_energy=False)
+        assert err.value.step == 1
+
+    def test_non_finite_parameters_name_the_last_step(self):
+        # no F turns NaN, but the NaN target reaches theta
+        design = TestOptimizerBitIdentity.design(33)
+        y = design.y.copy()
+        y[5] = math.nan
+        with pytest.raises(DivergenceError, match=r"^the parameters became "
+                           r"non-finite \(step 9\)$"):
+            optimize(dataclasses.replace(design, y=y),
+                     VIConfig(max_steps=10), free_energy=False)
+
+    @staticmethod
+    def assert_same_posterior(out, want):
+        assert np.array_equal(out.posterior.mu, want.posterior.mu)
+        assert np.array_equal(out.posterior.scale, want.posterior.scale)
+
+
 def test_index_tables_not_rebuilt_per_step(monkeypatch):
     data = linear_data(n=40, seed=23)
     model = build_model(data, mean_degree=2)
@@ -972,7 +1034,7 @@ class TestStopRule:
         # the training step optimize builds once per run, scripted
         monkeypatch.setattr(
             vi, "_stepper",
-            lambda design, family, n, tau: lambda theta, z1: (
+            lambda design, family, n, tau, free_energy: lambda theta, z1: (
                 next(values), np.zeros_like(theta)))
         data = linear_data(n=20, seed=24)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
