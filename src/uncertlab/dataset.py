@@ -23,20 +23,23 @@ gives: both round by CPython's correctly rounded string-to-double
 routine. That stage holds only where csv's would: when every non-empty
 line is the header's width of numbers, none is longer than csv's field
 limit, and every selected value is finite; it counts the skipped empty
-lines from the file's line count. Any other body (a quoted or non-
-numeric cell, a short, long or over-long row, a whitespace-only line,
-no rows, a non-finite value, or a file that cannot be read twice) is
-read again row by row with the csv module, which accepts and refuses
-exactly as before and names the first bad row and column. A byte the
-file's text encoding refuses, or a cell past csv's field limit, is a
-DatasetError that names the file and the line.
+lines from the file's line count. Any other body (a non-numeric column,
+used or not, a quoted cell, a short, long or over-long row, a
+whitespace-only line, no rows, a non-finite value, or a file that
+cannot be read twice) is read again in one pass by the csv module: a
+blank row is counted, a row of the wrong width is refused at once, and
+each selected cell of every other row goes to ``float`` straight into
+one flat array of doubles that becomes the table, so no cell is kept as
+a string. The first bad row and, in it, the first bad cell name the
+error. A byte the file's text encoding refuses, or a cell past csv's
+field limit, is a DatasetError that names the file and the line.
 """
 
 import csv
 import functools
 import math
-import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -136,8 +139,10 @@ def make_dataset(
     return Dataset(x, y, names, target_name, summary, n_rejected_rows)
 
 
-def _parse_cell(path: str, lineno: int, column: str, raw: str) -> None:
-    """Raise the error for a cell that is not a finite number."""
+def _parse_cell(path: str, lineno: int, column: str, raw: str) -> float:
+    """The finite number in a cell, else the error naming it. The cell
+    is stripped first: float alone refuses the separators \\x1c-\\x1f
+    that strip and numpy's reader remove."""
     raw = raw.strip()
     try:
         value = float(raw)
@@ -147,6 +152,7 @@ def _parse_cell(path: str, lineno: int, column: str, raw: str) -> None:
     if not math.isfinite(value):
         raise DatasetError(f"{path}: row {lineno}, column {column!r}: "
                            f"non-finite value {raw!r}")
+    return value
 
 
 def _read_numbers(fh, width: int, picked: list[int]) -> Optional[np.ndarray]:
@@ -227,7 +233,9 @@ def _read_csv(
     finite number; errors name the file line and column. Returns the
     selected names, their (rows, columns) values, and the number of
     fully blank lines skipped. The body is read by
-    :func:`_read_numbers` where that stage holds, else row by row.
+    :func:`_read_numbers` where that stage holds, else in one pass of
+    the csv module that parses each selected cell as it reads its row
+    and stops at the first bad row or cell.
     """
     try:
         fh = open(path, newline="")
@@ -252,11 +260,10 @@ def _read_csv(
             raise DatasetError(
                 f"{path}: feature column(s) not found: {', '.join(missing)}")
         columns = [(n, header.index(n)) for n in names]
-        picked = [i for _, i in columns]
 
         # numpy's stage, where a file it refuses can be read again
         if fh.seekable():
-            values = _read_numbers(fh, len(header), picked)
+            values = _read_numbers(fh, len(header), [i for _, i in columns])
             if values is not None:
                 # what numpy skipped is the empty lines; csv takes a line
                 # longer in bytes, so maybe in characters, than its limit
@@ -268,11 +275,8 @@ def _read_csv(
             reader = csv.reader(fh)
             next(reader)
 
-        # itemgetter gives a tuple for two or more indices, else the cell
-        pick = operator.itemgetter(*picked)
-        cells: list[str] = []
-        add = cells.extend if len(columns) > 1 else cells.append
-        kept: list[tuple[int, list[str]]] = []
+        values = array("d")
+        add = values.append
         blank = 0
         try:
             # line 1 is the header, so data rows are numbered from 2
@@ -280,35 +284,17 @@ def _read_csv(
                 if not "".join(row).strip():
                     blank += 1
                     continue
-                kept.append((lineno, row))
                 if len(row) != len(header):
-                    break
-                add(pick(row))
+                    raise DatasetError(f"{path}: row {lineno} has {len(row)} "
+                                       f"cells, expected {len(header)}")
+                for n, i in columns:
+                    add(_parse_cell(path, lineno, n, row[i]))
         except (csv.Error, UnicodeDecodeError) as err:
             raise _unreadable(path, fh, reader, err) from None
 
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-        valid = (len(cells) == len(kept) * len(columns)
-                 and bool(np.isfinite(values).all()))
-    except ValueError:
-        valid = False
-    if not valid:
-        # replay the checks row by row: the first bad row in file order,
-        # and in it the first bad cell, names the error
-        for lineno, row in kept:
-            if len(row) != len(header):
-                raise DatasetError(f"{path}: row {lineno} has {len(row)} "
-                                   f"cells, expected {len(header)}")
-            for n, i in columns:
-                _parse_cell(path, lineno, n, row[i])
-        # every cell is a number once stripped: float alone refuses the
-        # separators \x1c-\x1f that strip and numpy's reader remove
-        values = np.fromiter((float(c.strip()) for c in cells), np.float64,
-                             len(cells))
-    if not kept:
+    if not values:
         raise DatasetError(f"{path}: no data rows")
-    return names, values.reshape(len(kept), len(columns)), blank
+    return names, np.frombuffer(values).reshape(-1, len(columns)), blank
 
 
 def ingest_dataset(

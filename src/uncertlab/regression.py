@@ -220,14 +220,6 @@ class BayesianVMModel:
         with np.errstate(over="ignore"):
             return (x - self.x_mean) / self.x_sd
 
-    def mean_features(self, x: np.ndarray) -> np.ndarray:
-        return polynomial_features(self.standardized(x), self.mean_exponents)
-
-    def noise_features(self, x: np.ndarray) -> Optional[np.ndarray]:
-        if self.fixed_noise_sd is not None:
-            return None
-        return polynomial_features(self.standardized(x), self.noise_exponents)
-
     def features(self, x: np.ndarray, row: str,
                  error: type) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Both heads' design matrices of ``x``, from one table: the

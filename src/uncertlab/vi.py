@@ -238,20 +238,6 @@ def _index_table(family: str, p: int) -> np.ndarray:
     return index
 
 
-def _matrix(family: str, p: int,
-            theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M, L's diagonal, the index table) for the parameter vector theta."""
-    index = _index_table(family, p)
-    if len(theta) != len(index):
-        raise ConfigError(
-            f"{family} parameter vector must have length {len(index)}")
-    m = np.zeros((p, p + 1))
-    m.put(index, theta)
-    d = np.exp(theta[p:2 * p])
-    m.put(index[p:2 * p], d)
-    return m, d, index
-
-
 def pack_posterior(q: VariationalPosterior) -> np.ndarray:
     """Flatten q into the unconstrained vector Adam walks on.
 
@@ -265,7 +251,15 @@ def pack_posterior(q: VariationalPosterior) -> np.ndarray:
 
 def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPosterior:
     """Inverse of :func:`pack_posterior`."""
-    m, d, _ = _matrix(family, p, theta)
+    index = _index_table(family, p)
+    # put would repeat a short theta without a word
+    if len(theta) != len(index):
+        raise ConfigError(
+            f"{family} parameter vector must have length {len(index)}")
+    m = np.zeros((p, p + 1))
+    m.put(index, theta)
+    d = np.exp(theta[p:2 * p])
+    m.put(index[p:2 * p], d)
     scale = m[:, 1:].copy() if family == "full_rank" else d
     return VariationalPosterior(family, m[:, 0].copy(), scale)
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -1132,6 +1133,59 @@ def echoed_config(capsys, *argv):
 
 def canonical(doc):
     return json.dumps(doc, sort_keys=True)
+
+
+class TestRefusedConfigs:
+    """Configs the schemas admit but the run refuses, each with its
+    whole message."""
+
+    LEGACY = os.path.join(os.path.dirname(__file__), "data",
+                          "legacy_model.json")
+
+    @staticmethod
+    def propagate(expression, quantities, **inputs):
+        return {"model": {"expression": expression},
+                "inputs": {"quantities": [
+                    {"name": n, "dist": {"kind": "gaussian", "mean": 1.0,
+                                         "sd": 0.1}} for n in quantities],
+                           **inputs},
+                "method": "taylor1"}
+
+    @pytest.mark.parametrize("mode, doc, message", [
+        ("propagate", propagate("X1 @ 2", ["X1"]),
+         "model.expression: unexpected character '@' (offset 3)"),
+        ("propagate", propagate("X1 + X3", ["X1"]),
+         "model references input(s) without a distribution: X3"),
+        ("propagate", propagate("X1", ["X1"], correlation=[1.0, 0.0]),
+         "inputs.correlation must hold 1 row-major entries for 1 inputs, "
+         "got 2"),
+        ("predict", {"parts": {"path": "parts.csv", "inline": [[1.0, 2.0]]}},
+         "parts must carry exactly one of 'path' (CSV) or 'inline' (rows)"),
+        ("predict", {"parts": {"inline": [[1.0, 2.0], [1.0]]}},
+         "inline parts rows differ in length"),
+        ("predict", {"parts": {"inline": [[1.0], [2.0]]}},
+         "inline parts have 1 feature(s), model expects 2"),
+    ], ids=["character", "undeclared-input", "correlation-length",
+            "path-and-inline", "ragged-inline", "inline-width"])
+    def test_refused_with_its_message(self, capsys, tmp_path, mode, doc,
+                                      message):
+        if mode == "predict":
+            (tmp_path / "parts.csv").write_text("temp,speed\n1,2\n")
+            doc = {"model_path": self.LEGACY, **doc}
+        cfg = write_json(tmp_path / "c.json", doc)
+        code, out, err = run_cli(capsys, mode, "--config", cfg)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert json.loads(err)["error"] == {
+            "mode": mode, "type": "ConfigError", "message": message}
+
+    def test_config_naming_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "predict", "--config", str(tmp_path))
+        assert code == 1 and out == ""
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+        assert json.loads(err)["error"] == {
+            "mode": "predict", "type": "ConfigError",
+            "message": f"cannot read {str(tmp_path)!r}: {reason}: "
+                       f"{str(tmp_path)!r}"}
 
 
 class TestConfigEcho:

@@ -497,6 +497,23 @@ def test_invalid_model_file_rejected_where_jsonschema_rejects(
                      keyword)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("posterior",), {"family": "mean_field", "mu": [0.7, 2.0],
+                      "scale": [0.05, 0.06]},
+     "posterior has 2 weights but the model defines 3"),
+    (("posterior", "scale", 1), 0.01,
+     "full_rank scale must be lower-triangular"),
+], ids=["weight-count", "upper-entry"])
+def test_model_file_the_schema_admits_but_the_model_refuses(
+        tmp_path, path, value, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(mutated(MODEL_BASE["full_rank"], path,
+                                        value)))
+    with pytest.raises(ConfigError) as err:
+        config.load_model(str(model))
+    assert str(err.value) == f"{model}: malformed model document: {message}"
+
+
 def _schema_keywords(schema):
     for key, value in schema.items():
         yield key, value

@@ -36,7 +36,7 @@ def normal_equations(model, data):
     """(mean, covariance, precision) of the posterior, with
     precision = Phi'Phi / sigma^2 + I / tau^2 and
     mean = precision^-1 Phi'y / sigma^2."""
-    phi = model.mean_features(data.x)
+    phi = model.features(data.x, "record", DomainError)[0]
     sigma2 = model.fixed_noise_sd ** 2
     precision = (phi.T @ phi / sigma2
                  + np.eye(phi.shape[1]) / model.prior_tau ** 2)
@@ -83,7 +83,8 @@ class TestPosterior:
         model, data = fixture(n=40, seed=3, tau=1e9, offset=offset)
         q = conjugate_posterior(model.design(data))
         with mpmath.workdps(60):
-            phi = mpmath.matrix(model.mean_features(data.x).tolist())
+            phi, _ = model.features(data.x, "record", DomainError)
+            phi = mpmath.matrix(phi.tolist())
             y = mpmath.matrix(data.y.tolist())
             precision = (phi.T * phi / mpmath.mpf(model.fixed_noise_sd) ** 2
                          + mpmath.eye(phi.cols)
@@ -129,7 +130,7 @@ class TestExactFreeEnergy:
         model, data = fixture(n=30, degree=2, tau=0.8)
         design = model.design(data)
         q = conjugate_posterior(design)
-        phi = model.mean_features(data.x)
+        phi = model.features(data.x, "record", DomainError)[0]
         evidence_cov = (model.fixed_noise_sd ** 2 * np.eye(len(data.y))
                         + model.prior_tau ** 2 * phi @ phi.T)
         _, logdet = np.linalg.slogdet(evidence_cov)
@@ -212,7 +213,7 @@ class TestTrainPredict:
         rows = np.linspace(0.0, 2.0, 24)[:, None]
         vm = predict_parts(model, out.posterior, rows, 2.0)
         mu, cov, _ = normal_equations(model, data)
-        phi = model.mean_features(rows)
+        phi = model.features(rows, "part", DomainError)[0]
         np.testing.assert_allclose(vm.y, phi @ mu, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
             vm.u ** 2, 0.09 + np.einsum("ij,jk,ik->i", phi, cov, phi),
@@ -256,7 +257,7 @@ class TestTrainPredict:
         out = train_vi(model, data, VIConfig(family="mean_field"))
         vm = predict_parts(model, out.posterior, parts, 2.0)
         _, cov, _ = normal_equations(model, data)
-        phi = model.mean_features(parts)
+        phi = model.features(parts, "part", DomainError)[0]
         want = np.sqrt(0.04 + np.einsum("ij,jk,ik->i", phi, cov, phi))
         np.testing.assert_allclose(vm.u, want, rtol=1e-12, atol=0.0)
 
@@ -282,7 +283,7 @@ def test_collinear_epistemic_variance_against_mpmath(tau):
                         prior_tau=tau)
     out = train_vi(model, data, VIConfig())
     vm = predict_parts(model, out.posterior, data.x, 2.0)
-    phi = model.mean_features(data.x)
+    phi = model.features(data.x, "record", DomainError)[0]
     with mpmath.workdps(60):
         rows = mpmath.matrix(phi.tolist())
         precision = (rows.T * rows / mpmath.mpf(model.fixed_noise_sd) ** 2

@@ -92,6 +92,29 @@ class TestIngestDataset:
             ingest_dataset(path, target="y")
         assert str(err.value) == f"{path}: {message}"
 
+    def test_rows_wider_than_the_header(self, tmp_path):
+        # numpy's stage reads every row as 3 numbers, then declines them
+        path = write_csv(tmp_path, "x1,y\n1,5,7\n2,5,8\n")
+        with pytest.raises(DatasetError) as err:
+            ingest_dataset(path, target="y")
+        assert str(err.value) == f"{path}: row 2 has 3 cells, expected 2"
+
+    def test_target_column_alone(self, tmp_path):
+        path = write_csv(tmp_path, "y\n1\n2\n")
+        with pytest.raises(DatasetError) as err:
+            ingest_dataset(path, target="y")
+        assert str(err.value) == (f"{path}: no feature columns besides "
+                                  "the target")
+
+    def test_bad_cell_comes_before_a_csv_error_further_down(self, tmp_path):
+        # the csv pass converts each row as it reads it
+        long = "9" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path, f"a,y\n1,x\n1,{long}\n")
+        with pytest.raises(DatasetError) as err:
+            ingest_dataset(path, target="y")
+        assert str(err.value) == f"{path}: row 2, column 'y': " \
+            "non-numeric value 'x'"
+
     def test_blank_rows_skipped_and_counted(self, tmp_path):
         path = write_csv(tmp_path, "a,y\n1,2\n\n3,4\n\n")
         d = ingest_dataset(path, target="y")
@@ -497,6 +520,27 @@ class TestReaderMemory:
         # 24 MB of numbers read and 16 MB selected (43 MB measured); the
         # row-by-row reader peaked near 390 MB
         assert peak < 8 * self.ROWS * (3 + 2) * 1.25
+
+    def test_text_column_peak_is_the_table(self, tmp_path):
+        rows = 100_000
+        rng = np.random.default_rng(41)
+        block = np.round(10.0 + 3.0 * rng.standard_normal((rows, 3)), 6)
+        path = write_csv(tmp_path, "part_id,x1,x2,x3\n" + "".join(
+            f"P{i:07d},{a!r},{b!r},{c!r}\n"
+            for i, (a, b, c) in enumerate(block.tolist())))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            table = ingest_parts(path, ("x3", "x1"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert table.tobytes() == block[:, [2, 0]].tobytes()
+        # the csv pass holds the table and one row's cells: 1.6 MB of
+        # numbers, 1.7 MB measured; keeping every cell as a string until
+        # the end of the file peaked at 44 MB
+        assert peak < 2 * table.nbytes
 
 
 class TestUnreadableFiles:

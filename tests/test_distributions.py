@@ -204,6 +204,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Rectangular(1.0, 1.0)
 
+    @pytest.mark.parametrize("lower, upper", [(2.0, 2.0), (3.0, 1.0)])
+    def test_triangular_needs_ordered_bounds(self, lower, upper):
+        with pytest.raises(ConfigError) as err:
+            Triangular(lower, lower, upper)
+        assert str(err.value) == ("triangular bounds must satisfy lower < "
+                                  f"upper, got [{lower}, {upper}]")
+
     def test_triangular_mode_inside(self):
         with pytest.raises(ConfigError):
             Triangular(0.0, 2.0, 1.0)
@@ -252,6 +259,16 @@ class TestValidation:
         bad = np.array([[1.0, 1.2], [1.2, 1.0]])
         with pytest.raises(ConfigError):
             JointInputModel(qs, bad)
+
+    def test_correlation_within_bounds_yet_not_positive_definite(self):
+        # symmetric, unit diagonal, every entry in [-1, 1], and still an
+        # eigenvalue of 1 - 2 * 0.9 < 0
+        qs = [InputQuantity(n, Gaussian(0, 1)) for n in ("X1", "X2", "X3")]
+        corr = np.full((3, 3), -0.9)
+        np.fill_diagonal(corr, 1.0)
+        with pytest.raises(ConfigError) as err:
+            JointInputModel(qs, corr)
+        assert str(err.value) == "correlation matrix is not positive definite"
 
     def test_correlation_requires_all_gaussian(self):
         qs = [InputQuantity("X1", Gaussian(0, 1)),

@@ -37,6 +37,12 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"offset"):
             parse_model("1 + * 2")
 
+    def test_unexpected_character_named_at_its_offset(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("X1 @ 2")
+        assert str(err.value) == "unexpected character '@' (offset 3)"
+        assert err.value.position == 3
+
     @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400, "2e308"])
     def test_number_outside_double_range(self, literal):
         with pytest.raises(ParseError, match="outside the double range") as err:

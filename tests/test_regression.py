@@ -239,8 +239,7 @@ class TestLikelihood:
         rng = np.random.default_rng(5)
         w = rng.standard_normal(model.n_weights) * 0.5
 
-        phi_mu = model.mean_features(data.x)
-        phi_sg = model.noise_features(data.x)
+        phi_mu, phi_sg = model.features(data.x, "record", DatasetError)
         wm, ws = model.split_weights(w)
         total = mpmath.mpf(0)
         for d in range(data.n_records):

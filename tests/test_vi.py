@@ -113,6 +113,16 @@ class TestPosteriorParameterization:
         np.testing.assert_allclose(q2.scale, q.scale, rtol=1e-13,
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("family, length, want", [
+        ("mean_field", 7, 8), ("mean_field", 9, 8), ("full_rank", 8, 14)])
+    def test_unpack_refuses_a_theta_of_the_wrong_length(self, family,
+                                                        length, want):
+        # numpy's put would repeat a short theta to fill M
+        with pytest.raises(ConfigError) as err:
+            unpack_posterior(family, 4, np.zeros(length))
+        assert str(err.value) == (f"{family} parameter vector must have "
+                                  f"length {want}")
+
     def test_covariance_is_l_lt(self):
         rng = np.random.default_rng(5)
         q = random_posterior(rng, 4, "full_rank")
@@ -340,6 +350,15 @@ class TestTraining:
         with pytest.raises(DatasetError):
             train_vi(model, data)
 
+    def test_learned_noise_refuses_a_constant_target(self):
+        data = make_dataset(np.arange(4.0)[:, None], np.full(4, 5.0), ("x1",))
+        model = build_model(data, mean_degree=1)
+        with pytest.raises(DatasetError) as err:
+            train_vi(model, data)
+        assert str(err.value) == (
+            "all target values are identical; the noise level is not "
+            "identifiable (fix the noise sd to train anyway)")
+
     def test_trajectory_length_matches_steps(self):
         data = linear_data(n=60, seed=9)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
@@ -472,7 +491,7 @@ class TestPredict:
         p = model.n_mean_weights
         cov = q.covariance()
         for i, row in enumerate(rows):
-            phi = model.mean_features(row)[0]
+            phi = model.features(row, "part", DomainError)[0][0]
             assert vms.y[i] == pytest.approx(phi @ q.mu[:p], rel=1e-12,
                                              abs=0.0)
             assert vms.epistemic_var[i] == pytest.approx(
@@ -507,7 +526,7 @@ class TestPredict:
                                    [-4.0, -2.5, 2.0, 3.0]])[:, None]
         q = random_posterior(rng, model.n_weights, family)
         if case == "learned":
-            psi = model.noise_features(rows)
+            psi = model.features(rows, "part", DomainError)[1]
             p = model.n_mean_weights
             s = np.sqrt(np.einsum("ij,jk,ik->i", psi,
                                   q.covariance()[p:, p:], psi))
@@ -539,9 +558,9 @@ class TestPredict:
         w_mu, w_sigma = model.split_weights(
             weight_draws(q, np.random.default_rng(8), n))
         for i, row in enumerate(rows):
-            f = w_mu @ model.mean_features(row)[0]
-            g = (softplus(w_sigma @ model.noise_features(row)[0])
-                 + NOISE_FLOOR) ** 2
+            phi, psi = model.features(row, "part", DomainError)
+            f = w_mu @ phi[0]
+            g = (softplus(w_sigma @ psi[0]) + NOISE_FLOOR) ** 2
             c2 = (f - f.mean()) ** 2
             assert abs(vms.y[i] - f.mean()) < 5 * f.std() / math.sqrt(n)
             assert (abs(vms.epistemic_var[i] - c2.mean())
@@ -574,7 +593,7 @@ class TestPredict:
         rows = np.array([[-2.0], [-0.3], [0.9], [2.5]])
         vms = predict_parts(model, q, rows, 2.0)
         for i, row in enumerate(rows):
-            psi = model.noise_features(row)[0]
+            psi = model.features(row, "part", DomainError)[1][0]
             m, s = psi @ q.mu[p:], math.sqrt(psi @ cov[p:, p:] @ psi)
             assert vms.aleatoric_var[i] == pytest.approx(
                 quad_noise_variance(m, s), rel=1e-12, abs=0.0)
@@ -601,7 +620,7 @@ class TestPredict:
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
         q = train_vi(model, data).posterior
         rows = np.array([[0.0], [1e160], [0.5]])
-        phi = model.mean_features(rows[1:2])[0]
+        phi = model.features(rows[1:2], "part", DomainError)[0][0]
         chol = q.factor[:2, :2]
         mp_phi = [mpmath.mpf(v) for v in phi.tolist()]
         u = mpmath.sqrt(mpmath.mpf(0.1) ** 2 + sum(
