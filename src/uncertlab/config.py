@@ -47,7 +47,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .dataset import DatasetSummary
+from .dataset import ColumnSummary, DatasetSummary
 from .distributions import MARGINALS, InputQuantity, JointInputModel
 from .errors import ConfigError, ParseError
 from .expr import MeasurementModelExpr, parse_model
@@ -317,6 +317,15 @@ VERIFY_SCHEMA = {
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
 
+# a ColumnSummary: the column's name, mean, sd, min and max
+_COLUMN_SUMMARY = {
+    "type": "object",
+    "properties": {f.name: {"type": "string"} if f.name == "name"
+                   else {"type": "number"} for f in fields(ColumnSummary)},
+    "required": [f.name for f in fields(ColumnSummary)],
+    "additionalProperties": False,
+}
+
 MODEL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -345,7 +354,17 @@ MODEL_SCHEMA = {
             "additionalProperties": False,
         },
         "training": {"type": "object"},
-        "dataset_summary": {"type": "object"},
+        # predict echoes it into every report
+        "dataset_summary": {
+            "type": "object",
+            "properties": {
+                "n_records": {"type": "integer", "minimum": 1},
+                "features": {"type": "array", "items": _COLUMN_SUMMARY},
+                "target": _COLUMN_SUMMARY,
+            },
+            "required": [f.name for f in fields(DatasetSummary)],
+            "additionalProperties": False,
+        },
         "dataset_sha256": {"type": ["string", "null"]},
     },
     "required": ["schema_version", "model", "posterior"],

@@ -140,8 +140,8 @@ class Triangular:
         x *= b - a
         x *= m - a
         np.add(np.sqrt(x, out=x), a, out=x)
-        np.copyto(x, right, where=on_right)
-        return np.ldexp(x, e, out=x)
+        # np.where and one write through ldexp: a masked copy costs more
+        return np.ldexp(np.where(on_right, right, x), e, out=x)
 
 
 MarginalDistribution = Union[Gaussian, Rectangular, Triangular]

@@ -128,30 +128,32 @@ class FunctionSpec(NamedTuple):
     deriv_check: Optional[Callable[[float], None]] = None
 
 
+# The scalar functions run numpy's own loops, as the batch ones do: its
+# exp, log and power differ from libm's in the last bit for some
+# arguments, and a scalar value must be the batch evaluator's to the bit.
+# Past the double range they give inf, under the caller's errstate.
+
 def _scalar_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    return float(np.exp(x))
 
 
 def _scalar_ln(x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"ln of non-positive value {x}")
-    return math.log(x)
+    return float(np.log(x))
 
 
 def _scalar_sqrt(x: float) -> float:
     if x < 0.0:
         raise DomainError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
+    return float(np.sqrt(x))
 
 
-def _scalar_periodic(fn: Callable[[float], float]) -> Callable[[float], float]:
+def _scalar_periodic(fn: np.ufunc) -> Callable[[float], float]:
     def scalar(x: float) -> float:
         if math.isinf(x):
             raise DomainError(f"{fn.__name__} of infinite value {x}")
-        return fn(x)
+        return float(fn(x))
     return scalar
 
 
@@ -161,9 +163,9 @@ def _sqrt_deriv_check(x: float) -> None:
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
-    "sin": FunctionSpec(_scalar_periodic(math.sin), np.sin, math.cos,
+    "sin": FunctionSpec(_scalar_periodic(np.sin), np.sin, math.cos,
                         lambda a: -math.sin(a), lambda a: -math.cos(a)),
-    "cos": FunctionSpec(_scalar_periodic(math.cos), np.cos, lambda a: -math.sin(a),
+    "cos": FunctionSpec(_scalar_periodic(np.cos), np.cos, lambda a: -math.sin(a),
                         lambda a: -math.cos(a), math.sin),
     "exp": FunctionSpec(_scalar_exp, np.exp, _scalar_exp, _scalar_exp, _scalar_exp),
     "ln": FunctionSpec(_scalar_ln, np.log, lambda a: 1.0 / a,
@@ -497,11 +499,13 @@ def evaluate(expr: MeasurementModelExpr, assignment: Mapping[str, float]) -> flo
     missing = [v for v in expr.variables if v not in assignment]
     if missing:
         raise EvaluationError(f"no value for variable(s): {', '.join(missing)}")
-    return walk(expr.root, _scalar_ops(assignment))
+    with np.errstate(over="ignore"):
+        return walk(expr.root, _scalar_ops(assignment))
 
 
 def constant_exponent(node: Node) -> float:
-    """Evaluate an exponent subtree (guaranteed variable-free by the parser)."""
+    """Evaluate an exponent subtree (guaranteed variable-free by the
+    parser), under the walk's errstate."""
     return walk(node, _scalar_ops({}))
 
 
@@ -514,12 +518,7 @@ def checked_pow(base: float, exponent: float) -> float:
     elif base <= 0.0:
         raise DomainError(
             f"non-integer power of non-positive base {base}")
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        return -math.inf if base < 0.0 and exponent % 2 else math.inf
-    except ValueError as err:
-        raise DomainError(f"power {base} ^ {exponent} undefined") from err
+    return float(np.power(base, exponent))
 
 
 def evaluate_batch(

@@ -24,9 +24,11 @@ log-diagonal; the expected log-likelihood is estimated by
 reparameterized draws w = [1 | z] M' with z standard normal, which
 turns its gradient into G'[1 | z] for the per-draw likelihood gradients
 G. No autograd framework is involved: :func:`objective` writes the
-chain out, and the test suite holds it against central finite
-differences. A run sets its step up once: the index table, the
-likelihood with its workspace (the fixed-noise R-factor product or the
+chain out, with that estimate of F beside it, and the test suite holds
+it against central finite differences. Training's steps read the
+gradient alone; its stop rule and its report read the exact F of
+:func:`free_energy`, once per window. A run sets its step up once: the
+index table, the likelihood with its workspace (the fixed-noise R-factor product or the
 learned-noise kernel of :class:`~uncertlab.regression.DesignMatrices`,
 on the one design training builds) and a workspace holding M, exp of
 L's diagonal, w and G'[1 | z], so a step does only its arithmetic, and
@@ -42,8 +44,10 @@ arithmetic, about 0.4 us per call. w = [1 | z] M' goes through
 about 0.3 us less dispatch, and gives the same bits at P = 1 to 1,024.
 G'[1 | z] stays on ``np.matmul``: through ``np.dot`` that product is
 slower from P of about 231 on (180 us against 101 us at P = 462).
-``verify`` reads only the posterior, so its steps skip F, 7 of a step's
-31 numpy calls: 16.6 us a step against 22.0 us with F, on 2 vCPUs.
+No step computes F, 7 of the 31 numpy calls a step with F makes: 16.6 us
+a step against 22.0 us with F at verify's P = 3, on 2 vCPUs; a
+learned-noise step also skips log sigma and two row sums over its
+(S, D) residuals.
 
 Adam (Kingma & Ba, 2015) runs in the form of their section 2, which
 rearranges their Algorithm 1: m <- b1 m + (1 - b1) g and
@@ -79,8 +83,8 @@ from .dataset import Dataset
 from .errors import (ConfigError, DatasetError, DivergenceError,
                      DomainError, require_integer, require_positive)
 from .propagation import _DEFAULT_K, MeasurementResult, _mean_and_sd
-from .regression import (NOISE_FLOOR, BayesianVMModel, DesignMatrices,
-                         inv_softplus, softplus)
+from .regression import (_HALF_LOG_2PI, NOISE_FLOOR, BayesianVMModel,
+                         DesignMatrices, inv_softplus, softplus)
 from .rng import substream
 
 __all__ = [
@@ -91,6 +95,7 @@ __all__ = [
     "pack_posterior",
     "unpack_posterior",
     "objective",
+    "free_energy",
     "conjugate_posterior",
     "optimize",
     "train_vi",
@@ -350,11 +355,11 @@ class TrainResult:
     """Trained posterior plus the optimization record."""
 
     posterior: VariationalPosterior  # full_rank if exact
-    trajectory: np.ndarray     # stochastic F estimate per step (none if exact)
+    trajectory: np.ndarray     # exact F at each window end (none if exact)
     n_steps: int
     stop_reason: str           # "exact", "plateau", "worsened" or "max_steps"
-    initial_free_energy: float  # exact F at the full-rank start if exact
-    final_free_energy: float   # trailing-window mean, or exact F if exact
+    initial_free_energy: float  # exact F at the start (full-rank if exact)
+    final_free_energy: float   # exact F of the returned posterior
 
     @property
     def converged(self) -> bool:
@@ -406,52 +411,99 @@ def conjugate_posterior(design: DesignMatrices) -> VariationalPosterior:
                                 x[::-1, ::-1].copy())
 
 
-def _exact_free_energy(design: DesignMatrices,
-                       q: VariationalPosterior) -> float:
-    """F(q) in closed form for a fixed noise sd: with the R factor of
+def free_energy(design: DesignMatrices, q: VariationalPosterior) -> float:
+    """F(q), exact, in either noise mode.
+
+    A fixed noise sd gives F in closed form: with the R factor of
     :func:`conjugate_posterior`, E_q |b - A (w - shift)|^2 is
-    |b - A (mu - shift)|^2 + |A L|_F^2. An F beyond the double range,
-    as from a target value some 1e154 noise sds off the fit, is a
-    DomainError."""
-    a, b, shift, const = design._factor
+    |b - A (mu - shift)|^2 + |A L|_F^2.
+
+    A learned noise level gives F = KL - sum_i E_q log N(y_i; f, sigma^2)
+    with sigma = softplus(t) + NOISE_FLOOR. Per record, f = phi'w_mu and
+    t = psi'w_sigma are jointly Gaussian: with a = L_mu'phi and
+    b = L_sigma'psi, their means are phi'mu_mu and m = psi'mu_sigma, and
+    var f = |a|^2, var t = s^2 = |b|^2, cov = c = a'b (0 for mean-field).
+    With t = m + s x, f | x is N(phi'mu_mu + k x, |a|^2 - k^2), k = c / s,
+    so each record's term is a 1-D expectation over x ~ N(0, 1), taken by
+    predict's trapezoid rule: the doubly stochastic objective of Titsias
+    & Lazaro-Gredilla (2014) with its variance taken to 0. A record
+    whose s is above ``MAX_NOISE_SD`` or not a number is a DomainError
+    that names it.
+
+    An F beyond the double range comes out inf (or NaN, from a NaN
+    target value); the callers refuse it.
+    """
+    model = design.model
     with np.errstate(over="ignore", invalid="ignore"):
-        e = b - a @ (q.mu - shift)
-        spread = a @ q.factor
-        f = (kl_gaussian(q, design.model.prior_tau) - const
-             + 0.5 * (float(e @ e) + float(np.vdot(spread, spread))))
-    if not math.isfinite(f):
-        raise DomainError(f"the free energy is {f}: its sums of squares "
-                          f"leave the double range")
-    return f
+        kl = kl_gaussian(q, model.prior_tau)
+        if model.fixed_noise_sd is not None:
+            a, b, shift, const = design._factor
+            e = b - a @ (q.mu - shift)
+            spread = a @ q.factor
+            return (kl - const
+                    + 0.5 * (float(e @ e) + float(np.vdot(spread, spread))))
+        p = model.n_mean_weights
+        f, spread, var_f, m, b, s = _head_moments(
+            q, p, design.phi_mu, design.phi_sigma, np.matmul)
+        r = design.y - f
+        c = np.einsum("ij,ij->i", spread, b[:, :p])
+        k = np.divide(c, s, out=np.zeros_like(c), where=s > 0.0)
+        # E[((r - k x)^2 + v) / sigma^2] / 2, v = |a|^2 - k^2, by the
+        # rule's sums of x^j / sigma^2 for j = 0, 1, 2
+        coef = np.stack([0.5 * (r * r + np.maximum(var_f - k * k, 0.0)),
+                         -r * k, 0.5 * k * k], axis=1)
+
+        def expectation(rows, x, w, sigma, spare):
+            log_part = np.log(sigma, out=spare) @ w
+            np.reciprocal(np.square(sigma, out=sigma), out=sigma)
+            powers = sigma @ np.stack([w, w * x, w * x * x], axis=1)
+            return log_part + np.einsum("ij,ij->i", coef[rows], powers)
+
+        expected = _noise_expectation(m, s, "record", expectation)
+        return kl + float(expected.sum()) + len(r) * _HALF_LOG_2PI
 
 
-def optimize(design: DesignMatrices, config: VIConfig,
-             free_energy: bool = True) -> TrainResult:
-    """Minimize the free energy by Adam; returns the posterior and F
-    trajectory.
+def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
+    """Minimize the free energy by Adam; returns the posterior and the
+    exact F at each window end.
 
-    Every ``window`` steps, from step ``2 * window`` on, the mean of F
-    over the last window is compared with the mean over the window
-    before it. Training stops once F no longer falls by at least
-    ``tolerance * max(1, |previous mean|)``: with ``stop_reason``
-    ``"worsened"`` (not converged) if F rose by more than that bound and
-    more than the standard deviation of F over the previous window,
+    Adam steps on the gradient alone. The exact F (:func:`free_energy`)
+    is taken at the start and after every ``window`` steps; from step
+    ``2 * window`` on, each window end's F is compared with the one
+    before. Training stops once F no longer falls by at least
+    ``tolerance * max(1, |previous F|)``: with ``stop_reason``
+    ``"worsened"`` (not converged) if F rose by more than that bound,
     otherwise with ``"plateau"`` (converged). A run that keeps improving
     stops at ``max_steps`` with ``"max_steps"``. Raises
-    :class:`~uncertlab.errors.DivergenceError` with the step index if F
-    turns non-finite or any of a step's arithmetic overflows, and with
-    the last step's if theta ends non-finite or a scale of q ends at
-    exp(log scale) = 0. Runs for either noise mode; :func:`train_vi` calls
-    it for a learned one only. ``free_energy=False`` skips F: the same
-    posterior to the bit in exactly ``max_steps`` steps, with no
-    trajectory and NaN free energies, which ``dump_json`` refuses.
+    :class:`~uncertlab.errors.DivergenceError` with the step index if any
+    of a step's arithmetic overflows, and with the index of the last
+    step taken (0 at the start) if F turns non-finite, a record's noise
+    sd leaves the quadrature's range, theta turns non-finite or a scale
+    of q ends at exp(log scale) = 0. Runs for either noise mode;
+    :func:`train_vi` calls it for a learned one only.
     """
     family, n_mc = config.family, config.n_mc
     p = design.model.n_weights
     theta = _initial_theta(design, family)
     gen = substream(config.seed, 0)
-    step_f = _stepper(design, family, n_mc, design.model.prior_tau,
-                      free_energy)
+    step_g = _stepper(design, family, n_mc, design.model.prior_tau, False)
+
+    def exact(n_steps: int) -> float:
+        """F of theta after ``n_steps`` steps."""
+        step = max(n_steps - 1, 0)
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError("the parameters became non-finite", step)
+        dead = np.flatnonzero(np.exp(theta[p:2 * p]) == 0.0)
+        if dead.size:
+            raise DivergenceError(f"the scale of weight {dead[0]} underflowed "
+                                  f"to 0 after {n_steps} steps", step)
+        try:
+            value = free_energy(design, unpack_posterior(family, p, theta))
+        except DomainError as err:
+            raise DivergenceError(str(err), step) from None
+        if not math.isfinite(value):
+            raise DivergenceError("free energy became non-finite", step)
+        return value
 
     # z for a block of steps comes from one call: the same normals, in
     # the same order, as one call per step, written once as [1 | z] rows
@@ -474,13 +526,13 @@ def optimize(design: DesignMatrices, config: VIConfig,
     multiply, add, divide, subtract = (np.multiply, np.add, np.divide,
                                        np.subtract)
     sqrt, msqrt, cos, pi = np.sqrt, math.sqrt, math.cos, math.pi
-    isfinite = math.isfinite
-    trajectory = np.empty(max_steps if free_energy else 0)
+    initial = exact(0)
+    trajectory = []
     stop_reason = "max_steps"
     n_steps = 0
 
     def overflowed(kind, flag):
-        # an infinite v would freeze theta while F stays finite
+        # an infinite v would freeze theta with every F still finite
         raise DivergenceError(f"arithmetic {kind} in a training step", step)
 
     with np.errstate(over="call", call=overflowed):
@@ -488,12 +540,7 @@ def optimize(design: DesignMatrices, config: VIConfig,
             if step % block == 0:
                 rows = min(block, max_steps - step)
                 z1s[:rows, :, 1:] = gen.standard_normal((rows, n_mc, p))
-            value, grad = step_f(theta, z1_rows[step % block])
-            if free_energy:
-                if not isfinite(value):
-                    raise DivergenceError("free energy became non-finite",
-                                          step)
-                trajectory[step] = value
+            _, grad = step_g(theta, z1_rows[step % block])
             n_steps = step + 1
 
             # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
@@ -513,33 +560,24 @@ def optimize(design: DesignMatrices, config: VIConfig,
             divide(step_buf, denom, out=step_buf)
             subtract(theta, step_buf, out=theta)
 
-            if free_energy and n_steps >= 2 * w and n_steps % w == 0:
-                before = trajectory[n_steps - 2 * w:n_steps - w]
-                prev = float(np.mean(before))
-                rise = float(np.mean(trajectory[n_steps - w:n_steps])) - prev
-                bound = config.tolerance * max(1.0, abs(prev))
-                if rise > -bound:
-                    # no longer improving; a rise within the step-to-step
-                    # scatter of F is the noise floor, not a worsening
-                    worse = rise > max(bound, float(np.std(before)))
-                    stop_reason = "worsened" if worse else "plateau"
-                    break
+            if n_steps % w == 0:
+                trajectory.append(exact(n_steps))
+                if n_steps >= 2 * w:
+                    prev = trajectory[-2]
+                    rise = trajectory[-1] - prev
+                    bound = config.tolerance * max(1.0, abs(prev))
+                    if rise > -bound:
+                        stop_reason = "worsened" if rise > bound else "plateau"
+                        break
 
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceError("the parameters became non-finite", n_steps - 1)
-    dead = np.flatnonzero(np.exp(theta[p:2 * p]) == 0.0)
-    if dead.size:
-        raise DivergenceError(f"the scale of weight {dead[0]} underflowed to "
-                              f"0 after {n_steps} steps", n_steps - 1)
-    trajectory = trajectory[:n_steps].copy()
-    tail = trajectory[-min(config.window, n_steps):]
+    final = trajectory[-1] if n_steps % w == 0 else exact(n_steps)
     return TrainResult(
         posterior=unpack_posterior(family, p, theta),
-        trajectory=trajectory,
+        trajectory=np.array(trajectory),
         n_steps=n_steps,
         stop_reason=stop_reason,
-        initial_free_energy=float(trajectory[0]) if free_energy else math.nan,
-        final_free_energy=float(np.mean(tail)) if free_energy else math.nan,
+        initial_free_energy=initial,
+        final_free_energy=final,
     )
 
 
@@ -567,9 +605,12 @@ def train_vi(model: BayesianVMModel, data: Dataset,
     start = unpack_posterior("full_rank", model.n_weights,
                              _initial_theta(design, "full_rank"))
     q = conjugate_posterior(design)
-    return TrainResult(q, np.empty(0), 0, "exact",
-                       _exact_free_energy(design, start),
-                       _exact_free_energy(design, q))
+    initial, final = (free_energy(design, post) for post in (start, q))
+    for f in (initial, final):
+        if not math.isfinite(f):
+            raise DomainError(f"the free energy is {f}: its sums of squares "
+                              f"leave the double range")
+    return TrainResult(q, np.empty(0), 0, "exact", initial, final)
 
 
 # ---------------------------------------------------------------------------
@@ -603,25 +644,13 @@ def predict_parts(
             f"{model.n_weights}")
     x = np.asarray(x, dtype=np.float64)
 
-    p = model.n_mean_weights
-    chol = q.factor
     phi, psi = model.features(x, "part", DomainError)
-    # every product comes from numpy's own loops, which give a row the
-    # same bits in any batch; BLAS picks its kernels by the batch's shape.
-    # A number that overflows comes out inf, which the report refuses.
+    y, spread, epistemic, m, _, s = _head_moments(q, model.n_mean_weights,
+                                                  phi, psi)
+    # a number that overflows comes out inf, which the report refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.einsum("ij,j->i", phi, q.mu[:p])
-        # L is lower-triangular: the mean-head rows end at column p
-        spread = np.einsum("ij,jk->ik", phi, chol[:p, :p])
-        epistemic = np.square(spread).sum(axis=1)
         if psi is not None:
-            m = np.einsum("ij,j->i", psi, q.mu[p:])
-            a = np.einsum("ij,jk->ik", psi, chol[p:])
-            s = np.sqrt(np.square(a).sum(axis=1))
-            # where the squares overflow, the norm without squaring
-            big = np.flatnonzero(s == np.inf)
-            s[big] = np.hypot.reduce(a[big], axis=1)
-            aleatoric = _expected_noise_variance(m, s)
+            aleatoric = _noise_expectation(m, s, "part", _second_moment)
         else:
             aleatoric = np.full(len(x), model.fixed_noise_sd**2)
         u2 = aleatoric + epistemic
@@ -639,21 +668,65 @@ def predict_parts(
                              aleatoric_var=aleatoric, epistemic_var=epistemic)
 
 
-def _expected_noise_variance(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """E[(softplus(t) + NOISE_FLOOR)^2], t ~ N(m, s^2), for each part.
+def _second_moment(rows, x, w, sigma, spare):
+    """E[sigma^2] by the rule's weights, in numpy's own loops."""
+    np.square(sigma, out=sigma)
+    sigma *= w
+    return sigma.sum(axis=1)
 
-    The trapezoid rule in x = (t - m) / s on |x| <= 12, beyond which the
-    normal density is below 1e-31 of its peak, with spacing
+
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in numpy's own loops, which give a row of a the same bits
+    in any batch; BLAS picks its kernels by the batch's shape."""
+    return np.einsum("ij,jk->ik" if b.ndim == 2 else "ij,j->i", a, b)
+
+
+def _head_moments(q: VariationalPosterior, p: int, phi: np.ndarray,
+                  psi, product=_rowwise) -> tuple:
+    """Under q, for each row of the feature matrices: the mean head's
+    phi'mu_mu, L_mu'phi and its squared norm, and with ``psi`` the noise
+    activation's psi'mu_sigma, b = L_sigma'psi and sd s = |b| (None
+    without). Where the squares of b overflow, s is taken without
+    squaring. ``product`` forms the matrix products. A number that
+    overflows comes out inf."""
+    chol = q.factor
+    m = b = s = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = product(phi, q.mu[:p])
+        # L is lower-triangular: the mean-head rows end at column p
+        spread = product(phi, chol[:p, :p])
+        var_f = np.square(spread).sum(axis=1)
+        if psi is not None:
+            m = product(psi, q.mu[p:])
+            b = product(psi, chol[p:])
+            s = np.sqrt(np.square(b).sum(axis=1))
+            big = np.flatnonzero(s == np.inf)
+            s[big] = np.hypot.reduce(b[big], axis=1)
+    return f, spread, var_f, m, b, s
+
+
+def _noise_expectation(m: np.ndarray, s: np.ndarray, what: str,
+                       expectation) -> np.ndarray:
+    """An expectation over t = m + s x, x ~ N(0, 1), for each row, of
+    a function of x and sigma = softplus(t) + NOISE_FLOOR.
+
+    The trapezoid rule in x on |x| <= 12, beyond which the normal
+    density is below 1e-31 of its peak, with spacing
     h = 0.5 / ceil(max(s, 1)). softplus(m + s x) is analytic for
-    |Im x| < pi / s, so the spacing in t stays at most 0.5 and the
-    rule's error near exp(-4 pi^2), 7e-18. Every part with s <= 1 gets
-    the same 49 nodes.
+    |Im x| < pi / s, and so are log sigma and 1 / sigma, so the spacing
+    in t stays at most 0.5 and the rule's error near exp(-4 pi^2),
+    7e-18. Every row with s <= 1 gets the same 49 nodes.
+    ``expectation(rows, x, w, sigma, spare)`` gets the rows of a slice,
+    the nodes and their weights, sigma at them and a spare array of
+    sigma's shape, either of which it may overwrite, and returns the
+    rule's sum for each row. A row with s above ``MAX_NOISE_SD`` or not
+    a number is a DomainError that names it as ``what`` and its index.
     """
     bad = np.flatnonzero(~(s <= MAX_NOISE_SD))
     if bad.size:
         i = int(bad[0])
         raise DomainError(
-            f"part {i}: the noise activation's sd under the posterior is "
+            f"{what} {i}: the noise activation's sd under the posterior is "
             f"{s[i]:.6g}, outside the noise-head quadrature's range "
             f"[0, {MAX_NOISE_SD:g}]")
     refine = np.ceil(np.maximum(s, 1.0))
@@ -662,18 +735,16 @@ def _expected_noise_variance(m: np.ndarray, s: np.ndarray) -> np.ndarray:
         h = 0.5 / r
         x = np.arange(-24 * r, 24 * r + 1) * h
         w = h / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * x * x)
-        parts = np.flatnonzero(refine == r)
-        # elementwise in slices of parts, reusing t and e for each
+        group = np.flatnonzero(refine == r)
+        # elementwise in slices of rows, reusing t and e for each
         step = max(1, _SLICE_VALUES // len(x))
-        t_buf, e_buf = np.empty((2, min(step, len(parts)), len(x)))
-        for i in range(0, len(parts), step):
-            rows = parts[i:i + step]
+        t_buf, e_buf = np.empty((2, min(step, len(group)), len(x)))
+        for i in range(0, len(group), step):
+            rows = group[i:i + step]
             t, e = t_buf[:len(rows)], e_buf[:len(rows)]
             np.multiply.outer(s[rows], x, out=t)
             t += m[rows, None]
             softplus(t, e, e, out=t)
             t += NOISE_FLOOR
-            np.square(t, out=t)
-            t *= w
-            out[rows] = t.sum(axis=1)
+            out[rows] = expectation(rows, x, w, t, e)
     return out

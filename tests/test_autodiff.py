@@ -16,7 +16,8 @@ from uncertlab import autodiff
 from uncertlab.autodiff import _TABLES, _mul, derivatives
 from uncertlab.distributions import Gaussian, InputQuantity, JointInputModel
 from uncertlab.errors import DomainError
-from uncertlab.expr import coupled_pairs, evaluate, evaluate_batch, parse_model
+from uncertlab.expr import (Ops, coupled_pairs, evaluate, evaluate_batch,
+                           parse_model, walk)
 from uncertlab.propagation import propagate_taylor2
 
 mpmath.mp.dps = 50
@@ -842,3 +843,109 @@ class TestAgainstDenseFixingWalk:
         want = [run(m, joint) for m, joint in cases]
         assert got == want
         assert sum(g[0] == "ok" for g in got) >= 200
+
+
+# ---------------------------------------------------------------------------
+# Random trees against mpmath at moderate magnitudes
+# ---------------------------------------------------------------------------
+
+ORACLE_NAMES = ("X1", "X2", "X3")
+ORACLE_EXPONENTS = ("2", "3", "4", "-1", "-2", "0.5", "1.5", "-0.5")
+ORACLE_FUNCTIONS = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+                    "ln": mpmath.log, "sqrt": mpmath.sqrt}
+
+
+def oracle_model(rng, depth):
+    """A random tree of at most ``depth`` levels over X1..X3: + - * /,
+    constant powers, the five functions and a few constants."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.85:
+            return ORACLE_NAMES[int(rng.integers(3))]
+        return ("0.5", "2", "3.25")[int(rng.integers(3))]
+    kind = int(rng.integers(6))
+    arg = oracle_model(rng, depth - 1)
+    if kind < 3:
+        rhs = oracle_model(rng, depth - 1)
+        return f"({arg} {'+-*/'[int(rng.integers(4))]} {rhs})"
+    if kind < 5:
+        return f"{list(ORACLE_FUNCTIONS)[int(rng.integers(5))]}({arg})"
+    exponent = ORACLE_EXPONENTS[int(rng.integers(len(ORACLE_EXPONENTS)))]
+    return f"({arg}) ^ {exponent}"
+
+
+def mp_function(m):
+    """The parsed tree as a function of mpmath numbers, walked as the
+    library walks it."""
+    def fn(*args):
+        env = dict(zip(ORACLE_NAMES, args))
+        return walk(m.root, Ops(
+            const=mpmath.mpf, var=env.__getitem__,
+            apply=lambda name, x: ORACLE_FUNCTIONS[name](x),
+            power=lambda base, e: base ** mpmath.mpf(e),
+            mul=lambda a, b: a * b, div=lambda a, b: a / b))
+    return fn
+
+
+def oracle_cases(seed=2027, trees=300):
+    """(text, parsed model, point) of each seeded tree."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trees):
+        text = oracle_model(rng, int(rng.integers(1, 5)))
+        yield text, parse_model(text, ORACLE_NAMES), rng.uniform(0.2, 3.0, 3)
+
+
+class TestRandomTreeOracle:
+    """Seeded random trees at moderate magnitudes: the jet walk against
+    mpmath.diff at 40 digits, and the batch evaluator against the scalar
+    one. A failure names the tree and the point, to be kept as a case."""
+
+    def test_derivatives_match_mpmath(self):
+        # an entry agrees to 1e-7 on the scale max(|exact|, 1e-3 max(1,
+        # |f|)); a case counts only where the float value agrees with
+        # mpmath's to 1e-11, so ill-conditioned values are left out
+        checked = 0
+        entries = [(1, i, i) for i in range(3)]
+        entries += [(2, i, j) for i in range(3) for j in range(i, 3)]
+        entries += [(3, i, j) for i in range(3) for j in range(3)]
+        for text, m, point in oracle_cases():
+            at = dict(zip(ORACLE_NAMES, point.tolist()))
+            try:
+                b = derivatives(m, at, 3, ORACLE_NAMES)
+            except DomainError:
+                continue
+            fn = mp_function(m)
+            with mpmath.workdps(40):
+                x = [mpmath.mpf(v) for v in point.tolist()]
+                exact = fn(*x)
+                if (not isinstance(exact, mpmath.mpf)
+                        or abs(b.value - exact)
+                        > 1e-11 * max(1, abs(exact))):
+                    continue
+                for kind, i, j in entries:
+                    orders = [0, 0, 0]
+                    orders[i] += 1
+                    orders[j] += kind - 1 if kind > 1 else 0
+                    want = float(mpmath.diff(fn, x, orders))
+                    got = (b.grad[i], b.hess[i, j],
+                           b.third_mixed[i, j])[kind - 1]
+                    scale = max(abs(want), 1e-3 * max(1.0, abs(b.value)))
+                    assert abs(got - want) <= 1e-7 * scale, (
+                        f"{text} at {point.tolist()}: order {kind} entry "
+                        f"({i}, {j}) is {got!r}, mpmath {want!r}")
+            checked += 1
+        assert checked >= 250
+
+    def test_batch_is_the_scalar_evaluator_bit_for_bit(self):
+        rng = np.random.default_rng(2028)
+        for text, m, point in oracle_cases():
+            points = np.vstack([point, rng.uniform(0.2, 3.0, (15, 3))])
+            batch = evaluate_batch(m, dict(zip(ORACLE_NAMES, points.T)),
+                                   len(points))
+            for x, got in zip(points.tolist(), batch.tolist()):
+                try:
+                    want = evaluate(m, dict(zip(ORACLE_NAMES, x)))
+                except DomainError:
+                    assert not math.isfinite(got), (text, x)
+                    continue
+                assert got == want or math.isnan(got) and math.isnan(
+                    want), f"{text} at {x}: batch {got!r}, scalar {want!r}"

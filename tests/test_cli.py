@@ -1072,9 +1072,11 @@ class TestVerify:
         assert not np.array_equal(x.ravel(), first)
 
     def test_computes_no_free_energy(self, capsys, monkeypatch):
-        # no step computes F or the log-likelihoods under it
-        values, log_likelihoods = [], []
+        # no step computes F or the log-likelihoods under it; the exact F
+        # is taken at the start and after the last step only
+        values, log_likelihoods, exact = [], [], []
         stepper, likelihood = vi._stepper, DesignMatrices._likelihood
+        free_energy = vi.free_energy
 
         def spy_stepper(*args, **kwargs):
             step = stepper(*args, **kwargs)
@@ -1096,11 +1098,14 @@ class TestVerify:
 
         monkeypatch.setattr(vi, "_stepper", spy_stepper)
         monkeypatch.setattr(DesignMatrices, "_likelihood", spy_likelihood)
+        monkeypatch.setattr(vi, "free_energy", lambda design, q: (
+            exact.append(q) or free_energy(design, q)))
         code, out, _ = run_cli(capsys, "verify", "--seed", "0")
-        assert code == 0 and json.loads(out)["results"][
-            "conjugate_check"]["passed"]
+        checks = json.loads(out)["results"]["conjugate_check"]
+        assert code == 0 and checks["passed"] and checks["n_steps"] == 4000
         assert len(values) == 4000 and all(map(math.isnan, values))
         assert log_likelihoods == [None] * 4000
+        assert len(exact) == 2
 
     def test_same_seed_writes_the_same_results(self, capsys, tmp_path):
         # the same results block twice, after all 4,000 Adam steps

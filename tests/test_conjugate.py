@@ -137,9 +137,35 @@ class TestExactFreeEnergy:
         log_evidence = -0.5 * (len(data.y) * math.log(2 * math.pi) + logdet
                                + data.y @ np.linalg.solve(evidence_cov,
                                                           data.y))
-        f = vi._exact_free_energy(design, q)
+        f = vi.free_energy(design, q)
         assert f == pytest.approx(-log_evidence, rel=1e-12, abs=0.0)
-        assert vi._exact_free_energy(design, diagonal(q)) > f
+        assert vi.free_energy(design, diagonal(q)) > f
+
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    def test_matches_the_records_closed_form(self, family):
+        # KL - sum_i E_q log N(y_i; phi_i'w, sigma^2), with E_q (y_i -
+        # phi_i'w)^2 = (y_i - phi_i'mu)^2 + |L'phi_i|^2, from the records
+        # themselves rather than their R factor
+        model, data = fixture(n=40, seed=3, degree=2)
+        design = model.design(data)
+        rng = np.random.default_rng(4)
+        p = model.n_weights
+        for _ in range(3):
+            mu = rng.standard_normal(p)
+            scale = rng.uniform(0.1, 1.0, p)
+            if family == "full_rank":
+                scale = np.diag(scale) + np.tril(
+                    0.3 * rng.standard_normal((p, p)), k=-1)
+            q = VariationalPosterior(family, mu, scale)
+            phi = design.phi_mu
+            sd = model.fixed_noise_sd
+            e2 = (data.y - phi @ mu) ** 2 + np.sum((phi @ q.factor) ** 2,
+                                                  axis=1)
+            want = (vi.kl_gaussian(q, model.prior_tau)
+                    + np.sum(0.5 * math.log(2 * math.pi * sd * sd)
+                             + e2 / (2 * sd * sd)))
+            assert vi.free_energy(design, q) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
 
     def test_free_energy_beyond_the_double_range_is_refused(self):
         # |b - A (mu - shift)|^2 and |mu|^2 overflowed with numpy's matmul
@@ -173,7 +199,7 @@ class TestExactFreeEnergy:
                                  model.prior_tau)
             ll, _ = design.log_likelihood_and_grad(q.mu + z @ q.factor.T)
             se = ll.std(ddof=1) / math.sqrt(len(z))
-            assert abs(value - vi._exact_free_energy(design, q)) <= 5 * se
+            assert abs(value - vi.free_energy(design, q)) <= 5 * se
 
 
 class TestTrainPredict:
@@ -195,9 +221,9 @@ class TestTrainPredict:
             assert out.posterior.family == "full_rank"
             assert np.array_equal(out.posterior.mu, q.mu)
             assert np.array_equal(out.posterior.scale, q.scale)
-            assert out.initial_free_energy == vi._exact_free_energy(
+            assert out.initial_free_energy == vi.free_energy(
                 design, start)
-            assert out.final_free_energy == vi._exact_free_energy(design, q)
+            assert out.final_free_energy == vi.free_energy(design, q)
             assert out.final_free_energy < out.initial_free_energy
 
     @pytest.mark.parametrize("degree", [1, 2])

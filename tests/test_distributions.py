@@ -145,10 +145,14 @@ class TestScaledForms:
                               + rng.standard_normal() * scale
                               * rng.integers(0, 3)).tolist()
             for mode in (None, m):
-                want = unscaled_mean_u_and_ppf(a, mode, b, v)
+                # the bounds and, for a triangle, the mode's CDF value,
+                # where the draw turns from the left branch to the right
+                u = np.append(v, [0.0, 1.0] + [(m - a) / (b - a)] * (
+                    mode is not None))
+                want = unscaled_mean_u_and_ppf(a, mode, b, u)
                 dist = make_marginal(a, mode, b)
                 assert dist.mean_and_u() == want[:2], (a, mode, b)
-                assert np.array_equal(dist.ppf(v), want[2]), (a, mode, b)
+                assert np.array_equal(dist.ppf(u), want[2]), (a, mode, b)
 
 
 class TestPpfOut:
@@ -253,12 +257,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             JointInputModel(qs)
 
-    def test_correlation_must_be_positive_definite(self):
+    def test_correlation_entry_beyond_one_is_refused(self):
+        # refused by the entry check, before any factorisation
         qs = [InputQuantity("X1", Gaussian(0, 1)),
               InputQuantity("X2", Gaussian(0, 1))]
         bad = np.array([[1.0, 1.2], [1.2, 1.0]])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             JointInputModel(qs, bad)
+        assert str(err.value) == "correlation entries must lie in [-1, 1]"
 
     def test_correlation_within_bounds_yet_not_positive_definite(self):
         # symmetric, unit diagonal, every entry in [-1, 1], and still an

@@ -62,8 +62,10 @@ class TestRoundTrip:
         save_model(full, model, train, cfg, data.summary,
                    store_trajectory=True)
         assert "trajectory" not in json.load(open(bare))["training"]
-        assert len(json.load(open(full))["training"]["trajectory"]) \
-            == train.n_steps
+        # one exact F per window end
+        assert json.load(open(full))["training"]["trajectory"] \
+            == train.trajectory.tolist()
+        assert len(train.trajectory) == train.n_steps // cfg.window == 1
 
     def test_stop_reason_recorded_and_optional_on_load(self, trained,
                                                         tmp_path):
@@ -190,6 +192,36 @@ class TestRoundTrip:
         assert str(info.value) == (
             f"{path}: model file invalid at $.model.{field}{where}: "
             f"{bad!r} is not of type {expected!r}")
+
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda s: s.update(n_records=0), ".n_records",
+         "0 is less than the minimum of 1"),
+        (lambda s: s.update(n_records=2.5), ".n_records",
+         "2.5 is not of type 'integer'"),
+        (lambda s: s.pop("target"), "",
+         "'target' is a required property"),
+        (lambda s: s["features"][0].update(sd="0.5"), ".features[0].sd",
+         "'0.5' is not of type 'number'"),
+        (lambda s: s["target"].pop("max"), ".target",
+         "'max' is a required property"),
+        (lambda s: s["target"].update(name=3), ".target.name",
+         "3 is not of type 'string'"),
+        (lambda s: s.update(rows=80), "",
+         "additional properties are not allowed: 'rows'"),
+    ])
+    def test_dataset_summary_checked(self, trained, tmp_path, edit, where,
+                                     message):
+        # predict echoes the summary into every report
+        model, train, cfg, data = trained
+        path = tmp_path / "s.json"
+        save_model(str(path), model, train, cfg, data.summary)
+        doc = json.load(open(path))
+        edit(doc["dataset_summary"])
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(ConfigError) as info:
+            load_model(str(path))
+        assert str(info.value) == (f"{path}: model file invalid at "
+                                   f"$.dataset_summary{where}: {message}")
 
     def test_integral_float_degree_loads_as_an_integer(self, trained,
                                                       tmp_path):

@@ -13,8 +13,8 @@ from uncertlab.errors import (ConfigError, DatasetError, DivergenceError,
                               DomainError)
 from uncertlab.propagation import MeasurementResult, propagate_taylor1
 from uncertlab.regression import (MAX_WEIGHTS, NOISE_FLOOR, BayesianVMModel,
-                                  build_model, inv_softplus, softplus)
-from uncertlab.report import dump_json, train_result_to_dict
+                                  DesignMatrices, build_model, inv_softplus,
+                                  softplus)
 from uncertlab.rng import substream
 from uncertlab.vi import (VIConfig, VariationalPosterior, kl_gaussian,
                           objective, optimize, pack_posterior, predict_parts,
@@ -359,14 +359,14 @@ class TestTraining:
             "all target values are identical; the noise level is not "
             "identifiable (fix the noise sd to train anyway)")
 
-    def test_trajectory_length_matches_steps(self):
+    def test_trajectory_holds_one_value_per_window_end(self):
         data = linear_data(n=60, seed=9)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
         out = optimize(model.design(data), VIConfig(seed=0, max_steps=400,
                                                     window=400,
                                                     tolerance=0.0))
         assert out.n_steps == 400
-        assert len(out.trajectory) == 400
+        assert out.trajectory.tolist() == [out.final_free_energy]
 
 
 def noise_bias_posterior(model, m, s):
@@ -643,14 +643,132 @@ class TestPredict:
 
 
 # ---------------------------------------------------------------------------
+# The exact free energy
+# ---------------------------------------------------------------------------
+
+def fine_rule_free_energy(design, q, h=0.005, half_width=40.0):
+    """F of a learned-noise q by a trapezoid rule far finer than the
+    library's, on each record's joint Gaussian (f, t) written out: t =
+    m + s x, f | x ~ N(f_bar + k x, |a|^2 - k^2)."""
+    model = design.model
+    p = model.n_mean_weights
+    chol = q.factor
+    a = design.phi_mu @ chol[:p]
+    b = design.phi_sigma @ chol[p:]
+    s = np.linalg.norm(b, axis=1)
+    k = np.sum(a * b, axis=1) / s
+    v = np.sum(a * a, axis=1) - k * k
+    r = design.y - design.phi_mu @ q.mu[:p]
+    m = design.phi_sigma @ q.mu[p:]
+    x = np.arange(-half_width, half_width + h / 2, h)
+    w = h * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    sigma = np.logaddexp(0.0, m[:, None] + s[:, None] * x) + NOISE_FLOOR
+    nll = (0.5 * math.log(2.0 * math.pi) + np.log(sigma)
+           + ((r[:, None] - k[:, None] * x) ** 2 + v[:, None])
+           / (2.0 * sigma * sigma))
+    return kl_gaussian(q, model.prior_tau) + float(np.sum(nll @ w))
+
+
+class TestFreeEnergy:
+    @pytest.mark.parametrize("family", vi.FAMILIES)
+    def test_within_monte_carlo_error(self, family):
+        # at 20,000 draws w = mu + z L', the Monte Carlo F lands within 5
+        # standard errors of the exact one, at a posterior of moderate
+        # spread and one with a wider noise head
+        data = linear_data(n=40, seed=51, noise=0.3)
+        model = build_model(data, mean_degree=2)
+        design = model.design(data)
+        rng = np.random.default_rng(52)
+        for spread in (0.3, 1.0):
+            q = random_posterior(rng, model.n_weights, family)
+            q = VariationalPosterior(family, q.mu * spread, q.scale * spread)
+            ll, _ = design.log_likelihood_and_grad(
+                weight_draws(q, rng, 20_000))
+            se = ll.std(ddof=1) / math.sqrt(len(ll))
+            mc = kl_gaussian(q, model.prior_tau) - ll.mean()
+            assert abs(vi.free_energy(design, q) - mc) <= 5 * se
+
+    def test_heavy_full_rank_matches_a_fine_rule(self):
+        # noise sds of 4.5 to 14 reach t far into the noise floor, where
+        # 1 / sigma^2 is 1e12: F is dominated by the rule's tails
+        data = linear_data(n=30, seed=53, noise=0.3)
+        model = build_model(data, mean_degree=2)
+        design = model.design(data)
+        rng = np.random.default_rng(54)
+        p = model.n_weights
+        scale = np.tril(rng.uniform(-0.5, 0.5, (p, p)))
+        np.fill_diagonal(scale, 0.3)
+        scale[model.n_mean_weights:] *= 8.0
+        mu = 0.3 * rng.standard_normal(p)
+        mu[model.n_mean_weights] = -3.0
+        q = VariationalPosterior("full_rank", mu, scale)
+        s = np.linalg.norm(design.phi_sigma @ scale[model.n_mean_weights:],
+                           axis=1)
+        assert s.min() >= 4.0
+        f = vi.free_energy(design, q)
+        assert f > 1e9
+        assert f == pytest.approx(fine_rule_free_energy(design, q),
+                                  rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("fixed_noise", [None, 0.15])
+    def test_start_is_the_same_for_both_families(self, fixed_noise):
+        data = linear_data(n=50, seed=55)
+        model = build_model(data, mean_degree=2, fixed_noise_sd=fixed_noise)
+        cfg = VIConfig(max_steps=20, window=20, tolerance=0.0)
+        mf, fr = (optimize(model.design(data),
+                           dataclasses.replace(cfg, family=family))
+                  for family in vi.FAMILIES)
+        assert mf.initial_free_energy == fr.initial_free_energy
+
+    def test_noise_sd_beyond_the_rule_names_the_record(self):
+        data = linear_data(n=10, seed=56)
+        model = build_model(data, mean_degree=1)
+        design = model.design(data)
+        q = noise_bias_posterior(model, 0.0, vi.MAX_NOISE_SD * 1.0001)
+        with pytest.raises(DomainError, match=r"^record 0: the noise "
+                           r"activation's sd under the posterior is 100\.011,"):
+            vi.free_energy(design, q)
+
+    def test_bench_train_contract(self):
+        # the benchmark's train configs: tolerance 0 and window equal to
+        # the step budget, so a run takes exactly max_steps steps, ends
+        # unconverged at max_steps, reports a finite exact F and leaves
+        # reference_adam's posterior to the bit
+        rng = np.random.default_rng(57)
+        x = rng.standard_normal((200, 3))
+        y = (1.0 + x @ [0.4, -0.3, 0.2] + 0.1 * x[:, 0] ** 2
+             + np.logaddexp(0.0, -2.0 + 0.3 * x[:, 0])
+             * rng.standard_normal(200))
+        data = make_dataset(x, y, ("x1", "x2", "x3"))
+        design = build_model(data, mean_degree=2, noise_degree=1).design(
+            data)
+        for family in vi.FAMILIES:
+            cfg = VIConfig(family=family, learning_rate=0.05, max_steps=300,
+                           tolerance=0.0, window=300, seed=1)
+            out = optimize(design, cfg)
+            assert (out.n_steps, out.stop_reason, out.converged) == \
+                (300, "max_steps", False)
+            assert math.isfinite(out.initial_free_energy)
+            assert math.isfinite(out.final_free_energy)
+            assert out.trajectory.tolist() == [out.final_free_energy]
+            theta, _, stop = reference_adam(design, cfg)
+            assert stop == "max_steps"
+            want = unpack_posterior(family, design.model.n_weights, theta)
+            assert np.array_equal(out.posterior.mu, want.mu)
+            assert np.array_equal(out.posterior.scale, want.scale)
+
+
+# ---------------------------------------------------------------------------
 # Same numbers as the straightforward training loop
 # ---------------------------------------------------------------------------
 
 def reference_train(model, data, config):
     """The plain training loop the optimized one must reproduce bit for bit.
 
-    M = [mu | L] rebuilt from theta by fancy indexing on every step,
-    index tables built on every step, np.mean, out-of-place Adam in the
+    Each step reads the gradient alone; the exact F, of a posterior built
+    from theta without the index table, is taken at every window end and
+    read by the stop rule. M = [mu | L] rebuilt from theta by fancy indexing on every step,
+    index tables built on every step, out-of-place Adam in the
     form of Kingma & Ba's section 2, a fresh QR factor per fixed-noise
     likelihood call, and the learned-noise likelihood with each power
     written out where it is used.
@@ -706,17 +824,19 @@ def reference_train(model, data, config):
             parts.append(mat[:, 1:][np.tril_indices(p, k=-1)])
         return np.concatenate(parts)
 
-    def step_objective(theta, z, tau):
+    def step_gradient(theta, z, tau):
         mat, d = to_matrix(theta)
         z1 = np.column_stack([np.ones(len(z)), z])
-        ll, g = log_likelihood_and_grad(z1 @ mat.T)
-        tau2 = tau**2
-        kl = (0.5 * (float(np.vdot(mat, mat)) / tau2 - p + p * math.log(tau2))
-              - float(np.sum(theta[p:2 * p])))
-        value = kl - float(np.mean(ll))
-        grad = to_theta(mat / tau2 - (g.T @ z1) / len(z))
+        _, g = log_likelihood_and_grad(z1 @ mat.T)
+        grad = to_theta(mat / tau**2 - (g.T @ z1) / len(z))
         grad[p:2 * p] = grad[p:2 * p] * d - 1.0
-        return value, grad
+        return grad
+
+    def exact(theta):
+        mat, d = to_matrix(theta)
+        q = VariationalPosterior(config.family, theta[:p],
+                                 mat[:, 1:] if full else d)
+        return vi.free_energy(design, q)
 
     mu = np.zeros(p)
     if model.fixed_noise_sd is None:
@@ -730,8 +850,7 @@ def reference_train(model, data, config):
     trajectory = []
     for step in range(config.max_steps):
         z = gen.standard_normal((config.n_mc, p))
-        value, grad = step_objective(theta, z, model.prior_tau)
-        trajectory.append(value)
+        grad = step_gradient(theta, z, model.prior_tau)
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
         lr = config.learning_rate
@@ -742,15 +861,15 @@ def reference_train(model, data, config):
         rate = lr * root / (1.0 - 0.9 ** (step + 1))
         theta = theta - rate * m / (np.sqrt(v) + 1e-8 * root)
         n, w = step + 1, config.window
-        if n >= 2 * w and n % w == 0:
-            prev = float(np.mean(trajectory[n - 2 * w:n - w]))
-            recent = float(np.mean(trajectory[n - w:n]))
-            if prev - recent < config.tolerance * max(1.0, abs(prev)):
+        if n % w == 0:
+            trajectory.append(exact(theta))
+            if (n >= 2 * w and trajectory[-2] - trajectory[-1]
+                    < config.tolerance * max(1.0, abs(trajectory[-2]))):
                 break
     mat, d = to_matrix(theta)
-    trajectory = np.array(trajectory)
-    final = float(np.mean(trajectory[-min(config.window, len(trajectory)):]))
-    return theta[:p], (mat[:, 1:] if full else d), trajectory, final
+    final = trajectory[-1] if n % config.window == 0 else exact(theta)
+    return (theta[:p], (mat[:, 1:] if full else d), np.array(trajectory),
+            n, final)
 
 
 class TestSameNumbersAsReference:
@@ -794,22 +913,25 @@ class TestSameNumbersAsReference:
             out = train_vi(model, data, cfg)
         else:
             out = optimize(model.design(data), cfg)
-        mu, scale, trajectory, final = reference_train(model, data, cfg)
+        mu, scale, trajectory, n_steps, final = reference_train(model, data,
+                                                                cfg)
         assert np.array_equal(out.posterior.mu, mu)
         assert np.array_equal(out.posterior.scale, scale)
         assert np.array_equal(out.trajectory, trajectory)
-        assert out.n_steps == len(trajectory)
+        assert out.n_steps == n_steps
         assert out.final_free_energy == final
         return out
 
 
 def reference_adam(design, config):
     """Adam in the textbook out-of-place form of Kingma & Ba's section 2,
-    stepping on the public objective with normals drawn block by block
-    from substream(seed, 0), and the documented stop rule.
+    stepping on the public objective's gradient with normals drawn block
+    by block from substream(seed, 0), the exact F at the start and at
+    every window end, and the documented stop rule.
 
-    Returns (theta, trajectory, stop reason); a non-finite F or an
-    overflow at step s returns the stop reason ("diverged", s).
+    Returns (theta, window-end F values, stop reason); an overflow at
+    step s, or a non-finite F after s + 1 steps (at the start: s = 0),
+    returns the stop reason ("diverged", s).
     """
     model, family = design.model, config.family
     p = model.n_weights
@@ -818,6 +940,12 @@ def reference_adam(design, config):
     if model.fixed_noise_sd is None:
         theta[model.n_mean_weights] = inv_softplus(
             max(float(np.std(design.y, ddof=1)), 1e-3))
+
+    def exact(theta):
+        return vi.free_energy(design, unpack_posterior(family, p, theta))
+
+    if not math.isfinite(exact(theta)):
+        return theta, [], ("diverged", 0)
     gen = substream(config.seed, 0)
     block = max(1, vi._SLICE_VALUES // (config.n_mc * p))
     m = v = np.zeros_like(theta)
@@ -828,10 +956,8 @@ def reference_adam(design, config):
                 (min(block, config.max_steps - step), config.n_mc, p))
         try:
             with np.errstate(over="raise"):
-                value, grad = objective(design, family, theta,
-                                        zs[step % block], model.prior_tau)
-                if not math.isfinite(value):
-                    return theta, trajectory, ("diverged", step)
+                _, grad = objective(design, family, theta,
+                                    zs[step % block], model.prior_tau)
                 m = 0.9 * m + (1.0 - 0.9) * grad
                 v = 0.999 * v + (1.0 - 0.999) * grad * grad
                 lr = config.learning_rate
@@ -843,16 +969,18 @@ def reference_adam(design, config):
                 theta = theta - rate * m / (np.sqrt(v) + 1e-8 * root)
         except FloatingPointError:
             return theta, trajectory, ("diverged", step)
-        trajectory.append(value)
         n, w = step + 1, config.window
-        if n >= 2 * w and n % w == 0:
-            before = trajectory[n - 2 * w:n - w]
-            prev = float(np.mean(before))
-            rise = float(np.mean(trajectory[n - w:n])) - prev
-            bound = config.tolerance * max(1.0, abs(prev))
-            if rise > -bound:
-                worse = rise > max(bound, float(np.std(before)))
-                return theta, trajectory, "worsened" if worse else "plateau"
+        if n % w == 0:
+            trajectory.append(exact(theta))
+            if not math.isfinite(trajectory[-1]):
+                return theta, trajectory, ("diverged", step)
+            if n >= 2 * w:
+                prev = trajectory[-2]
+                rise = trajectory[-1] - prev
+                bound = config.tolerance * max(1.0, abs(prev))
+                if rise > -bound:
+                    return (theta, trajectory,
+                            "worsened" if rise > bound else "plateau")
     return theta, trajectory, "max_steps"
 
 
@@ -869,8 +997,15 @@ class TestOptimizerBitIdentity:
 
     def test_plateau(self):
         cfg = VIConfig(family="mean_field", max_steps=5000, window=40,
-                       tolerance=1e-3, learning_rate=0.03, seed=7)
+                       tolerance=1e-3, learning_rate=0.01, seed=7)
         assert self.assert_same(self.design(32), cfg) == "plateau"
+
+    def test_worsened(self):
+        # at lr 0.03 Adam's own jitter lifts the exact F by 1.2 in the
+        # window to step 240
+        cfg = VIConfig(family="mean_field", max_steps=5000, window=40,
+                       tolerance=1e-3, learning_rate=0.03, seed=7)
+        assert self.assert_same(self.design(32), cfg) == "worsened"
 
     def test_overflow_at_the_same_step(self):
         # a first step of about lr = 200 in log diag L puts exp(L_ii)^2
@@ -879,19 +1014,24 @@ class TestOptimizerBitIdentity:
         cfg = VIConfig(family="full_rank", learning_rate=200.0,
                        max_steps=300, seed=8)
         _, trajectory, stop = reference_adam(design, cfg)
-        assert stop == ("diverged", 1) and len(trajectory) == 1
+        assert stop == ("diverged", 1) and trajectory == []
         with pytest.raises(DivergenceError) as err:
             optimize(design, cfg)
         assert err.value.step == 1
 
-    def test_non_finite_free_energy_names_its_step_once(self):
-        # a NaN target raises no floating-point flag, so F itself is the
-        # first sign; the message read "at step 0 (step 0)"
+    @pytest.mark.parametrize("target, message", [
+        # the start's F overflows in the residual's square
+        (1e200, "free energy became non-finite"),
+        # a NaN target raises no floating-point flag and reaches the
+        # noise head's starting bias
+        (math.nan, "the parameters became non-finite")])
+    def test_non_finite_start_names_its_step_once(self, target, message):
+        # the message read "at step 0 (step 0)"
         design = self.design(33)
         y = design.y.copy()
-        y[5] = math.nan
-        with pytest.raises(DivergenceError, match=r"^free energy became "
-                           r"non-finite \(step 0\)$"):
+        y[5] = target
+        with pytest.raises(DivergenceError,
+                           match=rf"^{message} \(step 0\)$"):
             optimize(dataclasses.replace(design, y=y),
                      VIConfig(max_steps=10))
 
@@ -907,10 +1047,18 @@ class TestOptimizerBitIdentity:
                            ) as err:
             optimize(design, cfg)
         assert err.value.step == 299
-        # at a rate that leaves every scale a double, the same run trains
+        # at a rate that leaves every scale a double, the mean-field run
+        # trains; the full-rank one ends with its noise sd beyond the
+        # quadrature's range, which its final F refuses
         cfg = VIConfig(family=family, learning_rate=100.0, max_steps=300,
                        seed=4)
-        assert np.all(optimize(design, cfg).posterior.diagonal > 0.0)
+        if family == "mean_field":
+            assert np.all(optimize(design, cfg).posterior.diagonal > 0.0)
+            return
+        with pytest.raises(DivergenceError, match=r"^record 0: the noise "
+                           r"activation's sd under the posterior is 2554\.55, "
+                           r"outside .* \(step 299\)$"):
+            optimize(design, cfg)
 
     @staticmethod
     def design(seed, **settings):
@@ -929,64 +1077,99 @@ class TestOptimizerBitIdentity:
         return stop
 
 
-class TestWithoutFreeEnergy:
-    """optimize(free_energy=False), the walk verify runs: the gradient
-    alone, so the same posterior to the bit, and no stop rule."""
+class TestStepsWithoutFreeEnergy:
+    """Adam's steps compute the gradient alone; F is taken, exactly, at
+    the start and at each window end, and no step's F is read."""
 
     @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
     @pytest.mark.parametrize("fixed_noise", [None, 0.15])
     @pytest.mark.parametrize("schedule", ["constant", "cosine"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_posterior_bits(self, family, fixed_noise, schedule, seed):
+    def test_same_posterior_bits(self, monkeypatch, family, fixed_noise,
+                                 schedule, seed):
         design = TestOptimizerBitIdentity.design(
             40 + seed, mean_degree=2, fixed_noise_sd=fixed_noise)
         cfg = VIConfig(family=family, schedule=schedule, max_steps=300,
-                       window=300, tolerance=0.0, learning_rate=0.05,
+                       window=100, tolerance=0.0, learning_rate=0.05,
                        n_mc=5, seed=seed)
-        out = optimize(design, cfg, free_energy=False)
-        self.assert_same_posterior(out, optimize(design, cfg))
-        assert out.n_steps == 300 and out.stop_reason == "max_steps"
-        assert out.trajectory.size == 0
-        assert math.isnan(out.initial_free_energy)
-        assert math.isnan(out.final_free_energy)
-        # such a result reaches no report or model file
-        with pytest.raises(DomainError, match="non-finite"):
-            dump_json(train_result_to_dict(out))
+        theta, trajectory, stop = reference_adam(design, cfg)
+        values, log_likelihoods, exact = self.spy(monkeypatch)
+        out = optimize(design, cfg)
+        want = unpack_posterior(family, design.model.n_weights, theta)
+        assert np.array_equal(out.posterior.mu, want.mu)
+        assert np.array_equal(out.posterior.scale, want.scale)
+        assert out.stop_reason == stop
+        # no step computes F or the log-likelihoods under it
+        n = out.n_steps
+        assert len(values) == n and all(map(math.isnan, values))
+        assert log_likelihoods == [None] * n
+        # F at the start and at each window end: steps 100, 200 (, 300)
+        assert len(trajectory) == n // 100
+        assert exact == [out.initial_free_energy] + trajectory
+        assert out.trajectory.tolist() == trajectory
+        assert out.final_free_energy == trajectory[-1] == vi.free_energy(
+            design, out.posterior)
 
-    def test_no_stop_rule(self):
-        # the walk with F stops on its plateau at step 320
+    def test_final_free_energy_off_a_window_end(self, monkeypatch):
+        # 130 steps, windows of 40: F at 0, 40, 80 and 120, and at 130
         design = TestOptimizerBitIdentity.design(32)
-        cfg = VIConfig(family="mean_field", max_steps=1000, window=40,
-                       tolerance=1e-3, learning_rate=0.03, seed=7)
-        assert optimize(design, cfg).stop_reason == "plateau"
-        out = optimize(design, cfg, free_energy=False)
-        assert (out.n_steps, out.stop_reason) == (1000, "max_steps")
-        # the same walk as the one with F and no early stop
-        full = optimize(design, dataclasses.replace(cfg, window=1000))
-        self.assert_same_posterior(out, full)
+        cfg = VIConfig(family="mean_field", max_steps=130, window=40,
+                       tolerance=0.0, learning_rate=0.03, seed=7)
+        _, _, exact = self.spy(monkeypatch)
+        out = optimize(design, cfg)
+        assert (out.n_steps, out.stop_reason) == (130, "max_steps")
+        assert len(exact) == 5 and len(out.trajectory) == 3
+        assert exact[1:4] == out.trajectory.tolist()
+        assert out.final_free_energy == exact[4] == vi.free_energy(
+            design, out.posterior)
 
-    def test_overflow_at_the_same_step(self):
-        design = TestOptimizerBitIdentity.design(33)
-        cfg = VIConfig(family="full_rank", learning_rate=200.0,
-                       max_steps=300, seed=8)
-        with pytest.raises(DivergenceError) as err:
-            optimize(design, cfg, free_energy=False)
-        assert err.value.step == 1
-
-    def test_non_finite_parameters_name_the_last_step(self):
-        # no F turns NaN, but the NaN target reaches theta
+    def test_non_finite_parameters_name_the_last_step(self, monkeypatch):
+        # a start F read as finite lets the NaN target reach theta, which
+        # the final F's check refuses
         design = TestOptimizerBitIdentity.design(33)
         y = design.y.copy()
         y[5] = math.nan
+        monkeypatch.setattr(vi, "free_energy", lambda design, q: 0.0)
+        monkeypatch.setattr(vi, "_initial_theta", lambda design, family:
+                            np.zeros(2 * design.model.n_weights))
         with pytest.raises(DivergenceError, match=r"^the parameters became "
                            r"non-finite \(step 9\)$"):
-            optimize(dataclasses.replace(design, y=y),
-                     VIConfig(max_steps=10), free_energy=False)
+            optimize(dataclasses.replace(design, y=y), VIConfig(max_steps=10))
 
     @staticmethod
-    def assert_same_posterior(out, want):
-        assert np.array_equal(out.posterior.mu, want.posterior.mu)
-        assert np.array_equal(out.posterior.scale, want.posterior.scale)
+    def spy(monkeypatch):
+        """Lists of each step's F, each step's log-likelihoods and each
+        exact F, filled as optimize runs."""
+        values, log_likelihoods, exact = [], [], []
+        stepper, likelihood = vi._stepper, DesignMatrices._likelihood
+        free_energy = vi.free_energy
+
+        def spy_stepper(*args, **kwargs):
+            step = stepper(*args, **kwargs)
+
+            def spied(theta, z1):
+                value, grad = step(theta, z1)
+                values.append(value)
+                return value, grad
+            return spied
+
+        def spy_likelihood(self, *args, **kwargs):
+            closure = likelihood(self, *args, **kwargs)
+
+            def spied(w):
+                ll, grad = closure(w)
+                log_likelihoods.append(ll)
+                return ll, grad
+            return spied
+
+        def spy_free_energy(design, q):
+            exact.append(free_energy(design, q))
+            return exact[-1]
+
+        monkeypatch.setattr(vi, "_stepper", spy_stepper)
+        monkeypatch.setattr(DesignMatrices, "_likelihood", spy_likelihood)
+        monkeypatch.setattr(vi, "free_energy", spy_free_energy)
+        return values, log_likelihoods, exact
 
 
 def test_index_tables_not_rebuilt_per_step(monkeypatch):
@@ -1049,12 +1232,10 @@ def test_fixed_noise_factor_taken_once_per_run(monkeypatch):
 class TestStopRule:
     @staticmethod
     def run(monkeypatch, values, window=10, tolerance=1e-3):
+        """optimize on a scripted exact F: the start's, then one value per
+        window end."""
         values = iter(values)
-        # the training step optimize builds once per run, scripted
-        monkeypatch.setattr(
-            vi, "_stepper",
-            lambda design, family, n, tau, free_energy: lambda theta, z1: (
-                next(values), np.zeros_like(theta)))
+        monkeypatch.setattr(vi, "free_energy", lambda design, q: next(values))
         data = linear_data(n=20, seed=24)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
         return optimize(model.design(data),
@@ -1062,29 +1243,39 @@ class TestStopRule:
                                  tolerance=tolerance))
 
     def test_falling_then_flat_is_plateau(self, monkeypatch):
-        f = [100.0 - 2.5 * s for s in range(20)] + [50.0] * 80
-        out = self.run(monkeypatch, f)
-        # windows 10-20 vs 0-10 and 20-30 vs 10-20 improve; 30-40 is level
+        # F at 20 improves on F at 10; F at 30 is level
+        out = self.run(monkeypatch, [100.0, 75.0, 50.0, 50.0, 40.0])
         assert (out.n_steps, out.stop_reason, out.converged) == \
-            (40, "plateau", True)
+            (30, "plateau", True)
+        assert out.trajectory.tolist() == [75.0, 50.0, 50.0]
+        assert (out.initial_free_energy, out.final_free_energy) == \
+            (100.0, 50.0)
+
+    def test_first_window_is_not_compared_with_the_start(self, monkeypatch):
+        out = self.run(monkeypatch, [10.0, 60.0, 50.0, 40.0, 40.0])
+        assert (out.n_steps, out.stop_reason) == (40, "plateau")
 
     def test_rise_is_worsened_not_converged(self, monkeypatch):
-        f = [100.0 - 2.0 * s for s in range(20)] + \
-            [62.0 + 5.0 * s for s in range(80)]
-        out = self.run(monkeypatch, f)
+        out = self.run(monkeypatch, [100.0, 80.0, 60.0, 70.0, 0.0])
         assert (out.n_steps, out.stop_reason, out.converged) == \
             (30, "worsened", False)
+        assert out.final_free_energy == 70.0
 
-    def test_rise_within_scatter_is_plateau(self, monkeypatch):
-        # the second window's mean is 0.2 higher: 400x the tolerance
-        # bound but a fifth of the step-to-step scatter of F
-        wobble = [1.0, -1.0] * 5
-        f = [50.0 + e for e in wobble] + [50.2 + e for e in wobble]
-        out = self.run(monkeypatch, f + [0.0] * 80, tolerance=1e-5)
-        assert (out.n_steps, out.stop_reason, out.converged) == \
-            (20, "plateau", True)
+    @pytest.mark.parametrize("rise, reason", [
+        (0.049, "plateau"), (0.051, "worsened")])
+    def test_rise_against_the_bound(self, monkeypatch, rise, reason):
+        # tolerance 1e-3 of |F| = 50 bounds the rise at 0.05: F is exact,
+        # so no scatter allowance widens it
+        out = self.run(monkeypatch, [100.0, 50.0, 50.0 + rise, 0.0])
+        assert (out.n_steps, out.stop_reason) == (20, reason)
+
+    def test_fall_within_the_bound_is_plateau(self, monkeypatch):
+        out = self.run(monkeypatch, [100.0, 50.0, 49.96, 0.0],
+                       tolerance=1e-3)
+        assert (out.n_steps, out.stop_reason) == (20, "plateau")
 
     def test_steady_fall_runs_to_budget(self, monkeypatch):
-        out = self.run(monkeypatch, [100.0 - s for s in range(100)])
+        out = self.run(monkeypatch, [100.0 - s for s in range(11)])
         assert (out.n_steps, out.stop_reason, out.converged) == \
             (100, "max_steps", False)
+        assert len(out.trajectory) == 10
