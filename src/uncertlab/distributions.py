@@ -8,11 +8,11 @@ every marginal is Gaussian, where the Cholesky construction is exact.
 How to correlate mixed marginals is not settled ground, so such input
 is rejected at validation rather than silently approximated.
 
-All sampling runs through one route: uniform draws from the caller's
-generator mapped through each marginal's inverse CDF. Monte Carlo
-passes each chunk's own Philox substream (see :mod:`uncertlab.rng`),
-which makes every run bit-reproducible and lets parallel workers draw
-non-overlapping streams. Each marginal's mean and standard uncertainty
+All sampling runs through one route, :func:`sample`: given uniforms,
+one row per input, mapped in place through each marginal's inverse
+CDF. Monte Carlo passes the points of scrambled Sobol' nets (see
+:mod:`uncertlab.rng`), which lie in [2^-53, 1 - 2^-53], so no inverse
+CDF meets 0 or 1. Each marginal's mean and standard uncertainty
 u are closed form, never estimated, and u squares nothing, so it is
 right wherever it is itself a double; no variance is kept. Rectangular
 and triangular ones, and draws, scale the bounds by a power of two
@@ -218,30 +218,22 @@ class JointInputModel:
         return len(self.quantities)
 
 
-def sample(joint: JointInputModel, count: int,
-           rng: "np.random.Generator") -> np.ndarray:
-    """Draw ``count`` joint realizations from ``rng``, shape (count, N).
+def sample(joint: JointInputModel, uniforms: np.ndarray) -> np.ndarray:
+    """Map (N, count) ``uniforms`` in (0, 1), one row per input, to
+    ``count`` joint realizations, shape (count, N).
 
-    Uniforms are copied into an (N, count) buffer, one contiguous row
-    per input. Without correlation each row is mapped in place by its
-    marginal's inverse CDF, and the result is the buffer's transpose:
-    each input's draws are one contiguous column. Under correlation the
+    Without correlation each row is mapped in place by its marginal's
+    inverse CDF, and the result is the buffer's transpose: each input's
+    draws are one contiguous column. Under correlation the
     standard-normal rows are mixed by the Cholesky factor first, then
-    scaled by each input's u and shifted by its mean. The generator's
-    stream carries on from one call to the next, so calls of a and b
-    rows give the rows of one (a + b)-row call, except that a one-row
-    correlated call may round its last bit otherwise (BLAS gemv).
+    scaled by each input's u and shifted by its mean, into a new array.
     """
-    # random() yields [0, 1); nudge exact zeros so ndtri stays finite
-    cols = np.maximum(rng.random((count, len(joint))).T,
-                      np.finfo(np.float64).tiny,
-                      out=np.empty((len(joint), count)))
     if joint.chol is not None:
         from scipy import special
-        z = special.ndtri(cols, out=cols).T @ joint.chol.T
+        z = special.ndtri(uniforms, out=uniforms).T @ joint.chol.T
         z *= joint.u
         z += joint.means
         return z
-    for q, col in zip(joint.quantities, cols):
-        q.marginal.ppf(col, out=col)
-    return cols.T
+    for q, row in zip(joint.quantities, uniforms):
+        q.marginal.ppf(row, out=row)
+    return uniforms.T

@@ -71,19 +71,24 @@ def test_01_coverage_factor_two_implies_9545():
           f"<= 1e-4)", time.monotonic() - t0, 1.0)
 
 
-def test_02_monte_carlo_error_scales_as_inverse_sqrt_m():
+def test_02_monte_carlo_error_falls_at_least_as_inverse_sqrt_m():
+    # plain Monte Carlo's spread falls as M^-1/2 and matches its standard
+    # error u / sqrt(M); scrambled nets may only do better on both
     t0 = time.monotonic()
     m = parse_model("X1 * X2")
     joint = gaussian_joint([2.0, 3.0], [0.1, 0.1])
     sizes = [1_000, 10_000, 100_000, 1_000_000]
-    spreads = []
+    spreads, ratios = [], []
     for size in sizes:
-        estimates = [propagate_monte_carlo(m, joint, M=size, seed=s)[0].y
-                     for s in range(20)]
-        spreads.append(np.std(estimates, ddof=1))
+        runs = [propagate_monte_carlo(m, joint, M=size, seed=s)[0]
+                for s in range(20)]
+        spreads.append(np.std([r.y for r in runs], ddof=1))
+        ratios.append(spreads[-1] / min(r.mc_diagnostics.mc_standard_error
+                                        for r in runs))
     slope = np.polyfit(np.log(sizes), np.log(spreads), 1)[0]
-    check(2, abs(slope + 0.5) <= 0.1,
-          f"seed-to-seed spread slope vs M is {slope:.3f} (in -0.5 +/- 0.1)",
+    check(2, slope <= -0.4 and max(ratios) <= 1.0,
+          f"seed-to-seed spread slope vs M is {slope:.3f} (<= -0.4), "
+          f"spread at most {max(ratios):.3f} standard errors (<= 1)",
           time.monotonic() - t0, 60.0)
 
 

@@ -307,6 +307,12 @@ class TestValidation:
         assert jm.chol is None
 
 
+def uniforms(seed: int, n_inputs: int, count: int) -> np.ndarray:
+    """(n_inputs, count) pseudo-random uniforms, each (j + 1/2) 2^-53."""
+    j = substream(seed).integers(0, 1 << 53, (n_inputs, count))
+    return (j + 0.5) * 2.0 ** -53
+
+
 class TestSampling:
     def test_sample_moments_match_marginals(self):
         joint = JointInputModel([
@@ -314,7 +320,7 @@ class TestSampling:
             InputQuantity("X2", Rectangular(-1.0, 1.0)),
             InputQuantity("X3", Triangular(0.0, 0.2, 1.0)),
         ])
-        x = sample(joint, 200_000, substream(12))
+        x = sample(joint, uniforms(12, 3, 200_000))
         assert x.shape == (200_000, 3)
         for j in range(3):
             se_mean = joint.u[j] / np.sqrt(200_000)
@@ -327,7 +333,7 @@ class TestSampling:
             InputQuantity("X1", Rectangular(3.0, 4.0)),
             InputQuantity("X2", Triangular(-2.0, 0.0, 1.0)),
         ])
-        x = sample(joint, 50_000, substream(5))
+        x = sample(joint, uniforms(5, 2, 50_000))
         assert x[:, 0].min() >= 3.0 and x[:, 0].max() <= 4.0
         assert x[:, 1].min() >= -2.0 and x[:, 1].max() <= 1.0
 
@@ -337,61 +343,59 @@ class TestSampling:
             InputQuantity("X1", Gaussian(1.0, 2.0)),
             InputQuantity("X2", Gaussian(-1.0, 0.5)),
         ], corr)
-        x = sample(joint, 400_000, substream(31))
+        x = sample(joint, uniforms(31, 2, 400_000))
         c = np.cov(x.T)
         np.testing.assert_allclose(c, [[4.0, -0.7], [-0.7, 0.25]], rtol=0.02)
 
-    def test_same_seed_same_draws(self):
-        joint = JointInputModel([InputQuantity("X1", Gaussian(0, 1))])
-        a = sample(joint, 1000, substream(9))
-        b = sample(joint, 1000, substream(9))
-        np.testing.assert_array_equal(a, b)
+    def test_extreme_net_uniforms_give_finite_draws(self):
+        # a net's uniforms reach 2^-53 and 1 - 2^-53, never 0 or 1
+        joint = JointInputModel([
+            InputQuantity("X1", Gaussian(0.0, 1.0)),
+            InputQuantity("X2", Rectangular(-1.0, 1.0)),
+            InputQuantity("X3", Triangular(0.0, 0.2, 1.0))])
+        u = np.tile([2.0 ** -53, 1.0 - 2.0 ** -53], (3, 1))
+        x = sample(joint, u)
+        assert np.isfinite(x).all() and x[0, 0] < -8.0 < 8.0 < x[1, 0]
 
-    def test_draws_are_each_columns_ppf_of_the_stream(self):
+    def test_draws_are_each_rows_ppf_of_the_uniforms(self):
         # reference: every intermediate in its own array
         joint = JointInputModel([
             InputQuantity("X1", Gaussian(2.0, 0.5)),
             InputQuantity("X2", Rectangular(-1.0, 1.0)),
             InputQuantity("X3", Triangular(0.0, 0.2, 1.0)),
         ])
-        u = substream(8, 3).random((5000, 3))
-        u = np.maximum(u, np.finfo(np.float64).tiny)
-        ref = np.column_stack([q.marginal.ppf(u[:, i].copy())
+        u = uniforms(8, 3, 5000)
+        ref = np.column_stack([q.marginal.ppf(u[i].copy())
                                for i, q in enumerate(joint.quantities)])
-        x = sample(joint, 5000, substream(8, 3))
-        # one contiguous column per input
+        x = sample(joint, u)
+        # mapped in place: one contiguous column per input
         assert x.shape == (5000, 3) and x.flags.f_contiguous
+        assert np.shares_memory(x, u)
         assert np.array_equal(x, ref)
 
     # a one-row product under correlation goes to BLAS gemv, which may
-    # round differently, so the correlated pair splits at two rows or more
-    @pytest.mark.parametrize("marginal, correlation, splits", [
+    # round differently, so the correlated prefix has two rows or more
+    @pytest.mark.parametrize("marginal, correlation, counts", [
         (Gaussian(2.0, 0.5), None, (1, 7, 999)),
         (Rectangular(-1.0, 1.0), None, (1, 7, 999)),
         (Triangular(0.0, 0.2, 1.0), None, (1, 7, 999)),
         (Gaussian(2.0, 0.5), [[1.0, 0.6], [0.6, 1.0]], (2, 7, 998))],
         ids=["gaussian", "rectangular", "triangular", "correlated"])
-    def test_calls_continue_the_generators_stream(self, marginal,
-                                                  correlation, splits):
+    def test_a_prefix_of_a_workspace_maps_as_its_own_array(
+            self, marginal, correlation, counts):
+        # the last block of a run maps the first columns of its workspace
         joint = JointInputModel([InputQuantity("X1", marginal),
                                  InputQuantity("X2", marginal)],
                                 correlation)
-        whole = sample(joint, 1000, substream(6, 2))
-        for a in splits:
-            rng = substream(6, 2)
-            parts = [sample(joint, a, rng), sample(joint, 1000 - a, rng)]
-            assert np.array_equal(np.concatenate(parts), whole), a
-
-    def test_streams_are_disjoint(self):
-        joint = JointInputModel([InputQuantity("X1", Gaussian(0, 1))])
-        a = sample(joint, 1000, substream(9, 0))
-        b = sample(joint, 1000, substream(9, 1))
-        assert not np.array_equal(a, b)
+        whole = sample(joint, uniforms(6, 2, 1000))
+        for count in counts:
+            part = sample(joint, uniforms(6, 2, 1000)[:, :count])
+            assert np.array_equal(part, whole[:count]), count
 
     def test_uniformity_of_gaussian_pit(self):
         # push samples back through the CDF: must be uniform
         joint = JointInputModel([InputQuantity("X1", Gaussian(3.0, 2.0))])
-        x = sample(joint, 100_000, substream(4))[:, 0]
+        x = sample(joint, uniforms(4, 1, 100_000))[:, 0]
         u = special.ndtr((x - 3.0) / 2.0)
         stat = stats.kstest(u, "uniform").statistic
         assert stat < 0.01

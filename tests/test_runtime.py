@@ -19,6 +19,7 @@ import pytest
 import uncertlab.propagation as propagation
 from uncertlab.cli import main
 from uncertlab.propagation import MC_CHUNK_SIZE
+from uncertlab.rng import MAX_NET_INPUTS
 from test_startup import run_fresh, write_json
 
 
@@ -213,9 +214,9 @@ def at_workers(monkeypatch, capsys, tmp_path, doc, workers):
 
 def test_mixed_marginals_give_one_result_at_any_worker_count(
         monkeypatch, capsys, tmp_path):
-    # three inputs at the default M: 21,845-row blocks, so the worker
-    # that starts inside a chunk skips a number of uniforms that is not
-    # a whole Philox step of four
+    # three inputs at the default M: 16,384-row blocks, so the worker
+    # that starts inside a chunk builds its first block from the middle
+    # of the chunk's net
     doc = {"model": {"expression": "X1 * X2 / (1 + X3) + sin(X3)"},
            "inputs": {"quantities": [
                {"name": "X1", "dist": {"kind": "gaussian", "mean": 2.0,
@@ -227,19 +228,20 @@ def test_mixed_marginals_give_one_result_at_any_worker_count(
            "method": "monte_carlo", "seed": 13}
     rows, real_sample = {}, propagation.sample
 
-    def counting_sample(joint, count, rng):
+    def counting_sample(joint, uniforms):
         tid = threading.get_ident()
-        rows[tid] = rows.get(tid, 0) + count
-        return real_sample(joint, count, rng)
+        rows[tid] = rows.get(tid, 0) + uniforms.shape[1]
+        return real_sample(joint, uniforms)
 
     monkeypatch.setattr(propagation, "sample", counting_sample)
     one = at_workers(monkeypatch, capsys, tmp_path, doc, 1)
     two = at_workers(monkeypatch, capsys, tmp_path, doc, 2)
     assert one == two
-    assert propagation.block_rows(3) == 21_845
+    assert json.loads(one)["measurement"]["mc_diagnostics"][
+        "sampling"] == "sobol"
+    assert propagation.block_rows(3) == 16_384
     helper, = (n for tid, n in rows.items() if tid != threading.get_ident())
-    skip = (200_000 - helper) % MC_CHUNK_SIZE
-    assert skip and skip * 3 % 4
+    assert (200_000 - helper) % MC_CHUNK_SIZE
 
 
 def test_signed_zeros_give_one_result_and_dump_at_any_worker_count(
@@ -270,3 +272,15 @@ def test_signed_zeros_give_one_result_and_dump_at_any_worker_count(
     assert signs == {False, True}
     assert json.loads(results[0])["measurement"]["mc_diagnostics"][
         "domain_error_count"] > 0
+
+
+def test_monte_carlo_refuses_more_inputs_than_its_nets_cover(capsys,
+                                                             tmp_path):
+    doc = {"model": {"expression": "X1"},
+           "inputs": gaussians(*[(0.0, 1.0)] * (MAX_NET_INPUTS + 1)),
+           "method": "monte_carlo", "M": 1000}
+    cfg = write_json(tmp_path / "config.json", doc)
+    assert main(["propagate", "--config", cfg]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert f"at most {MAX_NET_INPUTS} inputs" in error["message"]
