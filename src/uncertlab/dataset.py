@@ -31,8 +31,10 @@ blank row is counted, a row of the wrong width is refused at once, and
 each selected cell of every other row goes to ``float`` straight into
 one flat array of doubles that becomes the table, so no cell is kept as
 a string. The first bad row and, in it, the first bad cell name the
-error. A byte the file's text encoding refuses, or a cell past csv's
-field limit, is a DatasetError that names the file and the line.
+error. Files are read as UTF-8 in any locale, without the byte-order
+mark a spreadsheet may write first. A byte UTF-8 refuses, or a cell
+past csv's field limit, is a DatasetError that names the file and the
+line.
 """
 
 import csv
@@ -177,7 +179,7 @@ def _count_lines(raw, limit: int) -> tuple[int, bool]:
     """The lines in the binary file ``raw`` from its position on, each
     ended by b"\\n", b"\\r\\n", a lone b"\\r" or the end of the file, as
     csv splits them, and whether one is longer than ``limit`` bytes; in
-    every ASCII-compatible encoding these bytes are only those characters."""
+    UTF-8 these bytes are only those characters."""
     lines, last, run, long = 0, b"\n", 0, False
     for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
         lines += chunk.count(b"\n")
@@ -219,7 +221,7 @@ def _unreadable(path: str, fh, reader, err: Exception) -> DatasetError:
             ends = (data.count(b"\n", 0, n) + data.count(b"\r", 0, n)
                     - data.count(b"\r\n", 0, n))
             where = f"line {ends + 1}: "
-    return DatasetError(f"{path}: {where}not {fh.encoding} text: byte "
+    return DatasetError(f"{path}: {where}not UTF-8 text: byte "
                         f"0x{err.object[err.start]:02x}, {err.reason}")
 
 
@@ -238,7 +240,7 @@ def _read_csv(
     and stops at the first bad row or cell.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DatasetError(f"cannot read {kind} {path!r}: {err}") from err
     with fh:

@@ -19,15 +19,15 @@ factor below (:func:`uncertlab.vi.conjugate_posterior`).
 The prior over all P weights is isotropic Gaussian N(0, tau^2 I) in
 the standardized feature space. The softplus transform plus the
 constant floor ``NOISE_FLOOR`` = 1e-6 keeps sigma_n strictly positive
-for every x and w, so the Gaussian log-likelihood below is always
-finite. Records are independent, hence the log-likelihood is a plain
-sum over records; the analytic gradients next to it are what
-variational training consumes, and they are finite-difference-checked
-in the test suite. Per record, with u = r / sigma_n the residual in
-noise units, log p = -log(2 pi)/2 - log sigma_n - u^2/2, whose
-derivatives are u / sigma_n in f and (u^2 - 1) / sigma_n in sigma_n;
-softplus' derivative, the logistic s'(t), is 1/(1+e) for t >= 0 and
-e/(1+e) below, from the e = exp(-|t|) softplus evaluates anyway.
+for every x and w, so the Gaussian log-likelihood is always finite.
+Records are independent, hence the log-likelihood is a plain sum over
+records. Training reads only its analytic weight gradient, which the
+test suite holds against finite differences of a log-likelihood of its
+own. Per record, with u = r / sigma_n the residual in noise units,
+log p = -log(2 pi)/2 - log sigma_n - u^2/2, whose derivatives are
+u / sigma_n in f and (u^2 - 1) / sigma_n in sigma_n; softplus'
+derivative, the logistic s'(t), is 1/(1+e) for t >= 0 and e/(1+e)
+below, from the e = exp(-|t|) softplus evaluates anyway.
 
 With a fixed noise sd the likelihood reads the records only through
 one thin QR of them, centred, taken once (:class:`DesignMatrices`).
@@ -242,16 +242,6 @@ class BayesianVMModel:
         return phi_mu, (np.ascontiguousarray(table[:, :self.n_noise_weights])
                         if learned else None)
 
-    def split_weights(self, w: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape[-1] != self.n_weights:
-            raise ConfigError(
-                f"expected {self.n_weights} weight(s), got {w.shape[-1]}")
-        if self.fixed_noise_sd is not None:
-            return w, None
-        p = self.n_mean_weights
-        return w[..., :p], w[..., p:]
-
     def design(self, data: Dataset) -> "DesignMatrices":
         """Precompute the per-record feature matrices for a dataset."""
         if data.feature_names != self.feature_names:
@@ -265,7 +255,7 @@ class BayesianVMModel:
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Cached design matrices for repeated likelihood evaluations.
+    """Cached design matrices for repeated likelihood gradients.
 
     With a fixed noise sd the likelihood needs only r'r and phi_mu'r of
     the residuals r = y - phi_mu w_mu, and both come from one thin QR
@@ -276,19 +266,16 @@ class DesignMatrices:
     costs O(S P_mu^2) whatever D is, and centring keeps a large offset
     in y out of the cancellation e makes.
 
-    Training takes the likelihood from ``_likelihood(S)`` once per run.
+    Training takes the gradient from ``_likelihood(S)`` once per run.
     For a fixed noise sd that is one closure over a workspace of its
     own, whose products (w - shift) A' and u A go through ``np.dot``,
     about 0.3 us less dispatch each than ``np.matmul`` and the same BLAS
     dgemm. The bits are np.matmul's at every P and S measured (P up to
     1,024) but one: u A for a single draw at P = 3, where np.matmul on
     A's strided view rounds otherwise. Each call of the closure
-    overwrites the arrays the last one returned. A learned noise level
+    overwrites the array the last one returned. A learned noise level
     needs every record: its closure works in six (S, D) buffers of its
-    own and returns arrays that are never views of them. Without
-    ``free_energy`` either closure returns None for the log-likelihoods.
-    :meth:`log_likelihood_and_grad` makes a new closure per call, so the
-    arrays it returns are never written again.
+    own and returns an array that is never a view of them.
     """
 
     phi_mu: np.ndarray            # (D, P_mu)
@@ -311,32 +298,21 @@ class DesignMatrices:
         const = -len(self.y) * (math.log(sigma) + _HALF_LOG_2PI)
         return a[:, :-1], a[:, -1], shift, const
 
-    def log_likelihood_and_grad(
-            self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched Gaussian log-likelihood and its weight gradient.
-
-        ``w`` is (S, P); returns (S,) log-likelihoods and the (S, P)
-        gradients. With residuals r and u = r / sigma, the gradient
-        splits into the two heads:
+    def _likelihood(self, n: int):
+        """The log-likelihood's weight gradient as a function of float64
+        (n, P) w, unchecked, set up once for a run of calls (see the
+        class docstring). With residuals r and u = r / sigma it splits
+        into the two heads:
         d/dw_mu    = phi_mu' (u / sigma)
         d/dw_sigma = phi_sigma' [ (u^2 - 1) / sigma * s'(t) ]
         with t the pre-transform noise activation and s'(t) the
         logistic sigmoid (derivative of softplus). A fixed noise sd has
         no w_sigma, so only the mean head has a gradient, and the
         records enter only through the R factor (class docstring):
-        u = e / sigma and phi_mu' (u / sigma) = (A[:, :-1] / sigma)' u.
-        """
-        w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-        self.model.split_weights(w)     # refuses a wrong weight count
-        # a likelihood of its own, so no later call writes the arrays
-        return self._likelihood(len(w))(w)
-
-    def _likelihood(self, n: int, free_energy: bool = True):
-        """:meth:`log_likelihood_and_grad` unchecked, for float64 (n, P)
-        w, set up once for a run of calls (see the class docstring)."""
+        u = e / sigma and phi_mu' (u / sigma) = (A[:, :-1] / sigma)' u."""
         if self.model.fixed_noise_sd is None:
-            return self._learned_noise(n, free_energy)
-        phi, b, shift, const = self._factor
+            return self._learned_noise(n)
+        phi, b, shift, _ = self._factor
         # np.dot on a contiguous copy of A: given the strided view itself
         # it copies A' into rows and, from P = 16 on, takes a dgemm
         # kernel that rounds otherwise than np.matmul on the view
@@ -344,28 +320,21 @@ class DesignMatrices:
         phi_t = phi.T
         k, p = phi.shape
         v, grad = np.empty((2, n, p))
-        u, u2 = np.empty((2, n, k))
-        ll = np.empty(n) if free_energy else None
-        add, subtract, multiply, dot = np.add, np.subtract, np.multiply, np.dot
-        add_reduce = np.add.reduce
+        u = np.empty((n, k))
+        subtract, dot = np.subtract, np.dot
 
         def fixed_noise(w):
             subtract(w, shift, out=v)
             dot(v, phi_t, out=u)
             subtract(b, u, out=u)
-            if ll is not None:
-                # ll = const - (1/2) sum u^2, rounded as written
-                add_reduce(multiply(u, u, out=u2), axis=1, out=ll)
-                multiply(ll, -0.5, out=ll)
-                add(ll, const, out=ll)
-            return ll, dot(u, phi, out=grad)
+            return dot(u, phi, out=grad)
 
         return fixed_noise
 
-    def _learned_noise(self, n: int, free_energy: bool):
-        """The learned-noise likelihood of (n, P) w, over (n, D) buffers."""
-        p, d = self.model.n_mean_weights, len(self.y)
-        r, u, a, t, e, sigma = np.empty((6, n, d))
+    def _learned_noise(self, n: int):
+        """The learned-noise gradient of (n, P) w, over (n, D) buffers."""
+        p = self.model.n_mean_weights
+        r, u, a, t, e, sigma = np.empty((6, n, len(self.y)))
 
         def learned_noise(w):
             w_mu, w_sigma = w[..., :p], w[..., p:]
@@ -376,10 +345,6 @@ class DesignMatrices:
             np.add(sigma, NOISE_FLOOR, out=sigma)
             np.divide(r, sigma, out=u)
             u2 = np.multiply(u, u, out=a)
-            ll = None
-            if free_energy:     # r is spare once u = r / sigma
-                log_sigma = np.log(sigma, out=r).sum(axis=1)
-                ll = -(log_sigma + 0.5 * u2.sum(axis=1) + d * _HALF_LOG_2PI)
             grad = np.divide(u, sigma, out=r) @ self.phi_mu
             # s'(t) = q / (1 + e), q = 1 for t >= 0 and e = exp(t) below
             q = np.greater_equal(t, 0.0, out=r, casting="unsafe")
@@ -389,7 +354,7 @@ class DesignMatrices:
             u2 -= 1.0
             u2 /= sigma
             u2 *= q
-            return ll, np.concatenate([grad, u2 @ self.phi_sigma], axis=1)
+            return np.concatenate([grad, u2 @ self.phi_sigma], axis=1)
 
         return learned_noise
 

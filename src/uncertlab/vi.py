@@ -19,35 +19,33 @@ parameter matrix M = [mu | L], P x (P + 1); Adam walks on theta =
 one table of flat indices per family writes theta into M (``put``) and
 reads the gradient back (``take``), so mean-field is the M whose
 off-diagonal L stays 0 and a step has one path for both. The KL against
-the isotropic N(0, tau^2 I) prior is closed form in |M|_F and theta's
-log-diagonal; the expected log-likelihood is estimated by
-reparameterized draws w = [1 | z] M' with z standard normal, which
-turns its gradient into G'[1 | z] for the per-draw likelihood gradients
-G. No autograd framework is involved: :func:`objective` writes the
-chain out, with that estimate of F beside it, and the test suite holds
-it against central finite differences. Training's steps read the
-gradient alone; its stop rule and its report read the exact F of
-:func:`free_energy`, once per window. A run sets its step up once: the
-index table, the likelihood with its workspace (the fixed-noise R-factor product or the
-learned-noise kernel of :class:`~uncertlab.regression.DesignMatrices`,
-on the one design training builds) and a workspace holding M, exp of
-L's diagonal, w and G'[1 | z], so a step does only its arithmetic, and
-:func:`objective` is that same step. The draws of a block of steps come
-from one call to the generator, in the order one call per step would
-give, written once as [1 | z] rows: one (steps, S, P + 1) array whose
-column 0 is 1. :func:`optimize` binds Adam's constants, numpy's
-functions and the row views of that array before its loop.
+the isotropic N(0, tau^2 I) prior is closed form, and so is its
+gradient: M / tau^2 in M, and -1 from -ln det L on each of theta's
+log-diagonal entries. The expected log-likelihood's gradient is
+estimated by reparameterized draws w = [1 | z] M' with z standard
+normal, which turns it into G'[1 | z] for the per-draw likelihood
+gradients G. No autograd framework is involved: a step writes the
+chain out and returns the gradient alone, and the test suite holds it
+against central finite differences of a free-energy estimate of its
+own at the same draws. Training's stop rule and its report read the
+exact F of :func:`free_energy`, once per window. A run sets its step
+up once: the index table, the likelihood gradient with its workspace
+(the fixed-noise R-factor product or the learned-noise kernel of
+:class:`~uncertlab.regression.DesignMatrices`, on the one design
+training builds) and a workspace holding M, exp of L's diagonal, w and
+G'[1 | z], so a step does only its arithmetic. The draws of a block of
+steps come from one call to the generator, in the order one call per
+step would give, written once as [1 | z] rows: one (steps, S, P + 1)
+array whose column 0 is 1. :func:`optimize` binds Adam's constants,
+numpy's functions and the row views of that array before its loop.
 
 At the P = 3 of ``verify`` a step's cost is numpy's dispatch, not its
-arithmetic, about 0.4 us per call. w = [1 | z] M' goes through
-``np.dot``, which reaches the same BLAS dgemm as ``np.matmul`` with
-about 0.3 us less dispatch, and gives the same bits at P = 1 to 1,024.
-G'[1 | z] stays on ``np.matmul``: through ``np.dot`` that product is
-slower from P of about 231 on (180 us against 101 us at P = 462).
-No step computes F, 7 of the 31 numpy calls a step with F makes: 16.6 us
-a step against 22.0 us with F at verify's P = 3, on 2 vCPUs; a
-learned-noise step also skips log sigma and two row sums over its
-(S, D) residuals.
+arithmetic, about 0.4 us per call: 24 numpy calls, 16.6 us a step on 2
+vCPUs. w = [1 | z] M' goes through ``np.dot``, which reaches the same
+BLAS dgemm as ``np.matmul`` with about 0.3 us less dispatch, and gives
+the same bits at P = 1 to 1,024. G'[1 | z] stays on ``np.matmul``:
+through ``np.dot`` that product is slower from P of about 231 on
+(180 us against 101 us at P = 462).
 
 Adam (Kingma & Ba, 2015) runs in the form of their section 2, which
 rearranges their Algorithm 1: m <- b1 m + (1 - b1) g and
@@ -94,7 +92,6 @@ __all__ = [
     "kl_gaussian",
     "pack_posterior",
     "unpack_posterior",
-    "objective",
     "free_energy",
     "conjugate_posterior",
     "optimize",
@@ -209,6 +206,13 @@ class VIConfig:
                 f"tolerance must be >= 0 and finite, got {self.tolerance}")
 
 
+def _check_weights(model: BayesianVMModel, q: VariationalPosterior) -> None:
+    """Refuse a posterior whose weight count is not the model's."""
+    if q.n_weights != model.n_weights:
+        raise ConfigError(f"posterior has {q.n_weights} weights, model "
+                          f"expects {model.n_weights}")
+
+
 def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
     """Closed-form KL[q || N(0, tau^2 I)].
 
@@ -224,7 +228,7 @@ def kl_gaussian(q: VariationalPosterior, prior_tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Unconstrained parameterization and the training objective
+# Unconstrained parameterization and the training step
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -269,40 +273,30 @@ def unpack_posterior(family: str, p: int, theta: np.ndarray) -> VariationalPoste
     return VariationalPosterior(family, m[:, 0].copy(), scale)
 
 
-def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float,
-             free_energy: bool = True):
-    """:func:`objective` as step(theta, z1) on the (n, P + 1) rows
-    z1 = [1 | z], with its setup done once: the index table, the
-    likelihood with its workspace, the prior's constants and a workspace
-    (M, exp of L's diagonal, w and G'[1 | z]) that each call, and the
-    gradient it returns, overwrite. Without ``free_energy`` F is NaN."""
+def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float):
+    """The gradient dF/dtheta of F's estimate at the n draws z, as
+    step(theta, z1) on the (n, P + 1) rows z1 = [1 | z], with its setup
+    done once: the index table, the likelihood gradient with its
+    workspace and a workspace (M, exp of L's diagonal, w and G'[1 | z])
+    that each call, and the gradient it returns, overwrite."""
     p = design.model.n_weights
     index = _index_table(family, p)
     diag = index[p:2 * p]
-    likelihood = design._likelihood(n, free_energy)
+    likelihood = design._likelihood(n)
     tau2 = prior_tau**2
-    p_log_tau2 = p * math.log(tau2)
     m = np.zeros((p, p + 1))        # off the index table M stays 0
     m_t = m.T
     d, grad = np.empty(p), np.empty(len(index))
     d_log = grad[p:2 * p]
     w, gz = np.empty((n, p)), np.empty((p, p + 1))
-    exp, dot, matmul, vdot = np.exp, np.dot, np.matmul, np.vdot
+    exp, dot, matmul = np.exp, np.dot, np.matmul
     divide, subtract, multiply = np.divide, np.subtract, np.multiply
-    add_reduce = np.add.reduce
 
-    def step(theta: np.ndarray, z1: np.ndarray) -> tuple[float, np.ndarray]:
-        log_d = theta[p:2 * p]
+    def step(theta: np.ndarray, z1: np.ndarray) -> np.ndarray:
         m.put(index, theta)
-        m.put(diag, exp(log_d, out=d))
+        m.put(diag, exp(theta[p:2 * p], out=d))
         # w = [1 | z] M' by np.dot, G'[1 | z] by np.matmul: see the module
-        ll, g = likelihood(dot(z1, m_t, out=w))
-        value = math.nan
-        if free_energy:
-            # np.add.reduce: ndarray.sum's and np.mean's sums, less dispatch
-            kl = (0.5 * (float(vdot(m, m)) / tau2 - p + p_log_tau2)
-                  - float(add_reduce(log_d)))
-            value = kl - float(add_reduce(ll)) / n
+        g = likelihood(dot(z1, m_t, out=w))
         # dF/dM = M / tau^2 - G'[1 | z] / n, then dF/dtheta:
         # d(log d) = d * dF/dd - 1
         matmul(g.T, z1, out=gz)
@@ -312,38 +306,9 @@ def _stepper(design: DesignMatrices, family: str, n: int, prior_tau: float,
         gz.take(index, out=grad, mode="clip")
         multiply(d_log, d, out=d_log)
         subtract(d_log, 1.0, out=d_log)
-        return value, grad
+        return grad
 
     return step
-
-
-def objective(
-    design: DesignMatrices,
-    family: str,
-    theta: np.ndarray,
-    z: np.ndarray,
-    prior_tau: float,
-) -> tuple[float, np.ndarray]:
-    """Free-energy estimate and its exact gradient at fixed draws ``z``.
-
-    With the (S, P) normals z held fixed this is a deterministic,
-    differentiable function of theta; the returned gradient is analytic
-    (KL terms in closed form, expectation terms averaged per-draw
-    likelihood gradients chained through w = [1 | z] M' and the
-    log-diagonal bijection). It runs the step :func:`optimize` runs, so
-    the finite-difference gate in the tests checks training's own
-    arithmetic. ``prior_tau`` is the model's, which the model already
-    checked.
-    """
-    n, p = z.shape
-    design.model.split_weights(z)       # refuses a wrong weight count
-    size = len(_index_table(family, p))
-    if len(theta) != size:
-        raise ConfigError(f"{family} parameter vector must have length {size}")
-    z1 = np.empty((n, p + 1))
-    z1[:, 0] = 1.0
-    z1[:, 1:] = z
-    return _stepper(design, family, n, prior_tau)(theta, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +399,7 @@ def free_energy(design: DesignMatrices, q: VariationalPosterior) -> float:
     target value); the callers refuse it.
     """
     model = design.model
+    _check_weights(model, q)
     with np.errstate(over="ignore", invalid="ignore"):
         kl = kl_gaussian(q, model.prior_tau)
         if model.fixed_noise_sd is not None:
@@ -486,7 +452,7 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
     p = design.model.n_weights
     theta = _initial_theta(design, family)
     gen = substream(config.seed, 0)
-    step_g = _stepper(design, family, n_mc, design.model.prior_tau, False)
+    step_g = _stepper(design, family, n_mc, design.model.prior_tau)
 
     def exact(n_steps: int) -> float:
         """F of theta after ``n_steps`` steps."""
@@ -540,7 +506,7 @@ def optimize(design: DesignMatrices, config: VIConfig) -> TrainResult:
             if step % block == 0:
                 rows = min(block, max_steps - step)
                 z1s[:rows, :, 1:] = gen.standard_normal((rows, n_mc, p))
-            _, grad = step_g(theta, z1_rows[step % block])
+            grad = step_g(theta, z1_rows[step % block])
             n_steps = step + 1
 
             # (m; v) = decay (m; v) + (1 - decay) (g; g g), then
@@ -638,10 +604,7 @@ def predict_parts(
     part by its row index.
     """
     require_positive("coverage factor k", k)
-    if q.n_weights != model.n_weights:
-        raise ConfigError(
-            f"posterior has {q.n_weights} weights, model expects "
-            f"{model.n_weights}")
+    _check_weights(model, q)
     x = np.asarray(x, dtype=np.float64)
 
     phi, psi = model.features(x, "part", DomainError)

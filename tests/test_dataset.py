@@ -244,9 +244,10 @@ def _row_parse_cell(path, lineno, column, raw):
 def row_by_row_read_csv(path, kind, choose):
     """A frozen copy of the csv-only reader that numpy's stage now runs
     in front of: csv.reader, itemgetter, fromiter(map(float)), and a
-    replay row by row where that fails."""
+    replay row by row where that fails; it reads UTF-8 without a
+    byte-order mark, as the reader does."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DatasetError(f"cannot read {kind} {path!r}: {err}") from err
     with fh:
@@ -340,7 +341,7 @@ READER_CORPUS = {
     "nul_line": ("a,b\n1,2\n\x00\n3,4\n", ALL),
     "nul_cell": ("a,b\n1,2\x00\n", ALL),
     "bom_header": ("\ufeffa,b\n1,2\n", ALL),
-    "bom_header_chosen": ("\ufeffa,b\n1,2\n", ["\ufeffa"]),
+    "bom_header_chosen": ("\ufeffa,b\n1,2\n", ["a"]),
     "bom_cell": ("a,b\n\ufeff1,2\n", ALL),
     "underscore": ("a,b\n1_0,2\n", ALL),
     "non_ascii_digits": ("a,b\n\u0661\u0662,\u0663\n", ALL),
@@ -469,6 +470,26 @@ class TestReaderStages:
         assert (seen[0] is not None) == by_numpy
         assert (d.x.tolist(), d.y.tolist()) == ([[5.0]], [2.0])
 
+    @pytest.mark.parametrize("header, row, by_numpy", [
+        ("x1,y", "{},{}", True), ("x1,id,y", "{},P1,{}", False)])
+    def test_byte_order_mark_is_not_part_of_the_header(
+            self, tmp_path, monkeypatch, header, row, by_numpy):
+        # a spreadsheet's "CSV UTF-8" starts with one: it named the first
+        # feature '\ufeffx1', and a parts file had no column x1
+        seen = self.spy(monkeypatch)
+        body = "".join("\n" + row.format(a, b)
+                       for a, b in [(1.5, 2), (-0.1, 3e-5), (7, 1e300)])
+        reads = []
+        for bom in (b"", codecs.BOM_UTF8):
+            path = tmp_path / f"bom{len(bom)}.csv"
+            path.write_bytes(bom + (header + body + "\n").encode())
+            d = ingest_dataset(str(path), target="y", features=["x1"])
+            assert d.feature_names == ("x1",)
+            reads.append((d.x.tobytes(), d.y.tobytes(),
+                          ingest_parts(str(path), ("x1",)).tobytes()))
+        assert reads[0] == reads[1]
+        assert [v is not None for v in seen] == [by_numpy] * 4
+
     def test_bad_cell_after_many_rows_is_found_by_csv(self, tmp_path):
         # numpy stops deep in the file; csv reads it again from the start
         lines = [f"{i}.5,{i}" for i in range(50_000)]
@@ -568,15 +589,12 @@ class TestUnreadableFiles:
          "invalid continuation byte")])
     def test_undecodable_byte_names_its_line(self, tmp_path, kind, data,
                                              line, byte, reason):
+        # read as UTF-8 whatever the locale's encoding
         path = self.write_bytes(tmp_path, data)
-        with open(path) as fh:
-            encoding = fh.encoding
-        if codecs.lookup(encoding).name != "utf-8":
-            pytest.skip(f"the locale's encoding is {encoding}")
         with pytest.raises(DatasetError) as err:
             self.read(kind, path)
-        assert str(err.value) == (f"{path}: line {line}: not {encoding} "
-                                  f"text: byte {byte}, {reason}")
+        assert str(err.value) == (f"{path}: line {line}: not UTF-8 text: "
+                                  f"byte {byte}, {reason}")
 
     @pytest.mark.parametrize("kind", ["dataset", "parts"])
     @pytest.mark.parametrize("text, line", [
@@ -608,5 +626,5 @@ class TestUnreadableFiles:
             ingest_parts(path, ("a",))
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert str(err.value).startswith(f"{path}: not ")
-        assert str(err.value).endswith(" text: byte 0xff, invalid start byte")
+        assert str(err.value) == (f"{path}: not UTF-8 text: byte 0xff, "
+                                  f"invalid start byte")

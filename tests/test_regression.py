@@ -1,4 +1,5 @@
-"""Polynomial design matrices and the heteroscedastic likelihood."""
+"""Polynomial design matrices and the heteroscedastic likelihood's
+gradient."""
 
 import math
 import re
@@ -16,6 +17,7 @@ from uncertlab.errors import ConfigError, DatasetError, DomainError
 from uncertlab.regression import (NOISE_FLOOR, BayesianVMModel, build_model,
                                   inv_softplus, polynomial_exponents,
                                   polynomial_features, softplus)
+from uncertlab.vi import VariationalPosterior, free_energy
 
 mpmath.mp.dps = 40
 
@@ -153,10 +155,8 @@ class TestModelAssembly:
         assert model.n_mean_weights == 6
         assert model.n_noise_weights == 3
         assert model.n_weights == 9
-        w = np.arange(9.0)
-        wm, ws = model.split_weights(w)
-        assert wm.tolist() == list(range(6))
-        assert ws.tolist() == [6.0, 7.0, 8.0]
+        phi_mu, phi_sigma = model.features(data.x, "record", DatasetError)
+        assert (phi_mu.shape[1], phi_sigma.shape[1]) == (6, 3)
 
     @pytest.mark.parametrize("n_features", [1, 2, 5])
     @pytest.mark.parametrize("degree", [0, 1, 3])
@@ -219,39 +219,60 @@ class TestModelAssembly:
         assert model.n_weights == model.n_mean_weights
 
 
+def gradient(design, w):
+    """The kernel's (S, P) gradient at (S, P) w, copied out of the
+    workspace its next call overwrites."""
+    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
+    return design._likelihood(len(w))(w).copy()
+
+
 class TestLikelihood:
-    def test_single_record_exact_fit_value(self):
-        # residual zero, sd forced to 1: ll = -0.5 log(2 pi)
+    def test_single_record_exact_fit_gradient(self):
+        # residual zero, sd 1: no pull on the mean head, and the noise
+        # head's is -s'(t) / sigma = -expit(t)
         x = np.array([[0.0]])
         y = np.array([0.0])
         data = make_dataset(x, y, ("x1",))
         model = build_model(data, mean_degree=1, noise_degree=0,
                             standardize=False)
         w = np.zeros(model.n_weights)
-        w[model.n_mean_weights] = inv_softplus(1.0 - NOISE_FLOOR)
-        (ll,), _ = model.design(data).log_likelihood_and_grad(w)
-        assert ll == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12,
-                                   abs=0.0)
+        t = inv_softplus(1.0 - NOISE_FLOOR)
+        w[model.n_mean_weights] = t
+        (g,) = gradient(model.design(data), w)
+        assert g[:2].tolist() == [0.0, 0.0]
+        assert g[2] == pytest.approx(-expit(t), rel=1e-12, abs=0.0)
 
     def test_matches_mpmath_oracle(self):
+        # the gradient against mpmath's derivative of the log-likelihood
+        # summed over the records in 40-digit arithmetic
         data = toy_data(n=12, seed=3)
         model = build_model(data, mean_degree=1, noise_degree=1)
         rng = np.random.default_rng(5)
         w = rng.standard_normal(model.n_weights) * 0.5
 
+        p = model.n_mean_weights
         phi_mu, phi_sg = model.features(data.x, "record", DatasetError)
-        wm, ws = model.split_weights(w)
-        total = mpmath.mpf(0)
-        for d in range(data.n_records):
-            mu = mpmath.mpf(float(phi_mu[d] @ wm))
-            t = mpmath.mpf(float(phi_sg[d] @ ws))
-            sd = mpmath.log(1 + mpmath.exp(t)) + mpmath.mpf(
-                f"{NOISE_FLOOR:.17g}")
-            r = mpmath.mpf(float(data.y[d])) - mu
-            total += (-mpmath.log(2 * mpmath.pi * sd ** 2) / 2
-                      - r ** 2 / (2 * sd ** 2))
-        (ll,), _ = model.design(data).log_likelihood_and_grad(w)
-        assert ll == pytest.approx(float(total), rel=1e-10, abs=0.0)
+        floor = mpmath.mpf(f"{NOISE_FLOOR:.17g}")
+
+        def log_likelihood(*weights):
+            total = mpmath.mpf(0)
+            for d in range(data.n_records):
+                mu = mpmath.fsum(mpmath.mpf(float(a)) * b for a, b
+                                 in zip(phi_mu[d], weights[:p]))
+                t = mpmath.fsum(mpmath.mpf(float(a)) * b for a, b
+                                in zip(phi_sg[d], weights[p:]))
+                sd = mpmath.log(1 + mpmath.exp(t)) + floor
+                r = mpmath.mpf(float(data.y[d])) - mu
+                total += (-mpmath.log(2 * mpmath.pi * sd ** 2) / 2
+                          - r ** 2 / (2 * sd ** 2))
+            return total
+
+        weights = [mpmath.mpf(float(v)) for v in w]
+        want = [float(mpmath.diff(log_likelihood, weights,
+                                  tuple(int(i == j) for j in range(len(w)))))
+                for i in range(len(w))]
+        (g,) = gradient(model.design(data), w)
+        np.testing.assert_allclose(g, want, rtol=1e-10, atol=0.0)
 
     def test_gradient_matches_finite_differences(self):
         data = toy_data(n=25, seed=9)
@@ -260,13 +281,13 @@ class TestLikelihood:
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = rng.standard_normal(model.n_weights) * 0.3
-            _, (g,) = design.log_likelihood_and_grad(w)
+            (g,) = gradient(design, w)
             h = 1e-6
             for i in range(model.n_weights):
                 e = np.zeros(model.n_weights)
                 e[i] = h
-                (lp,), _ = design.log_likelihood_and_grad(w + e)
-                (lm,), _ = design.log_likelihood_and_grad(w - e)
+                (lp,), _ = replaced_likelihood(design, w + e)
+                (lm,), _ = replaced_likelihood(design, w - e)
                 fd = (lp - lm) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
@@ -276,13 +297,13 @@ class TestLikelihood:
         design = model.design(data)
         rng = np.random.default_rng(4)
         w = rng.standard_normal(model.n_weights)
-        _, (g,) = design.log_likelihood_and_grad(w)
+        (g,) = gradient(design, w)
         h = 1e-6
         for i in range(model.n_weights):
             e = np.zeros(model.n_weights)
             e[i] = h
-            (lp,), _ = design.log_likelihood_and_grad(w + e)
-            (lm,), _ = design.log_likelihood_and_grad(w - e)
+            (lp,), _ = replaced_likelihood(design, w + e)
+            (lm,), _ = replaced_likelihood(design, w - e)
             fd = (lp - lm) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
@@ -292,10 +313,9 @@ class TestLikelihood:
         design = model.design(data)
         rng = np.random.default_rng(21)
         ws = rng.standard_normal((6, model.n_weights)) * 0.4
-        batched, grads = design.log_likelihood_and_grad(ws)
-        for w, ll, grad in zip(ws, batched, grads):
-            (single,), (single_grad,) = design.log_likelihood_and_grad(w)
-            assert ll == pytest.approx(single, rel=1e-12, abs=0.0)
+        grads = gradient(design, ws)
+        for w, grad in zip(ws, grads):
+            (single_grad,) = gradient(design, w)
             np.testing.assert_allclose(grad, single_grad, rtol=1e-12)
 
     def test_noise_floor_keeps_sd_positive(self):
@@ -303,15 +323,14 @@ class TestLikelihood:
         model = build_model(data, noise_degree=0)
         w = np.zeros(model.n_weights)
         w[model.n_mean_weights] = -200.0  # softplus is 1.4e-87 here
-        (ll,), _ = model.design(data).log_likelihood_and_grad(w)
-        assert np.isfinite(ll)
+        assert np.isfinite(gradient(model.design(data), w)).all()
 
 
 def replaced_likelihood(design, w):
     """The records-major (D, S) likelihood the kernel replaced, with
     scipy's logistic and sigma**3, as an oracle."""
     m = design.model
-    w_mu, w_sigma = m.split_weights(np.atleast_2d(w))
+    w_mu, w_sigma = np.split(np.atleast_2d(w), [m.n_mean_weights], axis=1)
     r = design.y[:, None] - design.phi_mu @ w_mu.T
     if m.fixed_noise_sd is not None:
         sigma = m.fixed_noise_sd
@@ -348,31 +367,28 @@ class TestKernel:
             # t spans [-700, 700] and hits 0 in the first two draws
             w[:, 3:] = [[0.0, 700.0], [0.0, -700.0], [2.0, 30.0],
                         [-3.0, 5.0], [0.5, -0.1], [-20.0, 1.0]]
-        ll, grad = design.log_likelihood_and_grad(w)
-        want_ll, want_g = replaced_likelihood(design, w)
-        np.testing.assert_allclose(ll, want_ll, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(grad, want_g, rtol=1e-12, atol=0.0)
+        _, want_g = replaced_likelihood(design, w)
+        np.testing.assert_allclose(gradient(design, w), want_g, rtol=1e-12,
+                                   atol=0.0)
 
     @pytest.mark.parametrize("fixed_noise_sd", [None, 0.3])
     def test_results_are_not_overwritten_by_later_calls(self,
                                                         fixed_noise_sd):
-        # training's likelihood keeps one workspace for a whole run; each
-        # public call gets arrays of its own, with the same numbers
+        # training's likelihood keeps one workspace for a whole run; a
+        # likelihood set up for another run has a workspace of its own,
+        # whose calls give the same bits and write nothing of the first
         design = self.design(fixed_noise_sd)
         rng = np.random.default_rng(13)
         results = []
         for s in (1, 8, 8, 1):
             w = rng.standard_normal((s, design.model.n_weights)) * 0.5
-            out = design.log_likelihood_and_grad(w)
-            results.append((out, [a.copy() for a in out]))
-            step = design._likelihood(s)
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(step(w), out))
-        for i, (out, copies) in enumerate(results):
-            assert all(np.array_equal(a, c) for a, c in zip(out, copies))
-            assert not any(np.shares_memory(a, b)
-                           for later, _ in results[i + 1:]
-                           for a in out for b in later)
+            out = design._likelihood(s)(w)
+            results.append((out, out.copy()))
+            assert design._likelihood(s)(w).tobytes() == out.tobytes()
+        for i, (out, copy) in enumerate(results):
+            assert np.array_equal(out, copy)
+            assert not any(np.shares_memory(out, later)
+                           for later, _ in results[i + 1:])
 
 
 class TestFixedNoiseFactor:
@@ -381,33 +397,42 @@ class TestFixedNoiseFactor:
     SIGMA = 1e-3
 
     @classmethod
-    def design(cls, x, offset):
+    def design(cls, x, offset, prior_tau=1.0):
         # y = offset + a quadratic in x1 + N(0, sigma^2) noise
         rng = np.random.default_rng(len(x))
         y = (offset + 0.5 * x[:, 0] - 0.3 * x[:, 0] ** 2
              + cls.SIGMA * rng.standard_normal(len(x)))
         data = make_dataset(x, y, tuple(f"x{i + 1}"
                                         for i in range(x.shape[1])))
-        model = build_model(data, mean_degree=2, fixed_noise_sd=cls.SIGMA)
+        model = build_model(data, mean_degree=2, fixed_noise_sd=cls.SIGMA,
+                            prior_tau=prior_tau)
         return model.design(data)
 
     @classmethod
     def oracle(cls, design, w):
-        """ll and gradient from the D residuals, in 40-digit arithmetic."""
+        """The gradient from the D residuals, in 40-digit arithmetic."""
         phi = [[mpmath.mpf(float(v)) for v in row] for row in design.phi_mu]
         y = [mpmath.mpf(float(v)) for v in design.y]
         sigma2 = mpmath.mpf(cls.SIGMA) ** 2
-        lls, grads = [], []
+        grads = []
         for wi in w:
             wm = [mpmath.mpf(float(v)) for v in wi]
             r = [yd - mpmath.fsum(p * q for p, q in zip(row, wm))
                  for row, yd in zip(phi, y)]
-            lls.append(float(-len(y) * mpmath.log(2 * mpmath.pi * sigma2) / 2
-                             - mpmath.fsum(rd ** 2 for rd in r) / (2 * sigma2)))
             grads.append([float(mpmath.fsum(row[j] * rd
                                             for row, rd in zip(phi, r))
                                 / sigma2) for j in range(len(wm))])
-        return np.array(lls), np.array(grads)
+        return np.array(grads)
+
+    @classmethod
+    def near_fit(cls, design, offset, rng, shape):
+        """Weights of the given shape about sigma / sqrt(D) off the
+        least-squares fit."""
+        fit = np.linalg.lstsq(design.phi_mu, design.y - offset,
+                              rcond=None)[0]
+        fit[0] += offset
+        return fit + (cls.SIGMA / np.sqrt(len(design.y))
+                      * rng.standard_normal(shape + (len(fit),)))
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("records", [
@@ -425,19 +450,53 @@ class TestFixedNoiseFactor:
             x = np.array([[0.2], [0.9]])
         design = self.design(x, offset)
         # draws near the least-squares fit, so the residuals are about
-        # sigma and ll, gradient and the y offset differ by many digits
-        fit = np.linalg.lstsq(design.phi_mu, design.y - offset,
-                              rcond=None)[0]
-        fit[0] += offset
-        w = fit + (self.SIGMA / np.sqrt(len(x))
-                   * rng.standard_normal((4, len(fit))))
-        ll, grad = design.log_likelihood_and_grad(w)
-        want_ll, want_g = self.oracle(design, w)
-        # the D residuals computed directly in doubles miss ll by 4e-13
-        # at offset 1e3 and by 8e-10 at 1e6
-        np.testing.assert_allclose(ll, want_ll, rtol=1e-13, atol=0.0)
+        # sigma and the gradient and the y offset differ by many digits
+        w = self.near_fit(design, offset, rng, (4,))
+        grad = gradient(design, w)
+        want_g = self.oracle(design, w)
         scale = np.abs(want_g).max()
         assert np.abs(grad - want_g).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n_records", [200, 2])
+    @pytest.mark.parametrize("family", ["mean_field", "full_rank"])
+    def test_free_energy_matches_mpmath_oracle(self, family, n_records,
+                                               offset):
+        # the exact F reads the factor's centred value, e'e + |A L|_F^2;
+        # at prior tau 1e9 the KL does not swamp it
+        rng = np.random.default_rng(43)
+        x = (rng.uniform(-1.0, 1.0, (200, 1)) if n_records == 200
+             else np.array([[0.2], [0.9]]))
+        design = self.design(x, offset, prior_tau=1e9)
+        mu = self.near_fit(design, offset, rng, ())
+        p = len(mu)
+        spread = self.SIGMA / math.sqrt(n_records)
+        if family == "mean_field":
+            scale = spread * rng.uniform(0.5, 2.0, p)
+        else:
+            scale = spread * np.tril(rng.uniform(-0.5, 0.5, (p, p)))
+            np.fill_diagonal(scale, spread * rng.uniform(0.5, 2.0, p))
+        q = VariationalPosterior(family, mu, scale)
+
+        mpf = mpmath.mpf
+        chol = [[mpf(float(v)) for v in row] for row in q.factor]
+        m = [mpf(float(v)) for v in mu]
+        sigma2, tau2 = mpf(self.SIGMA) ** 2, mpf(1e9) ** 2
+        norm2 = mpmath.fsum(v ** 2 for v in m + sum(chol, []))
+        kl = ((norm2 / tau2 - p + p * mpmath.log(tau2)) / 2
+              - mpmath.fsum(mpmath.log(chol[i][i]) for i in range(p)))
+        terms = []
+        for row, y in zip(design.phi_mu, design.y):
+            phi = [mpf(float(v)) for v in row]
+            r = mpf(float(y)) - mpmath.fsum(a * b for a, b in zip(phi, m))
+            var = mpmath.fsum(mpmath.fsum(phi[i] * chol[i][j]
+                                          for i in range(p)) ** 2
+                              for j in range(p))
+            terms.append(mpmath.log(2 * mpmath.pi * sigma2) / 2
+                         + (r ** 2 + var) / (2 * sigma2))
+        want = float(kl + mpmath.fsum(terms))
+        assert free_energy(design, q) == pytest.approx(want, rel=1e-13,
+                                                       abs=0.0)
 
     def test_no_per_record_work_after_the_factor(self):
         # one (S, D) array of 16 draws x 50,000 records is 6.4 MB
@@ -445,12 +504,12 @@ class TestFixedNoiseFactor:
         design = self.design(x, 0.0)
         w = np.random.default_rng(2).standard_normal(
             (16, design.model.n_weights))
-        design.log_likelihood_and_grad(w[:1])     # takes the QR
+        likelihood = design._likelihood(16)     # takes the QR
         tracemalloc.start()
         try:
-            ll, grad = design.log_likelihood_and_grad(w)
+            grad = likelihood(w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert ll.shape == (16,) and grad.shape == w.shape
+        assert grad.shape == w.shape

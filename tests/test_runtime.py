@@ -72,6 +72,20 @@ def test_json_is_read_as_utf8_in_any_locale(tmp_path):
     assert echoed == "L\u00e4nge"
 
 
+def test_csv_is_read_as_utf8_in_any_locale(tmp_path):
+    # under the C locale the text encoding is ASCII, which refused any
+    # byte above 0x7f, the byte-order mark's first among them
+    path = tmp_path / "data.csv"
+    path.write_bytes("\ufeffL\u00e4nge,y\n1.5,2\n2.5,3\n".encode("utf-8"))
+    out = run_fresh("""
+        import sys
+        from uncertlab.dataset import ingest_dataset
+        d = ingest_dataset(sys.argv[1], "y")
+        print(ascii(d.feature_names), d.x.tolist(), d.y.tolist())
+    """, str(path), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert out == "('L\\xe4nge',) [[1.5], [2.5]] [2.0, 3.0]\n"
+
+
 def test_help_lists_the_modes_and_propagate_needs_a_config(capsys):
     lines = help_text(capsys, "--help").splitlines()
     assert any(line.startswith("usage: uncertlab [-h] [--version]")
