@@ -47,9 +47,9 @@ from .propagation import (propagate_analytic, propagate_monte_carlo,
                           propagate_taylor1, propagate_taylor2,
                           sensitivity_budget)
 from .regression import build_model
-from .report import (budget_to_dicts, build_report, file_sha256, load_json,
-                     measurement_to_dict, train_result_to_dict, write_report,
-                     write_text)
+from .report import (RowBlock, budget_to_dicts, build_report, decision_rows,
+                     file_sha256, load_json, measurement_to_dict, part_rows,
+                     train_result_to_dict, write_report, write_text)
 from .rng import substream
 from .vi import (VIConfig, conjugate_posterior, optimize, predict_parts,
                  train_vi)
@@ -89,7 +89,7 @@ def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
             coverage=cfg["coverage"], k=cfg["k"])
         if cfg["dump_samples"] is not None:
             write_text(cfg["dump_samples"], itertools.chain(
-                ["y"], ("%.17g" % v for v in ecdf.sorted_values)))
+                ["y\n"], ("%.17g\n" % v for v in ecdf.sorted_values)))
             log.info("wrote %d sorted samples to %s",
                      len(ecdf.sorted_values), cfg["dump_samples"])
 
@@ -129,7 +129,7 @@ def _run_train(doc: dict, base_dir: str) -> tuple[dict, int]:
     return report, 0
 
 
-def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
+def _predict_rows(cfg: dict, model, posterior) -> RowBlock:
     parts = cfg["parts"]
     if "path" in parts:
         rows = ingest_parts(parts["path"], model.feature_names)
@@ -140,19 +140,10 @@ def _predict_rows(cfg: dict, model, posterior) -> list[dict]:
                 f"inline parts have {rows.shape[1]} feature(s), model "
                 f"expects {model.n_features}")
     vm = predict_parts(model, posterior, rows, cfg["k"])
-    lower, upper = vm.interval
-    out = [{"x": x, "y_hat": y, "sigma_hat": u,
-            "aleatoric_var": aleatoric, "epistemic_var": epistemic,
-            "k": vm.k, "interval": [lo, hi]}
-           for x, y, u, aleatoric, epistemic, lo, hi in zip(
-               rows.tolist(), vm.y.tolist(), vm.u.tolist(),
-               vm.aleatoric_var.tolist(), vm.epistemic_var.tolist(),
-               lower.tolist(), upper.tolist())]
+    decisions = None
     if cfg["spec"] is not None:
         decisions = classify(vm.y, vm.U, Specification(**cfg["spec"]))
-        for entry, decision in zip(out, decisions.to_dicts()):
-            entry["conformity"] = decision
-    return out
+    return part_rows(rows, vm, decisions)
 
 
 def _run_predict(doc: dict, base_dir: str) -> tuple[dict, int]:
@@ -173,7 +164,7 @@ def _run_conformity(doc: dict, base_dir: str) -> tuple[dict, int]:
     decisions = classify([m["y"] for m in measurements],
                          [m["U"] for m in measurements],
                          Specification(**cfg["spec"]))
-    results = {"decisions": decisions.to_dicts()}
+    results = {"decisions": decision_rows(decisions)}
     return build_report("conformity", cfg, results), 0
 
 
@@ -329,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             base_dir = os.path.dirname(os.path.abspath(args.config))
         _override(doc, args)
         report, code = _RUNNERS[args.mode](doc, base_dir)
-        text = write_report(report, args.out)
+        write_report(report, args.out)
     except (UncertLabError, MemoryError) as err:
         # numpy raises a private MemoryError subclass
         kind = ("MemoryError" if isinstance(err, MemoryError)
@@ -338,9 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                            "message": str(err)}}
         print(json.dumps(error, indent=2), file=sys.stderr)
         return 1
-    if args.out is None:
-        print(text)
-    else:
+    if args.out is not None:
         log.info("wrote report to %s", args.out)
     return code
 

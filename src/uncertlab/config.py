@@ -104,7 +104,7 @@ def save_model(
     }
     if store_trajectory:
         doc["training"]["trajectory"] = train.trajectory.tolist()
-    write_text(path, [dump_json(doc)])
+    write_text(path, [dump_json(doc), "\n"])
 
 
 _DIST_SCHEMA = {

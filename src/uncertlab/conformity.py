@@ -16,7 +16,10 @@ band, the safer call. Once 2U reaches the specification width the
 conformity zone is empty: the decision is still returned, but it is
 flagged and the resulting manufacturing tolerance is gone. One call
 classifies one (y, U) or whole columns of them, as predict and the
-conformity subcommand do.
+conformity subcommand do. Limits and uncertainties near the edge of the
+double range are decided as the exact values would be: a guard-banded
+limit that overflows compares as +-inf, and a width or midpoint that
+overflows is taken from the halved limits.
 """
 
 import math
@@ -54,10 +57,36 @@ class Specification:
         if not self.lsl < self.usl:
             raise ConfigError(
                 f"specification needs lsl < usl, got [{self.lsl}, {self.usl}]")
+        # integer limits, as JSON may give them, in the arithmetic below
+        # would be exact and then fail to convert
+        object.__setattr__(self, "lsl", float(self.lsl))
+        object.__setattr__(self, "usl", float(self.usl))
 
     @property
     def width(self) -> float:
+        """usl - lsl; inf where the difference leaves the double range."""
         return self.usl - self.lsl
+
+    @property
+    def half_width(self) -> float:
+        """The least U with 2U >= usl - lsl, also where the width leaves
+        the double range."""
+        width = self.width
+        if math.isinf(width):
+            # limits this far apart are both at least 2^970 in
+            # magnitude, where halving each is exact
+            return 0.5 * self.usl - 0.5 * self.lsl
+        half = 0.5 * width
+        # halving a subnormal width can round down, below width / 2
+        return half if 2.0 * half >= width else math.nextafter(half, math.inf)
+
+    @property
+    def midpoint(self) -> float:
+        """(lsl + usl) / 2, also where the sum leaves the double range."""
+        mid = 0.5 * (self.lsl + self.usl)
+        # a sum this large has both limits at least 2^970 in
+        # magnitude, where halving each is exact
+        return mid if math.isfinite(mid) else 0.5 * self.lsl + 0.5 * self.usl
 
 
 @dataclass(frozen=True)
@@ -77,7 +106,7 @@ class ConformityDecision:
     def no_reliable_zone(self) -> Any:
         """True where the uncertainty has consumed the whole
         specification: 2U >= usl - lsl."""
-        return 2.0 * self.U >= self.spec.width
+        return self.U >= self.spec.half_width
 
     @property
     def resulting_tolerance(self) -> Optional[tuple[Any, Any]]:
@@ -86,18 +115,6 @@ class ConformityDecision:
         if np.ndim(self.U) == 0 and self.no_reliable_zone:
             return None
         return self.spec.lsl + self.U, self.spec.usl - self.U
-
-    def to_dicts(self) -> list[dict]:
-        """One JSON-ready dict per decision, built from per-column
-        ``tolist()``s."""
-        zone, y, U, no_zone = np.atleast_1d(self.zone, self.y, self.U,
-                                            self.no_reliable_zone)
-        return [{"zone": z, "resulting_tolerance": None if nz else [lo, hi],
-                 "y": y_i, "U": U_i, "no_reliable_zone": nz}
-                for z, y_i, U_i, nz, lo, hi in zip(
-                    zone.tolist(), y.tolist(), U.tolist(), no_zone.tolist(),
-                    (self.spec.lsl + U).tolist(),
-                    (self.spec.usl - U).tolist())]
 
 
 def classify(y: Any, U: Any, spec: Specification) -> ConformityDecision:
@@ -115,11 +132,14 @@ def classify(y: Any, U: Any, spec: Specification) -> ConformityDecision:
         raise ConfigError(
             f"entry {i}: y and U must be finite and U >= 0, got "
             f"y={y.flat[i]}, U={U.flat[i]}")
-    # the first condition that holds names the zone
-    index = np.select(
-        [(spec.lsl + U <= y) & (y <= spec.usl - U),
-         y < spec.lsl - U,
-         y > spec.usl + U,
-         y <= 0.5 * (spec.lsl + spec.usl)],
-        [0, 3, 4, 1], default=2)
+    # the first condition that holds names the zone; a guard-banded
+    # limit beyond the double range is +-inf, which y compares with as
+    # with the exact limit
+    with np.errstate(over="ignore"):
+        index = np.select(
+            [(spec.lsl + U <= y) & (y <= spec.usl - U),
+             y < spec.lsl - U,
+             y > spec.usl + U,
+             y <= spec.midpoint],
+            [0, 3, 4, 1], default=2)
     return ConformityDecision(_ZONE_NAMES[index], y[()], U[()], spec)

@@ -958,6 +958,31 @@ class TestConformity:
         zones = [d["zone"] for d in json.loads(out)["results"]["decisions"]]
         assert zones == ["conformity", "conformity"]
 
+    @pytest.mark.parametrize("spec, measurement, decision", [
+        # 2U = 1.8e308 and the width 2e308 both overflowed to inf: the
+        # conformity zone was flagged empty
+        ({"lsl": -1e308, "usl": 1e308}, {"y": 0.0, "U": 9e307},
+         {"zone": "conformity", "no_reliable_zone": False,
+          "resulting_tolerance": [-1e308 + 9e307, 1e308 - 9e307]}),
+        # lsl + usl overflowed: y above the midpoint 1.6e308 was lower
+        ({"lsl": 1.5e308, "usl": 1.7e308}, {"y": 1.69e308, "U": 1e307},
+         {"zone": "uncertainty_upper", "no_reliable_zone": True,
+          "resulting_tolerance": None}),
+        # usl + U overflows, and 2U with it; neither warns
+        ({"lsl": 0.0, "usl": 1.7e308}, {"y": 1.75e308, "U": 1e308},
+         {"zone": "uncertainty_upper", "no_reliable_zone": True,
+          "resulting_tolerance": None})])
+    def test_limits_at_the_edge_of_the_double_range(
+            self, capsys, tmp_path, spec, measurement, decision):
+        cfg = write_json(tmp_path / "c.json", {
+            "spec": spec, "measurements": [measurement]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "conformity", "--config", cfg)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["decisions"] == [
+            {**decision, **measurement}]
+
     def test_nan_literal_is_structured_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"spec": {"lsl": 10.0, "usl": 10.2}, '

@@ -1,6 +1,8 @@
 """Guard-banded conformity zones from an expanded-uncertainty interval."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,12 @@ from uncertlab.distributions import Gaussian, InputQuantity, JointInputModel
 from uncertlab.errors import ConfigError
 from uncertlab.expr import parse_model
 from uncertlab.propagation import MeasurementResult, propagate_taylor1
+from uncertlab.report import decision_rows
+
+
+def rendered(d):
+    """The rows a conformity report writes for the decisions ``d``."""
+    return "[" + "".join(decision_rows(d).blocks()) + "]"
 
 
 class TestSpecification:
@@ -159,16 +167,14 @@ class TestVirtualClassification:
                      epistemic_var=np.array([0.04]))
         assert vm.U[0] == measured.U
         spec = Specification(lsl, usl)
-        assert (classify(vm.y, vm.U, spec).to_dicts()
-                == classify(measured.y, measured.U, spec).to_dicts())
+        assert (rendered(classify(vm.y, vm.U, spec))
+                == rendered(classify(measured.y, measured.U, spec)))
 
-    def test_decision_dict_round_trips_json(self):
-        import json
+    def test_decision_row_reads_as_json(self):
         d = classify(10.1, 0.02, Specification(10.0, 10.2))
-        [doc] = d.to_dicts()
-        assert json.loads(json.dumps(doc)) == {
+        assert json.loads(rendered(d)) == [{
             "zone": "conformity", "resulting_tolerance": [10.02, 10.18],
-            "y": 10.1, "U": 0.02, "no_reliable_zone": False}
+            "y": 10.1, "U": 0.02, "no_reliable_zone": False}]
 
 
 def readme_zone(y, U, lsl, usl):
@@ -212,7 +218,7 @@ class TestArrays:
         spec = Specification(10.0, 10.2)
         y = rng.uniform(9.8, 10.4, 300)
         U = rng.uniform(0.0, 0.15, 300)
-        rows = classify(y, U, spec).to_dicts()
+        rows = json.loads(rendered(classify(y, U, spec)))
         assert len(rows) == 300
         for row, y_i, U_i in zip(rows, y.tolist(), U.tolist()):
             one = classify(y_i, U_i, spec)
@@ -239,3 +245,67 @@ class TestArrays:
         d = classify(10.1, 0.02, Specification(10.0, 10.2))
         assert isinstance(d.zone, str) and d.zone == "conformity"
         assert np.ndim(d.y) == np.ndim(d.U) == 0
+
+
+class TestEdgesOfTheDoubleRange:
+    """2U against the width and y against the midpoint are decided as
+    the exact numbers would be where usl - lsl or lsl + usl overflows,
+    and no overflow warning escapes."""
+
+    @staticmethod
+    def quiet_classify(y, U, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return classify(y, U, spec)
+
+    def test_width_beyond_the_double_range(self):
+        # 2U = 1.8e308 is below the width 2e308; both overflowed to inf,
+        # and the conformity zone was flagged empty
+        d = self.quiet_classify(0.0, 9e307, Specification(-1e308, 1e308))
+        assert d.zone == "conformity"
+        assert not d.no_reliable_zone
+        tolerance = [-1e308 + 9e307, 1e308 - 9e307]
+        assert list(d.resulting_tolerance) == tolerance
+        assert json.loads(rendered(d))[0]["resulting_tolerance"] == tolerance
+        d = self.quiet_classify(0.0, 1e308, Specification(-1e308, 1e308))
+        assert d.no_reliable_zone and d.resulting_tolerance is None
+
+    def test_midpoint_beyond_the_double_range(self):
+        # y is above the midpoint 1.6e308; lsl + usl overflowed to inf
+        spec = Specification(1.5e308, 1.7e308)
+        assert self.quiet_classify(1.69e308, 1e307,
+                                   spec).zone == "uncertainty_upper"
+        assert self.quiet_classify(1.59e308, 1e307,
+                                   spec).zone == "uncertainty_lower"
+        assert spec.midpoint == 1.6e308
+
+    @pytest.mark.parametrize("y, zone", [
+        (-1.6e308, "non_conformity_lower"), (1e307, "uncertainty_lower"),
+        (6e307, "conformity"), (1.79e308, "uncertainty_upper")])
+    def test_guard_bands_beyond_the_double_range(self, y, zone):
+        # lsl - U = -1.5e308 and usl + U = 2.7e308, which overflows to
+        # inf and still compares as the exact limit would; 2U = 2e308 is
+        # below the width 2.2e308
+        d = self.quiet_classify(np.array([y]), np.array([1e308]),
+                                Specification(-5e307, 1.7e308))
+        assert d.zone.tolist() == [zone]
+        assert d.no_reliable_zone.tolist() == [False]
+
+    def test_integer_limits_beyond_the_sum(self):
+        # JSON integers: an exact integer sum failed to convert
+        big = int(1.5e308)
+        spec = Specification(big, int(1.7e308))
+        assert spec.midpoint == 0.5 * 1.5e308 + 0.5 * 1.7e308
+        assert classify(1.69e308, 1e307, spec).zone == "uncertainty_upper"
+
+    def test_subnormal_limits_keep_the_unhalved_forms(self):
+        # halving a subnormal limit rounds: 0.5 * 5e-324 is 0, so
+        # 0.5 usl - 0.5 lsl would call U = 0 no reliable zone here, and
+        # 0.5 lsl + 0.5 usl would put the midpoint of [1, 5] * 5e-324 at
+        # 2 * 5e-324, not 3 * 5e-324
+        tiny = 5e-324
+        d = classify(0.0, 0.0, Specification(0.0, tiny))
+        assert d.zone == "conformity" and not d.no_reliable_zone
+        spec = Specification(tiny, 5 * tiny)
+        assert spec.midpoint == 3 * tiny
+        assert classify(3 * tiny, 3 * tiny, spec).zone == "uncertainty_lower"
