@@ -26,8 +26,7 @@ from .errors import (ConfigError, DatasetError, DivergenceError, DomainError,
 from .expr import MeasurementModelExpr, evaluate, parse_model
 from .propagation import (EmpiricalCDF, MeasurementResult, implied_coverage,
                           propagate_analytic, propagate_monte_carlo,
-                          propagate_taylor1, propagate_taylor2,
-                          sensitivity_budget)
+                          propagate_taylor1, propagate_taylor2)
 from .regression import BayesianVMModel, build_model
 from .vi import (TrainResult, VariationalPosterior, VIConfig,
                  conjugate_posterior, kl_gaussian, predict_parts, train_vi)
@@ -74,6 +73,5 @@ __all__ = [
     "propagate_taylor1",
     "propagate_taylor2",
     "sample",
-    "sensitivity_budget",
     "train_vi",
 ]

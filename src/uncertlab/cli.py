@@ -44,11 +44,10 @@ from .conformity import Specification, classify
 from .dataset import ingest_dataset, ingest_parts, make_dataset
 from .errors import ConfigError, UncertLabError
 from .propagation import (propagate_analytic, propagate_monte_carlo,
-                          propagate_taylor1, propagate_taylor2,
-                          sensitivity_budget)
+                          propagate_taylor1, propagate_taylor2)
 from .regression import build_model
-from .report import (RowBlock, budget_to_dicts, build_report, decision_rows,
-                     file_sha256, load_json, measurement_to_dict, part_rows,
+from .report import (RowBlock, build_report, decision_rows, file_sha256,
+                     load_json, part_rows, propagate_results,
                      train_result_to_dict, write_report, write_text)
 from .rng import substream
 from .vi import (VIConfig, conjugate_posterior, optimize, predict_parts,
@@ -93,11 +92,7 @@ def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
             log.info("wrote %d sorted samples to %s",
                      len(ecdf.sorted_values), cfg["dump_samples"])
 
-    results = {"measurement": measurement_to_dict(result)}
-    if cfg["method"] != "monte_carlo":
-        results["budget"] = budget_to_dicts(
-            sensitivity_budget(result, run.joint))
-    return build_report("propagate", cfg, results), 0
+    return build_report("propagate", cfg, propagate_results(result)), 0
 
 
 def _run_train(doc: dict, base_dir: str) -> tuple[dict, int]:

@@ -109,12 +109,18 @@ class ConformityDecision:
         return self.U >= self.spec.half_width
 
     @property
+    def guard_banded_limits(self) -> tuple[Any, Any]:
+        """(lsl+U, usl-U); a limit beyond the double range is +-inf."""
+        with np.errstate(over="ignore"):
+            return self.spec.lsl + self.U, self.spec.usl - self.U
+
+    @property
     def resulting_tolerance(self) -> Optional[tuple[Any, Any]]:
         """The guard-banded interval (lsl+U, usl-U) still usable for
         manufacturing; None for one decision with no reliable zone."""
         if np.ndim(self.U) == 0 and self.no_reliable_zone:
             return None
-        return self.spec.lsl + self.U, self.spec.usl - self.U
+        return self.guard_banded_limits
 
 
 def classify(y: Any, U: Any, spec: Specification) -> ConformityDecision:

@@ -10,10 +10,11 @@ which is the minimum needed to judge later whether new parts still
 resemble the training distribution. Each column's mean and sample sd
 come from the routine Monte Carlo uses for its sample
 (:func:`~uncertlab.propagation._mean_and_sd`): numpy's np.mean and
-np.std(ddof=1) bit for bit, taken again on the values scaled by an
-exact power of two where a sum leaves the double range, so finite data
-always give a finite mean and, unless the spread itself passes about
-1.8e308, a finite sd.
+np.std(ddof=1) bit for bit, except where numpy's mean rounds outside
+the column's range, where it is that bound (a constant column has sd
+0), taken again on the values scaled by an exact power of two where a
+sum leaves the double range, so finite data always give a finite mean
+and, unless the spread itself passes about 1.8e308, a finite sd.
 
 One reader, :func:`_read_csv`, takes both training files and parts
 files, in two stages. The header is read by the csv module. The body

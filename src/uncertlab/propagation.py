@@ -46,9 +46,11 @@ non-finite; sorting puts them at the ends, so the finite ones are a
 slice of the vector, counted, not copied. A Gaussian draw beyond the
 double range fails the same way (no other draw can), and failures in
 over 1% of the draws abort the run with a diagnostic that names such
-inputs. The mean and standard deviation are numpy's bit for bit, with
-no M-sized copy: a run holds 8 bytes per draw plus one block of points,
-mapped to draws in place, and its temporaries per worker. A statistic
+inputs. The mean and standard deviation are numpy's bit for bit,
+except where numpy's mean rounds outside the sample's range, where it
+is that bound. They take no M-sized copy: a run holds 8 bytes per draw
+plus one block of points, mapped to draws in place, and its
+temporaries per worker. A statistic
 whose sum leaves the double range is taken again on the values scaled
 by a power of two, exactly. ``concurrent.futures`` is imported by the
 first Monte Carlo run, so the other methods never load it.
@@ -71,8 +73,8 @@ import numpy as np
 
 from .autodiff import DerivativeBundle, derivatives
 from .distributions import JointInputModel, sample
-from .errors import (ConfigError, MonteCarloError, require_integer,
-                     require_positive)
+from .errors import (ConfigError, DomainError, MonteCarloError,
+                     require_integer, require_positive)
 from .expr import MeasurementModelExpr, affinity, evaluate_batch
 from .rng import (MAX_NET_INPUTS, NET_BITS, net_uniforms, scramble,
                   sobol_columns, substream)
@@ -87,7 +89,6 @@ __all__ = [
     "propagate_monte_carlo",
     "implied_coverage",
     "resolve_coverage",
-    "sensitivity_budget",
     "MC_CHUNK_SIZE",
 ]
 
@@ -130,9 +131,11 @@ class MeasurementResult:
     and splits u^2 into ``aleatoric_var`` plus ``epistemic_var``. The
     interval is y +/- U, except for monte_carlo: there it is the
     equal-tail interval of the empirical output distribution at the
-    run's coverage. Analytic and Taylor results also keep the gradient
-    at the input means, which :func:`sensitivity_budget` reads; reports
-    omit it.
+    run's coverage. An analytic or Taylor result also carries its
+    ``budget`` at the input means, a row per input: ``name``,
+    ``sensitivity`` c_i = df/dx_i, ``u_input`` u_i and ``contribution``
+    (c_i u_i)^2, 0 for an exactly known input; under correlation the
+    rows do not sum to u^2, which also holds the cross terms.
     """
 
     y: Any
@@ -143,8 +146,8 @@ class MeasurementResult:
     mc_diagnostics: Optional[MCDiagnostics] = None
     aleatoric_var: Optional[np.ndarray] = None
     epistemic_var: Optional[np.ndarray] = None
-    grad: Optional[np.ndarray] = field(default=None, repr=False,
-                                       compare=False)
+    budget: Optional[list[dict]] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def U(self) -> Any:
@@ -200,12 +203,6 @@ def resolve_coverage(k: float,
     return float(k), implied_coverage(k)
 
 
-def _output_units(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a_i = c_i u_i, exactly 0 wherever u_i = 0; an overflow is an inf."""
-    with np.errstate(over="ignore"):
-        return np.multiply(c, u, out=np.zeros_like(c), where=u != 0.0)
-
-
 def _second_order(u1: float, a: np.ndarray, bundle: DerivativeBundle,
                   u: np.ndarray) -> float:
     """u with the second-order terms of the inputs with u_i > 0, formed
@@ -221,7 +218,7 @@ def _second_order(u1: float, a: np.ndarray, bundle: DerivativeBundle,
         return g
     cross = float((a[live] / g) @ (t / g).sum(axis=1))
     if cross < -1.0:
-        raise ConfigError("second-order Taylor variance is negative "
+        raise DomainError("second-order Taylor variance is negative "
                           f"({g * g * (1.0 + cross):.6g}); the expansion is "
                           "invalid here, use monte_carlo")
     return g * math.sqrt(1.0 + cross)
@@ -229,18 +226,25 @@ def _second_order(u1: float, a: np.ndarray, bundle: DerivativeBundle,
 
 def _series(expr: MeasurementModelExpr, joint: JointInputModel, k: float,
             method: str, order: int) -> MeasurementResult:
-    """y +/- k*u from one derivative bundle at the input means: u^2 =
-    a' R a (JCGM 100 eq. 16); order 3 adds the second-order terms."""
+    """y +/- k*u and the budget, from one derivative bundle at the means:
+    u^2 = a' R a (JCGM 100 eq. 16); order 3 adds the second-order terms."""
     require_positive("coverage factor k", k)
     bundle = derivatives(expr, dict(zip(joint.names, joint.means)),
                          order=order, variables=joint.names)
-    a = _output_units(bundle.grad, joint.u)
+    c, u_in = bundle.grad, joint.u
+    # a_i = c_i u_i, exactly 0 wherever u_i = 0; an overflow is an inf
+    with np.errstate(over="ignore"):
+        a = np.multiply(c, u_in, out=np.zeros_like(c), where=u_in != 0.0)
     u = math.hypot(*(a if joint.chol is None else a @ joint.chol))
     if order == 3:
-        u = _second_order(u, a, bundle, joint.u)
+        u = _second_order(u, a, bundle, u_in)
+    budget = [{"name": name, "sensitivity": ci, "u_input": ui,
+               "contribution": ai * ai}
+              for name, ci, ui, ai in zip(joint.names, c.tolist(),
+                                          u_in.tolist(), a.tolist())]
     y = bundle.value
     return MeasurementResult(y, u, k, (y - k * u, y + k * u), method,
-                             grad=bundle.grad)
+                             budget=budget)
 
 
 def propagate_analytic(
@@ -331,7 +335,9 @@ def _pairwise_sum(x: np.ndarray, scratch: np.ndarray, exponent: int = 0,
 def _mean_and_sd(values: np.ndarray, lo: float,
                  hi: float) -> tuple[float, float]:
     """np.mean and np.std(ddof=1) of the finite ``values``, whose least
-    and greatest are ``lo`` and ``hi``, bit for bit. A sum beyond the
+    and greatest are ``lo`` and ``hi``, bit for bit, except where
+    np.mean rounds outside [lo, hi]: there the mean is that bound, so
+    constant values give their value and sd 0 exactly. A sum beyond the
     double range (values near 1e308, spreads beyond about 1e154 or below
     about 1e-154) is taken again on the values times 2^-e, 2^e above
     every |value|: a power of two scales exactly, so the statistic is
@@ -343,6 +349,7 @@ def _mean_and_sd(values: np.ndarray, lo: float,
         y = float(np.mean(values))
         if not math.isfinite(y):
             y = math.ldexp(_pairwise_sum(values, scratch, -e) / n, e)
+        y = float(min(max(y, lo), hi))
         ss = _pairwise_sum(values, scratch, mean=y)
         if n * sys.float_info.min <= ss < math.inf:
             return y, math.sqrt(ss / (n - 1))
@@ -466,23 +473,3 @@ def propagate_monte_carlo(
     result = MeasurementResult(y, u, k, interval, "monte_carlo", diagnostics)
     return result, ecdf
 
-
-def sensitivity_budget(
-    result: MeasurementResult, joint: JointInputModel
-) -> list[dict]:
-    """Per-input uncertainty budget at the means.
-
-    Built from the gradient an analytic or Taylor ``result`` computed
-    for ``joint``; nothing is differentiated again. Each entry carries
-    the sensitivity c_i = df/dx_i, the input's u_i and the first-order
-    contribution (c_i u_i)^2, 0 for an exactly known input; under
-    correlation the rows do not sum to u^2, which also holds the
-    cross terms.
-    """
-    if result.grad is None:
-        raise ValueError(f"a {result.method} result carries no gradient")
-    a = _output_units(result.grad, joint.u)
-    return [{"name": name, "sensitivity": c, "u_input": u,
-             "contribution": ai * ai}
-            for name, c, u, ai in zip(joint.names, result.grad.tolist(),
-                                      joint.u.tolist(), a.tolist())]

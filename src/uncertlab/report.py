@@ -48,8 +48,7 @@ __all__ = [
     "load_json",
     "dump_json",
     "file_sha256",
-    "measurement_to_dict",
-    "budget_to_dicts",
+    "propagate_results",
     "train_result_to_dict",
     "build_report",
     "RowBlock",
@@ -130,34 +129,27 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def measurement_to_dict(r: MeasurementResult) -> dict:
-    out = {
-        "y": r.y,
-        "u": r.u,
-        "k": r.k,
-        "U": r.U,
-        "implied_coverage": implied_coverage(r.k),
-        "interval": [r.interval[0], r.interval[1]],
-        "method": r.method,
-    }
+def propagate_results(r: MeasurementResult) -> dict:
+    """A propagate report's ``results``: the measurement and its budget,
+    if it has one. A measurement the report cannot hold is refused
+    first; then a budget row whose sensitivity or contribution is not a
+    finite double, as a DomainError naming the input and the quantity."""
+    measurement = {"y": r.y, "u": r.u, "k": r.k, "U": r.U,
+                   "implied_coverage": implied_coverage(r.k),
+                   "interval": list(r.interval), "method": r.method}
     if r.mc_diagnostics is not None:
-        out["mc_diagnostics"] = asdict(r.mc_diagnostics)
-    # a measurement the report cannot hold is refused before its budget
-    dump_json(out)
-    return out
-
-
-def budget_to_dicts(rows: list[dict]) -> list[dict]:
-    """The budget rows; one whose sensitivity or contribution is not a
-    finite double is a DomainError naming the input and the quantity."""
-    for row in rows:
+        measurement["mc_diagnostics"] = asdict(r.mc_diagnostics)
+    dump_json(measurement)
+    if r.budget is None:
+        return {"measurement": measurement}
+    for row in r.budget:
         for key in ("sensitivity", "contribution"):
             if not math.isfinite(row[key]):
                 raise DomainError(
                     f"budget row {row['name']}: its {key} is {row[key]}, "
                     "outside the double range, so the budget cannot be "
                     "reported")
-    return rows
+    return {"measurement": measurement, "budget": r.budget}
 
 
 def train_result_to_dict(t: TrainResult) -> dict:
@@ -260,9 +252,8 @@ def _decision_columns(d: ConformityDecision) -> tuple[dict, dict]:
     """The number and text columns of a decision's fields. A resulting
     tolerance is printed only where 2U < usl - lsl, which keeps it
     finite."""
-    zone, y, U, no_zone = np.atleast_1d(d.zone, d.y, d.U, d.no_reliable_zone)
-    with np.errstate(over="ignore"):
-        lower, upper = d.spec.lsl + U, d.spec.usl - U
+    zone, y, U, no_zone, lower, upper = np.atleast_1d(
+        d.zone, d.y, d.U, d.no_reliable_zone, *d.guard_banded_limits)
 
     def tolerance(start, stop):
         return ["null" if nz else "[%r, %r]" % (lo, hi)

@@ -340,7 +340,8 @@ def _initial_theta(design: DesignMatrices, family: str) -> np.ndarray:
     if model.fixed_noise_sd is None:
         # noise-head bias starts at sigma_n ~ sd(y): a sane noise scale
         # keeps early likelihood values bounded. np.std(ddof=1) bit for
-        # bit, also where its squares overflow
+        # bit, also where its squares overflow, except where np.mean
+        # rounds outside y's range, where the mean is that bound
         y = design.y
         sd_y = max(_mean_and_sd(y, float(np.min(y)), float(np.max(y)))[1],
                    1e-3)

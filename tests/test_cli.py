@@ -436,6 +436,22 @@ class TestPropagate:
         assert e["type"] == "DomainError"
         assert e["message"].startswith("result holds a non-finite number")
 
+    def test_taylor2_negative_variance_is_domain_error(
+            self, capsys, tmp_path, propagate_config):
+        # u^2 = 1 - 6 at N(0, 1): the config is valid, the expansion fails
+        doc = json.load(open(propagate_config))
+        doc.update(model={"expression": "X1 - X1 ^ 3"},
+                   inputs={"quantities": [
+                       {"name": "X1", "dist": {"kind": "gaussian",
+                                               "mean": 0.0, "sd": 1.0}}]})
+        code, out, err = run_cli(capsys, "propagate", "--config",
+                                 write_json(tmp_path / "neg.json", doc))
+        assert code == 1 and out == ""
+        e = json.loads(err)["error"]
+        assert e["type"] == "DomainError"
+        assert e["message"].startswith(
+            "second-order Taylor variance is negative (-5)")
+
     def test_unknown_key_rejected(self, capsys, tmp_path,
                                   propagate_config):
         doc = json.load(open(propagate_config))

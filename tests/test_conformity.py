@@ -270,6 +270,18 @@ class TestEdgesOfTheDoubleRange:
         d = self.quiet_classify(0.0, 1e308, Specification(-1e308, 1e308))
         assert d.no_reliable_zone and d.resulting_tolerance is None
 
+    def test_resulting_tolerance_beyond_the_double_range(self):
+        # lsl + U = 2.5e308 overflows; the report's column reads the
+        # same limits
+        d = self.quiet_classify([1.6e308], [1e308],
+                                Specification(1.5e308, 1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper = d.resulting_tolerance
+        assert lower.tolist() == [math.inf]
+        assert upper.tolist() == [1.7e308 - 1e308]
+        assert json.loads(rendered(d))[0]["resulting_tolerance"] is None
+
     def test_midpoint_beyond_the_double_range(self):
         # y is above the midpoint 1.6e308; lsl + usl overflowed to inf
         spec = Specification(1.5e308, 1.7e308)

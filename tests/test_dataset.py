@@ -17,6 +17,7 @@ import pytest
 from uncertlab import dataset
 from uncertlab.dataset import ingest_dataset, ingest_parts, make_dataset
 from uncertlab.errors import DatasetError
+from uncertlab.regression import build_model
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -214,6 +215,17 @@ class TestMakeDataset:
         d = make_dataset(np.array([[2.0]]), np.array([5.0]), ("a",))
         assert d.summary.features[0].sd == 0.0
         assert d.summary.target.sd == 0.0
+
+    def test_constant_feature_has_its_value_and_sd_zero(self):
+        # np.mean of 1,000 values 0.1 rounds above 0.1: the feature's sd
+        # was 1.39e-17, and standardizing by it blew a part at 0.1000001
+        # up to y_hat 1.86e19
+        rng = np.random.default_rng(3)
+        x = np.column_stack([rng.uniform(-1.0, 1.0, 1000), np.full(1000, 0.1)])
+        d = make_dataset(x, 1.0 + 2.0 * x[:, 0], ("a", "b"))
+        b = d.summary.features[1]
+        assert (b.mean, b.sd) == (0.1, 0.0)
+        assert build_model(d).x_sd[1] == 1.0
 
     @pytest.mark.parametrize("names,target,match", [
         (("t", "a"), "t", "feature 't' is the target column"),

@@ -11,17 +11,21 @@ import numpy as np
 import pytest
 
 from uncertlab import propagation
+from uncertlab.autodiff import derivatives
+from uncertlab.dataset import make_dataset
 from uncertlab.distributions import (Gaussian, InputQuantity, JointInputModel,
                                      Rectangular, Triangular, sample)
 from uncertlab.errors import ConfigError, DomainError, MonteCarloError
 from uncertlab.expr import evaluate_batch, parse_model
+from uncertlab.regression import build_model
+from uncertlab.report import propagate_results
 from uncertlab.propagation import (MC_CHUNK_SIZE, EmpiricalCDF,
                                    implied_coverage, propagate_analytic,
                                    propagate_monte_carlo, propagate_taylor1,
-                                   propagate_taylor2, resolve_coverage,
-                                   sensitivity_budget)
+                                   propagate_taylor2, resolve_coverage)
 from uncertlab.rng import (MAX_NET_INPUTS, net_uniforms, scramble,
                            sobol_columns, substream)
+from uncertlab.vi import predict_parts, train_vi
 
 
 def gaussian_joint(means, sds, corr=None):
@@ -161,7 +165,7 @@ class TestTaylor:
             r1 = propagate_taylor1(m, joint, k=k)
             assert (r1.y, r1.u, r1.k, r1.U, r1.interval) == (
                 ra.y, ra.u, ra.k, ra.U, ra.interval)
-            assert np.array_equal(r1.grad, ra.grad)
+            assert repr(r1.budget) == repr(ra.budget)
 
     @pytest.mark.parametrize("method", [propagate_analytic, propagate_taylor1,
                                         propagate_taylor2])
@@ -219,6 +223,13 @@ class TestMonteCarlo:
         r2, e2 = propagate_monte_carlo(m, joint, M=10_000, seed=7)
         assert r1.y == r2.y and r1.u == r2.u
         np.testing.assert_array_equal(e1.sorted_values, e2.sorted_values)
+
+    def test_constant_sample_gives_its_value_and_u_zero(self):
+        # np.mean of 1,000 draws of 0.1 is 0.10000000000000002, outside
+        # the interval [0.1, 0.1]; u was 1.39e-17
+        m = parse_model("X1 * 0 + 0.1")
+        r, _ = propagate_monte_carlo(m, gaussian_joint([0.0], [1.0]), M=1000)
+        assert (r.y, r.u, r.interval) == (0.1, 0.0, (0.1, 0.1))
 
     def test_interval_has_requested_coverage(self):
         m = parse_model("X1")
@@ -793,17 +804,68 @@ class TestSummaries:
         m = parse_model("X1 * X2 + sin(X3)")
         joint = gaussian_joint([2.0, 3.0, 0.5], [0.1, 0.2, 0.05])
         r1 = propagate_taylor1(m, joint)
-        rows = sensitivity_budget(r1, joint)
+        rows = r1.budget
         assert [r["name"] for r in rows] == ["X1", "X2", "X3"]
         total = sum(r["contribution"] for r in rows)
         assert total == pytest.approx(r1.u ** 2, rel=1e-12, abs=0.0)
 
-    def test_budget_needs_a_gradient(self):
+    def test_monte_carlo_carries_no_budget(self):
         m = parse_model("X1 * X2")
         joint = gaussian_joint([2.0, 3.0], [0.1, 0.2])
         r, _ = propagate_monte_carlo(m, joint, M=1000, seed=0)
-        with pytest.raises(ValueError, match="monte_carlo"):
-            sensitivity_budget(r, joint)
+        assert r.budget is None
+
+    def test_budget_rows_are_the_gradient_formula_bit_for_bit(self):
+        # each row from the gradient at the means: c_i, u_i and (c_i
+        # u_i)^2, with c_i u_i = 0 wherever u_i = 0
+        def formula(expr, joint, order):
+            grad = derivatives(expr, dict(zip(joint.names, joint.means)),
+                               order=order, variables=joint.names).grad
+            with np.errstate(over="ignore"):
+                a = np.multiply(grad, joint.u, out=np.zeros_like(grad),
+                                where=joint.u != 0.0)
+            return [{"name": name, "sensitivity": c, "u_input": u,
+                     "contribution": ai * ai}
+                    for name, c, u, ai in zip(joint.names, grad.tolist(),
+                                              joint.u.tolist(), a.tolist())]
+
+        corr = [[1.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.0]]
+        affine = "2 * X1 - 0.5 * X2 + X3 / 4"
+        cases = [
+            ("X1 * X2 + sin(X3)", [2.0, 3.0, 0.5], [0.1, 0.2, 0.05], None,
+             (propagate_taylor1, propagate_taylor2)),
+            (affine, [1.0, -2.0, 0.5], [0.1, 0.2, 0.3], None,
+             (propagate_analytic, propagate_taylor1, propagate_taylor2)),
+            (affine, [1.0, -2.0, 0.5], [0.1, 0.2, 0.3], corr,
+             (propagate_analytic, propagate_taylor1)),
+            ("X1 * X2 + sin(X3)", [2.0, 3.0, 0.5], [0.1, 0.2, 0.05], corr,
+             (propagate_taylor1,)),
+            # d/dX2 = -1e340 overflows; X2 is exactly known
+            ("X1 / X2", [1.0, 1e-170], [0.1, 0.0], None,
+             (propagate_taylor1, propagate_taylor2)),
+        ]
+        for text, means, sds, c, methods in cases:
+            expr, joint = parse_model(text), gaussian_joint(means, sds, c)
+            for method in methods:
+                order = 3 if method is propagate_taylor2 else 1
+                got = method(expr, joint).budget
+                assert repr(got) == repr(formula(expr, joint, order)), (
+                    text, method.__name__)
+        assert got[1]["sensitivity"] == -math.inf
+        assert got[1]["contribution"] == 0.0
+
+        # Monte Carlo and virtual results carry none, and a Monte Carlo
+        # report's results have no budget
+        r, _ = propagate_monte_carlo(parse_model("X1 * X2"),
+                                     gaussian_joint([2.0, 3.0], [0.1, 0.2]),
+                                     M=1000)
+        assert r.budget is None
+        assert "budget" not in propagate_results(r)
+        x = np.linspace(-1.0, 1.0, 20)[:, None]
+        data = make_dataset(x, 1.0 + 2.0 * x[:, 0], ("x1",))
+        model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
+        vm = predict_parts(model, train_vi(model, data).posterior, x[:3])
+        assert vm.budget is None
 
 
 # -- 50-digit oracles across the double range ---------------------------
@@ -870,7 +932,7 @@ class TestDoubleRangeOracles:
         with mpmath.workdps(50):
             c = grad([mpmath.mpf(m) for m in mu])
             assert within(r.u, law_u(c, sds), 1.6e-15), (r.u, s)
-            check_budget(sensitivity_budget(r, joint), c, sds, 1.6e-15)
+            check_budget(r.budget, c, sds, 1.6e-15)
 
     @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
     @pytest.mark.parametrize("corr", [None, CORR3], ids=["indep", "corr"])
@@ -884,7 +946,7 @@ class TestDoubleRangeOracles:
         with mpmath.workdps(50):
             c = [mpmath.mpf(2), mpmath.mpf(-0.5), mpmath.mpf(0.25)]
             assert within(ra.u, law_u(c, sds, corr), 1e-15), (ra.u, s)
-            check_budget(sensitivity_budget(ra, joint), c, sds, 4e-16)
+            check_budget(ra.budget, c, sds, 4e-16)
 
     @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
     def test_correlated_three_inputs(self, s):
@@ -895,7 +957,7 @@ class TestDoubleRangeOracles:
             c = [mpmath.mpf(mu[1]), mpmath.mpf(mu[0]),
                  mpmath.cos(mpmath.mpf(mu[2]))]
             assert within(r.u, law_u(c, sds, CORR3), 1e-15), (r.u, s)
-            check_budget(sensitivity_budget(r, joint), c, sds, 4e-16)
+            check_budget(r.budget, c, sds, 4e-16)
 
     @pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:.0e}")
     def test_taylor2_square(self, s):
@@ -929,7 +991,7 @@ class TestDoubleRangeOracles:
             # the double range, as an infinite u the report refuses
             try:
                 u = propagate_taylor2(parse_model("sin(X1) * X2"), joint).u
-            except ConfigError as err:
+            except DomainError as err:
                 assert "negative" in str(err)
             else:
                 assert u == math.inf, s
@@ -952,7 +1014,7 @@ class TestDoubleRangeOracles:
         with mpmath.workdps(50):
             want = oracle(mpmath.mpf(mean), mpmath.mpf(sd))
             assert r.u > 0.0 and within(r.u, want, 1e-15), r.u
-        rows = sensitivity_budget(r, joint)
+        rows = r.budget
         assert all(math.isfinite(v) for v in rows[0].values()
                    if isinstance(v, float))
 
@@ -1022,6 +1084,6 @@ class TestDoubleRangeOracles:
         joint = gaussian_joint([1.0, 1e-170], [0.1, 0.0])
         r = method(parse_model("X1 / X2"), joint)
         assert within(r.u, mpmath.mpf(0.1) / mpmath.mpf(1e-170), 1e-15)
-        rows = sensitivity_budget(r, joint)
+        rows = r.budget
         assert rows[1]["sensitivity"] == -math.inf
         assert rows[1]["contribution"] == 0.0

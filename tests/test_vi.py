@@ -319,6 +319,17 @@ class TestTraining:
             "all target values are identical; the noise level is not "
             "identifiable (fix the noise sd to train anyway)")
 
+    def test_learned_noise_refuses_a_constant_target_whose_mean_rounds(self):
+        # np.mean of 1,000 values 0.1 is 0.10000000000000002, which gave
+        # the target an sd of 1.39e-17 and let training run
+        data = make_dataset(np.linspace(0.0, 1.0, 1000)[:, None],
+                            np.full(1000, 0.1), ("x1",))
+        assert data.summary.target.mean == 0.1
+        assert data.summary.target.sd == 0.0
+        with pytest.raises(DatasetError, match="all target values are "
+                           "identical"):
+            train_vi(build_model(data, mean_degree=1), data)
+
     def test_trajectory_holds_one_value_per_window_end(self):
         data = linear_data(n=60, seed=9)
         model = build_model(data, mean_degree=1, fixed_noise_sd=0.1)
