@@ -8,7 +8,10 @@ nothing at random and have no ``--seed``. All randomness in a run
 descends from that one seed; identical config plus seed reproduces the
 report's ``results`` block byte for byte. Each command-line value is
 written into the config document at the key :data:`_OVERRIDES` names,
-before validation, so the schema checks it like any other key.
+before validation, so the schema checks it like any other key. A run
+whose output (``--out``, ``model_out``, ``dump_samples``) names the
+same file as one of its inputs or as another output is refused once
+its config is resolved, before anything is written.
 
 ``train`` with a fixed noise sd stores the exact full-rank posterior
 and runs no optimizer; a learned noise level runs Adam.
@@ -74,9 +77,48 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
+def _file_id(path: str) -> tuple:
+    """The device and inode of file ``path``; for one not written yet,
+    those of its directory, and its name."""
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:
+        head, name = os.path.split(path)
+        try:
+            st = os.stat(head or ".")
+        except OSError:     # no such directory: the write is refused
+            return (path,)
+        return st.st_dev, st.st_ino, name
+
+
+def _refuse_overwrites(cfg: dict, given: dict) -> None:
+    """Refuse a run whose output names the same file as one of its
+    inputs or as another output, before any byte is written. ``given``
+    holds the ``--config`` and ``--out`` paths."""
+    inputs = {"--config": given["--config"],
+              "dataset.path": cfg.get("dataset", {}).get("path"),
+              "parts.path": cfg.get("parts", {}).get("path"),
+              "model_path": cfg.get("model_path")}
+    outputs = {"--out": given["--out"], "model_out": cfg.get("model_out"),
+               "dump_samples": cfg.get("dump_samples")}
+    files = [(key, _file_id(path)) for key, path in inputs.items()
+             if path is not None]
+    for key, path in outputs.items():
+        if path is None:
+            continue
+        file = _file_id(path)
+        for other, other_file in files:
+            if file == other_file:
+                raise ConfigError(
+                    f"{key} names the same file as {other}: {path}")
+        files.append((key, file))
+
+
+def _run_propagate(doc: dict, base_dir: str, given: dict) -> tuple[dict, int]:
     run = resolve_propagate(doc, base_dir)
     cfg = run.resolved
+    _refuse_overwrites(cfg, given)
 
     series = {"analytic": propagate_analytic, "taylor1": propagate_taylor1,
               "taylor2": propagate_taylor2}.get(cfg["method"])
@@ -95,8 +137,9 @@ def _run_propagate(doc: dict, base_dir: str) -> tuple[dict, int]:
     return build_report("propagate", cfg, propagate_results(result)), 0
 
 
-def _run_train(doc: dict, base_dir: str) -> tuple[dict, int]:
+def _run_train(doc: dict, base_dir: str, given: dict) -> tuple[dict, int]:
     cfg = resolve_train(doc, base_dir)
+    _refuse_overwrites(cfg, given)
     ds = cfg["dataset"]
 
     data = ingest_dataset(ds["path"], ds["target"], ds["features"])
@@ -138,11 +181,15 @@ def _predict_rows(cfg: dict, model, posterior) -> RowBlock:
     decisions = None
     if cfg["spec"] is not None:
         decisions = classify(vm.y, vm.U, Specification(**cfg["spec"]))
-    return part_rows(rows, vm, decisions)
+    block = part_rows(rows, vm, decisions)
+    if "inline" in parts:
+        parts["inline"] = block.echo("x")
+    return block
 
 
-def _run_predict(doc: dict, base_dir: str) -> tuple[dict, int]:
+def _run_predict(doc: dict, base_dir: str, given: dict) -> tuple[dict, int]:
     cfg = resolve_predict(doc, base_dir)
+    _refuse_overwrites(cfg, given)
     model, posterior, model_doc = load_model(cfg["model_path"])
     results = {
         "parts": _predict_rows(cfg, model, posterior),
@@ -153,14 +200,17 @@ def _run_predict(doc: dict, base_dir: str) -> tuple[dict, int]:
     return report, 0
 
 
-def _run_conformity(doc: dict, base_dir: str) -> tuple[dict, int]:
+def _run_conformity(doc: dict, base_dir: str,
+                    given: dict) -> tuple[dict, int]:
     cfg = validate_config(doc, "conformity")
+    _refuse_overwrites(cfg, given)
     measurements = cfg["measurements"]
     decisions = classify([m["y"] for m in measurements],
                          [m["U"] for m in measurements],
                          Specification(**cfg["spec"]))
-    results = {"decisions": decision_rows(decisions)}
-    return build_report("conformity", cfg, results), 0
+    rows = decision_rows(decisions)
+    cfg["measurements"] = rows.echo("U", "y")
+    return build_report("conformity", cfg, {"decisions": rows}), 0
 
 
 def _verify_checks(cfg: dict) -> dict:
@@ -209,8 +259,9 @@ def _verify_checks(cfg: dict) -> dict:
     }
 
 
-def _run_verify(doc: dict, base_dir: str) -> tuple[dict, int]:
+def _run_verify(doc: dict, base_dir: str, given: dict) -> tuple[dict, int]:
     cfg = validate_config(doc, "verify")
+    _refuse_overwrites(cfg, given)
     checks = _verify_checks(cfg)
     report = build_report("verify", cfg, {"conjugate_check": checks})
     return report, 0 if checks["passed"] else 1
@@ -314,7 +365,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             doc = load_json(args.config)
             base_dir = os.path.dirname(os.path.abspath(args.config))
         _override(doc, args)
-        report, code = _RUNNERS[args.mode](doc, base_dir)
+        report, code = _RUNNERS[args.mode](
+            doc, base_dir, {"--config": args.config, "--out": args.out})
         write_report(report, args.out)
     except (UncertLabError, MemoryError) as err:
         # numpy raises a private MemoryError subclass

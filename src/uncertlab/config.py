@@ -629,16 +629,6 @@ def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
         params = dict(q["dist"])
         kind = params.pop("kind")
         quantities.append(InputQuantity(q["name"], MARGINALS[kind](**params)))
-    names = [q.name for q in quantities]
-    try:
-        expr = parse_model(r["model"]["expression"], declared=names)
-    except ParseError as err:
-        raise ConfigError(f"model.expression: {err}") from err
-    unknown = [v for v in expr.variables if v not in names]
-    if unknown:
-        raise ConfigError(
-            f"model references input(s) without a distribution: "
-            f"{', '.join(unknown)}")
     correlation = None
     if "correlation" in r["inputs"]:
         flat = r["inputs"]["correlation"]
@@ -648,7 +638,18 @@ def resolve_propagate(doc: dict, base_dir: str = ".") -> PropagateRun:
                 f"inputs.correlation must hold {n * n} row-major entries "
                 f"for {n} inputs, got {len(flat)}")
         correlation = np.asarray(flat, dtype=np.float64).reshape(n, n)
+    # the inputs first: a repeated name is named as such, not as a
+    # variable the model lacks a distribution for
     joint = JointInputModel(quantities, correlation)
+    try:
+        expr = parse_model(r["model"]["expression"], declared=joint.names)
+    except ParseError as err:
+        raise ConfigError(f"model.expression: {err}") from err
+    unknown = [v for v in expr.variables if v not in joint.names]
+    if unknown:
+        raise ConfigError(
+            f"model references input(s) without a distribution: "
+            f"{', '.join(unknown)}")
 
     # reports echo both views of the coverage choice
     r["k"], r["coverage"] = resolve_coverage(r["k"], r["coverage"])

@@ -11,11 +11,15 @@ statistics and the SHA-256 of the file, not the data itself.
 Reports, model files and configs are RFC 8259 JSON, which has no NaN
 or Infinity: a non-finite number is refused on the way in and on the
 way out; that covers literals outside the double range, such as
-``1e400``, which Python's json would read as inf.
+``1e400``, which Python's json would read as inf. A key repeated in
+one object is refused on the way in, where Python's json would keep
+the last value.
 
 A report with one row per part or per decision (``results.parts`` of
 predict, ``results.decisions`` of conformity) holds its rows as a
-:class:`RowBlock` of columns. :func:`write_report` renders them
+:class:`RowBlock` of columns, and so does the config's echo of the
+inline rows those were computed from (``parts.inline``,
+``measurements``). :func:`write_report` renders them
 :data:`ROWS_PER_BLOCK` at a time through one %-template per row shape,
 between the text before and after them, and writes each block as it
 goes. The bytes are exactly ``json.dumps(report, sort_keys=True)`` of
@@ -33,7 +37,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -75,18 +79,33 @@ def _in_double_range(literal: str, kind: type = float):
     return value if kind is float else kind(literal)
 
 
+def _unique_keys(path: str, pairs: list) -> dict:
+    """``object_pairs_hook``: an object of file ``path`` names each key
+    once."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(
+                    f"{path}: key {key!r} is repeated in one object")
+            seen.add(key)
+    return doc
+
+
 def load_json(path: str) -> dict:
     """The JSON object in UTF-8 file ``path``, a config or a model file.
 
     An unreadable file, invalid JSON, a non-finite literal, a number
-    outside the double range or a top level that is not an object is a
-    ConfigError naming the file.
+    outside the double range, a key repeated in one object or a top
+    level that is not an object is a ConfigError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_non_finite,
                             parse_float=_in_double_range,
-                            parse_int=partial(_in_double_range, kind=int))
+                            parse_int=partial(_in_double_range, kind=int),
+                            object_pairs_hook=partial(_unique_keys, path))
     except OSError as err:
         raise ConfigError(f"cannot read {path!r}: {err}") from err
     except ValueError as err:  # json.JSONDecodeError is one
@@ -109,12 +128,13 @@ def write_text(path: str, pieces: Iterable[str]) -> None:
         raise ConfigError(f"cannot write {path!r}: {err}") from err
 
 
-def dump_json(doc: dict) -> str:
-    """Compact deterministic JSON of ``doc``; non-finite numbers are errors."""
+def dump_json(doc: dict, default: Optional[Callable] = None) -> str:
+    """Compact deterministic JSON of ``doc``; non-finite numbers are
+    errors. ``default`` is json.dumps' hook for other objects."""
     try:
         # doc is a tree the program built: no cycle to look for
         return json.dumps(doc, sort_keys=True, allow_nan=False,
-                          check_circular=False)
+                          check_circular=False, default=default)
     except ValueError as err:
         raise DomainError(
             f"result holds a non-finite number ({err}); the model "
@@ -205,7 +225,7 @@ _DECISION_SHAPE = {"zone": _field("zone"), "y": _field("y"),
 class RowBlock:
     """A report's list of rows, kept as columns until it is written.
 
-    ``shape`` is one row: a dict whose values are constants,
+    ``shape`` is one row: a dict or list whose values are constants,
     :func:`_field` values, and lists and dicts of them. ``numbers`` maps
     the name of each float field to its column, and the columns are
     held as one array; their entries print as ``json.dumps`` prints a
@@ -216,7 +236,8 @@ class RowBlock:
     row as ``json.dumps`` would: sorted keys, its separators, ASCII.
     """
 
-    def __init__(self, shape: dict, numbers: dict, texts: dict):
+    def __init__(self, shape: dict | list, numbers: dict, texts: dict):
+        self.shape = shape
         template = json.dumps(shape, sort_keys=True).replace("%", "%%")
         self.names = _FIELD.findall(template)
         self.template = _FIELD.sub("%s", template)
@@ -224,6 +245,25 @@ class RowBlock:
         # a row per column: each column contiguous, one finite check
         self.table = np.array(list(numbers.values()), dtype=np.float64)
         self.texts = texts
+        # the number columns an echo prints too, and their texts by
+        # block start, held from the first of the two to print them
+        self.shared, self.held = frozenset(), {}
+
+    def echo(self, *keys: str) -> "RowBlock":
+        """The rows' values at ``keys``, whose fields are number fields:
+        a dict of them, or the value itself for one key. A config echoes
+        these numbers as the rows print them. Block by block, each
+        column the two print is made once, by the one written first,
+        and handed to the other, which drops it once printed."""
+        shape = (self.shape[keys[0]] if len(keys) == 1
+                 else {key: self.shape[key] for key in keys})
+        names = set(_FIELD.findall(json.dumps(shape)))
+        echo = RowBlock(shape, {name: column for name, column in
+                                zip(self.number_names, self.table)
+                                if name in names}, {})
+        echo.shared = self.shared = frozenset(names)
+        echo.held = self.held = {}
+        return echo
 
     def check_finite(self) -> None:
         """dump_json's DomainError for the first number, column by
@@ -238,9 +278,17 @@ class RowBlock:
         however many fields show it."""
         for start in range(0, self.table.shape[1], ROWS_PER_BLOCK):
             stop = start + ROWS_PER_BLOCK
-            columns = self.table[:, start:stop].tolist()
-            texts = {name: list(map(repr, column))
-                     for name, column in zip(self.number_names, columns)}
+            # a shared column's texts: made by the first of the two
+            # blocks to print these rows and handed to the other
+            handed = self.held.pop(start, None)
+            texts = dict(handed or ())
+            texts.update((name, list(map(repr, column[start:stop].tolist())))
+                         for name, column in zip(self.number_names,
+                                                 self.table)
+                         if name not in texts)
+            if handed is None and self.shared:
+                self.held[start] = {name: texts[name]
+                                    for name in self.shared}
             texts.update((name, text(start, stop))
                          for name, text in self.texts.items())
             rows = zip(*[texts[name] for name in self.names])
@@ -300,10 +348,11 @@ def write_report(report: dict, path: Optional[str]) -> None:
     """Write ``report`` as deterministic JSON and a newline to ``path``,
     or to stdout when ``path`` is None.
 
-    A report whose ``results`` hold a :class:`RowBlock` gets its rows
-    written :data:`ROWS_PER_BLOCK` at a time between the text before and
-    after them. Every number is checked finite before the first byte is
-    written, so a refused report writes nothing.
+    A report that holds a :class:`RowBlock`, in its ``results`` or in
+    its config's echo, gets its rows written :data:`ROWS_PER_BLOCK` at a
+    time between the text before and after them. Every number is
+    checked finite before the first byte is written, so a refused report
+    writes nothing.
     """
     pieces = _encode(report)
     if path is None:
@@ -314,27 +363,43 @@ def write_report(report: dict, path: Optional[str]) -> None:
 
 def _encode(report: dict) -> Iterable[str]:
     """``dump_json(report)`` and a newline, in pieces: the whole text
-    for a report without a row block, else its head with the first
-    block of rows, the other blocks, and its tail. Raises before
-    returning if a number is not finite."""
-    results = report["results"]
-    found = [key for key, value in results.items()
-             if isinstance(value, RowBlock)]
-    if not found:
-        return [dump_json(report), "\n"]
-    [key] = found
-    rows = results[key]
-    rows.check_finite()
-    # a placeholder string stands in for the rows; one whose JSON text
-    # the rest of the report also holds is passed over
+    for a report without a row block, else the text around its row
+    blocks, each glued to the first block of rows after it, and the
+    other blocks of rows. Raises before returning if a number is not
+    finite."""
+    # a placeholder string stands in for each row block, in the order
+    # the text holds them; one whose JSON text the rest of the report
+    # also holds is passed over
     for n in itertools.count():
-        placeholder = f"{_PLACEHOLDER}{n}"
-        text = dump_json({**report,
-                          "results": {**results, key: placeholder}})
+        placeholder, blocks = f"{_PLACEHOLDER}{n}", []
+
+        def stand_in(value):
+            if not isinstance(value, RowBlock):
+                raise TypeError(f"{type(value).__name__} is not JSON "
+                                "serializable")
+            blocks.append(value)
+            return placeholder
+
+        text = dump_json(report, default=stand_in)
+        if not blocks:
+            return [text, "\n"]
         pieces = text.split(json.dumps(placeholder))
-        if len(pieces) == 2:
-            head, tail = pieces
-            # each write costs as much as rendering a few rows
-            blocks = rows.blocks()
-            return itertools.chain([head + "[" + next(blocks, "")], blocks,
-                                   ["]" + tail + "\n"])
+        if len(pieces) == len(blocks) + 1:
+            break
+    for rows in blocks:
+        rows.check_finite()
+    return _joined(pieces, blocks)
+
+
+def _joined(pieces: list, blocks: Iterable[RowBlock]) -> Iterator[str]:
+    """``pieces`` with the rows of each of ``blocks`` as a JSON list
+    between them, and a newline."""
+    # each write costs as much as rendering a few rows
+    glue = pieces[0]
+    for rows, after in zip(blocks, pieces[1:]):
+        glue += "["
+        for block in rows.blocks():
+            yield glue + block
+            glue = ""
+        glue += "]" + after
+    yield glue + "\n"

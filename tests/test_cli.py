@@ -4,10 +4,12 @@ import argparse
 import contextlib
 import csv
 import errno
+import filecmp
 import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
 import warnings
@@ -513,7 +515,7 @@ class TestPropagate:
         class ArrayMemoryError(MemoryError):
             """Stands in for numpy's private subclass."""
 
-        def runner(doc, base_dir):
+        def runner(doc, base_dir, given):
             raise ArrayMemoryError("Unable to allocate 728. TiB")
 
         monkeypatch.setitem(cli._RUNNERS, "propagate", runner)
@@ -1192,6 +1194,8 @@ class TestRefusedConfigs:
         ("propagate", propagate("X1", ["X1"], correlation=[1.0, 0.0]),
          "inputs.correlation must hold 1 row-major entries for 1 inputs, "
          "got 2"),
+        ("propagate", propagate("X1 * X2", ["X1", "X1"]),
+         "duplicate input name(s): X1"),
         ("predict", {"parts": {"path": "parts.csv", "inline": [[1.0, 2.0]]}},
          "parts must carry exactly one of 'path' (CSV) or 'inline' (rows)"),
         ("predict", {"parts": {"inline": [[1.0, 2.0], [1.0]]}},
@@ -1199,7 +1203,8 @@ class TestRefusedConfigs:
         ("predict", {"parts": {"inline": [[1.0], [2.0]]}},
          "inline parts have 1 feature(s), model expects 2"),
     ], ids=["character", "undeclared-input", "correlation-length",
-            "path-and-inline", "ragged-inline", "inline-width"])
+            "repeated-input", "path-and-inline", "ragged-inline",
+            "inline-width"])
     def test_refused_with_its_message(self, capsys, tmp_path, mode, doc,
                                       message):
         if mode == "predict":
@@ -1211,6 +1216,34 @@ class TestRefusedConfigs:
         assert json.loads(err)["error"] == {
             "mode": mode, "type": "ConfigError", "message": message}
 
+    def test_repeated_key_in_a_config(self, capsys, tmp_path):
+        # json keeps the last value: u would be 5.004, not 0.1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            '{"model": {"expression": "X1"}, "inputs": {"quantities": '
+            '[{"name": "X1", "dist": {"kind": "gaussian", "mean": 1.0, '
+            '"sd": 0.1, "sd": 5}}]}, "method": "taylor1"}')
+        code, out, err = run_cli(capsys, "propagate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "mode": "propagate", "type": "ConfigError",
+            "message": f"{cfg}: key 'sd' is repeated in one object"}
+
+    def test_repeated_key_in_a_model_file(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        with open(self.LEGACY) as fh:
+            model.write_text(fh.read().replace(
+                '"dataset_sha256": null',
+                '"dataset_sha256": "0", "dataset_sha256": null'))
+        cfg = write_json(tmp_path / "c.json", {
+            "model_path": str(model), "parts": {"inline": [[0.5, 0.1]]}})
+        code, out, err = run_cli(capsys, "predict", "--config", cfg)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "mode": "predict", "type": "ConfigError",
+            "message": f"{model}: key 'dataset_sha256' is repeated in one "
+                       "object"}
+
     def test_config_naming_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "predict", "--config", str(tmp_path))
         assert code == 1 and out == ""
@@ -1219,6 +1252,63 @@ class TestRefusedConfigs:
             "mode": "predict", "type": "ConfigError",
             "message": f"cannot read {str(tmp_path)!r}: {reason}: "
                        f"{str(tmp_path)!r}"}
+
+
+class TestOwnFiles:
+    """No run writes onto a file it reads or has written: the run is
+    refused before its first byte, naming both keys."""
+
+    @staticmethod
+    def refused(capsys, mode, cfg, message, *argv):
+        code, out, err = run_cli(capsys, mode, "--config", cfg, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "mode": mode, "type": "ConfigError", "message": message}
+
+    def train_config(self, tmp_path, training_csv, model_out):
+        return write_json(tmp_path / "train.json", {
+            "dataset": {"path": training_csv, "target": "y"},
+            "vi": {"max_steps": 10}, "model_out": model_out})
+
+    def test_train_onto_its_dataset(self, capsys, tmp_path, training_csv):
+        with open(training_csv, "rb") as fh:
+            data = fh.read()
+        cfg = self.train_config(tmp_path, training_csv, training_csv)
+        self.refused(capsys, "train", cfg, "model_out names the same file "
+                     f"as dataset.path: {training_csv}")
+        with open(training_csv, "rb") as fh:
+            assert fh.read() == data
+
+    def test_train_report_onto_its_model(self, capsys, tmp_path,
+                                         training_csv):
+        model = str(tmp_path / "model.json")
+        cfg = self.train_config(tmp_path, training_csv, model)
+        self.refused(capsys, "train", cfg,
+                     f"model_out names the same file as --out: {model}",
+                     "--out", model)
+        assert not os.path.exists(model)
+
+    def test_predict_report_onto_its_model(self, capsys, tmp_path):
+        model = str(tmp_path / "model.json")
+        shutil.copy(TestRefusedConfigs.LEGACY, model)
+        cfg = write_json(tmp_path / "c.json", {
+            "model_path": "model.json", "parts": {"inline": [[0.5, 0.1]]}})
+        self.refused(capsys, "predict", cfg,
+                     f"--out names the same file as model_path: {model}",
+                     "--out", model)
+        assert filecmp.cmp(model, TestRefusedConfigs.LEGACY, shallow=False)
+
+    def test_conformity_report_onto_its_config(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "spec": {"lsl": 0.0, "usl": 1.0},
+            "measurements": [{"y": 0.5, "U": 0.1}]})
+        text = open(cfg).read()
+        # the same file by another name
+        other = os.path.join(str(tmp_path), ".", "c.json")
+        self.refused(capsys, "conformity", cfg,
+                     f"--out names the same file as --config: {other}",
+                     "--out", other)
+        assert open(cfg).read() == text
 
 
 class TestConfigEcho:

@@ -1,16 +1,19 @@
 """Reports with rows: written from columns, block by block, with the
-bytes ``json.dumps(..., sort_keys=True)`` gives the same rows as dicts."""
+bytes ``json.dumps(..., sort_keys=True)`` gives the same rows as dicts,
+the config's echo of inline rows included."""
 
 import gc
+import hashlib
 import json
 import math
 import re
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uncertlab import report
+from uncertlab import __version__, report
 from uncertlab.cli import main
 from uncertlab.conformity import Specification, classify
 from uncertlab.config import load_model
@@ -79,6 +82,15 @@ def virtual(y, u, aleatoric, k=2.0):
 
 def without_timestamp(text):
     return re.sub(r'"created_utc": "[^"]*"', '"created_utc": ""', text)
+
+
+def whole_report(mode, config, results, **extra):
+    """A report as a dict, timestamp aside, through json.dumps."""
+    doc = {"schema_version": report.REPORT_SCHEMA_VERSION,
+           "tool": {"name": "uncertlab", "version": __version__},
+           "mode": mode, "created_utc": "", "config": config,
+           "results": results, **extra}
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +165,22 @@ def predict(capsys, tmp_path, model_path, rows, spec, from_csv):
     return text
 
 
+def predict_reference(model_path, rows, spec, parts_doc):
+    """The predict report of ``rows`` as dicts, through json.dumps."""
+    model, posterior, model_doc = load_model(model_path)
+    vm = predict_parts(model, posterior, rows)
+    decisions = None if spec is None else classify(
+        vm.y, vm.U, Specification(**spec))
+    with open(model_path, "rb") as fh:
+        sha = hashlib.sha256(fh.read()).hexdigest()
+    config = {"model_path": model_path, "parts": parts_doc, "k": 2.0,
+              "spec": spec}
+    results = {"parts": reference_parts(rows, vm, decisions),
+               "model_sha256": sha}
+    return whole_report("predict", config, results,
+                        dataset_summary=model_doc["dataset_summary"])
+
+
 def half_of_the_parts_without_zone(model_path, rows):
     """A spec around the median prediction, as wide as its median 2U,
     so that about half the parts have no reliable zone."""
@@ -176,11 +204,14 @@ class TestPredictRows:
         if n > 1:
             assert 0 < decisions.no_reliable_zone.sum() < n
         for with_spec in (False, True):
-            want = reference_parts(rows, vm, decisions if with_spec else None)
             for from_csv in (False, True):
                 text = predict(capsys, tmp_path, models[noise], rows,
                                spec if with_spec else None, from_csv)
-                assert text == reference_text(text, "parts", want)
+                parts_doc = ({"path": str(tmp_path / "parts.csv")}
+                             if from_csv else {"inline": rows.tolist()})
+                assert without_timestamp(text) == predict_reference(
+                    models[noise], rows, spec if with_spec else None,
+                    parts_doc)
                 assert text.isascii()
 
     def test_rows_with_edge_floats(self):
@@ -231,6 +262,33 @@ class TestPredictRows:
         assert out == reference_text(out, "parts",
                                      reference_parts(rows, vm, decisions))
 
+    def test_model_path_holding_the_placeholder(self, capsys, tmp_path,
+                                                models):
+        # with inline parts the report has two row blocks, and the
+        # first placeholder's JSON text is in the model path's, so the
+        # next is taken
+        marker = f"{report._PLACEHOLDER}0"
+        model_path = str(tmp_path / f'm"{marker}')
+        shutil.copy(models["fixed"], model_path)
+        assert json.dumps(marker) in json.dumps(model_path)
+        rows = parts(5)
+        text = predict(capsys, tmp_path, model_path, rows, None,
+                       from_csv=False)
+        assert without_timestamp(text) == predict_reference(
+            model_path, rows, None, {"inline": rows.tolist()})
+
+
+def conformity_reference(spec, measurements):
+    """The conformity report of ``measurements`` as dicts, through
+    json.dumps; the resolved config holds every number as a float."""
+    d = classify([m["y"] for m in measurements],
+                 [m["U"] for m in measurements], Specification(**spec))
+    config = {"spec": {key: float(v) for key, v in spec.items()},
+              "measurements": [{"y": float(m["y"]), "U": float(m["U"])}
+                               for m in measurements]}
+    return d, whole_report("conformity", config,
+                           {"decisions": reference_decisions(d)})
+
 
 class TestConformityRows:
     def test_edge_floats_through_the_cli(self, capsys, tmp_path):
@@ -241,14 +299,27 @@ class TestConformityRows:
                                    "measurements": measurements}))
         code, out, err = run(capsys, "conformity", "--config", str(cfg))
         assert (code, err) == (0, "")
-        d = classify([m["y"] for m in measurements],
-                     [m["U"] for m in measurements],
-                     Specification(-1e-05, 1e16))
+        d, want = conformity_reference({"lsl": -1e-05, "usl": 1e16},
+                                       measurements)
         assert set(d.no_reliable_zone.tolist()) == {False, True}
-        assert out == reference_text(out, "decisions", reference_decisions(d))
+        assert without_timestamp(out) == want
 
+    def test_integers_echo_as_floats(self, capsys, tmp_path):
+        spec = {"lsl": 9, "usl": 11}
+        measurements = [{"y": 10, "U": 0}, {"y": 11, "U": 1},
+                        {"y": -3, "U": 2}, {"y": 10**20, "U": 7}]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"spec": spec,
+                                   "measurements": measurements}))
+        code, out, err = run(capsys, "conformity", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert '{"U": 0.0, "y": 10.0}' in out
+        assert without_timestamp(out) == conformity_reference(
+            spec, measurements)[1]
+
+    # 2,500 rows: three blocks, the last one partial
     @pytest.mark.parametrize("n", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK,
-                                   ROWS_PER_BLOCK + 1])
+                                   ROWS_PER_BLOCK + 1, 2500])
     def test_blocks_join_as_one_list(self, capsys, tmp_path, n):
         rng = np.random.default_rng(n)
         measurements = [{"y": y, "U": U} for y, U in zip(
@@ -263,11 +334,8 @@ class TestConformityRows:
         _, stdout, _ = run(capsys, "conformity", "--config", str(cfg))
         text = out.read_text()
         assert without_timestamp(stdout) == without_timestamp(text)
-        d = classify([m["y"] for m in measurements],
-                     [m["U"] for m in measurements],
-                     Specification(10.0, 10.2))
-        assert text == reference_text(text, "decisions",
-                                      reference_decisions(d))
+        assert without_timestamp(text) == conformity_reference(
+            {"lsl": 10.0, "usl": 10.2}, measurements)[1]
 
 
 class TestRefusal:
@@ -327,3 +395,38 @@ class TestPredictMemory:
         # dict and then the whole report text peaked at 85 MB
         printed = 8 * self.PARTS * (rows.shape[1] + 10)
         assert peak < 4 * printed
+
+
+class TestConformityMemory:
+    MEASUREMENTS = 100_000
+
+    def test_peak_is_the_config_and_the_decision_columns(self, capsys,
+                                                          tmp_path):
+        rng = np.random.default_rng(9)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "spec": {"lsl": 10.0, "usl": 10.2},
+            "measurements": [{"y": y, "U": U} for y, U in zip(
+                rng.uniform(9.8, 10.4, self.MEASUREMENTS).tolist(),
+                rng.uniform(0.0, 0.15, self.MEASUREMENTS).tolist())]}))
+        out = tmp_path / "report.json"
+        argv = ["conformity", "--config", str(cfg), "--out", str(out)]
+        # with the collector off, a reference cycle keeps what it holds
+        gc.disable()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert code == 0
+        with open(out) as fh:
+            assert fh.read(200).startswith('{"config": {"measurements": '
+                                           '[{"U": ')
+        # loading and deciding peak at 579 bytes a measurement, 430 of
+        # them the loaded config and its resolved copy; writing holds
+        # the texts the echo hands to the rows, about 160 bytes, over
+        # the 370 that stay. Echoing the measurements through
+        # json.dumps peaked at 764
+        assert peak < 680 * self.MEASUREMENTS
