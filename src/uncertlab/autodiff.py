@@ -24,7 +24,7 @@ higher degrees changes no bit of the ones kept, and an order-1 gradient
 equals the order-3 one to the bit.
 
 All seedings of a point go side by side through one pass of
-:func:`uncertlab.expr.walk`, the walk every evaluator uses, with the jet
+:func:`uncertlab.expr.walk`, the scalar evaluator's walk, with the jet
 operations below: from order 2 on a column per coupled pair i < j
 (:func:`uncertlab.expr.coupled_pairs`), and one seeded on e1 alone per
 referenced input in no such pair. A column's coefficients depend on its

@@ -39,7 +39,8 @@ ZONES = (
     "non_conformity_lower",
     "non_conformity_upper",
 )
-_ZONE_NAMES = np.array(ZONES)
+# references to the five names: 8 bytes a decision, not a <U20 copy's 80
+_ZONE_NAMES = np.array(ZONES, dtype=object)
 
 
 @dataclass(frozen=True)

@@ -133,15 +133,20 @@ class Triangular:
         e = math.frexp(max(-self.lower, self.upper))[1]
         a, m, b = np.ldexp([self.lower, self.mode, self.upper], -e)
         # the right branch and the split read u before ``out`` is written
-        right = b - np.sqrt(np.maximum(1.0 - u, 0.0) * (b - a) * (b - m))
-        on_right = ~(u < (m - a) / (b - a))
+        right = np.subtract(1.0, u, out=np.empty(np.shape(u)))
+        np.maximum(right, 0.0, out=right)
+        right *= b - a
+        right *= b - m
+        np.subtract(b, np.sqrt(right, out=right), out=right)
+        left = u < (m - a) / (b - a)
         x = np.maximum(u, 0.0, out=np.empty(np.shape(u)) if out is None
                        else out)
         x *= b - a
         x *= m - a
         np.add(np.sqrt(x, out=x), a, out=x)
-        # np.where and one write through ldexp: a masked copy costs more
-        return np.ldexp(np.where(on_right, right, x), e, out=x)
+        # the left branch into the right's, then one write through ldexp
+        np.copyto(right, x, where=left)
+        return np.ldexp(right, e, out=x)
 
 
 MarginalDistribution = Union[Gaussian, Rectangular, Triangular]

@@ -26,8 +26,8 @@ variable. Known unary functions live in the :data:`FUNCTIONS` table,
 which is the single registration point for extending the function set
 (the derivative entries there are consumed by :mod:`uncertlab.autodiff`).
 
-Every evaluation is one walk of the tree, :func:`walk`: lhs, then rhs
-or exponent, then the node, with an :class:`Ops` table for what
+Every evaluation is one walk of the tree: lhs, then rhs or exponent,
+then the node. :func:`walk` takes an :class:`Ops` table for what
 differs between kinds of value. :func:`evaluate` is the scalar
 reference path: it reports domain violations (log of a non-positive
 value, division by zero, fractional power of a negative base) as
@@ -35,7 +35,9 @@ value, division by zero, fractional power of a negative base) as
 :func:`evaluate_batch` is the vectorized path used by Monte Carlo
 propagation: it marks failed evaluations as non-finite entries for the
 caller to count, because a raised exception would abort an entire
-sampling run. :mod:`uncertlab.autodiff` walks the tree over jets.
+sampling run, and its own walk evaluates each node into an array that
+walk made, never into an input column. :mod:`uncertlab.autodiff`
+walks the tree over jets.
 
 Parsed trees are immutable, so they can be shared and evaluated from
 many threads concurrently.
@@ -521,6 +523,34 @@ def checked_pow(base: float, exponent: float) -> float:
     return float(np.power(base, exponent))
 
 
+_BATCH_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                 "/": np.true_divide}
+
+
+def _walk_batch(node: Node,
+                columns: Mapping[str, np.ndarray]) -> tuple[Any, bool]:
+    """The subtree's value over the columns, in :func:`walk`'s order, and
+    whether it is an array this walk made. Each node writes into such an
+    operand where it has one, so no node allocates beside it and no
+    input column is written."""
+    if isinstance(node, Const):
+        return node.value, False
+    if isinstance(node, Var):
+        return np.asarray(columns[node.name], dtype=np.float64), False
+    if isinstance(node, Unary):
+        arg, made = _walk_batch(node.arg, columns)
+        fn = np.negative if node.fn == "neg" else FUNCTIONS[node.fn].batch
+        return fn(arg, out=arg if made else None), np.ndim(arg) > 0
+    lhs, made = _walk_batch(node.lhs, columns)
+    if node.op == "^":
+        return (np.power(lhs, constant_exponent(node.rhs),
+                         out=lhs if made else None), np.ndim(lhs) > 0)
+    rhs, rhs_made = _walk_batch(node.rhs, columns)
+    out = lhs if made else rhs if rhs_made else None
+    return (_BATCH_BINARY[node.op](lhs, rhs, out=out),
+            np.ndim(lhs) > 0 or np.ndim(rhs) > 0)
+
+
 def evaluate_batch(
     expr: MeasurementModelExpr,
     columns: Mapping[str, np.ndarray],
@@ -541,12 +571,8 @@ def evaluate_batch(
         if not expr.variables:
             raise ValueError("n is required for a variable-free model")
         n = len(columns[expr.variables[0]])
-    ops = Ops(const=lambda value: value,
-              var=lambda name: np.asarray(columns[name], dtype=np.float64),
-              apply=lambda fn, x: FUNCTIONS[fn].batch(x),
-              power=np.power, mul=operator.mul, div=np.true_divide)
     with np.errstate(all="ignore"):
-        out = walk(expr.root, ops)
+        out, _ = _walk_batch(expr.root, columns)
     if np.ndim(out) == 0:
         return np.full(n, float(out))
     return np.asarray(out, dtype=np.float64)

@@ -31,11 +31,14 @@ Monte Carlo runs are deterministic in (model, inputs, M, seed): draws
 are striped into fixed-size chunks, each one scrambled Sobol' net whose
 scramble comes from the chunk's own substream (:mod:`uncertlab.rng`);
 the last chunk takes the prefix of its net, so M is exact. Each chunk
-is drawn and evaluated one cache-sized block of rows after the other:
-a power of two at an aligned offset, whose points depend only on the
-seed, the chunk and the block's range. Each available core takes one
-contiguous span of about M / workers rows of blocks, so the workers
-finish together. Each block goes to its fixed offset of one
+is drawn and evaluated one cache-sized block of rows after the other
+(:func:`block_rows`: 131,072 values, at most one chunk): a power of
+two at an aligned offset, whose points depend only on the seed, the
+chunk and the block's range. Each available core takes one contiguous
+span of draws, cut at the multiple of an eighth of a block nearest
+w M / workers, so the workers finish together; a block that a cut
+falls in is drawn as aligned power-of-two pieces, whose points are
+the block's own. Each block goes to its fixed offset of one
 preallocated sample vector as value + 0.0, which stores a -0.0 as 0.0.
 Once every span is in, the vector is partitioned in place at ranks
 w M / workers and each worker sorts one piece. With no -0.0 left,
@@ -49,8 +52,9 @@ over 1% of the draws abort the run with a diagnostic that names such
 inputs. The mean and standard deviation are numpy's bit for bit,
 except where numpy's mean rounds outside the sample's range, where it
 is that bound. They take no M-sized copy: a run holds 8 bytes per draw
-plus one block of points, mapped to draws in place, and its
-temporaries per worker. A statistic
+plus, per worker, one block of points, mapped to draws in place, and
+the temporaries of the model's walk, each node evaluated into one the
+walk made (:func:`~uncertlab.expr.evaluate_batch`). A statistic
 whose sum leaves the double range is taken again on the values scaled
 by a power of two, exactly. ``concurrent.futures`` is imported by the
 first Monte Carlo run, so the other methods never load it.
@@ -99,7 +103,7 @@ MC_CHUNK_SIZE = 1 << NET_BITS
 
 # Values in one block of draws, drawn and evaluated by Monte Carlo at
 # once: a block's temporaries fit in cache, numpy's per-call cost is small.
-_BLOCK_VALUES = 65536
+_BLOCK_VALUES = 131072
 
 # Default coverage factor of every method; it implies erf(2 / sqrt(2)).
 _DEFAULT_K = 2.0
@@ -302,8 +306,32 @@ def propagate_taylor2(
 
 def block_rows(n_inputs: int) -> int:
     """Rows of ``n_inputs`` values in one block: the largest power of
-    two within _BLOCK_VALUES values, so blocks tile a chunk's net."""
-    return 1 << (_BLOCK_VALUES // n_inputs).bit_length() - 1
+    two within _BLOCK_VALUES values and one chunk, so blocks tile a
+    chunk's net."""
+    return min(1 << (_BLOCK_VALUES // n_inputs).bit_length() - 1,
+               MC_CHUNK_SIZE)
+
+
+def _spans(M: int, rows: int, workers: int) -> list[list[tuple[int, int]]]:
+    """Each worker's (start, size) pieces of draws: worker w takes the
+    draws from the multiple of rows // 8 nearest w M / workers on, as
+    aligned powers of two from rows // 8 to ``rows`` (a block) rows,
+    the largest that fit, so a piece lies in one block and a whole
+    block is one piece. The last piece may reach past a ragged M."""
+    step = rows // 8
+    cuts = [(2 * w * M + workers * step) // (2 * workers * step) * step
+            for w in range(workers)] + [M]
+    spans = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        span = []
+        while lo < hi:
+            size = min(rows, lo & -lo or rows)
+            while size > step and lo + size > hi:
+                size //= 2
+            span.append((lo, size))
+            lo += size
+        spans.append(span)
+    return spans
 
 
 def _available_cores() -> int:
@@ -391,23 +419,21 @@ def propagate_monte_carlo(
             f"its Sobol' direction table covers; got {len(joint)}")
     columns = sobol_columns(len(joint))
     values = np.empty(M)
-    rows, C = block_rows(len(joint)), MC_CHUNK_SIZE
-    # block starts in chunk order: rows divides the chunk, so no block
-    # crosses a chunk boundary
-    starts = list(range(0, M, rows))
+    rows = block_rows(len(joint))
 
-    def run_span(span: list[int]) -> None:
-        """Draw and evaluate each block starting in ``span`` into its slice."""
-        workspace = np.empty((len(joint), rows), np.uint64)
-        for lo in span:
-            ci, offset = divmod(lo, C)
-            if not offset or lo == span[0]:
+    def run_span(span: list[tuple[int, int]]) -> None:
+        """Draw and evaluate each piece of ``span`` into its slice."""
+        workspace = np.empty(len(joint) * rows, np.uint64)
+        for lo, size in span:
+            ci, offset = divmod(lo, MC_CHUNK_SIZE)
+            if not offset or lo == span[0][0]:
                 net = scramble(columns, substream(seed, ci))
+            block = workspace[:len(joint) * size].reshape(len(joint), size)
             # a Gaussian draw beyond the double range is an inf, counted
             # as a failed evaluation
             with np.errstate(over="ignore"):
-                draws = sample(joint, net_uniforms(net, offset, workspace)[
-                    :, :min(rows, M - lo)])
+                draws = sample(joint, net_uniforms(net, offset, block)[
+                    :, :min(size, M - lo)])
             cols = dict(zip(joint.names, draws.T))
             # + 0.0 stores a -0.0 as 0.0: zeros sort alike in any split
             np.add(evaluate_batch(expr, cols, len(draws)), 0.0,
@@ -415,14 +441,11 @@ def propagate_monte_carlo(
 
     from concurrent.futures import ThreadPoolExecutor
 
-    # Worker w takes the blocks from the start nearest w M / workers on;
-    # there are no more workers than M has full blocks. The calling
+    # There are no more workers than M has full blocks. The calling
     # thread takes span 0: a helper thread's malloc arena keeps its
     # memory after the thread exits, so fewer helpers hold less memory.
     workers = max(1, min(_available_cores(), M // rows))
-    at = np.array(starts) * workers
-    cuts = [int(np.abs(at - w * M).argmin()) for w in range(workers)]
-    spans = [starts[a:b] for a, b in zip(cuts, cuts[1:] + [len(starts)])]
+    spans = _spans(M, rows, workers)
     ranks = [M * w // workers for w in range(workers + 1)]
     pieces = [values[a:b] for a, b in zip(ranks, ranks[1:])]
     pool = ThreadPoolExecutor(max(workers - 1, 1))

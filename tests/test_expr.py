@@ -1,14 +1,15 @@
 """Parser and evaluator for the measurement-model DSL."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from uncertlab.errors import DomainError, EvaluationError, ParseError
 from uncertlab.expr import (FUNCTIONS, MAX_HEIGHT, MAX_NESTING, Binary,
-                            Const, Unary, Var, affinity, evaluate,
-                            evaluate_batch, parse_model)
+                            Const, Ops, Unary, Var, affinity, evaluate,
+                            evaluate_batch, parse_model, walk)
 
 ABC = ("a", "b", "c", "x", "y")
 
@@ -240,6 +241,43 @@ class TestBatchEvaluation:
         vals = evaluate_batch(m, {"x": np.zeros(7)}, n=7)
         assert vals.shape == (7,)
         assert (vals == 5.0).all()
+
+
+def allocating_batch(m, columns):
+    """The walk that gives every node a new array: the reference for
+    evaluate_batch, which writes into arrays its own walk made."""
+    ops = Ops(const=lambda value: value,
+              var=lambda name: np.asarray(columns[name], dtype=np.float64),
+              apply=lambda fn, x: FUNCTIONS[fn].batch(x),
+              power=np.power, mul=operator.mul, div=np.true_divide)
+    with np.errstate(all="ignore"):
+        return walk(m.root, ops)
+
+
+class TestInPlaceBatchWalk:
+    @pytest.mark.parametrize("text", [
+        "X1 * X1 + X1",                     # a variable read twice
+        "X1 / (X1 - X2) - X2 * X1",
+        "-X1", "X1 ^ 2", "sin(X1)", "-(X1 ^ 3) + ln(X2)",
+        "2 ^ 0.5 * X1 - 2 ^ 0.5",           # constant subtrees
+        "sqrt(2) + X2 / 3",
+        "X1",                               # a bare variable as the root
+        "exp(X1) * 1e-300 - exp(X2) * 1e-300 + X1 ^ -2",
+    ])
+    def test_inputs_unchanged_and_bits_of_the_allocating_walk(self, text):
+        rng = np.random.default_rng(5)
+        columns = {"X1": np.append(rng.normal(0.0, 400.0, 1000),
+                                   [0.0, -0.0, 1e-170, np.inf]),
+                   "X2": np.append(rng.normal(1.0, 3.0, 1000),
+                                   [0.0, -1.0, np.nan, 800.0])}
+        before = {name: col.copy() for name, col in columns.items()}
+        m = parse_model(text)
+        got = evaluate_batch(m, columns)
+        want = allocating_batch(m, before)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for name, col in columns.items():
+            assert np.array_equal(col.view(np.int64),
+                                  before[name].view(np.int64)), name
 
 
 def _references_variables(node):

@@ -458,8 +458,8 @@ class TestParallelChunks:
             parse_model("X1 * X2 + sin(X1)"), joint, seed=11)
         assert sum(failures) == 0
 
-    # three inputs make 16,384-row blocks, so the second worker starts
-    # halfway into chunk 1
+    # three inputs make 32,768-row blocks, so the second of two workers
+    # starts halfway into chunk 1
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_mixed_marginals_match_serial(self, monkeypatch, workers):
         force_workers(monkeypatch, workers)
@@ -522,8 +522,8 @@ class TestParallelChunks:
         real_substream = propagation.substream
         raised_on = []
 
-        # one input: the calling thread draws chunks 0 and 1, the helper
-        # chunks 2 and 3
+        # one input: the calling thread draws chunk 0 and the first half
+        # of chunk 1, the helper the rest, chunks 2 and 3 among it
         def failing_substream(seed, stream=0):
             if stream == 3:
                 raised_on.append(threading.current_thread())
@@ -539,8 +539,10 @@ class TestParallelChunks:
         assert raised_on and raised_on[0] is not threading.main_thread()
         assert threading.active_count() == before
 
-    # Spans of blocks that start inside a chunk: 32,768-row blocks cut
-    # inside chunk 1 at the default M; 2,048-row blocks at a ragged M
+    # Spans that start inside a block: two inputs make 65,536-row
+    # blocks, whole chunks, cut inside chunk 1 at the default M; 24
+    # inputs make 4,096-row blocks, cut at multiples of 512 rows at a
+    # ragged M
     SPAN_CASES = {
         "two_inputs": ("X1 * X2 + sin(X1)",
                        gaussian_joint([1.0, -2.0], [0.3, 0.5]), 200_000),
@@ -579,19 +581,56 @@ class TestParallelChunks:
         rows = self.rows_per_thread(
             monkeypatch, parse_model("X1 * X2"),
             gaussian_joint([1.0, 2.0], [0.1, 0.2]), 200_000)
-        # the cut is the block start nearest M / 2, so within half a
-        # 32,768-row block of it; whole chunks dealt out round-robin had
-        # drawn 131,072 against 68,928
+        # the cut is the multiple of 8,192 rows, an eighth of a
+        # 65,536-row block, nearest M / 2, so within 4,096 of it; whole
+        # blocks, here chunks, had drawn 131,072 against 68,928
         assert len(rows) == 2 and sum(rows.values()) == 200_000
         assert all(abs(n - 100_000) <= 16_384 for n in rows.values())
 
+    @pytest.mark.parametrize("n_inputs", [1, 2, 3, 24])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_cuts_are_aligned_pieces_of_blocks(self, n_inputs, workers):
+        rows = propagation.block_rows(n_inputs)
+        for M in (200_000, self.M, 2_000_000):
+            spans = propagation._spans(M, rows, workers)
+            starts = [span[0][0] for span in spans]
+            assert starts[0] == 0 and len(spans) == workers
+            for w, start in enumerate(starts):
+                assert start % (rows // 8) == 0
+                assert abs(start - w * M / workers) <= rows // 16
+            pieces = [piece for span in spans for piece in span]
+            ends = [lo + size for lo, size in pieces]
+            assert [lo for lo, _ in pieces] == [0, *ends[:-1]]
+            assert ends[-2] < M <= ends[-1]
+            for lo, size in pieces:
+                # an aligned power of two within one block
+                assert size & size - 1 == 0 and lo % size == 0
+                assert rows // 8 <= size <= rows
+
     def test_no_helper_without_a_full_block_each(self, monkeypatch):
         force_workers(monkeypatch, 2)
-        # 16,384-row blocks: 20,000 draws are one full block and a part
+        # 32,768-row blocks: 20,000 draws are not one full block
         rows = self.rows_per_thread(
             monkeypatch, parse_model("X1 + X2 + X3 + X4"),
             gaussian_joint([0.0] * 4, [1.0] * 4), 20_000)
         assert rows == {threading.get_ident(): 20_000}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n_inputs", [1, 2])
+    def test_a_block_is_at_most_one_chunk(self, n_inputs):
+        assert propagation.block_rows(n_inputs) <= MC_CHUNK_SIZE
+
+    # a block past a chunk's net would index its columns beyond the
+    # net's 16 bits
+    @pytest.mark.parametrize("n_inputs", [1, 2])
+    def test_few_inputs_over_ragged_chunks(self, n_inputs):
+        M = 3 * MC_CHUNK_SIZE + 17
+        joint = gaussian_joint([1.0] * n_inputs, [0.1] * n_inputs)
+        expr = parse_model(" * ".join(joint.names))
+        r, ecdf = propagate_monte_carlo(expr, joint, M=M, seed=2)
+        assert len(ecdf.sorted_values) == M
+        assert r.mc_diagnostics.domain_error_count == 0
 
 
 class TestMonteCarloMemory:
@@ -628,18 +667,18 @@ class TestMonteCarloMemory:
         r, peak, left = self.traced_run(expr, joint)
         assert r.mc_diagnostics.domain_error_count > 0
         # one 8-byte value per draw, and 2 MiB for each of 2 workers
-        # (2.0 MiB over the buffer measured)
+        # (3.5 MiB over the buffer measured)
         assert peak < 8 * self.M + 2 * 2 * 2**20
         # dropping the sorted values frees the buffer
         assert left < 2**20
 
     def test_block_per_worker_does_not_grow_with_inputs(self, monkeypatch):
-        # a chunk of 24 inputs is 12 MiB of draws; a block is 384 KiB
+        # a chunk of 24 inputs is 12 MiB of draws; a block is 768 KiB
         force_workers(monkeypatch, 2)
         joint = gaussian_joint([0.1 * i for i in range(1, 25)], [0.01] * 24)
         expr = parse_model(" + ".join(f"sin({n})" for n in joint.names))
         _, peak, _ = self.traced_run(expr, joint)
-        # 1.2 MiB over the buffer measured: one workspace of points per
+        # 1.9 MiB over the buffer measured: one workspace of points per
         # worker, mapped to draws in place
         assert peak < 8 * self.M + 2 * 2 * 2**20
 

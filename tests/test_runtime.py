@@ -228,9 +228,9 @@ def at_workers(monkeypatch, capsys, tmp_path, doc, workers):
 
 def test_mixed_marginals_give_one_result_at_any_worker_count(
         monkeypatch, capsys, tmp_path):
-    # three inputs at the default M: 16,384-row blocks, so the worker
-    # that starts inside a chunk builds its first block from the middle
-    # of the chunk's net
+    # three inputs at the default M: 32,768-row blocks, and the second
+    # worker starts at 98,304, inside a chunk, so it builds its first
+    # block from the middle of the chunk's net
     doc = {"model": {"expression": "X1 * X2 / (1 + X3) + sin(X3)"},
            "inputs": {"quantities": [
                {"name": "X1", "dist": {"kind": "gaussian", "mean": 2.0,
@@ -253,7 +253,7 @@ def test_mixed_marginals_give_one_result_at_any_worker_count(
     assert one == two
     assert json.loads(one)["measurement"]["mc_diagnostics"][
         "sampling"] == "sobol"
-    assert propagation.block_rows(3) == 16_384
+    assert propagation.block_rows(3) == 32_768
     helper, = (n for tid, n in rows.items() if tid != threading.get_ident())
     assert (200_000 - helper) % MC_CHUNK_SIZE
 
@@ -286,6 +286,27 @@ def test_signed_zeros_give_one_result_and_dump_at_any_worker_count(
     assert signs == {False, True}
     assert json.loads(results[0])["measurement"]["mc_diagnostics"][
         "domain_error_count"] > 0
+
+
+def test_a_cut_inside_a_block_gives_one_result_and_dump_at_any_worker_count(
+        monkeypatch, capsys, tmp_path):
+    # two inputs make 65,536-row blocks: at the default M the cuts for
+    # two and four workers fall inside one, whose pieces the worker
+    # draws; three workers start on block starts
+    doc = {"model": {"expression": "X1 * X2 + sin(X1)"},
+           "inputs": gaussians((1.0, 0.3), (-2.0, 0.5)),
+           "method": "monte_carlo", "seed": 7}
+    results, dumps = [], []
+    for workers in (1, 2, 3, 4):
+        doc["dump_samples"] = f"mc-cut-{workers}.csv"
+        results.append(at_workers(monkeypatch, capsys, tmp_path, doc,
+                                  workers))
+        dumps.append((tmp_path / doc["dump_samples"]).read_bytes())
+    assert propagation.block_rows(2) == MC_CHUNK_SIZE
+    assert all(span[0][0] % MC_CHUNK_SIZE
+               for span in propagation._spans(200_000, MC_CHUNK_SIZE, 4)[1:])
+    assert len(set(results)) == 1 and len(set(dumps)) == 1
+    assert len(dumps[0].decode().splitlines()) == 200_001
 
 
 def test_monte_carlo_refuses_more_inputs_than_its_nets_cover(capsys,
