@@ -5,7 +5,9 @@ a numpy ``Generator`` backed by the counter-based Philox bit generator,
 keyed by ``SeedSequence(seed, spawn_key=(stream,))``. Distinct stream
 indices give disjoint substreams: Monte Carlo chunk i draws its net's
 scramble from stream i, ``vi.optimize`` all training steps from stream
-0 (a block of steps per call), ``verify`` its data from stream 1.
+0 (a block of steps per call). ``verify`` draws its predict case's
+records from stream 1 and its Monte Carlo case, one chunk, from stream
+0, so the two never share a draw.
 ``numpy.random`` loads on the first call: conformity, predict, taylor
 and analytic runs never load it.
 

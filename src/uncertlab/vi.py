@@ -39,7 +39,7 @@ step would give, written once as [1 | z] rows: one (steps, S, P + 1)
 array whose column 0 is 1. :func:`optimize` binds Adam's constants,
 numpy's functions and the row views of that array before its loop.
 
-At the P = 3 of ``verify`` a step's cost is numpy's dispatch, not its
+At P = 3, a line through two features, a step's cost is numpy's dispatch, not its
 arithmetic, about 0.4 us per call: 24 numpy calls, 16.6 us a step on 2
 vCPUs. w = [1 | z] M' goes through ``np.dot``, which reaches the same
 BLAS dgemm as ``np.matmul`` with about 0.3 us less dispatch, and gives

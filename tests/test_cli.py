@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import errno
 import filecmp
 import io
@@ -21,7 +22,6 @@ import uncertlab.cli as cli
 import uncertlab.propagation as propagation
 import uncertlab.vi as vi
 from uncertlab.cli import main
-from uncertlab.dataset import make_dataset
 
 
 def run_cli(capsys, *argv):
@@ -515,7 +515,7 @@ class TestPropagate:
         class ArrayMemoryError(MemoryError):
             """Stands in for numpy's private subclass."""
 
-        def runner(doc, base_dir, given):
+        def runner(args):
             raise ArrayMemoryError("Unable to allocate 728. TiB")
 
         monkeypatch.setitem(cli._RUNNERS, "propagate", runner)
@@ -1078,21 +1078,98 @@ class TestOverrides:
         assert "--seed" in capsys.readouterr().err
 
 
+def verify_cases(out):
+    """The case rows of verify's report text ``out``, by name."""
+    checks = json.loads(out)["results"]["conjugate_check"]
+    return {case.pop("name"): case for case in checks["cases"]}
+
+
+def scaled_u(result, factor=1.01):
+    return dataclasses.replace(result, u=result.u * factor)
+
+
+def widened(result, factor=1.01):
+    y, (lo, hi) = result.y, result.interval
+    return dataclasses.replace(result, interval=(y - factor * (y - lo),
+                                                 y + factor * (hi - y)))
+
+
+def usl_plus_U_raised(decision, factor=1.01):
+    """The zone limit usl + U one percent higher."""
+    y, limit = decision.y, decision.spec.usl + decision.U
+    zone = decision.zone.copy()
+    zone[(y > limit) & (y <= factor * limit)] = "uncertainty_upper"
+    return dataclasses.replace(decision, zone=zone)
+
+
+def monte_carlo(change):
+    return lambda out: (change(out[0]), out[1])
+
+
+# per case: the library call it makes and what throws it off by 1%
+PERTURBATIONS = {
+    "taylor1_affine": ("propagate_taylor1", scaled_u),
+    "taylor2_product": ("propagate_taylor2", scaled_u),
+    "analytic_correlated_sum": ("propagate_analytic", scaled_u),
+    "monte_carlo_mean": ("propagate_monte_carlo", monte_carlo(
+        lambda r: dataclasses.replace(r, y=r.y * 1.01))),
+    "monte_carlo_u": ("propagate_monte_carlo", monte_carlo(scaled_u)),
+    "monte_carlo_interval": ("propagate_monte_carlo", monte_carlo(widened)),
+    # u^2 off by 1%
+    "predict": ("predict_parts", lambda vm: scaled_u(vm, math.sqrt(1.01))),
+    "conformity_zones": ("classify", usl_plus_U_raised),
+}
+# verify's cases in the order it reports them
+VERIFY_CASES = tuple(PERTURBATIONS)
+
+
 class TestVerify:
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "0")
         assert code == 0
-        checks = json.loads(out)["results"]["conjugate_check"]
-        assert checks["passed"]
-        assert checks["posterior_mean_rel_error"] <= 0.02
-        assert checks["posterior_cov_frobenius_rel_error"] <= 0.10
+        assert json.loads(out)["results"]["conjugate_check"]["passed"]
+        cases = verify_cases(out)
+        assert tuple(cases) == VERIFY_CASES
+        for case in cases.values():
+            assert set(case) == {"error", "tolerance", "passed"}
+            assert case["passed"] and 0 <= case["error"] <= case["tolerance"]
 
-    def test_data_and_vi_draws_come_from_different_streams(
+    @pytest.mark.parametrize("name", VERIFY_CASES)
+    def test_a_method_off_by_one_percent_fails_its_case_alone(
+            self, capsys, caplog, monkeypatch, name):
+        attr, change = PERTURBATIONS[name]
+        method = getattr(cli, attr)
+        monkeypatch.setattr(cli, attr, lambda *args, **kwargs: change(
+            method(*args, **kwargs)))
+        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
+        assert code == 1
+        assert not json.loads(out)["results"]["conjugate_check"]["passed"]
+        cases = verify_cases(out)
+        assert [n for n, case in cases.items() if not case["passed"]] == [name]
+        assert cases[name]["error"] > cases[name]["tolerance"]
+        assert f"verify case {name} failed" in caplog.text
+
+    @pytest.mark.parametrize("name, attr, change", [
+        ("taylor1_affine", "propagate_taylor1",
+         lambda r: dataclasses.replace(r, u=math.nan)),
+        ("monte_carlo_interval", "propagate_monte_carlo", monte_carlo(
+            lambda r: dataclasses.replace(r, interval=(r.interval[0],
+                                                       math.nan)))),
+    ])
+    def test_a_nan_fails_its_case_with_a_null_error(
+            self, capsys, monkeypatch, name, attr, change):
+        method = getattr(cli, attr)
+        monkeypatch.setattr(cli, attr, lambda *args, **kwargs: change(
+            method(*args, **kwargs)))
+        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
+        assert code == 1
+        cases = verify_cases(out)
+        assert [n for n, case in cases.items() if not case["passed"]] == [name]
+        assert cases[name]["error"] is None
+
+    def test_data_and_monte_carlo_draw_from_different_streams(
             self, capsys, monkeypatch):
-        # both once came from stream 0 of the seed: Adam's first 600
-        # normals were the data's 400 features and 200 noise draws
-        streams = {"data": [], "vi": []}
-        records = []
+        streams = {"data": [], "monte_carlo": []}
 
         def spy(who, draw):
             def substream(seed, stream=0):
@@ -1101,62 +1178,64 @@ class TestVerify:
             return substream
 
         monkeypatch.setattr(cli, "substream", spy("data", cli.substream))
-        monkeypatch.setattr(vi, "substream", spy("vi", vi.substream))
-        monkeypatch.setattr(cli, "make_dataset", lambda x, y, names: (
-            records.append((x, y)) or make_dataset(x, y, names)))
-        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
-        assert code == 0 and json.loads(out)["results"][
-            "conjugate_check"]["passed"]
-        assert streams["data"] and streams["vi"]
-        assert not set(streams["data"]) & set(streams["vi"])
-        (x, y), = records
-        first = vi.substream(*streams["vi"][0]).standard_normal(x.size)
-        assert not np.array_equal(x.ravel(), first)
+        monkeypatch.setattr(propagation, "substream",
+                            spy("monte_carlo", propagation.substream))
+        assert run_cli(capsys, "verify", "--seed", "5")[0] == 0
+        # M = 2^16 is one chunk, which draws its scramble from stream 0
+        assert streams == {"data": [(5, 1)], "monte_carlo": [(5, 0)]}
 
-    def test_computes_no_free_energy(self, capsys, monkeypatch):
-        # each step returns the gradient alone; the exact F is taken at
-        # the start and after the last step only
-        steps, exact = [], []
-        stepper, free_energy = vi._stepper, vi.free_energy
+    def test_each_case_makes_one_library_call_and_no_optimizer_runs(
+            self, capsys, monkeypatch):
+        methods = ("propagate_taylor1", "propagate_taylor2",
+                   "propagate_analytic", "propagate_monte_carlo",
+                   "conjugate_posterior", "predict_parts", "classify")
+        calls = []
 
-        def spy_stepper(*args, **kwargs):
-            step = stepper(*args, **kwargs)
+        def counted(name, method):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return call
 
-            def spied(theta, z1):
-                grad = step(theta, z1)
-                steps.append((type(grad), grad.shape == theta.shape))
-                return grad
-            return spied
-
-        monkeypatch.setattr(vi, "_stepper", spy_stepper)
-        monkeypatch.setattr(vi, "free_energy", lambda design, q: (
-            exact.append(q) or free_energy(design, q)))
-        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
-        checks = json.loads(out)["results"]["conjugate_check"]
-        assert code == 0 and checks["passed"] and checks["n_steps"] == 4000
-        assert steps == [(np.ndarray, True)] * 4000
-        assert len(exact) == 2
+        for name in methods:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        monkeypatch.setattr(vi, "optimize", counted("optimize", vi.optimize))
+        assert run_cli(capsys, "verify", "--seed", "0")[0] == 0
+        assert sorted(calls) == sorted(methods)
 
     def test_same_seed_writes_the_same_results(self, capsys, tmp_path):
-        # the same results block twice, after all 4,000 Adam steps
         runs = []
         for run in (1, 2):
-            out = str(tmp_path / f"verify-seed3-run{run}.json")
-            assert run_cli(capsys, "verify", "--seed", "3", "--out", out)[0] \
-                == 0
-            with open(out) as fh:
-                runs.append(json.dumps(json.load(fh)["results"]))
+            out = tmp_path / f"verify-seed3-run{run}.json"
+            assert run_cli(capsys, "verify", "--seed", "3", "--out",
+                           str(out))[0] == 0
+            runs.append(json.dumps(json.loads(out.read_text())["results"]))
         assert runs[0] == runs[1]
-        assert json.loads(runs[0])["conjugate_check"]["n_steps"] == 4000
+        assert tuple(verify_cases(out.read_text())) == VERIFY_CASES
+
+    def test_one_worker_and_two_write_the_same_results(self, capsys,
+                                                        monkeypatch):
+        # two inputs at M = 2^16 are one block of draws, which one
+        # worker takes at any core count
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(propagation, "_available_cores",
+                                lambda: workers)
+            code, out, _ = run_cli(capsys, "verify", "--seed", "3")
+            assert code == 0
+            runs.append(json.dumps(json.loads(out)["results"]))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_passes_at_more_seeds(self, capsys, seed):
         code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))
-        checks = json.loads(out)["results"]["conjugate_check"]
-        assert code == 0 and checks["passed"], checks
-        assert checks["tolerances"] == {
-            "posterior_mean": 0.02, "posterior_cov": 0.10,
-            "predictive_mean": 0.02, "predictive_var": 0.02}
+        cases = verify_cases(out)
+        assert code == 0 and all(c["passed"] for c in cases.values()), cases
+        assert {name: c["tolerance"] for name, c in cases.items()} == {
+            "taylor1_affine": 2e-15, "taylor2_product": 2e-15,
+            "analytic_correlated_sum": 2e-15, "monte_carlo_mean": 1.6e-5,
+            "monte_carlo_u": 4e-5, "monte_carlo_interval": 6e-3,
+            "predict": 2e-14, "conformity_zones": 0}
 
 
 def echoed_config(capsys, *argv):
